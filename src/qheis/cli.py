@@ -35,6 +35,7 @@ from .scalar import EvaluationError, RationalPoint
 from .series import SeriesError, Window
 from .vertexops import (
     LAWS,
+    LawParameterError,
     VertexError,
     field_of,
     phi_product_n,
@@ -53,10 +54,13 @@ def _window_default(fallback: int | None) -> int | None:
     env = os.environ.get("QHEIS_WINDOW")
     if env is not None:
         try:
-            return int(env)
+            fallback = int(env)
         except ValueError:
             raise SystemExit(_fail_usage(
                 f"QHEIS_WINDOW must be an integer, got {env!r}"))
+    if fallback is not None and fallback < 0:
+        raise SystemExit(_fail_usage(
+            f"a window must be a nonnegative integer, got {fallback}"))
     return fallback
 
 
@@ -259,7 +263,7 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     try:
         rep = verify_identity(args.law, window=window, point=point, **params)
-    except TypeError as exc:
+    except (TypeError, LawParameterError) as exc:
         return _fail_usage(f"bad parameters for {args.law}: {exc}")
     doc = _report_doc(
         "verify",

@@ -23,12 +23,11 @@ nonzero level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .liealg import (
     AlgebraSpec,
     GeneratorSymbol,
-    LieAlgebraError,
     bracket_modes,
     get_algebra,
     graded_leading_constant,

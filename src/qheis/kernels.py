@@ -325,16 +325,17 @@ def _tokenize(text: str):
 
 
 # Parser values: a numerator polynomial together with denominator units.
-# A unit is the expanded polynomial of one syntactic group; units are
-# classified into factor shapes at assembly.  `pb` remembers that the
-# numerator is a power of a smaller group so 1/(...)^n keeps its base.
+# A unit is the expanded polynomial of one syntactic group with a power;
+# units are classified into factor shapes at assembly.  `fac` lists the
+# numerator as a product of units, when it is one, so that 1/(...) keeps
+# one denominator unit per factor: 1/((x1-x2)^2*(x1-q*x2)) has two.
 
 
 @dataclass(frozen=True)
 class _V:
     num: tuple
     den: tuple
-    pb: tuple | None = None
+    fac: tuple | None = None
 
 
 def _freeze(num: NumPoly):
@@ -343,6 +344,11 @@ def _freeze(num: NumPoly):
 
 def _thaw(fr) -> NumPoly:
     return dict(fr)
+
+
+def _atom(num: NumPoly) -> _V:
+    fr = _freeze(num)
+    return _V(fr, (), ((fr, 1),))
 
 
 class _Parser:
@@ -420,18 +426,18 @@ class _Parser:
     def primary(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return _V(_freeze({(): Scalar.from_int(val)} if val else {}), ())
+            return _atom({(): Scalar.from_int(val)} if val else {})
         if kind == "op" and val == "(":
             v = self.expr()
             kind2, val2, _ = self.take()
             if not (kind2 == "op" and val2 == ")"):
                 self.error("unbalanced parenthesis", pos)
-            if not v.den:
-                return _V(v.num, (), (v.num, 1))
+            if v.fac is None:
+                return _V(v.num, v.den, ((v.num, 1),))
             return v
         if kind == "name":
             if val == "q":
-                return _V(_freeze({(): Scalar.var_q()}), ())
+                return _atom({(): Scalar.var_q()})
             if val == "e":
                 kind2, val2, _ = self.take()
                 if not (kind2 == "op" and val2 == "^"):
@@ -439,17 +445,19 @@ class _Parser:
                 kind3, var, _ = self.take()
                 if kind3 != "name" or var not in VARS:
                     self.error("e^ expects a variable name", pos)
-                return _V(_freeze({_mono((f"e^{var}", 1)): _ONE}), ())
+                return _atom({_mono((f"e^{var}", 1)): _ONE})
             if val in VARS:
-                return _V(_freeze({_mono((val, 1)): _ONE}), ())
+                return _atom({_mono((val, 1)): _ONE})
             self.error(f"unknown symbol {val!r}", pos)
         self.error("expected a value", pos)
 
     # -- value algebra -------------------------------------------------------
 
     def _neg(self, v: _V) -> _V:
+        minus = _freeze({(): Scalar.from_int(-1)})
         num = _freeze(_num_scale(_thaw(v.num), Scalar.from_int(-1)))
-        return _V(num, v.den, (num, 1) if not v.den else None)
+        fac = ((num, 1),) if v.fac is None else v.fac + ((minus, 1),)
+        return _V(num, v.den, fac)
 
     def _add(self, a: _V, b: _V) -> _V:
         if a.den or b.den:
@@ -457,8 +465,9 @@ class _Parser:
         return _V(_freeze(_num_add(_thaw(a.num), _thaw(b.num))), ())
 
     def _mul(self, a: _V, b: _V) -> _V:
+        fac = None if a.fac is None or b.fac is None else a.fac + b.fac
         return _V(_freeze(_num_mul(_thaw(a.num), _thaw(b.num))),
-                  a.den + b.den)
+                  a.den + b.den, fac)
 
     def _inv(self, v: _V) -> _V:
         if v.den:
@@ -470,8 +479,7 @@ class _Parser:
             (m, c), = num.items()
             inv = _mono(*((a, -e) for a, e in m))
             return _V(_freeze({inv: _ONE / c}), ())
-        unit = v.pb if v.pb else (v.num, 1)
-        return _V(_freeze({(): _ONE}), (unit,))
+        return _V(_freeze({(): _ONE}), v.fac or ((v.num, 1),), ())
 
     def _pow(self, v: _V, e: int) -> _V:
         if e == 0:
@@ -482,11 +490,8 @@ class _Parser:
         out: NumPoly = {(): _ONE}
         for _ in range(e):
             out = _num_mul(out, num)
-        pb = None
-        if not v.den:
-            base, bp = v.pb if v.pb else (v.num, 1)
-            pb = (base, bp * e)
-        return _V(_freeze(out), tuple((f, p * e) for f, p in v.den), pb)
+        fac = None if v.fac is None else tuple((f, p * e) for f, p in v.fac)
+        return _V(_freeze(out), tuple((f, p * e) for f, p in v.den), fac)
 
 
 def _classify_unit(text: str, unit: NumPoly) -> tuple[Factor, Scalar]:
@@ -838,10 +843,6 @@ def iota_expand(k: RationalKernel, direction: tuple[str, ...],
 
 
 # -- convenience constructors ----------------------------------------------
-
-
-def kernel_const(c: Scalar) -> RationalKernel:
-    return RationalKernel({(): c} if c else {})
 
 
 def kernel_mono(c: Scalar, **exps: int) -> RationalKernel:

@@ -41,16 +41,6 @@ class CheckReport:
             head += f" ({self.checked} coefficients)"
         return head
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "checked": self.checked,
-            "region": self.region,
-            "failures": list(self.failures),
-            "notes": list(self.notes),
-        }
-
 
 def combine(name: str, parts: list[CheckReport]) -> CheckReport:
     """Fold sub-reports: fail dominates, then inconclusive, then pass."""

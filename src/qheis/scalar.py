@@ -5,15 +5,28 @@ deformation parameter ``q`` and the level parameter ``l``.  Negative powers
 of ``q`` are cleared into the denominator, so a Laurent monomial like
 ``q**-3`` is stored as ``1/q^3``.
 
-Canonical form (enforced by the constructor):
+Canonical form (kept by every operation):
 
 * ``den`` is nonzero;
 * ``gcd(num, den)`` is ``1`` in ``Z[q, l]`` (including integer content);
 * the leading coefficient of ``den`` under lexicographic monomial order
   (``q`` before ``l``) is positive.
 
-Equal values therefore have identical representations, and ``==`` / ``hash``
-are structural.
+The denominator is stored factored as ``c * q^a * prod Phi_d(q)^e_d * R``:
+a positive integer ``c``, a power of ``q``, cyclotomic polynomials
+``Phi_d`` and a residual ``R`` that is primitive, has a positive leading
+coefficient and is divisible by neither ``q`` nor any ``Phi_d``.  The
+q-integer and ``1/(q^k - 1)`` weights of the deformed brackets factor
+completely, so ``R = 1`` in practice.  Sums then take the lcm of the
+factorizations and products add exponents; the only reduction left is
+trial division by the factors two operands share, which is exact
+synthetic division by a monic ``Phi_d``.  A residual ``R != 1`` (a division
+by ``l`` or by ``q - 2``, say) takes the general ``Z[q, l]`` gcd; those
+reductions are counted in ``residual_reductions``.
+
+``num`` is a polynomial dict and ``den`` its expanded denominator, built on
+first use.  Equal values have identical representations, so ``==`` and
+``hash`` are structural.
 """
 
 from __future__ import annotations
@@ -75,10 +88,6 @@ def _pscale(a: Poly, k: int) -> Poly:
     if k == 0:
         return {}
     return {m: c * k for m, c in a.items()}
-
-
-def _pshift(a: Poly, dq: int, dl: int) -> Poly:
-    return {(eq + dq, el + dl): c for (eq, el), c in a.items()}
 
 
 def _lead(a: Poly) -> tuple[tuple[int, int], int]:
@@ -305,6 +314,310 @@ def _pstr(a: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
+# factored denominators
+# ---------------------------------------------------------------------------
+
+# A denominator (c, a, cyc, r) stands for c * q^a * prod Phi_d(q)^e * r, with
+# c > 0, a >= 0, cyc the (d, e) pairs with e > 0 sorted by d, and r None for
+# 1 or else a primitive polynomial with a positive leading coefficient and
+# no factor q or Phi_d.
+Factored = tuple[int, int, tuple[tuple[int, int], ...], "Poly | None"]
+
+_PLAIN: Factored = (1, 0, (), None)
+
+# reductions that took the general Z[q, l] gcd on a residual factor
+residual_reductions = 0
+
+# Phi_d as a coefficient list, lowest degree first, built on first use
+_CYCLO: dict[int, list[int]] = {}
+
+
+def _lmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _ldiv(a: list[int], p: list[int]) -> list[int] | None:
+    """a / p for a nonzero a and a monic p by synthetic division.
+
+    None unless the division is exact.
+    """
+    k = len(p) - 1
+    if len(a) <= k:
+        return None
+    r = list(a)
+    for i in range(len(a) - 1 - k, -1, -1):
+        t = r[i + k]
+        if t:
+            for j in range(k):
+                r[i + j] -= t * p[j]
+    if any(r[:k]):
+        return None
+    return r[k:]
+
+
+def _cyclo(d: int) -> list[int]:
+    """The cyclotomic polynomial Phi_d, lowest coefficient first."""
+    p = _CYCLO.get(d)
+    if p is None:
+        p = [-1] + [0] * (d - 1) + [1]
+        for k in range(1, d):
+            if d % k == 0:
+                p = _ldiv(p, _cyclo(k))
+        _CYCLO[d] = p
+    return p
+
+
+def _cyclo_product(cyc) -> list[int]:
+    out = [1]
+    for d, e in cyc:
+        p = _cyclo(d)
+        for _ in range(e):
+            out = _lmul(out, p)
+    return out
+
+
+def _cyclo_orders(n: int) -> list[tuple[int, int]]:
+    """Every (d, phi(d)) with phi(d) <= n, by increasing d.
+
+    Phi_d has degree phi(d), Euler's totient, so these are the cyclotomic
+    factors a polynomial of degree n can have.  They are the products of
+    prime powers p^k with prod p^(k-1) (p - 1) <= n.
+    """
+    primes = [p for p in range(2, n + 2)
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))]
+    out = []
+
+    def grow(d: int, phi: int, i: int) -> None:
+        out.append((d, phi))
+        for j in range(i, len(primes)):
+            p = primes[j]
+            f = phi * (p - 1)
+            if f > n:
+                break
+            pk = p
+            while f <= n:
+                grow(d * pk, f, j + 1)
+                pk *= p
+                f *= p
+
+    grow(1, 1, 0)
+    return sorted(out)
+
+
+def _dense(a: Poly) -> dict[int, list[int]]:
+    """a as a coefficient list in q, lowest first, per power of l."""
+    out: dict[int, list[int]] = {}
+    for (eq, el), c in a.items():
+        cs = out.get(el)
+        if cs is None:
+            cs = out[el] = []
+        if len(cs) <= eq:
+            cs.extend([0] * (eq + 1 - len(cs)))
+        cs[eq] = c
+    return out
+
+
+def _sparse(a: dict[int, list[int]]) -> Poly:
+    return {(eq, el): c for el, cs in a.items()
+            for eq, c in enumerate(cs) if c}
+
+
+def _strip_cyclo(a: dict[int, list[int]], d: int, most: int):
+    """Divide Phi_d out of a dense polynomial up to `most` times.
+
+    Returns the quotient and the number of times Phi_d divided.
+    """
+    p = _cyclo(d)
+    k = 0
+    while k < most:
+        out = {}
+        for el, cs in a.items():
+            qt = _ldiv(cs, p)
+            if qt is None:
+                return a, k
+            out[el] = qt
+        a = out
+        k += 1
+    return a, k
+
+
+def _expand(fd: Factored) -> Poly:
+    c, a, cyc, r = fd
+    cs = _cyclo_product(cyc) if cyc else [1]
+    out = {(a + i, 0): c * v for i, v in enumerate(cs) if v}
+    return out if r is None else _pmul(out, r)
+
+
+def _factor(p: Poly) -> tuple[int, Factored]:
+    """A nonzero p as (sign, factored) by trial division over Phi_d."""
+    c = _int_gcd(*p.values())
+    sign = -1 if p[max(p)] < 0 else 1
+    a = min(p)[0]
+    if len(p) == 1:
+        ((_eq, el),) = p
+        return sign, (c, a, (), {(0, el): 1} if el else None)
+    k = sign * c
+    dense = _dense({(eq - a, el): v // k for (eq, el), v in p.items()})
+    n = max(map(len, dense.values())) - 1
+    cyc = []
+    for d, phi in _cyclo_orders(n):
+        if phi <= n:
+            dense, e = _strip_cyclo(dense, d, n // phi)
+            if e:
+                cyc.append((d, e))
+                n = max(map(len, dense.values())) - 1
+    r = _sparse(dense)
+    return sign, (c, a, tuple(cyc), None if r == _ONE else r)
+
+
+def _residual_gcd(a: Poly, b: Poly) -> Poly:
+    global residual_reductions
+    residual_reductions += 1
+    return _pgcd(a, b)
+
+
+def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
+    """num and the denominator fd, both divided by their gcd."""
+    c, a, cyc, r = fd
+    changed = False
+    if c != 1:
+        g = _int_gcd(c, *num.values())
+        if g != 1:
+            num = {m: v // g for m, v in num.items()}
+            c //= g
+            changed = True
+    if a:
+        k = min(min(num)[0], a)
+        if k:
+            num = {(eq - k, el): v for (eq, el), v in num.items()}
+            a -= k
+            changed = True
+    if cyc:
+        dense = _dense(num)
+        kept = []
+        for d, e in cyc:
+            dense, k = _strip_cyclo(dense, d, e)
+            if k < e:
+                kept.append((d, e - k))
+        kept = tuple(kept)
+        if kept != cyc:
+            num = _sparse(dense)
+            cyc = kept
+            changed = True
+    if r is not None:
+        g = _residual_gcd(num, r)
+        if g != _ONE:
+            num = _pdiv_exact(num, g)
+            r = _pdiv_exact(r, g)
+            if r == _ONE:
+                r = None
+            changed = True
+    return num, ((c, a, cyc, r) if changed else fd)
+
+
+def _split_common(f: Factored, g: Factored) -> tuple[Factored, Factored]:
+    """f / h and g / h for h the gcd of two denominators."""
+    if f == _PLAIN or g == _PLAIN:
+        return f, g
+    c1, a1, k1, r1 = f
+    c2, a2, k2, r2 = g
+    h = _int_gcd(c1, c2)
+    m = min(a1, a2)
+    if k1 and k2:
+        e2 = dict(k2)
+        left = []
+        for d, e in k1:
+            t = min(e, e2.get(d, 0))
+            if t:
+                e2[d] -= t
+            if e > t:
+                left.append((d, e - t))
+        k1 = tuple(left)
+        k2 = tuple((d, e2[d]) for d, _e in k2 if e2[d])
+    if r1 is not None and r2 is not None:
+        rg = _residual_gcd(r1, r2)
+        if rg != _ONE:
+            r1 = _pdiv_exact(r1, rg)
+            r2 = _pdiv_exact(r2, rg)
+            r1 = None if r1 == _ONE else r1
+            r2 = None if r2 == _ONE else r2
+    return (c1 // h, a1 - m, k1, r1), (c2 // h, a2 - m, k2, r2)
+
+
+def _fd_mul(f: Factored, g: Factored) -> Factored:
+    if g == _PLAIN:
+        return f
+    if f == _PLAIN:
+        return g
+    c1, a1, k1, r1 = f
+    c2, a2, k2, r2 = g
+    if not k1:
+        cyc = k2
+    elif not k2:
+        cyc = k1
+    else:
+        m = dict(k1)
+        for d, e in k2:
+            m[d] = m.get(d, 0) + e
+        cyc = tuple(sorted(m.items()))
+    r = r2 if r1 is None else r1 if r2 is None else _pmul(r1, r2)
+    return (c1 * c2, a1 + a2, cyc, r)
+
+
+def _lift(num: Poly, k: int, s: int, cyc, r: Poly | None) -> Poly:
+    """num * k * q^s * prod Phi_d^e * r, with r None for 1."""
+    if k != 1 or s:
+        num = {(eq + s, el): v * k for (eq, el), v in num.items()}
+    if cyc:
+        num = _pmul(num, {(i, 0): v for i, v
+                          in enumerate(_cyclo_product(cyc)) if v})
+    return num if r is None else _pmul(num, r)
+
+
+def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored) -> "Scalar":
+    """x + y over the lcm of two different denominators.
+
+    A factor whose exponents differ divides exactly one of the two lifted
+    numerators, so only the integer content and the factors with tied
+    exponents can cancel from the sum (Henrici).
+    """
+    cx, ax, kx, rx = xf
+    cy, ay, ky, ry = yf
+    ex, ey = dict(kx), dict(ky)
+    tied, untied, lx, ly = [], [], [], []
+    for d in sorted(ex.keys() | ey.keys()):
+        i, j = ex.get(d, 0), ey.get(d, 0)
+        if i == j:
+            tied.append((d, i))
+        else:
+            untied.append((d, max(i, j)))
+            if i < j:
+                lx.append((d, j - i))
+            else:
+                ly.append((d, i - j))
+    if rx is None or ry is None:
+        r, mx, my = (rx if ry is None else ry), ry, rx
+    else:
+        h = _residual_gcd(rx, ry)
+        mx, my = _pdiv_exact(ry, h), _pdiv_exact(rx, h)
+        r = _pmul(rx, mx)
+    g = _int_gcd(cx, cy)
+    a = max(ax, ay)
+    num = _padd(_lift(xn, cy // g, a - ax, lx, mx),
+                _lift(yn, cx // g, a - ay, ly, my))
+    if not num:
+        return _S_ZERO
+    tie = ax == ay
+    num, fd = _cancel(num, (cx // g * cy, a if tie else 0, tuple(tied), r))
+    return _make(num, _fd_mul(fd, (1, 0 if tie else a, tuple(untied), None)))
+
+
+# ---------------------------------------------------------------------------
 # Scalar
 # ---------------------------------------------------------------------------
 
@@ -312,34 +625,31 @@ def _pstr(a: Poly) -> str:
 class Scalar:
     """An element of Q(q, l) in canonical form.  Immutable."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "_fd", "_den", "_hash")
 
-    def __init__(self, num: Poly, den: Poly, _canonical: bool = False):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
-        self._hash: int | None = None
+    def __init__(self, num: Poly, den: Poly):
+        """The reduced fraction num / den."""
+        v = _make(num, _PLAIN) / _make(den, _PLAIN)
+        _set_num(self, v.num)
+        _set_fd(self, v._fd)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_int(cls, n: int) -> "Scalar":
-        return cls({(0, 0): n} if n else {}, dict(_ONE), _canonical=True)
+        return _make({(0, 0): n} if n else {}, _PLAIN)
 
     @classmethod
     def from_fraction(cls, f: Fraction | int) -> "Scalar":
         f = Fraction(f)
         num = {(0, 0): f.numerator} if f.numerator else {}
-        return cls(num, {(0, 0): f.denominator}, _canonical=True)
+        return _make(num, (f.denominator, 0, (), None))
 
     @classmethod
     def q_power(cls, k: int) -> "Scalar":
         if k >= 0:
-            return cls({(k, 0): 1}, dict(_ONE), _canonical=True)
-        return cls(dict(_ONE), {(-k, 0): 1}, _canonical=True)
+            return _make({(k, 0): 1}, _PLAIN)
+        return _make({(0, 0): 1}, (1, -k, (), None))
 
     @classmethod
     def var_q(cls) -> "Scalar":
@@ -347,7 +657,7 @@ class Scalar:
 
     @classmethod
     def var_l(cls) -> "Scalar":
-        return cls({(0, 1): 1}, dict(_ONE), _canonical=True)
+        return _make({(0, 1): 1}, _PLAIN)
 
     # -- predicates ---------------------------------------------------------
 
@@ -358,36 +668,55 @@ class Scalar:
         return bool(self.num)
 
     def is_one(self) -> bool:
-        return self.num == _ONE and self.den == _ONE
+        return self.num == _ONE and self._fd == _PLAIN
+
+    @property
+    def den(self) -> Poly:
+        """The expanded denominator."""
+        try:
+            return self._den
+        except AttributeError:
+            den = _expand(self._fd)
+            _set_den(self, den)
+            return den
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        if not self.num:
+        xn = self.num
+        if not xn:
             return other
-        if not other.num:
+        yn = other.num
+        if not yn:
             return self
-        if self.den == other.den:
-            return Scalar(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den))
+        fd = self._fd
+        if fd != other._fd:
+            return _add_apart(xn, fd, yn, other._fd)
+        num = _padd(xn, yn)
+        if not num:
+            return _S_ZERO
+        return _make(*_cancel(num, fd))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self.__add__(-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den, _canonical=True)
+        return _make(_pneg(self.num), self._fd)
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = Scalar.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        if not self.num or not other.num:
+        xn, yn = self.num, other.num
+        if not xn or not yn:
             return _S_ZERO
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        # gcd(xn yn, xden yden) = gcd(xn, yden) gcd(yn, xden)
+        xn, yf = _cancel(xn, other._fd)
+        yn, xf = _cancel(yn, self._fd)
+        return _make(_pmul(xn, yn), _fd_mul(xf, yf))
 
     __rmul__ = __mul__
 
@@ -400,7 +729,14 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         if not self.num:
             return _S_ZERO
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        # x / y = (xn yden) / (xden yn); cancel xn against yn and the two
+        # denominators against each other, and what is left is coprime
+        sign, nf = _factor(other.num)
+        num, nf = _cancel(self.num, nf)
+        xf, yf = _split_common(self._fd, other._fd)
+        if yf != _PLAIN:
+            num = _pmul(num, other.den if yf == other._fd else _expand(yf))
+        return _make(_pneg(num) if sign < 0 else num, _fd_mul(xf, nf))
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -421,47 +757,53 @@ class Scalar:
             other = Scalar.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self._fd == other._fd
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash((frozenset(self.num.items()), frozenset(self.den.items()))),
-            )
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            c, a, cyc, r = self._fd
+            h = hash((frozenset(self.num.items()), c, a, cyc,
+                      r and frozenset(r.items())))
+            _set_hash(self, h)
+            return h
 
     def __setattr__(self, name, value):
-        if name in ("num", "den", "_hash") and not hasattr(self, "_hash"):
-            object.__setattr__(self, name, value)
-        elif name == "_hash":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("Scalar is immutable")
+        raise AttributeError("Scalar is immutable")
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
-        den = _peval(self.den, point.q0, point.l0)
+        q0, l0 = point.q0, point.l0
+        c, a, cyc, r = self._fd
+        den = c * q0**a
+        for d, e in cyc:
+            v = Fraction(0)
+            for coef in reversed(_cyclo(d)):
+                v = v * q0 + coef
+            den *= v**e
+        if r is not None:
+            den *= _peval(r, q0, l0)
         if den == 0:
             raise EvaluationError(
                 f"denominator ({_pstr(self.den)}) vanishes at "
-                f"q={point.q0}, l={point.l0}"
+                f"q={q0}, l={l0}"
             )
-        return _peval(self.num, point.q0, point.l0) / den
+        return _peval(self.num, q0, l0) / den
 
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
         ns = _pstr(self.num)
-        if self.den == _ONE:
+        den = self.den
+        if den == _ONE:
             return ns
         if len(self.num) > 1:
             ns = f"({ns})"
-        ds = _pstr(self.den)
-        (dq, dl), dc = _lead(self.den)
-        if len(self.den) > 1 or (dc != 1 and (dq or dl)):
+        ds = _pstr(den)
+        (dq, dl), dc = _lead(den)
+        if len(den) > 1 or (dc != 1 and (dq or dl)):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -469,35 +811,19 @@ class Scalar:
         return f"Scalar({self})"
 
 
-_REDUCE_CACHE: dict[tuple[frozenset, frozenset], tuple[Poly, Poly]] = {}
+_new = object.__new__
+_set_num = Scalar.num.__set__
+_set_fd = Scalar._fd.__set__
+_set_den = Scalar._den.__set__
+_set_hash = Scalar._hash.__set__
 
 
-def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if not num:
-        return {}, dict(_ONE)
-    # fast path: monomial denominator
-    if len(den) == 1:
-        (dq, dl), dc = _lead(den)
-        mq = min(min(eq for (eq, _l) in num), dq)
-        ml = min(min(el for (_q, el) in num), dl)
-        g = _int_gcd(_content(num), abs(dc))
-        if dc < 0:
-            g = -g
-        num = {(eq - mq, el - ml): c // g for (eq, el), c in num.items()}
-        return num, {(dq - mq, dl - ml): dc // g}
-    key = (frozenset(num.items()), frozenset(den.items()))
-    hit = _REDUCE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    g = _pgcd(num, den)
-    rnum = _pdiv_exact(num, g)
-    rden = _pdiv_exact(den, g)
-    if _lead(rden)[1] < 0:
-        rnum, rden = _pneg(rnum), _pneg(rden)
-    if len(_REDUCE_CACHE) > 200_000:
-        _REDUCE_CACHE.clear()
-    _REDUCE_CACHE[key] = (rnum, rden)
-    return rnum, rden
+def _make(num: Poly, fd: Factored) -> Scalar:
+    """A Scalar from a numerator already coprime to the denominator fd."""
+    s = _new(Scalar)
+    _set_num(s, num)
+    _set_fd(s, fd)
+    return s
 
 
 def _peval(a: Poly, q0: Fraction, l0: Fraction) -> Fraction:
@@ -526,7 +852,7 @@ def qint(m: int) -> Scalar:
     if m < 0:
         return -qint(-m)
     num = {(2 * i, 0): 1 for i in range(m)}  # q^(m-1) + q^(m-3) + ... cleared by q^(m-1)
-    return Scalar(num, {(m - 1, 0): 1})
+    return _make(num, (1, m - 1, (), None))
 
 
 class RationalPoint:

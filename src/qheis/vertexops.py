@@ -24,10 +24,9 @@ module action by the identity checks at the bottom of the file.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as _dcfield
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .fock import (
     FieldSlot,
@@ -38,16 +37,15 @@ from .fock import (
     annihilation_bound,
     two_point,
 )
-from .kernels import Factor, exp_pole_kernel, iota_expand, kernel_inv
+from .kernels import exp_pole_kernel, iota_expand
 from .liealg import (
     GeneratorSymbol,
     _directed_binom_power,
     bhatq_commutator_table,
-    get_algebra,
     standard_pairing,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine
-from .scalar import L, ONE, Q, ZERO, RationalPoint, Scalar
+from .scalar import ONE, Q, ZERO, RationalPoint, Scalar
 from .series import Cert, TruncatedLaurent, Window, delta_family, \
     series_inverse
 
@@ -89,6 +87,10 @@ class VertexError(ValueError):
 
 class UnsupportedPairError(VertexError):
     """No commutator data is cataloged for the requested pair of fields."""
+
+
+class LawParameterError(VertexError):
+    """A law was given a parameter value it has no setup for."""
 
 
 class MultiplierError(VertexError):
@@ -522,6 +524,9 @@ class Multiplier:
 
     factors: tuple[tuple[Scalar, int], ...]
     unit: Scalar = ONE
+    # inverse_exp at the largest zmax asked so far
+    _inverse: dict[int, Scalar] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, *factors: tuple[Scalar, int], unit: Scalar = ONE
@@ -586,18 +591,26 @@ class Multiplier:
         """Coefficients of x^degree / p(x e^z, x) for z powers up to zmax.
 
         The result starts at z^-kappa; the monomial x^-degree is left to
-        the caller.
+        the caller.  The series is computed once, at the largest zmax asked
+        so far; a smaller zmax takes a prefix, which is exact because the
+        coefficients of an inverse power series through z^n depend only on
+        the series through z^n.
         """
-        k = self.kappa
-        order = zmax + k
-        t = _one_z(order)
-        for c, m in self.factors:
-            f = _reduced_exp_factor(c, order)
-            for _ in range(m):
-                t = t * f
-        inv = series_inverse(t, order)
-        u = ONE / self.unit
-        return {j - k: inv.coeff((j,), ZERO) * u for j in range(order + 1)}
+        memo = self._inverse
+        if not memo or max(memo) < zmax:
+            k = self.kappa
+            order = zmax + k
+            t = _one_z(order)
+            for c, m in self.factors:
+                f = _reduced_exp_factor(c, order)
+                for _ in range(m):
+                    t = t * f
+            inv = series_inverse(t, order)
+            u = ONE / self.unit
+            memo.clear()
+            memo.update((j - k, inv.coeff((j,), ZERO) * u)
+                        for j in range(order + 1))
+        return {j: c for j, c in memo.items() if j <= zmax}
 
     def describe(self) -> str:
         parts = [] if self.unit.is_one() else [f"({self.unit})"]
@@ -1597,8 +1610,12 @@ def _assoc_left_fields(module: FockModule) -> list[OperatorSeries]:
 
 def _law_weak_associativity(window: int, point, alg: str = "hq",
                             x0_order: int = 6) -> CheckReport:
+    mult = _ASSOC_SETUP.get(alg)
+    if mult is None:
+        raise LawParameterError(
+            f"alg must be one of {', '.join(sorted(_ASSOC_SETUP))}, "
+            f"got {alg!r}")
     module = FockModule(alg)
-    mult = _ASSOC_SETUP[alg]
     vf = field_of(module, 0)
     kappa = mult.kappa
     deg = mult.degree

@@ -120,6 +120,19 @@ def test_verify_parameters(capsys):
     capsys.readouterr()
 
 
+def test_verify_bad_input_exits_two(capsys):
+    for argv in (
+        ["verify", "--law", "htq-commutator-euler-form", "--window", "-1"],
+        ["verify", "--law", "phi-weak-associativity", "--param", "alg=bhat"],
+        ["suite", "--suite", "fast", "--window", "-1"],
+        ["expand", "--kernel", "1/(x1-x2)", "--direction", "x1,x2",
+         "--window", "-1"],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_verify_exit_one_on_inconclusive(capsys):
     code = run(["verify", "--law", "hq-quasi-locality", "--window", "1",
                 "--json"])

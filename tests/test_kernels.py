@@ -137,6 +137,26 @@ def test_print_parse_round_trip_seeded():
         assert parse_kernel(k.text()) == k, k.text()
 
 
+@pytest.mark.parametrize("paren, flat", [
+    ("1/((x1-x2)*(x1-q*x2))", "1/(x1-x2)/(x1-q*x2)"),
+    ("1/((x1-x2)^2)", "1/(x1-x2)^2"),
+    ("1/(x2*(x1-x2))", "1/x2/(x1-x2)"),
+    ("1/(-(x1-x2)*(x1-q*x2))", "-1/(x1-x2)/(x1-q*x2)"),
+])
+def test_parenthesized_product_of_factors(paren, flat):
+    """A product of allowed factors inside one pair of parentheses is
+    split into one denominator factor each, as the flat spelling is."""
+    k, want = parse_kernel(paren), parse_kernel(flat)
+    assert k == want
+    w = Window.cube(("x1", "x2"), 4)
+    for direction in (("x1", "x2"), ("x2", "x1")):
+        got_t = iota_expand(k, direction, w)
+        want_t = iota_expand(want, direction, w)
+        assert got_t.support() == want_t.support()
+        assert all(got_t.coeff(e) == want_t.coeff(e)
+                   for e in w.exponents())
+
+
 # ---------------------------------------------------------------------------
 # directed expansion
 # ---------------------------------------------------------------------------

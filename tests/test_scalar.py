@@ -191,3 +191,139 @@ def test_canonical_form_invariants(k, n):
     g = _pgcd(s.num, s.den)
     assert set(g) <= {(0, 0)}
     assert _lead(s.den)[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# factored denominators against the general gcd
+# ---------------------------------------------------------------------------
+
+
+def _reduced(num, den):
+    """num/den reduced by the general Z[q, l] gcd, denominator lead > 0."""
+    from qheis.scalar import _lead, _pdiv_exact, _pgcd, _pneg
+
+    g = _pgcd(num, den)
+    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    if _lead(den)[1] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return num, den
+
+
+def _cyclotomic(d):
+    """Phi_d(q) = (q^d - 1) / prod_{k | d, k < d} Phi_k(q), by long division."""
+    from qheis.scalar import _pdiv_exact
+
+    p = {(d, 0): 1, (0, 0): -1}
+    for k in range(1, d):
+        if d % k == 0:
+            p = _pdiv_exact(p, _cyclotomic(k))
+    return p
+
+
+def _operand_factory(rng, residuals):
+    from qheis.scalar import _pmul
+
+    cyclo = [_cyclotomic(d) for d in range(1, 13)]
+    # numerators; dividing by one that is not a product of q, Phi_d and an
+    # integer leaves a residual
+    tops = [{(3, 0): 2, (1, 0): -2}, {(0, 0): 5}, {(4, 0): 1, (0, 0): -1}]
+    extra = []
+    if residuals:
+        tops += [{(2, 0): 1, (0, 0): 7}, {(0, 0): 1, (1, 1): -2},
+                 {(2, 0): 3, (0, 1): 1, (0, 0): -1},
+                 {(1, 0): 1, (0, 2): 1}, {(1, 1): 1}]
+        extra = [{(1, 0): 1, (0, 0): -2}, {(1, 0): 1, (0, 1): 1},
+                 {(0, 1): 1}]
+
+    def factor(pool):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return {(rng.randint(1, 3), 0): 1}
+        if kind == 1:
+            return {(0, 0): rng.choice([2, 3, -4, 6, 9])}
+        if kind == 2 or not pool:
+            return rng.choice(cyclo)
+        return rng.choice(pool)
+
+    def product(count, pool):
+        out = {(0, 0): 1}
+        for _ in range(count):
+            out = _pmul(out, factor(pool))
+        return out
+
+    def make():
+        num = _pmul(rng.choice(tops), product(rng.randint(0, 2), []))
+        den = product(rng.randint(0, 3), extra if rng.random() < 0.3 else [])
+        return num, den
+
+    return make
+
+
+def _check_against_oracle(rng, make, pairs):
+    from qheis.scalar import _padd, _pmul, _pneg
+
+    for _ in range(pairs):
+        (xn, xd), (yn, yd) = make(), make()
+        x, y = Scalar(xn, xd), Scalar(yn, yd)
+        assert (x.num, x.den) == _reduced(xn, xd)
+        a, b = x.den, y.den
+        expected = {
+            "+": _reduced(_padd(_pmul(x.num, b), _pmul(y.num, a)),
+                          _pmul(a, b)),
+            "-": _reduced(_padd(_pmul(x.num, b), _pneg(_pmul(y.num, a))),
+                          _pmul(a, b)),
+            "*": _reduced(_pmul(x.num, y.num), _pmul(a, b)),
+            "/": _reduced(_pmul(x.num, b), _pmul(a, y.num)),
+        }
+        got = {"+": x + y, "-": x - y, "*": x * y, "/": x / y}
+        for op, value in got.items():
+            want = expected[op]
+            if not want[0]:
+                want = ({}, {(0, 0): 1})
+            assert (value.num, value.den) == want, (op, x, y)
+            assert value == Scalar(*want)
+            assert hash(value) == hash(Scalar(*want))
+
+
+def test_cyclotomic_arithmetic_matches_gcd_oracle_seeded():
+    """Phi_d (d <= 12), q-powers and integer contents: every result
+    equals the gcd reduction, and none takes the residual path."""
+    from qheis import scalar
+
+    rng = random.Random(20261018)
+    before = scalar.residual_reductions
+    _check_against_oracle(rng, _operand_factory(rng, residuals=False), 120)
+    assert scalar.residual_reductions == before
+
+
+def test_residual_arithmetic_matches_gcd_oracle_seeded():
+    """Numerators with l, and denominators with q - 2, q + l or l, take
+    the residual gcd path and still match the gcd reduction."""
+    from qheis import scalar
+
+    rng = random.Random(20261019)
+    before = scalar.residual_reductions
+    _check_against_oracle(rng, _operand_factory(rng, residuals=True), 120)
+    assert scalar.residual_reductions > before
+
+
+def test_phi_image_heisenberg_stays_off_the_residual_path():
+    """Machine-independent gate: every scalar of the law factors over q
+    and cyclotomic polynomials, so no reduction falls back to the gcd.
+    A fresh process keeps warm caches of other tests out of the count."""
+    import os
+    import subprocess
+    import sys
+
+    import qheis
+
+    code = ("from qheis import scalar\n"
+            "from qheis.vertexops import verify_identity\n"
+            "rep = verify_identity('phi-image-heisenberg', window=2)\n"
+            "print(rep.status, scalar.residual_reductions)\n")
+    src_dir = os.path.dirname(os.path.dirname(qheis.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pass", "0"]

@@ -259,6 +259,17 @@ def test_inverse_exp_leading_terms():
     assert u[-1] == (Q - sc(3)) / (shrink * shrink * shrink)
 
 
+def test_inverse_exp_prefix_equals_direct_computation():
+    m = Multiplier.of((ONE, 2), (Q, 1), unit=Q)
+    small = m.inverse_exp(2)
+    big = m.inverse_exp(6)
+    # the memo now holds order 6; order 2 is read off it as a prefix
+    assert m.inverse_exp(2) == small
+    assert small == Multiplier.of((ONE, 2), (Q, 1), unit=Q).inverse_exp(2)
+    assert big == Multiplier.of((ONE, 2), (Q, 1), unit=Q).inverse_exp(6)
+    assert {j: c for j, c in big.items() if j <= 2} == small
+
+
 def test_exp_series_convolves_to_one():
     m = Multiplier.of((ONE, 2), (Q, 2))
     es = m.exp_series(6)
