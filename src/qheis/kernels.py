@@ -478,7 +478,7 @@ class _Parser:
         if len(num) == 1:
             (m, c), = num.items()
             inv = _mono(*((a, -e) for a, e in m))
-            return _V(_freeze({inv: _ONE / c}), ())
+            return _atom({inv: _ONE / c})
         return _V(_freeze({(): _ONE}), v.fac or ((v.num, 1),), ())
 
     def _pow(self, v: _V, e: int) -> _V:

@@ -37,7 +37,6 @@ from math import gcd as _int_gcd
 # A polynomial is a dict mapping (q_exponent, l_exponent) -> nonzero int.
 Poly = dict[tuple[int, int], int]
 
-_ZERO: Poly = {}
 _ONE: Poly = {(0, 0): 1}
 
 
@@ -372,41 +371,26 @@ def _cyclo(d: int) -> list[int]:
     return p
 
 
-def _cyclo_product(cyc) -> list[int]:
-    out = [1]
+def _cyclo_product(cyc, c: int = 1, a: int = 0) -> Poly:
+    """c * q^a * prod Phi_d^e as a polynomial."""
+    cs = [c]
     for d, e in cyc:
         p = _cyclo(d)
         for _ in range(e):
-            out = _lmul(out, p)
-    return out
+            cs = _lmul(cs, p)
+    return {(a + i, 0): v for i, v in enumerate(cs) if v}
 
 
-def _cyclo_orders(n: int) -> list[tuple[int, int]]:
-    """Every (d, phi(d)) with phi(d) <= n, by increasing d.
-
-    Phi_d has degree phi(d), Euler's totient, so these are the cyclotomic
-    factors a polynomial of degree n can have.  They are the products of
-    prime powers p^k with prod p^(k-1) (p - 1) <= n.
-    """
-    primes = [p for p in range(2, n + 2)
-              if all(p % k for k in range(2, int(p ** 0.5) + 1))]
-    out = []
-
-    def grow(d: int, phi: int, i: int) -> None:
-        out.append((d, phi))
-        for j in range(i, len(primes)):
-            p = primes[j]
-            f = phi * (p - 1)
-            if f > n:
-                break
-            pk = p
-            while f <= n:
-                grow(d * pk, f, j + 1)
-                pk *= p
-                f *= p
-
-    grow(1, 1, 0)
-    return sorted(out)
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d."""
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
 
 
 def _dense(a: Poly) -> dict[int, list[int]]:
@@ -448,8 +432,7 @@ def _strip_cyclo(a: dict[int, list[int]], d: int, most: int):
 
 def _expand(fd: Factored) -> Poly:
     c, a, cyc, r = fd
-    cs = _cyclo_product(cyc) if cyc else [1]
-    out = {(a + i, 0): c * v for i, v in enumerate(cs) if v}
+    out = _cyclo_product(cyc, c, a)
     return out if r is None else _pmul(out, r)
 
 
@@ -465,7 +448,12 @@ def _factor(p: Poly) -> tuple[int, Factored]:
     dense = _dense({(eq - a, el): v // k for (eq, el), v in p.items()})
     n = max(map(len, dense.values())) - 1
     cyc = []
-    for d, phi in _cyclo_orders(n):
+    # phi(d) >= sqrt(d) for d > 6, so a factor Phi_d of degree <= n has
+    # d <= max(6, n^2)
+    d = 0
+    while d < max(6, n * n):
+        d += 1
+        phi = _totient(d)
         if phi <= n:
             dense, e = _strip_cyclo(dense, d, n // phi)
             if e:
@@ -520,35 +508,6 @@ def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
     return num, ((c, a, cyc, r) if changed else fd)
 
 
-def _split_common(f: Factored, g: Factored) -> tuple[Factored, Factored]:
-    """f / h and g / h for h the gcd of two denominators."""
-    if f == _PLAIN or g == _PLAIN:
-        return f, g
-    c1, a1, k1, r1 = f
-    c2, a2, k2, r2 = g
-    h = _int_gcd(c1, c2)
-    m = min(a1, a2)
-    if k1 and k2:
-        e2 = dict(k2)
-        left = []
-        for d, e in k1:
-            t = min(e, e2.get(d, 0))
-            if t:
-                e2[d] -= t
-            if e > t:
-                left.append((d, e - t))
-        k1 = tuple(left)
-        k2 = tuple((d, e2[d]) for d, _e in k2 if e2[d])
-    if r1 is not None and r2 is not None:
-        rg = _residual_gcd(r1, r2)
-        if rg != _ONE:
-            r1 = _pdiv_exact(r1, rg)
-            r2 = _pdiv_exact(r2, rg)
-            r1 = None if r1 == _ONE else r1
-            r2 = None if r2 == _ONE else r2
-    return (c1 // h, a1 - m, k1, r1), (c2 // h, a2 - m, k2, r2)
-
-
 def _fd_mul(f: Factored, g: Factored) -> Factored:
     if g == _PLAIN:
         return f
@@ -574,8 +533,7 @@ def _lift(num: Poly, k: int, s: int, cyc, r: Poly | None) -> Poly:
     if k != 1 or s:
         num = {(eq + s, el): v * k for (eq, el), v in num.items()}
     if cyc:
-        num = _pmul(num, {(i, 0): v for i, v
-                          in enumerate(_cyclo_product(cyc)) if v})
+        num = _pmul(num, _cyclo_product(cyc))
     return num if r is None else _pmul(num, r)
 
 
@@ -729,14 +687,10 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         if not self.num:
             return _S_ZERO
-        # x / y = (xn yden) / (xden yn); cancel xn against yn and the two
-        # denominators against each other, and what is left is coprime
-        sign, nf = _factor(other.num)
-        num, nf = _cancel(self.num, nf)
-        xf, yf = _split_common(self._fd, other._fd)
-        if yf != _PLAIN:
-            num = _pmul(num, other.den if yf == other._fd else _expand(yf))
-        return _make(_pneg(num) if sign < 0 else num, _fd_mul(xf, nf))
+        # 1/y is den/num, with num factored once; gcd(num, den) = 1 already
+        sign, fd = _factor(other.num)
+        den = other.den
+        return self * _make(_pneg(den) if sign < 0 else den, fd)
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -775,22 +729,13 @@ class Scalar:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: "RationalPoint") -> Fraction:
-        q0, l0 = point.q0, point.l0
-        c, a, cyc, r = self._fd
-        den = c * q0**a
-        for d, e in cyc:
-            v = Fraction(0)
-            for coef in reversed(_cyclo(d)):
-                v = v * q0 + coef
-            den *= v**e
-        if r is not None:
-            den *= _peval(r, q0, l0)
+        den = _peval(self.den, point.q0, point.l0)
         if den == 0:
             raise EvaluationError(
                 f"denominator ({_pstr(self.den)}) vanishes at "
-                f"q={q0}, l={l0}"
+                f"q={point.q0}, l={point.l0}"
             )
-        return _peval(self.num, q0, l0) / den
+        return _peval(self.num, point.q0, point.l0) / den
 
     # -- display ------------------------------------------------------------
 
