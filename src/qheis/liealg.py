@@ -25,11 +25,13 @@ The catalog (keys of :data:`ALGEBRAS`):
 * ``graded`` -- the closed-form constants m d(r-s) +
   d(r-s+1) (|m|-m)/2 - d(r-s-1) (|m|+m)/2, times d(m+n).
 
-For ``bhatq`` with mode m >= 0 the exponential tail contributes nothing
-(its expansion has only nonnegative powers of x1), so the bracket reduces
-to (d(r-s) - d(r-s-1)) m d(m+n) c and is computed in closed form.  For
-m <= -1 the constant is read off a certified two-variable expansion of the
-right side above, memoised by (r - s, m, n).  The helper series F_n is
+Every ``bhatq`` constant has a closed form.  Expanding (x1 - x2)^j in
+nonnegative powers of x1, the tail's coefficient of x1^(-m-1) x2^(-n-1) is
+(-1)^(n+1) C(-m-n-2, -m-1) times the z^(-m-n-2) coefficient of F_{r-s};
+it vanishes for m >= 0.  The derivative delta adds (d(r-s) - d(r-s-1)) m
+at m + n = 0.  :func:`diff_expansion_coeff` computes one such entry for
+any series S in place of F_{r-s}, and :func:`diff_expansion_table` fills
+a certified two-variable window with them.  The helper series F_n is
 exposed through :func:`f_coefficient`.
 
 Levels are not fixed here: brackets return the coefficient of the central
@@ -40,12 +42,12 @@ acting on a vacuum space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from typing import Callable
 
-from .kernels import Factor, exp_pole_kernel, iota_expand, kernel_inv
+from .kernels import exp_pole_kernel, iota_expand
 from .report import FAIL, PASS, CheckReport
 from .scalar import ONE, ZERO, Scalar, qint
-from .series import TruncatedLaurent, Window, delta_family
+from .series import Cert, TruncatedLaurent, Window, binom, delta_family
 
 
 class LieAlgebraError(ValueError):
@@ -174,19 +176,47 @@ def f_coefficient(n: int, j: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# the two-variable expansion behind the bhatq constants
+# expansions at x1 - x2
 
 
-def _directed_binom_power(j: int, window: Window) -> TruncatedLaurent:
-    """iota_{x2,x1} (x1 - x2)^j on a two-variable window."""
-    if j >= 0:
-        coeffs = {
-            (k, j - k): Scalar.from_int((-1) ** (j - k) * comb(j, k))
-            for k in range(j + 1)
-        }
-        return TruncatedLaurent.polynomial(window.vars, coeffs)
-    pole = kernel_inv(Factor("binom", "x1", "x2", ONE), -j)
-    return iota_expand(pole, ("x2", "x1"), window)
+def diff_expansion_coeff(coeff: Callable[[int], Scalar], e1: int, e2: int
+                         ) -> Scalar:
+    """The x1^e1 x2^e2 coefficient of iota_{x2,x1} S(x1 - x2).
+
+    ``coeff(j)`` is the z^j coefficient of S(z), which has no terms below
+    z^-2.  Expanding each (x1 - x2)^j in nonnegative powers of x1 gives
+    (-1)^e2 C(e1 + e2, e1) S_(e1+e2) for e1 >= 0, and zero otherwise.
+    """
+    j = e1 + e2
+    if e1 < 0 or j < -2:
+        return ZERO
+    c = binom(j, e1)
+    if not c:
+        return ZERO
+    return Scalar.from_int(-c if e2 % 2 else c) * coeff(j)
+
+
+def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
+                         window: Window) -> TruncatedLaurent:
+    """iota_{x2,x1} S(x1 - x2) + dshift (d/dx2) x1^-1 delta(x2/x1) on a window.
+
+    ``coeff`` is as in :func:`diff_expansion_coeff`.  The table is tagged
+    with the expansion direction when a pole term of S reaches the window.
+    """
+    if window.vars != ("x1", "x2"):
+        raise LieAlgebraError("the bracket expansion uses variables (x1, x2)")
+    coeffs = {}
+    for e in window.exponents():
+        v = diff_expansion_coeff(coeff, *e)
+        if v:
+            coeffs[e] = v
+    jmax = window.hi[0] + window.hi[1]
+    pole = any(coeff(j) for j in range(-2, min(jmax, -1) + 1))
+    t = TruncatedLaurent(window.vars, coeffs, Cert.box(window.lo, window.hi),
+                         ("x2", "x1") if pole else None, _trusted=True)
+    if dshift:
+        t = t + delta_family("dshift", ONE, window).scale(dshift)
+    return t
 
 
 def bhatq_commutator_table(shift_diff: int, window: Window) -> TruncatedLaurent:
@@ -196,35 +226,10 @@ def bhatq_commutator_table(shift_diff: int, window: Window) -> TruncatedLaurent:
     scaled by d(r-s) - d(r-s-1), restricted to the window; the coefficient
     of x1^(-m-1) x2^(-n-1) is the bracket constant for modes (m, n).
     """
-    if window.vars != ("x1", "x2"):
-        raise LieAlgebraError("the bracket expansion uses variables (x1, x2)")
+    fs = f_series(shift_diff, window.hi[0] + window.hi[1])
     dd = _d(shift_diff, 0) - _d(shift_diff, 1)
-    acc = delta_family("dshift", ONE, window).scale(Scalar.from_int(dd))
-    jmax = window.hi[0] + window.hi[1]
-    fs = f_series(shift_diff, max(jmax, 0))
-    for j in range(-2, jmax + 1):
-        cj = fs.coeff((j,), ZERO)
-        if cj:
-            acc = acc + _directed_binom_power(j, window).scale(cj)
-    return acc.restrict(window)
-
-
-_BRACKET_MEMO: dict[tuple[int, int, int], Scalar] = {}
-_TABLE_CACHE: dict[tuple[int, int], TruncatedLaurent] = {}
-
-
-def _bhatq_mode_constant(m: int, n: int, r: int, s: int) -> Scalar:
-    diff = r - s
-    key = (diff, m, n)
-    if key not in _BRACKET_MEMO:
-        e1, e2 = -m - 1, -n - 1
-        radius = -(-max(4, abs(e1), abs(e2)) // 4) * 4
-        tkey = (diff, radius)
-        if tkey not in _TABLE_CACHE:
-            _TABLE_CACHE[tkey] = bhatq_commutator_table(
-                diff, Window.cube(("x1", "x2"), radius))
-        _BRACKET_MEMO[key] = _TABLE_CACHE[tkey].coeff((e1, e2), ZERO)
-    return _BRACKET_MEMO[key]
+    return diff_expansion_table(lambda j: fs.coeff((j,), ZERO),
+                                Scalar.from_int(dd), window)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +257,11 @@ def bracket_modes(alg: str | AlgebraSpec, m: int, n: int,
         co = (m * _d(r, s) + (am - m) // 2 * _d(r, s - 1)
               - (am + m) // 2 * _d(r, s + 1))
         return Scalar.from_int(co)
-    if m >= 0:
-        if m + n:
-            return ZERO
-        return Scalar.from_int((_d(r, s) - _d(r, s + 1)) * m)
-    return _bhatq_mode_constant(m, n, r, s)
+    out = diff_expansion_coeff(lambda j: f_coefficient(r - s, j),
+                               -m - 1, -n - 1)
+    if m + n == 0:
+        out = out + Scalar.from_int((_d(r, s) - _d(r, s + 1)) * m)
+    return out
 
 
 def bracket_constant(alg: str | AlgebraSpec, a: GeneratorSymbol,

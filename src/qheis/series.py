@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
@@ -516,7 +516,7 @@ class TruncatedLaurent:
         for e, v in self.coeffs.items():
             n = e[i]
             for j in range(z_order + 1):
-                w = Scalar.from_fraction(_gbinom(n, j))
+                w = Scalar.from_int(binom(n, j))
                 if w:
                     key = (e[b] + n - j, j)
                     term = w * v
@@ -567,19 +567,11 @@ class TruncatedLaurent:
         return " + ".join(parts) + (f" + ... [{more} more]" if more > 0 else "")
 
 
-def _gbinom(n: int, j: int) -> Fraction:
-    """Generalized binomial coefficient C(n, j) for integer n, j >= 0."""
-    num = 1
-    for t in range(j):
-        num *= n - t
-    return Fraction(num, _fact(j))
-
-
-def _fact(j: int) -> int:
-    out = 1
-    for t in range(2, j + 1):
-        out *= t
-    return out
+def binom(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k) for an integer n of either sign, k >= 0."""
+    if n >= 0:
+        return comb(n, k)
+    return (-1) ** k * comb(k - n - 1, k)
 
 
 def _certified(c: Cert, e: tuple[int, ...]) -> bool:

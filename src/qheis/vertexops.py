@@ -37,16 +37,16 @@ from .fock import (
     annihilation_bound,
     two_point,
 )
-from .kernels import exp_pole_kernel, iota_expand
+from .kernels import _exp_minus_const, exp_pole_kernel, iota_expand
 from .liealg import (
     GeneratorSymbol,
-    _directed_binom_power,
     bhatq_commutator_table,
+    diff_expansion_table,
     standard_pairing,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine
 from .scalar import ONE, Q, ZERO, RationalPoint, Scalar
-from .series import Cert, TruncatedLaurent, Window, delta_family, \
+from .series import Cert, TruncatedLaurent, Window, binom, delta_family, \
     series_inverse
 
 __all__ = [
@@ -116,11 +116,13 @@ def _zpow(base: int, j: int) -> Scalar:
     return out
 
 
-def _falling_binom(n: int, j: int) -> Scalar:
-    num = 1
-    for t in range(j):
-        num *= n - t
-    return _frac(num, factorial(j))
+def _dressed_weight(weights: tuple[tuple[int, Scalar], ...], e: int
+                    ) -> Scalar:
+    """sum_t weights[t] * e^t for the (t, weight) pairs of a dressing."""
+    out = ZERO
+    for t, c in weights:
+        out = out + c * _frac(e ** t)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +245,7 @@ class PolyDressedField(OperatorSeries):
             (t, c) for t, c in weights.items() if c))
 
     def weight_at(self, e: int) -> Scalar:
-        out = ZERO
-        for t, c in self.weights:
-            out = out + c * _frac(e ** t)
-        return out
+        return _dressed_weight(self.weights, e)
 
     def degree(self) -> int:
         return max((t for t, _c in self.weights), default=0)
@@ -414,38 +413,35 @@ class PairData:
 
     ``parts`` describe the undressed bracket; the weight polynomials (in
     the x1 and x2 exponents) account for dressed factors, which rescale
-    the table entrywise.
+    the table entrywise; an empty weight marks an undressed side.
     """
 
     parts: tuple[PairPart, ...]
     left_weight: tuple[tuple[int, Scalar], ...] = ()
     right_weight: tuple[tuple[int, Scalar], ...] = ()
 
-    def _weight(self, weights, e: int) -> Scalar:
-        if not weights:
-            return ONE
-        out = ZERO
-        for t, c in weights:
-            out = out + c * _frac(e ** t)
-        return out
-
     def dress_degree(self) -> int:
         dl = max((t for t, _c in self.left_weight), default=0)
         dr = max((t for t, _c in self.right_weight), default=0)
         return dl + dr
 
+    def dress(self, table: TruncatedLaurent, w: Window) -> TruncatedLaurent:
+        """Rescale an undressed table on the window by both weights."""
+        lw, rw = self.left_weight, self.right_weight
+        if not (lw or rw):
+            return table
+        coeffs = {
+            e: (_dressed_weight(lw, e[0]) if lw else ONE)
+            * (_dressed_weight(rw, e[1]) if rw else ONE) * table.coeff(e, ZERO)
+            for e in table.support()
+        }
+        return TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
+
     def table(self, w: Window) -> TruncatedLaurent:
         acc = TruncatedLaurent.zero(w.vars).restrict(w)
         for p in self.parts:
             acc = acc + _part_table(p, w)
-        if self.left_weight or self.right_weight:
-            coeffs = {
-                e: self._weight(self.left_weight, e[0])
-                * self._weight(self.right_weight, e[1]) * acc.coeff(e, ZERO)
-                for e in acc.support()
-            }
-            acc = TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
-        return acc
+        return self.dress(acc, w)
 
     def delta_parts(self) -> list[PairPart]:
         return [p for p in self.parts if p.is_delta]
@@ -499,8 +495,12 @@ def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
     rw: tuple = ()
     if isinstance(a, PolyDressedField):
         lw, a = a.weights, a.base
+        if not lw:
+            return PairData(())
     if isinstance(b, PolyDressedField):
         rw, b = b.weights, b.base
+        if not rw:
+            return PairData(())
     if isinstance(a, IdentityField) or isinstance(b, IdentityField):
         return PairData(())
     if isinstance(a, GeneratorField) and isinstance(b, GeneratorField):
@@ -580,7 +580,7 @@ class Multiplier:
         """Coefficients of p(x e^z, x) / x^degree through z^order."""
         t = _one_z(order)
         for c, m in self.factors:
-            f = _expz_minus(c, order)
+            f = _exp_minus_const("z", c, order)
             for _ in range(m):
                 t = t * f
         if self.unit != ONE:
@@ -635,19 +635,12 @@ def _one_z(order: int) -> TruncatedLaurent:
     return _zseries({0: ONE}, order)
 
 
-def _expz_minus(c: Scalar, order: int) -> TruncatedLaurent:
-    """e^z - c as a truncated series."""
-    coeffs = {j: _frac(1, factorial(j)) for j in range(1, order + 1)}
-    coeffs[0] = ONE - c
-    return _zseries(coeffs, order)
-
-
 def _reduced_exp_factor(c: Scalar, order: int) -> TruncatedLaurent:
     """(e^z - c), divided by z when c = 1 so the constant term survives."""
     if c == ONE:
         return _zseries(
             {j: _frac(1, factorial(j + 1)) for j in range(order + 1)}, order)
-    return _expz_minus(c, order)
+    return _exp_minus_const("z", c, order)
 
 
 _SUFFICIENT_CACHE: dict[tuple, bool] = {}
@@ -670,17 +663,7 @@ def check_multiplier(mult: Multiplier, pair: PairData) -> None:
         for part in pair.delta_parts():
             radius = mult.degree + _PART_DEGREE[part.kind] + extra + 3
             w = Window.cube(_X12, radius)
-            base = _part_table(part, w)
-            dressed = PairData((), pair.left_weight, pair.right_weight)
-            if pair.left_weight or pair.right_weight:
-                coeffs = {
-                    e: dressed._weight(pair.left_weight, e[0])
-                    * dressed._weight(pair.right_weight, e[1])
-                    * base.coeff(e, ZERO)
-                    for e in base.support()
-                }
-                base = TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
-            prod = ptab * base
+            prod = ptab * pair.dress(_part_table(part, w), w)
             inner = Window.cube(_X12, radius - mult.degree)
             if not prod.is_zero_on(inner):
                 ok = False
@@ -922,7 +905,7 @@ class ProductExpression(OperatorSeries):
         out = self.module.zero()
         # (x1 - x)^n a(x1) b(x) v, x1 residue
         for j in range(0, E - b.low_exponent(v) + 1):
-            c = _falling_binom(n, j) * _frac((-1) ** (j % 2))
+            c = _frac((-1) ** j * binom(n, j))
             if not c:
                 continue
             bv = b.apply_coeff(E - j, v)
@@ -931,7 +914,7 @@ class ProductExpression(OperatorSeries):
             out = out + a.apply_coeff(j - n - 1, bv).scale(c)
         # minus (-x + x1)^n b(x) a(x1) v
         for j in range(0, -1 - a.low_exponent(v) + 1):
-            c = _falling_binom(n, j) * _frac((-1) ** ((n - j) % 2))
+            c = _frac((-1) ** ((n - j) % 2) * binom(n, j))
             if not c:
                 continue
             av = a.apply_coeff(-1 - j, v)
@@ -1057,24 +1040,13 @@ class SpecialBracketForm:
 
     def image_table(self, w: Window) -> TruncatedLaurent:
         """The bracket of the substituted fields on a (x1, x2) window."""
-        jmax = max(w.hi[0] + w.hi[1], -2)
-        zw = Window(("z",), (-2,), (jmax,))
-        series: dict[int, Scalar] = {}
+        zw = Window(("z",), (-2,), (max(w.hi[0] + w.hi[1], -2),))
+        tail = TruncatedLaurent.zero(("z",))
         for c, coeff in self.ratio_parts:
-            k = exp_pole_kernel(c)
-            t = iota_expand(k, ("z",), zw)
-            for j in range(-2, jmax + 1):
-                cj = t.coeff((j,), ZERO) * coeff
-                if cj:
-                    series[j] = series.get(j, ZERO) + cj
-        acc = TruncatedLaurent.zero(w.vars).restrict(w)
-        for j, cj in sorted(series.items()):
-            if cj:
-                acc = acc + _directed_binom_power(j, w).scale(cj)
-        a = self.alpha()
-        if a:
-            acc = acc + delta_family("dshift", ONE, w).scale(a)
-        return acc
+            tail = tail + iota_expand(exp_pole_kernel(c), ("z",), zw
+                                      ).scale(coeff)
+        return diff_expansion_table(lambda j: tail.coeff((j,), ZERO),
+                                    self.alpha(), w)
 
 
 # ---------------------------------------------------------------------------
@@ -1615,6 +1587,8 @@ def _law_weak_associativity(window: int, point, alg: str = "hq",
         raise LawParameterError(
             f"alg must be one of {', '.join(sorted(_ASSOC_SETUP))}, "
             f"got {alg!r}")
+    if x0_order < 0:
+        raise LawParameterError(f"x0_order must be >= 0, got {x0_order}")
     module = FockModule(alg)
     vf = field_of(module, 0)
     kappa = mult.kappa

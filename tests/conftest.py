@@ -1,39 +1,53 @@
 """Shared helpers for the test suite."""
 
-from fractions import Fraction
-from math import factorial
+from math import comb
 
+from qheis.kernels import Factor, iota_expand, kernel_inv
 from qheis.liealg import f_coefficient
-from qheis.scalar import Scalar, ZERO
+from qheis.scalar import ONE, ZERO, Scalar
+from qheis.series import TruncatedLaurent, delta_family
 
 
-def falling_binom(n: int, k: int) -> int:
-    """Binomial n over k for integer n of either sign and k >= 0."""
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)
+def _directed_binom_power(j: int, window) -> TruncatedLaurent:
+    """iota_{x2,x1} (x1 - x2)^j on a two-variable window."""
+    if j >= 0:
+        coeffs = {
+            (k, j - k): Scalar.from_int((-1) ** (j - k) * comb(j, k))
+            for k in range(j + 1)
+        }
+        return TruncatedLaurent.polynomial(window.vars, coeffs)
+    pole = kernel_inv(Factor("binom", "x1", "x2", ONE), -j)
+    return iota_expand(pole, ("x2", "x1"), window)
 
 
-def bhatq_closed_form(m: int, n: int, r: int, s: int) -> Scalar:
-    """Independent closed form for the deformed bracket constants.
+def diff_oracle_table(coeff, dshift: Scalar, window) -> TruncatedLaurent:
+    """iota_{x2,x1} S(x1 - x2) + dshift (d/dx2) x1^-1 delta(x2/x1), by tables.
 
-    Derived once by hand from the generating-function bracket: the
-    derivative-delta part contributes (d(r-s) - d(r-s-1)) m at m + n = 0,
-    and for m <= -1 the exponential tail contributes
-    (-1)^(n+1) C(-m-n-2, -m-1) times the z^(-m-n-2) coefficient of F_{r-s},
-    with C the falling-factorial binomial.  Used as an oracle against the
-    table-extraction route.
+    Independent of the library's entrywise closed form: every z^j term of
+    S contributes coeff(j) times the directed expansion of (x1 - x2)^j,
+    built as a binomial polynomial or by the kernel expander, and the
+    derivative delta comes from the delta-family constructor.
     """
-    total = ZERO
-    if m + n == 0:
-        total = Scalar.from_int(((r == s) - (r == s + 1)) * m)
-    if m <= -1:
-        j = -m - n - 2
-        if j >= -2:
-            g = falling_binom(j, -m - 1)
-            if g:
-                sign = 1 if n % 2 else -1
-                total = total + (Scalar.from_fraction(Fraction(sign * g))
-                                 * f_coefficient(r - s, j))
-    return total
+    acc = delta_family("dshift", ONE, window).scale(dshift)
+    for j in range(-2, window.hi[0] + window.hi[1] + 1):
+        cj = coeff(j)
+        if cj:
+            acc = acc + _directed_binom_power(j, window).scale(cj)
+    return acc.restrict(window)
+
+
+def bhatq_oracle_table(shift_diff: int, window) -> TruncatedLaurent:
+    """The bhatq bracket expansion for r - s = shift_diff, by tables."""
+    dd = (shift_diff == 0) - (shift_diff == 1)
+    return diff_oracle_table(lambda j: f_coefficient(shift_diff, j),
+                             Scalar.from_int(dd), window)
+
+
+def assert_same_table(got: TruncatedLaurent, want: TruncatedLaurent,
+                      window) -> None:
+    """Equal certificates, directions and coefficients over the window."""
+    assert got.cert == want.cert
+    assert got.direction == want.direction
+    for e in window.exponents():
+        assert got.certified(e) and want.certified(e), e
+        assert got.coeff(e, ZERO) == want.coeff(e, ZERO), e

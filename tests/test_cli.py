@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, printed values, report schema."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,10 @@ def test_verify_bad_input_exits_two(capsys):
     for argv in (
         ["verify", "--law", "htq-commutator-euler-form", "--window", "-1"],
         ["verify", "--law", "phi-weak-associativity", "--param", "alg=bhat"],
+        ["verify", "--law", "phi-weak-associativity",
+         "--param", "x0_order=-3"],
+        ["verify", "--law", "phi-weak-associativity",
+         "--param", "x0_order=-1"],
         ["suite", "--suite", "fast", "--window", "-1"],
         ["expand", "--kernel", "1/(x1-x2)", "--direction", "x1,x2",
          "--window", "-1"],
@@ -217,3 +224,30 @@ def test_console_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def _readme_examples():
+    """(argv, stdout lines) for each command of a README example block.
+
+    A block whose output is elided with "..." is skipped.
+    """
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        lines = block.splitlines()
+        if not lines[0].startswith("$ qheis ") or "..." in lines:
+            continue
+        for line in lines:
+            if line.startswith("$ "):
+                examples.append((shlex.split(line[2:])[1:], []))
+            else:
+                examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for argv, want in examples:
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == want, argv

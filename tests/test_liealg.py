@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import bhatq_closed_form
+from conftest import assert_same_table, bhatq_oracle_table
 from qheis.liealg import (
     ALGEBRAS,
     BilinearForm,
@@ -127,23 +127,28 @@ def test_bhatq_diagonal_creation_values():
 
 
 def test_bhatq_matches_combinatorial_closed_form():
-    for r in range(-1, 2):
-        for s in range(-1, 2):
+    # the closed form against the sum of directed binomial-power tables
+    w = Window.cube(("x1", "x2"), 5)
+    for diff in range(-2, 3):
+        oracle = bhatq_oracle_table(diff, w)
+        for s in (-1, 0):
             for m in range(-4, 5):
                 for n in range(-4, 5):
-                    assert bracket_modes("bhatq", m, n, r, s) == \
-                        bhatq_closed_form(m, n, r, s), (r, s, m, n)
+                    assert bracket_modes("bhatq", m, n, diff + s, s) == \
+                        oracle.coeff((-m - 1, -n - 1), ZERO), (diff, s, m, n)
 
 
 def test_bhatq_table_agrees_with_bracket():
-    w = Window.cube(("x1", "x2"), 5)
-    for diff in (-1, 0, 2):
-        table = bhatq_commutator_table(diff, w)
-        for m in range(-4, 4):
-            for n in range(-4, 4):
-                got = table.coeff((-m - 1, -n - 1), ZERO)
-                assert got == bracket_modes("bhatq", m, n, r=diff, s=0), \
-                    (diff, m, n)
+    for radius in (3, 6):
+        w = Window.cube(("x1", "x2"), radius)
+        for diff in range(-3, 4):
+            table = bhatq_commutator_table(diff, w)
+            assert_same_table(table, bhatq_oracle_table(diff, w), w)
+            for m in range(-radius - 1, radius):
+                for n in range(-radius - 1, radius):
+                    got = table.coeff((-m - 1, -n - 1), ZERO)
+                    assert got == bracket_modes("bhatq", m, n, r=diff, s=0), \
+                        (diff, m, n)
 
 
 def test_bhatq_positive_part_abelian():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_same_table, bhatq_oracle_table
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
@@ -124,6 +125,11 @@ def test_dressed_field_weights(hq):
     squash = PolyDressedField(f, {1: ZERO})
     assert squash.weights == ()
     assert squash.apply_coeff(2, vac).is_zero()
+    # the zero field commutes with everything, on either side
+    w = Window.cube(("x1", "x2"), 3)
+    for pair in (pair_of(squash, f), pair_of(f, squash)):
+        assert pair == PairData(())
+        assert not pair.table(w).coeffs
 
 
 def test_derivative_field(hq):
@@ -464,6 +470,15 @@ def test_special_bracket_shape(hq, htq):
     assert form.alpha() == L
     with pytest.raises(VertexError, match="outside the special"):
         SpecialBracketForm.from_pair(pair_of(field_of(hq), field_of(hq)))
+
+
+def test_special_bracket_image_matches_table_oracle(htq):
+    # the htq image is the level times the bhatq bracket expansion
+    w = Window.cube(("x1", "x2"), 5)
+    for r, s in ((0, 0), (1, 0), (0, 1), (2, 0)):
+        pair = pair_of(field_of(htq, r), field_of(htq, s))
+        got = SpecialBracketForm.from_pair(pair).image_table(w)
+        assert_same_table(got, bhatq_oracle_table(r - s, w).scale(L), w)
 
 
 # ---------------------------------------------------------------------------
