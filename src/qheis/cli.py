@@ -263,7 +263,7 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     try:
         rep = verify_identity(args.law, window=window, point=point, **params)
-    except (TypeError, LawParameterError) as exc:
+    except LawParameterError as exc:
         return _fail_usage(f"bad parameters for {args.law}: {exc}")
     doc = _report_doc(
         "verify",

@@ -5,7 +5,8 @@ from math import comb
 from qheis.kernels import Factor, iota_expand, kernel_inv
 from qheis.liealg import f_coefficient
 from qheis.scalar import ONE, ZERO, Scalar
-from qheis.series import TruncatedLaurent, delta_family
+from qheis.series import TruncatedLaurent, Window, delta_family
+from qheis.vertexops import _DELTA_KILL, _part_table
 
 
 def _directed_binom_power(j: int, window) -> TruncatedLaurent:
@@ -51,3 +52,26 @@ def assert_same_table(got: TruncatedLaurent, want: TruncatedLaurent,
     for e in window.exponents():
         assert got.certified(e) and want.certified(e), e
         assert got.coeff(e, ZERO) == want.coeff(e, ZERO), e
+
+
+def probe_kills(mult, pair) -> bool:
+    """Whether mult kills every delta part of the pair, by multiplying tables.
+
+    Each part is a geometric pattern times a polynomial of degree D along
+    its support line, so the product with mult vanishes everywhere when it
+    vanishes on D + 1 consecutive points of the antidiagonal it lives on.
+    The outer cube (radius 2 deg + D + 3) leaves the product certified on
+    an inner cube (radius deg + D + 3) that crosses that antidiagonal in
+    more than D + 1 points.
+    """
+    deg = mult.degree
+    ptab = mult.as_table()
+    for part in pair.delta_parts():
+        d = _DELTA_KILL[part.kind] - 1 + pair.dress_degree()
+        w = Window.cube(("x1", "x2"), 2 * deg + d + 3)
+        prod = ptab * pair.dress(_part_table(part, w), w)
+        inner = Window.cube(("x1", "x2"), deg + d + 3)
+        assert all(prod.certified(e) for e in inner.exponents())
+        if not prod.is_zero_on(inner):
+            return False
+    return True

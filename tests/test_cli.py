@@ -138,6 +138,28 @@ def test_verify_bad_input_exits_two(capsys):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # each message names the offending key
+    for law, param in (("phi-weak-associativity", "x0_order=2.5"),
+                       ("hq-commutator-delta", "r=abc"),
+                       ("hq-commutator-delta", "bogus=1")):
+        assert run(["verify", "--law", law, "--param", param]) == 2, param
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(param.split("=")[0]) in err and "_law" not in err, err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("suite_fast.json", []),
+    ("suite_fast_point.json", ["--q0", "3/5", "--l0", "2"]),
+])
+def test_suite_report_matches_golden(monkeypatch, capsys, name, extra):
+    """The fast-suite reports are byte-identical to the recorded goldens."""
+    monkeypatch.setenv("QHEIS_FIXED_CLOCK", "1")
+    assert run(["suite", "--suite", "fast", "--json", *extra]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 def test_verify_exit_one_on_inconclusive(capsys):

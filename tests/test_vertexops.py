@@ -1,10 +1,11 @@
 """Fields, commutator catalog, products, and the identity registry."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import assert_same_table, bhatq_oracle_table
+from conftest import assert_same_table, bhatq_oracle_table, probe_kills
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
@@ -258,6 +259,82 @@ def test_canonical_multiplier_kills_deltas(hq, htq):
     check_multiplier(Multiplier.canonical_for(dressed), dressed)
 
 
+def _kills(mult, pair) -> bool:
+    try:
+        check_multiplier(mult, pair)
+    except MultiplierError:
+        return False
+    return True
+
+
+def test_check_multiplier_matches_probe_oracle_seeded():
+    rng = random.Random(20260418)
+    modules = [FockModule(alg, level=lvl)
+               for alg in ("hq", "htq", "bhat", "bhatq") for lvl in (L, ZERO)]
+    distractors = [ONE, Q, qp(-1), qp(2), sc(2)]
+    verdicts = []
+    while len(verdicts) < 240:
+        module = rng.choice(modules)
+        sides = [field_of(module, rng.randint(-2, 2)) for _ in range(2)]
+        for i in rng.choice(((), (0,), (1,), (0, 1))):
+            sides[i] = PolyDressedField(sides[i], {
+                t: sc(rng.randint(1, 3)) for t in range(rng.randint(0, 2) + 1)
+                if t == 0 or rng.random() < 0.7})
+        pair = pair_of(*sides)
+        if not pair.delta_parts() and rng.random() < 0.8:
+            continue
+        top = 3 + pair.dress_degree()
+        factors = [(p.c, rng.randint(0, top)) for p in pair.delta_parts()]
+        factors += [(c, rng.randint(1, 2)) for c in distractors
+                    if rng.random() < 0.2]
+        rng.shuffle(factors)
+        kept, degree = [], 0
+        for c, m in factors:
+            m = min(m, 9 - degree)
+            kept.append((c, m))
+            degree += m
+        if rng.random() < 0.25:
+            # high degree at one point: a probe window that grows with the
+            # degree only on one side accepts such multipliers vacuously
+            c = rng.choice(distractors + [p.c for p in pair.delta_parts()])
+            kept.append((c, 9 - degree))
+        mult = Multiplier.of(*kept)
+        want = probe_kills(mult, pair)
+        assert _kills(mult, pair) == want, (module.algebra, pair, mult)
+        verdicts.append(want)
+    assert 40 <= sum(verdicts) <= 200
+
+
+def test_undersized_multiplier_of_high_degree_is_rejected(hq):
+    """A seventh power at one delta leaves the other delta alive."""
+    a, b = field_of(hq, 2), field_of(hq, 0)
+    pair = pair_of(a, b)
+    mult = Multiplier.of((qp(-1), 7))
+    assert not probe_kills(mult, pair)
+    with pytest.raises(MultiplierError, match="does not kill"):
+        check_multiplier(mult, pair)
+    with pytest.raises(MultiplierError, match="does not kill"):
+        phi_product_n(a, b, -1, mult=mult)
+
+
+@pytest.mark.parametrize("alg", ["hq", "htq"])
+def test_level_zero_needs_no_multiplier(alg):
+    zero = FockModule(alg, level=ZERO)
+    a, b = field_of(zero, 1), field_of(zero, 0)
+    assert Multiplier.canonical_for(pair_of(a, b)) == Multiplier.of()
+    symbolic = FockModule(alg)
+    old = Multiplier.canonical_for(pair_of(field_of(symbolic, 1),
+                                           field_of(symbolic, 0)))
+    assert old.degree >= 2
+    states = [zero.vacuum(), zero.basis_vector((-1, 0))]
+    for n in (-2, -1, 0):
+        bare = phi_product_n(a, b, n)
+        padded = phi_product_n(a, b, n, mult=old)
+        for v in states:
+            for e in range(-2, 3):
+                assert bare.apply_coeff(e, v) == padded.apply_coeff(e, v)
+
+
 def test_inverse_exp_leading_terms():
     u = Multiplier.of((ONE, 2), (Q, 2)).inverse_exp(1)
     shrink = ONE - Q
@@ -269,10 +346,8 @@ def test_inverse_exp_prefix_equals_direct_computation():
     m = Multiplier.of((ONE, 2), (Q, 1), unit=Q)
     small = m.inverse_exp(2)
     big = m.inverse_exp(6)
-    # the memo now holds order 6; order 2 is read off it as a prefix
-    assert m.inverse_exp(2) == small
-    assert small == Multiplier.of((ONE, 2), (Q, 1), unit=Q).inverse_exp(2)
-    assert big == Multiplier.of((ONE, 2), (Q, 1), unit=Q).inverse_exp(6)
+    # equal multipliers share one cached series per order
+    assert Multiplier.of((Q, 1), (ONE, 2), unit=Q).inverse_exp(2) is small
     assert {j: c for j, c in big.items() if j <= 2} == small
 
 
@@ -509,6 +584,15 @@ def test_small_window_is_inconclusive_not_passing():
     assert rep.notes
     control = verify_identity("hq-quasi-locality-control", window=0)
     assert control.status == INCONCLUSIVE
+
+
+def test_tiny_windows_never_fail():
+    for name in sorted(LAWS):
+        for window in range(4):
+            rep = verify_identity(name, window=window)
+            assert rep.status != FAIL, (name, window, rep.failures)
+    assert verify_identity("locality-transfer",
+                           window=0).status == INCONCLUSIVE
 
 
 def test_numeric_point_evaluation():
