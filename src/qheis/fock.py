@@ -280,7 +280,9 @@ def two_point(bra: FockVector, slots, ket: FockVector,
     The i-th slot contributes the field sum_m b^(shift)_m (scale x_i)^(-m-offset)
     applied in written order to the ket.  Each exponent tuple of the window
     selects exactly one mode word, so every coefficient inside the window
-    is exact.
+    is exact.  The words are walked right to left as a tree: each prefix
+    acts once and its vector is shared by every exponent extending it,
+    and a zero vector ends its branch.
     """
     if bra.module != ket.module:
         raise FockError("bra and ket live in different modules")
@@ -291,20 +293,26 @@ def two_point(bra: FockVector, slots, ket: FockVector,
         raise FockError("window must have one variable per field")
     offset = bra.module.spec.offset
     alg = bra.module.algebra
+    gens = [[(ei, GeneratorSymbol(alg, -ei - offset, slot.shift))
+             for ei in range(lo, hi + 1)]
+            for slot, lo, hi in zip(slots, window.lo, window.hi)]
     coeffs: dict[tuple[int, ...], Scalar] = {}
-    for e in window.exponents():
-        v = ket
-        for ei, slot in zip(reversed(e), reversed(slots)):
-            if v.is_zero():
-                break
-            v = apply_generator(
-                GeneratorSymbol(alg, -ei - offset, slot.shift), v)
-        val = pair_vectors(bra, v)
-        if val:
-            for ei, slot in zip(e, slots):
-                if not slot.scale.is_one():
-                    val = val * slot.scale ** ei
-            coeffs[e] = val
+
+    def walk(i: int, v: FockVector, tail: tuple[int, ...]):
+        if v.is_zero():
+            return
+        if i < 0:
+            val = pair_vectors(bra, v)
+            if val:
+                for ei, slot in zip(tail, slots):
+                    if not slot.scale.is_one():
+                        val = val * slot.scale ** ei
+                coeffs[tail] = val
+            return
+        for ei, g in gens[i]:
+            walk(i - 1, apply_generator(g, v), (ei,) + tail)
+
+    walk(len(slots) - 1, ket, ())
     return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)
 
 

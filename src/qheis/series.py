@@ -234,8 +234,15 @@ class TruncatedLaurent:
         return Scalar.from_int(0) if zero is None else zero
 
     def certifies_window(self, w: Window) -> bool:
+        """Whether the whole window is certified: O(dim) when the
+        box-and-diagonal region holds it, else entry by entry."""
         self._align_window(w)
-        return all(_certified(self.cert, e) for e in w.exponents())
+        c = self.cert
+        if c.entire or (all(f <= a and b <= cap for f, cap, a, b
+                            in zip(c.floors, c.caps, w.lo, w.hi))
+                        and sum(w.hi) <= c.bandcap):
+            return True
+        return all(_certified(c, e) for e in w.exponents())
 
     def require_certified(self, w: Window) -> None:
         if not self.certifies_window(w):

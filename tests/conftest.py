@@ -2,8 +2,9 @@
 
 from math import comb
 
+from qheis.fock import apply_generator, pair_vectors
 from qheis.kernels import Factor, iota_expand, kernel_inv
-from qheis.liealg import f_coefficient
+from qheis.liealg import GeneratorSymbol, f_coefficient
 from qheis.scalar import ONE, ZERO, Scalar
 from qheis.series import TruncatedLaurent, Window, delta_family
 from qheis.vertexops import _DELTA_KILL, _part_table
@@ -75,3 +76,29 @@ def probe_kills(mult, pair) -> bool:
         if not prod.is_zero_on(inner):
             return False
     return True
+
+
+def two_point_oracle(bra, slots, ket, window) -> TruncatedLaurent:
+    """fock.two_point with one full mode word per exponent tuple.
+
+    Independent of the library's shared-prefix walk: every exponent tuple
+    of the window builds its own generators and applies the whole word to
+    the ket, rightmost slot first, then pairs the result with the bra.
+    """
+    offset = bra.module.spec.offset
+    alg = bra.module.algebra
+    coeffs = {}
+    for e in window.exponents():
+        v = ket
+        for ei, slot in zip(reversed(e), reversed(slots)):
+            if v.is_zero():
+                break
+            v = apply_generator(
+                GeneratorSymbol(alg, -ei - offset, slot.shift), v)
+        val = pair_vectors(bra, v)
+        if val:
+            for ei, slot in zip(e, slots):
+                if not slot.scale.is_one():
+                    val = val * slot.scale ** ei
+            coeffs[e] = val
+    return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)

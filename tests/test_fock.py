@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import two_point_oracle
 from qheis.fock import (
     FieldSlot,
     FockError,
@@ -189,6 +190,60 @@ def test_two_point_scaled_slot():
                   module.vacuum(), w)
     for m in range(1, 4):
         assert t.coeff((-m, m)) == a ** (-m) * qint(m) * L
+
+
+def _random_state(rng, module, length):
+    """The vacuum (length 0) or a basis vector on `length` creation modes."""
+    shifts = (0, 1) if module.spec.shifted else (0,)
+    return module.basis_vector(*((-rng.randint(1, 2), rng.choice(shifts))
+                                 for _ in range(length)))
+
+
+def test_two_point_matches_oracle_seeded():
+    """The shared-prefix walk equals one full word per exponent tuple."""
+    rng = random.Random(51)
+    radius = {1: 5, 2: 4, 3: 3}
+    for alg in ("hq", "htq", "bhat", "bhatq", "graded"):
+        modules = [FockModule(alg)]
+        if FockModule(alg).spec.offset == 0:
+            # b_0 acts on the vacuum by a nonzero scalar
+            zm = FockModule(alg, zero_mode=Q + ONE)
+            assert apply_generator(gen(alg, 0), zm.vacuum()) \
+                == zm.vacuum().scale(Q + ONE)
+            modules.append(zm)
+        nonzero = 0
+        for module in modules:
+            shifts = (0, 1) if module.spec.shifted else (0,)
+            # pairs whose antidiagonal crosses the window, then
+            # seeded slots, windows and states
+            anchor = [FieldSlot(shift=shifts[-1], scale=Q ** -1), FieldSlot()]
+            cases = [(anchor, Window.of(x0=(-4, 1), x1=(-2, 4)), v, v)
+                     for v in (module.vacuum(),
+                               module.basis_vector((-1, 0)),
+                               module.basis_vector((-1, 0), (-2, shifts[-1])))]
+            for n in (1, 2, 3):
+                for _trial in range(4):
+                    slots = [FieldSlot(shift=rng.choice(shifts),
+                                       scale=Scalar.q_power(
+                                           rng.choice((0, 0, -1, 2))))
+                             for _ in range(n)]
+                    w = Window(tuple(f"x{i}" for i in range(n)),
+                               tuple(-rng.randint(1, radius[n])
+                                     for _ in range(n)),
+                               tuple(rng.randint(1, radius[n])
+                                     for _ in range(n)))
+                    cases.append((slots, w,
+                                  _random_state(rng, module, rng.randint(0, 2)),
+                                  _random_state(rng, module, rng.randint(0, 2))))
+            for slots, w, bra, ket in cases:
+                got = two_point(bra, slots, ket, w)
+                want = two_point_oracle(bra, slots, ket, w)
+                case = (module, slots, w, bra, ket)
+                assert got.vars == want.vars, case
+                assert got.cert == want.cert, case
+                assert got.coeffs == want.coeffs, case
+                nonzero += len(got.coeffs)
+        assert nonzero >= 10, (alg, nonzero)
 
 
 def test_poly_action_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qheis import series
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import ONE, Q, Scalar, qint
 from qheis.series import (
@@ -346,3 +347,54 @@ def test_compare_partial_certification_inconclusive():
     assert r.checked > 0
     r2 = compare_on("partial", d, d, big, require_full=False)
     assert r2.status == PASS
+
+
+def _random_window(rng, n):
+    lo = tuple(rng.randint(-6, 3) for _ in range(n))
+    return Window(tuple(f"x{i}" for i in range(n)), lo,
+                  tuple(a + rng.randint(0, 5) for a in lo))
+
+
+def _random_cert(rng, n):
+    lo = tuple(rng.randint(-4, 1) for _ in range(n))
+    hi = tuple(a + rng.randint(0, 5) for a in lo)
+    suplo = rng.choice((None, tuple(rng.choice((NEG_INF, rng.randint(-3, 2)))
+                                    for _ in range(n))))
+    band = rng.choice(((NEG_INF, POS_INF),
+                       (rng.randint(-5, 0), rng.randint(0, 5))))
+    bandcap = rng.choice((POS_INF, rng.randint(-3, 6)))
+    return Cert.box(lo, hi, suplo, band, bandcap)
+
+
+def test_certifies_window_matches_entrywise_seeded(monkeypatch):
+    """The O(dim) box test agrees with certifying every entry.
+
+    It answers without any per-entry call when the cert is entire or its
+    box-and-diagonal region holds the window.
+    """
+    rng = random.Random(5)
+    certs = [Cert.full(2), Cert.full(3), Cert.empty(2)]
+    for n in (1, 2, 2, 3) * 12:
+        cert = _random_cert(rng, n)
+        vars = tuple(f"x{i}" for i in range(n))
+        trimmed = TruncatedLaurent(vars, {}, cert, _trusted=True)
+        certs += [cert, trimmed.restrict(_random_window(rng, n)).cert]
+    calls = []
+    entrywise = series._certified
+    monkeypatch.setattr(series, "_certified",
+                        lambda c, e: calls.append(e) or entrywise(c, e))
+    seen = {True: 0, False: 0}
+    direct = 0
+    for cert in certs:
+        n = len(cert.floors)
+        t = TruncatedLaurent(tuple(f"x{i}" for i in range(n)), {}, cert,
+                             _trusted=True)
+        for _ in range(12):
+            w = _random_window(rng, n)
+            want = all(entrywise(cert, e) for e in w.exponents())
+            calls.clear()
+            assert t.certifies_window(w) == want, (cert, w)
+            seen[want] += 1
+            direct += not calls
+    assert min(seen.values()) >= 100, seen
+    assert direct >= 30, direct

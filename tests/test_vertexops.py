@@ -1,7 +1,10 @@
 """Fields, commutator catalog, products, and the identity registry."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from conftest import assert_same_table, bhatq_oracle_table, probe_kills
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
+from qheis import vertexops
 from qheis.series import Window
 from qheis.vertexops import (
     ArgScaledField,
@@ -612,3 +616,58 @@ def test_law_parameters_pass_through():
 def test_unknown_law_rejected():
     with pytest.raises(VertexError, match="unknown law"):
         verify_identity("frobnicate")
+
+
+# the laws that build no product, at the window of the wide benchmark
+_COMMUTATOR_LAWS = (
+    "bhat-commutator-delta", "hq-commutator-delta", "hq-quasi-locality",
+    "hq-quasi-locality-control", "htq-commutator-euler-form",
+    "htq-commutator-kernel-form", "htq-quasi-locality",
+    "htq-quasi-locality-control",
+)
+
+
+def test_commutator_laws_match_wide_golden():
+    """The product-free law reports at window 80 are byte-identical."""
+    entries = []
+    for name in _COMMUTATOR_LAWS:
+        rep = verify_identity(name, window=80)
+        entries.append({"law": rep.name, "status": rep.status,
+                        "checked": rep.checked, "region": rep.region,
+                        "failures": list(rep.failures)})
+    text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "golden" / "commutators_w80.json"
+    assert text == golden.read_text()
+    # a control law stops comparing after its first reported failures, so
+    # its count is the one taken at that break
+    checked = {e["law"]: e["checked"] for e in entries}
+    assert checked["hq-quasi-locality-control"] == 1266
+    assert checked["htq-quasi-locality-control"] == 1407
+
+
+@pytest.mark.parametrize("name", [
+    "bhat-commutator-delta", "hq-commutator-delta",
+    "htq-commutator-kernel-form", "htq-quasi-locality",
+])
+def test_doubled_catalog_coefficient_fails(monkeypatch, name):
+    """A wrong commutator catalog fails each law at its default window."""
+    base = vertexops._base_pair
+
+    def doubled(a, b):
+        parts = base(a, b)
+        return tuple(dataclasses.replace(p, coeff=p.coeff + p.coeff)
+                     if i == 0 else p for i, p in enumerate(parts))
+
+    monkeypatch.setattr(vertexops, "_base_pair", doubled)
+    rep = verify_identity(name)
+    assert rep.status == FAIL, (rep.status, rep.notes)
+    assert rep.failures
+
+
+def test_undersized_hq_multiplier_fails():
+    # the registry's runner closes over the right multiplier, so the
+    # undersized one goes to a fresh runner
+    run = vertexops._law_quasi_locality("hq", vertexops._HQ_MULT_CONTROL)
+    rep = run(10, None)
+    assert rep.status == FAIL
+    assert rep.failures
