@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_same_table, bhatq_oracle_table, probe_kills
+from qheis import vertexops
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
-from qheis import vertexops
 from qheis.series import Window
 from qheis.vertexops import (
     ArgScaledField,
