@@ -115,11 +115,13 @@ def _cmd_expand(args) -> int:
         kernel = parse_kernel(args.kernel)
     except KernelError as exc:
         return _fail_usage(str(exc))
+    if args.limit < 0:
+        return _fail_usage(f"--limit must be nonnegative, got {args.limit}")
     direction = tuple(v.strip() for v in args.direction.split(",") if v.strip())
     window = _window_default(args.window)
-    w = Window(direction, (-window,) * len(direction),
-               (window,) * len(direction))
     try:
+        w = Window(direction, (-window,) * len(direction),
+                   (window,) * len(direction))
         table = iota_expand(kernel, direction, w)
     except (KernelError, SeriesError) as exc:
         return _fail_usage(str(exc))

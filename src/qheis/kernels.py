@@ -856,10 +856,3 @@ def kernel_binom(xi: str, c: Scalar, xj: str) -> RationalKernel:
 
 def kernel_inv(f: Factor, power: int = 1) -> RationalKernel:
     return RationalKernel({(): _ONE}, (), ((f, power),))
-
-
-def exp_pole_kernel(a: Scalar, zvar: str = "z") -> RationalKernel:
-    """a*e^z / (1 - a*e^z)^2, written as (1/a)*e^z / (e^z - 1/a)^2."""
-    inv = _ONE / a
-    return RationalKernel({_mono((f"e^{zvar}", 1)): inv}, (),
-                          ((Factor("expconst", zvar, "", inv), 2),))

@@ -20,8 +20,7 @@ The catalog (keys of :data:`ALGEBRAS`):
           + (d(r-s) - d(r-s-1)) (d/dx2) x1^-1 delta(x2/x1) c,
 
   with F_n(z) = g(q^(n+1), z) - g(q^(n-1), z) and
-  g(a, z) = a e^z / (1 - a e^z)^2; the mode constants are coefficient
-  extractions from that expansion (d(k) is 1 at k = 0, else 0);
+  g(a, z) = a e^z / (1 - a e^z)^2 (d(k) is 1 at k = 0, else 0);
 * ``graded`` -- the closed-form constants m d(r-s) +
   d(r-s+1) (|m|-m)/2 - d(r-s-1) (|m|+m)/2, times d(m+n).
 
@@ -31,8 +30,8 @@ nonnegative powers of x1, the tail's coefficient of x1^(-m-1) x2^(-n-1) is
 it vanishes for m >= 0.  The derivative delta adds (d(r-s) - d(r-s-1)) m
 at m + n = 0.  :func:`diff_expansion_coeff` computes one such entry for
 any series S in place of F_{r-s}, and :func:`diff_expansion_table` fills
-a certified two-variable window with them.  The helper series F_n is
-exposed through :func:`f_coefficient`.
+a certified two-variable window with them.  :func:`g_coefficient` and
+:func:`f_coefficient` give the z^j coefficients of g and F_n in closed form.
 
 Levels are not fixed here: brackets return the coefficient of the central
 element, and specialising the centre to a level happens in the module
@@ -42,9 +41,9 @@ acting on a vacuum space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable
 
-from .kernels import exp_pole_kernel, iota_expand
 from .report import FAIL, PASS, CheckReport
 from .scalar import ONE, ZERO, Scalar, qint
 from .series import Cert, TruncatedLaurent, Window, binom, delta_family
@@ -136,32 +135,35 @@ class GeneratorSymbol:
 # the exponential tail F_n
 
 
-_G_CACHE: dict[tuple[int, int], TruncatedLaurent] = {}
-_F_CACHE: dict[tuple[int, int], TruncatedLaurent] = {}
+# Eulerian numbers A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1): row n
+# holds k = 0..n-1 (row 0 is [1]) and rows are added as they are asked for.
+_EULERIAN: list[list[int]] = [[1]]
 
 
-def _g_series(k: int, order: int) -> TruncatedLaurent:
-    """Expansion of g(q^k, z) = q^k e^z / (1 - q^k e^z)^2 through z^order."""
-    key = (k, order)
-    if key not in _G_CACHE:
-        w = Window.of(z=(-2, order))
-        _G_CACHE[key] = iota_expand(exp_pole_kernel(Scalar.q_power(k)),
-                                    ("z",), w)
-    return _G_CACHE[key]
+def g_coefficient(a: Scalar, j: int) -> Scalar:
+    """The z^j coefficient of g(a, z) = a e^z / (1 - a e^z)^2.
 
-
-def f_series(n: int, order: int) -> TruncatedLaurent:
-    """F_n(z) = g(q^(n+1), z) - g(q^(n-1), z) through z^order.
-
-    g(a, z) has a double pole in z exactly when a = 1, so F_n starts at
-    z^-2 for n = +-1 and at z^0 otherwise.
+    For a != 1, g is regular at z = 0 and its z^j coefficient is
+    Li_(-j-1)(a) / j! = a A_(j+1)(a) / ((1 - a)^(j+2) j!), with A_n the
+    Eulerian polynomial (Graham, Knuth and Patashnik, Concrete Mathematics,
+    section 6.2).  g(1, z) has the pole term z^-2 with coefficient 1 and no
+    z^-1 term; for j >= 0 its z^j coefficient is that of g(-1, z) divided
+    by 2^(j+2) - 1, since eta(s) = (1 - 2^(1-s)) zeta(s).
     """
-    order = max(order, 0)
-    order = -(-max(order, 6) // 8) * 8
-    key = (n, order)
-    if key not in _F_CACHE:
-        _F_CACHE[key] = _g_series(n + 1, order) - _g_series(n - 1, order)
-    return _F_CACHE[key]
+    if j < 0:
+        return ONE if j == -2 and a.is_one() else ZERO
+    if a.is_one():
+        return g_coefficient(-ONE, j) / Scalar.from_int((1 << (j + 2)) - 1)
+    while len(_EULERIAN) <= j + 1:
+        m = len(_EULERIAN)
+        p = [0, *_EULERIAN[-1], 0]
+        _EULERIAN.append([(k + 1) * p[k + 1] + (m - k) * p[k]
+                          for k in range(m)])
+    num = ZERO
+    for c in reversed(_EULERIAN[j + 1]):
+        num = num * a + Scalar.from_int(c)
+    return (num * a * (ONE / (ONE - a)) ** (j + 2)
+            / Scalar.from_int(factorial(j)))
 
 
 def f_coefficient(n: int, j: int) -> Scalar:
@@ -172,7 +174,8 @@ def f_coefficient(n: int, j: int) -> Scalar:
     """
     if j < -2:
         raise LieAlgebraError(f"F_n has no z^{j} term; j must be >= -2")
-    return f_series(n, max(j, 0)).coeff((j,), ZERO)
+    return (g_coefficient(Scalar.q_power(n + 1), j)
+            - g_coefficient(Scalar.q_power(n - 1), j))
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +203,20 @@ def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
                          window: Window) -> TruncatedLaurent:
     """iota_{x2,x1} S(x1 - x2) + dshift (d/dx2) x1^-1 delta(x2/x1) on a window.
 
-    ``coeff`` is as in :func:`diff_expansion_coeff`.  The table is tagged
-    with the expansion direction when a pole term of S reaches the window.
+    ``coeff`` is as in :func:`diff_expansion_coeff` and is called once per j.
+    The table is tagged with the expansion direction when a pole term of S
+    reaches the window.
     """
     if window.vars != ("x1", "x2"):
         raise LieAlgebraError("the bracket expansion uses variables (x1, x2)")
+    jmax = window.hi[0] + window.hi[1]
+    cs = {j: coeff(j) for j in range(-2, jmax + 1)}
     coeffs = {}
     for e in window.exponents():
-        v = diff_expansion_coeff(coeff, *e)
+        v = diff_expansion_coeff(cs.__getitem__, *e)
         if v:
             coeffs[e] = v
-    jmax = window.hi[0] + window.hi[1]
-    pole = any(coeff(j) for j in range(-2, min(jmax, -1) + 1))
+    pole = cs.get(-2) or cs.get(-1)
     t = TruncatedLaurent(window.vars, coeffs, Cert.box(window.lo, window.hi),
                          ("x2", "x1") if pole else None, _trusted=True)
     if dshift:
@@ -226,9 +231,8 @@ def bhatq_commutator_table(shift_diff: int, window: Window) -> TruncatedLaurent:
     scaled by d(r-s) - d(r-s-1), restricted to the window; the coefficient
     of x1^(-m-1) x2^(-n-1) is the bracket constant for modes (m, n).
     """
-    fs = f_series(shift_diff, window.hi[0] + window.hi[1])
     dd = _d(shift_diff, 0) - _d(shift_diff, 1)
-    return diff_expansion_table(lambda j: fs.coeff((j,), ZERO),
+    return diff_expansion_table(lambda j: f_coefficient(shift_diff, j),
                                 Scalar.from_int(dd), window)
 
 

@@ -39,11 +39,13 @@ from .fock import (
     annihilation_bound,
     two_point,
 )
-from .kernels import _exp_minus_const, exp_pole_kernel, iota_expand
+from .kernels import _exp_minus_const
 from .liealg import (
     GeneratorSymbol,
     bhatq_commutator_table,
     diff_expansion_table,
+    f_coefficient,
+    g_coefficient,
     standard_pairing,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine
@@ -398,10 +400,7 @@ def _part_table(part: PairPart, w: Window) -> TruncatedLaurent:
             coeffs[(-k, k)] = (c ** k) * _frac(k)
         t = TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
     elif kind == "ftail":
-        dd = (1 if part.d == 0 else 0) - (1 if part.d == 1 else 0)
-        t = bhatq_commutator_table(part.d, w)
-        if dd:
-            t = t - delta_family("dshift", ONE, w).scale(_frac(dd))
+        t = diff_expansion_table(lambda j: f_coefficient(part.d, j), ZERO, w)
     else:
         raise VertexError(f"unknown commutator part kind {kind!r}")
     return t if part.coeff == ONE else t.scale(part.coeff)
@@ -1015,13 +1014,10 @@ class SpecialBracketForm:
 
     def image_table(self, w: Window) -> TruncatedLaurent:
         """The bracket of the substituted fields on a (x1, x2) window."""
-        zw = Window(("z",), (-2,), (max(w.hi[0] + w.hi[1], -2),))
-        tail = TruncatedLaurent.zero(("z",))
-        for c, coeff in self.ratio_parts:
-            tail = tail + iota_expand(exp_pole_kernel(c), ("z",), zw
-                                      ).scale(coeff)
-        return diff_expansion_table(lambda j: tail.coeff((j,), ZERO),
-                                    self.alpha(), w)
+        return diff_expansion_table(
+            lambda j: sum((coeff * g_coefficient(c, j)
+                           for c, coeff in self.ratio_parts), ZERO),
+            self.alpha(), w)
 
 
 # ---------------------------------------------------------------------------

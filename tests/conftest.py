@@ -1,13 +1,38 @@
 """Shared helpers for the test suite."""
 
+from functools import lru_cache
 from math import comb
 
 from qheis.fock import apply_generator, pair_vectors
-from qheis.kernels import Factor, iota_expand, kernel_inv
-from qheis.liealg import GeneratorSymbol, f_coefficient
+from qheis.kernels import Factor, RationalKernel, iota_expand, kernel_inv
+from qheis.liealg import GeneratorSymbol
 from qheis.scalar import ONE, ZERO, Scalar
 from qheis.series import TruncatedLaurent, Window, delta_family
 from qheis.vertexops import _DELTA_KILL, _part_table
+
+
+def exp_pole_kernel(a: Scalar) -> RationalKernel:
+    """a*e^z / (1 - a*e^z)^2, written as (1/a)*e^z / (e^z - 1/a)^2."""
+    inv = ONE / a
+    return RationalKernel({(("e^z", 1),): inv}, (),
+                          ((Factor("expconst", "z", "", inv), 2),))
+
+
+@lru_cache(maxsize=None)
+def g_series_oracle(a: Scalar, order: int) -> TruncatedLaurent:
+    """g(a, z) = a e^z / (1 - a e^z)^2 through z^order, by the kernel expander.
+
+    Independent of the library's Eulerian closed form: the expander powers
+    e^z - 1/a and inverts the series.
+    """
+    return iota_expand(exp_pole_kernel(a), ("z",),
+                       Window.of(z=(-2, max(order, -2))))
+
+
+def f_series_oracle(n: int, order: int) -> TruncatedLaurent:
+    """F_n(z) = g(q^(n+1), z) - g(q^(n-1), z) through z^order, by series."""
+    return (g_series_oracle(Scalar.q_power(n + 1), order)
+            - g_series_oracle(Scalar.q_power(n - 1), order))
 
 
 def _directed_binom_power(j: int, window) -> TruncatedLaurent:
@@ -41,7 +66,8 @@ def diff_oracle_table(coeff, dshift: Scalar, window) -> TruncatedLaurent:
 def bhatq_oracle_table(shift_diff: int, window) -> TruncatedLaurent:
     """The bhatq bracket expansion for r - s = shift_diff, by tables."""
     dd = (shift_diff == 0) - (shift_diff == 1)
-    return diff_oracle_table(lambda j: f_coefficient(shift_diff, j),
+    fs = f_series_oracle(shift_diff, window.hi[0] + window.hi[1])
+    return diff_oracle_table(lambda j: fs.coeff((j,), ZERO),
                              Scalar.from_int(dd), window)
 
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exp_pole_kernel
 from qheis.kernels import (
     Factor,
     KernelParseError,
     RationalKernel,
-    exp_pole_kernel,
     iota_expand,
     kernel_binom,
     kernel_inv,

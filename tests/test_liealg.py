@@ -1,8 +1,15 @@
 """Bracket catalog: structure constants, the exponential tail, checks."""
 
+import random
+
 import pytest
 
-from conftest import assert_same_table, bhatq_oracle_table
+from conftest import (
+    assert_same_table,
+    bhatq_oracle_table,
+    f_series_oracle,
+    g_series_oracle,
+)
 from qheis.liealg import (
     ALGEBRAS,
     BilinearForm,
@@ -12,6 +19,7 @@ from qheis.liealg import (
     bracket_constant,
     bracket_modes,
     f_coefficient,
+    g_coefficient,
     get_algebra,
     graded_leading_constant,
     matrix_rank,
@@ -81,6 +89,30 @@ def test_f_coefficient_pole_terms():
         assert f_coefficient(n, -1) == ZERO
     with pytest.raises(LieAlgebraError, match="j must be >= -2"):
         f_coefficient(0, -3)
+
+
+def test_f_coefficient_matches_series_oracle():
+    for n in range(-4, 5):
+        fs = f_series_oracle(n, 24)
+        for j in range(-2, 25):
+            assert f_coefficient(n, j) == fs.coeff((j,), ZERO), (n, j)
+
+
+def test_f_coefficient_far_term_matches_series_oracle():
+    # g(1, z) on both sides: the eta relation, far from the constant term
+    for n in (-1, 1):
+        assert f_coefficient(n, 40) == \
+            f_series_oracle(n, 40).coeff((40,), ZERO), n
+
+
+def test_g_coefficient_matches_series_oracle_seeded():
+    rng = random.Random(6)
+    for _ in range(12):
+        a = Scalar.from_int(rng.choice((-3, -2, -1, 1, 2, 5))) * \
+            qp(rng.randint(-3, 3))
+        gs = g_series_oracle(a, 10)
+        for j in range(-3, 11):
+            assert g_coefficient(a, j) == gs.coeff((j,), ZERO), (a, j)
 
 
 def test_f_constant_term_matches_pointwise_values():

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_same_table, bhatq_oracle_table, probe_kills
+from conftest import (
+    assert_same_table,
+    bhatq_oracle_table,
+    diff_oracle_table,
+    g_series_oracle,
+    probe_kills,
+)
 from qheis import vertexops
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
@@ -558,6 +564,17 @@ def test_special_bracket_image_matches_table_oracle(htq):
         pair = pair_of(field_of(htq, r), field_of(htq, s))
         got = SpecialBracketForm.from_pair(pair).image_table(w)
         assert_same_table(got, bhatq_oracle_table(r - s, w).scale(L), w)
+
+
+@pytest.mark.parametrize("c", [ONE, -ONE, Scalar.from_int(2), -Q],
+                         ids=["1", "-1", "2", "-q"])
+def test_special_bracket_image_beyond_q_powers(c):
+    # ratio parts at values that are not powers of q; c = 1 has the pole
+    w = Window.cube(("x1", "x2"), 5)
+    form = SpecialBracketForm(((c, L),), ((ONE, L),))
+    g = g_series_oracle(c, w.hi[0] + w.hi[1])
+    want = diff_oracle_table(lambda j: L * g.coeff((j,), ZERO), L, w)
+    assert_same_table(form.image_table(w), want, w)
 
 
 # ---------------------------------------------------------------------------
