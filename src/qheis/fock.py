@@ -260,6 +260,12 @@ def annihilation_bound(v: FockVector) -> int:
 # matrix elements of products of generating functions
 
 
+def _weights(v: FockVector, mode_sum: int) -> set[int]:
+    """The weights sum_j (mode_sum - 2 m_j) of the monomials of v."""
+    return {mode_sum * len(mono) - 2 * sum(m for m, _r in mono)
+            for mono in v.terms}
+
+
 @dataclass(frozen=True)
 class FieldSlot:
     """One generating function in a matrix element.
@@ -283,6 +289,14 @@ def two_point(bra: FockVector, slots, ket: FockVector,
     is exact.  The words are walked right to left as a tree: each prefix
     acts once and its vector is shared by every exponent extending it,
     and a zero vector ends its branch.
+
+    When the algebra is graded (its brackets vanish off m + n = mode_sum),
+    a monomial on modes m_j has the weight sum_j (mode_sum - 2 m_j), and
+    every generator of mode m -- by creation, contraction or the mode-0
+    scalar -- moves a weight by mode_sum - 2m.  So the outermost slot
+    applies only the modes that move some weight of its vector onto some
+    weight of the bra; every other leaf pairs to zero.  ``bhatq`` has no
+    grading and walks every exponent.
     """
     if bra.module != ket.module:
         raise FockError("bra and ket live in different modules")
@@ -297,6 +311,9 @@ def two_point(bra: FockVector, slots, ket: FockVector,
              for ei in range(lo, hi + 1)]
             for slot, lo, hi in zip(slots, window.lo, window.hi)]
     coeffs: dict[tuple[int, ...], Scalar] = {}
+    sigma = bra.module.spec.mode_sum
+    if sigma is not None:
+        bra_weights = _weights(bra, sigma)
 
     def walk(i: int, v: FockVector, tail: tuple[int, ...]):
         if v.is_zero():
@@ -309,7 +326,15 @@ def two_point(bra: FockVector, slots, ket: FockVector,
                         val = val * slot.scale ** ei
                 coeffs[tail] = val
             return
-        for ei, g in gens[i]:
+        steps = gens[i]
+        if i == 0 and sigma is not None:
+            # mode m takes weight a to b = a + sigma - 2m
+            lo, hi = window.lo[0], window.hi[0]
+            reach = {-((sigma + a - b) // 2) - offset
+                     for a in _weights(v, sigma) for b in bra_weights
+                     if (sigma + a - b) % 2 == 0}
+            steps = [steps[ei - lo] for ei in sorted(reach) if lo <= ei <= hi]
+        for ei, g in steps:
             walk(i - 1, apply_generator(g, v), (ei,) + tail)
 
     walk(len(slots) - 1, ket, ())

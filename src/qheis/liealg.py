@@ -67,25 +67,29 @@ class AlgebraSpec:
 
     ``offset`` fixes the generating-field convention: the field attached to
     the mode family is sum_m b_m x^(-m-offset).  ``shifted`` records whether
-    generators carry an integer family index r.
+    generators carry an integer family index r.  ``mode_sum`` is the one
+    value of m + n at which [b_m, b_n] can be nonzero, or None when the
+    brackets respect no such grading (the exponential tail of ``bhatq``
+    pairs two creation modes).
     """
 
     name: str
     offset: int
     shifted: bool
+    mode_sum: int | None
     summary: str
 
 
 ALGEBRAS: dict[str, AlgebraSpec] = {
-    "hq": AlgebraSpec("hq", 0, False,
+    "hq": AlgebraSpec("hq", 0, False, 0,
                       "symmetric q-integer relations [m]_q d(m+n) c"),
-    "htq": AlgebraSpec("htq", 0, False,
+    "htq": AlgebraSpec("htq", 0, False, 0,
                        "relations m (1 - q^|m|) d(m+n) c"),
-    "bhat": AlgebraSpec("bhat", 1, True,
+    "bhat": AlgebraSpec("bhat", 1, True, -1,
                         "banded pairing <r, s> with mode sum -1"),
-    "bhatq": AlgebraSpec("bhatq", 1, True,
+    "bhatq": AlgebraSpec("bhatq", 1, True, None,
                          "deformed relations with an exponential tail"),
-    "graded": AlgebraSpec("graded", 1, True,
+    "graded": AlgebraSpec("graded", 1, True, 0,
                           "sign-split closed-form constants at mode sum 0"),
 }
 

@@ -571,7 +571,9 @@ class TruncatedLaurent:
             ) or "1"
             parts.append(f"({c})*{mono}")
         more = len(self.coeffs) - len(items)
-        return " + ".join(parts) + (f" + ... [{more} more]" if more > 0 else "")
+        if more > 0:
+            parts.append(f"... [{more} more]")
+        return " + ".join(parts)
 
 
 def binom(n: int, k: int) -> int:

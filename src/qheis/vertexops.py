@@ -1117,33 +1117,46 @@ def _show(a: Scalar, point: RationalPoint | None) -> str:
 def _cmp_tables(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
                 w: Window, point: RationalPoint | None,
                 max_reported: int = 6) -> CheckReport:
-    checked = 0
-    unchecked = 0
-    failures: list[str] = []
     whole = got.certifies_window(w) and want.certifies_window(w)
-    for e in w.exponents():
-        if not (whole or (got.certified(e) and want.certified(e))):
-            unchecked += 1
-            continue
-        checked += 1
+    if whole:
+        # off both supports each side reads ZERO, so only their union can
+        # differ; sorted, it comes in window order
+        entries = sorted(e for e in got.coeffs.keys() | want.coeffs.keys()
+                         if e in w)
+    else:
+        entries = [e for e in w.exponents()
+                   if got.certified(e) and want.certified(e)]
+    checked = w.size() if whole else len(entries)
+    failures: list[str] = []
+    for i, e in enumerate(entries):
         ca = got.coeffs.get(e, ZERO)
         cb = want.coeffs.get(e, ZERO)
-        if not _eq_scalar(ca, cb, point):
-            if len(failures) < max_reported:
-                failures.append(
-                    f"at {dict(zip(w.vars, e))}: {_show(ca, point)} != "
-                    f"{_show(cb, point)}")
-            else:
-                failures.append("...")
-                break
+        if _eq_scalar(ca, cb, point):
+            continue
+        if len(failures) >= max_reported:
+            # the report is cut here, and counts what was scanned so far
+            failures.append("...")
+            checked = (_window_position(w, e) if whole else i) + 1
+            break
+        failures.append(
+            f"at {dict(zip(w.vars, e))}: {_show(ca, point)} != "
+            f"{_show(cb, point)}")
     if failures:
         status = FAIL
-    elif checked == 0 or unchecked:
+    elif checked < w.size():
         status = INCONCLUSIVE
     else:
         status = PASS
     return CheckReport(name, status, checked=checked,
                        region=w.describe(), failures=failures)
+
+
+def _window_position(w: Window, e: tuple[int, ...]) -> int:
+    """The index of e in the order of ``w.exponents()``."""
+    pos = 0
+    for x, a, b in zip(e, w.lo, w.hi):
+        pos = pos * (b - a + 1) + x - a
+    return pos
 
 
 def _vec_mismatches(got: FockVector, want: FockVector,

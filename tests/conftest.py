@@ -6,9 +6,10 @@ from math import comb
 from qheis.fock import apply_generator, pair_vectors
 from qheis.kernels import Factor, RationalKernel, iota_expand, kernel_inv
 from qheis.liealg import GeneratorSymbol
+from qheis.report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from qheis.scalar import ONE, ZERO, Scalar
 from qheis.series import TruncatedLaurent, Window, delta_family
-from qheis.vertexops import _DELTA_KILL, _part_table
+from qheis.vertexops import _DELTA_KILL, _eq_scalar, _part_table, _show
 
 
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
@@ -128,3 +129,39 @@ def two_point_oracle(bra, slots, ket, window) -> TruncatedLaurent:
                     val = val * slot.scale ** ei
             coeffs[e] = val
     return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)
+
+
+def cmp_tables_oracle(name, got, want, w, point, max_reported=6):
+    """vertexops._cmp_tables by one scan of the whole window in its order.
+
+    Independent of the library's support scan: every entry of the window
+    is certified and compared in turn, and the report is cut at the first
+    mismatch past ``max_reported``.
+    """
+    checked = 0
+    unchecked = 0
+    failures = []
+    whole = got.certifies_window(w) and want.certifies_window(w)
+    for e in w.exponents():
+        if not (whole or (got.certified(e) and want.certified(e))):
+            unchecked += 1
+            continue
+        checked += 1
+        ca = got.coeffs.get(e, ZERO)
+        cb = want.coeffs.get(e, ZERO)
+        if not _eq_scalar(ca, cb, point):
+            if len(failures) < max_reported:
+                failures.append(
+                    f"at {dict(zip(w.vars, e))}: {_show(ca, point)} != "
+                    f"{_show(cb, point)}")
+            else:
+                failures.append("...")
+                break
+    if failures:
+        status = FAIL
+    elif checked == 0 or unchecked:
+        status = INCONCLUSIVE
+    else:
+        status = PASS
+    return CheckReport(name, status, checked=checked,
+                       region=w.describe(), failures=failures)

@@ -42,6 +42,15 @@ def test_expand_prints_directed_table(capsys):
         "(-1)*x2^-3*x1^2 + (-1)*x2^-2*x1 + (-1)*x2^-1"
 
 
+def test_expand_limit_elides_terms(capsys):
+    argv = ["expand", "--kernel", "1/(x1-q*x2)", "--direction", "x1,x2",
+            "--window", "2", "--limit"]
+    assert run([*argv, "0"]) == 0
+    assert out_of(capsys) == "... [2 more]"
+    assert run([*argv, "1"]) == 0
+    assert out_of(capsys) == "(q)*x1^-2*x2 + ... [1 more]"
+
+
 def test_expand_rejects_bad_input(capsys):
     assert run(["expand", "--kernel", "1/(x1", "--direction", "x1"]) == 2
     assert run(["expand", "--kernel", "1/(x1-x2)",

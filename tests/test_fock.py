@@ -221,6 +221,19 @@ def test_two_point_matches_oracle_seeded():
                      for v in (module.vacuum(),
                                module.basis_vector((-1, 0)),
                                module.basis_vector((-1, 0), (-2, shifts[-1])))]
+            # sums of two basis vectors of different weights: the outermost
+            # slot must reach each weight of the bra from each weight of
+            # its vector, and a bra paired with itself reads the mode-0
+            # scalar of the zero_mode module
+            r = shifts[-1]
+            low = module.vacuum() + module.basis_vector((-2, 0))
+            high = (module.basis_vector((-1, r), (-2, 0))
+                    + module.basis_vector((-4, r)))
+            for w in (Window.of(x0=(-5, 5)), Window.cube(("x0", "x1"), 4)):
+                slots = [FieldSlot(shift=r)] * len(w.vars)
+                cases += [(slots, w, bra, ket)
+                          for bra, ket in ((high, low), (low, high),
+                                           (high, high))]
             for n in (1, 2, 3):
                 for _trial in range(4):
                     slots = [FieldSlot(shift=rng.choice(shifts),

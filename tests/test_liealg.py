@@ -49,6 +49,26 @@ def test_catalog_conventions():
     assert set(ALGEBRAS) == {"hq", "htq", "bhat", "bhatq", "graded"}
 
 
+def test_mode_sum_is_the_grading():
+    """Each bracket vanishes off its algebra's mode sum; bhatq has none."""
+    for name, spec in ALGEBRAS.items():
+        shifts = range(-2, 3) if spec.shifted else (0,)
+        # the values of m + n at which some bracket is nonzero
+        sums = set()
+        for r in shifts:
+            for s in shifts:
+                for m in range(-12, 13):
+                    for n in range(-12, 13):
+                        if m + n not in sums and \
+                                bracket_modes(name, m, n, r, s):
+                            sums.add(m + n)
+        if spec.mode_sum is None:
+            # brackets at two mode sums: every mode sum has one off it
+            assert len(sums) > 1, (name, sums)
+        else:
+            assert sums == {spec.mode_sum}, (name, sums)
+
+
 def test_hq_bracket_is_symmetric_q_integer():
     assert bracket_modes("hq", 3, -3) == qp(2) + ONE + qp(-2)
     assert bracket_modes("hq", 3, -3) == qint(3)

@@ -11,15 +11,16 @@ import pytest
 from conftest import (
     assert_same_table,
     bhatq_oracle_table,
+    cmp_tables_oracle,
     diff_oracle_table,
     g_series_oracle,
     probe_kills,
 )
-from qheis import vertexops
+from qheis import fock, vertexops
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
-from qheis.series import Window
+from qheis.series import Cert, TruncatedLaurent, Window
 from qheis.vertexops import (
     ArgScaledField,
     DerivativeField,
@@ -190,6 +191,34 @@ def test_pair_tables_match_measured_commutators(alg, r, s):
     tab = pair_of(field_of(module, r), field_of(module, s)).table(w)
     for e, val in _measured(module, slots, w).items():
         assert tab.coeff(e, ZERO) == val, (alg, r, s, e)
+
+
+@pytest.mark.parametrize("alg,r,s,applied,paired", [
+    ("hq", 1, 0, 122, 40), ("bhat", 1, 0, 122, 40), ("htq", 0, 0, 122, 40),
+    ("bhatq", 1, 0, 1804, 901),
+])
+def test_measured_commutator_operation_counts(monkeypatch, alg, r, s,
+                                              applied, paired):
+    """The mode grading prunes the outermost slot; bhatq walks every word.
+
+    Without the pruning, hq and htq make 1722 generator applications and
+    840 pairings here, and bhat 1804 and 922.
+    """
+    calls = {"apply": 0, "pair": 0}
+
+    def counted(key, fn):
+        def run(*args):
+            calls[key] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(fock, "apply_generator",
+                        counted("apply", fock.apply_generator))
+    monkeypatch.setattr(fock, "pair_vectors",
+                        counted("pair", fock.pair_vectors))
+    vertexops._measured_commutator(FockModule(alg), r, s,
+                                   Window.cube(("x1", "x2"), 20))
+    assert (calls["apply"], calls["pair"]) == (applied, paired)
 
 
 def test_pair_kernel_floors(hq, htq, bq):
@@ -575,6 +604,77 @@ def test_special_bracket_image_beyond_q_powers(c):
     g = g_series_oracle(c, w.hi[0] + w.hi[1])
     want = diff_oracle_table(lambda j: L * g.coeff((j,), ZERO), L, w)
     assert_same_table(form.image_table(w), want, w)
+
+
+# ---------------------------------------------------------------------------
+# table comparison
+
+
+def test_cmp_tables_matches_window_scan_oracle_seeded():
+    """The support scan reports what a scan of the whole window reports."""
+    rng = random.Random(61)
+    point = RationalPoint(Fraction(3, 5), Fraction(2))
+    # q and 3/5, l and 2 differ as symbols but agree at the point
+    values = (ONE, -ONE, Q, sc("3/5"), L, sc(2), qp(-2) + L)
+
+    def window(n):
+        lo = tuple(-rng.randint(0, 4) for _ in range(n))
+        return Window(tuple(f"x{i}" for i in range(n)), lo,
+                      tuple(a + rng.randint(0, 5) for a in lo))
+
+    def table(w, density):
+        # entries one step outside the window as well
+        wide = Window(w.vars, tuple(a - 1 for a in w.lo),
+                      tuple(b + 1 for b in w.hi))
+        return {e: rng.choice(values) for e in wide.exponents()
+                if rng.random() < density}
+
+    def changed(coeffs, w, k):
+        out = dict(coeffs)
+        for e in rng.sample(list(w.exponents()), min(k, w.size())):
+            out[e] = rng.choice(values)
+        return out
+
+    def poly(coeffs):
+        return TruncatedLaurent.polynomial(w.vars, coeffs)
+
+    def outside(coeffs, w):
+        out = dict(coeffs)
+        e = tuple(b + 1 for b in w.hi)
+        out[e] = out.get(e, ZERO) + ONE
+        return out
+
+    seen = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0, "cut": 0, "zero": 0}
+    for _trial in range(40):
+        w = window(rng.randint(1, 3))
+        base = table(w, rng.choice((0.0, 0.2, 0.6)))
+        inner = Window(w.vars, w.lo,
+                       tuple(max(a, b - 1) for a, b in zip(w.lo, w.hi)))
+        pairs = [
+            (poly(base), poly(dict(base))),
+            (poly(base), poly(outside(base, w))),
+            (poly(base), poly(changed(base, w, rng.randint(1, 12)))),
+            (poly(base).restrict(w), poly(changed(base, w, 9)).restrict(w)),
+            (poly(base).restrict(inner), poly(changed(base, w, 2))),
+            (poly(changed(base, w, 9)), poly(base).restrict(inner)),
+            (poly({}), poly({})),
+            (TruncatedLaurent(w.vars, {}, Cert.empty(len(w.vars))),
+             poly(base)),
+        ]
+        for got, want in pairs:
+            for pt in (None, point):
+                for cap in (6, 2):
+                    rep = vertexops._cmp_tables("t", got, want, w, pt, cap)
+                    ref = cmp_tables_oracle("t", got, want, w, pt, cap)
+                    assert (rep.status, rep.checked, rep.region,
+                            rep.failures, rep.notes) == \
+                        (ref.status, ref.checked, ref.region,
+                         ref.failures, ref.notes), (w, got.coeffs,
+                                                    want.coeffs, pt, cap)
+                    seen[rep.status] += 1
+                    seen["cut"] += "..." in rep.failures
+                    seen["zero"] += rep.checked == 0
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
