@@ -27,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .fock import FockModule, apply_word
+from .fock import FockError, FockModule, apply_word
 from .kernels import KernelError, parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
 from .report import FAIL, INCONCLUSIVE, PASS
@@ -151,7 +151,10 @@ def _cmd_fock_apply(args) -> int:
         word = _parse_word(args.word)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    out = apply_word(module, word, module.vacuum())
+    try:
+        out = apply_word(module, word, module.vacuum())
+    except (LieAlgebraError, FockError) as exc:
+        return _fail_usage(str(exc))
     print(out)
     return 0
 

@@ -228,18 +228,6 @@ def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
     return t
 
 
-def bhatq_commutator_table(shift_diff: int, window: Window) -> TruncatedLaurent:
-    """The full bhatq bracket expansion for b^(r)(x1), b^(s)(x2), r-s fixed.
-
-    Returns iota_{x2,x1} F_{r-s}(x1 - x2) plus the derivative-delta part
-    scaled by d(r-s) - d(r-s-1), restricted to the window; the coefficient
-    of x1^(-m-1) x2^(-n-1) is the bracket constant for modes (m, n).
-    """
-    dd = _d(shift_diff, 0) - _d(shift_diff, 1)
-    return diff_expansion_table(lambda j: f_coefficient(shift_diff, j),
-                                Scalar.from_int(dd), window)
-
-
 # ---------------------------------------------------------------------------
 # brackets
 

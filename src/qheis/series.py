@@ -35,7 +35,7 @@ from math import comb, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
-from .scalar import Scalar
+from .scalar import RationalPoint, Scalar
 
 NEG_INF = -inf
 POS_INF = inf
@@ -681,43 +681,52 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
 # delta families
 # ---------------------------------------------------------------------------
 
-DELTA_KINDS = ("plain", "euler", "dshift")
+# Each kind puts its k-th entry (k weighted or not) * c^(k + shift) at
+# (o1 - t k, o2 + t k), on the antidiagonal o1 + o2, for every k >= least:
+# kind: (o1, o2, t, shift, weighted, least)
+DELTA_KINDS = {
+    "plain": (0, 0, 1, 0, False, NEG_INF),
+    "euler": (0, 0, 1, 0, True, NEG_INF),
+    "dshift": (-1, -1, 1, -1, True, NEG_INF),
+    "bplain": (-1, 0, 1, 0, False, NEG_INF),
+    "iratio": (0, 0, -1, 0, True, 1),
+    "iratio_op": (0, 0, 1, 0, True, 1),
+}
 
 
 def delta_family(kind: str, c: Scalar, window: Window) -> TruncatedLaurent:
-    """A two-variable delta distribution restricted to a window.
+    """A two-variable distribution on one antidiagonal, restricted to a window.
 
     With variables (y, x) standing for (first, second) in the window:
 
     * ``plain``:  sum_k c^k x^k y^-k          (the substitution kernel at x/y)
     * ``euler``:  sum_k k c^k x^k y^-k        (x d/dx applied to plain)
     * ``dshift``: sum_k k c^(k-1) x^(k-1) y^(-k-1)   (d/dx of y^-1 * plain)
+    * ``bplain``: sum_k c^k x^k y^(-k-1)      (y^-1 * plain)
+    * ``iratio``: sum_(k>=1) k c^k y^k x^-k   (c u/(1 - c u)^2 at u = y/x)
+    * ``iratio_op``: sum_(k>=1) k c^k x^k y^-k  (the same shape at u = x/y)
+
+    Off its antidiagonal every coefficient is certified zero.
     """
     if kind not in DELTA_KINDS:
         raise SeriesError(f"unknown delta kind {kind!r}")
     if len(window.vars) != 2:
         raise SeriesError("delta families are two-variable objects")
+    o1, o2, t, shift, weighted, least = DELTA_KINDS[kind]
+    (lo1, lo2), (hi1, hi2) = window.lo, window.hi
+    # t k ranges over [a, b] inside the window
+    a, b = max(o1 - hi1, lo2 - o2), min(o1 - lo1, hi2 - o2)
+    klo, khi = (a, b) if t > 0 else (-b, -a)
+    klo = max(klo, least)
     coeffs: dict[tuple[int, int], Scalar] = {}
-    (ylo, xlo), (yhi, xhi) = window.lo, window.hi
-    if kind == "plain":
-        band = (0, 0)
-        for k in range(max(xlo, -yhi), min(xhi, -ylo) + 1):
-            v = c**k
+    if klo <= khi:
+        ck = c ** (klo + shift)
+        for k in range(klo, khi + 1):
+            v = Scalar.from_int(k) * ck if weighted else ck
             if v:
-                coeffs[(-k, k)] = v
-    elif kind == "euler":
-        band = (0, 0)
-        for k in range(max(xlo, -yhi), min(xhi, -ylo) + 1):
-            v = Scalar.from_int(k) * c**k
-            if v:
-                coeffs[(-k, k)] = v
-    else:  # dshift
-        band = (-2, -2)
-        for k in range(max(xlo + 1, -yhi - 1), min(xhi + 1, -ylo - 1) + 1):
-            v = Scalar.from_int(k) * c ** (k - 1)
-            if v:
-                coeffs[(-k - 1, k - 1)] = v
-    cert = Cert.box(window.lo, window.hi, band=band)
+                coeffs[(o1 - t * k, o2 + t * k)] = v
+            ck = ck * c
+    cert = Cert.box(window.lo, window.hi, band=(o1 + o2, o1 + o2))
     return TruncatedLaurent(window.vars, coeffs, cert, None, _trusted=True)
 
 
@@ -771,52 +780,68 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
 # ---------------------------------------------------------------------------
 
 
-def compare_on(name: str, a: TruncatedLaurent, b: TruncatedLaurent,
-               w: Window, require_full: bool = True,
+def _eq_scalar(a: Scalar, b: Scalar, point: RationalPoint | None) -> bool:
+    if point is None:
+        return a == b
+    return a.evaluate(point) == b.evaluate(point)
+
+
+def _show(a: Scalar, point: RationalPoint | None) -> str:
+    if point is None:
+        return str(a)
+    return str(a.evaluate(point))
+
+
+def compare_on(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
+               w: Window, point: RationalPoint | None = None,
                max_reported: int = 6) -> CheckReport:
-    """Compare two tables coefficient-by-coefficient over a window.
+    """Compare two tables coefficient by coefficient over a window.
 
     Only coefficients certified on both sides are decidable.  Any mismatch
-    is a failure; an empty decidable region, or an incomplete one when
-    ``require_full`` is set, is inconclusive (never a failure).
+    is a failure; a window that is not wholly decidable is inconclusive
+    (never a failure).  At a rational point, coefficients are compared by
+    their values there.
     """
-    if a.vars != b.vars:
-        raise SeriesError(f"variable mismatch: {a.vars} vs {b.vars}")
-    a._align_window(w)
-    checked = 0
-    unchecked = 0
+    if got.vars != want.vars:
+        raise SeriesError(f"variable mismatch: {got.vars} vs {want.vars}")
+    whole = got.certifies_window(w) and want.certifies_window(w)
+    if whole:
+        # off both supports each side reads zero, so only their union can
+        # differ; sorted, it comes in window order
+        entries = sorted(e for e in got.coeffs.keys() | want.coeffs.keys()
+                         if e in w)
+    else:
+        entries = [e for e in w.exponents()
+                   if got.certified(e) and want.certified(e)]
+    checked = w.size() if whole else len(entries)
+    zero = Scalar.from_int(0)
     failures: list[str] = []
-    for e in w.exponents():
-        if not (a.certified(e) and b.certified(e)):
-            unchecked += 1
+    for i, e in enumerate(entries):
+        ca = got.coeffs.get(e, zero)
+        cb = want.coeffs.get(e, zero)
+        if _eq_scalar(ca, cb, point):
             continue
-        checked += 1
-        ca = a.coeffs.get(e)
-        cb = b.coeffs.get(e)
-        if ca is None and cb is None:
-            continue
-        if ca is None:
-            diff_nonzero = bool(cb)
-        elif cb is None:
-            diff_nonzero = bool(ca)
-        else:
-            diff_nonzero = bool(ca - cb)
-        if diff_nonzero:
-            if len(failures) < max_reported:
-                failures.append(
-                    f"at {dict(zip(a.vars, e))}: {ca if ca is not None else 0}"
-                    f" != {cb if cb is not None else 0}")
-            else:
-                failures.append("...")
-                break
+        if len(failures) >= max_reported:
+            # the report is cut here, and counts what was scanned so far
+            failures.append("...")
+            checked = (_window_position(w, e) if whole else i) + 1
+            break
+        failures.append(
+            f"at {dict(zip(w.vars, e))}: {_show(ca, point)} != "
+            f"{_show(cb, point)}")
     if failures:
         status = FAIL
-    elif checked == 0 or (require_full and unchecked):
+    elif checked < w.size():
         status = INCONCLUSIVE
     else:
         status = PASS
-    notes = []
-    if unchecked:
-        notes.append(f"{unchecked} coefficients outside certified region")
-    return CheckReport(name=name, status=status, checked=checked,
-                       region=w.describe(), failures=failures, notes=notes)
+    return CheckReport(name, status, checked=checked,
+                       region=w.describe(), failures=failures)
+
+
+def _window_position(w: Window, e: tuple[int, ...]) -> int:
+    """The index of e in the order of ``w.exponents()``."""
+    pos = 0
+    for x, a, b in zip(e, w.lo, w.hi):
+        pos = pos * (b - a + 1) + x - a
+    return pos

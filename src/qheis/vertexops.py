@@ -27,7 +27,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .fock import (
@@ -42,7 +42,6 @@ from .fock import (
 from .kernels import _exp_minus_const
 from .liealg import (
     GeneratorSymbol,
-    bhatq_commutator_table,
     diff_expansion_table,
     f_coefficient,
     g_coefficient,
@@ -50,8 +49,8 @@ from .liealg import (
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine
 from .scalar import ONE, Q, ZERO, RationalPoint, Scalar
-from .series import Cert, TruncatedLaurent, Window, binom, delta_family, \
-    series_inverse
+from .series import Cert, TruncatedLaurent, Window, _eq_scalar, _show, \
+    binom, compare_on, delta_family, series_inverse
 
 __all__ = [
     "VertexError",
@@ -372,37 +371,10 @@ _KERNEL_FLOOR = {"iratio": 1, "iratio_op": None, "ftail": 0}
 
 def _part_table(part: PairPart, w: Window) -> TruncatedLaurent:
     """One part of a commutator on a two-variable window (x1, x2)."""
-    kind, c = part.kind, part.c
-    if kind in ("plain", "euler", "dshift"):
-        t = delta_family(kind, c, w)
-    elif kind == "bplain":
-        # x1^-1 delta(c x2/x1): entries c^k at (-k-1, k)
-        lo1, lo2 = w.lo
-        hi1, hi2 = w.hi
-        coeffs = {}
-        for k in range(max(lo2, -hi1 - 1), min(hi2, -lo1 - 1) + 1):
-            coeffs[(-k - 1, k)] = c ** k
-        t = TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
-    elif kind == "iratio":
-        # expansion of c*(x1/x2)/(1 - c*x1/x2)^2 in powers of x1/x2
-        lo1, lo2 = w.lo
-        hi1, hi2 = w.hi
-        coeffs = {}
-        for k in range(max(1, lo1, -hi2), min(hi1, -lo2) + 1):
-            coeffs[(k, -k)] = (c ** k) * _frac(k)
-        t = TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
-    elif kind == "iratio_op":
-        # same rational shape expanded the other way, in powers of x2/x1
-        lo1, lo2 = w.lo
-        hi1, hi2 = w.hi
-        coeffs = {}
-        for k in range(max(1, lo2, -hi1), min(hi2, -lo1) + 1):
-            coeffs[(-k, k)] = (c ** k) * _frac(k)
-        t = TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
-    elif kind == "ftail":
+    if part.kind == "ftail":
         t = diff_expansion_table(lambda j: f_coefficient(part.d, j), ZERO, w)
     else:
-        raise VertexError(f"unknown commutator part kind {kind!r}")
+        t = delta_family(part.kind, part.c, w)
     return t if part.coeff == ONE else t.scale(part.coeff)
 
 
@@ -1102,63 +1074,6 @@ def extract_s_kernel(module: FockModule, r: int, s: int,
 # comparison helpers
 
 
-def _eq_scalar(a: Scalar, b: Scalar, point: RationalPoint | None) -> bool:
-    if point is None:
-        return a == b
-    return a.evaluate(point) == b.evaluate(point)
-
-
-def _show(a: Scalar, point: RationalPoint | None) -> str:
-    if point is None:
-        return str(a)
-    return str(a.evaluate(point))
-
-
-def _cmp_tables(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
-                w: Window, point: RationalPoint | None,
-                max_reported: int = 6) -> CheckReport:
-    whole = got.certifies_window(w) and want.certifies_window(w)
-    if whole:
-        # off both supports each side reads ZERO, so only their union can
-        # differ; sorted, it comes in window order
-        entries = sorted(e for e in got.coeffs.keys() | want.coeffs.keys()
-                         if e in w)
-    else:
-        entries = [e for e in w.exponents()
-                   if got.certified(e) and want.certified(e)]
-    checked = w.size() if whole else len(entries)
-    failures: list[str] = []
-    for i, e in enumerate(entries):
-        ca = got.coeffs.get(e, ZERO)
-        cb = want.coeffs.get(e, ZERO)
-        if _eq_scalar(ca, cb, point):
-            continue
-        if len(failures) >= max_reported:
-            # the report is cut here, and counts what was scanned so far
-            failures.append("...")
-            checked = (_window_position(w, e) if whole else i) + 1
-            break
-        failures.append(
-            f"at {dict(zip(w.vars, e))}: {_show(ca, point)} != "
-            f"{_show(cb, point)}")
-    if failures:
-        status = FAIL
-    elif checked < w.size():
-        status = INCONCLUSIVE
-    else:
-        status = PASS
-    return CheckReport(name, status, checked=checked,
-                       region=w.describe(), failures=failures)
-
-
-def _window_position(w: Window, e: tuple[int, ...]) -> int:
-    """The index of e in the order of ``w.exponents()``."""
-    pos = 0
-    for x, a, b in zip(e, w.lo, w.hi):
-        pos = pos * (b - a + 1) + x - a
-    return pos
-
-
 def _vec_mismatches(got: FockVector, want: FockVector,
                     point: RationalPoint | None) -> list[str]:
     out = []
@@ -1189,13 +1104,13 @@ def _slot_for(module: FockModule, shift: int) -> FieldSlot:
     return FieldSlot(scale=Scalar.q_power(shift))
 
 
-def _measured_commutator(module: FockModule, r: int, s: int,
+def _measured_commutator(bra: FockVector, ket: FockVector, r: int, s: int,
                          w: Window) -> TruncatedLaurent:
-    """[a(x1), b(x2)] read off vacuum expectations of the two orders."""
-    vac = module.vacuum()
+    """<bra| [a(x1), b(x2)] |ket> read off the two orders of the fields."""
+    module = ket.module
     sa, sb = _slot_for(module, r), _slot_for(module, s)
-    fwd = two_point(vac, (sa, sb), vac, w)
-    rev = two_point(vac, (sb, sa), vac, _swap_window(w))
+    fwd = two_point(bra, (sa, sb), ket, w)
+    rev = two_point(bra, (sb, sa), ket, _swap_window(w))
     return fwd - _transpose2(rev, w)
 
 
@@ -1203,16 +1118,13 @@ def _centrality_report(module: FockModule, r: int, s: int, w: Window,
                        table: TruncatedLaurent,
                        point: RationalPoint | None) -> CheckReport:
     """The commutator acts by the same scalar table between deeper states."""
-    sa, sb = _slot_for(module, r), _slot_for(module, s)
     a = module.basis_vector((-1, r) if module.spec.shifted else (-1, 0))
     b = module.basis_vector((-2, s) if module.spec.shifted else (-2, 0))
     parts = []
     for i, (bra, ket) in enumerate(((a, a), (b, a))):
-        fwd = two_point(bra, (sa, sb), ket, w)
-        rev = two_point(bra, (sb, sa), ket, _swap_window(w))
-        got = fwd - _transpose2(rev, w)
+        got = _measured_commutator(bra, ket, r, s, w)
         want = table.scale(pair_vectors(bra, ket))
-        parts.append(_cmp_tables(f"centrality[{i}]", got, want, w, point))
+        parts.append(compare_on(f"centrality[{i}]", got, want, w, point))
     return combine("centrality", parts)
 
 
@@ -1231,12 +1143,13 @@ class LawId:
 def _law_hq_commutator_delta(window: int, point, r: int = 1, s: int = 0
                              ) -> CheckReport:
     module = FockModule("hq")
+    vac = module.vacuum()
     w = Window.cube(_X12, window)
-    got = _measured_commutator(module, r, s, w)
+    got = _measured_commutator(vac, vac, r, s, w)
     pair = pair_of(field_of(module, r), field_of(module, s))
     want = pair.table(w)
     parts = [
-        _cmp_tables("vacuum-table", got, want, w, point),
+        compare_on("vacuum-table", got, want, w, point),
         _centrality_report(module, r, s, Window.cube(_X12, min(window, 5)),
                            want.restrict(Window.cube(_X12, min(window, 5))),
                            point),
@@ -1247,37 +1160,30 @@ def _law_hq_commutator_delta(window: int, point, r: int = 1, s: int = 0
 def _law_bhat_commutator_delta(window: int, point, r: int = 1, s: int = 0
                                ) -> CheckReport:
     module = FockModule("bhat")
+    vac = module.vacuum()
+    w = Window.cube(_X12, window)
     parts = []
     for rr, ss in ((r, s), (s, r), (r, r)):
-        w = Window.cube(_X12, window)
-        got = _measured_commutator(module, rr, ss, w)
+        got = _measured_commutator(vac, vac, rr, ss, w)
         want = pair_of(field_of(module, rr),
                        field_of(module, ss)).table(w)
-        parts.append(_cmp_tables(f"pair[{rr},{ss}]", got, want, w, point))
+        parts.append(compare_on(f"pair[{rr},{ss}]", got, want, w, point))
     return combine("bhat-commutator-delta", parts)
-
-
-def _htq_form_table(parts: tuple[PairPart, ...], w: Window
-                    ) -> TruncatedLaurent:
-    acc = TruncatedLaurent.zero(w.vars).restrict(w)
-    for p in parts:
-        acc = acc + _part_table(p, w)
-    return acc
 
 
 def _law_htq_euler_form(window: int, point) -> CheckReport:
     module = FockModule("htq")
+    vac = module.vacuum()
     w = Window.cube(_X12, window)
-    got = _measured_commutator(module, 0, 0, w)
+    got = _measured_commutator(vac, vac, 0, 0, w)
     lvl = module.level
-    form = (PairPart("euler", lvl, ONE),
-            PairPart("iratio", lvl, Q),
-            PairPart("iratio_op", -lvl, Q))
-    want = _htq_form_table(form, w)
-    parts = [_cmp_tables("euler-form", got, want, w, point)]
+    want = PairData((PairPart("euler", lvl, ONE),
+                     PairPart("iratio", lvl, Q),
+                     PairPart("iratio_op", -lvl, Q))).table(w)
+    parts = [compare_on("euler-form", got, want, w, point)]
     # the two one-sided expansions of the same ratio kernel must differ
-    one_sided = _part_table(PairPart("iratio", ONE, Q), w)
-    other = _part_table(PairPart("iratio_op", ONE, Q), w)
+    one_sided = delta_family("iratio", Q, w)
+    other = delta_family("iratio_op", Q, w)
     one_sided.require_certified(w)
     other.require_certified(w)
     same = all(
@@ -1297,11 +1203,12 @@ def _law_htq_euler_form(window: int, point) -> CheckReport:
 
 def _law_htq_kernel_form(window: int, point) -> CheckReport:
     module = FockModule("htq")
+    vac = module.vacuum()
     w = Window.cube(_X12, window)
-    got = _measured_commutator(module, 0, 0, w)
+    got = _measured_commutator(vac, vac, 0, 0, w)
     pair = pair_of(field_of(module), field_of(module))
     want = pair.table(w)
-    parts = [_cmp_tables("kernel-form", got, want, w, point)]
+    parts = [compare_on("kernel-form", got, want, w, point)]
     lvl = module.level
     failures = []
     checked = 0
@@ -1318,29 +1225,30 @@ def _law_htq_kernel_form(window: int, point) -> CheckReport:
     return combine("htq-commutator-kernel-form", parts)
 
 
-def _quasi_locality_inner(alg: str, mult: Multiplier, window: int,
-                          point) -> CheckReport:
+def _quasi_locality_inner(name: str, alg: str, mult: Multiplier,
+                          window: int, point) -> CheckReport:
     """p times (the two orderings' difference minus the one-sided kernel).
 
     This is the locality shape behind the substitution products: after
     the kernel parts of the commutator are moved to the right-hand side,
     what remains is delta supported and the multiplier must kill it.
     """
+    if window < mult.degree:
+        return CheckReport(name, INCONCLUSIVE, checked=0,
+                           region=f"cube radius {window}",
+                           notes=["window smaller than the multiplier"])
     module = FockModule(alg)
+    vac = module.vacuum()
     w = Window.cube(_X12, window)
-    table = _measured_commutator(module, 0, 0, w)
+    table = _measured_commutator(vac, vac, 0, 0, w)
     pair = pair_of(field_of(module), field_of(module))
     for part in pair.parts:
         if not part.is_delta:
             table = table - _part_table(part, w)
-    if window < mult.degree:
-        return CheckReport("kill-check", INCONCLUSIVE, checked=0,
-                           region=f"cube radius {window}",
-                           notes=["window smaller than the multiplier"])
     prod = mult.as_table() * table
     inner = Window.cube(_X12, window - mult.degree)
     zero = TruncatedLaurent.zero(_X12).restrict(inner)
-    return _cmp_tables("kill-check", prod.restrict(inner), zero, inner, point)
+    return compare_on(name, prod.restrict(inner), zero, inner, point)
 
 
 _HQ_MULT = Multiplier.of((Q, 1), (Scalar.q_power(-1), 1), unit=Q)
@@ -1350,12 +1258,7 @@ _HTQ_MULT_CONTROL = Multiplier.of((ONE, 1), (Q, 1))
 
 
 def _law_quasi_locality(alg: str, mult: Multiplier):
-    def run(window: int, point) -> CheckReport:
-        rep = _quasi_locality_inner(alg, mult, window, point)
-        return CheckReport(f"{alg}-quasi-locality", rep.status,
-                           checked=rep.checked, region=rep.region,
-                           failures=rep.failures, notes=rep.notes)
-    return run
+    return partial(_quasi_locality_inner, f"{alg}-quasi-locality", alg, mult)
 
 
 def _law_quasi_locality_control(alg: str, mult: Multiplier):
@@ -1366,7 +1269,7 @@ def _law_quasi_locality_control(alg: str, mult: Multiplier):
                 name, INCONCLUSIVE, region=f"cube radius {window}",
                 notes=["the inner cube misses e1 + e2 = degree, where the "
                        "undersized multiplier leaves its remainder"])
-        rep = _quasi_locality_inner(alg, mult, window, point)
+        rep = _quasi_locality_inner(name, alg, mult, window, point)
         if rep.status == INCONCLUSIVE:
             return CheckReport(name, INCONCLUSIVE, checked=0,
                                region=rep.region, notes=rep.notes)
@@ -1447,24 +1350,15 @@ def _image_bracket_report(name: str, module: FockModule, r: int, s: int,
                        failures=failures)
 
 
-def _law_phi_image_heisenberg(window: int, point, r: int = 1, s: int = 0
-                              ) -> CheckReport:
-    module = FockModule("hq")
-    w = Window.cube(_X12, window + 1)
-    rhs = PairData((PairPart("bplain",
-                             module.level * standard_pairing(r, s), ONE),)
-                   if standard_pairing(r, s) else ()).table(w)
-    return _image_bracket_report("phi-image-heisenberg", module, r, s,
-                                 rhs, window, point)
-
-
-def _law_phi_image_bq(window: int, point, r: int = 1, s: int = 0
-                      ) -> CheckReport:
-    module = FockModule("htq")
-    w = Window.cube(_X12, window + 1)
-    rhs = bhatq_commutator_table(r - s, w).scale(module.level)
-    return _image_bracket_report("phi-image-bq-commutator", module, r, s,
-                                 rhs, window, point)
+def _law_phi_image(name: str, src_alg: str):
+    """The substituted fields on the psi target satisfy the source bracket."""
+    def run(window: int, point, r: int = 1, s: int = 0) -> CheckReport:
+        module = FockModule(_PSI_TARGET[src_alg])
+        src = FockModule(src_alg, level=module.level)
+        rhs = pair_of(field_of(src, r), field_of(src, s)).table(
+            Window.cube(_X12, window + 1))
+        return _image_bracket_report(name, module, r, s, rhs, window, point)
+    return run
 
 
 def _law_special_pair_transfer(window: int, point, r: int = 0, s: int = 0
@@ -1564,7 +1458,7 @@ _ASSOC_SETUP = {
     "htq": _HTQ_MULT,
 }
 
-_ASSOC_SOURCE = {"hq": "bhat", "htq": "bhatq"}
+_ASSOC_SOURCE = {t: src for src, t in _PSI_TARGET.items()}
 
 
 def _assoc_left_fields(module: FockModule) -> list[OperatorSeries]:
@@ -1706,11 +1600,11 @@ LAWS: dict[str, _LawSpec] = {
         _law_locality_transfer, 5,
         "multipliers transfer to the substituted fields on exponentials"),
     "phi-image-bq-commutator": _LawSpec(
-        _law_phi_image_bq, 5,
+        _law_phi_image("phi-image-bq-commutator", "bhatq"), 5,
         "substituted degenerate fields satisfy the exponential-tail "
         "bracket"),
     "phi-image-heisenberg": _LawSpec(
-        _law_phi_image_heisenberg, 5,
+        _law_phi_image("phi-image-heisenberg", "bhat"), 5,
         "substituted deformed fields satisfy the banded pairing bracket"),
     "phi-weak-associativity": _LawSpec(
         _law_weak_associativity, 6,

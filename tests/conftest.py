@@ -8,8 +8,9 @@ from qheis.kernels import Factor, RationalKernel, iota_expand, kernel_inv
 from qheis.liealg import GeneratorSymbol
 from qheis.report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from qheis.scalar import ONE, ZERO, Scalar
-from qheis.series import TruncatedLaurent, Window, delta_family
-from qheis.vertexops import _DELTA_KILL, _eq_scalar, _part_table, _show
+from qheis.series import Cert, TruncatedLaurent, Window, _eq_scalar, _show, \
+    delta_family
+from qheis.vertexops import _DELTA_KILL, _part_table
 
 
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
@@ -72,6 +73,45 @@ def bhatq_oracle_table(shift_diff: int, window) -> TruncatedLaurent:
                              Scalar.from_int(dd), window)
 
 
+def delta_family_oracle(kind: str, c: Scalar, window) -> TruncatedLaurent:
+    """series.delta_family by one loop per kind, each entry a fresh power.
+
+    Independent of the library's kind table and running product: every
+    kind walks its own k range and computes c^k anew for each entry.
+    """
+    (lo1, lo2), (hi1, hi2) = window.lo, window.hi
+    coeffs = {}
+    if kind == "plain":
+        band = 0
+        for k in range(max(lo2, -hi1), min(hi2, -lo1) + 1):
+            coeffs[(-k, k)] = c ** k
+    elif kind == "euler":
+        band = 0
+        for k in range(max(lo2, -hi1), min(hi2, -lo1) + 1):
+            coeffs[(-k, k)] = Scalar.from_int(k) * c ** k
+    elif kind == "dshift":
+        band = -2
+        for k in range(max(lo2 + 1, -hi1 - 1), min(hi2 + 1, -lo1 - 1) + 1):
+            coeffs[(-k - 1, k - 1)] = Scalar.from_int(k) * c ** (k - 1)
+    elif kind == "bplain":
+        band = -1
+        for k in range(max(lo2, -hi1 - 1), min(hi2, -lo1 - 1) + 1):
+            coeffs[(-k - 1, k)] = c ** k
+    elif kind == "iratio":
+        band = 0
+        for k in range(max(1, lo1, -hi2), min(hi1, -lo2) + 1):
+            coeffs[(k, -k)] = c ** k * Scalar.from_int(k)
+    elif kind == "iratio_op":
+        band = 0
+        for k in range(max(1, lo2, -hi1), min(hi2, -lo1) + 1):
+            coeffs[(-k, k)] = c ** k * Scalar.from_int(k)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    coeffs = {e: v for e, v in coeffs.items() if v}
+    cert = Cert.box(window.lo, window.hi, band=(band, band))
+    return TruncatedLaurent(window.vars, coeffs, cert, None, _trusted=True)
+
+
 def assert_same_table(got: TruncatedLaurent, want: TruncatedLaurent,
                       window) -> None:
     """Equal certificates, directions and coefficients over the window."""
@@ -132,7 +172,7 @@ def two_point_oracle(bra, slots, ket, window) -> TruncatedLaurent:
 
 
 def cmp_tables_oracle(name, got, want, w, point, max_reported=6):
-    """vertexops._cmp_tables by one scan of the whole window in its order.
+    """series.compare_on by one scan of the whole window in its order.
 
     Independent of the library's support scan: every entry of the window
     is certified and compared in turn, and the report is cut at the first

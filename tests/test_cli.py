@@ -149,6 +149,7 @@ def test_verify_bad_input_exits_two(capsys):
         ["suite", "--suite", "fast", "--window", "-1"],
         ["expand", "--kernel", "1/(x1-x2)", "--direction", "x1,x2",
          "--window", "-1"],
+        ["fock-apply", "--algebra", "hq", "--word=-1:1"],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

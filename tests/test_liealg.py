@@ -10,12 +10,12 @@ from conftest import (
     f_series_oracle,
     g_series_oracle,
 )
+from qheis.fock import FockModule
 from qheis.liealg import (
     ALGEBRAS,
     BilinearForm,
     GeneratorSymbol,
     LieAlgebraError,
-    bhatq_commutator_table,
     bracket_constant,
     bracket_modes,
     f_coefficient,
@@ -29,6 +29,7 @@ from qheis.liealg import (
 from qheis.liealg import check_skew_symmetry
 from qheis.scalar import ONE, ZERO, Scalar, qint
 from qheis.series import Window
+from qheis.vertexops import field_of, pair_of
 
 Q = Scalar.var_q()
 
@@ -191,10 +192,12 @@ def test_bhatq_matches_combinatorial_closed_form():
 
 
 def test_bhatq_table_agrees_with_bracket():
+    # at level 1 the catalog's pair table is the bare bracket expansion
+    bq = FockModule("bhatq", level=ONE)
     for radius in (3, 6):
         w = Window.cube(("x1", "x2"), radius)
         for diff in range(-3, 4):
-            table = bhatq_commutator_table(diff, w)
+            table = pair_of(field_of(bq, diff), field_of(bq, 0)).table(w)
             assert_same_table(table, bhatq_oracle_table(diff, w), w)
             for m in range(-radius - 1, radius):
                 for n in range(-radius - 1, radius):

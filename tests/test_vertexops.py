@@ -20,7 +20,7 @@ from qheis import fock, vertexops
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
-from qheis.series import Cert, TruncatedLaurent, Window
+from qheis.series import Cert, TruncatedLaurent, Window, compare_on
 from qheis.vertexops import (
     ArgScaledField,
     DerivativeField,
@@ -216,7 +216,8 @@ def test_measured_commutator_operation_counts(monkeypatch, alg, r, s,
                         counted("apply", fock.apply_generator))
     monkeypatch.setattr(fock, "pair_vectors",
                         counted("pair", fock.pair_vectors))
-    vertexops._measured_commutator(FockModule(alg), r, s,
+    vac = FockModule(alg).vacuum()
+    vertexops._measured_commutator(vac, vac, r, s,
                                    Window.cube(("x1", "x2"), 20))
     assert (calls["apply"], calls["pair"]) == (applied, paired)
 
@@ -664,7 +665,7 @@ def test_cmp_tables_matches_window_scan_oracle_seeded():
         for got, want in pairs:
             for pt in (None, point):
                 for cap in (6, 2):
-                    rep = vertexops._cmp_tables("t", got, want, w, pt, cap)
+                    rep = compare_on("t", got, want, w, pt, cap)
                     ref = cmp_tables_oracle("t", got, want, w, pt, cap)
                     assert (rep.status, rep.checked, rep.region,
                             rep.failures, rep.notes) == \
