@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 when everything passes, 1 on any failure or inconclusive
 result, 2 on usage errors.  Machine reports use the stable keys
 ``suite, params, window, status, failures, seed, elapsed_ms``; in
-symbolic mode every number is an exact rational expression.  The
+symbolic mode every number is an exact rational expression in q and the
+level l, and with ``--q0/--l0`` an exact rational at that point.  The
 ``QHEIS_WINDOW`` environment variable overrides default windows, and
 ``QHEIS_FIXED_CLOCK=1`` pins ``elapsed_ms`` to 0 so identical runs are
 byte-identical.
@@ -31,7 +32,7 @@ from .fock import FockError, FockModule, apply_word
 from .kernels import KernelError, parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
 from .report import FAIL, INCONCLUSIVE, PASS
-from .scalar import EvaluationError, RationalPoint
+from .scalar import SYMBOLIC, RationalPoint
 from .series import SeriesError, Window
 from .vertexops import (
     LAWS,
@@ -86,8 +87,19 @@ def _point_from(args) -> RationalPoint | None:
     l0 = _parse_fraction(args.l0, "--l0")
     try:
         return RationalPoint(q0, l0)
-    except (EvaluationError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(_fail_usage(str(exc)))
+
+
+def _check_point_from(args) -> RationalPoint | None:
+    """The point of an identity check.  At level 0 every commutator
+    vanishes, so the commutator laws would pass vacuously and the control
+    laws fail; such a point is refused."""
+    point = _point_from(args)
+    if point is not None and not point.l0:
+        raise SystemExit(_fail_usage(
+            "l0 must be nonzero: every commutator vanishes at level 0"))
+    return point
 
 
 def _parse_word(text: str):
@@ -133,12 +145,13 @@ def _cmd_bracket(args) -> int:
     if args.algebra not in ALGEBRAS:
         return _fail_usage(
             f"unknown algebra {args.algebra!r}; one of {', '.join(ALGEBRAS)}")
+    point = _point_from(args)
     try:
-        val = bracket_modes(args.algebra, args.m, args.n, args.r, args.s)
+        val = bracket_modes(args.algebra, args.m, args.n, args.r, args.s,
+                            SYMBOLIC if point is None else point)
     except LieAlgebraError as exc:
         return _fail_usage(str(exc))
-    point = _point_from(args)
-    print(val.evaluate(point) if point is not None else val)
+    print(val)
     return 0
 
 
@@ -263,7 +276,7 @@ def _cmd_verify(args) -> int:
         known = ", ".join(sorted(LAWS))
         return _fail_usage(f"unknown law {args.law!r}; one of {known}")
     window = _window_default(args.window)
-    point = _point_from(args)
+    point = _check_point_from(args)
     params = _law_params(args.param)
     t0 = time.monotonic()
     try:
@@ -286,7 +299,7 @@ def _cmd_suite(args) -> int:
     window = _window_default(args.window)
     if window is None:
         window = SUITES[args.suite]
-    point = _point_from(args)
+    point = _check_point_from(args)
     t0 = time.monotonic()
     reports = [verify_identity(name, window=window, point=point)
                for name in sorted(LAWS)]

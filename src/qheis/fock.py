@@ -33,7 +33,7 @@ from .liealg import (
     graded_leading_constant,
 )
 from .report import FAIL, PASS, CheckReport
-from .scalar import L, ONE, ZERO, Scalar
+from .scalar import L, ONE, SYMBOLIC, ZERO, Scalar
 from .series import TruncatedLaurent, Window
 
 
@@ -48,26 +48,34 @@ PBWMonomial = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class FockModule:
-    """Ambient data of a vacuum module: algebra, level, mode-0 scalar.
+    """Ambient data of a vacuum module: algebra, level, mode-0 scalar and
+    the scalar field of its coefficients.
 
     ``zero_mode`` is the scalar by which the central mode-0 generator of
     the unshifted algebras acts; it is a free parameter of the
-    polarization and defaults to zero.
+    polarization and defaults to zero.  ``scalars`` is the field, symbolic
+    Q(q, l) or a :class:`qheis.scalar.RationalPoint`, and the level
+    defaults to its level.
     """
 
     algebra: str
-    level: Scalar = L
-    zero_mode: Scalar = ZERO
+    level: Scalar = None
+    zero_mode: Scalar = None
+    scalars: object = SYMBOLIC
 
     def __post_init__(self):
         get_algebra(self.algebra)
+        if self.level is None:
+            object.__setattr__(self, "level", self.scalars.level)
+        if self.zero_mode is None:
+            object.__setattr__(self, "zero_mode", self.scalars.zero)
 
     @property
     def spec(self) -> AlgebraSpec:
         return get_algebra(self.algebra)
 
     def vacuum(self) -> "FockVector":
-        return FockVector(self, {(): ONE})
+        return FockVector(self, {(): self.scalars.one})
 
     def zero(self) -> "FockVector":
         return FockVector(self, {})
@@ -76,7 +84,7 @@ class FockModule:
         """The PBW monomial on the given (mode, shift) creation pairs."""
         mono = tuple(sorted(gens))
         _check_monomial(self, mono)
-        return FockVector(self, {mono: ONE})
+        return FockVector(self, {mono: self.scalars.one})
 
 
 def _check_monomial(module: FockModule, mono: PBWMonomial):
@@ -113,20 +121,24 @@ class FockVector:
             raise FockError("vectors live in different modules")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+            s = out.get(m)
+            out[m] = c if s is None else s + c
         return FockVector(self.module, out)
 
+    def __neg__(self) -> "FockVector":
+        return FockVector(self.module, {m: -c for m, c in self.terms.items()})
+
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-ONE)
+        return self + (-other)
 
     def scale(self, s: Scalar) -> "FockVector":
         return FockVector(self.module, {m: c * s for m, c in self.terms.items()})
 
     def coefficient(self, mono: PBWMonomial) -> Scalar:
-        return self.terms.get(tuple(sorted(mono)), ZERO)
+        return self.terms.get(tuple(sorted(mono)), self.module.scalars.zero)
 
     def vacuum_component(self) -> Scalar:
-        return self.terms.get((), ZERO)
+        return self.terms.get((), self.module.scalars.zero)
 
     def degrees(self) -> set[int]:
         """Total degrees sum(-mode) of the monomials present."""
@@ -155,7 +167,7 @@ def pair_vectors(bra: FockVector, ket: FockVector) -> Scalar:
     """Pairing in the monomial basis: sum of products of coefficients."""
     if bra.module != ket.module:
         raise FockError("vectors live in different modules")
-    total = ZERO
+    total = bra.module.scalars.zero
     small, big = sorted((bra.terms, ket.terms), key=len)
     for m, c in small.items():
         other = big.get(m)
@@ -166,12 +178,6 @@ def pair_vectors(bra: FockVector, ket: FockVector) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # the action
-
-
-def _vacuum_scalar(module: FockModule, mode: int) -> Scalar:
-    if module.spec.offset == 0 and mode == 0:
-        return module.zero_mode
-    return ZERO
 
 
 def apply_generator(g: GeneratorSymbol, v: FockVector) -> FockVector:
@@ -204,14 +210,16 @@ def _insert_creation(module: FockModule, mono: PBWMonomial,
     rest = list(mono)
     while rest and rest[0] < g:
         h = rest[0]
-        br = bracket_modes(alg, g[0], h[0], g[1], h[1])
+        br = bracket_modes(alg, g[0], h[0], g[1], h[1], module.scalars)
         if br:
             corr = tuple(prefix + rest[1:])
             val = scale * br * module.level
-            out[corr] = out.get(corr, ZERO) + val
+            prev = out.get(corr)
+            out[corr] = val if prev is None else prev + val
         prefix.append(rest.pop(0))
-    sorted_mono = tuple(prefix + [g] + rest)
-    out[sorted_mono] = out.get(sorted_mono, ZERO) + scale
+    mono = tuple(prefix + [g] + rest)
+    prev = out.get(mono)
+    out[mono] = scale if prev is None else prev + scale
 
 
 def _contract_annihilator(module: FockModule, mono: PBWMonomial,
@@ -220,14 +228,16 @@ def _contract_annihilator(module: FockModule, mono: PBWMonomial,
     """Commute g through the word; each contraction removes one creation."""
     alg = module.spec
     for i, h in enumerate(mono):
-        br = bracket_modes(alg, g[0], h[0], g[1], h[1])
+        br = bracket_modes(alg, g[0], h[0], g[1], h[1], module.scalars)
         if br:
             corr = mono[:i] + mono[i + 1:]
             val = scale * br * module.level
-            out[corr] = out.get(corr, ZERO) + val
-    z = _vacuum_scalar(module, g[0])
-    if z:
-        out[mono] = out.get(mono, ZERO) + scale * z
+            prev = out.get(corr)
+            out[corr] = val if prev is None else prev + val
+    if g[0] == 0 and alg.offset == 0 and module.zero_mode:
+        val = scale * module.zero_mode
+        prev = out.get(mono)
+        out[mono] = val if prev is None else prev + val
 
 
 def apply_word(module: FockModule, word, v: FockVector) -> FockVector:
@@ -276,7 +286,7 @@ class FieldSlot:
     """
 
     shift: int = 0
-    scale: Scalar = ONE
+    scale: Scalar = 1
 
 
 def two_point(bra: FockVector, slots, ket: FockVector,
@@ -311,6 +321,8 @@ def two_point(bra: FockVector, slots, ket: FockVector,
              for ei in range(lo, hi + 1)]
             for slot, lo, hi in zip(slots, window.lo, window.hi)]
     coeffs: dict[tuple[int, ...], Scalar] = {}
+    scaled = [(i, slot.scale) for i, slot in enumerate(slots)
+              if slot.scale != 1]
     sigma = bra.module.spec.mode_sum
     if sigma is not None:
         bra_weights = _weights(bra, sigma)
@@ -321,9 +333,8 @@ def two_point(bra: FockVector, slots, ket: FockVector,
         if i < 0:
             val = pair_vectors(bra, v)
             if val:
-                for ei, slot in zip(tail, slots):
-                    if not slot.scale.is_one():
-                        val = val * slot.scale ** ei
+                for j, scale in scaled:
+                    val = val * scale ** tail[j]
                 coeffs[tail] = val
             return
         steps = gens[i]

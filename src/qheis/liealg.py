@@ -35,7 +35,9 @@ a certified two-variable window with them.  :func:`g_coefficient` and
 
 Levels are not fixed here: brackets return the coefficient of the central
 element, and specialising the centre to a level happens in the module
-acting on a vacuum space.
+acting on a vacuum space.  Every constant is computed in a scalar field,
+symbolic Q(q, l) by default or the rationals at a point (see
+:class:`qheis.scalar.SymbolicField`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from math import factorial
 from typing import Callable
 
 from .report import FAIL, PASS, CheckReport
-from .scalar import ONE, ZERO, Scalar, qint
+from .scalar import ONE, SYMBOLIC, Scalar
 from .series import Cert, TruncatedLaurent, Window, binom, delta_family
 
 
@@ -144,8 +146,9 @@ class GeneratorSymbol:
 _EULERIAN: list[list[int]] = [[1]]
 
 
-def g_coefficient(a: Scalar, j: int) -> Scalar:
-    """The z^j coefficient of g(a, z) = a e^z / (1 - a e^z)^2.
+def g_coefficient(a: Scalar, j: int, scalars=SYMBOLIC) -> Scalar:
+    """The z^j coefficient of g(a, z) = a e^z / (1 - a e^z)^2, for a in
+    the scalar field ``scalars``.
 
     For a != 1, g is regular at z = 0 and its z^j coefficient is
     Li_(-j-1)(a) / j! = a A_(j+1)(a) / ((1 - a)^(j+2) j!), with A_n the
@@ -154,23 +157,23 @@ def g_coefficient(a: Scalar, j: int) -> Scalar:
     z^-1 term; for j >= 0 its z^j coefficient is that of g(-1, z) divided
     by 2^(j+2) - 1, since eta(s) = (1 - 2^(1-s)) zeta(s).
     """
+    one = scalars.one
     if j < 0:
-        return ONE if j == -2 and a.is_one() else ZERO
-    if a.is_one():
-        return g_coefficient(-ONE, j) / Scalar.from_int((1 << (j + 2)) - 1)
+        return one if j == -2 and a == 1 else scalars.zero
+    if a == 1:
+        return g_coefficient(-one, j, scalars) / ((1 << (j + 2)) - 1)
     while len(_EULERIAN) <= j + 1:
         m = len(_EULERIAN)
         p = [0, *_EULERIAN[-1], 0]
         _EULERIAN.append([(k + 1) * p[k + 1] + (m - k) * p[k]
                           for k in range(m)])
-    num = ZERO
+    num = scalars.zero
     for c in reversed(_EULERIAN[j + 1]):
-        num = num * a + Scalar.from_int(c)
-    return (num * a * (ONE / (ONE - a)) ** (j + 2)
-            / Scalar.from_int(factorial(j)))
+        num = num * a + scalars.from_int(c)
+    return num * a * (one / (one - a)) ** (j + 2) / factorial(j)
 
 
-def f_coefficient(n: int, j: int) -> Scalar:
+def f_coefficient(n: int, j: int, scalars=SYMBOLIC) -> Scalar:
     """The z^j coefficient of F_n(z); requires j >= -2.
 
     Pole coefficients appear only at j = -2 and only for n = +-1, where
@@ -178,16 +181,16 @@ def f_coefficient(n: int, j: int) -> Scalar:
     """
     if j < -2:
         raise LieAlgebraError(f"F_n has no z^{j} term; j must be >= -2")
-    return (g_coefficient(Scalar.q_power(n + 1), j)
-            - g_coefficient(Scalar.q_power(n - 1), j))
+    return (g_coefficient(scalars.q_power(n + 1), j, scalars)
+            - g_coefficient(scalars.q_power(n - 1), j, scalars))
 
 
 # ---------------------------------------------------------------------------
 # expansions at x1 - x2
 
 
-def diff_expansion_coeff(coeff: Callable[[int], Scalar], e1: int, e2: int
-                         ) -> Scalar:
+def diff_expansion_coeff(coeff: Callable[[int], Scalar], e1: int, e2: int,
+                         scalars=SYMBOLIC) -> Scalar:
     """The x1^e1 x2^e2 coefficient of iota_{x2,x1} S(x1 - x2).
 
     ``coeff(j)`` is the z^j coefficient of S(z), which has no terms below
@@ -196,18 +199,19 @@ def diff_expansion_coeff(coeff: Callable[[int], Scalar], e1: int, e2: int
     """
     j = e1 + e2
     if e1 < 0 or j < -2:
-        return ZERO
+        return scalars.zero
     c = binom(j, e1)
     if not c:
-        return ZERO
-    return Scalar.from_int(-c if e2 % 2 else c) * coeff(j)
+        return scalars.zero
+    return coeff(j) * (-c if e2 % 2 else c)
 
 
 def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
-                         window: Window) -> TruncatedLaurent:
+                         window: Window, scalars=SYMBOLIC) -> TruncatedLaurent:
     """iota_{x2,x1} S(x1 - x2) + dshift (d/dx2) x1^-1 delta(x2/x1) on a window.
 
-    ``coeff`` is as in :func:`diff_expansion_coeff` and is called once per j.
+    ``coeff`` is as in :func:`diff_expansion_coeff` and is called once per
+    j; its values and ``dshift`` lie in ``scalars``.
     The table is tagged with the expansion direction when a pole term of S
     reaches the window.
     """
@@ -224,7 +228,7 @@ def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
     t = TruncatedLaurent(window.vars, coeffs, Cert.box(window.lo, window.hi),
                          ("x2", "x1") if pole else None, _trusted=True)
     if dshift:
-        t = t + delta_family("dshift", ONE, window).scale(dshift)
+        t = t + delta_family("dshift", scalars.one, window).scale(dshift)
     return t
 
 
@@ -233,30 +237,32 @@ def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
 
 
 def bracket_modes(alg: str | AlgebraSpec, m: int, n: int,
-                  r: int = 0, s: int = 0) -> Scalar:
-    """Coefficient of the central element in [b^(r)_m, b^(s)_n]."""
+                  r: int = 0, s: int = 0, scalars=SYMBOLIC) -> Scalar:
+    """Coefficient of the central element in [b^(r)_m, b^(s)_n], in field."""
     spec = get_algebra(alg)
     if not spec.shifted and (r or s):
         raise LieAlgebraError(f"{spec.name} generators carry no family index")
     if spec.name == "hq":
-        return qint(m) if m + n == 0 else ZERO
+        return scalars.qint(m) if m + n == 0 else scalars.zero
     if spec.name == "htq":
         if m + n:
-            return ZERO
-        return Scalar.from_int(m) * (ONE - Scalar.q_power(abs(m)))
+            return scalars.zero
+        return (scalars.one - scalars.q_power(abs(m))) * m
     if spec.name == "bhat":
-        return standard_pairing(r, s) if m + n + 1 == 0 else ZERO
+        if m + n + 1:
+            return scalars.zero
+        return standard_pairing(r, s, scalars)
     if spec.name == "graded":
         if m + n:
-            return ZERO
+            return scalars.zero
         am = abs(m)
         co = (m * _d(r, s) + (am - m) // 2 * _d(r, s - 1)
               - (am + m) // 2 * _d(r, s + 1))
-        return Scalar.from_int(co)
-    out = diff_expansion_coeff(lambda j: f_coefficient(r - s, j),
-                               -m - 1, -n - 1)
+        return scalars.from_int(co)
+    out = diff_expansion_coeff(lambda j: f_coefficient(r - s, j, scalars),
+                               -m - 1, -n - 1, scalars)
     if m + n == 0:
-        out = out + Scalar.from_int((_d(r, s) - _d(r, s + 1)) * m)
+        out = out + scalars.from_int((_d(r, s) - _d(r, s + 1)) * m)
     return out
 
 
@@ -268,7 +274,7 @@ def bracket_constant(alg: str | AlgebraSpec, a: GeneratorSymbol,
         raise LieAlgebraError(
             f"cross-algebra bracket: [{a}, {b}] in {spec.name}")
     if a.central or b.central:
-        return ZERO
+        return SYMBOLIC.zero
     return bracket_modes(spec, a.mode, b.mode, a.shift, b.shift)
 
 
@@ -280,7 +286,7 @@ def graded_leading_constant(r: int, s: int, m: int, n: int) -> Scalar:
     quotient in degree m + n only when m + n = 0.
     """
     if m + n:
-        return ZERO
+        return SYMBOLIC.zero
     return bracket_modes("bhatq", m, n, r, s)
 
 
@@ -288,12 +294,12 @@ def graded_leading_constant(r: int, s: int, m: int, n: int) -> Scalar:
 # the pairing on the shifted loop family
 
 
-def standard_pairing(r: int, s: int) -> Scalar:
+def standard_pairing(r: int, s: int, scalars=SYMBOLIC) -> Scalar:
     """<b^(r), b^(s)>: +-1/(q - q^-1) on the off-diagonals r = s +- 1."""
     co = _d(r, s + 1) - _d(r, s - 1)
     if not co:
-        return ZERO
-    return Scalar.from_int(co) / (Scalar.var_q() - Scalar.q_power(-1))
+        return scalars.zero
+    return scalars.from_int(co) / (scalars.q_power(1) - scalars.q_power(-1))
 
 
 class BilinearForm:

@@ -800,13 +800,47 @@ def qint(m: int) -> Scalar:
     return _make(num, (1, m - 1, (), None))
 
 
+class SymbolicField:
+    """The scalar field Q(q, l) itself: every value is a :class:`Scalar`.
+
+    A scalar field supplies the constants that depend on q and the level:
+    ``zero``, ``one``, ``level``, ``q_power(k)``, ``qint(m)`` and the
+    rational constructors ``from_int`` and ``from_fraction``.  Everything
+    else runs on ``+ - * / ** == hash bool str`` of its values, so one
+    code path serves this field and the exact rationals of a
+    :class:`RationalPoint`.
+    """
+
+    zero = _S_ZERO
+    one = _S_ONE
+    level = L
+    from_int = staticmethod(Scalar.from_int)
+    from_fraction = staticmethod(Scalar.from_fraction)
+    q_power = staticmethod(Scalar.q_power)
+    qint = staticmethod(qint)
+
+    def __repr__(self) -> str:
+        return "SYMBOLIC"
+
+
+SYMBOLIC = SymbolicField()
+
+
 class RationalPoint:
-    """A rational evaluation point (q0, l0) with q0 outside {0, 1, -1}.
+    """A rational point (q0, l0) with q0 outside {0, 1, -1}.
 
     The excluded values collapse q-integer denominators, so guarded out.
+    A point is also a scalar field (see :class:`SymbolicField`): the exact
+    rationals, with q and the level read as q0 and l0.  Every denominator
+    the catalog builds is a power of q times cyclotomic factors, and
+    those do not vanish at a rational q0 outside {0, 1, -1}.
     """
 
     __slots__ = ("q0", "l0")
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    from_int = from_fraction = Fraction
 
     def __init__(self, q0, l0):
         q0 = Fraction(q0)
@@ -818,6 +852,17 @@ class RationalPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoint is immutable")
+
+    @property
+    def level(self) -> Fraction:
+        return self.l0
+
+    def q_power(self, k: int) -> Fraction:
+        return self.q0 ** k
+
+    def qint(self, m: int) -> Fraction:
+        q = self.q0
+        return (q ** m - q ** -m) / (q - 1 / q)
 
     def __repr__(self) -> str:
         return f"RationalPoint(q0={self.q0}, l0={self.l0})"

@@ -35,7 +35,7 @@ from math import comb, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
-from .scalar import RationalPoint, Scalar
+from .scalar import Scalar
 
 NEG_INF = -inf
 POS_INF = inf
@@ -722,7 +722,7 @@ def delta_family(kind: str, c: Scalar, window: Window) -> TruncatedLaurent:
     if klo <= khi:
         ck = c ** (klo + shift)
         for k in range(klo, khi + 1):
-            v = Scalar.from_int(k) * ck if weighted else ck
+            v = ck * k if weighted else ck
             if v:
                 coeffs[(o1 - t * k, o2 + t * k)] = v
             ck = ck * c
@@ -758,15 +758,15 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
             raise SeriesError(
                 f"inverse to order {order} needs input certified through "
                 f"exponent {n0 + order}, have {c.caps[0]}")
-    lead = s.coeffs[(n0,)]
-    inv_lead = Scalar.from_int(1) / lead
+    inv_lead = s.coeffs[(n0,)] ** -1
     b: dict[int, Scalar] = {0: inv_lead}
     for m in range(1, order + 1):
-        acc = Scalar.from_int(0)
+        acc = None
         for i in range(1, m + 1):
             si = s.coeffs.get((n0 + i,))
             if si and (m - i) in b:
-                acc = acc + si * b[m - i]
+                term = si * b[m - i]
+                acc = term if acc is None else acc + term
         if acc:
             b[m] = -inv_lead * acc
     coeffs = {(-n0 + m,): v for m, v in b.items() if v}
@@ -780,27 +780,14 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
 # ---------------------------------------------------------------------------
 
 
-def _eq_scalar(a: Scalar, b: Scalar, point: RationalPoint | None) -> bool:
-    if point is None:
-        return a == b
-    return a.evaluate(point) == b.evaluate(point)
-
-
-def _show(a: Scalar, point: RationalPoint | None) -> str:
-    if point is None:
-        return str(a)
-    return str(a.evaluate(point))
-
-
 def compare_on(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
-               w: Window, point: RationalPoint | None = None,
-               max_reported: int = 6) -> CheckReport:
+               w: Window, max_reported: int = 6) -> CheckReport:
     """Compare two tables coefficient by coefficient over a window.
 
     Only coefficients certified on both sides are decidable.  Any mismatch
     is a failure; a window that is not wholly decidable is inconclusive
-    (never a failure).  At a rational point, coefficients are compared by
-    their values there.
+    (never a failure).  Coefficients compare by ``==`` and print by
+    ``str`` in their own scalar field; a missing one reads 0.
     """
     if got.vars != want.vars:
         raise SeriesError(f"variable mismatch: {got.vars} vs {want.vars}")
@@ -814,21 +801,18 @@ def compare_on(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
         entries = [e for e in w.exponents()
                    if got.certified(e) and want.certified(e)]
     checked = w.size() if whole else len(entries)
-    zero = Scalar.from_int(0)
     failures: list[str] = []
     for i, e in enumerate(entries):
-        ca = got.coeffs.get(e, zero)
-        cb = want.coeffs.get(e, zero)
-        if _eq_scalar(ca, cb, point):
+        ca = got.coeffs.get(e, 0)
+        cb = want.coeffs.get(e, 0)
+        if ca == cb:
             continue
         if len(failures) >= max_reported:
             # the report is cut here, and counts what was scanned so far
             failures.append("...")
             checked = (_window_position(w, e) if whole else i) + 1
             break
-        failures.append(
-            f"at {dict(zip(w.vars, e))}: {_show(ca, point)} != "
-            f"{_show(cb, point)}")
+        failures.append(f"at {dict(zip(w.vars, e))}: {ca} != {cb}")
     if failures:
         status = FAIL
     elif checked < w.size():

@@ -72,6 +72,10 @@ def test_bracket_values(capsys):
     assert run(["bracket", "--algebra", "hq", "--m", "2", "--n", "-2",
                 "--q0", "3/5", "--l0", "2"]) == 0
     assert out_of(capsys) == "34/15"
+    # a bracket does not involve the level, so level 0 is a valid point
+    assert run(["bracket", "--algebra", "bhat", "--r", "1", "--m", "0",
+                "--n", "-1", "--q0=-2", "--l0", "0"]) == 0
+    assert out_of(capsys) == "-2/3"
 
 
 def test_bracket_usage_errors(capsys):
@@ -150,6 +154,9 @@ def test_verify_bad_input_exits_two(capsys):
         ["expand", "--kernel", "1/(x1-x2)", "--direction", "x1,x2",
          "--window", "-1"],
         ["fock-apply", "--algebra", "hq", "--word=-1:1"],
+        ["verify", "--law", "hq-commutator-delta", "--q0", "3/5",
+         "--l0", "0"],
+        ["suite", "--suite", "fast", "--q0=3/5", "--l0=0"],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

@@ -13,13 +13,16 @@ from conftest import (
     bhatq_oracle_table,
     cmp_tables_oracle,
     diff_oracle_table,
+    exp_product_oracle,
     g_series_oracle,
+    inverse_exp_oracle,
     probe_kills,
 )
-from qheis import fock, vertexops
+from qheis import fock, scalar, vertexops
+from qheis.liealg import ALGEBRAS, bracket_modes
 from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
-from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
+from qheis.scalar import L, ONE, Q, SYMBOLIC, RationalPoint, Scalar, ZERO
 from qheis.series import Cert, TruncatedLaurent, Window, compare_on
 from qheis.vertexops import (
     ArgScaledField,
@@ -405,6 +408,37 @@ def test_exp_series_convolves_to_one():
         assert acc == (ONE if total == 0 else ZERO), total
 
 
+def test_exp_product_matches_series_oracle_seeded():
+    """The e^z-polynomial route equals multiplying the factor series, in
+    both fields."""
+    rng = random.Random(9)
+    point = RationalPoint(Fraction(-3, 2), Fraction(5, 7))
+    seen_units = 0
+    for _trial in range(24):
+        exps = rng.sample(range(-4, 5), rng.randint(1, 4))
+        factors = [(k, rng.randint(0, 4), rng.choice((1, -1))) for k in exps]
+        degree = 0
+        kept = []
+        for k, m, sign in factors:
+            m = min(m, 14 - degree)
+            kept.append((k, m, sign if k else 1))
+            degree += m
+        unit_exp = rng.choice((0, 0, 1, -2))
+        sign = rng.choice((1, -1))
+        seen_units += unit_exp != 0 or sign != 1
+        zmax = rng.randint(0, 12)
+        for k_ in (SYMBOLIC, point):
+            mult = Multiplier.of(
+                *((k_.q_power(k) * s_, m) for k, m, s_ in kept),
+                unit=k_.q_power(unit_exp) * sign)
+            order = zmax + mult.kappa
+            assert mult.exp_series(order, k_) == \
+                exp_product_oracle(mult, order, k_), (mult, order)
+            assert mult.inverse_exp(zmax, k_) == \
+                inverse_exp_oracle(mult, zmax, k_), (mult, zmax)
+    assert seen_units >= 6
+
+
 # ---------------------------------------------------------------------------
 # substitution and residue products
 
@@ -639,6 +673,12 @@ def test_cmp_tables_matches_window_scan_oracle_seeded():
     def poly(coeffs):
         return TruncatedLaurent.polynomial(w.vars, coeffs)
 
+    def at_point(t):
+        # the same table with every value taken at the point
+        return TruncatedLaurent(t.vars, {e: c.evaluate(point)
+                                         for e, c in t.coeffs.items()},
+                                t.cert, t.direction)
+
     def outside(coeffs, w):
         out = dict(coeffs)
         e = tuple(b + 1 for b in w.hi)
@@ -663,15 +703,15 @@ def test_cmp_tables_matches_window_scan_oracle_seeded():
              poly(base)),
         ]
         for got, want in pairs:
-            for pt in (None, point):
+            for a, b in ((got, want), (at_point(got), at_point(want))):
                 for cap in (6, 2):
-                    rep = compare_on("t", got, want, w, pt, cap)
-                    ref = cmp_tables_oracle("t", got, want, w, pt, cap)
+                    rep = compare_on("t", a, b, w, cap)
+                    ref = cmp_tables_oracle("t", a, b, w, cap)
                     assert (rep.status, rep.checked, rep.region,
                             rep.failures, rep.notes) == \
                         (ref.status, ref.checked, ref.region,
-                         ref.failures, ref.notes), (w, got.coeffs,
-                                                    want.coeffs, pt, cap)
+                         ref.failures, ref.notes), (w, a.coeffs,
+                                                    b.coeffs, cap)
                     seen[rep.status] += 1
                     seen["cut"] += "..." in rep.failures
                     seen["zero"] += rep.checked == 0
@@ -725,6 +765,92 @@ def test_numeric_point_evaluation():
                            point=pt).status == PASS
 
 
+# a negative q0, |q0| < 1, an integer q0, a negative and a fractional level
+_POINTS = [RationalPoint(Fraction(*q), Fraction(*l)) for q, l in (
+    ((-2,), (1,)), ((3, 5), (-5, 2)), ((3,), (2, 3)), ((-7, 3), (-1,)))]
+
+
+@pytest.mark.parametrize("point", _POINTS,
+                         ids=lambda p: f"q0={p.q0},l0={p.l0}")
+def test_point_reports_match_symbolic(small_reports, point):
+    """Every law reads the same at a point as in Q(q, l), field by field."""
+    def fields(r):
+        return (r.name, r.status, r.checked, r.region, r.failures, r.notes)
+
+    at_point = suite_reports(window=4, point=point)
+    assert [fields(r) for r in at_point] == [fields(r) for r in small_reports]
+
+
+def _at(vec, point):
+    """The coefficients of a symbolic vector, evaluated at the point."""
+    out = {m: c.evaluate(point) for m, c in vec.terms.items()}
+    return {m: c for m, c in out.items() if c}
+
+
+def test_point_values_match_evaluated_symbolic_seeded():
+    """Brackets, two-point tables and product stacks computed at a point
+    equal the symbolic values evaluated there."""
+    rng = random.Random(77)
+    for point in _POINTS:
+        for _trial in range(60):
+            alg = rng.choice(sorted(ALGEBRAS))
+            shifted = ALGEBRAS[alg].shifted
+            m, n = rng.randint(-6, 6), rng.randint(-6, 6)
+            r, s = (rng.randint(-2, 2), rng.randint(-2, 2)) if shifted \
+                else (0, 0)
+            assert bracket_modes(alg, m, n, r, s, point) == \
+                bracket_modes(alg, m, n, r, s).evaluate(point)
+        for alg in sorted(ALGEBRAS):
+            sym, num = FockModule(alg), FockModule(alg, scalars=point)
+            shifted = sym.spec.shifted
+            for _trial in range(3):
+                word = [(-rng.randint(1, 3), rng.randint(-1, 1) if shifted
+                         else 0) for _ in range(rng.randint(0, 2))]
+                shifts = [rng.randint(-1, 1) for _ in range(2)]
+                w = Window.cube(("x1", "x2"), rng.randint(1, 4))
+                tables = []
+                for mod in (sym, num):
+                    ket = mod.basis_vector(*word)
+                    slots = [FieldSlot(shift=k) if shifted else
+                             FieldSlot(scale=mod.scalars.q_power(k))
+                             for k in shifts]
+                    tables.append(two_point(ket, slots, ket, w))
+                want, got = tables
+                assert got.coeffs == {e: v for e, v in (
+                    (e, c.evaluate(point)) for e, c in want.coeffs.items())
+                    if v}, (alg, word, shifts)
+        for alg in ("hq", "htq"):
+            sym, num = FockModule(alg), FockModule(alg, scalars=point)
+            r, s = rng.randint(-1, 1), rng.randint(-1, 1)
+            m = -rng.randint(1, 3)
+            stacks = []
+            for mod in (sym, num):
+                a = field_of(mod, r)
+                b = vacuum_product_field(field_of(mod, s), m)
+                pair = pair_of(a, b)
+                mult = Multiplier.canonical_for(pair)
+                v = mod.basis_vector((-1, 0))
+                stacks.append(vertexops._product_stack(
+                    a, b, mult, pair, v, -2, 2, 3).data)
+            want, got = stacks
+            assert set(got) <= set(want)
+            for key, vec in want.items():
+                assert _at(vec, point) == \
+                    (got[key].terms if key in got else {}), (alg, key)
+
+
+def test_point_run_builds_no_symbolic_scalar(monkeypatch):
+    """A point run never falls back to symbolic arithmetic."""
+    def refuse(num, fd):
+        raise AssertionError("a Scalar was built in a point run")
+
+    want = [r.status for r in suite_reports(window=3)]
+    point = RationalPoint(Fraction(-7, 4), Fraction(5, 3))
+    monkeypatch.setattr(scalar, "_make", refuse)
+    assert [r.status for r in suite_reports(window=3, point=point)] == want
+    assert want.count(PASS) >= 10
+
+
 def test_law_parameters_pass_through():
     rep = verify_identity("hq-commutator-delta", window=3, r=2, s=1)
     assert rep.status == PASS
@@ -768,7 +894,8 @@ def test_commutator_laws_match_wide_golden():
     "htq-commutator-kernel-form", "htq-quasi-locality",
 ])
 def test_doubled_catalog_coefficient_fails(monkeypatch, name):
-    """A wrong commutator catalog fails each law at its default window."""
+    """A wrong commutator catalog fails each law at its default window, in
+    both fields, and no window below 3 lets it pass."""
     base = vertexops._base_pair
 
     def doubled(a, b):
@@ -777,15 +904,19 @@ def test_doubled_catalog_coefficient_fails(monkeypatch, name):
                      if i == 0 else p for i, p in enumerate(parts))
 
     monkeypatch.setattr(vertexops, "_base_pair", doubled)
-    rep = verify_identity(name)
-    assert rep.status == FAIL, (rep.status, rep.notes)
-    assert rep.failures
+    for point in (None, RationalPoint(Fraction(3, 5), Fraction(2))):
+        rep = verify_identity(name, point=point)
+        assert rep.status == FAIL, (point, rep.status, rep.notes)
+        assert rep.failures
+        for window in range(3):
+            rep = verify_identity(name, window=window, point=point)
+            assert rep.status != PASS, (point, window)
 
 
 def test_undersized_hq_multiplier_fails():
     # the registry's runner closes over the right multiplier, so the
     # undersized one goes to a fresh runner
     run = vertexops._law_quasi_locality("hq", vertexops._HQ_MULT_CONTROL)
-    rep = run(10, None)
+    rep = run(10, SYMBOLIC)
     assert rep.status == FAIL
     assert rep.failures
