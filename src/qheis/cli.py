@@ -40,6 +40,7 @@ from .vertexops import (
     VertexError,
     field_of,
     phi_product_n,
+    suite_reports,
     verify_identity,
 )
 
@@ -200,11 +201,6 @@ def _cmd_phi_product(args) -> int:
     return 0
 
 
-def _status_word(status: str) -> str:
-    return {PASS: "pass", FAIL: "fail", INCONCLUSIVE: "inconclusive"}.get(
-        status, status)
-
-
 def _report_doc(suite: str, params: dict, window, reports, seed: int,
                 t0: float) -> dict:
     statuses = [r.status for r in reports]
@@ -230,7 +226,7 @@ def _report_doc(suite: str, params: dict, window, reports, seed: int,
         "window": window,
         "status": status,
         "laws": [
-            {"law": r.name, "status": _status_word(r.status),
+            {"law": r.name, "status": r.status,
              "checked": r.checked, "region": r.region}
             for r in reports
         ],
@@ -243,8 +239,12 @@ def _report_doc(suite: str, params: dict, window, reports, seed: int,
 def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit(_fail_usage(
+                f"cannot write --out {args.out!r}: {exc.strerror}"))
     if args.json:
         print(text)
     else:
@@ -264,6 +264,8 @@ def _law_params(pairs) -> dict:
             raise SystemExit(_fail_usage(
                 f"--param expects key=value, got {item!r}"))
         k, v = item.split("=", 1)
+        if k in out:
+            raise SystemExit(_fail_usage(f"--param {k!r} is given twice"))
         try:
             out[k] = int(v)
         except ValueError:
@@ -293,16 +295,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    if args.suite not in SUITES:
-        return _fail_usage(
-            f"unknown suite {args.suite!r}; one of {', '.join(SUITES)}")
     window = _window_default(args.window)
     if window is None:
         window = SUITES[args.suite]
     point = _check_point_from(args)
     t0 = time.monotonic()
-    reports = [verify_identity(name, window=window, point=point)
-               for name in sorted(LAWS)]
+    reports = suite_reports(window=window, point=point)
     doc = _report_doc(args.suite, {"q0": args.q0, "l0": args.l0}, window,
                       reports, args.seed, t0)
     _emit(doc, args)

@@ -32,7 +32,7 @@ from .liealg import (
     get_algebra,
     graded_leading_constant,
 )
-from .report import FAIL, PASS, CheckReport
+from .report import CheckReport, tally
 from .scalar import L, ONE, SYMBOLIC, ZERO, Scalar
 from .series import TruncatedLaurent, Window
 
@@ -491,20 +491,9 @@ def reduce_to_vacuum(p: PolyState, level: Scalar = L) \
 def realization_bracket_check(r: int, s: int, m: int, n: int,
                               samples, level: Scalar = L) -> CheckReport:
     """Compare commutators of the polynomial action with the graded constants."""
-    failures = []
-    checked = 0
     expected = graded_leading_constant(r, s, m, n) * level
-    for p in samples:
-        checked += 1
-        left = poly_apply(r, m, poly_apply(s, n, p, level), level)
-        right = poly_apply(s, n, poly_apply(r, m, p, level), level)
-        got = left - right
-        want = p.scale(expected)
-        if got != want:
-            failures.append(
-                f"(r={r}, s={s}, m={m}, n={n}) on {p}: got {got}, "
-                f"wanted {want}")
-    status = FAIL if failures else PASS
-    return CheckReport("realization-bracket", status, checked=checked,
-                       region=f"r={r}, s={s}, m={m}, n={n}",
-                       failures=failures[:8])
+    return tally("realization-bracket", f"r={r}, s={s}, m={m}, n={n}", (
+        (f"on {p}",
+         poly_apply(r, m, poly_apply(s, n, p, level), level)
+         - poly_apply(s, n, poly_apply(r, m, p, level), level),
+         p.scale(expected)) for p in samples))

@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .scalar import Scalar
+from .scalar import SYMBOLIC, Scalar
 from .series import (
     Cert,
     NEG_INF,
     POS_INF,
     TruncatedLaurent,
     Window,
+    exp_coeff,
     series_inverse,
 )
 
@@ -601,12 +601,8 @@ def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
     i = vars.index(zv)
     n = len(vars)
     coeffs = {}
-    fact, kp = 1, 1
     for j in range(max(order, 0) + 1):
-        if j:
-            fact *= j
-            kp *= k
-        v = Scalar.from_fraction(Fraction(kp, fact))
+        v = exp_coeff(k, j, SYMBOLIC)
         if v:
             coeffs[tuple(j if t == i else 0 for t in range(n))] = v
     cert = _place_cert(vars, zv, 0, max(order, 0), (0, POS_INF))
@@ -616,11 +612,8 @@ def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
 def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
     """The one-variable series of e^z - c, certified through z^order."""
     coeffs = {}
-    fact = 1
     for j in range(order + 1):
-        if j:
-            fact *= j
-        v = Scalar.from_fraction(Fraction(1, fact))
+        v = exp_coeff(1, j, SYMBOLIC)
         if j == 0:
             v = v - c
         if v:

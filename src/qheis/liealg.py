@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
-from .report import FAIL, PASS, CheckReport
+from .report import FAIL, PASS, CheckReport, tally
 from .scalar import ONE, SYMBOLIC, Scalar
 from .series import Cert, TruncatedLaurent, Window, binom, delta_family
 
@@ -327,18 +327,10 @@ class BilinearForm:
                            failures=[f"rank {rank} < size {size}"])
 
     def check_skew(self, lo: int, hi: int) -> CheckReport:
-        failures = []
-        checked = 0
-        for r in range(lo, hi + 1):
-            for s in range(lo, hi + 1):
-                checked += 1
-                total = self._value(r, s) + self._value(s, r)
-                if total:
-                    failures.append(f"<{r},{s}> + <{s},{r}> = {total}")
-        status = FAIL if failures else PASS
-        return CheckReport("form-skew", status, checked=checked,
-                           region=f"indices in [{lo}, {hi}]",
-                           failures=failures)
+        rng = range(lo, hi + 1)
+        return tally("form-skew", f"indices in [{lo}, {hi}]", (
+            (f"<{r},{s}> + <{s},{r}>", self._value(r, s) + self._value(s, r),
+             0) for r in rng for s in rng))
 
 
 def matrix_rank(rows: list[list[Scalar]]) -> int:
@@ -384,24 +376,14 @@ def check_skew_symmetry(alg: str | AlgebraSpec, *, m_range,
     spec = get_algebra(alg)
     fn = bracket or (lambda m, n, r, s: bracket_modes(spec, m, n, r, s))
     shifts = _shift_pairs(spec, r_range)
-    failures = []
-    checked = 0
-    for r in shifts:
-        for s in shifts:
-            for m in range(m_range[0], m_range[1] + 1):
-                for n in range(m_range[0], m_range[1] + 1):
-                    checked += 1
-                    total = fn(m, n, r, s) + fn(n, m, s, r)
-                    if total:
-                        failures.append(
-                            f"(r={r}, s={s}, m={m}, n={n}): "
-                            f"[a,b] + [b,a] = {total}")
+    modes = range(m_range[0], m_range[1] + 1)
     region = f"m, n in [{m_range[0]}, {m_range[1]}]"
     if spec.shifted:
         region += f"; r, s in [{r_range[0]}, {r_range[1]}]"
-    status = FAIL if failures else PASS
-    return CheckReport(f"{spec.name}-skew-symmetry", status, checked=checked,
-                       region=region, failures=failures[:12])
+    return tally(f"{spec.name}-skew-symmetry", region, (
+        (f"(r={r}, s={s}, m={m}, n={n}): [a,b] + [b,a]",
+         fn(m, n, r, s) + fn(n, m, s, r), 0)
+        for r in shifts for s in shifts for m in modes for n in modes))
 
 
 def verify_shift_invariance(alg: str | AlgebraSpec, k: int, *, m_range,
@@ -411,21 +393,12 @@ def verify_shift_invariance(alg: str | AlgebraSpec, k: int, *, m_range,
     if not spec.shifted:
         raise LieAlgebraError(f"{spec.name} generators carry no family index")
     fn = bracket or (lambda m, n, r, s: bracket_modes(spec, m, n, r, s))
-    failures = []
-    checked = 0
-    for r in range(r_range[0], r_range[1] + 1):
-        for s in range(r_range[0], r_range[1] + 1):
-            for m in range(m_range[0], m_range[1] + 1):
-                for n in range(m_range[0], m_range[1] + 1):
-                    checked += 1
-                    diff = fn(m, n, r + k, s + k) - fn(m, n, r, s)
-                    if diff:
-                        failures.append(
-                            f"(r={r}, s={s}, m={m}, n={n}): "
-                            f"shift by {k} changes bracket by {diff}")
-    status = FAIL if failures else PASS
-    return CheckReport(f"{spec.name}-shift-invariance", status,
-                       checked=checked,
-                       region=(f"k={k}; m, n in [{m_range[0]}, {m_range[1]}]; "
-                               f"r, s in [{r_range[0]}, {r_range[1]}]"),
-                       failures=failures[:12])
+    shifts = range(r_range[0], r_range[1] + 1)
+    modes = range(m_range[0], m_range[1] + 1)
+    return tally(
+        f"{spec.name}-shift-invariance",
+        (f"k={k}; m, n in [{m_range[0]}, {m_range[1]}]; "
+         f"r, s in [{r_range[0]}, {r_range[1]}]"),
+        ((f"(r={r}, s={s}, m={m}, n={n}) shifted by {k}",
+          fn(m, n, r + k, s + k), fn(m, n, r, s))
+         for r in shifts for s in shifts for m in modes for n in modes))

@@ -13,6 +13,9 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
+# mismatches a report lists before it is cut with "..."
+MAX_REPORTED = 6
+
 
 @dataclass
 class CheckReport:
@@ -58,3 +61,49 @@ def combine(name: str, parts: list[CheckReport]) -> CheckReport:
             status = INCONCLUSIVE
     return CheckReport(name=name, status=status, checked=checked,
                        failures=failures, notes=notes)
+
+
+def _mismatch(got, want) -> str:
+    """``got != want``; two vectors name their first differing monomial."""
+    if hasattr(got, "terms"):
+        for m in sorted(got.terms.keys() | want.terms.keys()):
+            a, b = got.terms.get(m, 0), want.terms.get(m, 0)
+            if a != b:
+                return f"{m}: {a} != {b}"
+    return f"{got} != {want}"
+
+
+def scan(cases) -> tuple[list[str], int]:
+    """Compare ``(label, got, want)`` cases in order by ``==``.
+
+    Returns the failure lines ``label: got != want`` and the number of
+    cases scanned.  The mismatch after the first ``MAX_REPORTED`` appends
+    ``...`` and ends the scan, so the count stops there.
+    """
+    failures: list[str] = []
+    scanned = 0
+    for label, got, want in cases:
+        scanned += 1
+        if got == want:
+            continue
+        if len(failures) == MAX_REPORTED:
+            failures.append("...")
+            break
+        failures.append(f"{label}: {_mismatch(got, want)}")
+    return failures, scanned
+
+
+def tally(name: str, region: str, cases) -> CheckReport:
+    """The verdict on ``(label, got, want)`` cases: fail on a mismatch,
+    pass when every case agrees, inconclusive when there is no case."""
+    failures, checked = scan(cases)
+    if failures:
+        status = FAIL
+    elif checked:
+        status = PASS
+    else:
+        status = INCONCLUSIVE
+    return CheckReport(name, status, checked=checked, region=region,
+                       failures=failures,
+                       notes=[] if checked else
+                       ["no coefficient inside the window"])

@@ -31,11 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb, factorial, inf
 from typing import Any, Iterable
 
-from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
-from .scalar import Scalar
+from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, scan
+from .scalar import SYMBOLIC, Scalar
 
 NEG_INF = -inf
 POS_INF = inf
@@ -468,16 +468,12 @@ class TruncatedLaurent:
                 raise SeriesError(
                     "substitution source must be certified down to its "
                     "support bound")
-        factorials = [1]
-        for j in range(1, z_order + 1):
-            factorials.append(factorials[-1] * j)
         coeffs: dict[tuple[int, int], Any] = {}
         for e, v in self.coeffs.items():
             n = e[i]
             base_e = e[b] + n
-            npow = 1
             for j in range(z_order + 1):
-                w = Scalar.from_fraction(Fraction(npow, factorials[j]))
+                w = exp_coeff(n, j, SYMBOLIC)
                 if w:
                     key = (base_e, j)
                     term = w * v
@@ -487,7 +483,6 @@ class TruncatedLaurent:
                         coeffs[key] = s
                     else:
                         coeffs.pop(key, None)
-                npow *= n
         out_vars = (base_var, zvar)
         if c.entire:
             supp = [e[b] + e[i] for e in self.coeffs] or [POS_INF]
@@ -581,6 +576,22 @@ def binom(n: int, k: int) -> int:
     if n >= 0:
         return comb(n, k)
     return (-1) ** k * comb(k - n - 1, k)
+
+
+_EXP_COEFF_CACHE: dict[tuple, Any] = {}
+
+
+def exp_coeff(k: int, j: int, scalars):
+    """k**j / j!, the z^j coefficient of e^(kz), in the scalar field;
+    0**0 counts as 1."""
+    # the value depends on the field only through its rational
+    # constructor, so every point shares one entry
+    key = (k, j, scalars.from_fraction)
+    out = _EXP_COEFF_CACHE.get(key)
+    if out is None:
+        out = _EXP_COEFF_CACHE[key] = scalars.from_fraction(
+            Fraction(k ** j, factorial(j)))
+    return out
 
 
 def _certified(c: Cert, e: tuple[int, ...]) -> bool:
@@ -781,13 +792,14 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
 
 
 def compare_on(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
-               w: Window, max_reported: int = 6) -> CheckReport:
+               w: Window) -> CheckReport:
     """Compare two tables coefficient by coefficient over a window.
 
     Only coefficients certified on both sides are decidable.  Any mismatch
     is a failure; a window that is not wholly decidable is inconclusive
     (never a failure).  Coefficients compare by ``==`` and print by
-    ``str`` in their own scalar field; a missing one reads 0.
+    ``str`` in their own scalar field; a missing one reads 0.  The report
+    is cut as :func:`report.scan` cuts it.
     """
     if got.vars != want.vars:
         raise SeriesError(f"variable mismatch: {got.vars} vs {want.vars}")
@@ -800,19 +812,16 @@ def compare_on(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
     else:
         entries = [e for e in w.exponents()
                    if got.certified(e) and want.certified(e)]
-    checked = w.size() if whole else len(entries)
-    failures: list[str] = []
-    for i, e in enumerate(entries):
-        ca = got.coeffs.get(e, 0)
-        cb = want.coeffs.get(e, 0)
-        if ca == cb:
-            continue
-        if len(failures) >= max_reported:
-            # the report is cut here, and counts what was scanned so far
-            failures.append("...")
-            checked = (_window_position(w, e) if whole else i) + 1
-            break
-        failures.append(f"at {dict(zip(w.vars, e))}: {ca} != {cb}")
+    failures, scanned = scan(
+        (f"at {dict(zip(w.vars, e))}", got.coeffs.get(e, 0),
+         want.coeffs.get(e, 0)) for e in entries)
+    if not whole:
+        checked = scanned
+    elif failures and failures[-1] == "...":
+        # a cut report counts the window up to the entry it stopped at
+        checked = _window_position(w, entries[scanned - 1]) + 1
+    else:
+        checked = w.size()
     if failures:
         status = FAIL
     elif checked < w.size():

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
 
 from .fock import (
     FieldSlot,
@@ -50,10 +48,10 @@ from .liealg import (
     g_coefficient,
     standard_pairing,
 )
-from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine
+from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine, tally
 from .scalar import SYMBOLIC, RationalPoint, Scalar
 from .series import Cert, TruncatedLaurent, Window, binom, compare_on, \
-    delta_family, series_inverse
+    delta_family, exp_coeff, series_inverse
 
 __all__ = [
     "VertexError",
@@ -80,7 +78,6 @@ __all__ = [
     "SKernel",
     "translate",
     "extract_s_kernel",
-    "LawId",
     "LAWS",
     "verify_identity",
     "suite_reports",
@@ -104,21 +101,6 @@ class MultiplierError(VertexError):
 
 
 _X12 = ("x1", "x2")
-
-
-_ZPOW_CACHE: dict[tuple, Scalar] = {}
-
-
-def _zpow(base: int, j: int, scalars) -> Scalar:
-    """base**j / j! in the scalar field; 0**0 counts as 1."""
-    # the value depends on the field only through its rational
-    # constructor, so every point shares one entry
-    key = (base, j, scalars.from_fraction)
-    out = _ZPOW_CACHE.get(key)
-    if out is None:
-        out = _ZPOW_CACHE[key] = scalars.from_fraction(
-            Fraction(base ** j, factorial(j)))
-    return out
 
 
 def _dressed_weight(weights: tuple[tuple[int, Scalar], ...], e: int
@@ -602,7 +584,7 @@ def _exp_coeffs(mult: Multiplier, lo: int, hi: int, scalars) -> list[Scalar]:
     for n in range(lo, hi + 1):
         acc = scalars.zero
         for i, c in terms:
-            w = _zpow(i, n, scalars)
+            w = exp_coeff(i, n, scalars)
             if w:
                 acc = acc + c * w
         out.append(acc)
@@ -669,6 +651,18 @@ class StateTable:
 
     def entries(self):
         return sorted(self.data.items())
+
+    def times_z(self, series: dict[int, Scalar], xshift: int,
+                zlo: int, zhi: int) -> "StateTable":
+        """This table times sum_t series[t] z^t, every x exponent moved
+        by xshift, on z orders zlo..zhi."""
+        out = StateTable(self.module, self.xlo + xshift, self.xhi + xshift,
+                         zlo, zhi)
+        for (E, J), vec in self.entries():
+            for t, c in series.items():
+                if c and zlo <= J + t <= zhi:
+                    out.add(E + xshift, J + t, vec.scale(c))
+        return out
 
 
 def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
@@ -766,7 +760,7 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
     out = StateTable(module, xlo, xhi, 0, zcap)
     for (E, kbase), vec in acc.items():
         for J in range(zcap + 1):
-            s = _zpow(kbase, J, scalars)
+            s = exp_coeff(kbase, J, scalars)
             if s:
                 out.add(E, J, vec.scale(s))
     return out
@@ -796,11 +790,7 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     core = ordered_core(afield, bfield, mult, pair, v,
                         xlo + deg, xhi + deg, zcap)
     u = mult.inverse_exp(zcap, afield.module.scalars)
-    out = StateTable(afield.module, xlo, xhi, -kappa, zneed)
-    for (E, J), vec in core.entries():
-        for jz, c in u.items():
-            if c and -kappa <= J + jz <= zneed:
-                out.add(E - deg, J + jz, vec.scale(c))
+    out = core.times_z(u, -deg, -kappa, zneed)
     _STACK_CACHE[key] = out
     return out
 
@@ -909,8 +899,7 @@ def vacuum_product_field(base: OperatorSeries, n: int) -> OperatorSeries:
     if n >= 0:
         return SumField(base.module, [])
     j = -n - 1
-    weight = base.module.scalars.from_fraction(Fraction(1, factorial(j)))
-    return PolyDressedField(base, {j: weight})
+    return PolyDressedField(base, {j: exp_coeff(1, j, base.module.scalars)})
 
 
 # ---------------------------------------------------------------------------
@@ -1069,8 +1058,7 @@ def extract_s_kernel(module: FockModule, r: int, s: int,
             term = rprime[e - t]
             for _ in range(t):
                 term = translate(term)
-            rhs = rhs + term.scale(
-                k.from_fraction(Fraction(1, factorial(t))))
+            rhs = rhs + term.scale(exp_coeff(1, t, k))
         diff = left - rhs
         rest = diff - module.vacuum().scale(diff.vacuum_component())
         if not rest.is_zero():
@@ -1086,18 +1074,6 @@ def extract_s_kernel(module: FockModule, r: int, s: int,
 
 # ---------------------------------------------------------------------------
 # comparison helpers
-
-
-def _vec_mismatches(got: FockVector, want: FockVector) -> list[str]:
-    out = []
-    zero = got.module.scalars.zero
-    monos = sorted(set(got.terms) | set(want.terms))
-    for m in monos:
-        a = got.terms.get(m, zero)
-        b = want.terms.get(m, zero)
-        if a != b:
-            out.append(f"{m}: {a} != {b}")
-    return out
 
 
 def _transpose2(t: TruncatedLaurent, w: Window) -> TruncatedLaurent:
@@ -1143,14 +1119,6 @@ def _centrality_report(module: FockModule, r: int, s: int, w: Window,
 
 # ---------------------------------------------------------------------------
 # identity checks
-
-
-@dataclass(frozen=True)
-class LawId:
-    """A verifiable identity: a registry name plus its parameters."""
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
 
 
 def _law_hq_commutator_delta(window: int, scalars, r: int = 1, s: int = 0
@@ -1231,19 +1199,12 @@ def _law_htq_kernel_form(window: int, scalars) -> CheckReport:
     got = _measured_commutator(vac, vac, 0, 0, w)
     pair = pair_of(field_of(module), field_of(module))
     want = pair.table(w)
-    parts = [compare_on("kernel-form", got, want, w)]
     lvl = module.level
-    failures = []
-    checked = 0
-    for m in range(-window, window + 1):
-        checked += 1
-        expect = (scalars.one - scalars.q_power(abs(m))) * lvl * m
-        val = got.coeff((-m, m), scalars.zero)
-        if val != expect:
-            failures.append(f"mode {m}: {val} != {expect}")
-    parts.append(CheckReport(
-        "mode-constants", FAIL if failures else PASS, checked=checked,
-        region=f"|m| <= {window}", failures=failures[:6]))
+    parts = [compare_on("kernel-form", got, want, w), tally(
+        "mode-constants", f"|m| <= {window}",
+        ((f"mode {m}", got.coeff((-m, m), scalars.zero),
+          (scalars.one - scalars.q_power(abs(m))) * lvl * m)
+         for m in range(-window, window + 1)))]
     return combine("htq-commutator-kernel-form", parts)
 
 
@@ -1367,19 +1328,12 @@ def _image_bracket_report(name: str, module: FockModule, r: int, s: int,
                           xwin: int = 2) -> CheckReport:
     states = [module.vacuum(), module.basis_vector((-1, 0))]
     entries = _image_bracket_entries(module, r, s, window, xwin, states)
-    failures = []
-    checked = 0
-    for (n, m, si, E), got in sorted(entries.items()):
-        sigma = rhs.coeff((-n - 1, -m - 1), module.scalars.zero)
-        want = states[si].scale(sigma) if E == 0 else module.zero()
-        checked += 1
-        bad = _vec_mismatches(got, want)
-        if bad and len(failures) < 6:
-            failures.append(f"n={n}, m={m}, state {si}, x^{E}: {bad[0]}")
-    status = FAIL if failures else PASS
-    return CheckReport(name, status, checked=checked,
-                       region=f"product indices within |e| <= {window}",
-                       failures=failures)
+    zero = module.scalars.zero
+    return tally(name, f"product indices within |e| <= {window}", (
+        (f"n={n}, m={m}, state {si}, x^{E}", got,
+         states[si].scale(rhs.coeff((-n - 1, -m - 1), zero)) if E == 0
+         else module.zero())
+        for (n, m, si, E), got in sorted(entries.items())))
 
 
 def _law_phi_image(name: str, src_alg: str):
@@ -1404,12 +1358,6 @@ def _law_special_pair_transfer(window: int, scalars, r: int = 0, s: int = 0
                                  rhs, window)
 
 
-def _exp_binom_coeff(k: int, u: int, vv: int, scalars) -> Scalar:
-    """x1^u x2^v coefficient of e^(k(x1-x2))."""
-    return scalars.from_fraction(
-        Fraction(k ** u * (-k) ** vv, factorial(u) * factorial(vv)))
-
-
 def _law_locality_transfer(window: int, scalars, r: int = 1, s: int = 0
                            ) -> CheckReport:
     module = FockModule("hq", scalars=scalars)
@@ -1424,26 +1372,13 @@ def _law_locality_transfer(window: int, scalars, r: int = 1, s: int = 0
             val = vec.vacuum_component()
             if val:
                 table[(-n - 1, -m - 1)] = val
-    parts = []
     # multiplying by (x1 - x2) must kill the bracket of the images; the
-    # loop stays one step inside the window so both lookups are covered
-    failures = []
-    checked = 0
-    for e1 in range(-window + 1, window + 1):
-        for e2 in range(-window + 1, window + 1):
-            checked += 1
-            val = table.get((e1 - 1, e2), zero) - table.get((e1, e2 - 1), zero)
-            if val:
-                failures.append(f"at ({e1}, {e2}): {val}")
-                if len(failures) >= 6:
-                    break
-        if len(failures) >= 6:
-            break
-    status = FAIL if failures else PASS if checked else INCONCLUSIVE
-    parts.append(CheckReport(
-        "binomial-kill", status, checked=checked,
-        region=f"|e| < {window}", failures=failures,
-        notes=[] if checked else ["no coefficient inside the window"]))
+    # scan stays one step inside the window so both lookups are covered
+    inside = range(-window + 1, window + 1)
+    parts = [tally("binomial-kill", f"|e| < {window}", (
+        (f"at ({e1}, {e2})",
+         table.get((e1 - 1, e2), zero) - table.get((e1, e2 - 1), zero), zero)
+        for e1 in inside for e2 in inside))]
     # the full multiplier evaluated on exponentials: each antidiagonal of
     # the bracket table is constant, which extends it past the window
     mult = Multiplier.canonical_for(pair_of(field_of(module, r),
@@ -1463,25 +1398,25 @@ def _law_locality_transfer(window: int, scalars, r: int = 1, s: int = 0
     else:
         # p is homogeneous, so each x1 power names one monomial
         emons = {i: c for (i, _j), c in mult.poly2().items()}
-        failures = []
-        checked = 0
-        for E1 in range(-3, 4):
-            for E2 in range(-3, 4):
-                checked += 1
-                val = zero
-                for d, cval in bands.items():
-                    if not cval:
-                        continue
-                    # entries with e1 <= E1 and e2 = d - e1 <= E2
-                    for e1 in range(d - E2, E1 + 1):
-                        for k, ak in emons.items():
-                            val = val + ak * cval * _exp_binom_coeff(
-                                k, E1 - e1, E2 - d + e1, scalars)
-                if val:
-                    failures.append(f"at ({E1}, {E2}): {val}")
-        parts.append(CheckReport(
-            "exp-multiplier-kill", FAIL if failures else PASS,
-            checked=checked, region="|E| <= 3", failures=failures[:6]))
+
+        def killed(E1: int, E2: int) -> Scalar:
+            # entries with e1 <= E1 and e2 = d - e1 <= E2; e^(k(x1-x2))
+            # has x1^u x2^v coefficient k^u/u! * (-k)^v/v!
+            val = zero
+            for d, cval in bands.items():
+                if not cval:
+                    continue
+                for e1 in range(d - E2, E1 + 1):
+                    for k, ak in emons.items():
+                        val = val + ak * cval * exp_coeff(
+                            k, E1 - e1, scalars) * exp_coeff(
+                            -k, E2 - d + e1, scalars)
+            return val
+
+        near = range(-3, 4)
+        parts.append(tally("exp-multiplier-kill", "|E| <= 3", (
+            (f"at ({E1}, {E2})", killed(E1, E2), zero)
+            for E1 in near for E2 in near)))
     return combine("locality-transfer", parts)
 
 
@@ -1521,7 +1456,7 @@ def _law_weak_associativity(window: int, scalars, alg: str = "hq",
     kappa = mult.kappa
     deg = mult.degree
     states = [module.vacuum(), module.basis_vector((-1, 0))]
-    pexp = mult.exp_series(x0_order + kappa, scalars)
+    pexp = dict(enumerate(mult.exp_series(x0_order + kappa, scalars)))
     parts = []
     cases = [(si, w0, ui, uf) for si, w0 in enumerate(states)
              for ui, uf in enumerate(_assoc_left_fields(module))]
@@ -1529,36 +1464,19 @@ def _law_weak_associativity(window: int, scalars, alg: str = "hq",
         pair = pair_of(uf, vf)
         # left side: products summed against x0 powers, then the
         # substituted multiplier
-        lhs = StateTable(module, -window, window, -kappa, x0_order)
         stack = _product_stack(uf, vf, mult, pair, w0,
                                -window - deg, window - deg, x0_order)
-        for n in range(-(x0_order + 1), kappa):
-            for E in range(-window - deg, window - deg + 1):
-                vec = stack.get(E, -n - 1)
-                if vec.is_zero():
-                    continue
-                for t, pt in enumerate(pexp):
-                    if pt:
-                        lhs.add(E + deg, -n - 1 + t, vec.scale(pt))
+        lhs = stack.times_z(pexp, deg, -kappa, x0_order)
         # right side: the substituted ordered product, never inverted
         rhs = ordered_core(uf, vf, mult, pair, w0,
                            -window, window, x0_order)
-        failures = []
-        checked = 0
-        for E in range(-window, window + 1):
-            for M in range(-kappa, x0_order + 1):
-                checked += 1
-                got = lhs.get(E, M)
-                want = rhs.get(E, M) if M >= 0 else module.zero()
-                bad = _vec_mismatches(got, want)
-                if bad and len(failures) < 6:
-                    failures.append(
-                        f"state {si}, left {ui}, x^{E} z^{M}: {bad[0]}")
-        parts.append(CheckReport(
-            f"state[{si}]left[{ui}]", FAIL if failures else PASS,
-            checked=checked,
-            region=f"|x| <= {window}, z order <= {x0_order}",
-            failures=failures))
+        parts.append(tally(
+            f"state[{si}]left[{ui}]",
+            f"|x| <= {window}, z order <= {x0_order}",
+            ((f"state {si}, left {ui}, x^{E} z^{M}", lhs.get(E, M),
+              rhs.get(E, M) if M >= 0 else module.zero())
+             for E in range(-window, window + 1)
+             for M in range(-kappa, x0_order + 1))))
     return combine(f"phi-weak-associativity[{alg}]", parts)
 
 
@@ -1568,30 +1486,20 @@ def _law_scale_covariance(window: int, scalars) -> CheckReport:
     base_state = bmod.basis_vector((-1, 0), (-1, 1))
     base = psi_map(base_state, target)
     states = [target.vacuum(), target.basis_vector((-1, 0))]
+    xs = range(-window, window + 1)
     parts = []
     for nn in range(-2, 3):
         shifted = psi_map(bmod.basis_vector((-1, nn), (-1, 1 + nn)), target)
         scaled = ArgScaledField(base, scalars.q_power(nn))
-        failures = []
-        checked = 0
-        for si, v in enumerate(states):
-            for e in range(-window, window + 1):
-                checked += 1
-                bad = _vec_mismatches(shifted.apply_coeff(e, v),
-                                      scaled.apply_coeff(e, v))
-                if bad and len(failures) < 6:
-                    failures.append(f"shift {nn}, state {si}, x^{e}: {bad[0]}")
         gen_shift = field_of(target, 3 + nn)
         gen_scaled = ArgScaledField(field_of(target, 3), scalars.q_power(nn))
-        for e in range(-window, window + 1):
-            checked += 1
-            bad = _vec_mismatches(gen_shift.apply_coeff(e, states[1]),
-                                  gen_scaled.apply_coeff(e, states[1]))
-            if bad and len(failures) < 6:
-                failures.append(f"generator, shift {nn}, x^{e}: {bad[0]}")
-        parts.append(CheckReport(
-            f"shift[{nn}]", FAIL if failures else PASS, checked=checked,
-            region=f"|x| <= {window}", failures=failures))
+        cases = [(f"shift {nn}, state {si}", shifted, scaled, v)
+                 for si, v in enumerate(states)]
+        cases.append((f"generator, shift {nn}", gen_shift, gen_scaled,
+                      states[1]))
+        parts.append(tally(f"shift[{nn}]", f"|x| <= {window}", (
+            (f"{label}, x^{e}", got.apply_coeff(e, v), want.apply_coeff(e, v))
+            for label, got, want, v in cases for e in xs)))
     return combine("scale-covariance", parts)
 
 

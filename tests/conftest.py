@@ -7,7 +7,7 @@ from math import comb, factorial
 from qheis.fock import apply_generator, pair_vectors
 from qheis.kernels import Factor, RationalKernel, iota_expand, kernel_inv
 from qheis.liealg import GeneratorSymbol
-from qheis.report import FAIL, INCONCLUSIVE, PASS, CheckReport
+from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport
 from qheis.scalar import ONE, ZERO, Scalar
 from qheis.series import Cert, TruncatedLaurent, Window, delta_family, \
     series_inverse
@@ -172,12 +172,12 @@ def two_point_oracle(bra, slots, ket, window) -> TruncatedLaurent:
     return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)
 
 
-def cmp_tables_oracle(name, got, want, w, max_reported=6):
+def cmp_tables_oracle(name, got, want, w):
     """series.compare_on by one scan of the whole window in its order.
 
     Independent of the library's support scan: every entry of the window
     is certified and compared in turn, and the report is cut at the first
-    mismatch past ``max_reported``.
+    mismatch past ``report.MAX_REPORTED``.
     """
     checked = 0
     unchecked = 0
@@ -191,7 +191,7 @@ def cmp_tables_oracle(name, got, want, w, max_reported=6):
         ca = got.coeffs.get(e, 0)
         cb = want.coeffs.get(e, 0)
         if ca != cb:
-            if len(failures) < max_reported:
+            if len(failures) < MAX_REPORTED:
                 failures.append(f"at {dict(zip(w.vars, e))}: {ca} != {cb}")
             else:
                 failures.append("...")

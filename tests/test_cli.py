@@ -142,7 +142,8 @@ def test_verify_parameters(capsys):
     capsys.readouterr()
 
 
-def test_verify_bad_input_exits_two(capsys):
+def test_verify_bad_input_exits_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
     for argv in (
         ["verify", "--law", "htq-commutator-euler-form", "--window", "-1"],
         ["verify", "--law", "phi-weak-associativity", "--param", "alg=bhat"],
@@ -157,18 +158,31 @@ def test_verify_bad_input_exits_two(capsys):
         ["verify", "--law", "hq-commutator-delta", "--q0", "3/5",
          "--l0", "0"],
         ["suite", "--suite", "fast", "--q0=3/5", "--l0=0"],
+        ["verify", "--law", "hq-commutator-delta", "--window", "2",
+         "--out", missing],
+        ["verify", "--law", "hq-commutator-delta", "--window", "2",
+         "--out", str(tmp_path)],
+        ["suite", "--suite", "fast", "--window", "1", "--out", missing],
+        ["suite", "--suite", "fast", "--window", "1", "--out",
+         str(tmp_path)],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     # each message names the offending key
-    for law, param in (("phi-weak-associativity", "x0_order=2.5"),
-                       ("hq-commutator-delta", "r=abc"),
-                       ("hq-commutator-delta", "bogus=1")):
-        assert run(["verify", "--law", law, "--param", param]) == 2, param
+    for law, *params in (("phi-weak-associativity", "x0_order=2.5"),
+                         ("hq-commutator-delta", "r=abc"),
+                         ("hq-commutator-delta", "bogus=1"),
+                         ("hq-commutator-delta", "r=1", "r=2")):
+        argv = ["verify", "--law", law, "--window", "2"]
+        for param in params:
+            argv += ["--param", param]
+        assert run(argv) == 2, params
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert repr(param.split("=")[0]) in err and "_law" not in err, err
+        assert repr(params[-1].split("=")[0]) in err and "_law" not in err, \
+            err
+    assert not (tmp_path / "missing").exists()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,10 +1,12 @@
 """Vacuum modules: normal ordering, matrix elements, polynomial realization."""
 
 import random
+import re
 
 import pytest
 
 from conftest import two_point_oracle
+from qheis import fock
 from qheis.fock import (
     FieldSlot,
     FockError,
@@ -20,6 +22,7 @@ from qheis.fock import (
     two_point,
 )
 from qheis.liealg import GeneratorSymbol, bracket_modes
+from qheis.report import FAIL
 from qheis.scalar import L, ONE, ZERO, Scalar, qint
 from qheis.series import Window
 
@@ -318,6 +321,23 @@ def test_realization_bracket_seeded():
         m, n = rng.randint(-3, 3), rng.randint(-3, 3)
         rep = realization_bracket_check(r, s, m, n, samples)
         assert rep.ok, (r, s, m, n, rep.failures)
+
+
+def test_planted_leading_constant_fails_realization_check(monkeypatch):
+    """A doubled graded constant fails the realization check, naming the
+    sample state."""
+    base = fock.graded_leading_constant
+
+    def doubled(*args):
+        v = base(*args)
+        return v + v
+
+    monkeypatch.setattr(fock, "graded_leading_constant", doubled)
+    rep = realization_bracket_check(
+        0, 0, 1, -1, [PolyState.one(), PolyState.variable(1, 0)])
+    assert rep.status == FAIL and rep.checked == 2
+    assert re.match(r"on .+: \(.*\): .+ != .+", rep.failures[0]), \
+        rep.failures
 
 
 def test_module_hygiene():

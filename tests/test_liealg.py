@@ -1,6 +1,7 @@
 """Bracket catalog: structure constants, the exponential tail, checks."""
 
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import (
     f_series_oracle,
     g_series_oracle,
 )
+from qheis import liealg
 from qheis.fock import FockModule
 from qheis.liealg import (
     ALGEBRAS,
@@ -27,6 +29,7 @@ from qheis.liealg import (
     verify_shift_invariance,
 )
 from qheis.liealg import check_skew_symmetry
+from qheis.report import FAIL
 from qheis.scalar import ONE, ZERO, Scalar, qint
 from qheis.series import Window
 from qheis.vertexops import field_of, pair_of
@@ -278,6 +281,17 @@ def test_shift_invariance():
     rep = verify_shift_invariance("bhat", 1, m_range=(-2, 2),
                                   r_range=(0, 1), bracket=r_dependent)
     assert not rep.ok
+
+
+def test_planted_symmetric_pairing_fails_skew_check(monkeypatch):
+    """A pairing made symmetric fails the skew check, naming the pair."""
+    base = liealg.standard_pairing
+    monkeypatch.setattr(liealg, "standard_pairing", lambda r, s, *rest:
+                        base(min(r, s), max(r, s), *rest))
+    rep = BilinearForm().check_skew(-3, 3)
+    assert rep.status == FAIL
+    assert re.match(r"<-?\d+,-?\d+> \+ <-?\d+,-?\d+>: .+ != 0$",
+                    rep.failures[0]), rep.failures
 
 
 def test_bilinear_form_rank():

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -704,17 +706,15 @@ def test_cmp_tables_matches_window_scan_oracle_seeded():
         ]
         for got, want in pairs:
             for a, b in ((got, want), (at_point(got), at_point(want))):
-                for cap in (6, 2):
-                    rep = compare_on("t", a, b, w, cap)
-                    ref = cmp_tables_oracle("t", a, b, w, cap)
-                    assert (rep.status, rep.checked, rep.region,
-                            rep.failures, rep.notes) == \
-                        (ref.status, ref.checked, ref.region,
-                         ref.failures, ref.notes), (w, a.coeffs,
-                                                    b.coeffs, cap)
-                    seen[rep.status] += 1
-                    seen["cut"] += "..." in rep.failures
-                    seen["zero"] += rep.checked == 0
+                rep = compare_on("t", a, b, w)
+                ref = cmp_tables_oracle("t", a, b, w)
+                assert (rep.status, rep.checked, rep.region,
+                        rep.failures, rep.notes) == \
+                    (ref.status, ref.checked, ref.region,
+                     ref.failures, ref.notes), (w, a.coeffs, b.coeffs)
+                seen[rep.status] += 1
+                seen["cut"] += "..." in rep.failures
+                seen["zero"] += rep.checked == 0
     assert min(seen.values()) >= 10, seen
 
 
@@ -889,13 +889,8 @@ def test_commutator_laws_match_wide_golden():
     assert checked["htq-quasi-locality-control"] == 1407
 
 
-@pytest.mark.parametrize("name", [
-    "bhat-commutator-delta", "hq-commutator-delta",
-    "htq-commutator-kernel-form", "htq-quasi-locality",
-])
-def test_doubled_catalog_coefficient_fails(monkeypatch, name):
-    """A wrong commutator catalog fails each law at its default window, in
-    both fields, and no window below 3 lets it pass."""
+def _double_catalog_part(monkeypatch):
+    """Plant a wrong catalog: the first part of every pair is doubled."""
     base = vertexops._base_pair
 
     def doubled(a, b):
@@ -904,6 +899,16 @@ def test_doubled_catalog_coefficient_fails(monkeypatch, name):
                      if i == 0 else p for i, p in enumerate(parts))
 
     monkeypatch.setattr(vertexops, "_base_pair", doubled)
+
+
+@pytest.mark.parametrize("name", [
+    "bhat-commutator-delta", "hq-commutator-delta",
+    "htq-commutator-kernel-form", "htq-quasi-locality",
+])
+def test_doubled_catalog_coefficient_fails(monkeypatch, name):
+    """A wrong commutator catalog fails each law at its default window, in
+    both fields, and no window below 3 lets it pass."""
+    _double_catalog_part(monkeypatch)
     for point in (None, RationalPoint(Fraction(3, 5), Fraction(2))):
         rep = verify_identity(name, point=point)
         assert rep.status == FAIL, (point, rep.status, rep.notes)
@@ -920,3 +925,82 @@ def test_undersized_hq_multiplier_fails():
     rep = run(10, SYMBOLIC)
     assert rep.status == FAIL
     assert rep.failures
+
+
+def _double_inverse_constant(monkeypatch):
+    """Plant a wrong 1/p(x e^z, x): its z^0 coefficient is doubled."""
+    base = vertexops._inverse_exp
+
+    def wrong(mult, zmax, scalars):
+        u = dict(base(mult, zmax, scalars))
+        u[0] = u[0] + u[0]
+        return u
+
+    monkeypatch.setattr(vertexops, "_inverse_exp", wrong)
+
+
+def _shift_top_weight(monkeypatch):
+    """Plant a wrong p(x e^z, x): its last z coefficient is off by one."""
+    base = Multiplier.exp_series
+
+    def wrong(self, order, scalars):
+        out = list(base(self, order, scalars))
+        out[-1] = out[-1] + scalars.one
+        return out
+
+    monkeypatch.setattr(Multiplier, "exp_series", wrong)
+
+
+def _double_index_scale(monkeypatch):
+    """Plant a wrong realization: family index r scales the argument by
+    q^(2r) instead of q^r."""
+    monkeypatch.setattr(vertexops, "field_of", lambda module, shift=0:
+                        vertexops.GeneratorField(module, 2 * shift))
+
+
+def _double_module_bracket(monkeypatch):
+    """Plant a wrong module action: every bracket is doubled."""
+    base = fock.bracket_modes
+
+    def wrong(*args):
+        v = base(*args)
+        return v + v
+
+    monkeypatch.setattr(fock, "bracket_modes", wrong)
+
+
+# (law, planted defect, pattern of a failure line naming the case)
+_PLANTED = [
+    ("locality-transfer", _double_inverse_constant,
+     r"binomial-kill: at \(-?\d+, -?\d+\): .+ != 0$"),
+    ("phi-image-heisenberg", _double_catalog_part,
+     r"n=-?\d+, m=-?\d+, state \d, x\^-?\d+: \(.*\): .+ != .+"),
+    ("phi-image-bq-commutator", _double_catalog_part,
+     r"n=-?\d+, m=-?\d+, state \d, x\^-?\d+: \(.*\): .+ != .+"),
+    ("special-pair-transfer", _double_catalog_part,
+     r"n=-?\d+, m=-?\d+, state \d, x\^-?\d+: \(.*\): .+ != .+"),
+    ("phi-weak-associativity", _shift_top_weight,
+     r"state\[\d\]left\[\d\]: state \d, left \d, x\^-?\d+ z\^-?\d+: "
+     r"\(.*\): .+ != .+"),
+    ("scale-covariance", _double_index_scale,
+     r"shift\[-?\d\]: (shift -?\d, state \d|generator, shift -?\d), "
+     r"x\^-?\d+: \(.*\): .+ != .+"),
+    ("htq-commutator-kernel-form", _double_module_bracket,
+     r"mode-constants: mode -?\d+: .+ != .+"),
+]
+
+
+@pytest.mark.parametrize("name, plant, line", _PLANTED,
+                         ids=[law for law, _p, _l in _PLANTED])
+def test_planted_defect_fails_and_names_its_case(monkeypatch, name, plant,
+                                                 line):
+    """Each law that tallies its cases fails at window 5 on a planted
+    defect, with a failure line that names the case."""
+    # the product caches must neither serve nor keep planted values
+    monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
+    monkeypatch.setattr(vertexops, "_inverse_exp", lru_cache(maxsize=128)(
+        vertexops._inverse_exp.__wrapped__))
+    plant(monkeypatch)
+    rep = verify_identity(name, window=5)
+    assert rep.status == FAIL, (rep.status, rep.notes)
+    assert any(re.match(line, f) for f in rep.failures), rep.failures
