@@ -22,6 +22,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .fock import FockError, FockModule, apply_word
 from .kernels import KernelError, parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
-from .report import FAIL, INCONCLUSIVE, PASS
+from .report import INCONCLUSIVE, PASS, combine
 from .scalar import SYMBOLIC, RationalPoint
 from .series import SeriesError, Window
 from .vertexops import (
@@ -203,13 +204,6 @@ def _cmd_phi_product(args) -> int:
 
 def _report_doc(suite: str, params: dict, window, reports, seed: int,
                 t0: float) -> dict:
-    statuses = [r.status for r in reports]
-    if any(s == FAIL for s in statuses):
-        status = "fail"
-    elif any(s == INCONCLUSIVE for s in statuses):
-        status = "inconclusive"
-    else:
-        status = "pass"
     failures = []
     for r in reports:
         for f in r.failures:
@@ -224,7 +218,7 @@ def _report_doc(suite: str, params: dict, window, reports, seed: int,
         "suite": suite,
         "params": params,
         "window": window,
-        "status": status,
+        "status": combine(suite, reports).status,
         "laws": [
             {"law": r.name, "status": r.status,
              "checked": r.checked, "region": r.region}
@@ -236,15 +230,22 @@ def _report_doc(suite: str, params: dict, window, reports, seed: int,
     }
 
 
-def _emit(doc: dict, args) -> None:
+def _open_out(args):
+    """The ``--out`` file opened for writing, so that an unwritable path
+    exits before any law runs; a null context without ``--out``."""
+    if not args.out:
+        return contextlib.nullcontext()
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        raise SystemExit(_fail_usage(
+            f"cannot write --out {args.out!r}: {exc.strerror}"))
+
+
+def _emit(doc: dict, args, out) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise SystemExit(_fail_usage(
-                f"cannot write --out {args.out!r}: {exc.strerror}"))
+    if out is not None:
+        out.write(text + "\n")
     if args.json:
         print(text)
     else:
@@ -280,17 +281,19 @@ def _cmd_verify(args) -> int:
     window = _window_default(args.window)
     point = _check_point_from(args)
     params = _law_params(args.param)
-    t0 = time.monotonic()
-    try:
-        rep = verify_identity(args.law, window=window, point=point, **params)
-    except LawParameterError as exc:
-        return _fail_usage(f"bad parameters for {args.law}: {exc}")
-    doc = _report_doc(
-        "verify",
-        {"law": args.law, "q0": args.q0, "l0": args.l0, **params},
-        window if window is not None else LAWS[args.law].default_window,
-        [rep], args.seed, t0)
-    _emit(doc, args)
+    with _open_out(args) as out:
+        t0 = time.monotonic()
+        try:
+            rep = verify_identity(args.law, window=window, point=point,
+                                  **params)
+        except LawParameterError as exc:
+            return _fail_usage(f"bad parameters for {args.law}: {exc}")
+        doc = _report_doc(
+            "verify",
+            {"law": args.law, "q0": args.q0, "l0": args.l0, **params},
+            window if window is not None else LAWS[args.law].default_window,
+            [rep], args.seed, t0)
+        _emit(doc, args, out)
     return 0 if rep.status == PASS else 1
 
 
@@ -299,11 +302,12 @@ def _cmd_suite(args) -> int:
     if window is None:
         window = SUITES[args.suite]
     point = _check_point_from(args)
-    t0 = time.monotonic()
-    reports = suite_reports(window=window, point=point)
-    doc = _report_doc(args.suite, {"q0": args.q0, "l0": args.l0}, window,
-                      reports, args.seed, t0)
-    _emit(doc, args)
+    with _open_out(args) as out:
+        t0 = time.monotonic()
+        reports = suite_reports(window=window, point=point)
+        doc = _report_doc(args.suite, {"q0": args.q0, "l0": args.l0}, window,
+                          reports, args.seed, t0)
+        _emit(doc, args, out)
     return 0 if doc["status"] == "pass" else 1
 
 

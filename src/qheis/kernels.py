@@ -592,7 +592,7 @@ def _place_cert(vars: tuple[str, ...], own: str, suplo_own, cap_own,
         for v in vars
     )
     caps = tuple(cap_own if v == own else POS_INF for v in vars)
-    return Cert(False, suplo, (NEG_INF,) * n, caps, band, POS_INF)
+    return Cert(False, suplo, (NEG_INF,) * n, caps, band)
 
 
 def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
@@ -619,7 +619,7 @@ def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
         if v:
             coeffs[(j,)] = v
     lead = 0 if (_ONE - c) else 1
-    cert = Cert(False, (lead,), (NEG_INF,), (order,), (lead, POS_INF), POS_INF)
+    cert = Cert(False, (lead,), (NEG_INF,), (order,), (lead, POS_INF))
     return TruncatedLaurent((zvar,), coeffs, cert, None, _trusted=True)
 
 

@@ -2,17 +2,16 @@
 
 The central object, :class:`TruncatedLaurent`, is a finite coefficient table
 standing in for an infinite formal distribution.  Alongside the table it
-carries a *certificate* describing exactly which coefficients of the true
-object the table is guaranteed to reproduce:
+carries a *certificate* of five fields, describing exactly which
+coefficients of the true object the table is guaranteed to reproduce:
 
 * ``entire``     -- the table IS the whole object (a Laurent polynomial);
 * ``suplo[i]``   -- true support satisfies e_i >= suplo[i]  (may be -oo);
 * ``band``       -- true support satisfies band[0] <= sum(e) <= band[1];
-* ``floors/caps``-- box part of the certified region;
-* ``bandcap``    -- diagonal part: certified only where sum(e) <= bandcap.
+* ``floors[i]``, ``caps[i]`` -- the certified box, floors[i] <= e_i <= caps[i].
 
-A coefficient e is *certified* when it lies in the box-and-diagonal region,
-or when one of the support bounds forces it to vanish.  All arithmetic
+A coefficient e is *certified* when it lies in the certified box, or when
+one of the support bounds forces it to vanish.  All arithmetic
 propagates certificates conservatively, so a certified coefficient of any
 derived table equals the corresponding coefficient of the true object.
 
@@ -35,7 +34,7 @@ from math import comb, factorial, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, scan
-from .scalar import SYMBOLIC, Scalar
+from .scalar import Scalar
 
 NEG_INF = -inf
 POS_INF = inf
@@ -141,18 +140,16 @@ class Cert:
     floors: tuple[ExtInt, ...]
     caps: tuple[ExtInt, ...]
     band: tuple[ExtInt, ExtInt]
-    bandcap: ExtInt
 
     @classmethod
     def full(cls, n: int) -> "Cert":
         return cls(True, (NEG_INF,) * n, (NEG_INF,) * n, (POS_INF,) * n,
-                   (NEG_INF, POS_INF), POS_INF)
+                   (NEG_INF, POS_INF))
 
     @classmethod
     def box(cls, lo: tuple[int, ...], hi: tuple[int, ...],
             suplo: tuple[ExtInt, ...] | None = None,
-            band: tuple[ExtInt, ExtInt] = (NEG_INF, POS_INF),
-            bandcap: ExtInt = POS_INF) -> "Cert":
+            band: tuple[ExtInt, ExtInt] = (NEG_INF, POS_INF)) -> "Cert":
         n = len(lo)
         if suplo is None:
             suplo = (NEG_INF,) * n
@@ -160,7 +157,7 @@ class Cert:
             NEG_INF if s != NEG_INF and s >= l else l
             for s, l in zip(suplo, lo)
         )
-        return cls(False, tuple(suplo), floors, tuple(hi), band, bandcap)
+        return cls(False, tuple(suplo), floors, tuple(hi), band)
 
     @classmethod
     def empty(cls, n: int,
@@ -169,7 +166,7 @@ class Cert:
         if suplo is None:
             suplo = (NEG_INF,) * n
         return cls(False, tuple(suplo), (POS_INF,) * n, (NEG_INF,) * n,
-                   band, NEG_INF)
+                   band)
 
 
 class TruncatedLaurent:
@@ -209,18 +206,10 @@ class TruncatedLaurent:
     def zero(cls, vars: tuple[str, ...]) -> "TruncatedLaurent":
         return cls.polynomial(vars, {})
 
-    @classmethod
-    def monomial(cls, vars: tuple[str, ...], e: tuple[int, ...],
-                 c: Any) -> "TruncatedLaurent":
-        return cls.polynomial(vars, {e: c})
-
     # -- inspection ----------------------------------------------------------
 
     def certified(self, e: tuple[int, ...]) -> bool:
         return _certified(self.cert, e)
-
-    def get(self, e: tuple[int, ...], default: Any = None) -> Any:
-        return self.coeffs.get(e, default)
 
     def coeff(self, e: tuple[int, ...], zero: Any = None) -> Any:
         """The certified coefficient at e; raises outside the certificate."""
@@ -235,12 +224,11 @@ class TruncatedLaurent:
 
     def certifies_window(self, w: Window) -> bool:
         """Whether the whole window is certified: O(dim) when the
-        box-and-diagonal region holds it, else entry by entry."""
+        certified box holds it, else entry by entry."""
         self._align_window(w)
         c = self.cert
-        if c.entire or (all(f <= a and b <= cap for f, cap, a, b
-                            in zip(c.floors, c.caps, w.lo, w.hi))
-                        and sum(w.hi) <= c.bandcap):
+        if c.entire or all(f <= a and b <= cap for f, cap, a, b
+                           in zip(c.floors, c.caps, w.lo, w.hi)):
             return True
         return all(_certified(c, e) for e in w.exponents())
 
@@ -361,27 +349,6 @@ class TruncatedLaurent:
             tuple(_lo_add(f, x) for f, x in zip(self.cert.floors, d)),
             tuple(_hi_add(s, x) for s, x in zip(self.cert.caps, d)),
             (_lo_add(self.cert.band[0], tot), _hi_add(self.cert.band[1], tot)),
-            _hi_add(self.cert.bandcap, tot),
-        )
-        return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
-                                _trusted=True)
-
-    def derivative(self, var: str) -> "TruncatedLaurent":
-        i = self.vars.index(var)
-        coeffs: dict[tuple[int, ...], Any] = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(x - (1 if j == i else 0) for j, x in enumerate(e))
-            coeffs[ne] = Scalar.from_int(e[i]) * c
-        dt = tuple(-1 if j == i else 0 for j in range(len(self.vars)))
-        cert = Cert(
-            self.cert.entire,
-            tuple(_lo_add(s, x) for s, x in zip(self.cert.suplo, dt)),
-            tuple(_lo_add(f, x) for f, x in zip(self.cert.floors, dt)),
-            tuple(_hi_add(s, x) for s, x in zip(self.cert.caps, dt)),
-            (_lo_add(self.cert.band[0], -1), _hi_add(self.cert.band[1], -1)),
-            _hi_add(self.cert.bandcap, -1),
         )
         return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
                                 _trusted=True)
@@ -396,38 +363,6 @@ class TruncatedLaurent:
         return TruncatedLaurent(self.vars, coeffs, self.cert, self.direction,
                                 _trusted=True)
 
-    # -- extraction ----------------------------------------------------------
-
-    def extract(self, var: str, k: int) -> "TruncatedLaurent":
-        """The coefficient of var**k as a table over the remaining variables."""
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        coeffs = {
-            e[:i] + e[i + 1:]: c for e, c in self.coeffs.items() if e[i] == k
-        }
-        c = self.cert
-        drop = lambda t: t[:i] + t[i + 1:]
-        if c.entire:
-            return TruncatedLaurent.polynomial(rest, coeffs)
-        if c.suplo[i] != NEG_INF and k < c.suplo[i]:
-            return TruncatedLaurent.zero(rest)
-        band = (_lo_add(c.band[0], -k), _hi_add(c.band[1], -k))
-        if c.floors[i] <= k <= c.caps[i]:
-            cert = Cert(False, drop(c.suplo), drop(c.floors), drop(c.caps),
-                        band, _hi_add(c.bandcap, -k))
-        else:
-            cert = Cert.empty(len(rest), drop(c.suplo), band)
-        direction = None
-        if self.direction is not None:
-            direction = tuple(v for v in self.direction if v != var)
-            if len(direction) < 2:
-                direction = None
-        return TruncatedLaurent(rest, coeffs, cert, direction, _trusted=True)
-
-    def residue(self, var: str) -> "TruncatedLaurent":
-        """The formal residue: coefficient of var**-1."""
-        return self.extract(var, -1)
-
     def restrict(self, w: Window) -> "TruncatedLaurent":
         """Trim storage to a window; the certificate shrinks accordingly."""
         self._align_window(w)
@@ -439,114 +374,9 @@ class TruncatedLaurent:
             tuple(max(f, l) for f, l in zip(c.floors, w.lo)),
             tuple(min(s, h) for s, h in zip(c.caps, w.hi)),
             c.band,
-            c.bandcap,
         )
         return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
                                 _trusted=True)
-
-    # -- substitutions -------------------------------------------------------
-
-    def subst_exp(self, var: str, base_var: str, zvar: str,
-                  z_order: int) -> "TruncatedLaurent":
-        """Substitute var := base_var * exp(zvar), truncating at z_order.
-
-        Each monomial var**n contributes base_var**n * sum_j n^j/j! zvar**j.
-        The source table must have jointly lower-bounded support.
-        """
-        if var not in self.vars or base_var not in self.vars or var == base_var:
-            raise SeriesError(f"bad substitution {var} -> {base_var}*e^{zvar}")
-        if len(self.vars) != 2:
-            raise SeriesError("exponential substitution expects two variables")
-        i = self.vars.index(var)
-        b = 1 - i
-        c = self.cert
-        if not c.entire:
-            if c.suplo[i] == NEG_INF or c.suplo[b] == NEG_INF:
-                raise SeriesError(
-                    "substitution requires jointly lower-bounded support")
-            if any(f != NEG_INF for f in c.floors):
-                raise SeriesError(
-                    "substitution source must be certified down to its "
-                    "support bound")
-        coeffs: dict[tuple[int, int], Any] = {}
-        for e, v in self.coeffs.items():
-            n = e[i]
-            base_e = e[b] + n
-            for j in range(z_order + 1):
-                w = exp_coeff(n, j, SYMBOLIC)
-                if w:
-                    key = (base_e, j)
-                    term = w * v
-                    s = coeffs.get(key)
-                    s = term if s is None else s + term
-                    if s:
-                        coeffs[key] = s
-                    else:
-                        coeffs.pop(key, None)
-        out_vars = (base_var, zvar)
-        if c.entire:
-            supp = [e[b] + e[i] for e in self.coeffs] or [POS_INF]
-            cert = Cert(False, (min(supp), 0), (NEG_INF, NEG_INF),
-                        (POS_INF, z_order), (min(supp), POS_INF), POS_INF)
-        else:
-            cap = min(_cap_add(c.caps[i], c.suplo[b]),
-                      _cap_add(c.caps[b], c.suplo[i]))
-            cert = Cert(False, (c.suplo[i] + c.suplo[b], 0),
-                        (NEG_INF, NEG_INF), (cap, z_order),
-                        (c.suplo[i] + c.suplo[b], POS_INF), POS_INF)
-        return TruncatedLaurent(out_vars, coeffs, cert, out_vars)
-
-    def subst_shift(self, var: str, base_var: str, zvar: str,
-                    z_order: int) -> "TruncatedLaurent":
-        """Substitute var := base_var + zvar, expanding in powers of zvar."""
-        if var not in self.vars or base_var not in self.vars or var == base_var:
-            raise SeriesError(f"bad substitution {var} -> {base_var}+{zvar}")
-        if len(self.vars) != 2:
-            raise SeriesError("shift substitution expects two variables")
-        i = self.vars.index(var)
-        b = 1 - i
-        c = self.cert
-        if not c.entire:
-            if c.suplo[i] == NEG_INF or c.suplo[b] == NEG_INF:
-                raise SeriesError(
-                    "substitution requires jointly lower-bounded support")
-            if any(f != NEG_INF for f in c.floors):
-                raise SeriesError(
-                    "substitution source must be certified down to its "
-                    "support bound")
-        coeffs: dict[tuple[int, int], Any] = {}
-        for e, v in self.coeffs.items():
-            n = e[i]
-            for j in range(z_order + 1):
-                w = Scalar.from_int(binom(n, j))
-                if w:
-                    key = (e[b] + n - j, j)
-                    term = w * v
-                    s = coeffs.get(key)
-                    s = term if s is None else s + term
-                    if s:
-                        coeffs[key] = s
-                    else:
-                        coeffs.pop(key, None)
-        out_vars = (base_var, zvar)
-        if c.entire:
-            neg = [e[i] for e in self.coeffs if e[i] < 0]
-            if not neg:
-                cert = Cert(False,
-                            (min((e[b] + e[i] for e in self.coeffs),
-                                 default=POS_INF), 0),
-                            (NEG_INF, NEG_INF), (POS_INF, z_order),
-                            (NEG_INF, POS_INF), POS_INF)
-            else:
-                tot = [sum(e) for e in self.coeffs]
-                cert = Cert(False, (NEG_INF, 0), (NEG_INF, NEG_INF),
-                            (POS_INF, z_order), (min(tot), max(tot)), POS_INF)
-        else:
-            tband = min(_cap_add(c.caps[i], c.suplo[b]),
-                        _cap_add(c.caps[b], c.suplo[i]))
-            cert = Cert(False, (NEG_INF, 0), (NEG_INF, NEG_INF),
-                        (POS_INF, z_order), c.band, tband)
-        return TruncatedLaurent(out_vars, coeffs, cert, out_vars)
 
     # -- display -------------------------------------------------------------
 
@@ -603,8 +433,6 @@ def _certified(c: Cert, e: tuple[int, ...]) -> bool:
     t = sum(e)
     if t < c.band[0] or t > c.band[1]:
         return True
-    if t > c.bandcap:
-        return False
     for x, f, cap in zip(e, c.floors, c.caps):
         if x < f or x > cap:
             return False
@@ -620,7 +448,6 @@ def _add_cert(a: Cert, b: Cert) -> Cert:
         tuple(max(x, y) for x, y in zip(a.floors, b.floors)),
         tuple(min(x, y) for x, y in zip(a.caps, b.caps)),
         (min(a.band[0], b.band[0]), max(a.band[1], b.band[1])),
-        min(a.bandcap, b.bandcap),
     )
 
 
@@ -642,7 +469,7 @@ def _tighten_entire(t: TruncatedLaurent) -> TruncatedLaurent:
     mins, _maxs, blo, _bhi = _support_stats(t)
     n = len(t.vars)
     cert = Cert(True, tuple(mins), (NEG_INF,) * n, (POS_INF,) * n,
-                (blo, POS_INF), POS_INF)
+                (blo, POS_INF))
     return TruncatedLaurent(t.vars, t.coeffs, cert, t.direction, _trusted=True)
 
 
@@ -665,7 +492,6 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
             tuple(_floor_add(f, m) for f, m in zip(b.floors, maxs)),
             tuple(_cap_add(c, m) for c, m in zip(b.caps, mins)),
             (_lo_add(b.band[0], blo), _hi_add(b.band[1], bhi)),
-            _cap_add(b.bandcap, blo),
         )
     if any(f != NEG_INF for f in a.floors + b.floors):
         # windowed objects without full knowledge below: only support
@@ -684,7 +510,6 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
             for ca, sb, cb, sa in zip(a.caps, b.suplo, b.caps, a.suplo)
         ),
         (_lo_add(a.band[0], b.band[0]), _hi_add(a.band[1], b.band[1])),
-        min(_cap_add(a.bandcap, b.band[0]), _cap_add(b.bandcap, a.band[0])),
     )
 
 
@@ -782,7 +607,7 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
             b[m] = -inv_lead * acc
     coeffs = {(-n0 + m,): v for m, v in b.items() if v}
     cert = Cert(False, (-n0,), (NEG_INF,), (-n0 + order,),
-                (-n0, POS_INF), POS_INF)
+                (-n0, POS_INF))
     return TruncatedLaurent(s.vars, coeffs, cert, s.direction, _trusted=True)
 
 

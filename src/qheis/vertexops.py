@@ -624,23 +624,17 @@ def check_multiplier(mult: Multiplier, pair: PairData) -> None:
 class StateTable:
     """Module vectors indexed by an x exponent and an auxiliary order."""
 
-    __slots__ = ("module", "xlo", "xhi", "zlo", "zhi", "data")
+    __slots__ = ("module", "data")
 
-    def __init__(self, module: FockModule, xlo: int, xhi: int,
-                 zlo: int, zhi: int):
+    def __init__(self, module: FockModule):
         self.module = module
-        self.xlo, self.xhi = xlo, xhi
-        self.zlo, self.zhi = zlo, zhi
         self.data: dict[tuple[int, int], FockVector] = {}
-
-    def in_range(self, e: int, j: int) -> bool:
-        return self.xlo <= e <= self.xhi and self.zlo <= j <= self.zhi
 
     def get(self, e: int, j: int) -> FockVector:
         return self.data.get((e, j), self.module.zero())
 
     def add(self, e: int, j: int, vec: FockVector) -> None:
-        if vec.is_zero() or not self.in_range(e, j):
+        if vec.is_zero():
             return
         cur = self.data.get((e, j))
         out = vec if cur is None else cur + vec
@@ -656,8 +650,7 @@ class StateTable:
                 zlo: int, zhi: int) -> "StateTable":
         """This table times sum_t series[t] z^t, every x exponent moved
         by xshift, on z orders zlo..zhi."""
-        out = StateTable(self.module, self.xlo + xshift, self.xhi + xshift,
-                         zlo, zhi)
+        out = StateTable(self.module)
         for (E, J), vec in self.entries():
             for t, c in series.items():
                 if c and zlo <= J + t <= zhi:
@@ -757,7 +750,7 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                     if val:
                         bump((E, -k - 1), v.scale(val))
 
-    out = StateTable(module, xlo, xhi, 0, zcap)
+    out = StateTable(module)
     for (E, kbase), vec in acc.items():
         for J in range(zcap + 1):
             s = exp_coeff(kbase, J, scalars)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qheis import cli
 from qheis.cli import SUITES, run
 from qheis.vertexops import LAWS
 
@@ -142,7 +143,7 @@ def test_verify_parameters(capsys):
     capsys.readouterr()
 
 
-def test_verify_bad_input_exits_two(tmp_path, capsys):
+def test_verify_bad_input_exits_two(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "missing" / "x.json")
     for argv in (
         ["verify", "--law", "htq-commutator-euler-form", "--window", "-1"],
@@ -158,13 +159,6 @@ def test_verify_bad_input_exits_two(tmp_path, capsys):
         ["verify", "--law", "hq-commutator-delta", "--q0", "3/5",
          "--l0", "0"],
         ["suite", "--suite", "fast", "--q0=3/5", "--l0=0"],
-        ["verify", "--law", "hq-commutator-delta", "--window", "2",
-         "--out", missing],
-        ["verify", "--law", "hq-commutator-delta", "--window", "2",
-         "--out", str(tmp_path)],
-        ["suite", "--suite", "fast", "--window", "1", "--out", missing],
-        ["suite", "--suite", "fast", "--window", "1", "--out",
-         str(tmp_path)],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
@@ -182,6 +176,25 @@ def test_verify_bad_input_exits_two(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert repr(params[-1].split("=")[0]) in err and "_law" not in err, \
             err
+    # an unwritable --out is refused before any law runs
+    def no_law(*args, **kwargs):
+        raise AssertionError("a law ran before --out was opened")
+
+    monkeypatch.setattr(cli, "suite_reports", no_law)
+    monkeypatch.setattr(cli, "verify_identity", no_law)
+    for argv in (
+        ["verify", "--law", "hq-commutator-delta", "--window", "2",
+         "--out", missing],
+        ["verify", "--law", "hq-commutator-delta", "--window", "2",
+         "--out", str(tmp_path)],
+        ["suite", "--suite", "fast", "--window", "1", "--out", missing],
+        ["suite", "--suite", "fast", "--window", "1", "--out",
+         str(tmp_path)],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out ") \
+            and err.count("\n") == 1, err
     assert not (tmp_path / "missing").exists()
 
 

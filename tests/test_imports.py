@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used."""
+"""Every module-level import of the package is used, and every function,
+class and method it defines is named somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,71 @@ def test_unused_import_scan_flags_only_unread_names():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+# Definitions that only the tests reach: oracles, inspection helpers and
+# checks the laws do not call.  Kept exact, so a name that gains a library
+# caller or is deleted must leave this set.
+TEST_ONLY = {
+    "coefficient", "word_lengths", "variable", "reduce_to_vacuum",
+    "realization_bracket_check", "kernel_mono", "kernel_binom", "kernel_inv",
+    "central_element", "bracket_constant", "BilinearForm",
+    "check_nondegenerate", "check_skew", "check_skew_symmetry",
+    "verify_shift_invariance", "ok", "evaluate", "DerivativeField",
+    "identity_field", "eproduct_n", "reflected", "extract_s_kernel",
+}
+
+
+def dead_names(sources: list[str]) -> set[str]:
+    """Module-level functions and classes, and non-dunder methods, whose
+    name no source uses.
+
+    A name counts as used when it occurs as an identifier, as an attribute
+    or in a ``from ... import`` list anywhere in the sources.
+    """
+    used, defined = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used.update(a.name for a in n.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    m.name for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__")
+                             and m.name.endswith("__")))
+    return defined - used
+
+
+def _package_sources() -> list[str]:
+    return [p.read_text() for p in sorted(SRC.glob("*.py"))]
+
+
+def test_dead_name_scan_flags_uncalled_definitions():
+    source = ("from .other import imported\n"
+              "class A:\n"
+              "    def __repr__(self):\n        return ''\n"
+              "    def used(self):\n        return imported\n"
+              "    def unused(self):\n        pass\n"
+              "def f():\n    return A().used()\n"
+              "def g():\n    pass\n"
+              "HANDLER = f\n")
+    other = "def imported():\n    pass\n"
+    assert dead_names([source, other]) == {"unused", "g"}
+    planted = "def planted_uncalled():\n    return 0\n"
+    assert dead_names(_package_sources() + [planted]) == \
+        TEST_ONLY | {"planted_uncalled"}
+
+
+def test_no_dead_names_beyond_the_test_only_set():
+    dead = dead_names(_package_sources())
+    assert dead - TEST_ONLY == set(), "defined but never named"
+    assert TEST_ONLY - dead == set(), "named in the package or gone"

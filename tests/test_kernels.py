@@ -211,7 +211,7 @@ def test_expansion_times_denominator_is_numerator():
         (0, 2): ONE, (1, 1): Scalar.from_int(-2) * Q, (2, 0): Q * Q,
     })
     lhs = t.with_direction(None) * back
-    rhs = TruncatedLaurent.monomial(("x1", "x2"), (0, 2), ONE)
+    rhs = TruncatedLaurent.polynomial(("x1", "x2"), {(0, 2): ONE})
     report = compare_on("ratio-times-denominator", lhs, rhs,
                         Window.cube(("x1", "x2"), 3))
     assert report.ok, report.summary()
