@@ -105,6 +105,15 @@ class FockVector:
         self.module = module
         self.terms = {m: c for m, c in terms.items() if c}
 
+    @classmethod
+    def _nonzero(cls, module: FockModule, terms: dict[PBWMonomial, Scalar]
+                 ) -> "FockVector":
+        """A vector on terms that hold no zero coefficient, taken as is."""
+        out = cls.__new__(cls)
+        out.module = module
+        out.terms = terms
+        return out
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, FockVector)
                 and self.module == other.module
@@ -132,7 +141,11 @@ class FockVector:
         return self + (-other)
 
     def scale(self, s: Scalar) -> "FockVector":
-        return FockVector(self.module, {m: c * s for m, c in self.terms.items()})
+        # in a field a nonzero scalar times a nonzero coefficient is nonzero
+        if not s:
+            return self.module.zero()
+        return FockVector._nonzero(
+            self.module, {m: c * s for m, c in self.terms.items()})
 
     def coefficient(self, mono: PBWMonomial) -> Scalar:
         return self.terms.get(tuple(sorted(mono)), self.module.scalars.zero)

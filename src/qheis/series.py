@@ -586,10 +586,6 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
     if not c.entire:
         if c.suplo[0] == NEG_INF or c.floors[0] != NEG_INF:
             raise SeriesError("inverse requires certified leading support")
-        if c.suplo[0] < n0:
-            # certified support bound says smaller exponents could exist
-            # only if they are certified-zero, which they are; n0 stands.
-            pass
         if c.caps[0] != POS_INF and c.caps[0] < n0 + order:
             raise SeriesError(
                 f"inverse to order {order} needs input certified through "

@@ -29,6 +29,7 @@ identity checks run one code path in either field.
 from __future__ import annotations
 
 import inspect
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -517,17 +518,12 @@ class Multiplier:
         return sum(m for c, m in self.factors if c == 1)
 
     def poly2(self) -> dict[tuple[int, int], Scalar]:
-        """Expanded monomials {(x1 exp, x2 exp): coefficient}."""
-        acc = {(0, 0): self.unit}
-        for c, m in self.factors:
-            for _ in range(m):
-                nxt: dict[tuple[int, int], Scalar] = {}
-                for (i, j), v in acc.items():
-                    for e, t in (((i + 1, j), v), ((i, j + 1), -(v * c))):
-                        prev = nxt.get(e)
-                        nxt[e] = t if prev is None else prev + t
-                acc = nxt
-        return {e: v for e, v in acc.items() if v}
+        """Expanded monomials {(x1 exp, x2 exp): coefficient}.
+
+        Equal multipliers share one cached result, which callers must not
+        modify.
+        """
+        return _poly2(self)
 
     def as_table(self) -> TruncatedLaurent:
         return TruncatedLaurent.polynomial(_X12, self.poly2())
@@ -571,6 +567,20 @@ class Multiplier:
             f = f"(x1 - ({c}) x2)"
             parts.append(f + (f"^{m}" if m > 1 else ""))
         return "*".join(parts) or "1"
+
+
+@lru_cache(maxsize=128)
+def _poly2(mult: Multiplier) -> dict[tuple[int, int], Scalar]:
+    acc = {(0, 0): mult.unit}
+    for c, m in mult.factors:
+        for _ in range(m):
+            nxt: dict[tuple[int, int], Scalar] = {}
+            for (i, j), v in acc.items():
+                for e, t in (((i + 1, j), v), ((i, j + 1), -(v * c))):
+                    prev = nxt.get(e)
+                    nxt[e] = t if prev is None else prev + t
+            acc = nxt
+    return {e: v for e, v in acc.items() if v}
 
 
 def _exp_coeffs(mult: Multiplier, lo: int, hi: int, scalars) -> list[Scalar]:
@@ -622,40 +632,66 @@ def check_multiplier(mult: Multiplier, pair: PairData) -> None:
 
 
 class StateTable:
-    """Module vectors indexed by an x exponent and an auxiliary order."""
+    """Module vectors indexed by an x exponent and an auxiliary order.
+
+    Entry (E, J) is one coefficient dict keyed by PBW monomial, with no
+    zero coefficient and no empty entry.  A vector is built only where an
+    entry leaves the table; it shares the entry's dict, which callers must
+    not modify.
+    """
 
     __slots__ = ("module", "data")
 
-    def __init__(self, module: FockModule):
+    def __init__(self, module: FockModule,
+                 data: dict[tuple[int, int], dict]):
+        """Finish accumulated coefficient dicts: drop their zeros and
+        the entries left empty."""
         self.module = module
-        self.data: dict[tuple[int, int], FockVector] = {}
+        self.data = _finished(data)
 
     def get(self, e: int, j: int) -> FockVector:
-        return self.data.get((e, j), self.module.zero())
+        terms = self.data.get((e, j))
+        if terms is None:
+            return self.module.zero()
+        return FockVector._nonzero(self.module, terms)
 
-    def add(self, e: int, j: int, vec: FockVector) -> None:
-        if vec.is_zero():
-            return
-        cur = self.data.get((e, j))
-        out = vec if cur is None else cur + vec
-        if out.is_zero():
-            self.data.pop((e, j), None)
-        else:
-            self.data[(e, j)] = out
-
-    def entries(self):
-        return sorted(self.data.items())
+    def entries(self) -> list[tuple[tuple[int, int], FockVector]]:
+        return [(key, FockVector._nonzero(self.module, terms))
+                for key, terms in sorted(self.data.items())]
 
     def times_z(self, series: dict[int, Scalar], xshift: int,
                 zlo: int, zhi: int) -> "StateTable":
         """This table times sum_t series[t] z^t, every x exponent moved
         by xshift, on z orders zlo..zhi."""
-        out = StateTable(self.module)
-        for (E, J), vec in self.entries():
+        out: dict[tuple[int, int], dict] = {}
+        for (E, J), terms in self.data.items():
             for t, c in series.items():
                 if c and zlo <= J + t <= zhi:
-                    out.add(E + xshift, J + t, vec.scale(c))
-        return out
+                    _add_scaled(out, (E + xshift, J + t), terms, c)
+        return StateTable(self.module, out)
+
+
+def _add_scaled(data: dict[tuple[int, int], dict], key: tuple[int, int],
+                terms: dict, c: Scalar) -> None:
+    """data[key] += c * terms in place, for a nonzero c.  Sums that cancel
+    leave zeros, which ``_finished`` drops."""
+    row = data.get(key)
+    if row is None:
+        data[key] = {m: x * c for m, x in terms.items()}
+        return
+    for m, x in terms.items():
+        prev = row.get(m)
+        row[m] = x * c if prev is None else prev + x * c
+
+
+def _finished(data: dict[tuple[int, int], dict]
+              ) -> dict[tuple[int, int], dict]:
+    out = {}
+    for key, row in data.items():
+        row = {m: c for m, c in row.items() if c}
+        if row:
+            out[key] = row
+    return out
 
 
 def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
@@ -678,14 +714,8 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
     low_a = afield.low_exponent(v)
     low_b = bfield.low_exponent(v)
 
-    # substituted-exponent accumulator: (E, x1 exponent) -> vector
-    acc: dict[tuple[int, int], FockVector] = {}
-
-    def bump(key, vec):
-        if vec.is_zero():
-            return
-        cur = acc.get(key)
-        acc[key] = vec if cur is None else cur + vec
+    # substituted-exponent accumulator: (E, x1 exponent) -> coefficients
+    acc: dict[tuple[int, int], dict] = {}
 
     # x1^k with k >= 0: p_ij * a_(k-i) (b_(e2) v) lands at E = k + j + e2
     amemo: dict[tuple[int, int], FockVector] = {}
@@ -702,7 +732,7 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                     u = amemo[(k - i, e2)] = afield.apply_coeff(k - i, bv)
                 if u.is_zero():
                     continue
-                bump((k + j + e2, k), u.scale(c))
+                _add_scaled(acc, (k + j + e2, k), u.terms, c)
 
     # x1^(-k-1): p_ij * b_(e2) (a_(-k-1-i) v) at E = -k-1 + j + e2,
     # plus the scalar correction from the commutator table
@@ -726,7 +756,7 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                     w2 = bmemo[(e1, e2)] = bfield.apply_coeff(e2, av)
                 if w2.is_zero():
                     continue
-                bump((E, -k - 1), w2.scale(c))
+                _add_scaled(acc, (E, -k - 1), w2.terms, c)
 
     kf = pair.kernel_floor()
     if kf is not None:
@@ -748,18 +778,34 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                         val = val + c * ktab.coeff(
                             (-k - 1 - i, E + k + 1 - j), scalars.zero)
                     if val:
-                        bump((E, -k - 1), v.scale(val))
+                        _add_scaled(acc, (E, -k - 1), v.terms, val)
 
-    out = StateTable(module)
-    for (E, kbase), vec in acc.items():
+    out: dict[tuple[int, int], dict] = {}
+    for (E, kbase), terms in _finished(acc).items():
         for J in range(zcap + 1):
             s = exp_coeff(kbase, J, scalars)
             if s:
-                out.add(E, J, vec.scale(s))
-    return out
+                _add_scaled(out, (E, J), terms, s)
+    return StateTable(module, out)
 
 
+# product stacks built inside the outermost running verify_identity or
+# suite_reports call; laws of one suite share stacks, and the memo is
+# emptied when that call returns
 _STACK_CACHE: dict[tuple, StateTable] = {}
+_stack_scope_depth = 0
+
+
+@contextmanager
+def _stack_scope():
+    global _stack_scope_depth
+    _stack_scope_depth += 1
+    try:
+        yield
+    finally:
+        _stack_scope_depth -= 1
+        if not _stack_scope_depth:
+            _STACK_CACHE.clear()
 
 
 def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
@@ -770,7 +816,7 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     Entry (E, t) is the x^E coefficient of z^t in
     iota(1/p(x e^z, x)) * (p a(x1) b(x) v)|_{x1 = x e^z};
     the product at index n sits at t = -n-1, so z exponents run from
-    -kappa up to zneed.
+    -kappa up to zneed.  Outside a law or suite call nothing is memoized.
     """
     key = (afield.key(), bfield.key(), mult, pair, _state_key(v),
            xlo, xhi, zneed)
@@ -784,7 +830,8 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
                         xlo + deg, xhi + deg, zcap)
     u = mult.inverse_exp(zcap, afield.module.scalars)
     out = core.times_z(u, -deg, -kappa, zneed)
-    _STACK_CACHE[key] = out
+    if _stack_scope_depth:
+        _STACK_CACHE[key] = out
     return out
 
 
@@ -1578,12 +1625,17 @@ def verify_identity(name: str, window: int | None = None,
                 f"parameter {key!r} cannot be {value!r}; {name} takes {takes}")
     if window is None:
         window = spec.default_window
-    return spec.runner(window, SYMBOLIC if point is None else point,
-                       **params)
+    with _stack_scope():
+        return spec.runner(window, SYMBOLIC if point is None else point,
+                           **params)
 
 
 def suite_reports(window: int | None = None,
                   point: RationalPoint | None = None) -> list[CheckReport]:
-    """All registered checks, in name order."""
-    return [verify_identity(name, window=window, point=point)
-            for name in sorted(LAWS)]
+    """All registered checks, in name order.
+
+    The laws share one memo of product stacks, which lasts this call.
+    """
+    with _stack_scope():
+        return [verify_identity(name, window=window, point=point)
+                for name in sorted(LAWS)]

@@ -10,8 +10,8 @@ from qheis.liealg import GeneratorSymbol
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport
 from qheis.scalar import ONE, ZERO, Scalar
 from qheis.series import Cert, TruncatedLaurent, Window, delta_family, \
-    series_inverse
-from qheis.vertexops import _DELTA_KILL, _part_table
+    exp_coeff, series_inverse
+from qheis.vertexops import _DELTA_KILL, _X12, _part_table, check_multiplier
 
 
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
@@ -242,3 +242,99 @@ def inverse_exp_oracle(mult, zmax, scalars):
     t = exp_product_oracle(mult, order, scalars, reduced=True)
     inv = series_inverse(_z_series(dict(enumerate(t)), order), order)
     return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
+
+
+def _add_vector(table, key, vec):
+    """table[key] += vec, keeping no zero vector."""
+    if vec.is_zero():
+        return
+    cur = table.get(key)
+    out = vec if cur is None else cur + vec
+    if out.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = out
+
+
+def _times_z_oracle(table, series, xshift, zlo, zhi):
+    out = {}
+    for (E, J), vec in sorted(table.items()):
+        for t, c in series.items():
+            if c and zlo <= J + t <= zhi:
+                _add_vector(out, (E + xshift, J + t), vec.scale(c))
+    return out
+
+
+def _ordered_core_oracle(afield, bfield, mult, pair, v, xlo, xhi, zcap):
+    """vertexops.ordered_core with one FockVector per table entry."""
+    check_multiplier(mult, pair)
+    scalars = afield.module.scalars
+    pmons = sorted(mult.poly2().items())
+    min_i = min(i for (i, _j), _c in pmons)
+    min_j = min(j for (_i, j), _c in pmons)
+    low_a = afield.low_exponent(v)
+    low_b = bfield.low_exponent(v)
+    acc = {}
+
+    def bump(key, vec):
+        if vec.is_zero():
+            return
+        cur = acc.get(key)
+        acc[key] = vec if cur is None else cur + vec
+
+    for e2 in range(low_b, xhi - min_j + 1):
+        bv = bfield.apply_coeff(e2, v)
+        if bv.is_zero():
+            continue
+        for (i, j), c in pmons:
+            for k in range(max(0, xlo - j - e2), xhi - j - e2 + 1):
+                bump((k + j + e2, k), afield.apply_coeff(k - i, bv).scale(c))
+    for k in range(0, -min_i - low_a):
+        for (i, j), c in pmons:
+            e1 = -k - 1 - i
+            if e1 < low_a:
+                continue
+            av = afield.apply_coeff(e1, v)
+            for E in range(xlo, xhi + 1):
+                bump((E, -k - 1),
+                     bfield.apply_coeff(E + k + 1 - j, av).scale(c))
+    kf = pair.kernel_floor()
+    if kf is not None and kf + min_i <= -1:
+        pk_floor = kf + min_i
+        kker_hi = -1 - pk_floor
+        max_i = max(i for (i, _j), _c in pmons)
+        max_j = max(j for (_i, j), _c in pmons)
+        ktab = pair.table(Window(
+            _X12, (pk_floor - max_i, xlo + 1 - max_j),
+            (-1 - min_i, xhi + kker_hi + 1 - min_j)))
+        for k in range(0, kker_hi + 1):
+            for E in range(xlo, xhi + 1):
+                val = scalars.zero
+                for (i, j), c in pmons:
+                    val = val + c * ktab.coeff(
+                        (-k - 1 - i, E + k + 1 - j), scalars.zero)
+                if val:
+                    bump((E, -k - 1), v.scale(val))
+    out = {}
+    for (E, kbase), vec in acc.items():
+        for J in range(zcap + 1):
+            s = exp_coeff(kbase, J, scalars)
+            if s:
+                _add_vector(out, (E, J), vec.scale(s))
+    return out
+
+
+def product_stack_oracle(afield, bfield, mult, pair, v, xlo, xhi, zneed):
+    """vertexops._product_stack as {(E, t): vector}, by vector arithmetic.
+
+    Independent of the library's flat coefficient tables: every table
+    entry is a FockVector, every step scales and adds whole vectors, and
+    no stack is memoized.
+    """
+    kappa = mult.kappa
+    deg = mult.degree
+    zcap = zneed + kappa
+    core = _ordered_core_oracle(afield, bfield, mult, pair, v,
+                                xlo + deg, xhi + deg, zcap)
+    u = mult.inverse_exp(zcap, afield.module.scalars)
+    return _times_z_oracle(core, u, -deg, -kappa, zneed)

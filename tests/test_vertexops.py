@@ -19,6 +19,7 @@ from conftest import (
     g_series_oracle,
     inverse_exp_oracle,
     probe_kills,
+    product_stack_oracle,
 )
 from qheis import fock, scalar, vertexops
 from qheis.liealg import ALGEBRAS, bracket_modes
@@ -273,6 +274,9 @@ def test_multiplier_expansion_and_grading():
     assert sq.degree == 4
     assert sq.kappa == 2
     assert Multiplier.of((Q, 1), (Q, 1)) == Multiplier.of((Q, 2))
+    # equal multipliers share one expansion
+    assert Multiplier.of((Q, 1), (Q, 1)).poly2() is \
+        Multiplier.of((Q, 2)).poly2()
     assert Multiplier.of().poly2() == {(0, 0): ONE}
     with pytest.raises(MultiplierError, match=">= 0"):
         Multiplier.of((Q, -1))
@@ -506,6 +510,49 @@ def test_vacuum_product_closed_form(htq):
     for e in (-1, 0, 2):
         assert d.apply_coeff(e, vac) == f.apply_coeff(e, vac).scale(
             sc(Fraction(e * e, 2)))
+
+
+def test_product_stack_matches_vector_oracle_seeded():
+    """The flat coefficient tables of the engine give the stacks of the
+    vector-valued engine: every algebra, both fields, the vacuum and
+    one-letter states."""
+    rng = random.Random(31)
+    point = RationalPoint(Fraction(5, 3), Fraction(-2, 7))
+    for alg in sorted(ALGEBRAS):
+        kinds = ("gen", "dressed", "one") if alg != "graded" else ("one",)
+        nonzero = 0
+        for scalars in (SYMBOLIC, point):
+            mod = FockModule(alg, scalars=scalars)
+            letter = (-rng.randint(1, 2),
+                      rng.randint(-1, 1) if mod.spec.shifted else 0)
+            for v in (mod.vacuum(), mod.basis_vector(letter)):
+                for _trial in range(6):
+                    r, s = rng.randint(-1, 1), rng.randint(-1, 1)
+                    a = field_of(mod, r)
+                    kind = rng.choice(kinds)
+                    if kind == "gen":
+                        b = field_of(mod, s)
+                    elif kind == "dressed":
+                        b = vacuum_product_field(field_of(mod, s),
+                                                 -rng.randint(1, 3))
+                    else:
+                        b = identity_field(mod)
+                        if rng.random() < 0.5:
+                            a, b = b, a
+                    pair = pair_of(a, b)
+                    mult = Multiplier.canonical_for(pair)
+                    if rng.random() < 0.5:
+                        mult = Multiplier.of(
+                            *mult.factors,
+                            (scalars.q_power(rng.randint(-2, 2)), 1))
+                    xlo = rng.randint(-3, 1)
+                    args = (a, b, mult, pair, v, xlo,
+                            xlo + rng.randint(0, 2), rng.randint(0, 3))
+                    want = product_stack_oracle(*args)
+                    got = dict(vertexops._product_stack(*args).entries())
+                    assert got == want, (alg, scalars, kind, args[5:])
+                    nonzero += len(want)
+        assert nonzero >= 20, alg
 
 
 def test_residue_products_identity_laws(bq):
@@ -830,8 +877,8 @@ def test_point_values_match_evaluated_symbolic_seeded():
                 pair = pair_of(a, b)
                 mult = Multiplier.canonical_for(pair)
                 v = mod.basis_vector((-1, 0))
-                stacks.append(vertexops._product_stack(
-                    a, b, mult, pair, v, -2, 2, 3).data)
+                stacks.append(dict(vertexops._product_stack(
+                    a, b, mult, pair, v, -2, 2, 3).entries()))
             want, got = stacks
             assert set(got) <= set(want)
             for key, vec in want.items():
@@ -849,6 +896,50 @@ def test_point_run_builds_no_symbolic_scalar(monkeypatch):
     monkeypatch.setattr(scalar, "_make", refuse)
     assert [r.status for r in suite_reports(window=3, point=point)] == want
     assert want.count(PASS) >= 10
+
+
+def test_stack_memo_is_empty_after_each_call(monkeypatch):
+    """No product stack outlives the suite or law call that built it,
+    also when the call raises."""
+    for point in (RationalPoint(Fraction(3, 5), Fraction(2)),
+                  RationalPoint(Fraction(-7, 4), Fraction(5, 3))):
+        suite_reports(window=3, point=point)
+        assert not vertexops._STACK_CACHE
+    verify_identity("phi-image-heisenberg", window=3)
+    assert not vertexops._STACK_CACHE
+
+    held = []
+
+    def broken(*args):
+        held.append(len(vertexops._STACK_CACHE))
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(vertexops, "tally", broken)
+    with pytest.raises(RuntimeError):
+        verify_identity("phi-weak-associativity", window=3)
+    assert held and held[0] > 0
+    assert not vertexops._STACK_CACHE
+
+
+@pytest.mark.parametrize("point", [
+    None, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+def test_each_suite_builds_its_own_stacks(monkeypatch, point):
+    """Laws of one suite share stacks; the next suite reuses none."""
+    calls = []
+    core = vertexops.ordered_core
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(vertexops, "ordered_core", counted)
+    counts = []
+    for _run in range(2):
+        before = len(calls)
+        suite_reports(window=5, point=point)
+        counts.append(len(calls) - before)
+    assert counts == [178, 178]
 
 
 def test_law_parameters_pass_through():
