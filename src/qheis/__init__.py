@@ -9,8 +9,8 @@ Subpackages:
   parsing, printing and directed expansion;
 * :mod:`qheis.liealg` -- the bracket catalog for the deformed mode algebras
   and their graded limit;
-* :mod:`qheis.fock` -- vacuum modules, normal ordering, and the polynomial
-  realization of the graded algebra;
+* :mod:`qheis.fock` -- vacuum modules, normal ordering and matrix elements
+  of products of generating functions;
 * :mod:`qheis.vertexops` -- ordinary and exponential-coordinate products of
   fields, with the identity catalog behind the verifier;
 * :mod:`qheis.cli` -- the command-line interface.

@@ -1,10 +1,9 @@
-"""Vacuum modules over the mode algebras, and the polynomial realization.
+"""Vacuum modules over the mode algebras.
 
 Each algebra of the catalog acts on a Fock space induced from a one
-dimensional vacuum: annihilation modes (m >= 0, with the mode-0 generator
-of the unshifted algebras acting by a configurable central scalar) kill
-the vacuum, the centre acts by the level, and the PBW monomials in
-creation modes (m <= -1) form a basis.  Normal ordering is exact: every
+dimensional vacuum: annihilation modes (m >= 0) kill the vacuum, the
+centre acts by the level, and the PBW monomials in creation modes
+(m <= -1) form a basis.  Normal ordering is exact: every
 transposition inserts the central bracket scalar, with the centre already
 specialised to the level.
 
@@ -12,13 +11,6 @@ In the deformed shifted algebra even two creation modes can bracket to a
 nonzero central scalar, so normal ordering inserts corrections among
 creations as well; the sorted monomials remain a basis and the correction
 terms always have strictly shorter words.
-
-The polynomial realization acts on C[x_n^(r) | n >= 1, r integer]:
-mode 0 acts as zero, mode -n multiplies by x_n^(r), and mode n acts as
-l n (d/dx_n^(r) - d/dx_n^(r-1)).  ``reduce_to_vacuum`` implements the
-descent that drives any nonzero polynomial to a nonzero multiple of 1 by
-annihilators alone, which is the constructive heart of irreducibility at
-nonzero level.
 """
 
 from __future__ import annotations
@@ -30,10 +22,8 @@ from .liealg import (
     GeneratorSymbol,
     bracket_modes,
     get_algebra,
-    graded_leading_constant,
 )
-from .report import CheckReport, tally
-from .scalar import L, ONE, SYMBOLIC, ZERO, Scalar
+from .scalar import SYMBOLIC, Scalar
 from .series import TruncatedLaurent, Window
 
 
@@ -48,27 +38,22 @@ PBWMonomial = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class FockModule:
-    """Ambient data of a vacuum module: algebra, level, mode-0 scalar and
-    the scalar field of its coefficients.
+    """Ambient data of a vacuum module: algebra, level and the scalar field
+    of its coefficients.
 
-    ``zero_mode`` is the scalar by which the central mode-0 generator of
-    the unshifted algebras acts; it is a free parameter of the
-    polarization and defaults to zero.  ``scalars`` is the field, symbolic
-    Q(q, l) or a :class:`qheis.scalar.RationalPoint`, and the level
-    defaults to its level.
+    ``scalars`` is the field, symbolic Q(q, l) or a
+    :class:`qheis.scalar.RationalPoint`, and the level defaults to its
+    level.
     """
 
     algebra: str
     level: Scalar = None
-    zero_mode: Scalar = None
     scalars: object = SYMBOLIC
 
     def __post_init__(self):
         get_algebra(self.algebra)
         if self.level is None:
             object.__setattr__(self, "level", self.scalars.level)
-        if self.zero_mode is None:
-            object.__setattr__(self, "zero_mode", self.scalars.zero)
 
     @property
     def spec(self) -> AlgebraSpec:
@@ -147,18 +132,12 @@ class FockVector:
         return FockVector._nonzero(
             self.module, {m: c * s for m, c in self.terms.items()})
 
-    def coefficient(self, mono: PBWMonomial) -> Scalar:
-        return self.terms.get(tuple(sorted(mono)), self.module.scalars.zero)
-
     def vacuum_component(self) -> Scalar:
         return self.terms.get((), self.module.scalars.zero)
 
     def degrees(self) -> set[int]:
         """Total degrees sum(-mode) of the monomials present."""
         return {sum(-m for m, _r in mono) for mono in self.terms}
-
-    def word_lengths(self) -> set[int]:
-        return {len(mono) for mono in self.terms}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -247,10 +226,6 @@ def _contract_annihilator(module: FockModule, mono: PBWMonomial,
             val = scale * br * module.level
             prev = out.get(corr)
             out[corr] = val if prev is None else prev + val
-    if g[0] == 0 and alg.offset == 0 and module.zero_mode:
-        val = scale * module.zero_mode
-        prev = out.get(mono)
-        out[mono] = val if prev is None else prev + val
 
 
 def apply_word(module: FockModule, word, v: FockVector) -> FockVector:
@@ -269,8 +244,6 @@ def annihilation_bound(v: FockVector) -> int:
     """
     spec = v.module.spec
     bound = 0
-    if spec.offset == 0 and v.module.zero_mode:
-        bound = 1
     for mono in v.terms:
         if not mono:
             continue
@@ -306,24 +279,24 @@ def two_point(bra: FockVector, slots, ket: FockVector,
               window: Window) -> TruncatedLaurent:
     """Matrix element of a product of generating functions, exactly.
 
-    The i-th slot contributes the field sum_m b^(shift)_m (scale x_i)^(-m-offset)
-    applied in written order to the ket.  Each exponent tuple of the window
-    selects exactly one mode word, so every coefficient inside the window
-    is exact.  The words are walked right to left as a tree: each prefix
-    acts once and its vector is shared by every exponent extending it,
-    and a zero vector ends its branch.
+    The i-th :class:`FieldSlot` contributes the field
+    sum_m b^(shift)_m (scale x_i)^(-m-offset), applied in written order to
+    the ket.  Each exponent tuple of the window selects exactly one mode
+    word, so every coefficient inside the window is exact.  The words are
+    walked right to left as a tree: each prefix acts once and its vector
+    is shared by every exponent extending it, and a zero vector ends its
+    branch.
 
     When the algebra is graded (its brackets vanish off m + n = mode_sum),
     a monomial on modes m_j has the weight sum_j (mode_sum - 2 m_j), and
-    every generator of mode m -- by creation, contraction or the mode-0
-    scalar -- moves a weight by mode_sum - 2m.  So the outermost slot
-    applies only the modes that move some weight of its vector onto some
-    weight of the bra; every other leaf pairs to zero.  ``bhatq`` has no
+    every generator of mode m -- by creation or contraction -- moves a
+    weight by mode_sum - 2m.  So the outermost slot applies only the modes
+    that move some weight of its vector onto some weight of the bra; every
+    other leaf pairs to zero.  ``bhatq`` has no
     grading and walks every exponent.
     """
     if bra.module != ket.module:
         raise FockError("bra and ket live in different modules")
-    slots = [s if isinstance(s, FieldSlot) else FieldSlot(*s) for s in slots]
     if len(slots) > 3:
         raise FockError("at most three fields are supported")
     if len(window.vars) != len(slots):
@@ -363,150 +336,3 @@ def two_point(bra: FockVector, slots, ket: FockVector,
 
     walk(len(slots) - 1, ket, ())
     return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)
-
-
-# ---------------------------------------------------------------------------
-# polynomial realization
-
-
-# a polynomial monomial maps (n, r) -> exponent, stored sorted
-PolyMonomial = tuple[tuple[tuple[int, int], int], ...]
-
-
-class PolyState:
-    """Sparse polynomial in the variables x_n^(r), n >= 1, r integer."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[PolyMonomial, Scalar]):
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def one(cls) -> "PolyState":
-        return cls({(): ONE})
-
-    @classmethod
-    def variable(cls, n: int, r: int) -> "PolyState":
-        if n < 1:
-            raise FockError("variable index n must be >= 1")
-        return cls({(((n, r), 1),): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyState) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("PolyState is not hashable")
-
-    def __add__(self, other: "PolyState") -> "PolyState":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return PolyState(out)
-
-    def __sub__(self, other: "PolyState") -> "PolyState":
-        return self + other.scale(-ONE)
-
-    def scale(self, s: Scalar) -> "PolyState":
-        return PolyState({m: c * s for m, c in self.terms.items()})
-
-    def __mul__(self, other: "PolyState") -> "PolyState":
-        out: dict[PolyMonomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                exps = dict(ma)
-                for v, k in mb:
-                    exps[v] = exps.get(v, 0) + k
-                key = tuple(sorted(exps.items()))
-                out[key] = out.get(key, ZERO) + ca * cb
-        return PolyState(out)
-
-    def mul_variable(self, n: int, r: int) -> "PolyState":
-        out = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            exps[(n, r)] = exps.get((n, r), 0) + 1
-            out[tuple(sorted(exps.items()))] = c
-        return PolyState(out)
-
-    def derivative(self, n: int, r: int) -> "PolyState":
-        out: dict[PolyMonomial, Scalar] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            k = exps.get((n, r), 0)
-            if not k:
-                continue
-            if k == 1:
-                del exps[(n, r)]
-            else:
-                exps[(n, r)] = k - 1
-            key = tuple(sorted(exps.items()))
-            out[key] = out.get(key, ZERO) + c * Scalar.from_int(k)
-        return PolyState(out)
-
-    def degree(self) -> int:
-        if not self.terms:
-            raise FockError("the zero polynomial has no degree")
-        return max(sum(k for _v, k in m) for m in self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            word = " ".join(
-                f"x({n},{r})" + (f"^{k}" if k > 1 else "")
-                for (n, r), k in m)
-            parts.append(f"({c}) {word}" if word else f"({c})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def poly_apply(r: int, m: int, p: PolyState, level: Scalar = L) -> PolyState:
-    """Action of the graded mode (r, m) on a polynomial state.
-
-    Mode 0 acts as zero, mode -n (n >= 1) multiplies by x_n^(r), and mode
-    n acts as level*n*(d/dx_n^(r) - d/dx_n^(r-1)).
-    """
-    if m == 0:
-        return PolyState({})
-    if m < 0:
-        return p.mul_variable(-m, r)
-    diff = p.derivative(m, r) - p.derivative(m, r - 1)
-    return diff.scale(level * Scalar.from_int(m))
-
-
-def reduce_to_vacuum(p: PolyState, level: Scalar = L) \
-        -> tuple[list[tuple[int, int]], Scalar]:
-    """Drive a nonzero polynomial to a scalar by annihilators alone.
-
-    Returns the trace of (r, n) mode applications and the final scalar.
-    Each step picks the least family index r present, so the
-    d/dx^(r-1) branch vanishes and the degree strictly drops.
-    """
-    if p.is_zero():
-        raise FockError("cannot reduce the zero state")
-    if not level:
-        raise FockError("level-zero: reduction unavailable")
-    trace: list[tuple[int, int]] = []
-    while p.degree() > 0:
-        r_min = min(r for m in p.terms for (_n, r), _k in m)
-        n = next(n for m in p.terms for (n, r), _k in m if r == r_min)
-        p = poly_apply(r_min, n, p, level)
-        trace.append((r_min, n))
-    return trace, p.terms[()]
-
-
-def realization_bracket_check(r: int, s: int, m: int, n: int,
-                              samples, level: Scalar = L) -> CheckReport:
-    """Compare commutators of the polynomial action with the graded constants."""
-    expected = graded_leading_constant(r, s, m, n) * level
-    return tally("realization-bracket", f"r={r}, s={s}, m={m}, n={n}", (
-        (f"on {p}",
-         poly_apply(r, m, poly_apply(s, n, p, level), level)
-         - poly_apply(s, n, poly_apply(r, m, p, level), level),
-         p.scale(expected)) for p in samples))

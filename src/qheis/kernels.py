@@ -833,19 +833,3 @@ def iota_expand(k: RationalKernel, direction: tuple[str, ...],
         table = table.with_direction(tuple(direction))
     table.require_certified(window)
     return table.restrict(window)
-
-
-# -- convenience constructors ----------------------------------------------
-
-
-def kernel_mono(c: Scalar, **exps: int) -> RationalKernel:
-    return RationalKernel({_mono(*exps.items()): c})
-
-
-def kernel_binom(xi: str, c: Scalar, xj: str) -> RationalKernel:
-    """The polynomial kernel xi - c*xj."""
-    return RationalKernel({_mono((xi, 1)): _ONE, _mono((xj, 1)): -c})
-
-
-def kernel_inv(f: Factor, power: int = 1) -> RationalKernel:
-    return RationalKernel({(): _ONE}, (), ((f, power),))

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
-from .report import FAIL, PASS, CheckReport, tally
-from .scalar import ONE, SYMBOLIC, Scalar
+from .scalar import SYMBOLIC, Scalar
 from .series import Cert, TruncatedLaurent, Window, binom, delta_family
 
 
@@ -123,10 +122,6 @@ class GeneratorSymbol:
                 f"{spec.name} generators carry no family index")
         if self.central and (self.mode or self.shift):
             raise LieAlgebraError("the central element has no mode or index")
-
-    @classmethod
-    def central_element(cls, algebra: str) -> "GeneratorSymbol":
-        return cls(algebra, 0, 0, central=True)
 
     def __str__(self) -> str:
         if self.central:
@@ -266,30 +261,6 @@ def bracket_modes(alg: str | AlgebraSpec, m: int, n: int,
     return out
 
 
-def bracket_constant(alg: str | AlgebraSpec, a: GeneratorSymbol,
-                     b: GeneratorSymbol) -> Scalar:
-    """Coefficient of the central element in [a, b]."""
-    spec = get_algebra(alg)
-    if a.algebra != spec.name or b.algebra != spec.name:
-        raise LieAlgebraError(
-            f"cross-algebra bracket: [{a}, {b}] in {spec.name}")
-    if a.central or b.central:
-        return SYMBOLIC.zero
-    return bracket_modes(spec, a.mode, b.mode, a.shift, b.shift)
-
-
-def graded_leading_constant(r: int, s: int, m: int, n: int) -> Scalar:
-    """The bhatq constant with filtration-raising contributions discarded.
-
-    Under the filtration by minimal mode, the central element sits in
-    degree zero, so a bracket [b^(r)_m, b^(s)_n] survives to the graded
-    quotient in degree m + n only when m + n = 0.
-    """
-    if m + n:
-        return SYMBOLIC.zero
-    return bracket_modes("bhatq", m, n, r, s)
-
-
 # ---------------------------------------------------------------------------
 # the pairing on the shifted loop family
 
@@ -300,105 +271,3 @@ def standard_pairing(r: int, s: int, scalars=SYMBOLIC) -> Scalar:
     if not co:
         return scalars.zero
     return scalars.from_int(co) / (scalars.q_power(1) - scalars.q_power(-1))
-
-
-class BilinearForm:
-    """A pairing on the shifted family, by default :func:`standard_pairing`."""
-
-    def __init__(self, value_fn=None):
-        self._value = value_fn or standard_pairing
-
-    def value(self, r: int, s: int) -> Scalar:
-        return self._value(r, s)
-
-    def matrix(self, lo: int, hi: int) -> list[list[Scalar]]:
-        rng = range(lo, hi + 1)
-        return [[self._value(r, s) for s in rng] for r in rng]
-
-    def check_nondegenerate(self, lo: int, hi: int) -> CheckReport:
-        size = hi - lo + 1
-        rank = matrix_rank(self.matrix(lo, hi))
-        region = f"indices in [{lo}, {hi}]"
-        if rank == size:
-            return CheckReport("form-nondegenerate", PASS, checked=size * size,
-                               region=region)
-        return CheckReport("form-nondegenerate", FAIL, checked=size * size,
-                           region=region,
-                           failures=[f"rank {rank} < size {size}"])
-
-    def check_skew(self, lo: int, hi: int) -> CheckReport:
-        rng = range(lo, hi + 1)
-        return tally("form-skew", f"indices in [{lo}, {hi}]", (
-            (f"<{r},{s}> + <{s},{r}>", self._value(r, s) + self._value(s, r),
-             0) for r in rng for s in rng))
-
-
-def matrix_rank(rows: list[list[Scalar]]) -> int:
-    """Rank over the exact scalar field, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ONE / rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-
-def _shift_pairs(spec: AlgebraSpec, r_range):
-    if not spec.shifted:
-        return [0]
-    if r_range is None:
-        raise LieAlgebraError(f"{spec.name} needs a family-index range")
-    return range(r_range[0], r_range[1] + 1)
-
-
-def check_skew_symmetry(alg: str | AlgebraSpec, *, m_range,
-                        r_range=None, bracket=None) -> CheckReport:
-    """Verify [a, b] = -[b, a] for every mode pair in the given ranges.
-
-    ``bracket`` may replace the catalog bracket (same signature as
-    :func:`bracket_modes` without the algebra argument) so that deliberately
-    broken variants register as failures.
-    """
-    spec = get_algebra(alg)
-    fn = bracket or (lambda m, n, r, s: bracket_modes(spec, m, n, r, s))
-    shifts = _shift_pairs(spec, r_range)
-    modes = range(m_range[0], m_range[1] + 1)
-    region = f"m, n in [{m_range[0]}, {m_range[1]}]"
-    if spec.shifted:
-        region += f"; r, s in [{r_range[0]}, {r_range[1]}]"
-    return tally(f"{spec.name}-skew-symmetry", region, (
-        (f"(r={r}, s={s}, m={m}, n={n}): [a,b] + [b,a]",
-         fn(m, n, r, s) + fn(n, m, s, r), 0)
-        for r in shifts for s in shifts for m in modes for n in modes))
-
-
-def verify_shift_invariance(alg: str | AlgebraSpec, k: int, *, m_range,
-                            r_range, bracket=None) -> CheckReport:
-    """Verify the brackets are unchanged when both family indices move by k."""
-    spec = get_algebra(alg)
-    if not spec.shifted:
-        raise LieAlgebraError(f"{spec.name} generators carry no family index")
-    fn = bracket or (lambda m, n, r, s: bracket_modes(spec, m, n, r, s))
-    shifts = range(r_range[0], r_range[1] + 1)
-    modes = range(m_range[0], m_range[1] + 1)
-    return tally(
-        f"{spec.name}-shift-invariance",
-        (f"k={k}; m, n in [{m_range[0]}, {m_range[1]}]; "
-         f"r, s in [{r_range[0]}, {r_range[1]}]"),
-        ((f"(r={r}, s={s}, m={m}, n={n}) shifted by {k}",
-          fn(m, n, r + k, s + k), fn(m, n, r, s))
-         for r in shifts for s in shifts for m in modes for n in modes))

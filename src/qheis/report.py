@@ -36,14 +36,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.status == PASS
 
-    def summary(self) -> str:
-        head = f"{self.name}: {self.status.upper()}"
-        if self.region:
-            head += f" [{self.region}]"
-        if self.checked:
-            head += f" ({self.checked} coefficients)"
-        return head
-
 
 def combine(name: str, parts: list[CheckReport]) -> CheckReport:
     """Fold sub-reports: fail dominates, then inconclusive, then pass."""

@@ -44,10 +44,6 @@ class ScalarError(ArithmeticError):
     pass
 
 
-class EvaluationError(ScalarError):
-    """Raised when a substitution makes a denominator vanish."""
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers (internal)
 # ---------------------------------------------------------------------------
@@ -726,17 +722,6 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, point: "RationalPoint") -> Fraction:
-        den = _peval(self.den, point.q0, point.l0)
-        if den == 0:
-            raise EvaluationError(
-                f"denominator ({_pstr(self.den)}) vanishes at "
-                f"q={point.q0}, l={point.l0}"
-            )
-        return _peval(self.num, point.q0, point.l0) / den
-
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -769,13 +754,6 @@ def _make(num: Poly, fd: Factored) -> Scalar:
     _set_num(s, num)
     _set_fd(s, fd)
     return s
-
-
-def _peval(a: Poly, q0: Fraction, l0: Fraction) -> Fraction:
-    out = Fraction(0)
-    for (eq, el), c in a.items():
-        out += c * q0**eq * l0**el
-    return out
 
 
 _S_ZERO = Scalar.from_int(0)

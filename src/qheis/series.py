@@ -353,16 +353,6 @@ class TruncatedLaurent:
         return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
                                 _trusted=True)
 
-    def euler(self, var: str) -> "TruncatedLaurent":
-        """Apply var * d/dvar (no support shift)."""
-        i = self.vars.index(var)
-        coeffs = {
-            e: Scalar.from_int(e[i]) * c
-            for e, c in self.coeffs.items() if e[i]
-        }
-        return TruncatedLaurent(self.vars, coeffs, self.cert, self.direction,
-                                _trusted=True)
-
     def restrict(self, w: Window) -> "TruncatedLaurent":
         """Trim storage to a window; the certificate shrinks accordingly."""
         self._align_window(w)

@@ -66,7 +66,6 @@ __all__ = [
     "ArgScaledField",
     "SumField",
     "field_of",
-    "identity_field",
     "PairPart",
     "PairData",
     "pair_of",
@@ -146,7 +145,7 @@ class OperatorSeries:
 
 
 def _module_key(m: FockModule):
-    return (m.algebra, m.level, m.zero_mode, m.scalars)
+    return (m.algebra, m.level, m.scalars)
 
 
 def _state_key(v: FockVector):
@@ -327,10 +326,6 @@ class SumField(OperatorSeries):
 def field_of(module: FockModule, shift: int = 0) -> GeneratorField:
     """The generating field of the module's mode family at one index."""
     return GeneratorField(module, shift)
-
-
-def identity_field(module: FockModule) -> IdentityField:
-    return IdentityField(module)
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +649,6 @@ class StateTable:
         if terms is None:
             return self.module.zero()
         return FockVector._nonzero(self.module, terms)
-
-    def entries(self) -> list[tuple[tuple[int, int], FockVector]]:
-        return [(key, FockVector._nonzero(self.module, terms))
-                for key, terms in sorted(self.data.items())]
 
     def times_z(self, series: dict[int, Scalar], xshift: int,
                 zlo: int, zhi: int) -> "StateTable":

@@ -4,11 +4,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from qheis.fock import apply_generator, pair_vectors
-from qheis.kernels import Factor, RationalKernel, iota_expand, kernel_inv
-from qheis.liealg import GeneratorSymbol
-from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport
-from qheis.scalar import ONE, ZERO, Scalar
+from qheis.fock import FockError, apply_generator, pair_vectors
+from qheis.kernels import Factor, RationalKernel, iota_expand
+from qheis.liealg import (
+    AlgebraSpec,
+    GeneratorSymbol,
+    LieAlgebraError,
+    bracket_modes,
+    get_algebra,
+)
+from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
+    tally
+from qheis.scalar import L, ONE, ZERO, Poly, Scalar, ScalarError, _pstr
 from qheis.series import Cert, TruncatedLaurent, Window, delta_family, \
     exp_coeff, series_inverse
 from qheis.vertexops import _DELTA_KILL, _X12, _part_table, check_multiplier
@@ -46,7 +53,8 @@ def _directed_binom_power(j: int, window) -> TruncatedLaurent:
             for k in range(j + 1)
         }
         return TruncatedLaurent.polynomial(window.vars, coeffs)
-    pole = kernel_inv(Factor("binom", "x1", "x2", ONE), -j)
+    pole = RationalKernel({(): ONE}, (),
+                          ((Factor("binom", "x1", "x2", ONE), -j),))
     return iota_expand(pole, ("x2", "x1"), window)
 
 
@@ -338,3 +346,278 @@ def product_stack_oracle(afield, bfield, mult, pair, v, xlo, xhi, zneed):
                                 xlo + deg, xhi + deg, zcap)
     u = mult.inverse_exp(zcap, afield.module.scalars)
     return _times_z_oracle(core, u, -deg, -kappa, zneed)
+
+
+# ---------------------------------------------------------------------------
+# evaluation of symbolic scalars at a rational point
+
+
+class EvaluationError(ScalarError):
+    """Raised when a substitution makes a denominator vanish."""
+
+
+def _peval(a: Poly, q0: Fraction, l0: Fraction) -> Fraction:
+    out = Fraction(0)
+    for (eq, el), c in a.items():
+        out += c * q0**eq * l0**el
+    return out
+
+
+def evaluate(s: Scalar, point) -> Fraction:
+    """A symbolic scalar at a :class:`qheis.scalar.RationalPoint`, by
+    substituting into its numerator and denominator."""
+    den = _peval(s.den, point.q0, point.l0)
+    if den == 0:
+        raise EvaluationError(
+            f"denominator ({_pstr(s.den)}) vanishes at "
+            f"q={point.q0}, l={point.l0}"
+        )
+    return _peval(s.num, point.q0, point.l0) / den
+
+
+def euler(t: TruncatedLaurent, var: str) -> TruncatedLaurent:
+    """Apply var * d/dvar to a table (no support shift)."""
+    i = t.vars.index(var)
+    coeffs = {
+        e: Scalar.from_int(e[i]) * c
+        for e, c in t.coeffs.items() if e[i]
+    }
+    return TruncatedLaurent(t.vars, coeffs, t.cert, t.direction,
+                            _trusted=True)
+
+
+# ---------------------------------------------------------------------------
+# structural checks of the bracket catalog
+
+
+def matrix_rank(rows: list[list[Scalar]]) -> int:
+    """Rank over the exact scalar field, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = ONE / rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _shift_pairs(spec: AlgebraSpec, r_range):
+    if not spec.shifted:
+        return [0]
+    if r_range is None:
+        raise LieAlgebraError(f"{spec.name} needs a family-index range")
+    return range(r_range[0], r_range[1] + 1)
+
+
+def check_skew_symmetry(alg: str | AlgebraSpec, *, m_range,
+                        r_range=None, bracket=None) -> CheckReport:
+    """Verify [a, b] = -[b, a] for every mode pair in the given ranges.
+
+    ``bracket`` may replace the catalog bracket (same signature as
+    :func:`qheis.liealg.bracket_modes` without the algebra argument) so
+    that deliberately broken variants register as failures.
+    """
+    spec = get_algebra(alg)
+    fn = bracket or (lambda m, n, r, s: bracket_modes(spec, m, n, r, s))
+    shifts = _shift_pairs(spec, r_range)
+    modes = range(m_range[0], m_range[1] + 1)
+    region = f"m, n in [{m_range[0]}, {m_range[1]}]"
+    if spec.shifted:
+        region += f"; r, s in [{r_range[0]}, {r_range[1]}]"
+    return tally(f"{spec.name}-skew-symmetry", region, (
+        (f"(r={r}, s={s}, m={m}, n={n}): [a,b] + [b,a]",
+         fn(m, n, r, s) + fn(n, m, s, r), 0)
+        for r in shifts for s in shifts for m in modes for n in modes))
+
+
+def verify_shift_invariance(alg: str | AlgebraSpec, k: int, *, m_range,
+                            r_range, bracket=None) -> CheckReport:
+    """Verify the brackets are unchanged when both family indices move by k."""
+    spec = get_algebra(alg)
+    if not spec.shifted:
+        raise LieAlgebraError(f"{spec.name} generators carry no family index")
+    fn = bracket or (lambda m, n, r, s: bracket_modes(spec, m, n, r, s))
+    shifts = range(r_range[0], r_range[1] + 1)
+    modes = range(m_range[0], m_range[1] + 1)
+    return tally(
+        f"{spec.name}-shift-invariance",
+        (f"k={k}; m, n in [{m_range[0]}, {m_range[1]}]; "
+         f"r, s in [{r_range[0]}, {r_range[1]}]"),
+        ((f"(r={r}, s={s}, m={m}, n={n}) shifted by {k}",
+          fn(m, n, r + k, s + k), fn(m, n, r, s))
+         for r in shifts for s in shifts for m in modes for n in modes))
+
+
+# ---------------------------------------------------------------------------
+# the polynomial realization of the graded algebra
+#
+# An independent model of the vacuum module: the graded algebra acts on
+# C[x_n^(r) | n >= 1, r integer], mode 0 as zero, mode -n by multiplying
+# with x_n^(r), and mode n as l n (d/dx_n^(r) - d/dx_n^(r-1)).
+# ``reduce_to_vacuum`` implements the descent that drives any nonzero
+# polynomial to a nonzero multiple of 1 by annihilators alone, which is the
+# constructive heart of irreducibility at nonzero level.
+
+
+def graded_leading_constant(r: int, s: int, m: int, n: int) -> Scalar:
+    """The bhatq constant with filtration-raising contributions discarded.
+
+    Under the filtration by minimal mode, the central element sits in
+    degree zero, so a bracket [b^(r)_m, b^(s)_n] survives to the graded
+    quotient in degree m + n only when m + n = 0.
+    """
+    if m + n:
+        return ZERO
+    return bracket_modes("bhatq", m, n, r, s)
+
+
+# a polynomial monomial maps (n, r) -> exponent, stored sorted
+PolyMonomial = tuple[tuple[tuple[int, int], int], ...]
+
+
+class PolyState:
+    """Sparse polynomial in the variables x_n^(r), n >= 1, r integer."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[PolyMonomial, Scalar]):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def one(cls) -> "PolyState":
+        return cls({(): ONE})
+
+    @classmethod
+    def variable(cls, n: int, r: int) -> "PolyState":
+        if n < 1:
+            raise FockError("variable index n must be >= 1")
+        return cls({(((n, r), 1),): ONE})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PolyState) and self.terms == other.terms
+
+    def __hash__(self):
+        raise TypeError("PolyState is not hashable")
+
+    def __add__(self, other: "PolyState") -> "PolyState":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, ZERO) + c
+        return PolyState(out)
+
+    def __sub__(self, other: "PolyState") -> "PolyState":
+        return self + other.scale(-ONE)
+
+    def scale(self, s: Scalar) -> "PolyState":
+        return PolyState({m: c * s for m, c in self.terms.items()})
+
+    def __mul__(self, other: "PolyState") -> "PolyState":
+        out: dict[PolyMonomial, Scalar] = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                exps = dict(ma)
+                for v, k in mb:
+                    exps[v] = exps.get(v, 0) + k
+                key = tuple(sorted(exps.items()))
+                out[key] = out.get(key, ZERO) + ca * cb
+        return PolyState(out)
+
+    def mul_variable(self, n: int, r: int) -> "PolyState":
+        out = {}
+        for m, c in self.terms.items():
+            exps = dict(m)
+            exps[(n, r)] = exps.get((n, r), 0) + 1
+            out[tuple(sorted(exps.items()))] = c
+        return PolyState(out)
+
+    def derivative(self, n: int, r: int) -> "PolyState":
+        out: dict[PolyMonomial, Scalar] = {}
+        for m, c in self.terms.items():
+            exps = dict(m)
+            k = exps.get((n, r), 0)
+            if not k:
+                continue
+            if k == 1:
+                del exps[(n, r)]
+            else:
+                exps[(n, r)] = k - 1
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, ZERO) + c * Scalar.from_int(k)
+        return PolyState(out)
+
+    def degree(self) -> int:
+        if not self.terms:
+            raise FockError("the zero polynomial has no degree")
+        return max(sum(k for _v, k in m) for m in self.terms)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms):
+            c = self.terms[m]
+            word = " ".join(
+                f"x({n},{r})" + (f"^{k}" if k > 1 else "")
+                for (n, r), k in m)
+            parts.append(f"({c}) {word}" if word else f"({c})")
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+def poly_apply(r: int, m: int, p: PolyState, level: Scalar = L) -> PolyState:
+    """Action of the graded mode (r, m) on a polynomial state.
+
+    Mode 0 acts as zero, mode -n (n >= 1) multiplies by x_n^(r), and mode
+    n acts as level*n*(d/dx_n^(r) - d/dx_n^(r-1)).
+    """
+    if m == 0:
+        return PolyState({})
+    if m < 0:
+        return p.mul_variable(-m, r)
+    diff = p.derivative(m, r) - p.derivative(m, r - 1)
+    return diff.scale(level * Scalar.from_int(m))
+
+
+def reduce_to_vacuum(p: PolyState, level: Scalar = L) \
+        -> tuple[list[tuple[int, int]], Scalar]:
+    """Drive a nonzero polynomial to a scalar by annihilators alone.
+
+    Returns the trace of (r, n) mode applications and the final scalar.
+    Each step picks the least family index r present, so the
+    d/dx^(r-1) branch vanishes and the degree strictly drops.
+    """
+    if p.is_zero():
+        raise FockError("cannot reduce the zero state")
+    if not level:
+        raise FockError("level-zero: reduction unavailable")
+    trace: list[tuple[int, int]] = []
+    while p.degree() > 0:
+        r_min = min(r for m in p.terms for (_n, r), _k in m)
+        n = next(n for m in p.terms for (n, r), _k in m if r == r_min)
+        p = poly_apply(r_min, n, p, level)
+        trace.append((r_min, n))
+    return trace, p.terms[()]
+
+
+def realization_bracket_check(r: int, s: int, m: int, n: int,
+                              samples, level: Scalar = L) -> CheckReport:
+    """Compare commutators of the polynomial action with the graded constants."""
+    expected = graded_leading_constant(r, s, m, n) * level
+    return tally("realization-bracket", f"r={r}, s={s}, m={m}, n={n}", (
+        (f"on {p}",
+         poly_apply(r, m, poly_apply(s, n, p, level), level)
+         - poly_apply(s, n, poly_apply(r, m, p, level), level),
+         p.scale(expected)) for p in samples))

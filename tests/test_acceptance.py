@@ -10,24 +10,20 @@ from math import factorial
 
 import pytest
 
-from conftest import bhatq_oracle_table, f_series_oracle
-from qheis.fock import (
-    FieldSlot,
-    FockError,
-    FockModule,
+from conftest import (
     PolyState,
+    bhatq_oracle_table,
+    check_skew_symmetry,
+    euler,
+    f_series_oracle,
+    graded_leading_constant,
     poly_apply,
     realization_bracket_check,
     reduce_to_vacuum,
-    two_point,
 )
+from qheis.fock import FieldSlot, FockError, FockModule, two_point
 from qheis.kernels import iota_expand, parse_kernel
-from qheis.liealg import (
-    bracket_modes,
-    check_skew_symmetry,
-    f_coefficient,
-    graded_leading_constant,
-)
+from qheis.liealg import bracket_modes, f_coefficient
 from qheis.report import PASS
 from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
 from qheis.series import TruncatedLaurent, Window, delta_family
@@ -212,7 +208,8 @@ def test_06_anchor_values_inverse_series_and_substitution():
             qc[key] = c
         quad_t = TruncatedLaurent.polynomial(direction, qc)
         t0 = iota_expand(kernel, direction, w)
-        rows = [t0, t0.euler("x"), t0.euler("x").euler("x").scale(sc("1/2"))]
+        rows = [t0, euler(t0, "x"),
+                euler(euler(t0, "x"), "x").scale(sc("1/2"))]
         tabs.append([keyed(quad_t * t) for t in rows])
     if tabs[0][0] != {(1, 0): ONE, (0, 1): -ONE} or tabs[0][0] != tabs[1][0]:
         bad.append("calculus z^0")
@@ -252,8 +249,7 @@ def test_06_anchor_values_inverse_series_and_substitution():
 
 
 def test_07_shifted_deformed_bracket_skew_case_split_and_abelian_half():
-    rep = check_skew_symmetry("bhatq", m_range=range(-6, 7),
-                              r_range=range(-2, 3))
+    rep = check_skew_symmetry("bhatq", m_range=(-6, 6), r_range=(-2, 2))
     bad = [] if rep.ok else [rep.failures[:1]]
     w = Window.cube(X12, 7)
     oracle = {d: bhatq_oracle_table(d, w) for d in range(-4, 5)}

@@ -47,16 +47,12 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
 
 
-# Definitions that only the tests reach: oracles, inspection helpers and
-# checks the laws do not call.  Kept exact, so a name that gains a library
-# caller or is deleted must leave this set.
+# Definitions that only the tests reach: paper constructs the laws do not
+# call, and the report property the README's library example reads.  Kept
+# exact, so a name that gains a library caller or is deleted must leave
+# this set.
 TEST_ONLY = {
-    "coefficient", "word_lengths", "variable", "reduce_to_vacuum",
-    "realization_bracket_check", "kernel_mono", "kernel_binom", "kernel_inv",
-    "central_element", "bracket_constant", "BilinearForm",
-    "check_nondegenerate", "check_skew", "check_skew_symmetry",
-    "verify_shift_invariance", "ok", "evaluate", "DerivativeField",
-    "identity_field", "eproduct_n", "reflected", "extract_s_kernel",
+    "ok", "DerivativeField", "eproduct_n", "reflected", "extract_s_kernel",
 }
 
 
@@ -64,29 +60,33 @@ def dead_names(sources: list[str]) -> set[str]:
     """Module-level functions and classes, and non-dunder methods, whose
     name no source uses.
 
-    A name counts as used when it occurs as an identifier, as an attribute
-    or in a ``from ... import`` list anywhere in the sources.
+    A method counts as used only when its name occurs as an attribute or
+    in a ``from ... import`` list anywhere in the sources, so a local
+    variable or a dataclass field of the same name does not hide it.  A
+    module-level function or class also counts as used when its name
+    occurs as an identifier.
     """
-    used, defined = set(), set()
+    names, attrs = set(), set()
+    functions, methods = set(), set()
     for source in sources:
         tree = ast.parse(source)
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                used.add(n.id)
+                names.add(n.id)
             elif isinstance(n, ast.Attribute):
-                used.add(n.attr)
+                attrs.add(n.attr)
             elif isinstance(n, ast.ImportFrom):
-                used.update(a.name for a in n.names)
+                attrs.update(a.name for a in n.names)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
+                functions.add(node.name)
             if isinstance(node, ast.ClassDef):
-                defined.update(
+                methods.update(
                     m.name for m in node.body
                     if isinstance(m, ast.FunctionDef)
                     and not (m.name.startswith("__")
                              and m.name.endswith("__")))
-    return defined - used
+    return (functions - names - attrs) | (methods - attrs)
 
 
 def _package_sources() -> list[str]:
@@ -99,11 +99,12 @@ def test_dead_name_scan_flags_uncalled_definitions():
               "    def __repr__(self):\n        return ''\n"
               "    def used(self):\n        return imported\n"
               "    def unused(self):\n        pass\n"
-              "def f():\n    return A().used()\n"
+              "    def shadowed(self):\n        pass\n"
+              "def f():\n    shadowed = 1\n    return A().used() + shadowed\n"
               "def g():\n    pass\n"
               "HANDLER = f\n")
     other = "def imported():\n    pass\n"
-    assert dead_names([source, other]) == {"unused", "g"}
+    assert dead_names([source, other]) == {"unused", "shadowed", "g"}
     planted = "def planted_uncalled():\n    return 0\n"
     assert dead_names(_package_sources() + [planted]) == \
         TEST_ONLY | {"planted_uncalled"}

@@ -11,9 +11,6 @@ from qheis.kernels import (
     KernelParseError,
     RationalKernel,
     iota_expand,
-    kernel_binom,
-    kernel_inv,
-    kernel_mono,
     parse_kernel,
 )
 from qheis.scalar import Scalar
@@ -178,7 +175,7 @@ def test_geometric_ratio_both_directions():
 
 
 def test_direction_difference_is_delta():
-    k = kernel_inv(Factor("binom", "x1", "x2", ONE))
+    k = parse_kernel("1/(x1-x2)")
     w = Window.cube(("x1", "x2"), 6)
     small_x2 = iota_expand(k, ("x1", "x2"), w).with_direction(None)
     small_x1 = iota_expand(k, ("x2", "x1"), w).with_direction(None)
@@ -186,7 +183,7 @@ def test_direction_difference_is_delta():
     delta = delta_family("plain", ONE, Window.cube(("x1", "x2"), 8))
     expected = delta.shift({"x1": -1})
     report = compare_on("delta-decomposition", diff, expected, w)
-    assert report.ok, report.summary()
+    assert report.ok, report.failures
 
 
 def test_quasi_locality_multiplier_inverse():
@@ -214,7 +211,7 @@ def test_expansion_times_denominator_is_numerator():
     rhs = TruncatedLaurent.polynomial(("x1", "x2"), {(0, 2): ONE})
     report = compare_on("ratio-times-denominator", lhs, rhs,
                         Window.cube(("x1", "x2"), 3))
-    assert report.ok, report.summary()
+    assert report.ok, report.failures
 
 
 def test_affine_mixed_kernel():
@@ -233,7 +230,7 @@ def test_affine_mixed_kernel():
     lhs = t.with_direction(None) * back
     rhs = TruncatedLaurent.polynomial(("x1", "x2"), {(0, 0): ONE})
     report = compare_on("affine-mixed", lhs, rhs, Window.cube(("x1", "x2"), 2))
-    assert report.ok, report.summary()
+    assert report.ok, report.failures
     # with the affine variable kept outermost the exactness of the product
     # cannot be certified coefficient-wise; the expansion says so up front
     with pytest.raises(KernelError, match="direction ending in 'x1'"):
@@ -291,7 +288,7 @@ def test_window_below_support_is_certified_zero():
 
 
 def test_polynomial_kernels_expand_without_direction():
-    k = kernel_binom("x1", Q, "x2") * kernel_mono(ONE, x1=1)
+    k = parse_kernel("(x1-q*x2)*x1")
     w = Window.cube(("x1", "x2"), 3)
     t = iota_expand(k, ("x2", "x1"), w)
     assert t.direction is None

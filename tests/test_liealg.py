@@ -8,27 +8,25 @@ import pytest
 from conftest import (
     assert_same_table,
     bhatq_oracle_table,
+    check_skew_symmetry,
     f_series_oracle,
     g_series_oracle,
+    graded_leading_constant,
+    matrix_rank,
+    verify_shift_invariance,
 )
 from qheis import liealg
 from qheis.fock import FockModule
 from qheis.liealg import (
     ALGEBRAS,
-    BilinearForm,
     GeneratorSymbol,
     LieAlgebraError,
-    bracket_constant,
     bracket_modes,
     f_coefficient,
     g_coefficient,
     get_algebra,
-    graded_leading_constant,
-    matrix_rank,
     standard_pairing,
-    verify_shift_invariance,
 )
-from qheis.liealg import check_skew_symmetry
 from qheis.report import FAIL
 from qheis.scalar import ONE, ZERO, Scalar, qint
 from qheis.series import Window
@@ -231,15 +229,15 @@ def test_graded_closed_form_examples():
 def test_generator_symbols_and_central_element():
     a = GeneratorSymbol("bhatq", mode=-1, shift=0)
     b = GeneratorSymbol("bhatq", mode=-2, shift=1)
-    c = GeneratorSymbol.central_element("bhatq")
-    assert bracket_constant("bhatq", a, b) == -f_coefficient(-1, 1)
-    assert bracket_constant("bhatq", a, c) == ZERO
-    assert bracket_constant("bhatq", c, b) == ZERO
+    c = GeneratorSymbol("bhatq", 0, 0, central=True)
+    assert bracket_modes("bhatq", a.mode, b.mode, a.shift, b.shift) == \
+        -f_coefficient(-1, 1)
     with pytest.raises(LieAlgebraError, match="no family index"):
         GeneratorSymbol("hq", mode=1, shift=2)
-    with pytest.raises(LieAlgebraError, match="cross-algebra"):
-        bracket_constant("bhatq", a, GeneratorSymbol("hq", mode=1))
+    with pytest.raises(LieAlgebraError, match="no mode or index"):
+        GeneratorSymbol("bhatq", 1, 0, central=True)
     assert "b(1)_-2" in str(b)
+    assert str(c) == "c[bhatq]"
 
 
 def test_skew_symmetry_reports():
@@ -284,24 +282,29 @@ def test_shift_invariance():
 
 
 def test_planted_symmetric_pairing_fails_skew_check(monkeypatch):
-    """A pairing made symmetric fails the skew check, naming the pair."""
+    """A pairing made symmetric fails the skew check of the bhat brackets
+    built on it, naming the pair."""
     base = liealg.standard_pairing
     monkeypatch.setattr(liealg, "standard_pairing", lambda r, s, *rest:
                         base(min(r, s), max(r, s), *rest))
-    rep = BilinearForm().check_skew(-3, 3)
+    rep = check_skew_symmetry("bhat", m_range=(-2, 2), r_range=(-3, 3))
     assert rep.status == FAIL
-    assert re.match(r"<-?\d+,-?\d+> \+ <-?\d+,-?\d+>: .+ != 0$",
+    assert re.match(r"\(r=-?\d+, s=-?\d+, m=-?\d+, n=-?\d+\): "
+                    r"\[a,b\] \+ \[b,a\]: .+ != 0$",
                     rep.failures[0]), rep.failures
 
 
 def test_bilinear_form_rank():
-    form = BilinearForm()
-    assert form.check_skew(-3, 3).ok
+    def gram(lo, hi):
+        rng = range(lo, hi + 1)
+        return [[standard_pairing(r, s) for s in rng] for r in rng]
+
+    rng = range(-3, 4)
+    assert all(standard_pairing(r, s) + standard_pairing(s, r) == ZERO
+               for r in rng for s in rng)
     # the skew band matrix has full rank exactly on even-size windows
-    assert form.check_nondegenerate(-2, 1).ok
-    assert form.check_nondegenerate(-3, 2).ok
-    odd = form.check_nondegenerate(-2, 2)
-    assert not odd.ok
-    assert "rank 4 < size 5" in odd.failures[0]
+    assert matrix_rank(gram(-2, 1)) == 4
+    assert matrix_rank(gram(-3, 2)) == 6
+    assert matrix_rank(gram(-2, 2)) == 4
     assert matrix_rank([[ZERO, ONE], [-ONE, ZERO]]) == 2
     assert matrix_rank([]) == 0

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from qheis.fock import FockModule, PolyState
+from conftest import PolyState
+from qheis.fock import FockModule
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, tally
 from qheis.scalar import L, ONE, Q, ZERO
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import assert_same_table, delta_family_oracle
+from conftest import assert_same_table, delta_family_oracle, euler
 from qheis import series
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, Scalar, qint
@@ -213,7 +213,7 @@ def test_add_and_scale():
 
 def test_derivative_and_euler():
     a = poly(("x",), {(-2,): 1, (0,): 5, (3,): 2})
-    e = a.euler("x")
+    e = euler(a, "x")
     assert e.coeffs == {(-2,): S(-2), (3,): S(6)}
 
 
