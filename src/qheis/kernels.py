@@ -138,7 +138,7 @@ class Factor:
         if not self.c:
             raise KernelError(f"{self.shape} factor needs a nonzero constant")
 
-    def key(self):
+    def sort_key(self):
         rank = ("affine", "binom", "ratio", "expconst").index(self.shape)
         return (rank, self.a, self.b, str(self.c))
 
@@ -199,7 +199,8 @@ class RationalKernel:
                 raise KernelError("negative factor power in denominator")
             if p:
                 merged[f] = merged.get(f, 0) + p
-        self.den = tuple(sorted(merged.items(), key=lambda fp: fp[0].key()))
+        self.den = tuple(sorted(merged.items(),
+                                key=lambda fp: fp[0].sort_key()))
 
     # -- algebra -------------------------------------------------------------
 
@@ -738,6 +739,8 @@ def iota_expand(k: RationalKernel, direction: tuple[str, ...],
     The result is certified on (at least) `window`.
     """
     vars = window.vars
+    if not direction:
+        raise KernelError("the direction names no variable")
     if set(direction) != set(vars) or len(direction) != len(vars):
         raise KernelError(f"direction {direction} does not match window "
                           f"variables {vars}")

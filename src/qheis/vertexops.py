@@ -15,7 +15,9 @@ series whose coefficients are computed on demand, each one a finite sum
 of compositions of the factor fields.  The finiteness rests on splitting
 the auxiliary variable x1 by sign: nonnegative powers are summed with the
 right factor applied first, negative powers with the left factor applied
-first plus a scalar correction read off the pair's central commutator.
+first.  The two orders agree on negative powers because the multiplier
+kills the delta parts of the pair's central commutator and its kernel
+parts carry no negative power of x1.
 
 The commutator data itself is carried by a small catalog of closed-form
 shapes (delta families and one-sided ratio kernels), verified against the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import inspect
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .fock import (
@@ -118,41 +120,43 @@ def _dressed_weight(weights: tuple[tuple[int, Scalar], ...], e: int
 # fields
 
 
+def _derived():
+    """A dataclass attribute that ``__post_init__`` works out from the
+    inputs; it is no argument and takes no part in equality."""
+    return field(init=False, repr=False, compare=False)
+
+
 class OperatorSeries:
     """A formal series of operators on one vacuum module.
 
     Coefficient e is the operator attached to x^e; mode n is the
-    coefficient of x^(-n-offset).  Subclasses implement ``apply_coeff``
-    and a support bound ``low_exponent``: coefficients below it act as
-    zero on the given vector.
+    coefficient of x^(-n-offset).  Subclasses are frozen dataclasses, so
+    fields built from equal data are equal and hash alike, which is what
+    the product-stack memo keys on.  They implement ``apply_coeff`` and a
+    support bound ``low_exponent``: coefficients below it act as zero on
+    the given vector.  ``module`` and ``offset`` are stored, not computed,
+    because every coefficient reads them.
     """
 
     module: FockModule
     offset: int
 
+    def _derive(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         raise NotImplementedError
-
-    def apply_mode(self, n: int, v: FockVector) -> FockVector:
-        return self.apply_coeff(-n - self.offset, v)
 
     def low_exponent(self, v: FockVector) -> int:
         raise NotImplementedError
 
-    def key(self):
-        """Hashable identity used by the product caches."""
-        raise NotImplementedError
-
-
-def _module_key(m: FockModule):
-    return (m.algebra, m.level, m.scalars)
-
 
 def _state_key(v: FockVector):
-    return (_module_key(v.module),
-            tuple(sorted(v.terms.items(), key=lambda kv: kv[0])))
+    return (v.module, tuple(sorted(v.terms.items(), key=lambda kv: kv[0])))
 
 
+@dataclass(frozen=True)
 class GeneratorField(OperatorSeries):
     """The generating series of one mode family.
 
@@ -162,23 +166,21 @@ class GeneratorField(OperatorSeries):
     which is the expansion of a(q^shift x) in powers of x.
     """
 
-    __slots__ = ("module", "offset", "shift", "_scaled")
+    module: FockModule
+    shift: int = 0
+    offset: int = _derived()
 
-    def __init__(self, module: FockModule, shift: int = 0):
-        spec = module.spec
-        self.module = module
-        self.shift = shift
-        self._scaled = not spec.shifted
-        self.offset = 0 if self._scaled else 1
+    def __post_init__(self):
+        self._derive(offset=self.module.spec.offset)
 
     def apply_mode(self, n: int, v: FockVector) -> FockVector:
-        if self._scaled:
-            out = apply_generator(GeneratorSymbol(self.module.algebra, n), v)
-            if self.shift:
-                out = out.scale(self.module.scalars.q_power(-self.shift * n))
-            return out
-        return apply_generator(
-            GeneratorSymbol(self.module.algebra, n, self.shift), v)
+        if self.offset:  # 1 exactly on the shifted algebras
+            return apply_generator(
+                GeneratorSymbol(self.module.algebra, n, self.shift), v)
+        out = apply_generator(GeneratorSymbol(self.module.algebra, n), v)
+        if self.shift:
+            out = out.scale(self.module.scalars.q_power(-self.shift * n))
+        return out
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return self.apply_mode(-e - self.offset, v)
@@ -186,21 +188,13 @@ class GeneratorField(OperatorSeries):
     def low_exponent(self, v: FockVector) -> int:
         return 1 - self.offset - annihilation_bound(v)
 
-    def key(self):
-        return ("gen", _module_key(self.module), self.shift)
 
-    def __repr__(self):
-        return f"GeneratorField({self.module.algebra}, shift={self.shift})"
-
-
+@dataclass(frozen=True)
 class IdentityField(OperatorSeries):
     """The constant field: coefficient 0 is the identity, all others zero."""
 
-    __slots__ = ("module", "offset")
-
-    def __init__(self, module: FockModule):
-        self.module = module
-        self.offset = 1
+    module: FockModule
+    offset = 1
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return v if e == 0 else self.module.zero()
@@ -208,38 +202,32 @@ class IdentityField(OperatorSeries):
     def low_exponent(self, v: FockVector) -> int:
         return 0
 
-    def key(self):
-        return ("one", _module_key(self.module))
 
-    def __repr__(self):
-        return f"IdentityField({self.module.algebra})"
-
-
+@dataclass(frozen=True)
 class PolyDressedField(OperatorSeries):
     """A field with every coefficient rescaled by a polynomial in e.
 
-    ``weights`` maps powers t to scalars; coefficient e of the base field
+    ``weights`` maps powers t to scalars, and is stored as the sorted
+    (t, weight) pairs of nonzero weight; coefficient e of the base field
     is multiplied by sum_t weights[t] * e^t.  Applying the base field at
     the substituted argument x e^z and reading off a z power produces
     exactly this shape, which is how vacuum products of a field arise.
     """
 
-    __slots__ = ("module", "offset", "base", "weights")
+    base: OperatorSeries
+    weights: tuple[tuple[int, Scalar], ...]
+    module: FockModule = _derived()
+    offset: int = _derived()
 
-    def __init__(self, base: OperatorSeries, weights: dict[int, Scalar]):
-        self.module = base.module
-        self.offset = base.offset
-        self.base = base
-        self.weights = tuple(sorted(
-            (t, c) for t, c in weights.items() if c))
+    def __post_init__(self):
+        self._derive(module=self.base.module, offset=self.base.offset,
+                     weights=tuple(sorted(
+                         (t, c) for t, c in dict(self.weights).items() if c)))
 
     def weight_at(self, e: int) -> Scalar:
         if not self.weights:
             return self.module.scalars.zero
         return _dressed_weight(self.weights, e)
-
-    def degree(self) -> int:
-        return max((t for t, _c in self.weights), default=0)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         w = self.weight_at(e)
@@ -250,22 +238,17 @@ class PolyDressedField(OperatorSeries):
     def low_exponent(self, v: FockVector) -> int:
         return self.base.low_exponent(v)
 
-    def key(self):
-        return ("dress", self.base.key(), self.weights)
 
-    def __repr__(self):
-        return f"PolyDressedField({self.base!r}, {dict(self.weights)})"
-
-
+@dataclass(frozen=True)
 class DerivativeField(OperatorSeries):
     """d/dx of a field: coefficient e becomes (e+1) times coefficient e+1."""
 
-    __slots__ = ("module", "offset", "base")
+    base: OperatorSeries
+    module: FockModule = _derived()
+    offset: int = _derived()
 
-    def __init__(self, base: OperatorSeries):
-        self.module = base.module
-        self.offset = base.offset + 1
-        self.base = base
+    def __post_init__(self):
+        self._derive(module=self.base.module, offset=self.base.offset + 1)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return self.base.apply_coeff(e + 1, v).scale(
@@ -274,20 +257,18 @@ class DerivativeField(OperatorSeries):
     def low_exponent(self, v: FockVector) -> int:
         return self.base.low_exponent(v) - 1
 
-    def key(self):
-        return ("ddx", self.base.key())
 
-
+@dataclass(frozen=True)
 class ArgScaledField(OperatorSeries):
     """A field evaluated at c*x: coefficient e picks up a factor c^e."""
 
-    __slots__ = ("module", "offset", "base", "c")
+    base: OperatorSeries
+    c: Scalar
+    module: FockModule = _derived()
+    offset: int = _derived()
 
-    def __init__(self, base: OperatorSeries, c: Scalar):
-        self.module = base.module
-        self.offset = base.offset
-        self.base = base
-        self.c = c
+    def __post_init__(self):
+        self._derive(module=self.base.module, offset=self.base.offset)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return self.base.apply_coeff(e, v).scale(self.c ** e)
@@ -295,20 +276,20 @@ class ArgScaledField(OperatorSeries):
     def low_exponent(self, v: FockVector) -> int:
         return self.base.low_exponent(v)
 
-    def key(self):
-        return ("argscale", self.base.key(), self.c)
 
-
+@dataclass(frozen=True)
 class SumField(OperatorSeries):
-    """A finite linear combination of fields on one module."""
+    """A finite linear combination of fields on one module; ``terms`` is
+    stored as a tuple of its (coefficient, field) pairs with a nonzero
+    coefficient."""
 
-    __slots__ = ("module", "offset", "terms")
+    module: FockModule
+    terms: tuple[tuple[Scalar, OperatorSeries], ...]
+    offset: int = _derived()
 
-    def __init__(self, module: FockModule,
-                 terms: list[tuple[Scalar, OperatorSeries]]):
-        self.module = module
-        self.offset = terms[0][1].offset if terms else 1
-        self.terms = tuple((c, f) for c, f in terms if c)
+    def __post_init__(self):
+        self._derive(offset=self.terms[0][1].offset if self.terms else 1,
+                     terms=tuple((c, f) for c, f in self.terms if c))
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         out = self.module.zero()
@@ -318,9 +299,6 @@ class SumField(OperatorSeries):
 
     def low_exponent(self, v: FockVector) -> int:
         return min((f.low_exponent(v) for _c, f in self.terms), default=0)
-
-    def key(self):
-        return ("sum",) + tuple((c, f.key()) for c, f in self.terms)
 
 
 def field_of(module: FockModule, shift: int = 0) -> GeneratorField:
@@ -333,7 +311,7 @@ def field_of(module: FockModule, shift: int = 0) -> GeneratorField:
 #
 # [a(x1), b(x2)] for a cataloged pair is a central scalar distribution,
 # decomposed into named parts.  Delta-supported parts are annihilated by a
-# suitable binomial power; one-sided kernel parts have a fixed x1 floor.
+# suitable binomial power; one-sided kernel parts have no negative x1 power.
 
 
 @dataclass(frozen=True)
@@ -350,8 +328,6 @@ class PairPart:
 
 # multiplicity of (x1 - c x2) that kills an undressed delta part (degree + 1)
 _DELTA_KILL = {"plain": 1, "euler": 2, "dshift": 2, "bplain": 1}
-# structural lower bound on x1 exponents of a kernel part
-_KERNEL_FLOOR = {"iratio": 1, "iratio_op": None, "ftail": 0}
 
 
 def _part_table(part: PairPart, w: Window, scalars) -> TruncatedLaurent:
@@ -406,18 +382,6 @@ class PairData:
 
     def delta_parts(self) -> list[PairPart]:
         return [p for p in self.parts if p.is_delta]
-
-    def kernel_floor(self) -> int | None:
-        floors = []
-        for p in self.parts:
-            if not p.is_delta:
-                f = _KERNEL_FLOOR[p.kind]
-                if f is None:
-                    raise VertexError(
-                        f"part {p.kind} has no x1 floor; the pair cannot "
-                        "be used in substitution products")
-                floors.append(f)
-        return min(floors) if floors else None
 
 
 def _base_pair(a: GeneratorField, b: GeneratorField) -> tuple[PairPart, ...]:
@@ -686,17 +650,19 @@ def _finished(data: dict[tuple[int, int], dict]
 
 
 def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
-                 mult: Multiplier, pair: PairData, v: FockVector,
+                 mult: Multiplier, v: FockVector,
                  xlo: int, xhi: int, zcap: int) -> StateTable:
     """Coefficients of (p(x1, x) a(x1) b(x) v) under x1 -> x e^z.
 
     Entry (E, J) is the x^E z^J coefficient.  Nonnegative x1 powers are
-    summed in the written order (b first); negative ones are reordered
-    through the central commutator, whose p-corrected table has an x1
-    floor.  Both halves then terminate on the annihilation bounds of the
-    factors, making every entry a finite sum.
+    summed in the written order (b first), negative ones in the reversed
+    order (a first).  The orders differ by p times the commutator of the
+    fields: mult must kill its delta parts, and its kernel parts have no
+    negative x1 power, so the reversed order adds no correction.  Both
+    halves terminate on the annihilation bounds of the factors, making
+    every entry a finite sum.
     """
-    check_multiplier(mult, pair)
+    check_multiplier(mult, pair_of(afield, bfield))
     module = afield.module
     scalars = module.scalars
     pmons = sorted(mult.poly2().items())
@@ -725,8 +691,7 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                     continue
                 _add_scaled(acc, (k + j + e2, k), u.terms, c)
 
-    # x1^(-k-1): p_ij * b_(e2) (a_(-k-1-i) v) at E = -k-1 + j + e2,
-    # plus the scalar correction from the commutator table
+    # x1^(-k-1): p_ij * b_(e2) (a_(-k-1-i) v) at E = -k-1 + j + e2
     avmemo: dict[int, FockVector] = {}
     bmemo: dict[tuple[int, int], FockVector] = {}
     kop_hi = -1 - min_i - low_a
@@ -748,28 +713,6 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                 if w2.is_zero():
                     continue
                 _add_scaled(acc, (E, -k - 1), w2.terms, c)
-
-    kf = pair.kernel_floor()
-    if kf is not None:
-        pk_floor = kf + min_i
-        if pk_floor <= -1:
-            kker_hi = -1 - pk_floor
-            max_i = max(i for (i, _j), _c in pmons)
-            max_j = max(j for (_i, j), _c in pmons)
-            kw = Window(
-                _X12,
-                (pk_floor - max_i, xlo + 1 - max_j),
-                (-1 - min_i, xhi + kker_hi + 1 - min_j),
-            )
-            ktab = pair.table(kw)
-            for k in range(0, kker_hi + 1):
-                for E in range(xlo, xhi + 1):
-                    val = scalars.zero
-                    for (i, j), c in pmons:
-                        val = val + c * ktab.coeff(
-                            (-k - 1 - i, E + k + 1 - j), scalars.zero)
-                    if val:
-                        _add_scaled(acc, (E, -k - 1), v.terms, val)
 
     out: dict[tuple[int, int], dict] = {}
     for (E, kbase), terms in _finished(acc).items():
@@ -800,25 +743,25 @@ def _stack_scope():
 
 
 def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
-                   mult: Multiplier, pair: PairData, v: FockVector,
+                   mult: Multiplier, v: FockVector,
                    xlo: int, xhi: int, zneed: int) -> StateTable:
     """All substitution products at once, applied to one vector.
 
     Entry (E, t) is the x^E coefficient of z^t in
     iota(1/p(x e^z, x)) * (p a(x1) b(x) v)|_{x1 = x e^z};
     the product at index n sits at t = -n-1, so z exponents run from
-    -kappa up to zneed.  Outside a law or suite call nothing is memoized.
+    -kappa up to zneed.  Outside a law or suite call nothing is memoized;
+    inside one the memo is keyed by the arguments, so fields built apart
+    from equal data share a stack.
     """
-    key = (afield.key(), bfield.key(), mult, pair, _state_key(v),
-           xlo, xhi, zneed)
+    key = (afield, bfield, mult, _state_key(v), xlo, xhi, zneed)
     hit = _STACK_CACHE.get(key)
     if hit is not None:
         return hit
     kappa = mult.kappa
     deg = mult.degree
     zcap = zneed + kappa
-    core = ordered_core(afield, bfield, mult, pair, v,
-                        xlo + deg, xhi + deg, zcap)
+    core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg, zcap)
     u = mult.inverse_exp(zcap, afield.module.scalars)
     out = core.times_z(u, -deg, -kappa, zneed)
     if _stack_scope_depth:
@@ -830,35 +773,28 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
 # product expressions
 
 
+@dataclass(frozen=True)
 class ProductExpression(OperatorSeries):
     """The n-th product of two fields, with on-demand coefficients.
 
     ``kind`` is "res" for the residue product and "exp" for the
-    substitution product.  Coefficients are computed on demand; the
-    substitution product reads them off the cached product stack.
+    substitution product, which takes a multiplier.  Coefficients are
+    computed on demand; the substitution product reads them off the
+    cached product stack.
     """
 
-    __slots__ = ("module", "offset", "kind", "left", "right", "n",
-                 "mult", "pair")
+    kind: str
+    left: OperatorSeries
+    right: OperatorSeries
+    n: int
+    mult: Multiplier | None = None
+    module: FockModule = _derived()
+    offset = 1
 
-    def __init__(self, kind: str, left: OperatorSeries,
-                 right: OperatorSeries, n: int,
-                 mult: Multiplier | None = None,
-                 pair: PairData | None = None):
-        if left.module != right.module:
+    def __post_init__(self):
+        if self.left.module != self.right.module:
             raise VertexError("product factors act on different modules")
-        self.module = left.module
-        self.offset = 1
-        self.kind = kind
-        self.left = left
-        self.right = right
-        self.n = n
-        self.mult = mult
-        self.pair = pair
-
-    def key(self):
-        return ("prod", self.kind, self.left.key(), self.right.key(),
-                self.n, self.mult)
+        self._derive(module=self.left.module)
 
     def low_exponent(self, v: FockVector) -> int:
         raise VertexError("products do not expose a support bound; "
@@ -871,8 +807,8 @@ class ProductExpression(OperatorSeries):
 
     def _exp_coeff(self, e: int, v: FockVector) -> FockVector:
         zneed = max(0, -self.n - 1)
-        stack = _product_stack(self.left, self.right, self.mult, self.pair,
-                               v, e, e, zneed)
+        stack = _product_stack(self.left, self.right, self.mult, v, e, e,
+                               zneed)
         return stack.get(e, -self.n - 1)
 
     def _res_coeff(self, E: int, v: FockVector) -> FockVector:
@@ -918,7 +854,7 @@ def phi_product_n(a: OperatorSeries, b: OperatorSeries, n: int,
     if mult is None:
         mult = Multiplier.canonical_for(pair)
     check_multiplier(mult, pair)
-    return ProductExpression("exp", a, b, n, mult, pair)
+    return ProductExpression("exp", a, b, n, mult)
 
 
 def vacuum_product_field(base: OperatorSeries, n: int) -> OperatorSeries:
@@ -1328,16 +1264,14 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
     def stacks(left, right_base, idx_range):
         table = {}
         for m in idx_range:
-            fld = vacuum_product_field(right_base, m)
-            if isinstance(fld, SumField) and not fld.terms:
+            if m >= 0:
+                # the vacuum product vanishes
                 table[m] = None
                 continue
-            pair = pair_of(left, fld)
-            mult = Multiplier.canonical_for(pair)
-            table[m] = [
-                _product_stack(left, fld, mult, pair, v, -xwin, xwin, zneed)
-                for v in states
-            ]
+            fld = vacuum_product_field(right_base, m)
+            mult = Multiplier.canonical_for(pair_of(left, fld))
+            table[m] = [_product_stack(left, fld, mult, v, -xwin, xwin, zneed)
+                        for v in states]
         return table
 
     ab = stacks(af, bf, range(mlo, mhi + 1))
@@ -1492,15 +1426,13 @@ def _law_weak_associativity(window: int, scalars, alg: str = "hq",
     cases = [(si, w0, ui, uf) for si, w0 in enumerate(states)
              for ui, uf in enumerate(_assoc_left_fields(module))]
     for si, w0, ui, uf in cases:
-        pair = pair_of(uf, vf)
         # left side: products summed against x0 powers, then the
         # substituted multiplier
-        stack = _product_stack(uf, vf, mult, pair, w0,
+        stack = _product_stack(uf, vf, mult, w0,
                                -window - deg, window - deg, x0_order)
         lhs = stack.times_z(pexp, deg, -kappa, x0_order)
         # right side: the substituted ordered product, never inverted
-        rhs = ordered_core(uf, vf, mult, pair, w0,
-                           -window, window, x0_order)
+        rhs = ordered_core(uf, vf, mult, w0, -window, window, x0_order)
         parts.append(tally(
             f"state[{si}]left[{ui}]",
             f"|x| <= {window}, z order <= {x0_order}",

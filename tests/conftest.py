@@ -18,7 +18,8 @@ from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
 from qheis.scalar import L, ONE, ZERO, Poly, Scalar, ScalarError, _pstr
 from qheis.series import Cert, TruncatedLaurent, Window, delta_family, \
     exp_coeff, series_inverse
-from qheis.vertexops import _DELTA_KILL, _X12, _part_table, check_multiplier
+from qheis.vertexops import _DELTA_KILL, _part_table, check_multiplier, \
+    pair_of
 
 
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
@@ -273,9 +274,9 @@ def _times_z_oracle(table, series, xshift, zlo, zhi):
     return out
 
 
-def _ordered_core_oracle(afield, bfield, mult, pair, v, xlo, xhi, zcap):
+def _ordered_core_oracle(afield, bfield, mult, v, xlo, xhi, zcap):
     """vertexops.ordered_core with one FockVector per table entry."""
-    check_multiplier(mult, pair)
+    check_multiplier(mult, pair_of(afield, bfield))
     scalars = afield.module.scalars
     pmons = sorted(mult.poly2().items())
     min_i = min(i for (i, _j), _c in pmons)
@@ -306,23 +307,6 @@ def _ordered_core_oracle(afield, bfield, mult, pair, v, xlo, xhi, zcap):
             for E in range(xlo, xhi + 1):
                 bump((E, -k - 1),
                      bfield.apply_coeff(E + k + 1 - j, av).scale(c))
-    kf = pair.kernel_floor()
-    if kf is not None and kf + min_i <= -1:
-        pk_floor = kf + min_i
-        kker_hi = -1 - pk_floor
-        max_i = max(i for (i, _j), _c in pmons)
-        max_j = max(j for (_i, j), _c in pmons)
-        ktab = pair.table(Window(
-            _X12, (pk_floor - max_i, xlo + 1 - max_j),
-            (-1 - min_i, xhi + kker_hi + 1 - min_j)))
-        for k in range(0, kker_hi + 1):
-            for E in range(xlo, xhi + 1):
-                val = scalars.zero
-                for (i, j), c in pmons:
-                    val = val + c * ktab.coeff(
-                        (-k - 1 - i, E + k + 1 - j), scalars.zero)
-                if val:
-                    bump((E, -k - 1), v.scale(val))
     out = {}
     for (E, kbase), vec in acc.items():
         for J in range(zcap + 1):
@@ -332,7 +316,7 @@ def _ordered_core_oracle(afield, bfield, mult, pair, v, xlo, xhi, zcap):
     return out
 
 
-def product_stack_oracle(afield, bfield, mult, pair, v, xlo, xhi, zneed):
+def product_stack_oracle(afield, bfield, mult, v, xlo, xhi, zneed):
     """vertexops._product_stack as {(E, t): vector}, by vector arithmetic.
 
     Independent of the library's flat coefficient tables: every table
@@ -342,7 +326,7 @@ def product_stack_oracle(afield, bfield, mult, pair, v, xlo, xhi, zneed):
     kappa = mult.kappa
     deg = mult.degree
     zcap = zneed + kappa
-    core = _ordered_core_oracle(afield, bfield, mult, pair, v,
+    core = _ordered_core_oracle(afield, bfield, mult, v,
                                 xlo + deg, xhi + deg, zcap)
     u = mult.inverse_exp(zcap, afield.module.scalars)
     return _times_z_oracle(core, u, -deg, -kappa, zneed)

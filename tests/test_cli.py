@@ -58,9 +58,10 @@ def test_expand_rejects_bad_input(capsys):
                 "--direction", "x1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    for argv in (["--direction", "x1,x1", "--window", "2"],
-                 ["--direction", "x1,x2", "--limit", "-1"]):
-        assert run(["expand", "--kernel", "1/(x1-x2)", *argv]) == 2, argv
+    for argv in (["1/(x1-x2)", "--direction", "x1,x1", "--window", "2"],
+                 ["1/(x1-x2)", "--direction", "x1,x2", "--limit", "-1"],
+                 ["1", "--direction", ","]):
+        assert run(["expand", "--kernel", *argv]) == 2, argv
         out, err = capsys.readouterr()
         assert not out
         assert err.count("\n") == 1 and err.startswith("error:"), err

@@ -36,9 +36,9 @@ from qheis.vertexops import (
     Multiplier,
     MultiplierError,
     PairData,
-    PairPart,
     PolyDressedField,
     SpecialBracketForm,
+    SumField,
     UnsupportedPairError,
     VertexError,
     check_multiplier,
@@ -140,7 +140,6 @@ def test_dressed_field_weights(hq):
     vac = hq.vacuum()
     f = field_of(hq)
     d = PolyDressedField(f, {0: sc(2), 2: ONE})
-    assert d.degree() == 2
     assert d.weight_at(3) == sc(11)
     for e in (1, 2, 4):
         assert d.apply_coeff(e, vac) == f.apply_coeff(e, vac).scale(
@@ -171,6 +170,40 @@ def test_argument_scaling_realizes_index_shifts(hq):
     g = ArgScaledField(field_of(hq), qp(2))
     for e in range(-2, 3):
         assert f2.apply_coeff(e, state) == g.apply_coeff(e, state)
+
+
+def test_fields_are_values(monkeypatch):
+    """Every field class, built twice from equal data, compares and hashes
+    equal, and a product stack built for one serves the other."""
+    def build():
+        hq = FockModule("hq")
+        f, g = field_of(hq, 1), field_of(hq)
+        dressed = PolyDressedField(g, {0: sc(2), 2: ONE})
+        return [f, IdentityField(hq), dressed, DerivativeField(f),
+                ArgScaledField(f, Q), SumField(hq, [(ONE, f), (L, dressed)]),
+                eproduct_n(f, g, 1), phi_product_n(f, g, -1)]
+
+    first, again = build(), build()
+    assert {type(f) for f in first} == \
+        set(vertexops.OperatorSeries.__subclasses__())
+    for a, b in zip(first, again):
+        assert a is not b and a == b and hash(a) == hash(b), a
+    assert first[0] != field_of(FockModule("hq"), 2)
+    assert first[-2] != first[-1]
+
+    calls = []
+    core = vertexops.ordered_core
+    monkeypatch.setattr(vertexops, "ordered_core",
+                        lambda *args: calls.append(args) or core(*args))
+    stacks = []
+    with vertexops._stack_scope():
+        for _run in range(2):
+            hq = FockModule("hq")
+            a, b = field_of(hq, 1), vacuum_product_field(field_of(hq), -2)
+            mult = Multiplier.canonical_for(pair_of(a, b))
+            stacks.append(vertexops._product_stack(
+                a, b, mult, hq.basis_vector((-1, 0)), -2, 2, 3))
+    assert stacks[0] is stacks[1] and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +266,34 @@ def test_measured_commutator_operation_counts(monkeypatch, alg, r, s,
     assert (calls["apply"], calls["pair"]) == (applied, paired)
 
 
-def test_pair_kernel_floors(hq, htq, bq):
-    assert pair_of(field_of(hq, 1), field_of(hq)).kernel_floor() is None
-    assert pair_of(field_of(htq), field_of(htq)).kernel_floor() == 1
-    assert pair_of(field_of(bq, 1), field_of(bq)).kernel_floor() == 0
-    bh = FockModule("bhat")
-    assert pair_of(field_of(bh, 1), field_of(bh)).kernel_floor() is None
-    opposite = PairData((PairPart("iratio_op", L, Q),))
-    with pytest.raises(VertexError, match="no x1 floor"):
-        opposite.kernel_floor()
+@pytest.mark.parametrize("alg", ["hq", "htq", "bhat", "bhatq"])
+def test_kernel_parts_have_no_negative_x1_power(alg):
+    """No kernel part of a cataloged pair, plain or dressed, has an entry
+    at a negative x1 exponent.  This is why ordered_core sums the
+    negative x1 powers in the reversed order with no correction: the
+    multiplier kills the delta parts and keeps x1 exponents nonnegative.
+    """
+    module = FockModule(alg)
+    w = Window.cube(("x1", "x2"), 6)
+    entries = 0
+    for r in range(-2, 3):
+        for s in range(-2, 3):
+            a, b = field_of(module, r), field_of(module, s)
+            for left, right in ((a, b), (vacuum_product_field(a, -2), b),
+                                (a, vacuum_product_field(b, -3))):
+                pair = pair_of(left, right)
+                for part in pair.parts:
+                    if part.is_delta:
+                        continue
+                    table = pair.dress(
+                        vertexops._part_table(part, w, pair.scalars), w)
+                    table.require_certified(w)
+                    nonzero = [e for e, c in table.coeffs.items() if c]
+                    assert all(e1 >= 0 for e1, _e2 in nonzero), \
+                        (r, s, part.kind, left, right)
+                    entries += len(nonzero)
+    # the hq and bhat catalogs hold delta parts only
+    assert (entries > 0) == (alg in ("htq", "bhatq"))
 
 
 def test_dressed_pair_table_scales_entries(hq):
@@ -544,18 +596,17 @@ def test_product_stack_matches_vector_oracle_seeded():
                         b = IdentityField(mod)
                         if rng.random() < 0.5:
                             a, b = b, a
-                    pair = pair_of(a, b)
-                    mult = Multiplier.canonical_for(pair)
+                    mult = Multiplier.canonical_for(pair_of(a, b))
                     if rng.random() < 0.5:
                         mult = Multiplier.of(
                             *mult.factors,
                             (scalars.q_power(rng.randint(-2, 2)), 1))
                     xlo = rng.randint(-3, 1)
-                    args = (a, b, mult, pair, v, xlo,
+                    args = (a, b, mult, v, xlo,
                             xlo + rng.randint(0, 2), rng.randint(0, 3))
                     want = product_stack_oracle(*args)
                     got = _vectors(vertexops._product_stack(*args))
-                    assert got == want, (alg, scalars, kind, args[5:])
+                    assert got == want, (alg, scalars, kind, args[4:])
                     nonzero += len(want)
         assert nonzero >= 20, alg
 
@@ -879,11 +930,10 @@ def test_point_values_match_evaluated_symbolic_seeded():
             for mod in (sym, num):
                 a = field_of(mod, r)
                 b = vacuum_product_field(field_of(mod, s), m)
-                pair = pair_of(a, b)
-                mult = Multiplier.canonical_for(pair)
+                mult = Multiplier.canonical_for(pair_of(a, b))
                 v = mod.basis_vector((-1, 0))
                 stacks.append(_vectors(vertexops._product_stack(
-                    a, b, mult, pair, v, -2, 2, 3)))
+                    a, b, mult, v, -2, 2, 3)))
             want, got = stacks
             assert set(got) <= set(want)
             for key, vec in want.items():
