@@ -19,6 +19,16 @@ first.  The two orders agree on negative powers because the multiplier
 kills the delta parts of the pair's central commutator and its kernel
 parts carry no negative power of x1.
 
+The image brackets of the laws pair a field a with the vacuum products of
+another, theta^j b / j! with theta = x d/dx.  Under x1 = x e^z, theta on
+b at fixed x1 is D = theta_x - d/dz on the (x, z) table of a(x1) b(x),
+and the substitution product does not depend on which multiplier kills
+the delta parts.  So one undressed stack of (a, b) per state, built with
+the pair's small canonical multiplier, gives every dressed stack through
+D^j / j! (``StateTable.dressed``).  D^j reads j orders of z above what it
+writes; the laws read z orders up to window with j up to window, so the
+undressed stack reaches z order 2 * window.
+
 The commutator data itself is carried by a small catalog of closed-form
 shapes (delta families and one-sided ratio kernels), verified against the
 module action by the identity checks at the bottom of the file.
@@ -33,7 +43,9 @@ from __future__ import annotations
 import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial, prod
 
 from .fock import (
     FieldSlot,
@@ -415,8 +427,12 @@ def _base_pair(a: GeneratorField, b: GeneratorField) -> tuple[PairPart, ...]:
     raise UnsupportedPairError(f"no commutator catalog for algebra {alg!r}")
 
 
+@lru_cache(maxsize=128)
 def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
-    """Commutator data for [a(x1), b(x2)], or UnsupportedPairError."""
+    """Commutator data for [a(x1), b(x2)], or UnsupportedPairError.
+
+    The fields are frozen values, so equal pairs share one cached result.
+    """
     lw: tuple = ()
     rw: tuple = ()
     if isinstance(a, PolyDressedField):
@@ -623,6 +639,31 @@ class StateTable:
             for t, c in series.items():
                 if c and zlo <= J + t <= zhi:
                     _add_scaled(out, (E + xshift, J + t), terms, c)
+        return StateTable(self.module, out)
+
+    def dressed(self, j: int, zlo: int, zhi: int) -> "StateTable":
+        """From this stack of (a, b), the stack of (a, theta^j b / j!) on z
+        orders zlo..zhi, with theta = x d/dx.
+
+        Under x1 = x e^z, theta on b is D = theta_x - d/dz on the stack,
+        so entry (E, t) is the sum over i = 0..j of
+        C(j, i) E^(j-i) (-1)^i (t+1)(t+2)...(t+i) S(E, t+i) / j!.
+        This stack must reach z order zhi + j; for j = 0 it is returned
+        itself, with its own z range.
+        """
+        if not j:
+            return self
+        from_fraction = self.module.scalars.from_fraction
+        fact = factorial(j)
+        out: dict[tuple[int, int], dict] = {}
+        for (E, J), terms in self.data.items():
+            for i in range(max(0, J - zhi), min(j, J - zlo) + 1):
+                t = J - i
+                c = binom(j, i) * E ** (j - i) * (-1) ** i * prod(
+                    range(t + 1, J + 1))
+                if c:
+                    _add_scaled(out, (E, t), terms,
+                                from_fraction(Fraction(c, fact)))
         return StateTable(self.module, out)
 
 
@@ -861,10 +902,13 @@ def vacuum_product_field(base: OperatorSeries, n: int) -> OperatorSeries:
     """base(x)_n^e applied to the constant field, in closed form.
 
     Substituting x e^z into the base field and reading z^(-n-1) rescales
-    coefficient e by e^j/j! with j = -n-1; for n >= 0 the product is zero.
+    coefficient e by e^j/j! with j = -n-1, so n = -1 gives the base field
+    itself; for n >= 0 the product is zero.
     """
     if n >= 0:
         return SumField(base.module, [])
+    if n == -1:
+        return base
     j = -n - 1
     return PolyDressedField(base, {j: exp_coeff(1, j, base.module.scalars)})
 
@@ -1252,38 +1296,37 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
 
     Returns vectors keyed by (n, m, state index, x exponent).  Both
     orders of products are taken against the closed-form vacuum products
-    of the other factor.
+    of the other factor, theta^j b / j! with j = -m-1 and theta = x d/dx.
+    Each order builds one undressed stack per state, with the pair's
+    canonical multiplier, and reads every dressing off it through
+    ``StateTable.dressed``: theta on the right factor is
+    D = theta_x - d/dz on the stack.  The law reads z orders up to window
+    and j runs to window, so the undressed stack reaches 2 * window.
     """
     af = field_of(module, r)
     bf = field_of(module, s)
-    nlo = mlo = -window - 1
-    nhi = mhi = window - 1
-    zneed = window
+    zero = module.zero()
     out: dict[tuple[int, int, int, int], FockVector] = {}
 
-    def stacks(left, right_base, idx_range):
-        table = {}
-        for m in idx_range:
-            if m >= 0:
-                # the vacuum product vanishes
-                table[m] = None
-                continue
-            fld = vacuum_product_field(right_base, m)
-            mult = Multiplier.canonical_for(pair_of(left, fld))
-            table[m] = [_product_stack(left, fld, mult, v, -xwin, xwin, zneed)
-                        for v in states]
-        return table
+    def stacks(left, right):
+        # by j, then state: the stacks of (left, theta^j right / j!)
+        mult = Multiplier.canonical_for(pair_of(left, right))
+        bases = [_product_stack(left, right, mult, v, -xwin, xwin,
+                                2 * window) for v in states]
+        return [[base.dressed(j, -window, window) for base in bases]
+                for j in range(window + 1)]
 
-    ab = stacks(af, bf, range(mlo, mhi + 1))
-    ba = stacks(bf, af, range(nlo, nhi + 1))
-    for n in range(nlo, nhi + 1):
-        for m in range(mlo, mhi + 1):
+    ab = stacks(af, bf)
+    ba = stacks(bf, af)
+    # n, m run over -window-1..window-1; a vacuum product at index >= 0
+    # vanishes
+    idx = range(-window - 1, window)
+    for n in idx:
+        for m in idx:
             for si in range(len(states)):
                 for E in range(-xwin, xwin + 1):
-                    first = (ab[m][si].get(E, -n - 1)
-                             if ab[m] is not None else module.zero())
-                    second = (ba[n][si].get(E, -m - 1)
-                              if ba[n] is not None else module.zero())
+                    first = ab[-m - 1][si].get(E, -n - 1) if m < 0 else zero
+                    second = ba[-n - 1][si].get(E, -m - 1) if n < 0 else zero
                     out[(n, m, si, E)] = first - second
     return out
 

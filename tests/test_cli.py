@@ -203,13 +203,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name, extra", [
-    ("suite_fast.json", []),
-    ("suite_fast_point.json", ["--q0", "3/5", "--l0", "2"]),
+    ("suite_fast.json", ["--suite", "fast"]),
+    ("suite_fast_point.json", ["--suite", "fast", "--q0", "3/5", "--l0", "2"]),
+    ("suite_paper_all_point.json",
+     ["--suite", "paper-all", "--q0", "3/5", "--l0", "2"]),
 ])
 def test_suite_report_matches_golden(monkeypatch, capsys, name, extra):
-    """The fast-suite reports are byte-identical to the recorded goldens."""
+    """The suite reports are byte-identical to the recorded goldens."""
     monkeypatch.setenv("QHEIS_FIXED_CLOCK", "1")
-    assert run(["suite", "--suite", "fast", "--json", *extra]) == 0
+    assert run(["suite", "--json", *extra]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 

@@ -611,6 +611,40 @@ def test_product_stack_matches_vector_oracle_seeded():
         assert nonzero >= 20, alg
 
 
+@pytest.mark.parametrize("scalars, window", [
+    (SYMBOLIC, 3), (RationalPoint(Fraction(3, 5), Fraction(2)), 5)],
+    ids=["symbolic", "point"])
+def test_dressed_stack_matches_direct_dressed_stack(scalars, window):
+    """D = theta_x - d/dz on the undressed stack, read through
+    ``StateTable.dressed``, gives the stack of (a, theta^j b / j!) built
+    directly with the dressed pair's canonical multiplier, entry for
+    entry, for every dressing degree the image brackets read."""
+    xwin = 2
+    nonzero = 0
+    for alg, r, s in (("hq", 1, 0), ("hq", 0, 1), ("htq", 1, 0),
+                      ("htq", 0, 0)):
+        mod = FockModule(alg, scalars=scalars)
+        a, b = field_of(mod, r), field_of(mod, s)
+        mult = Multiplier.canonical_for(pair_of(a, b))
+        for v in (mod.vacuum(), mod.basis_vector((-1, 0))):
+            base = vertexops._product_stack(a, b, mult, v, -xwin, xwin,
+                                            2 * window)
+            for j in range(window + 1):
+                dressed = vacuum_product_field(b, -j - 1)
+                dmult = Multiplier.canonical_for(pair_of(a, dressed))
+                direct = vertexops._product_stack(a, dressed, dmult, v,
+                                                  -xwin, xwin, window)
+                # one order below the direct stack, where both are zero
+                zlo = -dmult.kappa - 1
+                got = base.dressed(j, zlo, window)
+                for key in ((E, t) for E in range(-xwin, xwin + 1)
+                            for t in range(zlo, window + 1)):
+                    assert got.get(*key) == direct.get(*key), \
+                        (alg, r, s, v, j, key)
+                nonzero += len(direct.data)
+    assert nonzero >= 300
+
+
 def test_residue_products_identity_laws(bq):
     vac = bq.vacuum()
     f = field_of(bq, 1)
@@ -980,21 +1014,31 @@ def test_stack_memo_is_empty_after_each_call(monkeypatch):
     None, RationalPoint(Fraction(3, 5), Fraction(2))],
     ids=["symbolic", "point"])
 def test_each_suite_builds_its_own_stacks(monkeypatch, point):
-    """Laws of one suite share stacks; the next suite reuses none."""
+    """Laws of one suite share stacks; the next suite reuses none.  Each
+    order of an image bracket builds one undressed stack per state, so
+    its products need only the pairs' canonical multipliers."""
     calls = []
     core = vertexops.ordered_core
+    series = set()
+    inverse = vertexops._inverse_exp
 
     def counted(*args):
         calls.append(args)
         return core(*args)
 
+    def recorded(*args):
+        series.add(args)
+        return inverse(*args)
+
     monkeypatch.setattr(vertexops, "ordered_core", counted)
+    monkeypatch.setattr(vertexops, "_inverse_exp", recorded)
     counts = []
     for _run in range(2):
         before = len(calls)
         suite_reports(window=5, point=point)
         counts.append(len(calls) - before)
-    assert counts == [178, 178]
+    assert counts == [126, 126]
+    assert len(series) == 7
 
 
 def test_law_parameters_pass_through():
@@ -1045,6 +1089,9 @@ def _double_catalog_part(monkeypatch):
                      if i == 0 else p for i, p in enumerate(parts))
 
     monkeypatch.setattr(vertexops, "_base_pair", doubled)
+    # the pair memo must neither serve nor keep unplanted data
+    monkeypatch.setattr(vertexops, "pair_of", lru_cache(maxsize=128)(
+        vertexops.pair_of.__wrapped__))
 
 
 @pytest.mark.parametrize("name", [
