@@ -17,12 +17,19 @@ The text grammar accepts identifiers ``x``, ``x1``, ``x2``, ``z``, the
 scalar symbol ``q``, integers, ``+ - * / ^``, parentheses, and ``e^v`` for
 exponentials.  Parsing a printed kernel reproduces the internal form bit
 for bit.
+
+Parsing and expansion are pure, so both are memoized for the life of the
+process, each in a least-recently-used memo of 64 entries:
+:func:`parse_kernel` by its text and :func:`iota_expand` by (kernel,
+direction tuple, window).  Equal calls share one result object, which
+callers must not mutate.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -564,6 +571,11 @@ def _assemble(text: str, v: _V) -> RationalKernel:
 
 
 def parse_kernel(text: str) -> RationalKernel:
+    return _parse_kernel(text)
+
+
+@lru_cache(maxsize=64)
+def _parse_kernel(text: str) -> RationalKernel:
     return _Parser(text).parse()
 
 
@@ -624,6 +636,17 @@ def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
     return TruncatedLaurent((zvar,), coeffs, cert, None, _trusted=True)
 
 
+def _geometric(pref: Scalar, step: Scalar, p: int, n: int) -> list[Scalar]:
+    """pref * C(k+p-1, p-1) * step^k for k = 0..n-1, by a running power."""
+    out = []
+    pw = pref
+    for k in range(n):
+        if k:
+            pw = pw * step
+        out.append(pw * _binom_row(k, p))
+    return out
+
+
 def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
                       inner: str, hi: int) -> TruncatedLaurent:
     """Directed expansion of f**-p covering own-variable exponents <= hi."""
@@ -633,12 +656,8 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
 
     if f.shape == "affine":
         # (x - c)^-p = (-c)^-p sum_k C(k+p-1,p-1) c^-k x^k
-        base = (-f.c) ** -p
-        coeffs = {}
-        for k in range(0, hi + 1):
-            v = base * _binom_row(k, p) * f.c**-k
-            if v:
-                coeffs[place({f.a: k})] = v
+        terms = _geometric((-f.c) ** -p, _ONE / f.c, p, hi + 1)
+        coeffs = {place({f.a: k}): v for k, v in enumerate(terms)}
         cert = _place_cert(vars, f.a, 0, hi, (0, POS_INF))
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
@@ -653,43 +672,26 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
         cert = _place_cert(vars, f.a, lo, inv.cert.caps[0], (lo, POS_INF))
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
-    # two-variable binomial shapes, parametrized by the series variable
-    if f.shape == "binom":
-        xi, xj, c = f.a, f.b, f.c
-        if inner == xi:
-            # (xi - c*xj)^-p = (-c)^-p xj^-p sum C(k+p-1,p-1) c^-k xi^k xj^-k
-            pref = (-c) ** -p
-            gen = (lambda k: (pref * _binom_row(k, p) * c**-k,
-                              place({xi: k, xj: -p - k})))
-            smin, band = 0, -p
-        else:
-            # (xi - c*xj)^-p = xi^-p sum C(k+p-1,p-1) c^k xj^k xi^-k
-            gen = (lambda k: (_binom_row(k, p) * c**k,
-                              place({xj: k, xi: -p - k})))
-            smin, band = 0, -p
-    else:  # ratio
-        xi, xj, c = f.a, f.b, f.c
-        if inner == xi:
-            # (1 - c*xi/xj)^-p = sum C(k+p-1,p-1) c^k xi^k xj^-k
-            gen = (lambda k: (_binom_row(k, p) * c**k,
-                              place({xi: k, xj: -k})))
-            smin, band = 0, 0
-        else:
-            # = (-c)^-p (xj/xi)^p sum C(k+p-1,p-1) c^-k xj^k xi^-k
-            pref = (-c) ** -p
-            gen = (lambda k: (pref * _binom_row(k, p) * c**-k,
-                              place({xj: p + k, xi: -p - k})))
-            smin, band = p, 0
-    coeffs = {}
-    ii = vars.index(inner)
-    k = 0
-    while True:
-        v, e = gen(k)
-        if e[ii] > hi:
-            break
-        if v:
-            coeffs[e] = v
-        k += 1
+    # two-variable binomial shapes, parametrized by the series variable:
+    # the k-th term is pref C(k+p-1,p-1) step^k inner^(smin+k) other^(-drop-k)
+    xi, xj, c = f.a, f.b, f.c
+    other = xj if inner == xi else xi
+    ratio = f.shape == "ratio"
+    smin = p if ratio and inner == xj else 0
+    drop = 0 if ratio and inner == xi else p
+    if (inner == xi) != ratio:
+        # (xi - c*xj)^-p = (-c)^-p xj^-p sum C(k+p-1,p-1) c^-k xi^k xj^-k
+        # (1 - c*xi/xj)^-p
+        #     = (-c)^-p (xj/xi)^p sum C(k+p-1,p-1) c^-k xj^k xi^-k
+        pref, step = (-c) ** -p, _ONE / c
+    else:
+        # (xi - c*xj)^-p = xi^-p sum C(k+p-1,p-1) c^k xj^k xi^-k
+        # (1 - c*xi/xj)^-p = sum C(k+p-1,p-1) c^k xi^k xj^-k
+        pref, step = _ONE, c
+    terms = _geometric(pref, step, p, hi - smin + 1)
+    coeffs = {place({inner: smin + k, other: -drop - k}): v
+              for k, v in enumerate(terms)}
+    band = 0 if ratio else -p
     cert = _place_cert(vars, inner, smin, hi, (band, band),
                        support=(f.a, f.b))
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
@@ -736,8 +738,15 @@ def iota_expand(k: RationalKernel, direction: tuple[str, ...],
 
     `direction` lists the variables outermost first; the last one is the
     series variable, the one allowed only finitely many negative powers.
-    The result is certified on (at least) `window`.
+    The result is certified on (at least) `window`.  Tables are shared
+    between equal calls (see the module docstring), so do not mutate one.
     """
+    return _iota_expand(k, tuple(direction), window)
+
+
+@lru_cache(maxsize=64)
+def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
+                 window: Window) -> TruncatedLaurent:
     vars = window.vars
     if not direction:
         raise KernelError("the direction names no variable")
@@ -833,6 +842,6 @@ def iota_expand(k: RationalKernel, direction: tuple[str, ...],
         table = table.shift({v: -e for v, e in moff.items()})
     if len(vars) >= 2 and any(f.shape in ("binom", "ratio")
                               for f, _p in k.den):
-        table = table.with_direction(tuple(direction))
+        table = table.with_direction(direction)
     table.require_certified(window)
     return table.restrict(window)

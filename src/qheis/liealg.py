@@ -32,6 +32,9 @@ at m + n = 0.  :func:`diff_expansion_coeff` computes one such entry for
 any series S in place of F_{r-s}, and :func:`diff_expansion_table` fills
 a certified two-variable window with them.  :func:`g_coefficient` and
 :func:`f_coefficient` give the z^j coefficients of g and F_n in closed form.
+F_n coefficients are memoized for the life of the process by (n, j,
+field), in a least-recently-used memo of 128 entries; the Eulerian rows
+behind g are kept too, and grow only to the largest j asked for.
 
 Levels are not fixed here: brackets return the coefficient of the central
 element, and specialising the centre to a level happens in the module
@@ -43,6 +46,7 @@ symbolic Q(q, l) by default or the rationals at a point (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Callable
 
@@ -176,6 +180,11 @@ def f_coefficient(n: int, j: int, scalars=SYMBOLIC) -> Scalar:
     """
     if j < -2:
         raise LieAlgebraError(f"F_n has no z^{j} term; j must be >= -2")
+    return _f_coefficient(n, j, scalars)
+
+
+@lru_cache(maxsize=128)
+def _f_coefficient(n: int, j: int, scalars) -> Scalar:
     return (g_coefficient(scalars.q_power(n + 1), j, scalars)
             - g_coefficient(scalars.q_power(n - 1), j, scalars))
 

@@ -32,6 +32,7 @@ first use.  Equal values have identical representations, so ``==`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 # A polynomial is a dict mapping (q_exponent, l_exponent) -> nonzero int.
@@ -369,12 +370,19 @@ def _cyclo(d: int) -> list[int]:
 
 def _cyclo_product(cyc, c: int = 1, a: int = 0) -> Poly:
     """c * q^a * prod Phi_d^e as a polynomial."""
-    cs = [c]
+    return {(a + i, 0): c * v
+            for i, v in enumerate(_cyclo_coeffs(tuple(cyc))) if v}
+
+
+@lru_cache(maxsize=256)
+def _cyclo_coeffs(cyc: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """prod Phi_d^e as a coefficient tuple, lowest degree first."""
+    cs = [1]
     for d, e in cyc:
         p = _cyclo(d)
         for _ in range(e):
             cs = _lmul(cs, p)
-    return {(a + i, 0): v for i, v in enumerate(cs) if v}
+    return tuple(cs)
 
 
 def _totient(d: int) -> int:

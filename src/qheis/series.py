@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, inf
 from typing import Any, Iterable
 
@@ -398,20 +399,18 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-_EXP_COEFF_CACHE: dict[tuple, Any] = {}
-
-
 def exp_coeff(k: int, j: int, scalars):
     """k**j / j!, the z^j coefficient of e^(kz), in the scalar field;
     0**0 counts as 1."""
     # the value depends on the field only through its rational
     # constructor, so every point shares one entry
-    key = (k, j, scalars.from_fraction)
-    out = _EXP_COEFF_CACHE.get(key)
-    if out is None:
-        out = _EXP_COEFF_CACHE[key] = scalars.from_fraction(
-            Fraction(k ** j, factorial(j)))
-    return out
+    return _exp_coeff(k, j, scalars.from_fraction)
+
+
+# a symbolic paper-all suite at window 12 asks for 317 distinct values
+@lru_cache(maxsize=1024)
+def _exp_coeff(k: int, j: int, from_fraction):
+    return from_fraction(Fraction(k ** j, factorial(j)))
 
 
 def _certified(c: Cert, e: tuple[int, ...]) -> bool:

@@ -5,7 +5,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from qheis.fock import FockError, apply_generator, pair_vectors
-from qheis.kernels import Factor, RationalKernel, iota_expand
+from qheis.kernels import Factor, RationalKernel, _binom_row, \
+    _exp_minus_const, _place_cert, iota_expand
 from qheis.liealg import (
     AlgebraSpec,
     GeneratorSymbol,
@@ -16,8 +17,8 @@ from qheis.liealg import (
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
     tally
 from qheis.scalar import L, ONE, ZERO, Poly, Scalar, ScalarError, _pstr
-from qheis.series import Cert, TruncatedLaurent, Window, delta_family, \
-    exp_coeff, series_inverse
+from qheis.series import POS_INF, Cert, TruncatedLaurent, Window, \
+    delta_family, exp_coeff, series_inverse
 from qheis.vertexops import _DELTA_KILL, _part_table, check_multiplier, \
     pair_of
 
@@ -44,6 +45,78 @@ def f_series_oracle(n: int, order: int) -> TruncatedLaurent:
     """F_n(z) = g(q^(n+1), z) - g(q^(n-1), z) through z^order, by series."""
     return (g_series_oracle(Scalar.q_power(n + 1), order)
             - g_series_oracle(Scalar.q_power(n - 1), order))
+
+
+def inv_factor_table_oracle(f: Factor, p: int, vars: tuple[str, ...],
+                            inner: str, hi: int) -> TruncatedLaurent:
+    """kernels._inv_factor_table with every power c**k or c**-k computed
+    afresh for each k, the per-k form the running power replaced."""
+
+    def place(assign: dict[str, int]) -> tuple[int, ...]:
+        return tuple(assign.get(v, 0) for v in vars)
+
+    if f.shape == "affine":
+        # (x - c)^-p = (-c)^-p sum_k C(k+p-1,p-1) c^-k x^k
+        base = (-f.c) ** -p
+        coeffs = {}
+        for k in range(0, hi + 1):
+            v = base * _binom_row(k, p) * f.c**-k
+            if v:
+                coeffs[place({f.a: k})] = v
+        cert = _place_cert(vars, f.a, 0, hi, (0, POS_INF))
+        return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
+
+    if f.shape == "expconst":
+        base = _exp_minus_const(f.a, f.c, max(hi, 0) + 2 * p)
+        pw = base
+        for _ in range(p - 1):
+            pw = pw * base
+        inv = series_inverse(pw, max(hi, 0) + p)
+        coeffs = {place({f.a: e[0]}): c for e, c in inv.coeffs.items()}
+        lo = inv.cert.suplo[0]
+        cert = _place_cert(vars, f.a, lo, inv.cert.caps[0], (lo, POS_INF))
+        return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
+
+    # two-variable binomial shapes, parametrized by the series variable
+    if f.shape == "binom":
+        xi, xj, c = f.a, f.b, f.c
+        if inner == xi:
+            # (xi - c*xj)^-p = (-c)^-p xj^-p sum C(k+p-1,p-1) c^-k xi^k xj^-k
+            pref = (-c) ** -p
+            gen = (lambda k: (pref * _binom_row(k, p) * c**-k,
+                              place({xi: k, xj: -p - k})))
+            smin, band = 0, -p
+        else:
+            # (xi - c*xj)^-p = xi^-p sum C(k+p-1,p-1) c^k xj^k xi^-k
+            gen = (lambda k: (_binom_row(k, p) * c**k,
+                              place({xj: k, xi: -p - k})))
+            smin, band = 0, -p
+    else:  # ratio
+        xi, xj, c = f.a, f.b, f.c
+        if inner == xi:
+            # (1 - c*xi/xj)^-p = sum C(k+p-1,p-1) c^k xi^k xj^-k
+            gen = (lambda k: (_binom_row(k, p) * c**k,
+                              place({xi: k, xj: -k})))
+            smin, band = 0, 0
+        else:
+            # = (-c)^-p (xj/xi)^p sum C(k+p-1,p-1) c^-k xj^k xi^-k
+            pref = (-c) ** -p
+            gen = (lambda k: (pref * _binom_row(k, p) * c**-k,
+                              place({xj: p + k, xi: -p - k})))
+            smin, band = p, 0
+    coeffs = {}
+    ii = vars.index(inner)
+    k = 0
+    while True:
+        v, e = gen(k)
+        if e[ii] > hi:
+            break
+        if v:
+            coeffs[e] = v
+        k += 1
+    cert = _place_cert(vars, inner, smin, hi, (band, band),
+                       support=(f.a, f.b))
+    return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
 
 def _directed_binom_power(j: int, window) -> TruncatedLaurent:

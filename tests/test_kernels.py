@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exp_pole_kernel
+from conftest import exp_pole_kernel, inv_factor_table_oracle
 from qheis.kernels import (
     Factor,
     KernelParseError,
     RationalKernel,
+    _inv_factor_table,
     iota_expand,
     parse_kernel,
 )
@@ -172,6 +173,29 @@ def test_geometric_ratio_both_directions():
     for j in range(5):
         assert inner_x2.coeff((-1 - j, 1 + j)) == Scalar.from_int(-1) * Q**(-1 - j)
     assert inner_x2.coeff((0, 0)) == Scalar.from_int(0)
+
+
+@pytest.mark.parametrize("shape", ["affine", "binom", "ratio", "expconst"])
+def test_inverse_factor_table_matches_per_k_powers(shape):
+    """The running power of each factor table against c**k per term."""
+    if shape == "expconst":
+        consts = [ONE, Q, frac(-1, 2)]
+        a, b, vars_ = "z", "", ("x1", "z")
+    else:
+        consts = [Q, frac(-1, 3), ONE / (Q - frac(2)), frac(2) * Q**-2]
+        a, b, vars_ = "x1", ("x2" if shape in ("binom", "ratio") else ""), \
+            ("x1", "x2")
+    for c in consts:
+        f = Factor(shape, a, b, c)
+        for inner in vars_:
+            for p in (1, 2, 3):
+                for hi in range(-1, 13):
+                    got = _inv_factor_table(f, p, vars_, inner, hi)
+                    want = inv_factor_table_oracle(f, p, vars_, inner, hi)
+                    case = (c, inner, p, hi)
+                    assert got.coeffs == want.coeffs, case
+                    assert got.cert == want.cert, case
+                    assert got.vars == want.vars, case
 
 
 def test_direction_difference_is_delta():

@@ -1,0 +1,219 @@
+"""Every memo that lives as long as the process is bounded, and no memo
+changes a result."""
+
+import ast
+import importlib
+import inspect
+import random
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conftest import evaluate
+from qheis import kernels, liealg, scalar, series
+from qheis.kernels import iota_expand, parse_kernel
+from qheis.liealg import f_coefficient, g_coefficient
+from qheis.scalar import SYMBOLIC, RationalPoint
+from qheis.series import Window, exp_coeff
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qheis"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+# Module-level containers that library code writes into, each with the
+# reason it cannot grow without bound.  Kept exact: a new memo must be
+# added here with its reason, and a memo that is gone must leave.
+GROWING_CONTAINERS = {
+    ("vertexops", "_STACK_CACHE"):
+        "call-scoped: emptied when the outermost verify_identity or "
+        "suite_reports call returns",
+    ("scalar", "_CYCLO"):
+        "one Phi_d per d asked for, and d is bounded by the degree of "
+        "the largest denominator",
+    ("liealg", "_EULERIAN"):
+        "one Eulerian row per n, grown only to the largest j asked for",
+}
+
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+            "pop", "popitem", "clear", "remove", "discard"}
+
+
+def written_containers(source: str) -> set[str]:
+    """Module-level names that a function body stores into or mutates.
+
+    A store is ``NAME[key] = ...`` (or ``+=``, or ``del NAME[key]``); a
+    mutation is a call of a mutating method such as ``NAME.append(...)``.
+    """
+    tree = ast.parse(source)
+    top = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        top.update(t.id for t in targets if isinstance(t, ast.Name))
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for n in ast.walk(fn):
+            if (isinstance(n, ast.Subscript)
+                    and isinstance(n.ctx, (ast.Store, ast.Del))
+                    and isinstance(n.value, ast.Name)):
+                out.add(n.value.id)
+            elif (isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in MUTATORS
+                  and isinstance(n.func.value, ast.Name)):
+                out.add(n.func.value.id)
+    return out & top
+
+
+def cache_wrappers(module) -> dict[str, object]:
+    """The functools cache wrappers a module defines, at module level or
+    on its classes, by qualified name."""
+    out = {}
+
+    def visit(prefix, namespace):
+        for name, obj in vars(namespace).items():
+            obj = getattr(obj, "__func__", obj)  # static/class methods
+            if hasattr(obj, "cache_parameters"):
+                out[prefix + name] = obj
+            elif (inspect.isclass(obj) and prefix == ""
+                  and obj.__module__ == module.__name__):
+                visit(f"{name}.", obj)
+
+    visit("", module)
+    return out
+
+
+def test_memo_scans_flag_planted_memos():
+    source = ("import functools\n"
+              "TABLE = {'a': 1}\n_MEMO = {}\n_ROWS = [[1]]\n"
+              "def f(k):\n"
+              "    local = {}\n    local[k] = 1\n"
+              "    _MEMO[k] = TABLE[k]\n    _ROWS.append([k])\n"
+              "    return local\n"
+              "@functools.cache\ndef g(k):\n    return k\n"
+              "@functools.lru_cache(maxsize=8)\ndef h(k):\n    return k\n")
+    assert written_containers(source) == {"_MEMO", "_ROWS"}
+    mod = types.ModuleType("planted")
+    exec(source, mod.__dict__)
+    wrappers = cache_wrappers(mod)
+    assert sorted(wrappers) == ["g", "h"]
+    assert wrappers["g"].cache_parameters()["maxsize"] is None
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_cache_wrapper_is_bounded(name):
+    module = importlib.import_module(f"qheis.{name}")
+    for qualname, wrapper in cache_wrappers(module).items():
+        maxsize = wrapper.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0, f"{name}.{qualname}"
+
+
+def test_growing_module_containers_are_on_the_allowlist():
+    found = {(p.stem, n) for p in sorted(SRC.glob("*.py"))
+             for n in written_containers(p.read_text())}
+    assert found == set(GROWING_CONTAINERS)
+
+
+# -- the memos give the values a cold call gives -----------------------------
+
+EXPANSIONS = [
+    ("1/(x1-q*x2)", [("x1", "x2"), ("x2", "x1")]),
+    ("1/(1-q*x1/x2)^2", [("x1", "x2"), ("x2", "x1")]),
+    ("(x1+q*x2)/(x1-x2)^3", [("x1", "x2"), ("x2", "x1")]),
+    ("1/(x1-q*x2)/(x1-(1/q)*x2)", [("x1", "x2"), ("x2", "x1")]),
+    ("x1^2/(x1-x2)/(1-q^2*x2/x1)", [("x1", "x2"), ("x2", "x1")]),
+    ("1/(x-q)^2", [("x",)]),
+    ("e^z/(e^z-q)^2", [("z",)]),
+    ("1/(e^z-1)", [("z",)]),
+]
+
+
+def test_memoized_expansion_equals_cold_expansion():
+    rng = random.Random(17)
+    cold = kernels._iota_expand.__wrapped__
+    for _ in range(40):
+        text, directions = rng.choice(EXPANSIONS)
+        direction = rng.choice(directions)
+        lo = tuple(rng.randint(-4, 0) for _ in direction)
+        hi = tuple(rng.randint(0, 4) for _ in direction)
+        w = Window(direction, lo, hi)
+        want = cold(parse_kernel(text), direction, w)
+        # a list direction and a second, cached call give the same table
+        for got in (iota_expand(parse_kernel(text), list(direction), w),
+                    iota_expand(parse_kernel(text), direction, w)):
+            case = (text, direction, w)
+            assert got.vars == want.vars, case
+            assert got.direction == want.direction, case
+            assert got.cert == want.cert, case
+            assert got.coeffs == want.coeffs, case
+
+
+def test_memoized_parse_equals_cold_parse():
+    for text, _directions in EXPANSIONS:
+        assert parse_kernel(text) == kernels._parse_kernel.__wrapped__(text)
+
+
+def test_memoized_f_coefficient_equals_closed_form():
+    point = RationalPoint(Fraction(3, 5), 2)
+    for scalars in (SYMBOLIC, point):
+        for n in range(-4, 5):
+            for j in range(-2, 17):
+                want = (g_coefficient(scalars.q_power(n + 1), j, scalars)
+                        - g_coefficient(scalars.q_power(n - 1), j, scalars))
+                # the first call may compute, the second is a memo hit
+                for _ in range(2):
+                    assert f_coefficient(n, j, scalars) == want, \
+                        (scalars, n, j)
+    # the two fields never share an entry
+    for n in range(-4, 5):
+        for j in range(-2, 17):
+            assert f_coefficient(n, j, point) == \
+                evaluate(f_coefficient(n, j), point), (n, j)
+
+
+def test_memoized_cyclotomic_product_equals_fold():
+    rng = random.Random(5)
+    for _ in range(60):
+        ds = sorted(rng.sample(range(1, 13), rng.randint(0, 3)))
+        cyc = [(d, rng.randint(1, 3)) for d in ds]
+        c, a = rng.randint(1, 7), rng.randint(0, 4)
+        cs = [c]
+        for d, e in cyc:
+            for _ in range(e):
+                cs = scalar._lmul(cs, scalar._cyclo(d))
+        want = {(a + i, 0): v for i, v in enumerate(cs) if v}
+        # _add_apart lifts by lists of (d, e), denominators hold tuples
+        assert scalar._cyclo_product(cyc, c, a) == want, cyc
+        assert scalar._cyclo_product(tuple(cyc), c, a) == want, cyc
+
+
+def test_memos_stay_within_their_bound():
+    x = Window.of(x=(0, 1))
+    memos = {
+        kernels._parse_kernel: lambda k: parse_kernel(f"x^{k}"),
+        kernels._iota_expand:
+            lambda k: iota_expand(parse_kernel(f"{k + 1}*x"), ("x",), x),
+        liealg._f_coefficient: lambda k: f_coefficient(k, -2),
+        scalar._cyclo_coeffs:
+            lambda k: scalar._cyclo_product(((1, k % 23 + 1),
+                                             (2, k // 23 + 1))),
+        series._exp_coeff: lambda k: exp_coeff(k, 0, SYMBOLIC),
+    }
+    for wrapper, call in memos.items():
+        maxsize = wrapper.cache_parameters()["maxsize"]
+        wrapper.cache_clear()
+        for k in range(maxsize + 8):
+            call(k)
+        info = wrapper.cache_info()
+        assert info.misses == maxsize + 8, wrapper
+        assert info.currsize == maxsize, wrapper
+
+
+def test_public_names_stay_plain_functions():
+    # the benchmark's tracer wraps and counts plain functions only
+    for fn in (iota_expand, parse_kernel, f_coefficient, exp_coeff):
+        assert inspect.isfunction(fn), fn.__name__
