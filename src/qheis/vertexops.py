@@ -1,18 +1,14 @@
 """Products of mode fields in ordinary and exponential coordinates.
 
 A field here is the generating series of a mode family acting on a vacuum
-module, a(x) = sum_m a_m x^(-m-offset).  This module builds two bilinear
-products on such fields:
+module, a(x) = sum_m a_m x^(-m-offset).  This module builds one bilinear
+product on such fields, the substitution products a(x)_n^e b(x), defined
+through the change of coordinate x1 -> x e^z against a polynomial
+multiplier p(x1, x) that tames the pair's commutator.
 
-* the residue products a(x)_n b(x), defined by the classical two-sided
-  residue formula, and
-* the substitution products a(x)_n^e b(x), defined through the change of
-  coordinate x1 -> x e^z against a polynomial multiplier p(x1, x) that
-  tames the pair's commutator.
-
-Both products are represented extrinsically: a product is an operator
-series whose coefficients are computed on demand, each one a finite sum
-of compositions of the factor fields.  The finiteness rests on splitting
+A product is represented extrinsically: it is an operator series whose
+coefficients are computed on demand, each one a finite sum of
+compositions of the factor fields.  The finiteness rests on splitting
 the auxiliary variable x1 by sign: nonnegative powers are summed with the
 right factor applied first, negative powers with the left factor applied
 first.  The two orders agree on negative powers because the multiplier
@@ -27,7 +23,9 @@ the delta parts.  So one undressed stack of (a, b) per state, built with
 the pair's small canonical multiplier, gives every dressed stack through
 D^j / j! (``StateTable.dressed``).  D^j reads j orders of z above what it
 writes; the laws read z orders up to window with j up to window, so the
-undressed stack reaches z order 2 * window.
+undressed stack reaches z order 2 * window.  That is the only place a
+product meets a dressing: the commutator catalog covers generator and
+identity fields alone.
 
 The commutator data itself is carried by a small catalog of closed-form
 shapes (delta families and one-sided ratio kernels), verified against the
@@ -75,8 +73,6 @@ __all__ = [
     "OperatorSeries",
     "GeneratorField",
     "IdentityField",
-    "PolyDressedField",
-    "DerivativeField",
     "ArgScaledField",
     "SumField",
     "field_of",
@@ -85,13 +81,9 @@ __all__ = [
     "pair_of",
     "Multiplier",
     "ProductExpression",
-    "eproduct_n",
     "phi_product_n",
     "psi_map",
     "SpecialBracketForm",
-    "SKernel",
-    "translate",
-    "extract_s_kernel",
     "LAWS",
     "verify_identity",
     "suite_reports",
@@ -117,17 +109,6 @@ class MultiplierError(VertexError):
 _X12 = ("x1", "x2")
 
 
-def _dressed_weight(weights: tuple[tuple[int, Scalar], ...], e: int
-                    ) -> Scalar:
-    """sum_t weights[t] * e^t for the (t, weight) pairs of a dressing,
-    which must not be empty."""
-    (t0, c0), *rest = weights
-    out = c0 * e ** t0
-    for t, c in rest:
-        out = out + c * e ** t
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -146,12 +127,12 @@ class OperatorSeries:
     fields built from equal data are equal and hash alike, which is what
     the product-stack memo keys on.  They implement ``apply_coeff`` and a
     support bound ``low_exponent``: coefficients below it act as zero on
-    the given vector.  ``module`` and ``offset`` are stored, not computed,
-    because every coefficient reads them.
+    the given vector.  Every field stores its ``module``; only
+    :class:`GeneratorField`, whose coefficients read it, stores the mode
+    ``offset``.
     """
 
     module: FockModule
-    offset: int
 
     def _derive(self, **values) -> None:
         for name, value in values.items():
@@ -206,7 +187,6 @@ class IdentityField(OperatorSeries):
     """The constant field: coefficient 0 is the identity, all others zero."""
 
     module: FockModule
-    offset = 1
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return v if e == 0 else self.module.zero()
@@ -216,71 +196,15 @@ class IdentityField(OperatorSeries):
 
 
 @dataclass(frozen=True)
-class PolyDressedField(OperatorSeries):
-    """A field with every coefficient rescaled by a polynomial in e.
-
-    ``weights`` maps powers t to scalars, and is stored as the sorted
-    (t, weight) pairs of nonzero weight; coefficient e of the base field
-    is multiplied by sum_t weights[t] * e^t.  Applying the base field at
-    the substituted argument x e^z and reading off a z power produces
-    exactly this shape, which is how vacuum products of a field arise.
-    """
-
-    base: OperatorSeries
-    weights: tuple[tuple[int, Scalar], ...]
-    module: FockModule = _derived()
-    offset: int = _derived()
-
-    def __post_init__(self):
-        self._derive(module=self.base.module, offset=self.base.offset,
-                     weights=tuple(sorted(
-                         (t, c) for t, c in dict(self.weights).items() if c)))
-
-    def weight_at(self, e: int) -> Scalar:
-        if not self.weights:
-            return self.module.scalars.zero
-        return _dressed_weight(self.weights, e)
-
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        w = self.weight_at(e)
-        if not w:
-            return self.module.zero()
-        return self.base.apply_coeff(e, v).scale(w)
-
-    def low_exponent(self, v: FockVector) -> int:
-        return self.base.low_exponent(v)
-
-
-@dataclass(frozen=True)
-class DerivativeField(OperatorSeries):
-    """d/dx of a field: coefficient e becomes (e+1) times coefficient e+1."""
-
-    base: OperatorSeries
-    module: FockModule = _derived()
-    offset: int = _derived()
-
-    def __post_init__(self):
-        self._derive(module=self.base.module, offset=self.base.offset + 1)
-
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        return self.base.apply_coeff(e + 1, v).scale(
-            self.module.scalars.from_int(e + 1))
-
-    def low_exponent(self, v: FockVector) -> int:
-        return self.base.low_exponent(v) - 1
-
-
-@dataclass(frozen=True)
 class ArgScaledField(OperatorSeries):
     """A field evaluated at c*x: coefficient e picks up a factor c^e."""
 
     base: OperatorSeries
     c: Scalar
     module: FockModule = _derived()
-    offset: int = _derived()
 
     def __post_init__(self):
-        self._derive(module=self.base.module, offset=self.base.offset)
+        self._derive(module=self.base.module)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return self.base.apply_coeff(e, v).scale(self.c ** e)
@@ -297,11 +221,9 @@ class SumField(OperatorSeries):
 
     module: FockModule
     terms: tuple[tuple[Scalar, OperatorSeries], ...]
-    offset: int = _derived()
 
     def __post_init__(self):
-        self._derive(offset=self.terms[0][1].offset if self.terms else 1,
-                     terms=tuple((c, f) for c, f in self.terms if c))
+        self._derive(terms=tuple((c, f) for c, f in self.terms if c))
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         out = self.module.zero()
@@ -338,7 +260,8 @@ class PairPart:
         return self.kind in ("plain", "euler", "dshift", "bplain")
 
 
-# multiplicity of (x1 - c x2) that kills an undressed delta part (degree + 1)
+# multiplicity of (x1 - c x2) that kills a delta part of each kind: its
+# degree along the support line, plus one
 _DELTA_KILL = {"plain": 1, "euler": 2, "dshift": 2, "bplain": 1}
 
 
@@ -354,43 +277,17 @@ def _part_table(part: PairPart, w: Window, scalars) -> TruncatedLaurent:
 
 @dataclass(frozen=True)
 class PairData:
-    """The central commutator of an ordered pair of cataloged fields.
-
-    ``parts`` describe the undressed bracket; the weight polynomials (in
-    the x1 and x2 exponents) account for dressed factors, which rescale
-    the table entrywise; an empty weight marks an undressed side.  Every
-    scalar lies in the field ``scalars``.
-    """
+    """The central commutator of an ordered pair of cataloged fields, as
+    a sum of ``parts``.  Every scalar lies in the field ``scalars``."""
 
     parts: tuple[PairPart, ...]
-    left_weight: tuple[tuple[int, Scalar], ...] = ()
-    right_weight: tuple[tuple[int, Scalar], ...] = ()
     scalars: object = SYMBOLIC
-
-    def dress_degree(self) -> int:
-        dl = max((t for t, _c in self.left_weight), default=0)
-        dr = max((t for t, _c in self.right_weight), default=0)
-        return dl + dr
-
-    def dress(self, table: TruncatedLaurent, w: Window) -> TruncatedLaurent:
-        """Rescale an undressed table on the window by both weights."""
-        lw, rw = self.left_weight, self.right_weight
-        if not (lw or rw):
-            return table
-        coeffs = {}
-        for e, v in table.coeffs.items():
-            if lw:
-                v = _dressed_weight(lw, e[0]) * v
-            if rw:
-                v = _dressed_weight(rw, e[1]) * v
-            coeffs[e] = v
-        return TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
 
     def table(self, w: Window) -> TruncatedLaurent:
         acc = TruncatedLaurent.zero(w.vars).restrict(w)
         for p in self.parts:
             acc = acc + _part_table(p, w, self.scalars)
-        return self.dress(acc, w)
+        return acc
 
     def delta_parts(self) -> list[PairPart]:
         return [p for p in self.parts if p.is_delta]
@@ -431,24 +328,17 @@ def _base_pair(a: GeneratorField, b: GeneratorField) -> tuple[PairPart, ...]:
 def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
     """Commutator data for [a(x1), b(x2)], or UnsupportedPairError.
 
-    The fields are frozen values, so equal pairs share one cached result.
+    The catalog covers generator and identity fields; a dressing of the
+    right factor is read off the undressed product stack
+    (``StateTable.dressed``).  The fields are frozen values, so equal
+    pairs share one cached result.
     """
-    lw: tuple = ()
-    rw: tuple = ()
-    if isinstance(a, PolyDressedField):
-        lw, a = a.weights, a.base
-        if not lw:
-            return PairData(())
-    if isinstance(b, PolyDressedField):
-        rw, b = b.weights, b.base
-        if not rw:
-            return PairData(())
+    if not all(isinstance(f, (GeneratorField, IdentityField)) for f in (a, b)):
+        raise UnsupportedPairError(
+            f"no commutator data for {type(a).__name__} x {type(b).__name__}")
     if isinstance(a, IdentityField) or isinstance(b, IdentityField):
         return PairData(())
-    if isinstance(a, GeneratorField) and isinstance(b, GeneratorField):
-        return PairData(_base_pair(a, b), lw, rw, a.module.scalars)
-    raise UnsupportedPairError(
-        f"no commutator data for {type(a).__name__} x {type(b).__name__}")
+    return PairData(_base_pair(a, b), a.module.scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +398,14 @@ class Multiplier:
         """The smallest multiplier that kills the delta parts.
 
         A part at c is c^k times a polynomial of degree D in k along its
-        support line (D = _DELTA_KILL - 1 + the dressing degree); only a
-        factor at c lowers D, so it must occur D + 1 times.  Parts with a
-        zero coefficient (level 0) need none.
+        support line (D = _DELTA_KILL - 1); only a factor at c lowers D,
+        so it must occur D + 1 times.  Parts with a zero coefficient
+        (level 0) need none.
         """
-        extra = pair.dress_degree()
         need: dict[Scalar, int] = {}
         for p in pair.delta_parts():
-            if not p.coeff:
-                continue
-            m = _DELTA_KILL[p.kind] + extra
-            need[p.c] = max(need.get(p.c, 0), m)
+            if p.coeff:
+                need[p.c] = max(need.get(p.c, 0), _DELTA_KILL[p.kind])
         return cls.of(*need.items())
 
     def exp_series(self, order: int, scalars=SYMBOLIC) -> list[Scalar]:
@@ -816,21 +703,17 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
 
 @dataclass(frozen=True)
 class ProductExpression(OperatorSeries):
-    """The n-th product of two fields, with on-demand coefficients.
+    """The n-th substitution product of two fields under a multiplier.
 
-    ``kind`` is "res" for the residue product and "exp" for the
-    substitution product, which takes a multiplier.  Coefficients are
-    computed on demand; the substitution product reads them off the
-    cached product stack.
+    Coefficients are computed on demand and read off the cached product
+    stack.
     """
 
-    kind: str
     left: OperatorSeries
     right: OperatorSeries
     n: int
-    mult: Multiplier | None = None
+    mult: Multiplier
     module: FockModule = _derived()
-    offset = 1
 
     def __post_init__(self):
         if self.left.module != self.right.module:
@@ -842,45 +725,10 @@ class ProductExpression(OperatorSeries):
                           "apply their coefficients directly")
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        if self.kind == "exp":
-            return self._exp_coeff(e, v)
-        return self._res_coeff(e, v)
-
-    def _exp_coeff(self, e: int, v: FockVector) -> FockVector:
         zneed = max(0, -self.n - 1)
         stack = _product_stack(self.left, self.right, self.mult, v, e, e,
                                zneed)
         return stack.get(e, -self.n - 1)
-
-    def _res_coeff(self, E: int, v: FockVector) -> FockVector:
-        a, b, n = self.left, self.right, self.n
-        out = self.module.zero()
-        from_int = self.module.scalars.from_int
-        # (x1 - x)^n a(x1) b(x) v, x1 residue
-        for j in range(0, E - b.low_exponent(v) + 1):
-            c = from_int((-1) ** j * binom(n, j))
-            if not c:
-                continue
-            bv = b.apply_coeff(E - j, v)
-            if bv.is_zero():
-                continue
-            out = out + a.apply_coeff(j - n - 1, bv).scale(c)
-        # minus (-x + x1)^n b(x) a(x1) v
-        for j in range(0, -1 - a.low_exponent(v) + 1):
-            c = from_int((-1) ** ((n - j) % 2) * binom(n, j))
-            if not c:
-                continue
-            av = a.apply_coeff(-1 - j, v)
-            if av.is_zero():
-                continue
-            out = out - b.apply_coeff(E - n + j, av).scale(c)
-        return out
-
-
-def eproduct_n(a: OperatorSeries, b: OperatorSeries, n: int
-               ) -> ProductExpression:
-    """The residue n-th product a(x)_n b(x)."""
-    return ProductExpression("res", a, b, n)
 
 
 def phi_product_n(a: OperatorSeries, b: OperatorSeries, n: int,
@@ -895,22 +743,7 @@ def phi_product_n(a: OperatorSeries, b: OperatorSeries, n: int,
     if mult is None:
         mult = Multiplier.canonical_for(pair)
     check_multiplier(mult, pair)
-    return ProductExpression("exp", a, b, n, mult)
-
-
-def vacuum_product_field(base: OperatorSeries, n: int) -> OperatorSeries:
-    """base(x)_n^e applied to the constant field, in closed form.
-
-    Substituting x e^z into the base field and reading z^(-n-1) rescales
-    coefficient e by e^j/j! with j = -n-1, so n = -1 gives the base field
-    itself; for n >= 0 the product is zero.
-    """
-    if n >= 0:
-        return SumField(base.module, [])
-    if n == -1:
-        return base
-    j = -n - 1
-    return PolyDressedField(base, {j: exp_coeff(1, j, base.module.scalars)})
+    return ProductExpression(a, b, n, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -924,9 +757,10 @@ def psi_map(v: FockVector, target: FockModule | None = None) -> OperatorSeries:
     """Realize a shifted-algebra vacuum vector as a field on a mode module.
 
     The family index r goes to the generating field at argument scale q^r,
-    and each module generator acts through the substitution product at its
-    mode.  Words of length at least three would need commutator data for
-    product fields, which the catalog does not carry.
+    and a word of two mode -1 letters to the substitution product
+    a^(r1)(x)_(-1) a^(r2)(x).  Other words would need commutator data for
+    product or dressed fields, which the catalog does not carry, so they
+    are refused.
     """
     alg = v.module.algebra
     if alg not in _PSI_TARGET:
@@ -937,19 +771,17 @@ def psi_map(v: FockVector, target: FockModule | None = None) -> OperatorSeries:
                             scalars=v.module.scalars)
     terms: list[tuple[Scalar, OperatorSeries]] = []
     for mono, coeff in sorted(v.terms.items()):
-        if len(mono) > 2:
+        if len(mono) > 2 or any(m != -1 for m, _r in mono):
             raise UnsupportedPairError(
-                "field realizations of words longer than two generators "
-                "would need commutator data for product fields")
-        if not mono:
+                "field realizations cover words of at most two mode -1 "
+                f"letters, not {mono}")
+        fields = [field_of(target, r) for _m, r in mono]
+        if not fields:
             f: OperatorSeries = IdentityField(target)
-        elif len(mono) == 1:
-            (m, r), = mono
-            f = vacuum_product_field(field_of(target, r), m)
+        elif len(fields) == 1:
+            f = fields[0]
         else:
-            (m1, r1), (m2, r2) = mono
-            inner = vacuum_product_field(field_of(target, r2), m2)
-            f = phi_product_n(field_of(target, r1), inner, m1)
+            f = phi_product_n(*fields, -1)
         terms.append((coeff, f))
     return SumField(target, terms)
 
@@ -976,8 +808,6 @@ class SpecialBracketForm:
 
     @classmethod
     def from_pair(cls, pair: PairData) -> "SpecialBracketForm":
-        if pair.left_weight or pair.right_weight:
-            raise VertexError("the special shape covers undressed pairs")
         ratio = []
         euler = []
         for p in pair.parts:
@@ -1001,86 +831,6 @@ class SpecialBracketForm:
             lambda j: sum((coeff * g_coefficient(c, j, k)
                            for c, coeff in self.ratio_parts), k.zero),
             self.alpha(), w, k)
-
-
-# ---------------------------------------------------------------------------
-# skew kernels on a vacuum module
-
-
-def translate(v: FockVector) -> FockVector:
-    """The canonical derivation: sends each generator mode m to m-1,
-    weighted by -m, and kills the vacuum."""
-    module = v.module
-    out = module.zero()
-    for mono, coeff in v.terms.items():
-        for idx, (m, r) in enumerate(mono):
-            new = list(mono)
-            new[idx] = (m - 1, r)
-            out = out + FockVector(
-                module, {tuple(sorted(new)): coeff * -m})
-    return out
-
-
-@dataclass(frozen=True)
-class SKernel:
-    """The scalar correction g_{r,s}(x) in the skew relation between
-    a(x) applied to b's vector and the translated, reflected converse."""
-
-    r: int
-    s: int
-    order: int
-    coeffs: tuple[tuple[int, Scalar], ...]
-    scalars: object = SYMBOLIC
-
-    def g(self, e: int) -> Scalar:
-        for ee, c in self.coeffs:
-            if ee == e:
-                return c
-        return self.scalars.zero
-
-    def reflected(self, e: int) -> Scalar:
-        """Coefficient e of g(-x)."""
-        return self.g(e) * (-1) ** (e % 2)
-
-
-def extract_s_kernel(module: FockModule, r: int, s: int,
-                     order: int) -> SKernel:
-    """Match a(x) b against e^{xT} (b at -x) a and return the residue.
-
-    The difference of the two sides must be a pure vacuum multiple at
-    every order; anything else means the module action does not close
-    under the skew relation and raises VertexError.
-    """
-    if not module.spec.shifted:
-        raise VertexError("skew kernels are extracted on shifted algebras")
-    fr = field_of(module, r)
-    fs = field_of(module, s)
-    vr = module.basis_vector((-1, r))
-    vs = module.basis_vector((-1, s))
-    lo = min(fr.low_exponent(vs), fs.low_exponent(vr))
-    k = module.scalars
-    rprime = {e: fs.apply_coeff(e, vr).scale(k.from_int((-1) ** (e % 2)))
-              for e in range(lo, order + 1)}
-    coeffs = []
-    for e in range(lo, order + 1):
-        left = fr.apply_coeff(e, vs)
-        rhs = module.zero()
-        for t in range(0, e - lo + 1):
-            term = rprime[e - t]
-            for _ in range(t):
-                term = translate(term)
-            rhs = rhs + term.scale(exp_coeff(1, t, k))
-        diff = left - rhs
-        rest = diff - module.vacuum().scale(diff.vacuum_component())
-        if not rest.is_zero():
-            raise VertexError(
-                f"skew residue at exponent {e} is not a vacuum multiple: "
-                f"{rest}")
-        gneg = diff.vacuum_component()
-        g = gneg * (-1) ** (e % 2)
-        if g:
-            coeffs.append((e, g))
-    return SKernel(r, s, order, tuple(coeffs), k)
 
 
 # ---------------------------------------------------------------------------

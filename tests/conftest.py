@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from qheis.fock import FockError, apply_generator, pair_vectors
+from qheis.fock import FockError, FockModule, FockVector, apply_generator, \
+    pair_vectors
 from qheis.kernels import Factor, RationalKernel, _binom_row, \
     _exp_minus_const, _place_cert, iota_expand
 from qheis.liealg import (
@@ -16,11 +18,12 @@ from qheis.liealg import (
 )
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
     tally
-from qheis.scalar import L, ONE, ZERO, Poly, Scalar, ScalarError, _pstr
-from qheis.series import POS_INF, Cert, TruncatedLaurent, Window, \
+from qheis.scalar import L, ONE, SYMBOLIC, ZERO, Poly, Scalar, ScalarError, \
+    _pstr
+from qheis.series import POS_INF, Cert, TruncatedLaurent, Window, binom, \
     delta_family, exp_coeff, series_inverse
-from qheis.vertexops import _DELTA_KILL, _part_table, check_multiplier, \
-    pair_of
+from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
+    OperatorSeries, VertexError, _derived, _part_table, field_of, pair_of
 
 
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
@@ -205,8 +208,76 @@ def assert_same_table(got: TruncatedLaurent, want: TruncatedLaurent,
         assert got.coeff(e, ZERO) == want.coeff(e, ZERO), e
 
 
-def probe_kills(mult, pair) -> bool:
-    """Whether mult kills every delta part of the pair, by multiplying tables.
+# ---------------------------------------------------------------------------
+# dressed fields, built directly
+#
+# The library meets a dressing theta^j b / j! (theta = x d/dx) only in
+# ``StateTable.dressed``, on an undressed product stack.  These helpers
+# build the dressed field itself and kill its commutator directly, as the
+# oracle of that route.
+
+
+@dataclass(frozen=True)
+class DressedField(OperatorSeries):
+    """theta^j base / j!: coefficient e of the base field times e^j / j!."""
+
+    base: OperatorSeries
+    j: int
+    module: FockModule = _derived()
+
+    def __post_init__(self):
+        self._derive(module=self.base.module)
+
+    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
+        w = exp_coeff(e, self.j, self.module.scalars)
+        if not w:
+            return self.module.zero()
+        return self.base.apply_coeff(e, v).scale(w)
+
+    def low_exponent(self, v: FockVector) -> int:
+        return self.base.low_exponent(v)
+
+
+def undressed(f) -> tuple[OperatorSeries, int]:
+    """(base, j) of a DressedField; (f, 0) for any other field."""
+    if isinstance(f, DressedField):
+        return f.base, f.j
+    return f, 0
+
+
+def raised(mult, j: int):
+    """The multiplier with every factor's multiplicity raised by j."""
+    return Multiplier.of(*((c, m + j) for c, m in mult.factors),
+                         unit=mult.unit)
+
+
+def dressed_kills(mult, pair, degree: int) -> bool:
+    """Whether mult kills the delta parts of an undressed pair whose sides
+    are dressed to a total degree ``degree``.
+
+    A dressing multiplies a delta part at c by a polynomial of that degree
+    along its support line, so the factor at c must occur _DELTA_KILL +
+    degree times.  Parts with a zero coefficient need none.
+    """
+    have = dict(mult.factors)
+    return all(have.get(p.c, 0) >= _DELTA_KILL[p.kind] + degree
+               for p in pair.delta_parts() if p.coeff)
+
+
+def _dress_table(table: TruncatedLaurent, w, jl: int, jr: int,
+                 scalars) -> TruncatedLaurent:
+    """Entry (e1, e2) times e1^jl / jl! * e2^jr / jr!."""
+    if not (jl or jr):
+        return table
+    coeffs = {e: v * exp_coeff(e[0], jl, scalars)
+              * exp_coeff(e[1], jr, scalars)
+              for e, v in table.coeffs.items()}
+    return TruncatedLaurent.polynomial(w.vars, coeffs).restrict(w)
+
+
+def probe_kills(mult, pair, jl: int = 0, jr: int = 0) -> bool:
+    """Whether mult kills every delta part of the pair, its sides dressed
+    to degrees jl and jr, by multiplying tables.
 
     Each part is a geometric pattern times a polynomial of degree D along
     its support line, so the product with mult vanishes everywhere when it
@@ -218,9 +289,10 @@ def probe_kills(mult, pair) -> bool:
     deg = mult.degree
     ptab = mult.as_table()
     for part in pair.delta_parts():
-        d = _DELTA_KILL[part.kind] - 1 + pair.dress_degree()
+        d = _DELTA_KILL[part.kind] - 1 + jl + jr
         w = Window.cube(("x1", "x2"), 2 * deg + d + 3)
-        prod = ptab * pair.dress(_part_table(part, w, pair.scalars), w)
+        prod = ptab * _dress_table(_part_table(part, w, pair.scalars), w,
+                                   jl, jr, pair.scalars)
         inner = Window.cube(("x1", "x2"), deg + d + 3)
         assert all(prod.certified(e) for e in inner.exponents())
         if not prod.is_zero_on(inner):
@@ -348,8 +420,13 @@ def _times_z_oracle(table, series, xshift, zlo, zhi):
 
 
 def _ordered_core_oracle(afield, bfield, mult, v, xlo, xhi, zcap):
-    """vertexops.ordered_core with one FockVector per table entry."""
-    check_multiplier(mult, pair_of(afield, bfield))
+    """vertexops.ordered_core with one FockVector per table entry; either
+    factor may be a DressedField."""
+    (a0, ja), (b0, jb) = undressed(afield), undressed(bfield)
+    if not dressed_kills(mult, pair_of(a0, b0), ja + jb):
+        raise MultiplierError(
+            f"multiplier {mult.describe()} does not kill the delta parts "
+            "of the commutator")
     scalars = afield.module.scalars
     pmons = sorted(mult.poly2().items())
     min_i = min(i for (i, _j), _c in pmons)
@@ -403,6 +480,148 @@ def product_stack_oracle(afield, bfield, mult, v, xlo, xhi, zneed):
                                 xlo + deg, xhi + deg, zcap)
     u = mult.inverse_exp(zcap, afield.module.scalars)
     return _times_z_oracle(core, u, -deg, -kappa, zneed)
+
+
+# ---------------------------------------------------------------------------
+# paper constructs the laws do not reach: the derivative field, the
+# residue product and the skew kernels
+
+
+@dataclass(frozen=True)
+class DerivativeField(OperatorSeries):
+    """d/dx of a field: coefficient e becomes (e+1) times coefficient e+1."""
+
+    base: OperatorSeries
+    module: FockModule = _derived()
+
+    def __post_init__(self):
+        self._derive(module=self.base.module)
+
+    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
+        return self.base.apply_coeff(e + 1, v).scale(
+            self.module.scalars.from_int(e + 1))
+
+    def low_exponent(self, v: FockVector) -> int:
+        return self.base.low_exponent(v) - 1
+
+
+@dataclass(frozen=True)
+class ResidueProduct(OperatorSeries):
+    """The residue n-th product a(x)_n b(x), by the classical two-sided
+    residue formula."""
+
+    left: OperatorSeries
+    right: OperatorSeries
+    n: int
+    module: FockModule = _derived()
+
+    def __post_init__(self):
+        self._derive(module=self.left.module)
+
+    def apply_coeff(self, E: int, v: FockVector) -> FockVector:
+        a, b, n = self.left, self.right, self.n
+        out = self.module.zero()
+        from_int = self.module.scalars.from_int
+        # (x1 - x)^n a(x1) b(x) v, x1 residue
+        for j in range(0, E - b.low_exponent(v) + 1):
+            c = from_int((-1) ** j * binom(n, j))
+            if not c:
+                continue
+            bv = b.apply_coeff(E - j, v)
+            if bv.is_zero():
+                continue
+            out = out + a.apply_coeff(j - n - 1, bv).scale(c)
+        # minus (-x + x1)^n b(x) a(x1) v
+        for j in range(0, -1 - a.low_exponent(v) + 1):
+            c = from_int((-1) ** ((n - j) % 2) * binom(n, j))
+            if not c:
+                continue
+            av = a.apply_coeff(-1 - j, v)
+            if av.is_zero():
+                continue
+            out = out - b.apply_coeff(E - n + j, av).scale(c)
+        return out
+
+
+def eproduct_n(a, b, n: int) -> ResidueProduct:
+    """The residue n-th product a(x)_n b(x)."""
+    return ResidueProduct(a, b, n)
+
+
+def translate(v: FockVector) -> FockVector:
+    """The canonical derivation: sends each generator mode m to m-1,
+    weighted by -m, and kills the vacuum."""
+    module = v.module
+    out = module.zero()
+    for mono, coeff in v.terms.items():
+        for idx, (m, r) in enumerate(mono):
+            new = list(mono)
+            new[idx] = (m - 1, r)
+            out = out + FockVector(
+                module, {tuple(sorted(new)): coeff * -m})
+    return out
+
+
+@dataclass(frozen=True)
+class SKernel:
+    """The scalar correction g_{r,s}(x) in the skew relation between
+    a(x) applied to b's vector and the translated, reflected converse."""
+
+    r: int
+    s: int
+    order: int
+    coeffs: tuple[tuple[int, Scalar], ...]
+    scalars: object = SYMBOLIC
+
+    def g(self, e: int) -> Scalar:
+        for ee, c in self.coeffs:
+            if ee == e:
+                return c
+        return self.scalars.zero
+
+    def reflected(self, e: int) -> Scalar:
+        """Coefficient e of g(-x)."""
+        return self.g(e) * (-1) ** (e % 2)
+
+
+def extract_s_kernel(module: FockModule, r: int, s: int,
+                     order: int) -> SKernel:
+    """Match a(x) b against e^{xT} (b at -x) a and return the residue.
+
+    The difference of the two sides must be a pure vacuum multiple at
+    every order; anything else means the module action does not close
+    under the skew relation and raises VertexError.
+    """
+    if not module.spec.shifted:
+        raise VertexError("skew kernels are extracted on shifted algebras")
+    fr = field_of(module, r)
+    fs = field_of(module, s)
+    vr = module.basis_vector((-1, r))
+    vs = module.basis_vector((-1, s))
+    lo = min(fr.low_exponent(vs), fs.low_exponent(vr))
+    k = module.scalars
+    rprime = {e: fs.apply_coeff(e, vr).scale(k.from_int((-1) ** (e % 2)))
+              for e in range(lo, order + 1)}
+    coeffs = []
+    for e in range(lo, order + 1):
+        left = fr.apply_coeff(e, vs)
+        rhs = module.zero()
+        for t in range(0, e - lo + 1):
+            term = rprime[e - t]
+            for _ in range(t):
+                term = translate(term)
+            rhs = rhs + term.scale(exp_coeff(1, t, k))
+        diff = left - rhs
+        rest = diff - module.vacuum().scale(diff.vacuum_component())
+        if not rest.is_zero():
+            raise VertexError(
+                f"skew residue at exponent {e} is not a vacuum multiple: "
+                f"{rest}")
+        gneg = diff.vacuum_component()
+        g = gneg * (-1) ** (e % 2)
+        if g:
+            coeffs.append((e, g))
+    return SKernel(r, s, order, tuple(coeffs), k)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     bhatq_oracle_table,
     check_skew_symmetry,
     euler,
+    extract_s_kernel,
     f_series_oracle,
     graded_leading_constant,
     poly_apply,
@@ -29,7 +30,6 @@ from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
 from qheis.series import TruncatedLaurent, Window, delta_family
 from qheis.vertexops import (
     Multiplier,
-    extract_s_kernel,
     field_of,
     phi_product_n,
     suite_reports,

@@ -326,3 +326,11 @@ def test_readme_examples(capsys):
     for argv, want in examples:
         assert run(argv) == 0, argv
         assert capsys.readouterr().out.splitlines() == want, argv
+
+
+def test_readme_library_example():
+    """The README's Python example runs and its assertions hold."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used, and every function,
-class and method it defines is named somewhere in the package."""
+"""Every module-level import of the package is used, every function,
+class and method it defines is named somewhere in the package, and every
+name it exports in ``__all__`` is bound."""
 
 import ast
 from pathlib import Path
@@ -47,13 +48,46 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
 
 
-# Definitions that only the tests reach: paper constructs the laws do not
-# call, and the report property the README's library example reads.  Kept
-# exact, so a name that gains a library caller or is deleted must leave
-# this set.
-TEST_ONLY = {
-    "ok", "DerivativeField", "eproduct_n", "reflected", "extract_s_kernel",
-}
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in ``__all__`` that the module does not bind at module
+    level by a definition, an assignment or an import."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    bound.add(t.id)
+                    if t.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+def test_unbound_export_scan_flags_only_missing_names():
+    source = ("from math import pi\nimport os.path\n"
+              "__all__ = ['pi', 'os', 'f', 'A', 'X', 'gone']\n"
+              "def f():\n    pass\nclass A:\n    pass\nX: int = 1\n")
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    assert unbound_exports(path.read_text()) == [], path.name
+
+
+# Definitions that only the tests reach: the report property the README's
+# library example reads.  Kept exact, so a name that gains a library
+# caller or is deleted must leave this set.
+TEST_ONLY = {"ok"}
 
 
 def dead_names(sources: list[str]) -> set[str]:
