@@ -186,7 +186,8 @@ def _cmd_phi_product(args) -> int:
         return _fail_usage(str(exc))
     probe = _window_default(args.window)
     vac = module.vacuum()
-    coeffs = {e: prod.apply_coeff(e, vac) for e in range(-probe, probe + 1)}
+    coeffs = dict(zip(range(-probe, probe + 1),
+                      prod.apply_coeffs(-probe, probe, vac)))
     nonzero = {e: v for e, v in coeffs.items() if not v.is_zero()}
     if not nonzero:
         print("0")

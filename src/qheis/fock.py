@@ -120,10 +120,24 @@ class FockVector:
         return FockVector(self.module, out)
 
     def __neg__(self) -> "FockVector":
-        return FockVector(self.module, {m: -c for m, c in self.terms.items()})
+        # negation keeps every coefficient nonzero
+        return FockVector._nonzero(
+            self.module, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
+        """self - other in one pass; with an empty side, the other side
+        itself or its negation."""
+        if self.module != other.module:
+            raise FockError("vectors live in different modules")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            out[m] = -c if s is None else s - c
+        return FockVector(self.module, out)
 
     def scale(self, s: Scalar) -> "FockVector":
         # in a field a nonzero scalar times a nonzero coefficient is nonzero

@@ -68,6 +68,13 @@ def _pneg(a: Poly) -> Poly:
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # times a monomial: an injective shift of exponents, and a product
+        # of nonzero integers, so no two terms merge and none vanishes
+        ((ea, la), ca), = a.items()
+        return {(ea + eb, la + lb): ca * cb for (eb, lb), cb in b.items()}
     out: Poly = {}
     for (ea, la), ca in a.items():
         for (eb, lb), cb in b.items():
@@ -489,7 +496,8 @@ def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
             num = {(eq - k, el): v for (eq, el), v in num.items()}
             a -= k
             changed = True
-    if cyc:
+    # Phi_d(0) = +-1, so no Phi_d divides a monomial
+    if cyc and len(num) > 1:
         dense = _dense(num)
         kept = []
         for d, e in cyc:

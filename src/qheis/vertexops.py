@@ -21,11 +21,11 @@ b at fixed x1 is D = theta_x - d/dz on the (x, z) table of a(x1) b(x),
 and the substitution product does not depend on which multiplier kills
 the delta parts.  So one undressed stack of (a, b) per state, built with
 the pair's small canonical multiplier, gives every dressed stack through
-D^j / j! (``StateTable.dressed``).  D^j reads j orders of z above what it
-writes; the laws read z orders up to window with j up to window, so the
-undressed stack reaches z order 2 * window.  That is the only place a
-product meets a dressing: the commutator catalog covers generator and
-identity fields alone.
+D^j / j!, one power of D at a time (``StateTable.dressings``).  D^j
+reads j orders of z above what it writes; the laws read z orders up to
+window with j up to window, so the undressed stack reaches z order
+2 * window.  That is the only place a product meets a dressing: the
+commutator catalog covers generator and identity fields alone.
 
 The commutator data itself is carried by a small catalog of closed-form
 shapes (delta families and one-sided ratio kernels), verified against the
@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, prod
 
 from .fock import (
     FieldSlot,
@@ -63,7 +62,7 @@ from .liealg import (
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine, tally
 from .scalar import SYMBOLIC, RationalPoint, Scalar
-from .series import Cert, TruncatedLaurent, Window, binom, compare_on, \
+from .series import Cert, TruncatedLaurent, Window, compare_on, \
     delta_family, exp_coeff, series_inverse
 
 __all__ = [
@@ -125,11 +124,13 @@ class OperatorSeries:
     Coefficient e is the operator attached to x^e; mode n is the
     coefficient of x^(-n-offset).  Subclasses are frozen dataclasses, so
     fields built from equal data are equal and hash alike, which is what
-    the product-stack memo keys on.  They implement ``apply_coeff`` and a
-    support bound ``low_exponent``: coefficients below it act as zero on
-    the given vector.  Every field stores its ``module``; only
-    :class:`GeneratorField`, whose coefficients read it, stores the mode
-    ``offset``.
+    the product-stack memo keys on.  They implement ``apply_coeff``, or
+    ``apply_coeffs``, which applies a window of coefficients at once
+    (a product reads them off one stack); each defaults to the other.
+    They also implement a support bound ``low_exponent``: coefficients
+    below it act as zero on the given vector.  Every field stores its
+    ``module``; only :class:`GeneratorField`, whose coefficients read it,
+    stores the mode ``offset``.
     """
 
     module: FockModule
@@ -139,7 +140,12 @@ class OperatorSeries:
             object.__setattr__(self, name, value)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        raise NotImplementedError
+        return self.apply_coeffs(e, e, v)[0]
+
+    def apply_coeffs(self, lo: int, hi: int, v: FockVector
+                     ) -> list[FockVector]:
+        """[apply_coeff(e, v) for e = lo..hi]."""
+        return [self.apply_coeff(e, v) for e in range(lo, hi + 1)]
 
     def low_exponent(self, v: FockVector) -> int:
         raise NotImplementedError
@@ -206,8 +212,10 @@ class ArgScaledField(OperatorSeries):
     def __post_init__(self):
         self._derive(module=self.base.module)
 
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        return self.base.apply_coeff(e, v).scale(self.c ** e)
+    def apply_coeffs(self, lo: int, hi: int, v: FockVector
+                     ) -> list[FockVector]:
+        return [u.scale(self.c ** e) for e, u in
+                zip(range(lo, hi + 1), self.base.apply_coeffs(lo, hi, v))]
 
     def low_exponent(self, v: FockVector) -> int:
         return self.base.low_exponent(v)
@@ -225,10 +233,12 @@ class SumField(OperatorSeries):
     def __post_init__(self):
         self._derive(terms=tuple((c, f) for c, f in self.terms if c))
 
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        out = self.module.zero()
+    def apply_coeffs(self, lo: int, hi: int, v: FockVector
+                     ) -> list[FockVector]:
+        out = [self.module.zero()] * (hi - lo + 1)
         for c, f in self.terms:
-            out = out + f.apply_coeff(e, v).scale(c)
+            out = [acc + u.scale(c)
+                   for acc, u in zip(out, f.apply_coeffs(lo, hi, v))]
         return out
 
     def low_exponent(self, v: FockVector) -> int:
@@ -330,7 +340,7 @@ def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
 
     The catalog covers generator and identity fields; a dressing of the
     right factor is read off the undressed product stack
-    (``StateTable.dressed``).  The fields are frozen values, so equal
+    (``StateTable.dressings``).  The fields are frozen values, so equal
     pairs share one cached result.
     """
     if not all(isinstance(f, (GeneratorField, IdentityField)) for f in (a, b)):
@@ -528,30 +538,32 @@ class StateTable:
                     _add_scaled(out, (E + xshift, J + t), terms, c)
         return StateTable(self.module, out)
 
-    def dressed(self, j: int, zlo: int, zhi: int) -> "StateTable":
-        """From this stack of (a, b), the stack of (a, theta^j b / j!) on z
-        orders zlo..zhi, with theta = x d/dx.
+    def dressings(self, jmax: int, zlo: int, zhi: int) -> list["StateTable"]:
+        """From this stack S_0 of (a, b), the stacks S_j of
+        (a, theta^j b / j!) for j = 0..jmax, with theta = x d/dx.
 
         Under x1 = x e^z, theta on b is D = theta_x - d/dz on the stack,
-        so entry (E, t) is the sum over i = 0..j of
-        C(j, i) E^(j-i) (-1)^i (t+1)(t+2)...(t+i) S(E, t+i) / j!.
-        This stack must reach z order zhi + j; for j = 0 it is returned
-        itself, with its own z range.
+        so S_j = D S_(j-1) / j, entrywise
+        S_j(E, t) = (E S_(j-1)(E, t) - (t+1) S_(j-1)(E, t+1)) / j.
+        S_j holds every z order from zlo to zhi + jmax - j, which this
+        stack must reach; S_0 is this stack itself, with its own z range.
         """
-        if not j:
-            return self
         from_fraction = self.module.scalars.from_fraction
-        fact = factorial(j)
-        out: dict[tuple[int, int], dict] = {}
-        for (E, J), terms in self.data.items():
-            for i in range(max(0, J - zhi), min(j, J - zlo) + 1):
-                t = J - i
-                c = binom(j, i) * E ** (j - i) * (-1) ** i * prod(
-                    range(t + 1, J + 1))
-                if c:
-                    _add_scaled(out, (E, t), terms,
-                                from_fraction(Fraction(c, fact)))
-        return StateTable(self.module, out)
+        out = [self]
+        for j in range(1, jmax + 1):
+            top = zhi + jmax - j
+            nxt: dict[tuple[int, int], dict] = {}
+            for (E, J), terms in out[-1].data.items():
+                # S_(j-1)(E, J) feeds S_j(E, J) with weight E / j and
+                # S_j(E, J - 1) with weight -J / j
+                if E and zlo <= J <= top:
+                    _add_scaled(nxt, (E, J), terms,
+                                from_fraction(Fraction(E, j)))
+                if J and zlo < J <= top + 1:
+                    _add_scaled(nxt, (E, J - 1), terms,
+                                from_fraction(Fraction(-J, j)))
+            out.append(StateTable(self.module, nxt))
+        return out
 
 
 def _add_scaled(data: dict[tuple[int, int], dict], key: tuple[int, int],
@@ -706,7 +718,7 @@ class ProductExpression(OperatorSeries):
     """The n-th substitution product of two fields under a multiplier.
 
     Coefficients are computed on demand and read off the cached product
-    stack.
+    stack; a window of them is read off one stack over that window.
     """
 
     left: OperatorSeries
@@ -724,11 +736,12 @@ class ProductExpression(OperatorSeries):
         raise VertexError("products do not expose a support bound; "
                           "apply their coefficients directly")
 
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        zneed = max(0, -self.n - 1)
-        stack = _product_stack(self.left, self.right, self.mult, v, e, e,
-                               zneed)
-        return stack.get(e, -self.n - 1)
+    def apply_coeffs(self, lo: int, hi: int, v: FockVector
+                     ) -> list[FockVector]:
+        t = -self.n - 1
+        stack = _product_stack(self.left, self.right, self.mult, v, lo, hi,
+                               max(0, t))
+        return [stack.get(e, t) for e in range(lo, hi + 1)]
 
 
 def phi_product_n(a: OperatorSeries, b: OperatorSeries, n: int,
@@ -1049,9 +1062,10 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
     of the other factor, theta^j b / j! with j = -m-1 and theta = x d/dx.
     Each order builds one undressed stack per state, with the pair's
     canonical multiplier, and reads every dressing off it through
-    ``StateTable.dressed``: theta on the right factor is
+    ``StateTable.dressings``: theta on the right factor is
     D = theta_x - d/dz on the stack.  The law reads z orders up to window
     and j runs to window, so the undressed stack reaches 2 * window.
+    Equal fields share the stacks of one order.
     """
     af = field_of(module, r)
     bf = field_of(module, s)
@@ -1059,15 +1073,13 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
     out: dict[tuple[int, int, int, int], FockVector] = {}
 
     def stacks(left, right):
-        # by j, then state: the stacks of (left, theta^j right / j!)
+        # by state, then j: the stacks of (left, theta^j right / j!)
         mult = Multiplier.canonical_for(pair_of(left, right))
-        bases = [_product_stack(left, right, mult, v, -xwin, xwin,
-                                2 * window) for v in states]
-        return [[base.dressed(j, -window, window) for base in bases]
-                for j in range(window + 1)]
+        return [_product_stack(left, right, mult, v, -xwin, xwin, 2 * window)
+                .dressings(window, -window, window) for v in states]
 
     ab = stacks(af, bf)
-    ba = stacks(bf, af)
+    ba = ab if af == bf else stacks(bf, af)
     # n, m run over -window-1..window-1; a vacuum product at index >= 0
     # vanishes
     idx = range(-window - 1, window)
@@ -1075,8 +1087,8 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
         for m in idx:
             for si in range(len(states)):
                 for E in range(-xwin, xwin + 1):
-                    first = ab[-m - 1][si].get(E, -n - 1) if m < 0 else zero
-                    second = ba[-n - 1][si].get(E, -m - 1) if n < 0 else zero
+                    first = ab[si][-m - 1].get(E, -n - 1) if m < 0 else zero
+                    second = ba[si][-n - 1].get(E, -m - 1) if n < 0 else zero
                     out[(n, m, si, E)] = first - second
     return out
 
@@ -1242,7 +1254,6 @@ def _law_scale_covariance(window: int, scalars) -> CheckReport:
     base_state = bmod.basis_vector((-1, 0), (-1, 1))
     base = psi_map(base_state, target)
     states = [target.vacuum(), target.basis_vector((-1, 0))]
-    xs = range(-window, window + 1)
     parts = []
     for nn in range(-2, 3):
         shifted = psi_map(bmod.basis_vector((-1, nn), (-1, 1 + nn)), target)
@@ -1254,8 +1265,11 @@ def _law_scale_covariance(window: int, scalars) -> CheckReport:
         cases.append((f"generator, shift {nn}", gen_shift, gen_scaled,
                       states[1]))
         parts.append(tally(f"shift[{nn}]", f"|x| <= {window}", (
-            (f"{label}, x^{e}", got.apply_coeff(e, v), want.apply_coeff(e, v))
-            for label, got, want, v in cases for e in xs)))
+            (f"{label}, x^{e}", g, w)
+            for label, got, want, v in cases
+            for e, g, w in zip(range(-window, window + 1),
+                               got.apply_coeffs(-window, window, v),
+                               want.apply_coeffs(-window, window, v)))))
     return combine("scale-covariance", parts)
 
 

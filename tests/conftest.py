@@ -212,9 +212,9 @@ def assert_same_table(got: TruncatedLaurent, want: TruncatedLaurent,
 # dressed fields, built directly
 #
 # The library meets a dressing theta^j b / j! (theta = x d/dx) only in
-# ``StateTable.dressed``, on an undressed product stack.  These helpers
-# build the dressed field itself and kill its commutator directly, as the
-# oracle of that route.
+# ``StateTable.dressings``, on an undressed product stack.  These helpers
+# build the dressed field itself and kill its commutator directly, or
+# apply D^j / j! to the stack in closed form, as the oracles of that route.
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,27 @@ class DressedField(OperatorSeries):
 
     def low_exponent(self, v: FockVector) -> int:
         return self.base.low_exponent(v)
+
+
+def dressed_direct(stack, j: int, zlo: int, zhi: int) -> dict:
+    """The stack of (a, theta^j b / j!) from the stack S of (a, b), as
+    {(E, t): vector} on z orders zlo..zhi, by the closed form of
+    D^j / j! with D = theta_x - d/dz: entry (E, t) is the sum over
+    i = 0..j of C(j, i) E^(j-i) (-1)^i (t+1)(t+2)...(t+i) S(E, t+i) / j!.
+    S must reach z order zhi + j."""
+    from_fraction = stack.module.scalars.from_fraction
+    out = {}
+    for (E, J) in sorted(stack.data):
+        vec = stack.get(E, J)
+        for i in range(max(0, J - zhi), min(j, J - zlo) + 1):
+            t = J - i
+            c = comb(j, i) * E ** (j - i) * (-1) ** i
+            for f in range(t + 1, J + 1):
+                c *= f
+            if c:
+                _add_vector(out, (E, t),
+                            vec.scale(from_fraction(Fraction(c, factorial(j)))))
+    return out
 
 
 def undressed(f) -> tuple[OperatorSeries, int]:

@@ -106,6 +106,12 @@ def test_phi_product_outputs(capsys):
     assert out_of(capsys) == "(q*l/(q^2 - 1)) 1_W"
     assert run(["phi-product", "--algebra", "hq", "--n", "0"]) == 0
     assert out_of(capsys) == "0"
+    assert run(["phi-product", "--algebra", "htq", "--r", "1", "--s", "-1",
+                "--n", "-1", "--window", "3"]) == 0
+    assert out_of(capsys).splitlines() == [
+        "x^0: ((-q^3*l - q^2*l - q*l)/(q^4 - 2*q^2 + 1)) vac",
+        "x^2: (1) b_-1 b_-1 vac",
+        "x^3: ((q^2 + 1)/q) b_-2 b_-1 vac"]
     assert run(["phi-product", "--algebra", "bhatq", "--n", "0"]) == 2
     capsys.readouterr()
 

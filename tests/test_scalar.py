@@ -327,3 +327,66 @@ def test_phi_image_heisenberg_stays_off_the_residual_path():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["pass", "0"]
+
+
+# ---------------------------------------------------------------------------
+# monomial fast paths of the polynomial core
+# ---------------------------------------------------------------------------
+
+_COEFF = st.integers(-9, 9).filter(bool)
+_MONO = st.tuples(st.integers(0, 8), st.integers(0, 3))
+_POLY = st.dictionaries(_MONO, _COEFF, max_size=6)
+
+
+def _pmul_oracle(a, b):
+    """The product of two polynomials by the plain double loop."""
+    out = {}
+    for (ea, la), ca in a.items():
+        for (eb, lb), cb in b.items():
+            m = (ea + eb, la + lb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MONO, _COEFF, _POLY, st.booleans())
+def test_pmul_with_a_monomial_matches_double_loop(mono, coeff, poly, left):
+    from qheis.scalar import _pmul
+
+    m = {mono: coeff}
+    a, b = (m, poly) if left else (poly, m)
+    assert _pmul(a, b) == _pmul_oracle(a, b)
+
+
+def _cancel_by_strip(num, fd):
+    """scalar._cancel for a denominator without residual, trying every
+    cyclotomic factor on the numerator."""
+    from math import gcd
+
+    from qheis.scalar import _dense, _sparse, _strip_cyclo
+
+    c, a, cyc, r = fd
+    assert r is None
+    g = gcd(c, *num.values())
+    num = {m: v // g for m, v in num.items()}
+    k = min(min(num)[0], a)
+    num = {(eq - k, el): v for (eq, el), v in num.items()}
+    dense = _dense(num)
+    kept = []
+    for d, e in cyc:
+        dense, j = _strip_cyclo(dense, d, e)
+        if j < e:
+            kept.append((d, e - j))
+    return _sparse(dense), (c // g, a - k, tuple(kept), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MONO, _COEFF, st.integers(1, 12), st.integers(0, 4),
+       st.dictionaries(st.integers(1, 12), st.integers(1, 3), min_size=1,
+                       max_size=4))
+def test_cancel_of_a_monomial_matches_the_strip_path(mono, coeff, c, a, cyc):
+    from qheis.scalar import _cancel
+
+    num = {mono: coeff}
+    fd = (c, a, tuple(sorted(cyc.items())), None)
+    assert _cancel(num, fd) == _cancel_by_strip(num, fd)

@@ -17,6 +17,7 @@ from conftest import (
     bhatq_oracle_table,
     cmp_tables_oracle,
     diff_oracle_table,
+    dressed_direct,
     dressed_kills,
     eproduct_n,
     evaluate,
@@ -151,6 +152,37 @@ def test_argument_scaling_realizes_index_shifts(hq):
     g = ArgScaledField(field_of(hq), qp(2))
     for e in range(-2, 3):
         assert f2.apply_coeff(e, state) == g.apply_coeff(e, state)
+
+
+@pytest.mark.parametrize("scalars", [
+    SYMBOLIC, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+def test_apply_coeffs_matches_apply_coeff(scalars):
+    """A window of coefficients applied at once equals the coefficients
+    applied one exponent at a time, for every field class of the library
+    and a field realized from a two-letter word; a product reads the
+    window off one stack, and apply_coeff off a stack of one exponent."""
+    hq = FockModule("hq", scalars=scalars)
+    bhat = FockModule("bhat", scalars=scalars)
+    gen = field_of(hq, 1)
+    prod = phi_product_n(field_of(hq, 1), field_of(hq, 0), -2)
+    realized = psi_map(bhat.basis_vector((-1, 0), (-1, 1)), hq)
+    assert any(isinstance(f, vertexops.ProductExpression)
+               for _c, f in realized.terms)
+    fields = [gen, IdentityField(hq),
+              ArgScaledField(prod, scalars.q_power(2)),
+              SumField(hq, ((scalars.from_int(3), gen),
+                            (scalars.q_power(-1), prod))),
+              prod, realized]
+    nonzero = 0
+    for v in (hq.vacuum(), hq.basis_vector((-1, 0))):
+        for f in fields:
+            for lo, hi in ((-3, 3), (1, 2)):
+                got = f.apply_coeffs(lo, hi, v)
+                assert got == [f.apply_coeff(e, v)
+                               for e in range(lo, hi + 1)], (f, v, lo, hi)
+                nonzero += sum(not u.is_zero() for u in got)
+    assert nonzero >= 40
 
 
 def test_fields_are_values(monkeypatch):
@@ -597,12 +629,15 @@ def test_product_stack_matches_vector_oracle_seeded():
     (SYMBOLIC, 3), (RationalPoint(Fraction(3, 5), Fraction(2)), 5)],
     ids=["symbolic", "point"])
 def test_dressed_stack_matches_direct_dressed_stack(scalars, window):
-    """D = theta_x - d/dz on the undressed stack, read through
-    ``StateTable.dressed``, gives the stack of (a, theta^j b / j!) that
-    the vector oracle builds directly from the dressed field, with the
-    undressed canonical multiplier raised by j, entry for entry, for
-    every dressing degree the image brackets read."""
+    """D = theta_x - d/dz on the undressed stack, one power at a time
+    through ``StateTable.dressings``, gives the stacks of
+    (a, theta^j b / j!) that the closed form of D^j / j! gives, for every
+    jmax up to 5 on the whole z range it documents.  Up to window they
+    also equal, entry for entry, the stacks the vector oracle builds
+    directly from the dressed field, with the undressed canonical
+    multiplier raised by j."""
     xwin = 2
+    jtop = 5
     nonzero = 0
     for alg, r, s in (("hq", 1, 0), ("hq", 0, 1), ("htq", 1, 0),
                       ("htq", 0, 0)):
@@ -611,14 +646,22 @@ def test_dressed_stack_matches_direct_dressed_stack(scalars, window):
         mult = Multiplier.canonical_for(pair_of(a, b))
         for v in (mod.vacuum(), mod.basis_vector((-1, 0))):
             base = vertexops._product_stack(a, b, mult, v, -xwin, xwin,
-                                            2 * window)
-            for j in range(window + 1):
-                dmult = raised(mult, j)
-                direct = product_stack_oracle(a, DressedField(b, j), dmult,
-                                              v, -xwin, xwin, window)
-                # one order below the direct stack, where both are zero
-                zlo = -dmult.kappa - 1
-                got = base.dressed(j, zlo, window)
+                                            2 * jtop)
+            # one order below the lowest stack, where every stack is zero
+            zlo = -mult.kappa - jtop - 1
+            for jmax in range(jtop + 1):
+                stacks = base.dressings(jmax, zlo, jtop)
+                assert len(stacks) == jmax + 1
+                for j, got in enumerate(stacks):
+                    top = jtop + jmax - j
+                    want = dressed_direct(base, j, zlo, top)
+                    assert {key: vec for key, vec in _vectors(got).items()
+                            if zlo <= key[1] <= top} == want, \
+                        (alg, r, s, v, jmax, j)
+            for j, got in enumerate(base.dressings(window, zlo, window)):
+                direct = product_stack_oracle(a, DressedField(b, j),
+                                              raised(mult, j), v, -xwin,
+                                              xwin, window)
                 for key in ((E, t) for E in range(-xwin, xwin + 1)
                             for t in range(zlo, window + 1)):
                     assert got.get(*key) == direct.get(key, mod.zero()), \
@@ -951,7 +994,8 @@ def test_point_values_match_evaluated_symbolic_seeded():
                 # the stack of (a, theta^j b / j!), as the image brackets
                 # read it
                 stacks.append(_vectors(vertexops._product_stack(
-                    a, b, mult, v, -2, 2, 3 + j).dressed(j, -mult.kappa, 3)))
+                    a, b, mult, v, -2, 2, 3 + j).dressings(
+                        j, -mult.kappa, 3)[j]))
             want, got = stacks
             assert set(got) <= set(want)
             for key, vec in want.items():
@@ -1000,7 +1044,10 @@ def test_stack_memo_is_empty_after_each_call(monkeypatch):
 def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     """Laws of one suite share stacks; the next suite reuses none.  Each
     order of an image bracket builds one undressed stack per state, so
-    its products need only the pairs' canonical multipliers."""
+    its products need only the pairs' canonical multipliers; equal fields
+    share one order.  A realized product field reads every x exponent of
+    a window off one stack: scale-covariance builds one per shift and
+    state."""
     calls = []
     core = vertexops.ordered_core
     series = set()
@@ -1021,8 +1068,11 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         before = len(calls)
         suite_reports(window=5, point=point)
         counts.append(len(calls) - before)
-    assert counts == [126, 126]
+    assert counts == [26, 26]
     assert len(series) == 7
+    before = len(calls)
+    verify_identity("scale-covariance", window=5, point=point)
+    assert len(calls) - before == 5 * 2
 
 
 def test_law_parameters_pass_through():
