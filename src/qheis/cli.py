@@ -13,8 +13,7 @@ Exit codes: 0 when everything passes, 1 on any failure or inconclusive
 result, 2 on usage errors.  Machine reports use the stable keys
 ``suite, params, window, status, failures, seed, elapsed_ms``; in
 symbolic mode every number is an exact rational expression in q and the
-level l, and with ``--q0/--l0`` an exact rational at that point.  The
-``QHEIS_WINDOW`` environment variable overrides default windows, and
+level l, and with ``--q0/--l0`` an exact rational at that point.
 ``QHEIS_FIXED_CLOCK=1`` pins ``elapsed_ms`` to 0 so identical runs are
 byte-identical.
 """
@@ -54,13 +53,6 @@ def _fail_usage(msg: str) -> int:
 
 
 def _window_default(fallback: int | None) -> int | None:
-    env = os.environ.get("QHEIS_WINDOW")
-    if env is not None:
-        try:
-            fallback = int(env)
-        except ValueError:
-            raise SystemExit(_fail_usage(
-                f"QHEIS_WINDOW must be an integer, got {env!r}"))
     if fallback is not None and fallback < 0:
         raise SystemExit(_fail_usage(
             f"a window must be a nonnegative integer, got {fallback}"))

@@ -15,8 +15,7 @@ exactness windows; anything else is rejected when parsing.
 
 The text grammar accepts identifiers ``x``, ``x1``, ``x2``, ``z``, the
 scalar symbol ``q``, integers, ``+ - * / ^``, parentheses, and ``e^v`` for
-exponentials.  Parsing a printed kernel reproduces the internal form bit
-for bit.
+exponentials.
 
 Parsing and expansion are pure, so both are memoized for the life of the
 process, each in a least-recently-used memo of 64 entries:
@@ -107,8 +106,6 @@ def _num_add(a: NumPoly, b: NumPoly) -> NumPoly:
 
 
 def _num_scale(a: NumPoly, c: Scalar) -> NumPoly:
-    if not c:
-        return {}
     return {m: c * v for m, v in a.items()}
 
 
@@ -149,77 +146,27 @@ class Factor:
         rank = ("affine", "binom", "ratio", "expconst").index(self.shape)
         return (rank, self.a, self.b, str(self.c))
 
-    def text(self) -> str:
-        cs = _scalar_text(self.c)
-        if self.shape == "binom":
-            return f"({self.a} - {cs}*{self.b})"
-        if self.shape == "ratio":
-            return f"(1 - {cs}*{self.a}/{self.b})"
-        if self.shape == "affine":
-            return f"({self.a} - {cs})"
-        return f"(e^{self.a} - {cs})"
-
     def variables(self) -> set[str]:
         return {self.a, self.b} if self.b else {self.a}
 
 
 class RationalKernel:
-    """num / (monomial * product of shaped factors), all exactly scalar."""
+    """num / (monomial * product of shaped factors), all exactly scalar.
+
+    `num` is canonical: monomials built by :func:`_mono` and no zero
+    coefficient.  Its negative powers of plain variables are cleared into
+    the monomial denominator `mono_den`; `den` merges equal factors.
+    """
 
     __slots__ = ("num", "mono_den", "den")
 
-    def __init__(self, num: NumPoly, mono_den: Mono = (),
-                 den: tuple[tuple[Factor, int], ...] = ()):
-        canon: NumPoly = {}
-        for m, c in num.items():
-            if not c:
-                continue
-            mm = _mono(*m)
-            s = canon.get(mm)
-            s = c if s is None else s + c
-            if s:
-                canon[mm] = s
-            else:
-                canon.pop(mm, None)
-        num, clear = _split_vars(canon)
-        mono: dict[str, int] = {}
-        for a, e in (*mono_den, *clear):
-            if a.startswith("e^"):
-                raise KernelError("exponentials cannot appear in the "
-                                  "denominator monomial")
-            mono[a] = mono.get(a, 0) + e
-        if any(e < 0 for e in mono.values()):
-            raise KernelError("denominator monomial powers must be positive")
-        # cancel variables shared by every numerator term
-        if num:
-            for v in list(mono):
-                m_v = min(dict(m).get(v, 0) for m in num)
-                red = min(m_v, mono[v])
-                if red > 0:
-                    num = _num_mul(num, {_mono((v, -red)): _ONE})
-                    mono[v] -= red
-        self.num = num
-        self.mono_den = _mono(*mono.items())
+    def __init__(self, num: NumPoly, den: tuple[tuple[Factor, int], ...] = ()):
+        self.num, self.mono_den = _split_vars(num)
         merged: dict[Factor, int] = {}
         for f, p in den:
-            if p < 0:
-                raise KernelError("negative factor power in denominator")
-            if p:
-                merged[f] = merged.get(f, 0) + p
+            merged[f] = merged.get(f, 0) + p
         self.den = tuple(sorted(merged.items(),
                                 key=lambda fp: fp[0].sort_key()))
-
-    # -- algebra -------------------------------------------------------------
-
-    def __mul__(self, other: "RationalKernel") -> "RationalKernel":
-        return RationalKernel(
-            _num_mul(self.num, other.num),
-            _mono(*self.mono_den, *other.mono_den),
-            self.den + other.den,
-        )
-
-    def scale(self, c: Scalar) -> "RationalKernel":
-        return RationalKernel(_num_scale(self.num, c), self.mono_den, self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalKernel)
@@ -240,62 +187,6 @@ class RationalKernel:
         for f, _p in self.den:
             out |= f.variables()
         return out
-
-    # -- display -------------------------------------------------------------
-
-    def text(self) -> str:
-        num = _num_text(self.num)
-        dens: list[str] = []
-        for a, e in self.mono_den:
-            dens.append(a if e == 1 else f"{a}^{e}")
-        for f, p in self.den:
-            dens.append(f.text() if p == 1 else f"{f.text()}^{p}")
-        if not dens:
-            return num
-        if len(self.num) > 1:
-            num = f"({num})"
-        return num + "/" + "/".join(dens)
-
-    __str__ = text
-
-    def __repr__(self):
-        return f"RationalKernel({self.text()!r})"
-
-
-def _scalar_text(c: Scalar) -> str:
-    s = str(c)
-    if re.fullmatch(r"\d+(\*q(\^\d+)?)?|q(\^\d+)?", s):
-        return s
-    if re.fullmatch(r"[^/+\- ()]+/[^/+\- ()]+", s):
-        return s
-    return f"({s})"
-
-
-def _mono_text(m: Mono) -> str:
-    return "*".join(a if e == 1 else f"{a}^{e}" for a, e in m)
-
-
-def _num_text(num: NumPoly) -> str:
-    if not num:
-        return "0"
-    terms = sorted(num.items(), key=lambda mc: tuple(
-        (_atom_key(a), -e) for a, e in mc[0]))
-    out = []
-    for m, c in terms:
-        mono = _mono_text(m)
-        neg = len(c.num) == 1 and next(iter(c.num.values())) < 0
-        cc = -c if neg else c
-        if mono and cc.is_one():
-            body = mono
-        elif mono:
-            body = f"{_scalar_text(cc)}*{mono}"
-        else:
-            body = _scalar_text(cc)
-        if not out:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append(("- " if neg else "+ ") + body)
-    return " ".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +232,13 @@ def _tokenize(text: str):
 
 @dataclass(frozen=True)
 class _V:
-    num: tuple
+    num: NumPoly
     den: tuple
     fac: tuple | None = None
 
 
-def _freeze(num: NumPoly):
-    return tuple(sorted(num.items(), key=lambda mc: mc[0]))
-
-
-def _thaw(fr) -> NumPoly:
-    return dict(fr)
-
-
 def _atom(num: NumPoly) -> _V:
-    fr = _freeze(num)
-    return _V(fr, (), ((fr, 1),))
+    return _V(num, (), ((num, 1),))
 
 
 class _Parser:
@@ -462,44 +344,41 @@ class _Parser:
     # -- value algebra -------------------------------------------------------
 
     def _neg(self, v: _V) -> _V:
-        minus = _freeze({(): Scalar.from_int(-1)})
-        num = _freeze(_num_scale(_thaw(v.num), Scalar.from_int(-1)))
-        fac = ((num, 1),) if v.fac is None else v.fac + ((minus, 1),)
+        minus = Scalar.from_int(-1)
+        num = _num_scale(v.num, minus)
+        fac = ((num, 1),) if v.fac is None else v.fac + (({(): minus}, 1),)
         return _V(num, v.den, fac)
 
     def _add(self, a: _V, b: _V) -> _V:
         if a.den or b.den:
             self.error("sums with quotient terms are not in kernel form")
-        return _V(_freeze(_num_add(_thaw(a.num), _thaw(b.num))), ())
+        return _V(_num_add(a.num, b.num), ())
 
     def _mul(self, a: _V, b: _V) -> _V:
         fac = None if a.fac is None or b.fac is None else a.fac + b.fac
-        return _V(_freeze(_num_mul(_thaw(a.num), _thaw(b.num))),
-                  a.den + b.den, fac)
+        return _V(_num_mul(a.num, b.num), a.den + b.den, fac)
 
     def _inv(self, v: _V) -> _V:
         if v.den:
             self.error("nested quotients are not in kernel form")
-        num = _thaw(v.num)
-        if not num:
+        if not v.num:
             self.error("division by zero")
-        if len(num) == 1:
-            (m, c), = num.items()
+        if len(v.num) == 1:
+            (m, c), = v.num.items()
             inv = _mono(*((a, -e) for a, e in m))
             return _atom({inv: _ONE / c})
-        return _V(_freeze({(): _ONE}), v.fac or ((v.num, 1),), ())
+        return _V({(): _ONE}, v.fac or ((v.num, 1),), ())
 
     def _pow(self, v: _V, e: int) -> _V:
         if e == 0:
-            return _V(_freeze({(): _ONE}), ())
+            return _V({(): _ONE}, ())
         if e < 0:
             return self._pow(self._inv(v), -e)
-        num = _thaw(v.num)
         out: NumPoly = {(): _ONE}
         for _ in range(e):
-            out = _num_mul(out, num)
+            out = _num_mul(out, v.num)
         fac = None if v.fac is None else tuple((f, p * e) for f, p in v.fac)
-        return _V(_freeze(out), tuple((f, p * e) for f, p in v.den), fac)
+        return _V(out, tuple((f, p * e) for f, p in v.den), fac)
 
 
 def _classify_unit(text: str, unit: NumPoly) -> tuple[Factor, Scalar]:
@@ -519,19 +398,13 @@ def _classify_unit(text: str, unit: NumPoly) -> tuple[Factor, Scalar]:
     def is_exp(m):
         return len(m) == 1 and m[0][1] == 1 and m[0][0].startswith("e^")
 
+    # the constant term sorts first, and two variables in name order
     (m1, c1), (m2, c2) = terms
     if not clear:
         if is_var(m1) and is_var(m2):
-            a, b = m1[0][0], m2[0][0]
-            if a > b:
-                a, b, c1, c2 = b, a, c2, c1
-            return Factor("binom", a, b, -c2 / c1), c1
-        if is_var(m1) and not m2:
-            return Factor("affine", m1[0][0], "", -c2 / c1), c1
+            return Factor("binom", m1[0][0], m2[0][0], -c2 / c1), c1
         if is_var(m2) and not m1:
             return Factor("affine", m2[0][0], "", -c1 / c2), c2
-        if is_exp(m1) and not m2:
-            return Factor("expconst", m1[0][0][2:], "", -c2 / c1), c1
         if is_exp(m2) and not m1:
             return Factor("expconst", m2[0][0][2:], "", -c1 / c2), c2
         raise bad
@@ -549,11 +422,10 @@ def _classify_unit(text: str, unit: NumPoly) -> tuple[Factor, Scalar]:
 
 
 def _assemble(text: str, v: _V) -> RationalKernel:
-    num = _thaw(v.num)
+    num = v.num
     factors: list[tuple[Factor, int]] = []
     coeff = _ONE
-    for fr, power in v.den:
-        unit = _thaw(fr)
+    for unit, power in v.den:
         if len(unit) == 1:
             (m, c), = unit.items()
             num = _num_mul(num, {_mono(*((a, -e * power) for a, e in m)):
@@ -562,12 +434,7 @@ def _assemble(text: str, v: _V) -> RationalKernel:
         f, c = _classify_unit(text, unit)
         coeff = coeff / c**power
         factors.append((f, power))
-    try:
-        return RationalKernel(_num_scale(num, coeff), (), tuple(factors))
-    except KernelParseError:
-        raise
-    except KernelError as err:
-        raise KernelParseError(text, 0, str(err)) from None
+    return RationalKernel(_num_scale(num, coeff), tuple(factors))
 
 
 def parse_kernel(text: str) -> RationalKernel:
@@ -699,37 +566,28 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
 
 @dataclass
 class _Desc:
-    own: str | None                         # budget-parametrizing variable
-    minf: Callable[[str, int | None], int]  # exponent lower bound per var
+    own: str | None                  # budget-parametrizing variable
+    minf: Callable[[str], int]       # least exponent in a budget variable
     build: Callable[[int], TruncatedLaurent]
 
 
 def _factor_desc(vars, inner, f: Factor, p: int) -> _Desc:
+    def build(b):
+        return _inv_factor_table(f, p, vars, inner, b)
+
     if f.shape in ("binom", "ratio"):
         if inner not in (f.a, f.b):
             raise KernelError(
-                f"factor {f.text()} does not involve the expansion "
-                f"variable {inner!r}")
+                f"the {f.shape} factor in {f.a}, {f.b} with c = {f.c} does "
+                f"not involve the expansion variable {inner!r}")
         smin = p if (f.shape == "ratio" and inner == f.b) else 0
-        other = f.b if inner == f.a else f.a
-        drop = 0 if (f.shape == "ratio" and inner == f.a) else p
-
-        def minf(v, budget):
-            if v == inner:
-                return smin
-            if v == other:
-                assert budget is not None
-                return -drop - max(budget - smin, 0)
-            return 0
-
-        return _Desc(inner, minf,
-                     lambda b: _inv_factor_table(f, p, vars, inner, b))
+        # the other variable keys no budget: iota_expand refuses any
+        # table keyed on it next to a binomial
+        return _Desc(inner, lambda v: smin if v == inner else 0, build)
     if f.shape == "affine":
-        return _Desc(f.a, lambda v, b: 0,
-                     lambda b: _inv_factor_table(f, p, vars, inner, b))
+        return _Desc(f.a, lambda v: 0, build)
     # expconst: leading exponent is at worst -p
-    return _Desc(f.a, lambda v, b, f=f, p=p: -p if v == f.a else 0,
-                 lambda b: _inv_factor_table(f, p, vars, inner, b))
+    return _Desc(f.a, lambda v: -p if v == f.a else 0, build)
 
 
 def iota_expand(k: RationalKernel, direction: tuple[str, ...],
@@ -784,7 +642,7 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
                 if rest or not c.is_one():
                     t = t.shift(rest, c)
                 return t
-            return _Desc(zv, lambda v, b: rest.get(v, 0), build)
+            return _Desc(zv, lambda v: rest.get(v, 0), build)
 
         num_descs.append(mk())
     if plain:
@@ -792,12 +650,13 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
         tab = TruncatedLaurent.polynomial(
             vars, {tuple(dict(m).get(v, 0) for v in vars): c
                    for m, c in plain.items()})
-        num_descs.append(_Desc(None, lambda v, b: mono_min[v],
+        num_descs.append(_Desc(None, lambda v: mono_min[v],
                                lambda b: tab))
 
     fac_descs = [_factor_desc(vars, inner, f, p) for f, p in k.den]
 
-    if any(f.shape in ("binom", "ratio") for f, _p in k.den):
+    binomial = any(f.shape in ("binom", "ratio") for f, _p in k.den)
+    if binomial:
         for d in (*num_descs, *fac_descs):
             if d.own not in (None, inner):
                 raise KernelError(
@@ -805,43 +664,26 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
                     f"denominators with a series in {d.own!r}; use a "
                     f"direction ending in {d.own!r} or expand in stages")
 
+    # a table's budget is the window's top in its own variable minus the
+    # least exponents there of the other tables; the numerator sum counts
+    # as one table
     def num_min(v: str) -> int:
-        return min(d.minf(v, None) for d in num_descs)
+        return min(d.minf(v) for d in num_descs)
 
-    # pass 1: budgets for tables parametrized by the series variable
-    budgets: dict[int, int] = {}
-    nbudgets: dict[int, int] = {}
-    fim = [d.minf(inner, None) for d in fac_descs]
-    tot_inner = num_min(inner) + sum(fim)
-    for i, d in enumerate(fac_descs):
-        if d.own == inner:
-            budgets[i] = hi_pre[inner] - (tot_inner - fim[i])
-    for j, d in enumerate(num_descs):
-        if d.own == inner:
-            nbudgets[j] = hi_pre[inner] - (tot_inner - num_min(inner))
-    # pass 2: remaining variables, with series-variable budgets resolved
-    for v in vars:
-        if v == inner:
-            continue
-        fvm = [d.minf(v, budgets.get(i)) for i, d in enumerate(fac_descs)]
-        tot = num_min(v) + sum(fvm)
-        for i, d in enumerate(fac_descs):
-            if d.own == v:
-                budgets[i] = hi_pre[v] - (tot - fvm[i])
-        for j, d in enumerate(num_descs):
-            if d.own == v:
-                nbudgets[j] = hi_pre[v] - (tot - num_min(v))
+    def fac_min(v: str) -> int:
+        return sum(d.minf(v) for d in fac_descs)
 
     table: TruncatedLaurent | None = None
-    for j, d in enumerate(num_descs):
-        t = d.build(nbudgets.get(j, 0))
+    for d in num_descs:
+        t = d.build(0 if d.own is None else hi_pre[d.own] - fac_min(d.own))
         table = t if table is None else table + t
-    for i, d in enumerate(fac_descs):
-        table = table * d.build(budgets[i])
+    for d in fac_descs:
+        v = d.own
+        table = table * d.build(hi_pre[v] - num_min(v) - fac_min(v)
+                                + d.minf(v))
     if moff:
         table = table.shift({v: -e for v, e in moff.items()})
-    if len(vars) >= 2 and any(f.shape in ("binom", "ratio")
-                              for f, _p in k.den):
+    if len(vars) >= 2 and binomial:
         table = table.with_direction(direction)
     table.require_certified(window)
     return table.restrict(window)

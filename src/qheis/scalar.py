@@ -115,10 +115,15 @@ def _pdiv_exact(a: Poly, g: Poly) -> Poly:
     quot: Poly = {}
     rem = dict(a)
     (gq, gl), gc = _lead(g)
+    last = None
     while rem:
         (rq, rl), rc = _lead(rem)
         if rq < gq or rl < gl or rc % gc != 0:
             raise ScalarError("inexact polynomial division")
+        # each step cancels the leading term, so the lead must fall
+        if last is not None and (rq, rl) >= last:
+            raise ScalarError("polynomial division step left its lead")
+        last = (rq, rl)
         t = ((rq - gq, rl - gl), rc // gc)
         quot[t[0]] = t[1]
         rem = _padd(rem, _pneg(_pmul({t[0]: t[1]}, g)))

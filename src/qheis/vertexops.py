@@ -127,10 +127,12 @@ class OperatorSeries:
     the product-stack memo keys on.  They implement ``apply_coeff``, or
     ``apply_coeffs``, which applies a window of coefficients at once
     (a product reads them off one stack); each defaults to the other.
-    They also implement a support bound ``low_exponent``: coefficients
-    below it act as zero on the given vector.  Every field stores its
-    ``module``; only :class:`GeneratorField`, whose coefficients read it,
-    stores the mode ``offset``.
+    The fields a product takes as factors, :class:`GeneratorField` and
+    :class:`IdentityField`, also implement a support bound
+    ``low_exponent``: coefficients below it act as zero on the given
+    vector.  Every field stores its ``module``; only
+    :class:`GeneratorField`, whose coefficients read it, stores the mode
+    ``offset``.
     """
 
     module: FockModule
@@ -146,9 +148,6 @@ class OperatorSeries:
                      ) -> list[FockVector]:
         """[apply_coeff(e, v) for e = lo..hi]."""
         return [self.apply_coeff(e, v) for e in range(lo, hi + 1)]
-
-    def low_exponent(self, v: FockVector) -> int:
-        raise NotImplementedError
 
 
 def _state_key(v: FockVector):
@@ -217,9 +216,6 @@ class ArgScaledField(OperatorSeries):
         return [u.scale(self.c ** e) for e, u in
                 zip(range(lo, hi + 1), self.base.apply_coeffs(lo, hi, v))]
 
-    def low_exponent(self, v: FockVector) -> int:
-        return self.base.low_exponent(v)
-
 
 @dataclass(frozen=True)
 class SumField(OperatorSeries):
@@ -240,9 +236,6 @@ class SumField(OperatorSeries):
             out = [acc + u.scale(c)
                    for acc, u in zip(out, f.apply_coeffs(lo, hi, v))]
         return out
-
-    def low_exponent(self, v: FockVector) -> int:
-        return min((f.low_exponent(v) for _c, f in self.terms), default=0)
 
 
 def field_of(module: FockModule, shift: int = 0) -> GeneratorField:
@@ -731,10 +724,6 @@ class ProductExpression(OperatorSeries):
         if self.left.module != self.right.module:
             raise VertexError("product factors act on different modules")
         self._derive(module=self.left.module)
-
-    def low_exponent(self, v: FockVector) -> int:
-        raise VertexError("products do not expose a support bound; "
-                          "apply their coefficients directly")
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:

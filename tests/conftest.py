@@ -29,7 +29,7 @@ from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
     """a*e^z / (1 - a*e^z)^2, written as (1/a)*e^z / (e^z - 1/a)^2."""
     inv = ONE / a
-    return RationalKernel({(("e^z", 1),): inv}, (),
+    return RationalKernel({(("e^z", 1),): inv},
                           ((Factor("expconst", "z", "", inv), 2),))
 
 
@@ -130,7 +130,7 @@ def _directed_binom_power(j: int, window) -> TruncatedLaurent:
             for k in range(j + 1)
         }
         return TruncatedLaurent.polynomial(window.vars, coeffs)
-    pole = RationalKernel({(): ONE}, (),
+    pole = RationalKernel({(): ONE},
                           ((Factor("binom", "x1", "x2", ONE), -j),))
     return iota_expand(pole, ("x2", "x1"), window)
 

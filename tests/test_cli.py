@@ -20,7 +20,6 @@ REPORT_KEYS = {"suite", "params", "window", "status", "laws", "failures",
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    monkeypatch.delenv("QHEIS_WINDOW", raising=False)
     monkeypatch.delenv("QHEIS_FIXED_CLOCK", raising=False)
 
 
@@ -65,6 +64,16 @@ def test_expand_rejects_bad_input(capsys):
         out, err = capsys.readouterr()
         assert not out
         assert err.count("\n") == 1 and err.startswith("error:"), err
+
+
+def test_expand_names_a_factor_off_the_series_variable(capsys):
+    assert run(["expand", "--kernel", "1/(x1-x2)",
+                "--direction", "x1,x2,z"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert "binom factor in x1, x2 with c = 1" in err
+    assert "expansion variable 'z'" in err
 
 
 def test_bracket_values(capsys):
@@ -285,16 +294,6 @@ def test_fixed_clock_reports_are_identical(monkeypatch, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["elapsed_ms"] == 0
-
-
-def test_window_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("QHEIS_WINDOW", "3")
-    code = run(["verify", "--law", "hq-commutator-delta", "--json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["window"] == 3
-    monkeypatch.setenv("QHEIS_WINDOW", "wide")
-    assert run(["verify", "--law", "hq-commutator-delta"]) == 2
-    capsys.readouterr()
 
 
 def test_console_script_runs():

@@ -1,4 +1,4 @@
-"""Kernel parsing, printing, and directed expansion."""
+"""Kernel parsing and directed expansion."""
 
 import random
 from fractions import Fraction
@@ -35,7 +35,7 @@ def mono(**exps):
 
 
 # ---------------------------------------------------------------------------
-# parsing and printing
+# parsing
 # ---------------------------------------------------------------------------
 
 
@@ -93,46 +93,74 @@ def test_parse_error_positions_and_reasons():
         parse_kernel("x1 ? x2")
 
 
-def test_print_parse_round_trip_examples():
-    for text in [
-        "(x1-q*x2)*(q*x1-x2)",
-        "1/(1-q*x1/x2)^2",
-        "q/x1^2",
-        "1/(e^z - 1)^2/(e^z - q)^2",
-        "(x1 - x2)^2/(x1-q*x2)",
-        "e^z^3/(e^z - q)",
-        "(2*x1 - 3*x2)/(x2 - 2)",
-        "x2^2/(x1*x2^3)",
-    ]:
-        k = parse_kernel(text)
-        assert parse_kernel(k.text()) == k, k.text()
+# example texts with their kernels built by hand
+_EXAMPLES = [
+    ("(x1-q*x2)*(q*x1-x2)",
+     {mono(x1=2): Q, mono(x1=1, x2=1): -(ONE + Q * Q), mono(x2=2): Q}, ()),
+    ("1/(1-q*x1/x2)^2", {(): ONE}, ((Factor("ratio", "x1", "x2", Q), 2),)),
+    ("q/x1^2", {mono(x1=-2): Q}, ()),
+    ("1/(e^z - 1)^2/(e^z - q)^2", {(): ONE},
+     ((Factor("expconst", "z", "", Q), 2),
+      (Factor("expconst", "z", "", ONE), 2))),
+    ("(x1 - x2)^2/(x1-q*x2)",
+     {mono(x1=2): ONE, mono(x1=1, x2=1): frac(-2), mono(x2=2): ONE},
+     ((Factor("binom", "x1", "x2", Q), 1),)),
+    ("e^z^3/(e^z - q)", {(("e^z", 3),): ONE},
+     ((Factor("expconst", "z", "", Q), 1),)),
+    ("(2*x1 - 3*x2)/(x2 - 2)", {mono(x1=1): frac(2), mono(x2=1): frac(-3)},
+     ((Factor("affine", "x2", "", frac(2)), 1),)),
+    ("x2^2/(x1*x2^3)", {mono(x1=-1, x2=-1): ONE}, ()),
+    ("1/(x2-x1)", {(): frac(-1)}, ((Factor("binom", "x1", "x2", ONE), 1),)),
+    ("1/(2*x2-4*x1)/(3-x)",
+     {(): frac(1, 4)}, ((Factor("binom", "x1", "x2", frac(1, 2)), 1),
+                        (Factor("affine", "x", "", frac(3)), 1))),
+]
 
 
-def test_print_parse_round_trip_seeded():
+def test_parse_examples_match_hand_built_kernels():
+    for text, num, den in _EXAMPLES:
+        assert parse_kernel(text) == RationalKernel(num, den), text
+
+
+# constants as the parser reads them, with their values
+_CONSTS = [("1", ONE), ("2", frac(2)), ("q", Q), ("(1/q)", ONE / Q),
+           ("q^2", Q * Q), ("(1/2)", frac(1, 2)), ("(1+q)", ONE + Q),
+           ("(-q)", -Q)]
+
+
+def test_parse_seeded_kernels_match_hand_built_kernels():
+    """Random sums over random shaped factors and monomial denominators,
+    each spelled as text and built by hand from the same choices."""
     rng = random.Random(20260823)
-    consts = [ONE, Scalar.from_int(2), Q, ONE / Q, Q * Q, frac(1, 2),
-              ONE + Q, Scalar.from_int(-1) * Q]
     for _ in range(60):
-        num = {}
+        drop = rng.randint(0, 2)
+        terms, num = [], {}
         for _t in range(rng.randint(1, 3)):
-            m = mono(**{v: rng.randint(0, 2) for v in ("x1", "x2")})
-            num[m] = rng.choice(consts)
+            (ct, c), a, b = rng.choice(_CONSTS), rng.randint(0, 2), \
+                rng.randint(0, 2)
+            terms.append(f"{ct}*x1^{a}*x2^{b}")
+            m = mono(**{v: e for v, e in (("x1", a - drop), ("x2", b)) if e})
+            s = num.get(m, Scalar.from_int(0)) + c
+            if s:
+                num[m] = s
+            else:
+                num.pop(m)
+        text = "(" + " + ".join(terms) + ")" + (f"/x1^{drop}" if drop else "")
         den = []
         for _f in range(rng.randint(0, 2)):
-            c = rng.choice(consts)
+            (ct, c), p = rng.choice(_CONSTS), rng.randint(1, 3)
             shape = rng.choice(["binom", "ratio", "affine"])
             if shape == "affine":
-                f = Factor("affine", rng.choice(["x1", "x2"]), "", c)
+                a = rng.choice(["x1", "x2"])
+                f, ft = Factor("affine", a, "", c), f"({a} - {ct})"
             elif shape == "binom":
-                f = Factor("binom", "x1", "x2", c)
+                f, ft = Factor("binom", "x1", "x2", c), f"(x1 - {ct}*x2)"
             else:
                 a, b = rng.choice([("x1", "x2"), ("x2", "x1")])
-                f = Factor("ratio", a, b, c)
-            den.append((f, rng.randint(1, 3)))
-        k = RationalKernel(num, mono(x1=rng.randint(0, 2)), tuple(den))
-        if not k.num:
-            continue
-        assert parse_kernel(k.text()) == k, k.text()
+                f, ft = Factor("ratio", a, b, c), f"(1 - {ct}*{a}/{b})"
+            den.append((f, p))
+            text += f"/{ft}^{p}"
+        assert parse_kernel(text) == RationalKernel(num, tuple(den)), text
 
 
 @pytest.mark.parametrize("paren, flat", [

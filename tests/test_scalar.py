@@ -358,6 +358,48 @@ def test_pmul_with_a_monomial_matches_double_loop(mono, coeff, poly, left):
     assert _pmul(a, b) == _pmul_oracle(a, b)
 
 
+def _pmul_dropping_monomial_coefficient(a, b):
+    """scalar._pmul with a planted defect: a monomial factor's coefficient
+    is dropped, so a division step no longer cancels its leading term."""
+    if not a or not b:
+        return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, la), _ca), = a.items()
+        return {(ea + eb, la + lb): cb for (eb, lb), cb in b.items()}
+    return _pmul_oracle(a, b)
+
+
+def test_pdiv_exact_raises_when_a_step_keeps_the_lead(monkeypatch):
+    """Under the planted _pmul, -(q + 1) / (q + 1) leaves -2(q + 1),
+    -3(q + 1), ...; the division
+    and the seeded oracle runs must raise, not loop.  The alarm turns a
+    regression into a failure instead of a hang."""
+    import signal
+
+    from qheis import scalar
+
+    def timeout(signum, frame):
+        raise TimeoutError("polynomial division did not stop")
+
+    monkeypatch.setattr(scalar, "_pmul", _pmul_dropping_monomial_coefficient)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(scalar.ScalarError, match="left its lead"):
+            scalar._pdiv_exact({(1, 0): -1, (0, 0): -1},
+                               {(1, 0): 1, (0, 0): 1})
+        for seed, residuals in ((20261018, False), (20261019, True)):
+            rng = random.Random(seed)
+            with pytest.raises(scalar.ScalarError):
+                _check_against_oracle(
+                    rng, _operand_factory(rng, residuals=residuals), 120)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _cancel_by_strip(num, fd):
     """scalar._cancel for a denominator without residual, trying every
     cyclotomic factor on the numerator."""

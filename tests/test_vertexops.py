@@ -1113,19 +1113,20 @@ def test_commutator_laws_match_wide_golden():
     assert checked["htq-quasi-locality-control"] == 1407
 
 
-def _double_catalog_part(monkeypatch):
-    """Plant a wrong catalog: the first part of every pair is doubled."""
-    base = vertexops._base_pair
-
-    def doubled(a, b):
-        parts = base(a, b)
-        return tuple(dataclasses.replace(p, coeff=p.coeff + p.coeff)
-                     if i == 0 else p for i, p in enumerate(parts))
-
-    monkeypatch.setattr(vertexops, "_base_pair", doubled)
+def _plant_catalog(monkeypatch, parts_of):
+    """Replace the commutator catalog by parts_of(a, b)."""
+    monkeypatch.setattr(vertexops, "_base_pair", parts_of)
     # the pair memo must neither serve nor keep unplanted data
     monkeypatch.setattr(vertexops, "pair_of", lru_cache(maxsize=128)(
         vertexops.pair_of.__wrapped__))
+
+
+def _double_catalog_part(monkeypatch):
+    """Plant a wrong catalog: the first part of every pair is doubled."""
+    base = vertexops._base_pair
+    _plant_catalog(monkeypatch, lambda a, b: tuple(
+        dataclasses.replace(p, coeff=p.coeff + p.coeff) if i == 0 else p
+        for i, p in enumerate(base(a, b))))
 
 
 @pytest.mark.parametrize("name", [
@@ -1231,3 +1232,62 @@ def test_planted_defect_fails_and_names_its_case(monkeypatch, name, plant,
     rep = verify_identity(name, window=5)
     assert rep.status == FAIL, (rep.status, rep.notes)
     assert any(re.match(line, f) for f in rep.failures), rep.failures
+
+
+def _double_iratio_parts(monkeypatch):
+    """Plant a wrong catalog: every one-sided ratio kernel is doubled."""
+    base = vertexops._base_pair
+    _plant_catalog(monkeypatch, lambda a, b: tuple(
+        dataclasses.replace(p, coeff=p.coeff + p.coeff)
+        if p.kind == "iratio" else p for p in base(a, b)))
+
+
+def _zero_brackets(monkeypatch):
+    """Plant a level-zero algebra: the module and the catalog bracket
+    every pair of modes to zero."""
+    base = fock.bracket_modes
+    monkeypatch.setattr(fock, "bracket_modes",
+                        lambda *args: base(*args) - base(*args))
+    _plant_catalog(monkeypatch, lambda a, b: ())
+
+
+def _wrong_hq_multiplier(monkeypatch):
+    """Plant a wrong multiplier q (x1 - q x2)(x1 - q^-2 x2) in place of
+    q (x1 - q x2)(x1 - q^-1 x2)."""
+    spec = LAWS["hq-quasi-locality"]
+    monkeypatch.setitem(LAWS, "hq-quasi-locality", dataclasses.replace(
+        spec, runner=vertexops._law_quasi_locality(
+            "hq", (1, ((1, 1), (-2, 1))))))
+
+
+# the mutation matrix: one planted defect per law, each of which must make
+# the law fail at windows 5 and 8
+_MATRIX = {law: plant for law, plant, _line in _PLANTED} | {
+    "bhat-commutator-delta": _double_catalog_part,
+    "hq-commutator-delta": _double_catalog_part,
+    "hq-quasi-locality": _wrong_hq_multiplier,
+    "hq-quasi-locality-control": _zero_brackets,
+    "htq-commutator-euler-form": _double_module_bracket,
+    "htq-quasi-locality": _double_iratio_parts,
+    "htq-quasi-locality-control": _zero_brackets,
+}
+# the inner cube of htq-quasi-locality misses the antidiagonal where the
+# doubled kernels leave their remainder, so window 5 passes vacuously
+_VACUOUS = {("htq-quasi-locality", 5): pytest.mark.xfail(
+    strict=True, reason="the inner cube misses the remainder")}
+
+
+def test_mutation_matrix_covers_every_law():
+    assert sorted(_MATRIX) == sorted(LAWS)
+
+
+@pytest.mark.parametrize("name, window", [
+    pytest.param(name, window, marks=_VACUOUS.get((name, window), ()))
+    for name in sorted(_MATRIX) for window in (5, 8)])
+def test_mutation_matrix_row_fails(monkeypatch, name, window):
+    monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
+    monkeypatch.setattr(vertexops, "_inverse_exp", lru_cache(maxsize=128)(
+        vertexops._inverse_exp.__wrapped__))
+    _MATRIX[name](monkeypatch)
+    rep = verify_identity(name, window=window)
+    assert rep.status == FAIL, (rep.status, rep.notes)
