@@ -32,7 +32,7 @@ from .fock import FockError, FockModule, apply_word
 from .kernels import KernelError, parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
 from .report import INCONCLUSIVE, PASS, combine
-from .scalar import SYMBOLIC, RationalPoint
+from .scalar import SYMBOLIC, RationalPoint, int_text
 from .series import SeriesError, Window
 from .vertexops import (
     LAWS,
@@ -96,6 +96,17 @@ def _check_point_from(args) -> RationalPoint | None:
     return point
 
 
+def _value_text(val) -> str:
+    """A bracket value as printed.  At a point it is a Fraction, whose two
+    integers go through int_text so that they print at any length."""
+    if isinstance(val, Fraction):
+        num = int_text(val.numerator)
+        if val.denominator == 1:
+            return num
+        return f"{num}/{int_text(val.denominator)}"
+    return str(val)
+
+
 def _parse_word(text: str):
     word = []
     for tok in text.split(","):
@@ -145,7 +156,7 @@ def _cmd_bracket(args) -> int:
                             SYMBOLIC if point is None else point)
     except LieAlgebraError as exc:
         return _fail_usage(str(exc))
-    print(val)
+    print(_value_text(val))
     return 0
 
 

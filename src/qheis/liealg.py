@@ -36,6 +36,11 @@ F_n coefficients are memoized for the life of the process by (n, j,
 field), in a least-recently-used memo of 128 entries; the Eulerian rows
 behind g are kept too, and grow only to the largest j asked for.
 
+:func:`bracket_modes` checks its arguments on every call and then reads
+the bracket from a least-recently-used memo of 1,024 entries, keyed by the
+algebra's name, (m, n, r, s) and the field.  A repeated bracket is the
+same scalar object, so its printed text is also computed only once.
+
 Levels are not fixed here: brackets return the coefficient of the central
 element, and specialising the centre to a level happens in the module
 acting on a vacuum space.  Every constant is computed in a scalar field,
@@ -246,17 +251,24 @@ def bracket_modes(alg: str | AlgebraSpec, m: int, n: int,
     spec = get_algebra(alg)
     if not spec.shifted and (r or s):
         raise LieAlgebraError(f"{spec.name} generators carry no family index")
-    if spec.name == "hq":
+    return _bracket(spec.name, m, n, r, s, scalars)
+
+
+# keyed by the algebra's name, which hashes faster than its frozen spec; a
+# bench session asks for at most about 450 distinct brackets
+@lru_cache(maxsize=1024)
+def _bracket(name: str, m: int, n: int, r: int, s: int, scalars) -> Scalar:
+    if name == "hq":
         return scalars.qint(m) if m + n == 0 else scalars.zero
-    if spec.name == "htq":
+    if name == "htq":
         if m + n:
             return scalars.zero
         return (scalars.one - scalars.q_power(abs(m))) * m
-    if spec.name == "bhat":
+    if name == "bhat":
         if m + n + 1:
             return scalars.zero
         return standard_pairing(r, s, scalars)
-    if spec.name == "graded":
+    if name == "graded":
         if m + n:
             return scalars.zero
         am = abs(m)

@@ -26,7 +26,8 @@ reductions are counted in ``residual_reductions``.
 
 ``num`` is a polynomial dict and ``den`` its expanded denominator, built on
 first use.  Equal values have identical representations, so ``==`` and
-``hash`` are structural.
+``hash`` are structural.  A scalar keeps its hash and its printed text
+once they are first asked for.
 """
 
 from __future__ import annotations
@@ -296,6 +297,27 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return _sign_norm(out)
 
 
+# str(int) refuses more digits than sys.get_int_max_str_digits() allows,
+# a limit of at least 640 when it is on; 2,000 bits make at most 603 digits
+_SHORT_BITS = 2000
+
+
+def int_text(n: int) -> str:
+    """The decimal digits of n, however many there are.
+
+    A long value is split at a power of ten and each part is written on
+    its own, so no single conversion meets the interpreter's digit limit
+    and the process-wide limit is left as it is.
+    """
+    if n.bit_length() <= _SHORT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
+    hi, lo = divmod(n, 10 ** k)
+    return int_text(hi) + int_text(lo).zfill(k)
+
+
 def _pstr(a: Poly) -> str:
     if not a:
         return "0"
@@ -312,7 +334,7 @@ def _pstr(a: Poly) -> str:
         elif el:
             atoms.append(f"l^{el}")
         if not atoms or abs(c) != 1:
-            atoms.insert(0, str(abs(c)))
+            atoms.insert(0, int_text(abs(c)))
         term = "*".join(atoms)
         if not parts:
             parts.append(term if c > 0 else "-" + term)
@@ -600,7 +622,7 @@ def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored) -> "Scalar":
 class Scalar:
     """An element of Q(q, l) in canonical form.  Immutable."""
 
-    __slots__ = ("num", "_fd", "_den", "_hash")
+    __slots__ = ("num", "_fd", "_den", "_hash", "_str")
 
     def __init__(self, num: Poly, den: Poly):
         """The reduced fraction num / den."""
@@ -746,6 +768,14 @@ class Scalar:
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
+        try:
+            return self._str
+        except AttributeError:
+            text = self._text()
+            _set_str(self, text)
+            return text
+
+    def _text(self) -> str:
         ns = _pstr(self.num)
         den = self.den
         if den == _ONE:
@@ -767,6 +797,7 @@ _set_num = Scalar.num.__set__
 _set_fd = Scalar._fd.__set__
 _set_den = Scalar._den.__set__
 _set_hash = Scalar._hash.__set__
+_set_str = Scalar._str.__set__
 
 
 def _make(num: Poly, fd: Factored) -> Scalar:
@@ -835,7 +866,7 @@ class RationalPoint:
     those do not vanish at a rational q0 outside {0, 1, -1}.
     """
 
-    __slots__ = ("q0", "l0")
+    __slots__ = ("q0", "l0", "_hash")
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -848,6 +879,8 @@ class RationalPoint:
             raise ValueError(f"q0 must avoid 0, 1, -1; got {q0}")
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "l0", l0)
+        # every memo keyed on the field hashes the point
+        object.__setattr__(self, "_hash", hash((q0, l0)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoint is immutable")
@@ -874,4 +907,4 @@ class RationalPoint:
         )
 
     def __hash__(self) -> int:
-        return hash((self.q0, self.l0))
+        return self._hash

@@ -106,12 +106,6 @@ class Window:
         vs = tuple(vars)
         return cls(vs, tuple(-radius for _ in vs), tuple(radius for _ in vs))
 
-    @classmethod
-    def of(cls, **ranges: tuple[int, int]) -> "Window":
-        vs = tuple(ranges)
-        return cls(vs, tuple(r[0] for r in ranges.values()),
-                   tuple(r[1] for r in ranges.values()))
-
     def exponents(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(
             *(range(a, b + 1) for a, b in zip(self.lo, self.hi))

@@ -26,6 +26,12 @@ from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
     OperatorSeries, VertexError, _derived, _part_table, field_of, pair_of
 
 
+def window_of(**ranges: tuple[int, int]) -> Window:
+    """A window from keyword ranges: window_of(x1=(-2, 2), x2=(0, 1))."""
+    return Window(tuple(ranges), tuple(r[0] for r in ranges.values()),
+                  tuple(r[1] for r in ranges.values()))
+
+
 def exp_pole_kernel(a: Scalar) -> RationalKernel:
     """a*e^z / (1 - a*e^z)^2, written as (1/a)*e^z / (e^z - 1/a)^2."""
     inv = ONE / a
@@ -41,7 +47,7 @@ def g_series_oracle(a: Scalar, order: int) -> TruncatedLaurent:
     e^z - 1/a and inverts the series.
     """
     return iota_expand(exp_pole_kernel(a), ("z",),
-                       Window.of(z=(-2, max(order, -2))))
+                       window_of(z=(-2, max(order, -2))))
 
 
 def f_series_oracle(n: int, order: int) -> TruncatedLaurent:

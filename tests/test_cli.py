@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,17 @@ def test_bracket_values(capsys):
     assert run(["bracket", "--algebra", "bhat", "--r", "1", "--m", "0",
                 "--n", "-1", "--q0=-2", "--l0", "0"]) == 0
     assert out_of(capsys) == "-2/3"
+
+
+def test_point_values_print_past_the_digit_limit():
+    digits = "1" + "0" * 4999 + "1"
+    num = 10 ** 5000 + 1
+    assert cli._value_text(Fraction(num, 3)) == digits + "/3"
+    assert cli._value_text(Fraction(-num)) == "-" + digits
+    assert cli._value_text(Fraction(3, num)) == "3/" + digits
+    # values that str() prints are printed as str() prints them
+    for val in (Fraction(34, 15), Fraction(-2, 3), Fraction(0), Fraction(5)):
+        assert cli._value_text(val) == str(val)
 
 
 def test_bracket_usage_errors(capsys):

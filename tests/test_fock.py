@@ -13,6 +13,7 @@ from conftest import (
     realization_bracket_check,
     reduce_to_vacuum,
     two_point_oracle,
+    window_of,
 )
 from qheis.fock import (
     FieldSlot,
@@ -149,7 +150,7 @@ def test_annihilation_bounds_are_tight():
 
 def test_two_point_matches_mode_contraction():
     module = FockModule("hq")
-    w = Window.of(x1=(-4, 2), x2=(-2, 4))
+    w = window_of(x1=(-4, 2), x2=(-2, 4))
     t = two_point(module.vacuum(), [FieldSlot(), FieldSlot()],
                   module.vacuum(), w)
     for e1, e2 in w.exponents():
@@ -159,8 +160,8 @@ def test_two_point_matches_mode_contraction():
 
 def test_two_point_order_difference_is_delta_combination():
     module = FockModule("hq")
-    w12 = Window.of(x1=(-4, 4), x2=(-4, 4))
-    w21 = Window.of(x2=(-4, 4), x1=(-4, 4))
+    w12 = window_of(x1=(-4, 4), x2=(-4, 4))
+    w21 = window_of(x2=(-4, 4), x1=(-4, 4))
     t12 = two_point(module.vacuum(), [FieldSlot(), FieldSlot()],
                     module.vacuum(), w12)
     t21 = two_point(module.vacuum(), [FieldSlot(), FieldSlot()],
@@ -174,14 +175,14 @@ def test_two_point_order_difference_is_delta_combination():
 
 def test_two_point_single_field_on_vacuum_vanishes():
     module = FockModule("htq")
-    w = Window.of(x=(-5, 5))
+    w = window_of(x=(-5, 5))
     t = two_point(module.vacuum(), [FieldSlot()], module.vacuum(), w)
     assert t.is_zero_on(w)
 
 
 def test_two_point_scaled_slot():
     module = FockModule("hq")
-    w = Window.of(x1=(-3, 0), x2=(0, 3))
+    w = window_of(x1=(-3, 0), x2=(0, 3))
     a = Scalar.q_power(2)
     t = two_point(module.vacuum(), [FieldSlot(scale=a), FieldSlot()],
                   module.vacuum(), w)
@@ -207,7 +208,7 @@ def test_two_point_matches_oracle_seeded():
         # pairs whose antidiagonal crosses the window, then
         # seeded slots, windows and states
         anchor = [FieldSlot(shift=shifts[-1], scale=Q ** -1), FieldSlot()]
-        cases = [(anchor, Window.of(x0=(-4, 1), x1=(-2, 4)), v, v)
+        cases = [(anchor, window_of(x0=(-4, 1), x1=(-2, 4)), v, v)
                  for v in (module.vacuum(),
                            module.basis_vector((-1, 0)),
                            module.basis_vector((-1, 0), (-2, shifts[-1])))]
@@ -218,7 +219,7 @@ def test_two_point_matches_oracle_seeded():
         low = module.vacuum() + module.basis_vector((-2, 0))
         high = (module.basis_vector((-1, r), (-2, 0))
                 + module.basis_vector((-4, r)))
-        for w in (Window.of(x0=(-5, 5)), Window.cube(("x0", "x1"), 4)):
+        for w in (window_of(x0=(-5, 5)), Window.cube(("x0", "x1"), 4)):
             slots = [FieldSlot(shift=r)] * len(w.vars)
             cases += [(slots, w, bra, ket)
                       for bra, ket in ((high, low), (low, high),

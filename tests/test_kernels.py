@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exp_pole_kernel, inv_factor_table_oracle
+from conftest import exp_pole_kernel, inv_factor_table_oracle, window_of
 from qheis.kernels import (
     Factor,
     KernelParseError,
@@ -291,14 +291,14 @@ def test_affine_mixed_kernel():
 
 def test_two_affine_factors_expand():
     k = parse_kernel("1/(x1-2)/(x2-3)")
-    w = Window.of(x1=(0, 3), x2=(0, 3))
+    w = window_of(x1=(0, 3), x2=(0, 3))
     t = iota_expand(k, ("x1", "x2"), w)
     assert t.coeff((0, 0)) == frac(1, 6)
     assert t.coeff((1, 1)) == frac(1, 36)
 
 
 def test_exponential_pole_series():
-    t = iota_expand(exp_pole_kernel(ONE), ("z",), Window.of(z=(-2, 4)))
+    t = iota_expand(exp_pole_kernel(ONE), ("z",), window_of(z=(-2, 4)))
     assert t.coeff((-2,)) == ONE
     assert t.coeff((-1,)) == Scalar.from_int(0)
     assert t.coeff((0,)) == frac(-1, 12)
@@ -309,7 +309,7 @@ def test_exponential_pole_series():
 
 def test_exponential_double_pole_inverse_leading_terms():
     k = parse_kernel("1/(e^z - 1)^2/(e^z - q)^2")
-    t = iota_expand(k, ("z",), Window.of(z=(-2, 1)))
+    t = iota_expand(k, ("z",), window_of(z=(-2, 1)))
     one_minus_q = ONE - Q
     assert t.coeff((-2,)) == ONE / (one_minus_q * one_minus_q)
     expected = (Q - Scalar.from_int(3)) / (one_minus_q**3)
@@ -318,9 +318,9 @@ def test_exponential_double_pole_inverse_leading_terms():
 
 def test_exponential_numerator():
     k = parse_kernel("e^z/(e^z - q)")
-    t = iota_expand(k, ("z",), Window.of(z=(0, 3)))
+    t = iota_expand(k, ("z",), window_of(z=(0, 3)))
     assert t.coeff((0,)) == ONE / (ONE - Q)
-    t.require_certified(Window.of(z=(0, 3)))
+    t.require_certified(window_of(z=(0, 3)))
 
 
 def test_coefficients_outside_window_are_guarded():
@@ -333,7 +333,7 @@ def test_coefficients_outside_window_are_guarded():
 
 def test_window_below_support_is_certified_zero():
     k = parse_kernel("1/(1-q*x1/x2)")
-    w = Window.of(x1=(-5, -1), x2=(-5, 5))
+    w = window_of(x1=(-5, -1), x2=(-5, 5))
     t = iota_expand(k, ("x2", "x1"), w)
     assert t.is_zero_on(w)
     t.require_certified(w)

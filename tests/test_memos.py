@@ -3,6 +3,7 @@ changes a result."""
 
 import ast
 import importlib
+import itertools
 import inspect
 import random
 import types
@@ -11,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import evaluate
-from qheis import kernels, liealg, scalar, series
+from conftest import evaluate, window_of
+from qheis import fock, kernels, liealg, scalar, series
 from qheis.kernels import iota_expand, parse_kernel
-from qheis.liealg import f_coefficient, g_coefficient
-from qheis.scalar import SYMBOLIC, RationalPoint
+from qheis.liealg import ALGEBRAS, LieAlgebraError, bracket_modes, \
+    f_coefficient, g_coefficient
+from qheis.scalar import SYMBOLIC, RationalPoint, Scalar
 from qheis.series import Window, exp_coeff
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qheis"
@@ -191,8 +193,75 @@ def test_memoized_cyclotomic_product_equals_fold():
         assert scalar._cyclo_product(tuple(cyc), c, a) == want, cyc
 
 
+def test_memoized_bracket_equals_cold_bracket():
+    cold = liealg._bracket.__wrapped__
+    liealg._bracket.cache_clear()
+    modes = range(-8, 9)
+    for scalars in (SYMBOLIC, RationalPoint(Fraction(3, 5), 2)):
+        for name, spec in ALGEBRAS.items():
+            shifts = range(4) if spec.shifted else (0,)
+            for m, n, r, s in itertools.product(modes, modes, shifts, shifts):
+                case = (scalars, name, m, n, r, s)
+                got = bracket_modes(name, m, n, r, s, scalars)
+                assert got == cold(name, m, n, r, s, scalars), case
+                # a repeated call is a memo hit: the same value
+                assert bracket_modes(spec, m, n, r, s, scalars) is got, case
+
+
+def test_family_index_on_an_unshifted_algebra_raises_every_call():
+    for name in ("hq", "htq"):
+        assert bracket_modes(name, 1, -1) is bracket_modes(name, 1, -1)
+        for _ in range(2):
+            with pytest.raises(LieAlgebraError, match="no family index"):
+                bracket_modes(name, 1, -1, r=1)
+            with pytest.raises(LieAlgebraError, match="no family index"):
+                bracket_modes(ALGEBRAS[name], 1, -1, s=2)
+
+
+def test_scalar_keeps_its_printed_text():
+    for value in (bracket_modes("bhatq", -3, -2, 1, 0),
+                  bracket_modes("hq", 4, -4), Scalar.from_int(-7)):
+        text = str(value)
+        assert text == value._text()
+        assert str(value) is text  # kept, not printed again
+        # an equal scalar built separately prints the same text
+        rebuilt = Scalar(value.num, value.den)
+        assert rebuilt == value and rebuilt is not value
+        assert str(rebuilt) == text
+
+
+# Mode words acting on the vacuum.  A count of memo misses does not drift
+# with the machine, so it can gate a regression where wall time cannot.
+GATE_WORDS = {
+    "hq": [[(2, 0), (-2, 0)], [(2, 0), (1, 0), (-1, 0), (-2, 0)],
+           [(1, 0), (-1, 0), (-1, 0)], [(3, 0), (-1, 0), (-2, 0)]],
+    "bhatq": [[(2, 0), (-2, 0)], [(1, 1), (-1, 0)], [(-1, 0), (-2, 1)],
+              [(1, 0), (-1, 2), (-2, 0)], [(2, 1), (-1, 0), (-3, 0)]],
+}
+
+
+def test_mode_words_compute_each_bracket_once():
+    def act():
+        out = []
+        for alg, words in GATE_WORDS.items():
+            module = fock.FockModule(alg)
+            out += [fock.apply_word(module, w, module.vacuum())
+                    for w in words]
+        return out
+
+    liealg._bracket.cache_clear()
+    first = act()
+    info = liealg._bracket.cache_info()
+    assert info.misses == 15
+    # the same words again: every bracket is a memo hit
+    assert act() == first
+    again = liealg._bracket.cache_info()
+    assert again.misses == info.misses
+    assert again.hits > info.hits
+
+
 def test_memos_stay_within_their_bound():
-    x = Window.of(x=(0, 1))
+    x = window_of(x=(0, 1))
     memos = {
         kernels._parse_kernel: lambda k: parse_kernel(f"x^{k}"),
         kernels._iota_expand:
@@ -202,6 +271,7 @@ def test_memos_stay_within_their_bound():
             lambda k: scalar._cyclo_product(((1, k % 23 + 1),
                                              (2, k // 23 + 1))),
         series._exp_coeff: lambda k: exp_coeff(k, 0, SYMBOLIC),
+        liealg._bracket: lambda k: bracket_modes("hq", k, -k),
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]
@@ -215,5 +285,6 @@ def test_memos_stay_within_their_bound():
 
 def test_public_names_stay_plain_functions():
     # the benchmark's tracer wraps and counts plain functions only
-    for fn in (iota_expand, parse_kernel, f_coefficient, exp_coeff):
+    for fn in (iota_expand, parse_kernel, f_coefficient, exp_coeff,
+               bracket_modes):
         assert inspect.isfunction(fn), fn.__name__

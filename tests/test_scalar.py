@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from qheis.scalar import (
     Q,
     RationalPoint,
     Scalar,
+    int_text,
     qint,
 )
 
@@ -103,6 +105,14 @@ def test_point_immutable():
         p.q0 = Fraction(5)
 
 
+def test_point_hash_is_kept_and_structural():
+    p = RationalPoint(Fraction(3, 5), 2)
+    same = RationalPoint(Fraction(6, 10), Fraction(2))
+    assert p == same and hash(p) == hash(same)
+    assert hash(p) == hash((Fraction(3, 5), Fraction(2)))
+    assert p._hash == hash((p.q0, p.l0))
+
+
 def test_power_and_inverse():
     x = (Q + ONE) / (Q - ONE)
     assert x**0 == ONE
@@ -122,6 +132,32 @@ def test_str_round_values():
     assert str(qint(2)) == "(q^2 + 1)/q"
     assert str(Q * L) == "q*l"
     assert str(S(-3) * Q**2 * L + ONE) == "-3*q^2*l + 1"
+
+
+def test_str_prints_integers_past_the_digit_limit():
+    # str(int) stops at sys.get_int_max_str_digits() (4,300 by default);
+    # the printer writes the digits without changing that limit
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** 5000
+    assert str(S(big)) == "1" + "0" * 5000
+    assert str(S(-big)) == "-1" + "0" * 5000
+    c, digits = 7 * big + 3, "7" + "0" * 4999 + "3"
+    assert str(S(c) * Q + L) == digits + "*q + l"
+    assert str(ONE / S(-c) - Q**2) == f"(-{digits}*q^2 - 1)/{digits}"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_int_text_matches_its_digits_seeded():
+    rng = random.Random(3)
+    for size in (1, 600, 603, 604, 4300, 4301, 9000):
+        text = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(size - 1))
+        n = 0
+        for i in range(0, size, 500):  # int(str) has the same limit
+            chunk = text[i:i + 500]
+            n = n * 10 ** len(chunk) + int(chunk)
+        assert int_text(n) == text, size
+        assert int_text(-n) == "-" + text, size
 
 
 def _random_scalar(rng: random.Random, depth: int = 0) -> Scalar:
