@@ -29,7 +29,7 @@ import time
 from fractions import Fraction
 
 from .fock import FockError, FockModule, apply_word
-from .kernels import KernelError, parse_kernel, iota_expand
+from .kernels import MAX_EXPONENT, KernelError, parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
 from .report import INCONCLUSIVE, PASS, combine
 from .scalar import SYMBOLIC, RationalPoint, int_text
@@ -335,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="directed expansion of a kernel")
-    p.add_argument("--kernel", required=True)
+    p.add_argument("--kernel", required=True,
+                   help="rational kernel in x, x1, x2, z and q; every "
+                        f"exponent lies in [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
     p.add_argument("--direction", required=True,
                    help="comma-separated variables, outermost first")
     p.add_argument("--window", type=int, default=4)

@@ -15,15 +15,14 @@ terms always have strictly shorter words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 from .liealg import (
-    AlgebraSpec,
     GeneratorSymbol,
     bracket_modes,
     get_algebra,
 )
-from .scalar import SYMBOLIC, Scalar
+from .scalar import SYMBOLIC, Scalar, immutable
 from .series import TruncatedLaurent, Window
 
 
@@ -36,28 +35,41 @@ class FockError(ValueError):
 PBWMonomial = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class FockModule:
     """Ambient data of a vacuum module: algebra, level and the scalar field
     of its coefficients.
 
     ``scalars`` is the field, symbolic Q(q, l) or a
     :class:`qheis.scalar.RationalPoint`, and the level defaults to its
-    level.
+    level.  The algebra's ``spec`` is looked up once, here.
     """
 
-    algebra: str
-    level: Scalar = None
-    scalars: object = SYMBOLIC
+    __slots__ = ("algebra", "level", "scalars", "spec", "_hash")
 
-    def __post_init__(self):
-        get_algebra(self.algebra)
-        if self.level is None:
-            object.__setattr__(self, "level", self.scalars.level)
+    def __init__(self, algebra: str, level: Scalar = None,
+                 scalars=SYMBOLIC):
+        spec = get_algebra(algebra)
+        if level is None:
+            level = scalars.level
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "spec", spec)
+        # the product-stack and central-bracket memos hash the module
+        object.__setattr__(self, "_hash", hash((algebra, level, scalars)))
 
-    @property
-    def spec(self) -> AlgebraSpec:
-        return get_algebra(self.algebra)
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.algebra, self.level, self.scalars)
+                == (other.algebra, other.level, other.scalars))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def vacuum(self) -> "FockVector":
         return FockVector(self, {(): self.scalars.one})
@@ -207,19 +219,28 @@ def apply_generator(g: GeneratorSymbol, v: FockVector) -> FockVector:
     return FockVector(module, out)
 
 
+# keyed by the module, whose hash is kept; a bench session meets a few
+# hundred distinct transpositions
+@lru_cache(maxsize=1024)
+def _central(module: FockModule, g: tuple[int, int], h: tuple[int, int]
+             ) -> Scalar:
+    """The correction [g, h] of a transposition, with the centre at the
+    module's level."""
+    return bracket_modes(module.spec, g[0], h[0], g[1], h[1],
+                         module.scalars) * module.level
+
+
 def _insert_creation(module: FockModule, mono: PBWMonomial,
                      g: tuple[int, int], scale: Scalar,
                      out: dict[PBWMonomial, Scalar]):
     """Walk g into its sorted slot, inserting central corrections."""
-    alg = module.spec
     prefix: list[tuple[int, int]] = []
     rest = list(mono)
     while rest and rest[0] < g:
-        h = rest[0]
-        br = bracket_modes(alg, g[0], h[0], g[1], h[1], module.scalars)
-        if br:
+        c = _central(module, g, rest[0])
+        if c:
             corr = tuple(prefix + rest[1:])
-            val = scale * br * module.level
+            val = scale * c
             prev = out.get(corr)
             out[corr] = val if prev is None else prev + val
         prefix.append(rest.pop(0))
@@ -232,12 +253,11 @@ def _contract_annihilator(module: FockModule, mono: PBWMonomial,
                           g: tuple[int, int], scale: Scalar,
                           out: dict[PBWMonomial, Scalar]):
     """Commute g through the word; each contraction removes one creation."""
-    alg = module.spec
     for i, h in enumerate(mono):
-        br = bracket_modes(alg, g[0], h[0], g[1], h[1], module.scalars)
-        if br:
+        c = _central(module, g, h)
+        if c:
             corr = mono[:i] + mono[i + 1:]
-            val = scale * br * module.level
+            val = scale * c
             prev = out.get(corr)
             out[corr] = val if prev is None else prev + val
 
@@ -276,7 +296,6 @@ def _weights(v: FockVector, mode_sum: int) -> set[int]:
             for mono in v.terms}
 
 
-@dataclass(frozen=True)
 class FieldSlot:
     """One generating function in a matrix element.
 
@@ -285,8 +304,13 @@ class FieldSlot:
     which multiplies the x^e coefficient by scale^e.
     """
 
-    shift: int = 0
-    scale: Scalar = 1
+    __slots__ = ("shift", "scale")
+
+    def __init__(self, shift: int = 0, scale: Scalar = 1):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "scale", scale)
+
+    __setattr__ = __delattr__ = immutable
 
 
 def two_point(bra: FockVector, slots, ket: FockVector,

@@ -15,7 +15,8 @@ exactness windows; anything else is rejected when parsing.
 
 The text grammar accepts identifiers ``x``, ``x1``, ``x2``, ``z``, the
 scalar symbol ``q``, integers, ``+ - * / ^``, parentheses, and ``e^v`` for
-exponentials.
+exponentials.  An exponent is an integer of size at most
+:data:`MAX_EXPONENT` (16).
 
 Parsing and expansion are pure, so both are memoized for the life of the
 process, each in a least-recently-used memo of 64 entries:
@@ -27,12 +28,11 @@ callers must not mutate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .scalar import SYMBOLIC, Scalar
+from .scalar import SYMBOLIC, Scalar, immutable
 from .series import (
     Cert,
     NEG_INF,
@@ -44,6 +44,13 @@ from .series import (
 )
 
 VARS = ("x", "x1", "x2", "z")
+
+# The largest |exponent| a kernel may write.  Parsing multiplies a base once
+# per unit of exponent, and the expansion of an e^z factor grows with its
+# power: at 16, (x + x1 + x2 + z + q + 1)^16 parses in about 1.1 s and
+# 1/(e^z - q)^16 expands on the window of radius 4 in about 0.3 s (on a
+# 2-core machine, Python 3.11.7); at 24 they take about 7 s and 1.1 s.
+MAX_EXPONENT = 16
 
 _ONE = Scalar.from_int(1)
 
@@ -125,22 +132,35 @@ def _split_vars(num: NumPoly) -> tuple[NumPoly, Mono]:
 # -- denominator factor shapes ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class Factor:
     """One allowed denominator factor, in normalized orientation."""
 
-    shape: str  # "binom" | "ratio" | "affine" | "expconst"
-    a: str
-    b: str = ""
-    c: Scalar = _ONE
+    __slots__ = ("shape", "a", "b", "c")
 
-    def __post_init__(self):
-        if self.shape not in ("binom", "ratio", "affine", "expconst"):
-            raise KernelError(f"unknown factor shape {self.shape!r}")
-        if self.shape in ("binom", "ratio") and self.a == self.b:
+    def __init__(self, shape: str, a: str, b: str = "", c: Scalar = _ONE):
+        if shape not in ("binom", "ratio", "affine", "expconst"):
+            raise KernelError(f"unknown factor shape {shape!r}")
+        if shape in ("binom", "ratio") and a == b:
             raise KernelError("binomial factors need two distinct variables")
-        if not self.c:
-            raise KernelError(f"{self.shape} factor needs a nonzero constant")
+        if not c:
+            raise KernelError(f"{shape} factor needs a nonzero constant")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.shape, self.a, self.b, self.c)
+                == (other.shape, other.a, other.b, other.c))
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.a, self.b, self.c))
 
     def sort_key(self):
         rank = ("affine", "binom", "ratio", "expconst").index(self.shape)
@@ -230,11 +250,15 @@ def _tokenize(text: str):
 # one denominator unit per factor: 1/((x1-x2)^2*(x1-q*x2)) has two.
 
 
-@dataclass(frozen=True)
 class _V:
-    num: NumPoly
-    den: tuple
-    fac: tuple | None = None
+    __slots__ = ("num", "den", "fac")
+
+    def __init__(self, num: NumPoly, den: tuple, fac: tuple | None = None):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "fac", fac)
+
+    __setattr__ = __delattr__ = immutable
 
 
 def _atom(num: NumPoly) -> _V:
@@ -309,6 +333,9 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind != "int":
                 self.error("exponent must be an integer")
+            if val > MAX_EXPONENT:
+                self.error(f"exponent {sign * val} is outside "
+                           f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]")
             self.take()
             v = self._pow(v, sign * val)
         return v
@@ -564,11 +591,18 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
 
-@dataclass
 class _Desc:
-    own: str | None                  # budget-parametrizing variable
-    minf: Callable[[str], int]       # least exponent in a budget variable
-    build: Callable[[int], TruncatedLaurent]
+    """A table of the expansion: ``own`` is its budget variable (None for
+    a polynomial), ``minf(v)`` its least exponent in v and ``build(b)``
+    the table at budget b."""
+
+    __slots__ = ("own", "minf", "build")
+
+    def __init__(self, own: str | None, minf: Callable[[str], int],
+                 build: Callable[[int], TruncatedLaurent]):
+        self.own = own
+        self.minf = minf
+        self.build = build
 
 
 def _factor_desc(vars, inner, f: Factor, p: int) -> _Desc:

@@ -50,12 +50,11 @@ symbolic Q(q, l) by default or the rationals at a point (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable
 
-from .scalar import SYMBOLIC, Scalar
+from .scalar import SYMBOLIC, Scalar, immutable
 from .series import Cert, TruncatedLaurent, Window, binom, delta_family
 
 
@@ -71,7 +70,6 @@ def _d(a: int, b: int) -> int:
 # catalog
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
     """One algebra of the catalog.
 
@@ -83,11 +81,17 @@ class AlgebraSpec:
     pairs two creation modes).
     """
 
-    name: str
-    offset: int
-    shifted: bool
-    mode_sum: int | None
-    summary: str
+    __slots__ = ("name", "offset", "shifted", "mode_sum", "summary")
+
+    def __init__(self, name: str, offset: int, shifted: bool,
+                 mode_sum: int | None, summary: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "shifted", shifted)
+        object.__setattr__(self, "mode_sum", mode_sum)
+        object.__setattr__(self, "summary", summary)
+
+    __setattr__ = __delattr__ = immutable
 
 
 ALGEBRAS: dict[str, AlgebraSpec] = {
@@ -115,22 +119,25 @@ def get_algebra(alg: str | AlgebraSpec) -> AlgebraSpec:
             from None
 
 
-@dataclass(frozen=True)
 class GeneratorSymbol:
     """A mode generator b^(shift)_mode of one algebra, or its central element."""
 
-    algebra: str
-    mode: int
-    shift: int = 0
-    central: bool = False
+    __slots__ = ("algebra", "mode", "shift", "central")
 
-    def __post_init__(self):
-        spec = get_algebra(self.algebra)
-        if not spec.shifted and self.shift:
+    def __init__(self, algebra: str, mode: int, shift: int = 0,
+                 central: bool = False):
+        spec = get_algebra(algebra)
+        if not spec.shifted and shift:
             raise LieAlgebraError(
                 f"{spec.name} generators carry no family index")
-        if self.central and (self.mode or self.shift):
+        if central and (mode or shift):
             raise LieAlgebraError("the central element has no mode or index")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "central", central)
+
+    __setattr__ = __delattr__ = immutable
 
     def __str__(self) -> str:
         if self.central:
@@ -254,8 +261,8 @@ def bracket_modes(alg: str | AlgebraSpec, m: int, n: int,
     return _bracket(spec.name, m, n, r, s, scalars)
 
 
-# keyed by the algebra's name, which hashes faster than its frozen spec; a
-# bench session asks for at most about 450 distinct brackets
+# keyed by the algebra's name, so a call by name and a call by spec share
+# an entry; a bench session asks for at most about 450 distinct brackets
 @lru_cache(maxsize=1024)
 def _bracket(name: str, m: int, n: int, r: int, s: int, scalars) -> Scalar:
     if name == "hq":

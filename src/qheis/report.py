@@ -7,8 +7,6 @@ than requested; it is never conflated with failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
@@ -17,20 +15,30 @@ INCONCLUSIVE = "inconclusive"
 MAX_REPORTED = 6
 
 
-@dataclass
 class CheckReport:
-    name: str
-    status: str
-    checked: int = 0
-    region: str = ""
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """The verdict of one check: its status, the number of cases checked,
+    the region they cover, and the failure and note lines."""
 
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, INCONCLUSIVE):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == PASS and self.failures:
+    __slots__ = ("name", "status", "checked", "region", "failures", "notes")
+
+    def __init__(self, name: str, status: str, checked: int = 0,
+                 region: str = "", failures: list[str] | None = None,
+                 notes: list[str] | None = None):
+        if status not in (PASS, FAIL, INCONCLUSIVE):
+            raise ValueError(f"bad status {status!r}")
+        if status == PASS and failures:
             raise ValueError("a passing report cannot carry failures")
+        self.name = name
+        self.status = status
+        self.checked = checked
+        self.region = region
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+
+    def __repr__(self) -> str:
+        return (f"CheckReport(name={self.name!r}, status={self.status!r}, "
+                f"checked={self.checked!r}, region={self.region!r}, "
+                f"failures={self.failures!r}, notes={self.notes!r})")
 
     @property
     def ok(self) -> bool:

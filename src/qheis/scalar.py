@@ -46,6 +46,12 @@ class ScalarError(ArithmeticError):
     pass
 
 
+def immutable(self, *_args):
+    """``__setattr__`` and ``__delattr__`` of an immutable value class,
+    whose ``__init__`` sets each slot once with ``object.__setattr__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers (internal)
 # ---------------------------------------------------------------------------
@@ -762,8 +768,7 @@ class Scalar:
             _set_hash(self, h)
             return h
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    __setattr__ = __delattr__ = immutable
 
     # -- display ------------------------------------------------------------
 
@@ -882,8 +887,7 @@ class RationalPoint:
         # every memo keyed on the field hashes the point
         object.__setattr__(self, "_hash", hash((q0, l0)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoint is immutable")
+    __setattr__ = __delattr__ = immutable
 
     @property
     def level(self) -> Fraction:

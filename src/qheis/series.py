@@ -28,14 +28,13 @@ with ``+``, ``-``, ``==``, truthiness, and left-multiplication by a scalar.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, scan
-from .scalar import Scalar
+from .scalar import Scalar, immutable
 
 NEG_INF = -inf
 POS_INF = inf
@@ -84,22 +83,36 @@ def _hi_add(a: ExtInt, b: ExtInt) -> ExtInt:
     return a + b
 
 
-@dataclass(frozen=True)
 class Window:
     """An inclusive box of exponents over an ordered tuple of variables."""
 
-    vars: tuple[str, ...]
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
+    __slots__ = ("vars", "lo", "hi")
 
-    def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars):
-            raise SeriesError(f"duplicate variables in window: {self.vars}")
-        if not (len(self.vars) == len(self.lo) == len(self.hi)):
+    def __init__(self, vars: tuple[str, ...], lo: tuple[int, ...],
+                 hi: tuple[int, ...]):
+        if len(set(vars)) != len(vars):
+            raise SeriesError(f"duplicate variables in window: {vars}")
+        if not (len(vars) == len(lo) == len(hi)):
             raise SeriesError("window bounds must align with variables")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             if a > b:
                 raise SeriesError(f"empty window range [{a}, {b}]")
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vars, self.lo, self.hi)
+                == (other.vars, other.lo, other.hi))
+
+    def __hash__(self) -> int:
+        return hash((self.vars, self.lo, self.hi))
 
     @classmethod
     def cube(cls, vars: Iterable[str], radius: int) -> "Window":
@@ -126,15 +139,30 @@ class Window:
         )
 
 
-@dataclass(frozen=True)
 class Cert:
     """Exactness certificate for a truncated table."""
 
-    entire: bool
-    suplo: tuple[ExtInt, ...]
-    floors: tuple[ExtInt, ...]
-    caps: tuple[ExtInt, ...]
-    band: tuple[ExtInt, ExtInt]
+    __slots__ = ("entire", "suplo", "floors", "caps", "band")
+
+    def __init__(self, entire: bool, suplo: tuple[ExtInt, ...],
+                 floors: tuple[ExtInt, ...], caps: tuple[ExtInt, ...],
+                 band: tuple[ExtInt, ExtInt]):
+        object.__setattr__(self, "entire", entire)
+        object.__setattr__(self, "suplo", suplo)
+        object.__setattr__(self, "floors", floors)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "band", band)
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.entire, self.suplo, self.floors, self.caps, self.band)
+                == (other.entire, other.suplo, other.floors, other.caps,
+                    other.band))
 
     @classmethod
     def full(cls, n: int) -> "Cert":

@@ -38,11 +38,10 @@ identity checks run one code path in either field.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import Iterable
 
 from .fock import (
     FieldSlot,
@@ -61,7 +60,7 @@ from .liealg import (
     standard_pairing,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine, tally
-from .scalar import SYMBOLIC, RationalPoint, Scalar
+from .scalar import SYMBOLIC, RationalPoint, Scalar, immutable
 from .series import Cert, TruncatedLaurent, Window, compare_on, \
     delta_family, exp_coeff, series_inverse
 
@@ -112,17 +111,11 @@ _X12 = ("x1", "x2")
 # fields
 
 
-def _derived():
-    """A dataclass attribute that ``__post_init__`` works out from the
-    inputs; it is no argument and takes no part in equality."""
-    return field(init=False, repr=False, compare=False)
-
-
 class OperatorSeries:
     """A formal series of operators on one vacuum module.
 
     Coefficient e is the operator attached to x^e; mode n is the
-    coefficient of x^(-n-offset).  Subclasses are frozen dataclasses, so
+    coefficient of x^(-n-offset).  Subclasses are immutable values:
     fields built from equal data are equal and hash alike, which is what
     the product-stack memo keys on.  They implement ``apply_coeff``, or
     ``apply_coeffs``, which applies a window of coefficients at once
@@ -135,11 +128,9 @@ class OperatorSeries:
     ``offset``.
     """
 
-    module: FockModule
+    __slots__ = ()
 
-    def _derive(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+    __setattr__ = __delattr__ = immutable
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return self.apply_coeffs(e, e, v)[0]
@@ -154,7 +145,6 @@ def _state_key(v: FockVector):
     return (v.module, tuple(sorted(v.terms.items(), key=lambda kv: kv[0])))
 
 
-@dataclass(frozen=True)
 class GeneratorField(OperatorSeries):
     """The generating series of one mode family.
 
@@ -164,12 +154,22 @@ class GeneratorField(OperatorSeries):
     which is the expansion of a(q^shift x) in powers of x.
     """
 
-    module: FockModule
-    shift: int = 0
-    offset: int = _derived()
+    __slots__ = ("module", "shift", "offset")
 
-    def __post_init__(self):
-        self._derive(offset=self.module.spec.offset)
+    def __init__(self, module: FockModule, shift: int = 0):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "offset", module.spec.offset)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.module, self.shift) == (other.module, other.shift)
+
+    def __hash__(self) -> int:
+        return hash((self.module, self.shift))
 
     def apply_mode(self, n: int, v: FockVector) -> FockVector:
         if self.offset:  # 1 exactly on the shifted algebras
@@ -187,11 +187,23 @@ class GeneratorField(OperatorSeries):
         return 1 - self.offset - annihilation_bound(v)
 
 
-@dataclass(frozen=True)
 class IdentityField(OperatorSeries):
     """The constant field: coefficient 0 is the identity, all others zero."""
 
-    module: FockModule
+    __slots__ = ("module",)
+
+    def __init__(self, module: FockModule):
+        object.__setattr__(self, "module", module)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.module == other.module
+
+    def __hash__(self) -> int:
+        return hash(self.module)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return v if e == 0 else self.module.zero()
@@ -200,16 +212,25 @@ class IdentityField(OperatorSeries):
         return 0
 
 
-@dataclass(frozen=True)
 class ArgScaledField(OperatorSeries):
     """A field evaluated at c*x: coefficient e picks up a factor c^e."""
 
-    base: OperatorSeries
-    c: Scalar
-    module: FockModule = _derived()
+    __slots__ = ("base", "c", "module")
 
-    def __post_init__(self):
-        self._derive(module=self.base.module)
+    def __init__(self, base: OperatorSeries, c: Scalar):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "module", base.module)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.c) == (other.base, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.c))
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
@@ -217,17 +238,28 @@ class ArgScaledField(OperatorSeries):
                 zip(range(lo, hi + 1), self.base.apply_coeffs(lo, hi, v))]
 
 
-@dataclass(frozen=True)
 class SumField(OperatorSeries):
     """A finite linear combination of fields on one module; ``terms`` is
     stored as a tuple of its (coefficient, field) pairs with a nonzero
     coefficient."""
 
-    module: FockModule
-    terms: tuple[tuple[Scalar, OperatorSeries], ...]
+    __slots__ = ("module", "terms")
 
-    def __post_init__(self):
-        self._derive(terms=tuple((c, f) for c, f in self.terms if c))
+    def __init__(self, module: FockModule,
+                 terms: Iterable[tuple[Scalar, OperatorSeries]]):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "terms",
+                           tuple((c, f) for c, f in terms if c))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.module, self.terms) == (other.module, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.module, self.terms))
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
@@ -251,12 +283,21 @@ def field_of(module: FockModule, shift: int = 0) -> GeneratorField:
 # suitable binomial power; one-sided kernel parts have no negative x1 power.
 
 
-@dataclass(frozen=True)
 class PairPart:
-    kind: str          # plain | euler | dshift | bplain | iratio | iratio_op | ftail
-    coeff: Scalar
-    c: Scalar          # the ratio of a delta or kernel part; 1 for ftail
-    d: int = 0
+    """One named part of a central commutator: ``kind`` is one of plain,
+    euler, dshift, bplain, iratio, iratio_op and ftail; ``c`` is the
+    ratio of a delta or kernel part (1 for ftail) and ``d`` the index
+    difference of an ftail part."""
+
+    __slots__ = ("kind", "coeff", "c", "d")
+
+    def __init__(self, kind: str, coeff: Scalar, c: Scalar, d: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    __setattr__ = __delattr__ = immutable
 
     @property
     def is_delta(self) -> bool:
@@ -278,13 +319,17 @@ def _part_table(part: PairPart, w: Window, scalars) -> TruncatedLaurent:
     return t if part.coeff == 1 else t.scale(part.coeff)
 
 
-@dataclass(frozen=True)
 class PairData:
     """The central commutator of an ordered pair of cataloged fields, as
     a sum of ``parts``.  Every scalar lies in the field ``scalars``."""
 
-    parts: tuple[PairPart, ...]
-    scalars: object = SYMBOLIC
+    __slots__ = ("parts", "scalars")
+
+    def __init__(self, parts: tuple[PairPart, ...], scalars=SYMBOLIC):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "scalars", scalars)
+
+    __setattr__ = __delattr__ = immutable
 
     def table(self, w: Window) -> TruncatedLaurent:
         acc = TruncatedLaurent.zero(w.vars).restrict(w)
@@ -333,8 +378,8 @@ def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
 
     The catalog covers generator and identity fields; a dressing of the
     right factor is read off the undressed product stack
-    (``StateTable.dressings``).  The fields are frozen values, so equal
-    pairs share one cached result.
+    (``StateTable.dressings``).  The fields are immutable values, so
+    equal pairs share one cached result.
     """
     if not all(isinstance(f, (GeneratorField, IdentityField)) for f in (a, b)):
         raise UnsupportedPairError(
@@ -348,7 +393,6 @@ def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
 # multipliers
 
 
-@dataclass(frozen=True)
 class Multiplier:
     """A homogeneous polynomial unit * prod_i (x1 - c_i x2)^(m_i).
 
@@ -358,8 +402,26 @@ class Multiplier:
     unit lie in one scalar field; the default unit is the integer 1.
     """
 
-    factors: tuple[tuple[Scalar, int], ...]
-    unit: Scalar = 1
+    __slots__ = ("factors", "unit", "_hash")
+
+    def __init__(self, factors: tuple[tuple[Scalar, int], ...],
+                 unit: Scalar = 1):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "unit", unit)
+        # the product-stack and series memos key on the multiplier
+        object.__setattr__(self, "_hash", hash((factors, unit)))
+
+    __setattr__ = __delattr__ = immutable
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.unit) == (other.factors, other.unit)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *factors: tuple[Scalar, int], unit: Scalar = 1
@@ -706,7 +768,6 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
 # product expressions
 
 
-@dataclass(frozen=True)
 class ProductExpression(OperatorSeries):
     """The n-th substitution product of two fields under a multiplier.
 
@@ -714,16 +775,28 @@ class ProductExpression(OperatorSeries):
     stack; a window of them is read off one stack over that window.
     """
 
-    left: OperatorSeries
-    right: OperatorSeries
-    n: int
-    mult: Multiplier
-    module: FockModule = _derived()
+    __slots__ = ("left", "right", "n", "mult", "module")
 
-    def __post_init__(self):
-        if self.left.module != self.right.module:
+    def __init__(self, left: OperatorSeries, right: OperatorSeries, n: int,
+                 mult: Multiplier):
+        if left.module != right.module:
             raise VertexError("product factors act on different modules")
-        self._derive(module=self.left.module)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "module", left.module)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.left, self.right, self.n, self.mult)
+                == (other.left, other.right, other.n, other.mult))
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.n, self.mult))
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
@@ -792,7 +865,6 @@ def psi_map(v: FockVector, target: FockModule | None = None) -> OperatorSeries:
 # the special bracket shape and its substitution image
 
 
-@dataclass(frozen=True)
 class SpecialBracketForm:
     """A bracket made of ratio kernels plus euler deltas.
 
@@ -804,9 +876,16 @@ class SpecialBracketForm:
     lies in the field ``scalars``.
     """
 
-    ratio_parts: tuple[tuple[Scalar, Scalar], ...]
-    euler_parts: tuple[tuple[Scalar, Scalar], ...]
-    scalars: object = SYMBOLIC
+    __slots__ = ("ratio_parts", "euler_parts", "scalars")
+
+    def __init__(self, ratio_parts: tuple[tuple[Scalar, Scalar], ...],
+                 euler_parts: tuple[tuple[Scalar, Scalar], ...],
+                 scalars=SYMBOLIC):
+        object.__setattr__(self, "ratio_parts", ratio_parts)
+        object.__setattr__(self, "euler_parts", euler_parts)
+        object.__setattr__(self, "scalars", scalars)
+
+    __setattr__ = __delattr__ = immutable
 
     @classmethod
     def from_pair(cls, pair: PairData) -> "SpecialBracketForm":
@@ -884,7 +963,7 @@ def _centrality_report(module: FockModule, r: int, s: int, w: Window,
 # identity checks
 
 
-def _law_hq_commutator_delta(window: int, scalars, r: int = 1, s: int = 0
+def _law_hq_commutator_delta(window: int, scalars, *, r: int = 1, s: int = 0
                              ) -> CheckReport:
     module = FockModule("hq", scalars=scalars)
     vac = module.vacuum()
@@ -906,7 +985,7 @@ def _radius_zero(name: str) -> CheckReport:
                               "the bracket can make nonzero"])
 
 
-def _law_bhat_commutator_delta(window: int, scalars, r: int = 1, s: int = 0
+def _law_bhat_commutator_delta(window: int, scalars, *, r: int = 1, s: int = 0
                                ) -> CheckReport:
     if window == 0:
         # the bracket lives on e1 + e2 = -1
@@ -1097,7 +1176,7 @@ def _image_bracket_report(name: str, module: FockModule, r: int, s: int,
 
 def _law_phi_image(name: str, src_alg: str):
     """The substituted fields on the psi target satisfy the source bracket."""
-    def run(window: int, scalars, r: int = 1, s: int = 0) -> CheckReport:
+    def run(window: int, scalars, *, r: int = 1, s: int = 0) -> CheckReport:
         module = FockModule(_PSI_TARGET[src_alg], scalars=scalars)
         src = FockModule(src_alg, level=module.level, scalars=scalars)
         rhs = pair_of(field_of(src, r), field_of(src, s)).table(
@@ -1106,7 +1185,7 @@ def _law_phi_image(name: str, src_alg: str):
     return run
 
 
-def _law_special_pair_transfer(window: int, scalars, r: int = 0, s: int = 0
+def _law_special_pair_transfer(window: int, scalars, *, r: int = 0, s: int = 0
                                ) -> CheckReport:
     module = FockModule("htq", scalars=scalars)
     pair = pair_of(field_of(module, r), field_of(module, s))
@@ -1117,7 +1196,7 @@ def _law_special_pair_transfer(window: int, scalars, r: int = 0, s: int = 0
                                  rhs, window)
 
 
-def _law_locality_transfer(window: int, scalars, r: int = 1, s: int = 0
+def _law_locality_transfer(window: int, scalars, *, r: int = 1, s: int = 0
                            ) -> CheckReport:
     module = FockModule("hq", scalars=scalars)
     zero = scalars.zero
@@ -1200,7 +1279,7 @@ def _assoc_left_fields(module: FockModule) -> list[OperatorSeries]:
     return [field_of(module, 0), composite]
 
 
-def _law_weak_associativity(window: int, scalars, alg: str = "hq",
+def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
                             x0_order: int = 6) -> CheckReport:
     spec = _ASSOC_SETUP.get(alg)
     if spec is None:
@@ -1262,11 +1341,22 @@ def _law_scale_covariance(window: int, scalars) -> CheckReport:
     return combine("scale-covariance", parts)
 
 
-@dataclass(frozen=True)
 class _LawSpec:
-    runner: object
-    default_window: int
-    summary: str
+    """A registered law: its runner, default window and summary.  The
+    law's parameters are the runner's keyword-only arguments, and
+    ``params`` maps each to its default."""
+
+    __slots__ = ("runner", "default_window", "summary", "params")
+
+    def __init__(self, runner, default_window: int, summary: str):
+        object.__setattr__(self, "runner", runner)
+        object.__setattr__(self, "default_window", default_window)
+        object.__setattr__(self, "summary", summary)
+        # a partial runner has no __kwdefaults__ and takes no parameter
+        object.__setattr__(self, "params", dict(
+            getattr(runner, "__kwdefaults__", None) or {}))
+
+    __setattr__ = __delattr__ = immutable
 
 
 LAWS: dict[str, _LawSpec] = {
@@ -1333,9 +1423,7 @@ def verify_identity(name: str, window: int | None = None,
     if spec is None:
         known = ", ".join(sorted(LAWS))
         raise VertexError(f"unknown law {name!r}; one of {known}")
-    defaults = {k: p.default for k, p in
-                inspect.signature(spec.runner).parameters.items()
-                if p.default is not inspect.Parameter.empty}
+    defaults = spec.params
     for key, value in params.items():
         if key not in defaults or type(value) is not type(defaults[key]):
             takes = ", ".join(f"{k} ({type(d).__name__})"

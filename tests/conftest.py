@@ -23,7 +23,7 @@ from qheis.scalar import L, ONE, SYMBOLIC, ZERO, Poly, Scalar, ScalarError, \
 from qheis.series import POS_INF, Cert, TruncatedLaurent, Window, binom, \
     delta_family, exp_coeff, series_inverse
 from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
-    OperatorSeries, VertexError, _derived, _part_table, field_of, pair_of
+    OperatorSeries, VertexError, _part_table, field_of, pair_of
 
 
 def window_of(**ranges: tuple[int, int]) -> Window:
@@ -223,16 +223,15 @@ def assert_same_table(got: TruncatedLaurent, want: TruncatedLaurent,
 # apply D^j / j! to the stack in closed form, as the oracles of that route.
 
 
-@dataclass(frozen=True)
 class DressedField(OperatorSeries):
     """theta^j base / j!: coefficient e of the base field times e^j / j!."""
 
-    base: OperatorSeries
-    j: int
-    module: FockModule = _derived()
+    __slots__ = ("base", "j", "module")
 
-    def __post_init__(self):
-        self._derive(module=self.base.module)
+    def __init__(self, base: OperatorSeries, j: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "module", base.module)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         w = exp_coeff(e, self.j, self.module.scalars)
@@ -514,15 +513,14 @@ def product_stack_oracle(afield, bfield, mult, v, xlo, xhi, zneed):
 # residue product and the skew kernels
 
 
-@dataclass(frozen=True)
 class DerivativeField(OperatorSeries):
     """d/dx of a field: coefficient e becomes (e+1) times coefficient e+1."""
 
-    base: OperatorSeries
-    module: FockModule = _derived()
+    __slots__ = ("base", "module")
 
-    def __post_init__(self):
-        self._derive(module=self.base.module)
+    def __init__(self, base: OperatorSeries):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "module", base.module)
 
     def apply_coeff(self, e: int, v: FockVector) -> FockVector:
         return self.base.apply_coeff(e + 1, v).scale(
@@ -532,18 +530,17 @@ class DerivativeField(OperatorSeries):
         return self.base.low_exponent(v) - 1
 
 
-@dataclass(frozen=True)
 class ResidueProduct(OperatorSeries):
     """The residue n-th product a(x)_n b(x), by the classical two-sided
     residue formula."""
 
-    left: OperatorSeries
-    right: OperatorSeries
-    n: int
-    module: FockModule = _derived()
+    __slots__ = ("left", "right", "n", "module")
 
-    def __post_init__(self):
-        self._derive(module=self.left.module)
+    def __init__(self, left: OperatorSeries, right: OperatorSeries, n: int):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "module", left.module)
 
     def apply_coeff(self, E: int, v: FockVector) -> FockVector:
         a, b, n = self.left, self.right, self.n

@@ -308,6 +308,27 @@ def test_fixed_clock_reports_are_identical(monkeypatch, capsys):
     assert json.loads(first)["elapsed_ms"] == 0
 
 
+def test_expand_refuses_a_large_exponent(capsys):
+    """x1^99999999 used to run without end; it now exits 2 at once."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("a large exponent was not refused")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        assert run(["expand", "--kernel", "x1^99999999", "--direction", "x1",
+                    "--window", "1"]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse kernel at position 3: "
+                          "exponent 99999999 is outside [-16, 16]\n"), err
+    assert "Traceback" not in err
+
+
 def test_console_script_runs():
     script = shutil.which("qheis")
     cmd = [script] if script else [sys.executable, "-m", "qheis.cli"]

@@ -3,6 +3,9 @@ class and method it defines is named somewhere in the package, and every
 name it exports in ``__all__`` is bound."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +151,21 @@ def test_no_dead_names_beyond_the_test_only_set():
     dead = dead_names(_package_sources())
     assert dead - TEST_ONLY == set(), "defined but never named"
     assert TEST_ONLY - dead == set(), "named in the package or gone"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """The value classes are written out by hand, so a cold ``qheis`` call
+    neither generates methods nor imports ``inspect`` (with ``ast``,
+    ``dis`` and ``tokenize`` behind it)."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import qheis.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    # -S: a bare interpreter, with nothing imported by site hooks
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "qheis.vertexops" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import exp_pole_kernel, inv_factor_table_oracle, window_of
 from qheis.kernels import (
+    MAX_EXPONENT,
     Factor,
     KernelParseError,
     RationalKernel,
@@ -76,6 +77,32 @@ def test_parse_exponential_factors():
         (Factor("expconst", "z", "", ONE), 2),
         (Factor("expconst", "z", "", Q), 2),
     )
+
+
+def test_exponents_past_the_bound_are_refused_at_once():
+    """An exponent past MAX_EXPONENT is refused before any power is
+    formed; the alarm turns a regression into a failure, not a hang."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("a large exponent was not refused")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        for text in ("x1^99999999", "x1^-99999999", "(x1+x2+q)^17",
+                     "1/(e^z-q)^17", "1/(x1-x2)^-17"):
+            with pytest.raises(KernelParseError, match=r"exponent -?\d+ is "
+                               r"outside \[-16, 16\]") as exc:
+                parse_kernel(text)
+            # the position names the refused digits
+            assert text[exc.value.pos:].isdigit(), exc.value.pos
+        assert MAX_EXPONENT == 16
+        assert parse_kernel("x1^16") == parse_kernel("*".join(["x1"] * 16))
+        assert parse_kernel("(x1-q*x2)^-16").den[0][1] == 16
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_parse_error_positions_and_reasons():

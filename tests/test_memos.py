@@ -250,20 +250,27 @@ def test_mode_words_compute_each_bracket_once():
         return out
 
     liealg._bracket.cache_clear()
+    fock._central.cache_clear()
     first = act()
     info = liealg._bracket.cache_info()
+    central = fock._central.cache_info()
     assert info.misses == 15
-    # the same words again: every bracket is a memo hit
+    # each central correction is computed once, from one bracket
+    assert central.misses == 15 and info.hits == 0
+    # the same words again: every correction is a memo hit, so no
+    # bracket is even looked up
     assert act() == first
     again = liealg._bracket.cache_info()
-    assert again.misses == info.misses
-    assert again.hits > info.hits
+    assert again.misses == info.misses and again.hits == info.hits
+    central_again = fock._central.cache_info()
+    assert central_again.misses == central.misses
+    assert central_again.hits > central.hits
 
 
 def test_memos_stay_within_their_bound():
     x = window_of(x=(0, 1))
     memos = {
-        kernels._parse_kernel: lambda k: parse_kernel(f"x^{k}"),
+        kernels._parse_kernel: lambda k: parse_kernel(f"{k + 1}*x"),
         kernels._iota_expand:
             lambda k: iota_expand(parse_kernel(f"{k + 1}*x"), ("x",), x),
         liealg._f_coefficient: lambda k: f_coefficient(k, -2),
@@ -272,6 +279,9 @@ def test_memos_stay_within_their_bound():
                                              (2, k // 23 + 1))),
         series._exp_coeff: lambda k: exp_coeff(k, 0, SYMBOLIC),
         liealg._bracket: lambda k: bracket_modes("hq", k, -k),
+        fock._central:
+            lambda k: fock._central(fock.FockModule("hq"), (-k - 1, 0),
+                                    (k + 1, 0)),
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]

@@ -1,6 +1,5 @@
 """Fields, commutator catalog, products, and the identity registry."""
 
-import dataclasses
 import json
 import random
 import re
@@ -40,8 +39,10 @@ from qheis.vertexops import (
     ArgScaledField,
     IdentityField,
     LAWS,
+    LawParameterError,
     Multiplier,
     MultiplierError,
+    PairPart,
     SpecialBracketForm,
     SumField,
     UnsupportedPairError,
@@ -1081,6 +1082,40 @@ def test_law_parameters_pass_through():
     assert "r=2" in rep.name
 
 
+def test_law_parameters_and_their_defaults():
+    """The keyword parameters each law accepts, with their defaults, in
+    the order a refusal lists them."""
+    r1s0 = [("r", 1), ("s", 0)]
+    assert {name: list(spec.params.items()) for name, spec in LAWS.items()} \
+        == {"bhat-commutator-delta": r1s0,
+            "hq-commutator-delta": r1s0,
+            "hq-quasi-locality": [],
+            "hq-quasi-locality-control": [],
+            "htq-commutator-euler-form": [],
+            "htq-commutator-kernel-form": [],
+            "htq-quasi-locality": [],
+            "htq-quasi-locality-control": [],
+            "locality-transfer": r1s0,
+            "phi-image-bq-commutator": r1s0,
+            "phi-image-heisenberg": r1s0,
+            "phi-weak-associativity": [("alg", "hq"), ("x0_order", 6)],
+            "scale-covariance": [],
+            "special-pair-transfer": [("r", 0), ("s", 0)]}
+    refusals = {
+        "phi-weak-associativity": "parameter 'r' cannot be 1.5; "
+        "phi-weak-associativity takes alg (str), x0_order (int)",
+        "hq-commutator-delta": "parameter 'r' cannot be 1.5; "
+        "hq-commutator-delta takes r (int), s (int)",
+        "hq-quasi-locality": "parameter 'r' cannot be 1; "
+        "hq-quasi-locality takes nothing",
+    }
+    for name, text in refusals.items():
+        value = 1.5 if LAWS[name].params else 1
+        with pytest.raises(LawParameterError) as exc:
+            verify_identity(name, window=0, r=value)
+        assert str(exc.value) == text
+
+
 def test_unknown_law_rejected():
     with pytest.raises(VertexError, match="unknown law"):
         verify_identity("frobnicate")
@@ -1125,7 +1160,7 @@ def _double_catalog_part(monkeypatch):
     """Plant a wrong catalog: the first part of every pair is doubled."""
     base = vertexops._base_pair
     _plant_catalog(monkeypatch, lambda a, b: tuple(
-        dataclasses.replace(p, coeff=p.coeff + p.coeff) if i == 0 else p
+        PairPart(p.kind, p.coeff + p.coeff, p.c, p.d) if i == 0 else p
         for i, p in enumerate(base(a, b))))
 
 
@@ -1186,6 +1221,14 @@ def _double_index_scale(monkeypatch):
                         vertexops.GeneratorField(module, 2 * shift))
 
 
+def _plant_module_bracket(monkeypatch, wrong):
+    """Replace the bracket of the module action by wrong(*args)."""
+    monkeypatch.setattr(fock, "bracket_modes", wrong)
+    # the central-correction memo must neither serve nor keep planted data
+    monkeypatch.setattr(fock, "_central", lru_cache(maxsize=1024)(
+        fock._central.__wrapped__))
+
+
 def _double_module_bracket(monkeypatch):
     """Plant a wrong module action: every bracket is doubled."""
     base = fock.bracket_modes
@@ -1194,7 +1237,7 @@ def _double_module_bracket(monkeypatch):
         v = base(*args)
         return v + v
 
-    monkeypatch.setattr(fock, "bracket_modes", wrong)
+    _plant_module_bracket(monkeypatch, wrong)
 
 
 # (law, planted defect, pattern of a failure line naming the case)
@@ -1238,7 +1281,7 @@ def _double_iratio_parts(monkeypatch):
     """Plant a wrong catalog: every one-sided ratio kernel is doubled."""
     base = vertexops._base_pair
     _plant_catalog(monkeypatch, lambda a, b: tuple(
-        dataclasses.replace(p, coeff=p.coeff + p.coeff)
+        PairPart(p.kind, p.coeff + p.coeff, p.c, p.d)
         if p.kind == "iratio" else p for p in base(a, b)))
 
 
@@ -1246,8 +1289,8 @@ def _zero_brackets(monkeypatch):
     """Plant a level-zero algebra: the module and the catalog bracket
     every pair of modes to zero."""
     base = fock.bracket_modes
-    monkeypatch.setattr(fock, "bracket_modes",
-                        lambda *args: base(*args) - base(*args))
+    _plant_module_bracket(monkeypatch,
+                          lambda *args: base(*args) - base(*args))
     _plant_catalog(monkeypatch, lambda a, b: ())
 
 
@@ -1255,9 +1298,9 @@ def _wrong_hq_multiplier(monkeypatch):
     """Plant a wrong multiplier q (x1 - q x2)(x1 - q^-2 x2) in place of
     q (x1 - q x2)(x1 - q^-1 x2)."""
     spec = LAWS["hq-quasi-locality"]
-    monkeypatch.setitem(LAWS, "hq-quasi-locality", dataclasses.replace(
-        spec, runner=vertexops._law_quasi_locality(
-            "hq", (1, ((1, 1), (-2, 1))))))
+    monkeypatch.setitem(LAWS, "hq-quasi-locality", vertexops._LawSpec(
+        vertexops._law_quasi_locality("hq", (1, ((1, 1), (-2, 1)))),
+        spec.default_window, spec.summary))
 
 
 # the mutation matrix: one planted defect per law, each of which must make
