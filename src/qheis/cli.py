@@ -29,7 +29,8 @@ import time
 from fractions import Fraction
 
 from .fock import FockError, FockModule, apply_word
-from .kernels import MAX_EXPONENT, KernelError, parse_kernel, iota_expand
+from .kernels import MAX_EXPONENT, MAX_PARSE_WORK, KernelError, \
+    parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
 from .report import INCONCLUSIVE, PASS, combine
 from .scalar import SYMBOLIC, RationalPoint, int_text
@@ -45,6 +46,14 @@ from .vertexops import (
 )
 
 SUITES = {"paper-all": 8, "fast": 5}
+
+# The largest |m| and |n| the bracket command takes.  A bhatq bracket of
+# two negative modes reads the z^(-m-n-2) coefficient of F_(r-s), whose
+# cost grows a little faster than the square of that order: at
+# m = n = -256 it prints in about 0.6 s symbolically, at -400 in 2.3 s,
+# and at -1000 in 21 s (2-core machine, Python 3.11.7).  The library's
+# bracket_modes takes any index.
+MAX_MODE = 256
 
 
 def _fail_usage(msg: str) -> int:
@@ -150,6 +159,10 @@ def _cmd_bracket(args) -> int:
     if args.algebra not in ALGEBRAS:
         return _fail_usage(
             f"unknown algebra {args.algebra!r}; one of {', '.join(ALGEBRAS)}")
+    for flag, mode in (("--m", args.m), ("--n", args.n)):
+        if abs(mode) > MAX_MODE:
+            return _fail_usage(f"{flag} {mode} is outside "
+                               f"[-{MAX_MODE}, {MAX_MODE}]")
     point = _point_from(args)
     try:
         val = bracket_modes(args.algebra, args.m, args.n, args.r, args.s,
@@ -337,7 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="directed expansion of a kernel")
     p.add_argument("--kernel", required=True,
                    help="rational kernel in x, x1, x2, z and q; every "
-                        f"exponent lies in [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
+                        f"exponent lies in [-{MAX_EXPONENT}, {MAX_EXPONENT}], "
+                        "and multiplying out its products costs at most "
+                        f"{MAX_PARSE_WORK} units: one per pair of terms "
+                        "multiplied, one per 16 products of their "
+                        "coefficients' terms in q")
     p.add_argument("--direction", required=True,
                    help="comma-separated variables, outermost first")
     p.add_argument("--window", type=int, default=4)
@@ -347,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="one bracket constant")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    mode_help = f"mode index in [-{MAX_MODE}, {MAX_MODE}]"
+    p.add_argument("--m", type=int, required=True, help=mode_help)
+    p.add_argument("--n", type=int, required=True, help=mode_help)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--s", type=int, default=0)
     _add_point_flags(p)

@@ -116,9 +116,6 @@ class FockVector:
                 and self.module == other.module
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        raise TypeError("FockVector is not hashable")
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -16,7 +16,8 @@ exactness windows; anything else is rejected when parsing.
 The text grammar accepts identifiers ``x``, ``x1``, ``x2``, ``z``, the
 scalar symbol ``q``, integers, ``+ - * / ^``, parentheses, and ``e^v`` for
 exponentials.  An exponent is an integer of size at most
-:data:`MAX_EXPONENT` (16).
+:data:`MAX_EXPONENT` (16), and multiplying out the text's products takes
+at most :data:`MAX_PARSE_WORK` (131,072) units of work.
 
 Parsing and expansion are pure, so both are memoized for the life of the
 process, each in a least-recently-used memo of 64 entries:
@@ -51,6 +52,17 @@ VARS = ("x", "x1", "x2", "z")
 # 1/(e^z - q)^16 expands on the window of radius 4 in about 0.3 s (on a
 # 2-core machine, Python 3.11.7); at 24 they take about 7 s and 1.1 s.
 MAX_EXPONENT = 16
+
+# The most work one parse may spend multiplying polynomials.  Bounded
+# exponents alone do not bound a parse: (x + x1 + x2 + z + q + 1)^12
+# squared multiplies 1,820 by 1,820 terms and had not finished after 60 s.
+# A product of a and b costs len(a) * len(b) units, one per pair of terms,
+# plus one unit per 16 products of their coefficients' terms.  A unit
+# takes about 12 us across a range of kernels (2-core machine, Python
+# 3.11.7), so a parse at the bound takes about 1.6 s.  The 16th power of
+# a six-term base takes 97,869 units (1.2 s); its 6th power squared
+# 60,306 (0.7 s); its 7th power squared, 153,417 units, is refused.
+MAX_PARSE_WORK = 1 << 17
 
 _ONE = Scalar.from_int(1)
 
@@ -98,6 +110,11 @@ def _num_mul(a: NumPoly, b: NumPoly) -> NumPoly:
             else:
                 out.pop(m, None)
     return out
+
+
+def _size(a: NumPoly) -> int:
+    """The number of terms of a's coefficients, each a polynomial in q."""
+    return sum(len(c.num) for c in a.values())
 
 
 def _num_add(a: NumPoly, b: NumPoly) -> NumPoly:
@@ -270,6 +287,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.work = 0  # spent multiplying polynomials, in units
 
     def peek(self):
         return self.toks[self.i]
@@ -381,9 +399,16 @@ class _Parser:
             self.error("sums with quotient terms are not in kernel form")
         return _V(_num_add(a.num, b.num), ())
 
+    def _times(self, a: NumPoly, b: NumPoly) -> NumPoly:
+        self.work += len(a) * len(b) + _size(a) * _size(b) // 16
+        if self.work > MAX_PARSE_WORK:
+            self.error(f"multiplying out the products takes more than "
+                       f"{MAX_PARSE_WORK} units of work")
+        return _num_mul(a, b)
+
     def _mul(self, a: _V, b: _V) -> _V:
         fac = None if a.fac is None or b.fac is None else a.fac + b.fac
-        return _V(_num_mul(a.num, b.num), a.den + b.den, fac)
+        return _V(self._times(a.num, b.num), a.den + b.den, fac)
 
     def _inv(self, v: _V) -> _V:
         if v.den:
@@ -403,7 +428,7 @@ class _Parser:
             return self._pow(self._inv(v), -e)
         out: NumPoly = {(): _ONE}
         for _ in range(e):
-            out = _num_mul(out, v.num)
+            out = self._times(out, v.num)
         fac = None if v.fac is None else tuple((f, p * e) for f, p in v.fac)
         return _V(out, tuple((f, p * e) for f, p in v.den), fac)
 
@@ -483,7 +508,6 @@ def _binom_row(k: int, p: int) -> int:
 
 
 def _place_cert(vars: tuple[str, ...], own: str, suplo_own, cap_own,
-                band=(NEG_INF, POS_INF),
                 support: tuple[str, ...] | None = None) -> Cert:
     """A certificate complete in every variable except `own`.
 
@@ -499,7 +523,7 @@ def _place_cert(vars: tuple[str, ...], own: str, suplo_own, cap_own,
         for v in vars
     )
     caps = tuple(cap_own if v == own else POS_INF for v in vars)
-    return Cert(False, suplo, (NEG_INF,) * n, caps, band)
+    return Cert(False, suplo, (NEG_INF,) * n, caps)
 
 
 def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
@@ -512,7 +536,7 @@ def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
         v = exp_coeff(k, j, SYMBOLIC)
         if v:
             coeffs[tuple(j if t == i else 0 for t in range(n))] = v
-    cert = _place_cert(vars, zv, 0, max(order, 0), (0, POS_INF))
+    cert = _place_cert(vars, zv, 0, max(order, 0))
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
 
@@ -526,7 +550,7 @@ def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
         if v:
             coeffs[(j,)] = v
     lead = 0 if (_ONE - c) else 1
-    cert = Cert(False, (lead,), (NEG_INF,), (order,), (lead, POS_INF))
+    cert = Cert(False, (lead,), (NEG_INF,), (order,))
     return TruncatedLaurent((zvar,), coeffs, cert, None, _trusted=True)
 
 
@@ -552,7 +576,7 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
         # (x - c)^-p = (-c)^-p sum_k C(k+p-1,p-1) c^-k x^k
         terms = _geometric((-f.c) ** -p, _ONE / f.c, p, hi + 1)
         coeffs = {place({f.a: k}): v for k, v in enumerate(terms)}
-        cert = _place_cert(vars, f.a, 0, hi, (0, POS_INF))
+        cert = _place_cert(vars, f.a, 0, hi)
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
     if f.shape == "expconst":
@@ -562,8 +586,7 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
             pw = pw * base
         inv = series_inverse(pw, max(hi, 0) + p)
         coeffs = {place({f.a: e[0]}): c for e, c in inv.coeffs.items()}
-        lo = inv.cert.suplo[0]
-        cert = _place_cert(vars, f.a, lo, inv.cert.caps[0], (lo, POS_INF))
+        cert = _place_cert(vars, f.a, inv.cert.suplo[0], inv.cert.caps[0])
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
     # two-variable binomial shapes, parametrized by the series variable:
@@ -585,9 +608,7 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
     terms = _geometric(pref, step, p, hi - smin + 1)
     coeffs = {place({inner: smin + k, other: -drop - k}): v
               for k, v in enumerate(terms)}
-    band = 0 if ratio else -p
-    cert = _place_cert(vars, inner, smin, hi, (band, band),
-                       support=(f.a, f.b))
+    cert = _place_cert(vars, inner, smin, hi, support=(f.a, f.b))
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
 

@@ -139,14 +139,6 @@ class GeneratorSymbol:
 
     __setattr__ = __delattr__ = immutable
 
-    def __str__(self) -> str:
-        if self.central:
-            return f"c[{self.algebra}]"
-        spec = get_algebra(self.algebra)
-        if spec.shifted:
-            return f"b({self.shift})_{self.mode}[{self.algebra}]"
-        return f"b_{self.mode}[{self.algebra}]"
-
 
 # ---------------------------------------------------------------------------
 # the exponential tail F_n

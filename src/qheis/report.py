@@ -35,11 +35,6 @@ class CheckReport:
         self.failures = [] if failures is None else failures
         self.notes = [] if notes is None else notes
 
-    def __repr__(self) -> str:
-        return (f"CheckReport(name={self.name!r}, status={self.status!r}, "
-                f"checked={self.checked!r}, region={self.region!r}, "
-                f"failures={self.failures!r}, notes={self.notes!r})")
-
     @property
     def ok(self) -> bool:
         return self.status == PASS

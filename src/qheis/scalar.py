@@ -630,12 +630,6 @@ class Scalar:
 
     __slots__ = ("num", "_fd", "_den", "_hash", "_str")
 
-    def __init__(self, num: Poly, den: Poly):
-        """The reduced fraction num / den."""
-        v = _make(num, _PLAIN) / _make(den, _PLAIN)
-        _set_num(self, v.num)
-        _set_fd(self, v._fd)
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -663,9 +657,6 @@ class Scalar:
         return _make({(0, 1): 1}, _PLAIN)
 
     # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -793,9 +784,6 @@ class Scalar:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
-    def __repr__(self) -> str:
-        return f"Scalar({self})"
-
 
 _new = object.__new__
 _set_num = Scalar.num.__set__
@@ -854,9 +842,6 @@ class SymbolicField:
     q_power = staticmethod(Scalar.q_power)
     qint = staticmethod(qint)
 
-    def __repr__(self) -> str:
-        return "SYMBOLIC"
-
 
 SYMBOLIC = SymbolicField()
 
@@ -899,9 +884,6 @@ class RationalPoint:
     def qint(self, m: int) -> Fraction:
         q = self.q0
         return (q ** m - q ** -m) / (q - 1 / q)
-
-    def __repr__(self) -> str:
-        return f"RationalPoint(q0={self.q0}, l0={self.l0})"
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,18 +2,20 @@
 
 The central object, :class:`TruncatedLaurent`, is a finite coefficient table
 standing in for an infinite formal distribution.  Alongside the table it
-carries a *certificate* of five fields, describing exactly which
-coefficients of the true object the table is guaranteed to reproduce:
+carries a *certificate*, describing exactly which coefficients of the
+true object the table is guaranteed to reproduce:
 
 * ``entire``     -- the table IS the whole object (a Laurent polynomial);
-* ``suplo[i]``   -- true support satisfies e_i >= suplo[i]  (may be -oo);
-* ``band``       -- true support satisfies band[0] <= sum(e) <= band[1];
-* ``floors[i]``, ``caps[i]`` -- the certified box, floors[i] <= e_i <= caps[i].
+* ``floors[i]``, ``caps[i]`` -- the certified box, floors[i] <= e_i <= caps[i];
+* ``suplo[i]``   -- true support satisfies e_i >= suplo[i]  (may be -oo).
 
-A coefficient e is *certified* when it lies in the certified box, or when
-one of the support bounds forces it to vanish.  All arithmetic
-propagates certificates conservatively, so a certified coefficient of any
-derived table equals the corresponding coefficient of the true object.
+A coefficient e is *certified* when the table is entire or e lies in the
+certified box.  The support bound certifies nothing by itself: it feeds
+the box of a product, and where it reaches the bottom of a window the
+box built on that window (``Cert.box``, ``restrict``) keeps floor -oo,
+since every coefficient below is zero.  All arithmetic propagates
+certificates conservatively, so a certified coefficient of any derived
+table equals the corresponding coefficient of the true object.
 
 Expansion direction.  Iterated Laurent expansions of one rational function
 differ by direction, so every table may carry a ``direction`` tag: the tuple
@@ -142,54 +144,30 @@ class Window:
 class Cert:
     """Exactness certificate for a truncated table."""
 
-    __slots__ = ("entire", "suplo", "floors", "caps", "band")
+    __slots__ = ("entire", "suplo", "floors", "caps")
 
     def __init__(self, entire: bool, suplo: tuple[ExtInt, ...],
-                 floors: tuple[ExtInt, ...], caps: tuple[ExtInt, ...],
-                 band: tuple[ExtInt, ExtInt]):
+                 floors: tuple[ExtInt, ...], caps: tuple[ExtInt, ...]):
         object.__setattr__(self, "entire", entire)
         object.__setattr__(self, "suplo", suplo)
         object.__setattr__(self, "floors", floors)
         object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "band", band)
 
     __setattr__ = __delattr__ = immutable
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.entire, self.suplo, self.floors, self.caps, self.band)
-                == (other.entire, other.suplo, other.floors, other.caps,
-                    other.band))
-
     @classmethod
     def full(cls, n: int) -> "Cert":
-        return cls(True, (NEG_INF,) * n, (NEG_INF,) * n, (POS_INF,) * n,
-                   (NEG_INF, POS_INF))
+        return cls(True, (NEG_INF,) * n, (NEG_INF,) * n, (POS_INF,) * n)
 
     @classmethod
     def box(cls, lo: tuple[int, ...], hi: tuple[int, ...],
-            suplo: tuple[ExtInt, ...] | None = None,
-            band: tuple[ExtInt, ExtInt] = (NEG_INF, POS_INF)) -> "Cert":
-        n = len(lo)
+            suplo: tuple[ExtInt, ...] | None = None) -> "Cert":
+        """Exact on the box [lo, hi]; below lo in a variable whose support
+        starts at or above lo, every coefficient is zero."""
         if suplo is None:
-            suplo = (NEG_INF,) * n
-        floors = tuple(
-            NEG_INF if s != NEG_INF and s >= l else l
-            for s, l in zip(suplo, lo)
-        )
-        return cls(False, tuple(suplo), floors, tuple(hi), band)
-
-    @classmethod
-    def empty(cls, n: int,
-              suplo: tuple[ExtInt, ...] | None = None,
-              band: tuple[ExtInt, ExtInt] = (NEG_INF, POS_INF)) -> "Cert":
-        if suplo is None:
-            suplo = (NEG_INF,) * n
-        return cls(False, tuple(suplo), (POS_INF,) * n, (NEG_INF,) * n,
-                   band)
+            suplo = (NEG_INF,) * len(lo)
+        floors = tuple(NEG_INF if l <= s else l for s, l in zip(suplo, lo))
+        return cls(False, tuple(suplo), floors, tuple(hi))
 
 
 class TruncatedLaurent:
@@ -231,9 +209,6 @@ class TruncatedLaurent:
 
     # -- inspection ----------------------------------------------------------
 
-    def certified(self, e: tuple[int, ...]) -> bool:
-        return _certified(self.cert, e)
-
     def coeff(self, e: tuple[int, ...], zero: Any = None) -> Any:
         """The certified coefficient at e; raises outside the certificate."""
         if not _certified(self.cert, e):
@@ -246,14 +221,12 @@ class TruncatedLaurent:
         return Scalar.from_int(0) if zero is None else zero
 
     def certifies_window(self, w: Window) -> bool:
-        """Whether the whole window is certified: O(dim) when the
-        certified box holds it, else entry by entry."""
+        """Whether the whole window is certified: whether the certified
+        box holds it."""
         self._align_window(w)
         c = self.cert
-        if c.entire or all(f <= a and b <= cap for f, cap, a, b
-                           in zip(c.floors, c.caps, w.lo, w.hi)):
-            return True
-        return all(_certified(c, e) for e in w.exponents())
+        return c.entire or all(f <= a and b <= cap for f, cap, a, b
+                               in zip(c.floors, c.caps, w.lo, w.hi))
 
     def require_certified(self, w: Window) -> None:
         if not self.certifies_window(w):
@@ -328,9 +301,9 @@ class TruncatedLaurent:
         """Product with certificate propagation.
 
         At least one operand must be scalar-valued.  If neither operand is
-        entire and either carries a finite certification floor (a purely
-        windowed object such as a delta family), the result is certifiable
-        only through its support bounds.
+        entire, neither may carry a finite certification floor (a purely
+        windowed object such as a delta family): their product has no
+        certified box, and it is refused.
         """
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
@@ -351,17 +324,13 @@ class TruncatedLaurent:
                     coeffs[e] = s
                 else:
                     coeffs.pop(e, None)
-        out = TruncatedLaurent(self.vars, coeffs, cert, direction,
-                               _trusted=True)
-        if cert.entire:
-            return _tighten_entire(out)
-        return out
+        return TruncatedLaurent(self.vars, coeffs, cert, direction,
+                                _trusted=True)
 
     def shift(self, offsets: dict[str, int], c: Any = None)\
             -> "TruncatedLaurent":
         """Multiply by c * prod(var**offset)."""
         d = tuple(offsets.get(v, 0) for v in self.vars)
-        tot = sum(d)
         coeffs = {}
         for e, v in self.coeffs.items():
             coeffs[tuple(x + y for x, y in zip(e, d))] = (
@@ -371,33 +340,31 @@ class TruncatedLaurent:
             tuple(_lo_add(s, x) for s, x in zip(self.cert.suplo, d)),
             tuple(_lo_add(f, x) for f, x in zip(self.cert.floors, d)),
             tuple(_hi_add(s, x) for s, x in zip(self.cert.caps, d)),
-            (_lo_add(self.cert.band[0], tot), _hi_add(self.cert.band[1], tot)),
         )
         return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
                                 _trusted=True)
 
     def restrict(self, w: Window) -> "TruncatedLaurent":
-        """Trim storage to a window; the certificate shrinks accordingly."""
+        """Trim storage to a window; the certificate shrinks accordingly.
+
+        Below the window a variable keeps floor -oo where the box reached
+        the window's bottom and the support starts at or above it: every
+        coefficient dropped there is zero, as in ``Cert.box``.
+        """
         self._align_window(w)
         coeffs = {e: c for e, c in self.coeffs.items() if e in w}
         c = self.cert
         cert = Cert(
             False,
             c.suplo,
-            tuple(max(f, l) for f, l in zip(c.floors, w.lo)),
+            tuple(NEG_INF if f <= l <= s else max(f, l)
+                  for s, f, l in zip(c.suplo, c.floors, w.lo)),
             tuple(min(s, h) for s, h in zip(c.caps, w.hi)),
-            c.band,
         )
         return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
                                 _trusted=True)
 
     # -- display -------------------------------------------------------------
-
-    def __repr__(self) -> str:
-        n = len(self.coeffs)
-        return (f"<TruncatedLaurent {'/'.join(self.vars)}"
-                f"{' dir=' + '>'.join(self.direction) if self.direction else ''}"
-                f" terms={n}>")
 
     def format_terms(self, limit: int = 12) -> str:
         items = sorted(self.coeffs.items())[:limit]
@@ -411,7 +378,7 @@ class TruncatedLaurent:
         more = len(self.coeffs) - len(items)
         if more > 0:
             parts.append(f"... [{more} more]")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def binom(n: int, k: int) -> int:
@@ -438,12 +405,6 @@ def _exp_coeff(k: int, j: int, from_fraction):
 def _certified(c: Cert, e: tuple[int, ...]) -> bool:
     if c.entire:
         return True
-    for x, s in zip(e, c.suplo):
-        if s != NEG_INF and x < s:
-            return True
-    t = sum(e)
-    if t < c.band[0] or t > c.band[1]:
-        return True
     for x, f, cap in zip(e, c.floors, c.caps):
         if x < f or x > cap:
             return False
@@ -458,7 +419,6 @@ def _add_cert(a: Cert, b: Cert) -> Cert:
         tuple(min(x, y) for x, y in zip(a.suplo, b.suplo)),
         tuple(max(x, y) for x, y in zip(a.floors, b.floors)),
         tuple(min(x, y) for x, y in zip(a.caps, b.caps)),
-        (min(a.band[0], b.band[0]), max(a.band[1], b.band[1])),
     )
 
 
@@ -466,22 +426,11 @@ def _support_stats(t: TruncatedLaurent):
     n = len(t.vars)
     mins = [POS_INF] * n
     maxs = [NEG_INF] * n
-    blo, bhi = POS_INF, NEG_INF
     for e in t.coeffs:
         for i, x in enumerate(e):
             mins[i] = min(mins[i], x)
             maxs[i] = max(maxs[i], x)
-        s = sum(e)
-        blo, bhi = min(blo, s), max(bhi, s)
-    return mins, maxs, blo, bhi
-
-
-def _tighten_entire(t: TruncatedLaurent) -> TruncatedLaurent:
-    mins, _maxs, blo, _bhi = _support_stats(t)
-    n = len(t.vars)
-    cert = Cert(True, tuple(mins), (NEG_INF,) * n, (POS_INF,) * n,
-                (blo, POS_INF))
-    return TruncatedLaurent(t.vars, t.coeffs, cert, t.direction, _trusted=True)
+    return mins, maxs
 
 
 def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
@@ -494,7 +443,7 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
             ta, tb = tb, ta
             a, b = b, a
         # ta entire with finite support; tb partial
-        mins, maxs, blo, bhi = _support_stats(ta)
+        mins, maxs = _support_stats(ta)
         if mins[0] == POS_INF:  # zero polynomial
             return Cert.full(n)
         return Cert(
@@ -502,16 +451,12 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
             tuple(_lo_add(s, m) for s, m in zip(b.suplo, mins)),
             tuple(_floor_add(f, m) for f, m in zip(b.floors, maxs)),
             tuple(_cap_add(c, m) for c, m in zip(b.caps, mins)),
-            (_lo_add(b.band[0], blo), _hi_add(b.band[1], bhi)),
         )
     if any(f != NEG_INF for f in a.floors + b.floors):
-        # windowed objects without full knowledge below: only support
-        # bounds survive
-        return Cert.empty(
-            n,
-            tuple(_lo_add(x, y) for x, y in zip(a.suplo, b.suplo)),
-            (_lo_add(a.band[0], b.band[0]), _hi_add(a.band[1], b.band[1])),
-        )
+        # a windowed factor is unknown below its window, so every entry
+        # of the product sums unknown terms
+        raise SeriesError("the product of two partial tables needs both "
+                          "certified from -oo in every variable")
     return Cert(
         False,
         tuple(_lo_add(x, y) for x, y in zip(a.suplo, b.suplo)),
@@ -520,7 +465,6 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
             min(_cap_add(ca, sb), _cap_add(cb, sa))
             for ca, sb, cb, sa in zip(a.caps, b.suplo, b.caps, a.suplo)
         ),
-        (_lo_add(a.band[0], b.band[0]), _hi_add(a.band[1], b.band[1])),
     )
 
 
@@ -553,7 +497,7 @@ def delta_family(kind: str, c: Scalar, window: Window) -> TruncatedLaurent:
     * ``iratio``: sum_(k>=1) k c^k y^k x^-k   (c u/(1 - c u)^2 at u = y/x)
     * ``iratio_op``: sum_(k>=1) k c^k x^k y^-k  (the same shape at u = x/y)
 
-    Off its antidiagonal every coefficient is certified zero.
+    The table is certified on the window, zero there off its antidiagonal.
     """
     if kind not in DELTA_KINDS:
         raise SeriesError(f"unknown delta kind {kind!r}")
@@ -573,8 +517,9 @@ def delta_family(kind: str, c: Scalar, window: Window) -> TruncatedLaurent:
             if v:
                 coeffs[(o1 - t * k, o2 + t * k)] = v
             ck = ck * c
-    cert = Cert.box(window.lo, window.hi, band=(o1 + o2, o1 + o2))
-    return TruncatedLaurent(window.vars, coeffs, cert, None, _trusted=True)
+    return TruncatedLaurent(window.vars, coeffs,
+                            Cert.box(window.lo, window.hi), None,
+                            _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +558,7 @@ def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
         if acc:
             b[m] = -inv_lead * acc
     coeffs = {(-n0 + m,): v for m, v in b.items() if v}
-    cert = Cert(False, (-n0,), (NEG_INF,), (-n0 + order,),
-                (-n0, POS_INF))
+    cert = Cert(False, (-n0,), (NEG_INF,), (-n0 + order,))
     return TruncatedLaurent(s.vars, coeffs, cert, s.direction, _trusted=True)
 
 
@@ -643,7 +587,7 @@ def compare_on(name: str, got: TruncatedLaurent, want: TruncatedLaurent,
                          if e in w)
     else:
         entries = [e for e in w.exponents()
-                   if got.certified(e) and want.certified(e)]
+                   if _certified(got.cert, e) and _certified(want.cert, e)]
     failures, scanned = scan(
         (f"at {dict(zip(w.vars, e))}", got.coeffs.get(e, 0),
          want.coeffs.get(e, 0)) for e in entries)

@@ -25,7 +25,7 @@ D^j / j!, one power of D at a time (``StateTable.dressings``).  D^j
 reads j orders of z above what it writes; the laws read z orders up to
 window with j up to window, so the undressed stack reaches z order
 2 * window.  That is the only place a product meets a dressing: the
-commutator catalog covers generator and identity fields alone.
+commutator catalog covers generator fields alone.
 
 The commutator data itself is carried by a small catalog of closed-form
 shapes (delta families and one-sided ratio kernels), verified against the
@@ -70,7 +70,6 @@ __all__ = [
     "MultiplierError",
     "OperatorSeries",
     "GeneratorField",
-    "IdentityField",
     "ArgScaledField",
     "SumField",
     "field_of",
@@ -115,25 +114,22 @@ class OperatorSeries:
     """A formal series of operators on one vacuum module.
 
     Coefficient e is the operator attached to x^e; mode n is the
-    coefficient of x^(-n-offset).  Subclasses are immutable values:
-    fields built from equal data are equal and hash alike, which is what
-    the product-stack memo keys on.  They implement ``apply_coeff``, or
-    ``apply_coeffs``, which applies a window of coefficients at once
-    (a product reads them off one stack); each defaults to the other.
-    The fields a product takes as factors, :class:`GeneratorField` and
-    :class:`IdentityField`, also implement a support bound
-    ``low_exponent``: coefficients below it act as zero on the given
-    vector.  Every field stores its ``module``; only
-    :class:`GeneratorField`, whose coefficients read it, stores the mode
-    ``offset``.
+    coefficient of x^(-n-offset).  Subclasses are immutable and store
+    their ``module``.  Each implements ``apply_coeffs``, which applies a
+    window of coefficients at once (a product reads them off one stack).
+    The one factor a product takes, :class:`GeneratorField`, implements
+    ``apply_coeff`` instead, through which ``apply_coeffs`` defaults, and
+    a support bound ``low_exponent``: coefficients below it act as zero
+    on the given vector.  It alone stores the mode ``offset``, which its
+    coefficients read.  Only :class:`GeneratorField` is a value: fields
+    built from equal data are equal and hash alike, which is what the
+    pair and product-stack memos key on.  The other fields compare by
+    identity.
     """
 
     __slots__ = ()
 
     __setattr__ = __delattr__ = immutable
-
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        return self.apply_coeffs(e, e, v)[0]
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
@@ -187,31 +183,6 @@ class GeneratorField(OperatorSeries):
         return 1 - self.offset - annihilation_bound(v)
 
 
-class IdentityField(OperatorSeries):
-    """The constant field: coefficient 0 is the identity, all others zero."""
-
-    __slots__ = ("module",)
-
-    def __init__(self, module: FockModule):
-        object.__setattr__(self, "module", module)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.module == other.module
-
-    def __hash__(self) -> int:
-        return hash(self.module)
-
-    def apply_coeff(self, e: int, v: FockVector) -> FockVector:
-        return v if e == 0 else self.module.zero()
-
-    def low_exponent(self, v: FockVector) -> int:
-        return 0
-
-
 class ArgScaledField(OperatorSeries):
     """A field evaluated at c*x: coefficient e picks up a factor c^e."""
 
@@ -221,16 +192,6 @@ class ArgScaledField(OperatorSeries):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "module", base.module)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.c) == (other.base, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.c))
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
@@ -250,16 +211,6 @@ class SumField(OperatorSeries):
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "terms",
                            tuple((c, f) for c, f in terms if c))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.module, self.terms) == (other.module, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.module, self.terms))
 
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
@@ -376,16 +327,14 @@ def _base_pair(a: GeneratorField, b: GeneratorField) -> tuple[PairPart, ...]:
 def pair_of(a: OperatorSeries, b: OperatorSeries) -> PairData:
     """Commutator data for [a(x1), b(x2)], or UnsupportedPairError.
 
-    The catalog covers generator and identity fields; a dressing of the
-    right factor is read off the undressed product stack
-    (``StateTable.dressings``).  The fields are immutable values, so
-    equal pairs share one cached result.
+    The catalog covers generator fields; a dressing of the right factor
+    is read off the undressed product stack (``StateTable.dressings``).
+    Generator fields are immutable values, so equal pairs share one
+    cached result.
     """
-    if not all(isinstance(f, (GeneratorField, IdentityField)) for f in (a, b)):
+    if not all(isinstance(f, GeneratorField) for f in (a, b)):
         raise UnsupportedPairError(
             f"no commutator data for {type(a).__name__} x {type(b).__name__}")
-    if isinstance(a, IdentityField) or isinstance(b, IdentityField):
-        return PairData(())
     return PairData(_base_pair(a, b), a.module.scalars)
 
 
@@ -787,17 +736,6 @@ class ProductExpression(OperatorSeries):
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "module", left.module)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.left, self.right, self.n, self.mult)
-                == (other.left, other.right, other.n, other.mult))
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.n, self.mult))
-
     def apply_coeffs(self, lo: int, hi: int, v: FockVector
                      ) -> list[FockVector]:
         t = -self.n - 1
@@ -833,9 +771,10 @@ def psi_map(v: FockVector, target: FockModule | None = None) -> OperatorSeries:
 
     The family index r goes to the generating field at argument scale q^r,
     and a word of two mode -1 letters to the substitution product
-    a^(r1)(x)_(-1) a^(r2)(x).  Other words would need commutator data for
-    product or dressed fields, which the catalog does not carry, so they
-    are refused.
+    a^(r1)(x)_(-1) a^(r2)(x).  Other words, the vacuum among them, are
+    refused: no law realizes the vacuum, and longer words would need
+    commutator data for product or dressed fields, which the catalog does
+    not carry.
     """
     alg = v.module.algebra
     if alg not in _PSI_TARGET:
@@ -846,17 +785,13 @@ def psi_map(v: FockVector, target: FockModule | None = None) -> OperatorSeries:
                             scalars=v.module.scalars)
     terms: list[tuple[Scalar, OperatorSeries]] = []
     for mono, coeff in sorted(v.terms.items()):
-        if len(mono) > 2 or any(m != -1 for m, _r in mono):
+        if not 1 <= len(mono) <= 2 or any(m != -1 for m, _r in mono):
             raise UnsupportedPairError(
-                "field realizations cover words of at most two mode -1 "
+                "field realizations cover words of one or two mode -1 "
                 f"letters, not {mono}")
         fields = [field_of(target, r) for _m, r in mono]
-        if not fields:
-            f: OperatorSeries = IdentityField(target)
-        elif len(fields) == 1:
-            f = fields[0]
-        else:
-            f = phi_product_n(*fields, -1)
+        f: OperatorSeries = (fields[0] if len(fields) == 1
+                             else phi_product_n(*fields, -1))
         terms.append((coeff, f))
     return SumField(target, terms)
 

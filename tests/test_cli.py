@@ -13,6 +13,7 @@ import pytest
 
 from qheis import cli
 from qheis.cli import SUITES, run
+from qheis.liealg import bracket_modes
 from qheis.vertexops import LAWS
 
 REPORT_KEYS = {"suite", "params", "window", "status", "laws", "failures",
@@ -41,6 +42,15 @@ def test_expand_prints_directed_table(capsys):
     assert code == 0
     assert out_of(capsys) == \
         "(-1)*x2^-3*x1^2 + (-1)*x2^-2*x1 + (-1)*x2^-1"
+
+
+def test_expand_prints_zero_for_a_zero_table(capsys):
+    for argv in (["--kernel", "0", "--direction", "x1"],
+                 ["--kernel", "x1^5", "--direction", "x1", "--window", "1"],
+                 ["--kernel", "x1^5", "--direction", "x1", "--window", "1",
+                  "--limit", "0"]):
+        assert run(["expand", *argv]) == 0, argv
+        assert capsys.readouterr().out == "0\n", argv
 
 
 def test_expand_limit_elides_terms(capsys):
@@ -88,6 +98,32 @@ def test_bracket_values(capsys):
     assert run(["bracket", "--algebra", "bhat", "--r", "1", "--m", "0",
                 "--n", "-1", "--q0=-2", "--l0", "0"]) == 0
     assert out_of(capsys) == "-2/3"
+
+
+def test_bracket_refuses_modes_past_the_bound(capsys):
+    """bhatq at m = n = -2000 used to run for more than 30 s; past
+    MAX_MODE the command exits 2 at once, and the library is unbounded."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("a large mode was not refused")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        for m, n in ((-2000, -2000), (-257, 0), (0, 257), (10 ** 9, 1)):
+            assert run(["bracket", "--algebra", "bhatq", f"--m={m}",
+                        f"--n={n}", "--r", "1"]) == 2, (m, n)
+            out, err = capsys.readouterr()
+            assert not out and err.count("\n") == 1, err
+            assert err.startswith("error: --") and "[-256, 256]" in err, err
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert cli.MAX_MODE == 256
+    assert run(["bracket", "--algebra", "hq", "--m", "256",
+                "--n=-256"]) == 0
+    assert out_of(capsys) == str(bracket_modes("hq", 256, -256))
 
 
 def test_point_values_print_past_the_digit_limit():

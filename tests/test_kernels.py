@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import exp_pole_kernel, inv_factor_table_oracle, window_of
+from conftest import cert_fields, exp_pole_kernel, inv_factor_table_oracle, \
+    window_of
 from qheis.kernels import (
     MAX_EXPONENT,
+    MAX_PARSE_WORK,
     Factor,
     KernelParseError,
     RationalKernel,
@@ -100,6 +102,34 @@ def test_exponents_past_the_bound_are_refused_at_once():
         assert MAX_EXPONENT == 16
         assert parse_kernel("x1^16") == parse_kernel("*".join(["x1"] * 16))
         assert parse_kernel("(x1-q*x2)^-16").den[0][1] == 16
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_products_past_the_work_bound_are_refused():
+    """Bounded exponents do not bound a parse: the square of a 1,820-term
+    power had not finished after 60 s.  Past MAX_PARSE_WORK the parser
+    refuses before multiplying, counting the coefficients' terms too."""
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("a large product was not refused")
+
+    base = "(x+x1+x2+z+q+1)"
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        # 1,820 by 1,820 terms; 17 by 17 terms whose coefficients have
+        # up to 257 terms each
+        for text in (f"{base}^12*{base}^12",
+                     "(x1+(q+1)^16)^16*(x2+(q-1)^16)^16"):
+            with pytest.raises(KernelParseError,
+                               match="takes more than 131072 units"):
+                parse_kernel(text)
+        assert MAX_PARSE_WORK == 1 << 17
+        # within the bound: 126 by 126 terms
+        assert len(parse_kernel(f"{base}^5*{base}^5").num) == 1001
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -249,7 +279,8 @@ def test_inverse_factor_table_matches_per_k_powers(shape):
                     want = inv_factor_table_oracle(f, p, vars_, inner, hi)
                     case = (c, inner, p, hi)
                     assert got.coeffs == want.coeffs, case
-                    assert got.cert == want.cert, case
+                    assert cert_fields(got.cert) == cert_fields(want.cert), \
+                        case
                     assert got.vars == want.vars, case
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import evaluate, window_of
+from conftest import cert_fields, evaluate, fraction_of, window_of
 from qheis import fock, kernels, liealg, scalar, series
 from qheis.kernels import iota_expand, parse_kernel
 from qheis.liealg import ALGEBRAS, LieAlgebraError, bracket_modes, \
@@ -150,7 +150,7 @@ def test_memoized_expansion_equals_cold_expansion():
             case = (text, direction, w)
             assert got.vars == want.vars, case
             assert got.direction == want.direction, case
-            assert got.cert == want.cert, case
+            assert cert_fields(got.cert) == cert_fields(want.cert), case
             assert got.coeffs == want.coeffs, case
 
 
@@ -225,7 +225,7 @@ def test_scalar_keeps_its_printed_text():
         assert text == value._text()
         assert str(value) is text  # kept, not printed again
         # an equal scalar built separately prints the same text
-        rebuilt = Scalar(value.num, value.den)
+        rebuilt = fraction_of(value.num, value.den)
         assert rebuilt == value and rebuilt is not value
         assert str(rebuilt) == text
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import assert_same_table, delta_family_oracle, euler, \
-    window_of
+from conftest import assert_same_table, certified, delta_family_oracle, \
+    euler, g_series_oracle, window_of
 from qheis import series
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, Scalar, qint
@@ -132,27 +132,24 @@ def test_delta_family_matches_per_kind_oracle_seeded():
 
 
 def test_delta_times_delta_is_uncertified():
+    """Each delta is unknown below its window, so no entry of their
+    product is certified, and the product is refused."""
     w = window_of(x1=(-4, 4), x2=(-4, 4))
     a = delta_family("plain", ONE, w)
     b = delta_family("plain", Q, w)
-    prod = a * b
-    assert not prod.certified((0, 0))
-    r = compare_on("dd", prod, TruncatedLaurent.zero(("x1", "x2")),
-                   window_of(x1=(0, 0), x2=(0, 0)))
-    assert r.status == INCONCLUSIVE
+    with pytest.raises(SeriesError, match="certified from -oo"):
+        a * b
 
 
 def test_partial_product_caps():
     # two "geometric" quarter-plane tables: caps follow the cross rule
     va = {(k, -k): Q**k for k in range(0, 8)}
-    ca = Cert(False, (0, NEG_INF), (NEG_INF, NEG_INF), (7, POS_INF),
-              (0, 0))
+    ca = Cert(False, (0, NEG_INF), (NEG_INF, NEG_INF), (7, POS_INF))
     a = TruncatedLaurent(("x1", "x2"), va, ca, ("x2", "x1"), _trusted=True)
     prod = a * a
-    assert prod.certified((7, -7))
-    assert not prod.certified((8, -8))
+    assert certified(prod, (7, -7))
+    assert not certified(prod, (8, -8))
     assert prod.cert.suplo == (0, NEG_INF)
-    assert prod.cert.band == (0, 0)
     # coefficient of (x1/x2)^n in (sum q^k (x1/x2)^k)^2 is (n+1) q^n
     assert prod.coeffs[(3, -3)] == S(4) * Q**3
 
@@ -162,23 +159,24 @@ def test_entire_times_window_certification():
     d = delta_family("plain", ONE, w)
     p = poly(("x1", "x2"), {(1, 0): 1, (0, 1): 3})
     prod = p * d
-    # support lives on the diagonal sum(e) == 1; off-band points are
-    # certified zeros regardless of the box
-    assert prod.certified((4, 0)) and not prod.coeffs.get((4, 0))
-    # on-band points obey the box: caps shrink by the min degree (0),
-    # floors rise by the max degree (1)
-    assert prod.certified((3, -2))
-    assert not prod.certified((4, -3))
-    assert prod.certified((-2, 3))
-    assert not prod.certified((-3, 4))
+    # the box: caps shrink by the min degree (0), floors rise by the max
+    # degree (1)
+    assert prod.cert.floors == (-2, -2) and prod.cert.caps == (3, 3)
+    assert certified(prod, (3, -2))
+    assert not certified(prod, (4, -3))
+    assert certified(prod, (-2, 3))
+    assert not certified(prod, (-3, 4))
+    # the support lives on the diagonal sum(e) == 1: off it, the box
+    # certifies zeros, and outside the box nothing is certified
+    assert certified(prod, (0, 0)) and (0, 0) not in prod.coeffs
+    assert not certified(prod, (4, 0))
     # the delta substitution property: (x1 + 3 x2) delta = 4 x2 delta
     assert prod.coeffs[(1, 0)] == S(4)
     assert prod.coeffs[(0, 1)] == S(4)
 
 
 def test_direction_mixing_is_an_error():
-    c = Cert(False, (0, NEG_INF), (NEG_INF, NEG_INF), (5, POS_INF),
-             (0, 0))
+    c = Cert(False, (0, NEG_INF), (NEG_INF, NEG_INF), (5, POS_INF))
     a = TruncatedLaurent(("x1", "x2"), {(0, 0): ONE}, c, ("x2", "x1"),
                          _trusted=True)
     b = TruncatedLaurent(("x1", "x2"), {(0, 0): ONE}, c, ("x1", "x2"),
@@ -251,7 +249,7 @@ def test_series_inverse_round_trip_seeded():
                 coeffs[(n0 + k,)] = c
         s = TruncatedLaurent(
             ("t",), coeffs,
-            Cert(False, (n0,), (NEG_INF,), (n0 + 8,), (n0, POS_INF)),
+            Cert(False, (n0,), (NEG_INF,), (n0 + 8,)),
             _trusted=True)
         inv = series_inverse(s, 8)
         prod = s * inv
@@ -263,7 +261,7 @@ def test_series_inverse_round_trip_seeded():
 def test_series_inverse_insufficient_order():
     s = TruncatedLaurent(
         ("t",), {(0,): ONE, (1,): Q},
-        Cert(False, (0,), (NEG_INF,), (3,), (0, POS_INF)),
+        Cert(False, (0,), (NEG_INF,), (3,)),
         _trusted=True)
     with pytest.raises(SeriesError):
         series_inverse(s, 5)
@@ -291,6 +289,45 @@ def test_compare_partial_certification_inconclusive():
     assert r.checked > 0
 
 
+def test_restrict_keeps_support_zeros_below_its_window_seeded():
+    """Below a window whose bottom the support starts at or above, every
+    coefficient is zero, so the restricted box keeps floor -oo there
+    (``g_series_oracle`` reads z^-3 of a table restricted to z >= -2);
+    every entry the restricted table certifies is the true one."""
+    rng = random.Random(17)
+
+    def truth(e, suplo):
+        if any(x < s for x, s in zip(e, suplo)):
+            return S(0)
+        return S(1 + sum((k + 2) * x * x for k, x in enumerate(e)))
+
+    seen = {True: 0, False: 0}
+    for _trial in range(150):
+        n = rng.randint(1, 3)
+        vars = tuple(f"x{i}" for i in range(n))
+        suplo = tuple(rng.choice((NEG_INF, rng.randint(-4, 2)))
+                      for _ in range(n))
+        lo = tuple(rng.randint(-5, 1) for _ in range(n))
+        box = Window(vars, lo, tuple(a + rng.randint(1, 5) for a in lo))
+        t = TruncatedLaurent(
+            vars, {e: truth(e, suplo) for e in box.exponents()},
+            Cert.box(box.lo, box.hi, suplo))
+        w = _random_window(rng, n)
+        r = t.restrict(w)
+        for f, s, a, kept in zip(t.cert.floors, suplo, w.lo, r.cert.floors):
+            assert (kept == NEG_INF) == (f <= a <= s), (suplo, box, w)
+            seen[kept == NEG_INF] += 1
+        around = Window(vars,
+                        tuple(min(a, b) - 2 for a, b in zip(box.lo, w.lo)),
+                        tuple(max(a, b) + 2 for a, b in zip(box.hi, w.hi)))
+        for e in around.exponents():
+            if certified(r, e):
+                assert r.coeff(e) == truth(e, suplo), (suplo, box, w, e)
+    assert min(seen.values()) >= 50, seen
+    # the oracle's read: z^-3 below a window from z^-2
+    assert g_series_oracle(Q, 3).coeff((-3,)) == S(0)
+
+
 def _random_window(rng, n):
     lo = tuple(rng.randint(-6, 3) for _ in range(n))
     return Window(tuple(f"x{i}" for i in range(n)), lo,
@@ -302,19 +339,15 @@ def _random_cert(rng, n):
     hi = tuple(a + rng.randint(0, 5) for a in lo)
     suplo = rng.choice((None, tuple(rng.choice((NEG_INF, rng.randint(-3, 2)))
                                     for _ in range(n))))
-    band = rng.choice(((NEG_INF, POS_INF),
-                       (rng.randint(-5, 0), rng.randint(0, 5))))
-    return Cert.box(lo, hi, suplo, band)
+    return Cert.box(lo, hi, suplo)
 
 
 def test_certifies_window_matches_entrywise_seeded(monkeypatch):
-    """The O(dim) box test agrees with certifying every entry.
-
-    It answers without any per-entry call when the cert is entire or its
-    certified box holds the window.
-    """
+    """The O(dim) box test agrees with certifying every entry, and it
+    never certifies entry by entry."""
     rng = random.Random(5)
-    certs = [Cert.full(2), Cert.full(3), Cert.empty(2)]
+    nothing = Cert(False, (NEG_INF,) * 2, (POS_INF,) * 2, (NEG_INF,) * 2)
+    certs = [Cert.full(2), Cert.full(3), nothing]
     for n in (1, 2, 2, 3) * 12:
         cert = _random_cert(rng, n)
         vars = tuple(f"x{i}" for i in range(n))
@@ -325,7 +358,6 @@ def test_certifies_window_matches_entrywise_seeded(monkeypatch):
     monkeypatch.setattr(series, "_certified",
                         lambda c, e: calls.append(e) or entrywise(c, e))
     seen = {True: 0, False: 0}
-    direct = 0
     for cert in certs:
         n = len(cert.floors)
         t = TruncatedLaurent(tuple(f"x{i}" for i in range(n)), {}, cert,
@@ -335,7 +367,6 @@ def test_certifies_window_matches_entrywise_seeded(monkeypatch):
             want = all(entrywise(cert, e) for e in w.exponents())
             calls.clear()
             assert t.certifies_window(w) == want, (cert, w)
+            assert not calls
             seen[want] += 1
-            direct += not calls
     assert min(seen.values()) >= 100, seen
-    assert direct >= 30, direct

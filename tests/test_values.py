@@ -1,7 +1,8 @@
 """The package's small data classes.  Each one that is compared or hashed
-is a value: equal data gives equal objects of one class, which hash alike.
-The others compare by identity.  Every class but the two that are filled
-in step by step (``CheckReport``, ``kernels._Desc``) is immutable."""
+by the package is a value: equal data gives equal objects of one class,
+which hash alike.  The others compare by identity.  Every class but the
+two that are filled in step by step (``CheckReport``, ``kernels._Desc``)
+is immutable."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from qheis import fock, kernels, liealg, report, series, vertexops
 from qheis.scalar import L, ONE, Q, SYMBOLIC, ZERO, RationalPoint
-from qheis.series import NEG_INF, POS_INF
+from qheis.series import NEG_INF
 
 
 def _hq():
@@ -20,23 +21,16 @@ def _hq():
 # subclass must build the same object)
 VALUES = {
     series.Window: lambda cls: cls(("x1", "x2"), (-1, 0), (2, 3)),
-    series.Cert: lambda cls: cls(False, (NEG_INF, 0), (NEG_INF, 0), (4, 4),
-                                 (NEG_INF, POS_INF)),
     fock.FockModule: lambda cls: cls(
         "hq", scalars=RationalPoint(Fraction(3, 5), 2)),
     kernels.Factor: lambda cls: cls("binom", "x1", "x2", Q),
     vertexops.GeneratorField: lambda cls: cls(_hq(), 1),
-    vertexops.IdentityField: lambda cls: cls(_hq()),
-    vertexops.ArgScaledField: lambda cls: cls(
-        vertexops.field_of(_hq()), Q),
-    vertexops.SumField: lambda cls: cls(
-        _hq(), [(ONE, vertexops.field_of(_hq())),
-                (ZERO, vertexops.field_of(_hq(), 1))]),
-    vertexops.ProductExpression: lambda cls: cls(
-        vertexops.field_of(_hq(), 1), vertexops.field_of(_hq()), -1,
-        vertexops.Multiplier.of((Q, 1), (ONE / Q, 1))),
     vertexops.Multiplier: lambda cls: cls(((Q, 1), (ONE, 2)), L),
 }
+
+# one part shared by every PairData built here, so that two of them hold
+# equal fields
+_PART = vertexops.PairPart("plain", L, Q)
 
 RECORDS = {
     report.CheckReport: lambda cls: cls("law", report.PASS, 3, "all", [],
@@ -47,10 +41,19 @@ RECORDS = {
     kernels._V: lambda cls: cls({(): ONE}, ()),
     kernels._Desc: lambda cls: cls("x", abs, abs),
     vertexops.PairPart: lambda cls: cls("plain", L, Q),
-    vertexops.PairData: lambda cls: cls(
-        (vertexops.PairPart("plain", L, Q),), SYMBOLIC),
+    vertexops.PairData: lambda cls: cls((_PART,), SYMBOLIC),
     vertexops.SpecialBracketForm: lambda cls: cls(((Q, L),), ((ONE, L),)),
     vertexops._LawSpec: lambda cls: cls(abs, 5, "summary"),
+    series.Cert: lambda cls: cls(False, (NEG_INF, 0), (NEG_INF, 0), (4, 4)),
+    # the fields other than GeneratorField: no memo keys on them
+    vertexops.ArgScaledField: lambda cls: cls(
+        vertexops.field_of(_hq()), Q),
+    vertexops.SumField: lambda cls: cls(
+        _hq(), [(ONE, vertexops.field_of(_hq())),
+                (ZERO, vertexops.field_of(_hq(), 1))]),
+    vertexops.ProductExpression: lambda cls: cls(
+        vertexops.field_of(_hq(), 1), vertexops.field_of(_hq()), -1,
+        vertexops.Multiplier.of((Q, 1), (ONE / Q, 1))),
 }
 
 MUTABLE = {report.CheckReport, kernels._Desc}
@@ -82,10 +85,11 @@ def test_equal_data_gives_equal_values(cls):
         assert hash(a) == hash(b)
 
 
-@pytest.mark.parametrize("cls", VALUES, ids=_name)
+@pytest.mark.parametrize("cls", [*VALUES, *RECORDS], ids=_name)
 def test_equal_fields_on_another_class_are_not_equal(cls):
     twin_cls = type(f"Twin{cls.__name__}", (cls,), {})
-    a, twin = VALUES[cls](cls), VALUES[cls](twin_cls)
+    build = {**VALUES, **RECORDS}[cls]
+    a, twin = build(cls), build(twin_cls)
     assert all(getattr(a, s) == getattr(twin, s) for s in cls.__slots__
                if not s.startswith("_"))
     assert a != twin and twin != a
