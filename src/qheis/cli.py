@@ -52,8 +52,17 @@ SUITES = {"paper-all": 8, "fast": 5}
 # cost grows a little faster than the square of that order: at
 # m = n = -256 it prints in about 0.6 s symbolically, at -400 in 2.3 s,
 # and at -1000 in 21 s (2-core machine, Python 3.11.7).  The library's
-# bracket_modes takes any index.
+# bracket_modes takes any index.  The letters of a fock-apply word are
+# held to the same bound: a bhatq word of two such letters reaches the
+# same bracket.
 MAX_MODE = 256
+
+# The largest probe window phi-product takes.  Its cost grows a little
+# faster than the square of the window: --algebra hq --n 0 prints in about
+# 0.4 s at window 100, 1.6 s at 200 and 3.5 s at 300 (2-core machine,
+# Python 3.11.7).  A more negative n reads more z orders and costs more:
+# htq --r 1 --s -1 --n -3 takes about 1.9 s at window 100.
+MAX_PRODUCT_WINDOW = 100
 
 
 def _fail_usage(msg: str) -> int:
@@ -177,11 +186,15 @@ def _cmd_fock_apply(args) -> int:
     if args.algebra not in ALGEBRAS:
         return _fail_usage(
             f"unknown algebra {args.algebra!r}; one of {', '.join(ALGEBRAS)}")
-    module = FockModule(args.algebra)
     try:
         word = _parse_word(args.word)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    for m, r in word:
+        if abs(m) > MAX_MODE:
+            return _fail_usage(f"letter {m}:{r} has a mode outside "
+                               f"[-{MAX_MODE}, {MAX_MODE}]")
+    module = FockModule(args.algebra)
     try:
         out = apply_word(module, word, module.vacuum())
     except (LieAlgebraError, FockError) as exc:
@@ -194,13 +207,16 @@ def _cmd_phi_product(args) -> int:
     if args.algebra not in ("hq", "htq"):
         return _fail_usage(
             "substitution products are cataloged for algebras hq and htq")
+    probe = _window_default(args.window)
+    if probe > MAX_PRODUCT_WINDOW:
+        return _fail_usage(
+            f"--window {probe} is outside [0, {MAX_PRODUCT_WINDOW}]")
     module = FockModule(args.algebra)
     try:
         prod = phi_product_n(field_of(module, args.r),
                              field_of(module, args.s), args.n)
     except VertexError as exc:
         return _fail_usage(str(exc))
-    probe = _window_default(args.window)
     vac = module.vacuum()
     coeffs = dict(zip(range(-probe, probe + 1),
                       prod.apply_coeffs(-probe, probe, vac)))
@@ -376,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply a mode word to the vacuum")
     p.add_argument("--algebra", required=True)
     p.add_argument("--word", required=True,
-                   help="comma-separated letters m:r, applied right to left")
+                   help="comma-separated letters m:r, applied right to "
+                        f"left, each mode m in [-{MAX_MODE}, {MAX_MODE}]")
     p.set_defaults(fn=_cmd_fock_apply)
 
     p = sub.add_parser("phi-product",
@@ -386,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", type=int, default=4,
-                   help="probe window for printing")
+                   help="probe window for printing, at most "
+                        f"{MAX_PRODUCT_WINDOW}")
     p.set_defaults(fn=_cmd_phi_product)
 
     p = sub.add_parser("verify", help="run one identity check")

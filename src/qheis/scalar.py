@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd as _int_gcd
 
 # A polynomial is a dict mapping (q_exponent, l_exponent) -> nonzero int.
@@ -823,6 +824,109 @@ def qint(m: int) -> Scalar:
     return _make(num, (1, m - 1, (), None))
 
 
+# ---------------------------------------------------------------------------
+# sums over one shared denominator
+# ---------------------------------------------------------------------------
+
+# A numerator kept in a memo is stored as rows: rows[e] holds the
+# coefficients of l^e, lowest power of q first.  Dense rows are compact
+# to keep and quick to multiply by a sparse polynomial.
+Rows = tuple[tuple[int, ...], ...]
+
+
+def lift_common(values, scales=None, rows=False
+                ) -> tuple[Factored, list]:
+    """One denominator den and integer polynomials nums with
+    values[i] * scales[i] == nums[i] / den, as rows if asked.
+
+    den is the lcm of the values' denominators times the least common
+    denominator of the rational scales (all 1 by default), less the
+    integer content it shares with every numerator.  Each numerator is
+    lifted by the cofactor its factored denominator gives, so no gcd is
+    taken unless two residuals differ.
+    """
+    fds = [v._fd for v in values]
+    c, a, cyc, r = 1, 0, {}, None
+    for vc, va, vcyc, vr in fds:
+        c = c // _int_gcd(c, vc) * vc
+        a = max(a, va)
+        for d, e in vcyc:
+            if cyc.get(d, 0) < e:
+                cyc[d] = e
+        if vr is not None and vr != r:
+            r = vr if r is None else _pmul(
+                r, _pdiv_exact(vr, _residual_gcd(r, vr)))
+    cyc = tuple(sorted(cyc.items()))
+    m = 1
+    for s in scales or ():
+        m = m // _int_gcd(m, s.denominator) * s.denominator
+    nums = []
+    for i, v in enumerate(values):
+        vc, va, vcyc, vr = fds[i]
+        k = c // vc
+        if scales is not None:
+            s = scales[i]
+            k *= s.numerator * (m // s.denominator)
+        have = dict(vcyc)
+        up = [(d, e - have.get(d, 0)) for d, e in cyc if e > have.get(d, 0)]
+        cof = None if vr == r else r if vr is None else _pdiv_exact(r, vr)
+        nums.append(_lift(v.num, k, a - va, up, cof))
+    g = c * m
+    for x in (x for n in nums for x in n.values()):
+        if g == 1:
+            break
+        g = _int_gcd(g, x)
+    if g > 1:
+        nums = [{t: x // g for t, x in n.items()} for n in nums]
+    if rows:
+        nums = [_rows(n) for n in nums]
+    return (c * m // g, a, cyc, r), nums
+
+
+def _rows(p: Poly) -> Rows:
+    if not p:
+        return ()
+    rows = [[0] * (1 + max(eq for eq, _el in p))
+            for _ in range(1 + max(el for _eq, el in p))]
+    for (eq, el), x in p.items():
+        rows[el][eq] = x
+    return tuple(map(tuple, rows))
+
+
+def horner(k: int, polys) -> Rows:
+    """sum_j k^j polys[j] for polynomials as rows."""
+    # lists until the end: each tuple freed on the way would stay on the
+    # interpreter's free list for its size
+    out: list[list[int]] = []
+    for rows in reversed(polys):
+        out = [[k * x + y for x, y in zip_longest(a, b, fillvalue=0)]
+               for a, b in zip_longest(out, rows, fillvalue=())]
+    return tuple(map(tuple, out))
+
+
+def dot_over(xs, ys, f: Factored, g: Factored) -> Scalar:
+    """sum_i xs[i] ys[i] / (f g) for integer polynomials xs (dicts) and
+    ys (rows) and factored denominators f and g: polynomial products and
+    one cancellation."""
+    acc: dict[int, list[int]] = {}
+    for x, y in zip(xs, ys):
+        for (ea, la), ca in x.items():
+            for lb, rb in enumerate(y):
+                n = len(rb)
+                if not n:
+                    continue
+                o = acc.get(la + lb)
+                if o is None:
+                    o = acc[la + lb] = []
+                if len(o) < ea + n:
+                    o.extend([0] * (ea + n - len(o)))
+                o[ea:ea + n] = [s + ca * cb for s, cb in zip(o[ea:ea + n], rb)]
+    num = _sparse(acc)
+    if not num:
+        return _S_ZERO
+    return _make(*_cancel(num, _fd_mul(f, g)))
+
+
 class SymbolicField:
     """The scalar field Q(q, l) itself: every value is a :class:`Scalar`.
 
@@ -832,6 +936,11 @@ class SymbolicField:
     else runs on ``+ - * / ** == hash bool str`` of its values, so one
     code path serves this field and the exact rationals of a
     :class:`RationalPoint`.
+
+    For sums of many products a field also supplies ``lift_common``,
+    ``horner`` and ``dot_over``, which work on numerators over a shared
+    denominator: here integer polynomials over a factored denominator, so
+    a sum costs polynomial products and one cancellation.
     """
 
     zero = _S_ZERO
@@ -841,6 +950,9 @@ class SymbolicField:
     from_fraction = staticmethod(Scalar.from_fraction)
     q_power = staticmethod(Scalar.q_power)
     qint = staticmethod(qint)
+    lift_common = staticmethod(lift_common)
+    horner = staticmethod(horner)
+    dot_over = staticmethod(dot_over)
 
 
 SYMBOLIC = SymbolicField()
@@ -884,6 +996,33 @@ class RationalPoint:
     def qint(self, m: int) -> Fraction:
         q = self.q0
         return (q ** m - q ** -m) / (q - 1 / q)
+
+    # the shared-denominator helpers of SymbolicField, with integer
+    # numerators over an integer denominator
+
+    @staticmethod
+    def lift_common(values, scales=None, rows=False
+                    ) -> tuple[int, list[int]]:
+        if scales is None:
+            pairs = [(v.numerator, v.denominator) for v in values]
+        else:
+            pairs = [(v.numerator * s.numerator, v.denominator * s.denominator)
+                     for v, s in zip(values, scales)]
+        den = 1
+        for _n, d in pairs:
+            den = den // _int_gcd(den, d) * d
+        return den, [n * (den // d) for n, d in pairs]
+
+    @staticmethod
+    def horner(k: int, values) -> int:
+        out = 0
+        for v in reversed(values):
+            out = out * k + v
+        return out
+
+    @staticmethod
+    def dot_over(xs, ys, f: int, g: int) -> Fraction:
+        return Fraction(sum(x * y for x, y in zip(xs, ys)), f * g)
 
     def __eq__(self, other) -> bool:
         return (

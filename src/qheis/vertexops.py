@@ -41,6 +41,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial
 from typing import Iterable
 
 from .fock import (
@@ -491,6 +492,39 @@ def _inverse_exp(mult: Multiplier, zmax: int, scalars) -> dict[int, Scalar]:
     return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
 
 
+@lru_cache(maxsize=1)
+def _shifted_inverse(mult: Multiplier, zneed: int, scalars
+                     ) -> tuple[tuple[object, tuple], ...]:
+    """For T = -kappa..zneed, a denominator D_T and numerators W_J with
+    u(T - J) / J! = W_J / D_T for J = 0..T + kappa, u = x^degree /
+    p(x e^z, x) (``Multiplier.inverse_exp``).
+
+    D_T is the lcm of the denominators of u(-kappa..T) times
+    (T + kappa)!, less the integer content of the W_J, and each W_J is
+    lifted to it by its cofactor: symbolically a factored denominator
+    over integer polynomials kept as rows, at a point an integer over
+    integers.
+    """
+    u = mult.inverse_exp(zneed, scalars)
+    out = []
+    for T in range(-mult.kappa, zneed + 1):
+        n = T + mult.kappa
+        den, w = scalars.lift_common(
+            [u[T - j] for j in range(n + 1)],
+            [Fraction(1, factorial(j)) for j in range(n + 1)], rows=True)
+        out.append((den, tuple(w)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _shifted_numerators(mult: Multiplier, zneed: int, scalars, k: int
+                        ) -> tuple:
+    """N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J for T = -kappa..zneed,
+    over the denominators of ``_shifted_inverse``."""
+    return tuple(scalars.horner(k, w)
+                 for _den, w in _shifted_inverse(mult, zneed, scalars))
+
+
 def check_multiplier(mult: Multiplier, pair: PairData) -> None:
     """Raise MultiplierError unless mult kills every delta part of the pair,
     that is, unless ``Multiplier.canonical_for(pair)`` divides it.
@@ -540,6 +574,19 @@ class StateTable:
             for t, c in series.items():
                 if c and zlo <= J + t <= zhi:
                     _add_scaled(out, (E + xshift, J + t), terms, c)
+        return StateTable(self.module, out)
+
+    def expanded(self, zcap: int) -> "StateTable":
+        """Read entry (E, k) as the x^E e^(kz) coefficient (as
+        ``ordered_core`` builds it): entry (E, J) of the result is the
+        x^E z^J coefficient, for J = 0..zcap."""
+        scalars = self.module.scalars
+        out: dict[tuple[int, int], dict] = {}
+        for (E, k), terms in self.data.items():
+            for J in range(zcap + 1):
+                s = exp_coeff(k, J, scalars)
+                if s:
+                    _add_scaled(out, (E, J), terms, s)
         return StateTable(self.module, out)
 
     def dressings(self, jmax: int, zlo: int, zhi: int) -> list["StateTable"]:
@@ -595,10 +642,12 @@ def _finished(data: dict[tuple[int, int], dict]
 
 def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                  mult: Multiplier, v: FockVector,
-                 xlo: int, xhi: int, zcap: int) -> StateTable:
-    """Coefficients of (p(x1, x) a(x1) b(x) v) under x1 -> x e^z.
+                 xlo: int, xhi: int) -> StateTable:
+    """Coefficients of (p(x1, x) a(x1) b(x) v) under x1 -> x e^z, with
+    the exponentials left unexpanded.
 
-    Entry (E, J) is the x^E z^J coefficient.  Nonnegative x1 powers are
+    Entry (E, k) is the x^E e^(kz) coefficient, k the x1 exponent;
+    ``StateTable.expanded`` reads off z orders.  Nonnegative x1 powers are
     summed in the written order (b first), negative ones in the reversed
     order (a first).  The orders differ by p times the commutator of the
     fields: mult must kill its delta parts, and its kernel parts have no
@@ -607,8 +656,6 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
     every entry a finite sum.
     """
     check_multiplier(mult, pair_of(afield, bfield))
-    module = afield.module
-    scalars = module.scalars
     pmons = sorted(mult.poly2().items())
     min_i = min(i for (i, _j), _c in pmons)
     min_j = min(j for (_i, j), _c in pmons)
@@ -657,14 +704,7 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
                 if w2.is_zero():
                     continue
                 _add_scaled(acc, (E, -k - 1), w2.terms, c)
-
-    out: dict[tuple[int, int], dict] = {}
-    for (E, kbase), terms in _finished(acc).items():
-        for J in range(zcap + 1):
-            s = exp_coeff(kbase, J, scalars)
-            if s:
-                _add_scaled(out, (E, J), terms, s)
-    return StateTable(module, out)
+    return StateTable(afield.module, acc)
 
 
 # product stacks built inside the outermost running verify_identity or
@@ -694,7 +734,11 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     Entry (E, t) is the x^E coefficient of z^t in
     iota(1/p(x e^z, x)) * (p a(x1) b(x) v)|_{x1 = x e^z};
     the product at index n sits at t = -n-1, so z exponents run from
-    -kappa up to zneed.  Outside a law or suite call nothing is memoized;
+    -kappa up to zneed.  With the ordered product left as a sum of
+    c_(E, k) x^E e^(kz) (``ordered_core``), each coefficient of entry
+    (E - degree, t) is sum_k c_(E, k) N_k(t) / D_t over the shifted-inverse
+    numerators of ``_shifted_numerators``: polynomial products and one
+    cancellation.  Outside a law or suite call nothing is memoized;
     inside one the memo is keyed by the arguments, so fields built apart
     from equal data share a stack.
     """
@@ -704,10 +748,26 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
         return hit
     kappa = mult.kappa
     deg = mult.degree
-    zcap = zneed + kappa
-    core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg, zcap)
-    u = mult.inverse_exp(zcap, afield.module.scalars)
-    out = core.times_z(u, -deg, -kappa, zneed)
+    core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg)
+    scalars = core.module.scalars
+    inverse = _shifted_inverse(mult, zneed, scalars)
+    # x^E e^(kz) times u contributes N_k(T) / D_T at x^(E - deg) z^T
+    by_entry: dict[tuple[int, object], tuple[list, list]] = {}
+    for (E, k), terms in core.data.items():
+        for m, c in terms.items():
+            ks, cs = by_entry.setdefault((E, m), ([], []))
+            ks.append(k)
+            cs.append(c)
+    nums = {k: _shifted_numerators(mult, zneed, scalars, k)
+            for k in {k for _E, k in core.data}}
+    data: dict[tuple[int, int], dict] = {}
+    for (E, m), (ks, cs) in by_entry.items():
+        den, lifted = scalars.lift_common(cs)
+        for i, (dT, _w) in enumerate(inverse):
+            c = scalars.dot_over(lifted, [nums[k][i] for k in ks], den, dT)
+            if c:
+                data.setdefault((E - deg, i - kappa), {})[m] = c
+    out = StateTable(core.module, data)
     if _stack_scope_depth:
         _STACK_CACHE[key] = out
     return out
@@ -1240,7 +1300,8 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
                                -window - deg, window - deg, x0_order)
         lhs = stack.times_z(pexp, deg, -kappa, x0_order)
         # right side: the substituted ordered product, never inverted
-        rhs = ordered_core(uf, vf, mult, w0, -window, window, x0_order)
+        rhs = ordered_core(uf, vf, mult, w0, -window, window).expanded(
+            x0_order)
         parts.append(tally(
             f"state[{si}]left[{ui}]",
             f"|x| <= {window}, z order <= {x0_order}",

@@ -14,6 +14,7 @@ import pytest
 from qheis import cli
 from qheis.cli import SUITES, run
 from qheis.liealg import bracket_modes
+from qheis.scalar import L
 from qheis.vertexops import LAWS
 
 REPORT_KEYS = {"suite", "params", "window", "status", "laws", "failures",
@@ -155,6 +156,48 @@ def test_fock_apply(capsys):
     assert run(["fock-apply", "--algebra", "bhatq", "--word=2:a"]) == 2
     assert run(["fock-apply", "--algebra", "bhatq", "--word=,"]) == 2
     capsys.readouterr()
+
+
+def test_fock_apply_refuses_modes_past_the_bound(monkeypatch, capsys):
+    """The letters of a word are held to MAX_MODE, as the modes of
+    bracket are: bhatq -400:1,-400:0 used to print 3.0 MB.  Past the
+    bound the command exits 2 with one line before any module or vector
+    is built."""
+    def built(*_args, **_kw):
+        raise AssertionError("a module or vector was built")
+
+    monkeypatch.setattr(cli, "FockModule", built)
+    monkeypatch.setattr(cli, "apply_word", built)
+    for word in ("-400:1,-400:0", "-257", "-1,257:2", f"{10 ** 9}:0"):
+        assert run(["fock-apply", "--algebra", "bhatq",
+                    f"--word={word}"]) == 2, word
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1, err
+        assert err.startswith("error: letter ") and "[-256, 256]" in err, err
+    monkeypatch.undo()
+    assert run(["fock-apply", "--algebra", "hq", "--word=256,-256"]) == 0
+    assert out_of(capsys) == f"({bracket_modes('hq', 256, -256) * L}) vac"
+
+
+def test_phi_product_refuses_windows_past_the_bound(monkeypatch, capsys):
+    """--window is held to MAX_PRODUCT_WINDOW: hq --n 0 took 7.1 s at
+    window 400.  Past the bound the command exits 2 with one line before
+    any product is built."""
+    def built(*_args, **_kw):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(cli, "phi_product_n", built)
+    for window in (101, 400, 10 ** 9):
+        assert run(["phi-product", "--algebra", "hq", "--n", "0",
+                    "--window", str(window)]) == 2, window
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1, err
+        assert err.startswith("error: --window") and "[0, 100]" in err, err
+    monkeypatch.undo()
+    assert cli.MAX_PRODUCT_WINDOW == 100
+    assert run(["phi-product", "--algebra", "hq", "--n", "0",
+                "--window", "100"]) == 0
+    assert out_of(capsys) == "0"
 
 
 def test_phi_product_outputs(capsys):

@@ -12,13 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cert_fields, evaluate, fraction_of, window_of
-from qheis import fock, kernels, liealg, scalar, series
+from conftest import cert_fields, evaluate, fraction_of, inverse_exp_oracle, \
+    window_of
+from qheis import fock, kernels, liealg, scalar, series, vertexops
 from qheis.kernels import iota_expand, parse_kernel
 from qheis.liealg import ALGEBRAS, LieAlgebraError, bracket_modes, \
     f_coefficient, g_coefficient
 from qheis.scalar import SYMBOLIC, RationalPoint, Scalar
 from qheis.series import Window, exp_coeff
+from qheis.vertexops import Multiplier
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qheis"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -267,8 +269,50 @@ def test_mode_words_compute_each_bracket_once():
     assert central_again.hits > central.hits
 
 
+def shifted_multipliers(scalars):
+    one, q = scalars.one, scalars.q_power(1)
+    return [
+        # one factor at 1, so the inverse starts at z^-1
+        Multiplier.of((one, 1), (q, 1)),
+        Multiplier.of((one, 2), (scalars.q_power(-1), 1)),
+        # a constant 3 and a residual 1 - 2q in the denominators, and a
+        # unit that is not a monomial
+        Multiplier.of((3 * one, 1), (2 * q, 1), unit=one + q),
+    ]
+
+
+def test_shifted_numerators_give_the_exp_inverse_series():
+    """N_k(T) / D_T is [z^T] e^(kz) / p(x e^z, x) for every k and T, with
+    the inverse series of the conftest oracle, symbolically and at a
+    point; a second call is a memo hit with the same value."""
+    point = RationalPoint(Fraction(3, 5), 2)
+    zneed = 4
+    for scalars in (SYMBOLIC, point):
+        for mult in shifted_multipliers(scalars):
+            u = inverse_exp_oracle(mult, zneed + mult.kappa, scalars)
+            dens = [d for d, _w in
+                    vertexops._shifted_inverse(mult, zneed, scalars)]
+            for k in range(-3, 4):
+                for _ in range(2):
+                    nums = vertexops._shifted_numerators(mult, zneed,
+                                                         scalars, k)
+                    for i, T in enumerate(range(-mult.kappa, zneed + 1)):
+                        want = scalars.zero
+                        for j in range(T + mult.kappa + 1):
+                            want = want + exp_coeff(k, j, scalars) * u[T - j]
+                        if scalars is SYMBOLIC:
+                            got = fraction_of(
+                                {(eq, el): x for el, row in enumerate(nums[i])
+                                 for eq, x in enumerate(row) if x},
+                                scalar._expand(dens[i]))
+                        else:
+                            got = Fraction(nums[i], dens[i])
+                        assert got == want, (scalars, mult.describe(), k, T)
+
+
 def test_memos_stay_within_their_bound():
     x = window_of(x=(0, 1))
+    mult = shifted_multipliers(SYMBOLIC)[0]
     memos = {
         kernels._parse_kernel: lambda k: parse_kernel(f"{k + 1}*x"),
         kernels._iota_expand:
@@ -282,6 +326,10 @@ def test_memos_stay_within_their_bound():
         fock._central:
             lambda k: fock._central(fock.FockModule("hq"), (-k - 1, 0),
                                     (k + 1, 0)),
+        vertexops._shifted_inverse:
+            lambda k: vertexops._shifted_inverse(mult, k, SYMBOLIC),
+        vertexops._shifted_numerators:
+            lambda k: vertexops._shifted_numerators(mult, 0, SYMBOLIC, k),
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]

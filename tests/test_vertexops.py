@@ -555,36 +555,83 @@ def test_degenerate_products_collapse_to_constants(htq):
                 assert got.is_zero(), (n, e)
 
 
-def test_product_stack_matches_vector_oracle_seeded():
-    """The flat coefficient tables of the engine give the stacks of the
-    vector-valued engine: every algebra with a commutator catalog, both
-    fields, the vacuum and one-letter states."""
-    rng = random.Random(31)
+def _stack_cases(seed: int):
+    """Seeded product-stack arguments, by algebra and field: every algebra
+    with a commutator catalog, both fields, the vacuum and one-letter
+    states.  Half the multipliers carry an extra factor, at a power of q
+    or at a constant that is not one (3, or 2q, which leaves a residual
+    factor 1 - 2q in the denominators of 1/p(x e^z, x)), and a third carry
+    the unit 1 + q, which is not a monomial."""
+    rng = random.Random(seed)
     point = RationalPoint(Fraction(5, 3), Fraction(-2, 7))
     # graded has no commutator catalog, so no product
     for alg in sorted(set(ALGEBRAS) - {"graded"}):
-        nonzero = 0
         for scalars in (SYMBOLIC, point):
             mod = FockModule(alg, scalars=scalars)
+            q = scalars.q_power(1)
+            extra = [scalars.q_power(rng.randint(-2, 2)),
+                     scalars.from_int(3), scalars.from_int(2) * q]
             letter = (-rng.randint(1, 2),
                       rng.randint(-1, 1) if mod.spec.shifted else 0)
             for v in (mod.vacuum(), mod.basis_vector(letter)):
                 for _trial in range(6):
                     r, s = rng.randint(-1, 1), rng.randint(-1, 1)
                     a, b = field_of(mod, r), field_of(mod, s)
-                    mult = Multiplier.canonical_for(pair_of(a, b))
+                    factors = Multiplier.canonical_for(pair_of(a, b)).factors
                     if rng.random() < 0.5:
-                        mult = Multiplier.of(
-                            *mult.factors,
-                            (scalars.q_power(rng.randint(-2, 2)), 1))
+                        factors += ((rng.choice(extra), 1),)
+                    unit = scalars.one + q if rng.random() < 0.34 else 1
                     xlo = rng.randint(-3, 1)
-                    args = (a, b, mult, v, xlo,
-                            xlo + rng.randint(0, 2), rng.randint(0, 3))
-                    want = product_stack_oracle(*args)
-                    got = _vectors(vertexops._product_stack(*args))
-                    assert got == want, (alg, scalars, args[4:])
-                    nonzero += len(want)
-        assert nonzero >= 20, alg
+                    yield alg, scalars, (
+                        a, b, Multiplier.of(*factors, unit=unit), v, xlo,
+                        xlo + rng.randint(0, 2), rng.randint(0, 3))
+
+
+def test_product_stack_matches_vector_oracle_seeded():
+    """The shifted-inverse numerators of the engine give the stacks that
+    the vector-valued engine gives by expanding e^(kz) and multiplying by
+    1/p(x e^z, x) term by term."""
+    nonzero: dict[str, int] = {}
+    shapes = set()
+    for alg, scalars, args in _stack_cases(31):
+        want = product_stack_oracle(*args)
+        got = _vectors(vertexops._product_stack(*args))
+        mult = args[2]
+        assert got == want, (alg, mult.describe(), args[4:])
+        nonzero[alg] = nonzero.get(alg, 0) + len(want)
+        two_q = scalars.from_int(2) * scalars.q_power(1)
+        shapes |= {(scalars is SYMBOLIC, shape) for shape, seen in (
+            ("3", any(c == 3 for c, _m in mult.factors)),
+            ("2q", any(c == two_q for c, _m in mult.factors)),
+            ("1+q", mult.unit != 1)) if seen}
+    assert min(nonzero.values()) >= 20, nonzero
+    assert shapes == {(symbolic, shape) for symbolic in (True, False)
+                      for shape in ("3", "2q", "1+q")}
+
+
+def test_short_stack_denominator_fails_the_oracle(monkeypatch):
+    """A denominator D_T that lacks one cyclotomic factor gives stacks the
+    vector oracle refuses: the comparison sees the denominators."""
+    base = vertexops._shifted_inverse.__wrapped__
+
+    def short(mult, zneed, scalars):
+        out = []
+        for (c, a, cyc, r), w in base(mult, zneed, scalars):
+            if cyc:
+                (d, e), rest = cyc[0], cyc[1:]
+                cyc = ((d, e - 1),) + rest if e > 1 else rest
+            out.append(((c, a, cyc, r), w))
+        return tuple(out)
+
+    monkeypatch.setattr(vertexops, "_shifted_inverse",
+                        lru_cache(maxsize=1)(short))
+    monkeypatch.setattr(vertexops, "_shifted_numerators", lru_cache(
+        maxsize=16)(vertexops._shifted_numerators.__wrapped__))
+    wrong = [alg for alg, scalars, args in _stack_cases(31)
+             if scalars is SYMBOLIC
+             and _vectors(vertexops._product_stack(*args))
+             != product_stack_oracle(*args)]
+    assert wrong, "no stack saw the short denominator"
 
 
 @pytest.mark.parametrize("scalars, window", [
@@ -1010,6 +1057,8 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     core = vertexops.ordered_core
     series = set()
     inverse = vertexops._inverse_exp
+    lifted = set()
+    shifted = vertexops._shifted_inverse
 
     def counted(*args):
         calls.append(args)
@@ -1019,8 +1068,13 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         series.add(args)
         return inverse(*args)
 
+    def lifted_from(*args):
+        lifted.add(args)
+        return shifted(*args)
+
     monkeypatch.setattr(vertexops, "ordered_core", counted)
     monkeypatch.setattr(vertexops, "_inverse_exp", recorded)
+    monkeypatch.setattr(vertexops, "_shifted_inverse", lifted_from)
     counts = []
     for _run in range(2):
         before = len(calls)
@@ -1028,6 +1082,9 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         counts.append(len(calls) - before)
     assert counts == [26, 26]
     assert len(series) == 7
+    # each inverse series is lifted to its shared denominators once per
+    # multiplier and z order
+    assert len(lifted) == 7
     before = len(calls)
     verify_identity("scale-covariance", window=5, point=point)
     assert len(calls) - before == 5 * 2
@@ -1197,6 +1254,19 @@ def _double_module_bracket(monkeypatch):
     _plant_module_bracket(monkeypatch, wrong)
 
 
+def _fresh_product_memos(monkeypatch):
+    """Empty product caches for one test, so that they neither serve
+    values computed before a defect is planted nor keep planted ones.
+    The inverse series, its lift to shared denominators and the
+    numerators built from that are memoized apart: a warm lift or
+    numerator memo alone hides a planted inverse series."""
+    monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
+    for name in ("_inverse_exp", "_shifted_inverse", "_shifted_numerators"):
+        memo = getattr(vertexops, name)
+        monkeypatch.setattr(vertexops, name, lru_cache(
+            maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__))
+
+
 # (law, planted defect, pattern of a failure line naming the case)
 _PLANTED = [
     ("locality-transfer", _double_inverse_constant,
@@ -1224,10 +1294,7 @@ def test_planted_defect_fails_and_names_its_case(monkeypatch, name, plant,
                                                  line):
     """Each law that tallies its cases fails at window 5 on a planted
     defect, with a failure line that names the case."""
-    # the product caches must neither serve nor keep planted values
-    monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
-    monkeypatch.setattr(vertexops, "_inverse_exp", lru_cache(maxsize=128)(
-        vertexops._inverse_exp.__wrapped__))
+    _fresh_product_memos(monkeypatch)
     plant(monkeypatch)
     rep = verify_identity(name, window=5)
     assert rep.status == FAIL, (rep.status, rep.notes)
@@ -1285,9 +1352,7 @@ def test_mutation_matrix_covers_every_law():
     pytest.param(name, window, marks=_VACUOUS.get((name, window), ()))
     for name in sorted(_MATRIX) for window in (5, 8)])
 def test_mutation_matrix_row_fails(monkeypatch, name, window):
-    monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
-    monkeypatch.setattr(vertexops, "_inverse_exp", lru_cache(maxsize=128)(
-        vertexops._inverse_exp.__wrapped__))
+    _fresh_product_memos(monkeypatch)
     _MATRIX[name](monkeypatch)
     rep = verify_identity(name, window=window)
     assert rep.status == FAIL, (rep.status, rep.notes)
