@@ -57,6 +57,16 @@ SUITES = {"paper-all": 8, "fast": 5}
 # same bracket.
 MAX_MODE = 256
 
+# The largest |r| and |s| of a family index that bracket and phi-product
+# take, and the largest |r| of a fock-apply letter.  A bhatq bracket reads
+# F_(r-s), whose coefficients are polynomials of degree about |r - s| in q:
+# bracket --m -3 --n -2 --r 256 --s 0 prints in about 1.0 s, at r = 512
+# in 3.4 s and at r = 1000 in 21 s, and phi-product --algebra hq --n 0
+# --window 2 --r 256 in about 0.4 s (2-core machine, Python 3.11.7).  The
+# bound holds each index on its own: a large |r - s| with a high z order,
+# or with a wide phi-product window, still costs much more.
+MAX_FAMILY = 256
+
 # The largest probe window phi-product takes.  Its cost grows a little
 # faster than the square of the window: --algebra hq --n 0 prints in about
 # 0.4 s at window 100, 1.6 s at 200 and 3.5 s at 300 (2-core machine,
@@ -64,10 +74,22 @@ MAX_MODE = 256
 # htq --r 1 --s -1 --n -3 takes about 1.9 s at window 100.
 MAX_PRODUCT_WINDOW = 100
 
+# The least n phi-product takes.  The n-th product reads the stack to z
+# order -n - 1, so a more negative n costs more: at window 100, hq --n -12
+# prints in about 2.6 s and htq --n -12 in 3.4 s, and hq --n -20 takes
+# 5.7 s (2-core machine, Python 3.11.7).  A positive n reads no more.
+MIN_PRODUCT_N = -12
+
 
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _check_bound(flag: str, value: int, bound: int) -> None:
+    if abs(value) > bound:
+        raise SystemExit(_fail_usage(
+            f"{flag} {value} is outside [-{bound}, {bound}]"))
 
 
 def _window_default(fallback: int | None) -> int | None:
@@ -168,10 +190,10 @@ def _cmd_bracket(args) -> int:
     if args.algebra not in ALGEBRAS:
         return _fail_usage(
             f"unknown algebra {args.algebra!r}; one of {', '.join(ALGEBRAS)}")
-    for flag, mode in (("--m", args.m), ("--n", args.n)):
-        if abs(mode) > MAX_MODE:
-            return _fail_usage(f"{flag} {mode} is outside "
-                               f"[-{MAX_MODE}, {MAX_MODE}]")
+    _check_bound("--m", args.m, MAX_MODE)
+    _check_bound("--n", args.n, MAX_MODE)
+    _check_bound("--r", args.r, MAX_FAMILY)
+    _check_bound("--s", args.s, MAX_FAMILY)
     point = _point_from(args)
     try:
         val = bracket_modes(args.algebra, args.m, args.n, args.r, args.s,
@@ -194,6 +216,9 @@ def _cmd_fock_apply(args) -> int:
         if abs(m) > MAX_MODE:
             return _fail_usage(f"letter {m}:{r} has a mode outside "
                                f"[-{MAX_MODE}, {MAX_MODE}]")
+        if abs(r) > MAX_FAMILY:
+            return _fail_usage(f"letter {m}:{r} has a family index outside "
+                               f"[-{MAX_FAMILY}, {MAX_FAMILY}]")
     module = FockModule(args.algebra)
     try:
         out = apply_word(module, word, module.vacuum())
@@ -211,6 +236,10 @@ def _cmd_phi_product(args) -> int:
     if probe > MAX_PRODUCT_WINDOW:
         return _fail_usage(
             f"--window {probe} is outside [0, {MAX_PRODUCT_WINDOW}]")
+    _check_bound("--r", args.r, MAX_FAMILY)
+    _check_bound("--s", args.s, MAX_FAMILY)
+    if args.n < MIN_PRODUCT_N:
+        return _fail_usage(f"--n {args.n} is below {MIN_PRODUCT_N}")
     module = FockModule(args.algebra)
     try:
         prod = phi_product_n(field_of(module, args.r),
@@ -381,10 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", help="one bracket constant")
     p.add_argument("--algebra", required=True)
     mode_help = f"mode index in [-{MAX_MODE}, {MAX_MODE}]"
+    family_help = f"family index in [-{MAX_FAMILY}, {MAX_FAMILY}]"
     p.add_argument("--m", type=int, required=True, help=mode_help)
     p.add_argument("--n", type=int, required=True, help=mode_help)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--r", type=int, default=0, help=family_help)
+    p.add_argument("--s", type=int, default=0, help=family_help)
     _add_point_flags(p)
     p.set_defaults(fn=_cmd_bracket)
 
@@ -393,15 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--word", required=True,
                    help="comma-separated letters m:r, applied right to "
-                        f"left, each mode m in [-{MAX_MODE}, {MAX_MODE}]")
+                        f"left, each mode m in [-{MAX_MODE}, {MAX_MODE}] "
+                        f"and family index r in [-{MAX_FAMILY}, "
+                        f"{MAX_FAMILY}]")
     p.set_defaults(fn=_cmd_fock_apply)
 
     p = sub.add_parser("phi-product",
                        help="substitution product of two generating fields")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, default=0, help=family_help)
+    p.add_argument("--s", type=int, default=0, help=family_help)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"product index, at least {MIN_PRODUCT_N}")
     p.add_argument("--window", type=int, default=4,
                    help="probe window for printing, at most "
                         f"{MAX_PRODUCT_WINDOW}")

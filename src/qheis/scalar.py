@@ -1,16 +1,17 @@
-"""Exact scalar arithmetic over the field Q(q, l).
+"""Exact scalar arithmetic in Q(q, l), with denominators free of l.
 
-Scalars are quotients num/den of integer-coefficient polynomials in the
-deformation parameter ``q`` and the level parameter ``l``.  Negative powers
-of ``q`` are cleared into the denominator, so a Laurent monomial like
-``q**-3`` is stored as ``1/q^3``.
+Scalars are quotients num/den of integer-coefficient polynomials: the
+numerator lies in ``Z[q, l]`` and the denominator in ``Z[q]``.  The level
+``l`` is central and enters the deformed brackets only in numerators, so
+dividing by a polynomial of positive ``l``-degree raises
+:class:`ScalarError`.  Negative powers of ``q`` are cleared into the
+denominator, so a Laurent monomial like ``q**-3`` is stored as ``1/q^3``.
 
 Canonical form (kept by every operation):
 
-* ``den`` is nonzero;
+* ``den`` is nonzero and free of ``l``;
 * ``gcd(num, den)`` is ``1`` in ``Z[q, l]`` (including integer content);
-* the leading coefficient of ``den`` under lexicographic monomial order
-  (``q`` before ``l``) is positive.
+* the leading coefficient of ``den`` is positive.
 
 The denominator is stored factored as ``c * q^a * prod Phi_d(q)^e_d * R``:
 a positive integer ``c``, a power of ``q``, cyclotomic polynomials
@@ -21,8 +22,9 @@ completely, so ``R = 1`` in practice.  Sums then take the lcm of the
 factorizations and products add exponents; the only reduction left is
 trial division by the factors two operands share, which is exact
 synthetic division by a monic ``Phi_d``.  A residual ``R != 1`` (a division
-by ``l`` or by ``q - 2``, say) takes the general ``Z[q, l]`` gcd; those
-reductions are counted in ``residual_reductions``.
+by ``q - 2``, say) takes a gcd in ``Z[q]``, of ``R`` and each
+``l``-coefficient of the numerator; those reductions are counted in
+``residual_reductions``.
 
 ``num`` is a polynomial dict and ``den`` its expanded denominator, built on
 first use.  Equal values have identical representations, so ``==`` and
@@ -95,12 +97,6 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _pscale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return {}
-    return {m: c * k for m, c in a.items()}
-
-
 def _lead(a: Poly) -> tuple[tuple[int, int], int]:
     """Leading (monomial, coefficient) under lex order with q before l."""
     m = max(a)
@@ -147,14 +143,6 @@ def _uq_to_list(a: Poly) -> list[int]:
     for (eq, _l), c in a.items():
         out[eq] = c
     return out
-
-
-def _uq_from_list(cs: list[int]) -> Poly:
-    return {(i, 0): c for i, c in enumerate(cs) if c}
-
-
-def _sign_norm(a: Poly) -> Poly:
-    return _pneg(a) if a and _lead(a)[1] < 0 else dict(a)
 
 
 def _list_primitive(cs: list[int]) -> list[int]:
@@ -218,11 +206,8 @@ def _modp_coprime(a: list[int], b: list[int], p: int) -> bool:
 
 
 def _uq_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd in Z[q] of two polynomials with zero l-degree (primitive PRS)."""
-    if not a:
-        return _sign_norm(b)
-    if not b:
-        return _sign_norm(a)
+    """gcd in Z[q] of two nonzero polynomials with zero l-degree
+    (primitive PRS), with a positive leading coefficient."""
     ca, cb = _content(a), _content(b)
     A = _list_primitive(_uq_to_list(a))
     B = _list_primitive(_uq_to_list(b))
@@ -232,76 +217,8 @@ def _uq_gcd(a: Poly, b: Poly) -> Poly:
         return {(0, 0): _int_gcd(ca, cb)}
     while any(B):
         A, B = B, _list_primitive(_uq_prem(A, B))
-    A = _list_primitive(A)
-    return _pscale(_uq_from_list(A), _int_gcd(ca, cb))
-
-
-# -- multivariate gcd via recursion in l ------------------------------------
-
-
-def _to_l_rec(a: Poly) -> dict[int, Poly]:
-    out: dict[int, Poly] = {}
-    for (eq, el), c in a.items():
-        out.setdefault(el, {})[(eq, 0)] = c
-    return out
-
-
-def _from_l_rec(a: dict[int, Poly]) -> Poly:
-    out: Poly = {}
-    for el, qp in a.items():
-        for (eq, _z), c in qp.items():
-            out[(eq, el)] = c
-    return out
-
-
-def _l_content(a: dict[int, Poly]) -> Poly:
-    g: Poly = {}
-    for qp in a.values():
-        g = _uq_gcd(g, qp)
-    return g
-
-
-def _l_divide(a: dict[int, Poly], d: Poly) -> dict[int, Poly]:
-    return {el: _pdiv_exact(qp, d) for el, qp in a.items()}
-
-
-def _l_prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    """Pseudo-remainder of a by b with respect to l."""
-    da, db = max(a), max(b)
-    lb = b[db]
-    r = a
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        # r := lb*r - lr * l^(dr-db) * b
-        nr: dict[int, Poly] = {}
-        for el, qp in r.items():
-            nr[el] = _pmul(qp, lb)
-        for el, qp in b.items():
-            m = el + dr - db
-            nr[m] = _padd(nr.get(m, {}), _pneg(_pmul(qp, lr)))
-        r = {el: qp for el, qp in nr.items() if qp}
-    return r
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """gcd in Z[q, l], primitive with positive leading coefficient."""
-    if not a:
-        return _sign_norm(b)
-    if not b:
-        return _sign_norm(a)
-    la = _to_l_rec(a)
-    lb = _to_l_rec(b)
-    if max(la) == 0 and max(lb) == 0:
-        return _uq_gcd(a, b)
-    ca, cb = _l_content(la), _l_content(lb)
-    pa, pb = _l_divide(la, ca), _l_divide(lb, cb)
-    while pb:
-        pa, pb = pb, _l_prem(pa, pb)
-    g = _l_divide(pa, _l_content(pa))
-    cg = _uq_gcd(ca, cb)
-    out = _from_l_rec({el: _pmul(qp, cg) for el, qp in g.items()})
-    return _sign_norm(out)
+    g = _int_gcd(ca, cb)
+    return {(i, 0): c * g for i, c in enumerate(A) if c}
 
 
 # str(int) refuses more digits than sys.get_int_max_str_digits() allows,
@@ -362,7 +279,7 @@ Factored = tuple[int, int, tuple[tuple[int, int], ...], "Poly | None"]
 
 _PLAIN: Factored = (1, 0, (), None)
 
-# reductions that took the general Z[q, l] gcd on a residual factor
+# reductions that took a gcd in Z[q] on a residual factor
 residual_reductions = 0
 
 # Phi_d as a coefficient list, lowest degree first, built on first use
@@ -482,13 +399,13 @@ def _expand(fd: Factored) -> Poly:
 
 
 def _factor(p: Poly) -> tuple[int, Factored]:
-    """A nonzero p as (sign, factored) by trial division over Phi_d."""
+    """A nonzero p in Z[q] as (sign, factored) by trial division over
+    Phi_d."""
     c = _int_gcd(*p.values())
     sign = -1 if p[max(p)] < 0 else 1
     a = min(p)[0]
     if len(p) == 1:
-        ((_eq, el),) = p
-        return sign, (c, a, (), {(0, el): 1} if el else None)
+        return sign, (c, a, (), None)
     k = sign * c
     dense = _dense({(eq - a, el): v // k for (eq, el), v in p.items()})
     n = max(map(len, dense.values())) - 1
@@ -508,10 +425,21 @@ def _factor(p: Poly) -> tuple[int, Factored]:
     return sign, (c, a, tuple(cyc), None if r == _ONE else r)
 
 
-def _residual_gcd(a: Poly, b: Poly) -> Poly:
+def _residual_gcd(num: Poly, r: Poly) -> Poly:
+    """gcd(num, r) for a numerator num and a residual r in Z[q]: any
+    common factor is free of l, so it is the gcd in Z[q] of r and each
+    l-coefficient of num."""
     global residual_reductions
     residual_reductions += 1
-    return _pgcd(a, b)
+    rows: dict[int, Poly] = {}
+    for (eq, el), c in num.items():
+        rows.setdefault(el, {})[(eq, 0)] = c
+    g = r
+    for row in rows.values():
+        if g == _ONE:
+            break
+        g = _uq_gcd(g, row)
+    return g
 
 
 def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
@@ -722,6 +650,9 @@ class Scalar:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("scalar division by zero")
+        if any(el for _eq, el in other.num):
+            raise ScalarError(f"division by {_pstr(other.num)}: a "
+                              "denominator must be free of l")
         if not self.num:
             return _S_ZERO
         # 1/y is den/num, with num factored once; gcd(num, den) = 1 already
@@ -780,8 +711,8 @@ class Scalar:
         if len(self.num) > 1:
             ns = f"({ns})"
         ds = _pstr(den)
-        (dq, dl), dc = _lead(den)
-        if len(den) > 1 or (dc != 1 and (dq or dl)):
+        (dq, _dl), dc = _lead(den)
+        if len(den) > 1 or (dc != 1 and dq):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -928,7 +859,8 @@ def dot_over(xs, ys, f: Factored, g: Factored) -> Scalar:
 
 
 class SymbolicField:
-    """The scalar field Q(q, l) itself: every value is a :class:`Scalar`.
+    """The symbolic field Q(q, l): every value is a :class:`Scalar`, and
+    a divisor must be free of l.
 
     A scalar field supplies the constants that depend on q and the level:
     ``zero``, ``one``, ``level``, ``q_power(k)``, ``qint(m)`` and the

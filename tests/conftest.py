@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from qheis.fock import FockError, FockModule, FockVector, apply_generator, \
     pair_vectors
@@ -695,6 +695,84 @@ def evaluate(s: Scalar, point) -> Fraction:
             f"q={point.q0}, l={point.l0}"
         )
     return _peval(s.num, point.q0, point.l0) / den
+
+
+# ---------------------------------------------------------------------------
+# a gcd oracle for the canonical form: textbook Euclid over Q[q]
+
+
+def _l_rows(p: Poly) -> dict[int, Poly]:
+    """The coefficient of each power of l in p, a polynomial in q."""
+    rows: dict[int, Poly] = {}
+    for (eq, el), c in p.items():
+        rows.setdefault(el, {})[(eq, 0)] = c
+    return rows
+
+
+def _q_list(p: Poly) -> list[Fraction]:
+    """A nonzero polynomial in q alone as Fractions, lowest degree first."""
+    out = [Fraction(0)] * (1 + max(eq for eq, _el in p))
+    for (eq, el), c in p.items():
+        assert el == 0, "not a polynomial in q alone"
+        out[eq] = Fraction(c)
+    return out
+
+
+def _q_divmod(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of a by a nonzero b in Q[q], lists
+    trimmed of leading zeros."""
+    a, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        t = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        quot[shift] = t
+        for i, c in enumerate(b):
+            a[shift + i] -= t * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return quot, a
+
+
+def gcd_oracle(num: Poly, den: Poly) -> Poly:
+    """gcd in Z[q, l] of num and a nonzero den in Z[q], with a positive
+    leading coefficient.
+
+    A common factor divides den, so it is free of l: Euclid over Q[q]
+    folds den with each l-row of num, and Gauss's lemma gives the gcd in
+    Z[q, l] as the primitive part of that gcd times the gcd of the two
+    integer contents."""
+    g = _q_list(den)
+    for row in _l_rows(num).values():
+        a, b = g, _q_list(row)
+        while b:
+            a, b = b, _q_divmod(a, b)[1]
+        g = a
+    scale = lcm(*(c.denominator for c in g))
+    ints = [int(c * scale) for c in g]
+    k = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    content = gcd(*num.values(), *den.values())
+    return {(i, 0): c // k * content for i, c in enumerate(ints) if c}
+
+
+def reduced_oracle(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den, den nonzero in Z[q], divided by :func:`gcd_oracle` by
+    division in Q[q] per l-row, denominator lead > 0."""
+    g = _q_list(gcd_oracle(num, den))
+
+    def divide(p: Poly) -> Poly:
+        out = {}
+        for el, row in _l_rows(p).items():
+            quot, rem = _q_divmod(_q_list(row), g)
+            assert not rem and all(c.denominator == 1 for c in quot)
+            out.update({(eq, el): int(c) for eq, c in enumerate(quot) if c})
+        return out
+
+    num, den = divide(num), divide(den)
+    if den[max(den)] < 0:
+        num = {m: -c for m, c in num.items()}
+        den = {m: -c for m, c in den.items()}
+    return num, den
 
 
 def euler(t: TruncatedLaurent, var: str) -> TruncatedLaurent:

@@ -42,6 +42,9 @@ CLI = [
      "--window", "2", "--limit", "1"],
     ["expand", "--kernel", "1/(x1-(q+2)*x2)", "--direction", "x2,x1",
      "--window", "2"],
+    # two residual factors: their lcm takes a gcd in Z[q]
+    ["expand", "--kernel", "1/((x1-(q+2)*x2)*(x1-(q-2)*x2))",
+     "--direction", "x2,x1", "--window", "2"],
     ["expand", "--kernel", "z*e^z/(e^z-q)", "--direction", "z"],
     ["expand", "--kernel", "x^2/(x*(x-q^3))^2", "--direction", "x"],
     ["expand", "--kernel", "(x1+x2)^2/(x1*x2*(x1-x2)^2*(q*x1-x2))",

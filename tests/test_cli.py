@@ -101,26 +101,34 @@ def test_bracket_values(capsys):
     assert out_of(capsys) == "-2/3"
 
 
-def test_bracket_refuses_modes_past_the_bound(capsys):
-    """bhatq at m = n = -2000 used to run for more than 30 s; past
-    MAX_MODE the command exits 2 at once, and the library is unbounded."""
+def _refused_at_once(argvs, capsys, message: str) -> None:
+    """Each argv exits 2 with one line containing message, well inside a
+    10 s alarm."""
     import signal
 
     def timeout(signum, frame):
-        raise TimeoutError("a large mode was not refused")
+        raise TimeoutError("an input past its bound was not refused")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        for m, n in ((-2000, -2000), (-257, 0), (0, 257), (10 ** 9, 1)):
-            assert run(["bracket", "--algebra", "bhatq", f"--m={m}",
-                        f"--n={n}", "--r", "1"]) == 2, (m, n)
+        for argv in argvs:
+            assert run(argv) == 2, argv
             out, err = capsys.readouterr()
             assert not out and err.count("\n") == 1, err
-            assert err.startswith("error: --") and "[-256, 256]" in err, err
+            assert err.startswith("error: ") and message in err, err
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_bracket_refuses_modes_past_the_bound(capsys):
+    """bhatq at m = n = -2000 used to run for more than 30 s; past
+    MAX_MODE the command exits 2 at once, and the library is unbounded."""
+    _refused_at_once([["bracket", "--algebra", "bhatq", f"--m={m}",
+                       f"--n={n}", "--r", "1"]
+                      for m, n in ((-2000, -2000), (-257, 0), (0, 257),
+                                   (10 ** 9, 1))], capsys, "[-256, 256]")
     assert cli.MAX_MODE == 256
     assert run(["bracket", "--algebra", "hq", "--m", "256",
                 "--n=-256"]) == 0
@@ -198,6 +206,44 @@ def test_phi_product_refuses_windows_past_the_bound(monkeypatch, capsys):
     assert run(["phi-product", "--algebra", "hq", "--n", "0",
                 "--window", "100"]) == 0
     assert out_of(capsys) == "0"
+
+
+def test_family_indices_past_the_bound_are_refused(capsys):
+    """--r, --s and each letter's family index are held to MAX_FAMILY:
+    bhatq --m -3 --n -2 --r 1000 took 21 s, and fock-apply
+    --word=-1:1000,-1:0 took 9 s."""
+    _refused_at_once([
+        ["bracket", "--algebra", "bhatq", "--m=-3", "--n=-2", "--r", "1000"],
+        ["bracket", "--algebra", "bhatq", "--m=-3", "--n=-2", "--s=-257"],
+        ["phi-product", "--algebra", "hq", "--n", "0", "--window", "2",
+         "--r", "1000"],
+        ["phi-product", "--algebra", "htq", "--n", "0", f"--s={-10 ** 9}"],
+        ["fock-apply", "--algebra", "bhatq", "--word=-1:1000,-1:0"],
+        ["fock-apply", "--algebra", "bhatq", "--word=-1:0,-2:-257"],
+    ], capsys, "[-256, 256]")
+    assert cli.MAX_FAMILY == 256
+    assert run(["bracket", "--algebra", "bhatq", "--m", "3", "--n=-3",
+                "--r", "256", "--s=-256"]) == 0
+    assert out_of(capsys) == str(bracket_modes("bhatq", 3, -3, 256, -256))
+    assert run(["fock-apply", "--algebra", "bhatq", "--word=-1:256"]) == 0
+    assert out_of(capsys) == "(1) b(256)_-1 vac"
+
+
+def test_phi_product_refuses_an_index_below_the_bound(monkeypatch, capsys):
+    """--n is at least MIN_PRODUCT_N: at window 100, hq --n -20 took
+    5.7 s.  Below the bound the command exits 2 before any product is
+    built."""
+    def built(*_args, **_kw):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(cli, "phi_product_n", built)
+    _refused_at_once([["phi-product", "--algebra", "hq", f"--n={n}"]
+                      for n in (-13, -20, -10 ** 9)], capsys, "--n -")
+    monkeypatch.undo()
+    assert cli.MIN_PRODUCT_N == -12
+    assert run(["phi-product", "--algebra", "hq", "--n=-12",
+                "--window", "2"]) == 0
+    assert out_of(capsys) == "x^2: (1/39916800) b_-1 b_-1 vac"
 
 
 def test_phi_product_outputs(capsys):

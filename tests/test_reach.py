@@ -23,11 +23,6 @@ pytestmark = pytest.mark.skipif(
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qheis"
 
-# the Z[q, l] gcd beyond the univariate case: kernel text has no l, so
-# the corpus's residual denominator (x1 - (q+2) x2) takes the Z[q] gcd only
-_L_GCD = ("_pdiv_exact", "_modp_coprime", "_sign_norm", "_from_l_rec",
-          "_l_content", "_l_divide", "_l_prem")
-
 # Definitions that no law, suite or command reaches, each with the test
 # that needs it.  Kept exact: a name the corpus comes to reach, or one
 # that is deleted, must leave it.
@@ -38,9 +33,6 @@ ALLOWLIST = {
         "test_values.py::test_immutable_classes_refuse_assignment",
     "vertexops.Multiplier.describe":
         "test_vertexops.py::test_substitution_product_multiplier_choice",
-    **{f"scalar.{name}":
-       "test_scalar.py::test_residual_arithmetic_matches_gcd_oracle_seeded"
-       for name in _L_GCD},
 }
 
 # code objects that run inside the body that holds them

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EvaluationError, evaluate, fraction_of
+from conftest import EvaluationError, evaluate, fraction_of, gcd_oracle, \
+    reduced_oracle
 from qheis.scalar import (
     ONE,
     ZERO,
@@ -14,6 +15,7 @@ from qheis.scalar import (
     Q,
     RationalPoint,
     Scalar,
+    ScalarError,
     int_text,
     qint,
 )
@@ -31,7 +33,7 @@ def test_reduce_common_factor():
 
 
 def test_reduce_zero_numerator():
-    z = ZERO / (Q**3 + L)
+    z = ZERO / (Q**3 - S(2))
     assert z == ZERO
     assert str(z) == "0"
 
@@ -42,6 +44,18 @@ def test_reduce_content():
     assert r.num == {(1, 0): 1}
     assert r.den == {(0, 0): 2}
     assert str(r) == "q/2"
+
+
+def test_division_by_a_polynomial_in_l_raises():
+    """Denominators lie in Z[q]: the level enters only numerators."""
+    for divide in (lambda: ONE / L, lambda: Q / (Q + L), lambda: L ** -1,
+                   lambda: ONE / (Q * L + ONE), lambda: ZERO / L,
+                   lambda: ONE / ((Q * L + ONE) / (Q - S(2)))):
+        with pytest.raises(ScalarError, match="free of l"):
+            divide()
+    # a numerator in l is fine, and so is dividing by a constant
+    assert (L / (Q - ONE)) * (Q - ONE) == L
+    assert L / S(2) * S(2) == L
 
 
 def test_denominator_sign_normalized():
@@ -185,7 +199,7 @@ def test_evaluation_is_a_homomorphism_seeded():
     """Evaluating a compound expression agrees with compounding evaluations."""
     rng = random.Random(20260823)
     pt = RationalPoint(Fraction(3, 5), Fraction(2))
-    checked = 0
+    checked = refused = 0
     for _ in range(200):
         a = _random_scalar(rng)
         b = _random_scalar(rng)
@@ -195,10 +209,16 @@ def test_evaluation_is_a_homomorphism_seeded():
             continue
         assert evaluate(a + b, pt) == va + vb
         assert evaluate(a * b, pt) == va * vb
-        if vb != 0:
+        if any(el for _eq, el in b.num):
+            # a divisor in l is refused, whatever its value at the point
+            with pytest.raises(ScalarError, match="free of l"):
+                a / b
+            refused += 1
+        elif vb != 0:
             assert evaluate(a / b, pt) == va / vb
         checked += 1
     assert checked >= 150
+    assert 10 <= refused <= checked - 50
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,28 +241,14 @@ def test_field_axioms(m, n, k):
 @given(st.integers(-8, 8), st.integers(1, 5))
 def test_canonical_form_invariants(k, n):
     s = (qint(n) + Scalar.q_power(k)) / (qint(n + 1) * Scalar.from_int(2))
-    # canonical representation: gcd of num and den is constant, positive lead
-    from qheis.scalar import _lead, _pgcd
-
-    g = _pgcd(s.num, s.den)
-    assert set(g) <= {(0, 0)}
-    assert _lead(s.den)[1] > 0
+    # canonical representation: gcd of num and den is 1, positive lead
+    assert gcd_oracle(s.num, s.den) == {(0, 0): 1}
+    assert s.den[max(s.den)] > 0
 
 
 # ---------------------------------------------------------------------------
-# factored denominators against the general gcd
+# factored denominators against a gcd oracle (Euclid over Q[q])
 # ---------------------------------------------------------------------------
-
-
-def _reduced(num, den):
-    """num/den reduced by the general Z[q, l] gcd, denominator lead > 0."""
-    from qheis.scalar import _lead, _pdiv_exact, _pgcd, _pneg
-
-    g = _pgcd(num, den)
-    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
-    if _lead(den)[1] < 0:
-        num, den = _pneg(num), _pneg(den)
-    return num, den
 
 
 def _cyclotomic(d):
@@ -268,8 +274,9 @@ def _operand_factory(rng, residuals):
         tops += [{(2, 0): 1, (0, 0): 7}, {(0, 0): 1, (1, 1): -2},
                  {(2, 0): 3, (0, 1): 1, (0, 0): -1},
                  {(1, 0): 1, (0, 2): 1}, {(1, 1): 1}]
-        extra = [{(1, 0): 1, (0, 0): -2}, {(1, 0): 1, (0, 1): 1},
-                 {(0, 1): 1}]
+        # q - 2 and q^2 + q + 3: denominators lie in Z[q]
+        extra = [{(1, 0): 1, (0, 0): -2},
+                 {(2, 0): 1, (1, 0): 1, (0, 0): 3}]
 
     def factor(pool):
         kind = rng.randrange(4)
@@ -301,17 +308,23 @@ def _check_against_oracle(rng, make, pairs):
     for _ in range(pairs):
         (xn, xd), (yn, yd) = make(), make()
         x, y = fraction_of(xn, xd), fraction_of(yn, yd)
-        assert (x.num, x.den) == _reduced(xn, xd)
+        assert (x.num, x.den) == reduced_oracle(xn, xd)
         a, b = x.den, y.den
         expected = {
-            "+": _reduced(_padd(_pmul(x.num, b), _pmul(y.num, a)),
-                          _pmul(a, b)),
-            "-": _reduced(_padd(_pmul(x.num, b), _pneg(_pmul(y.num, a))),
-                          _pmul(a, b)),
-            "*": _reduced(_pmul(x.num, y.num), _pmul(a, b)),
-            "/": _reduced(_pmul(x.num, b), _pmul(a, y.num)),
+            "+": reduced_oracle(_padd(_pmul(x.num, b), _pmul(y.num, a)),
+                                _pmul(a, b)),
+            "-": reduced_oracle(_padd(_pmul(x.num, b),
+                                      _pneg(_pmul(y.num, a))),
+                                _pmul(a, b)),
+            "*": reduced_oracle(_pmul(x.num, y.num), _pmul(a, b)),
         }
-        got = {"+": x + y, "-": x - y, "*": x * y, "/": x / y}
+        got = {"+": x + y, "-": x - y, "*": x * y}
+        if any(el for _eq, el in y.num):
+            with pytest.raises(ScalarError, match="free of l"):
+                x / y
+        else:
+            expected["/"] = reduced_oracle(_pmul(x.num, b), _pmul(a, y.num))
+            got["/"] = x / y
         for op, value in got.items():
             want = expected[op]
             if not want[0]:
@@ -333,8 +346,9 @@ def test_cyclotomic_arithmetic_matches_gcd_oracle_seeded():
 
 
 def test_residual_arithmetic_matches_gcd_oracle_seeded():
-    """Numerators with l, and denominators with q - 2, q + l or l, take
-    the residual gcd path and still match the gcd reduction."""
+    """Numerators with l, and denominators with q - 2 or q^2 + q + 3,
+    take the residual gcd path and still match the gcd reduction; a
+    divisor whose numerator has l is refused."""
     from qheis import scalar
 
     rng = random.Random(20261019)
