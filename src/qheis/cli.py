@@ -37,6 +37,7 @@ from .scalar import SYMBOLIC, RationalPoint, int_text
 from .series import SeriesError, Window
 from .vertexops import (
     LAWS,
+    MAX_X0_ORDER,
     LawParameterError,
     VertexError,
     field_of,
@@ -444,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", required=True)
     p.add_argument("--window", type=int)
     p.add_argument("--param", action="append",
-                   help="law parameter as key=value (repeatable)")
+                   help="law parameter as key=value (repeatable); "
+                        "phi-weak-associativity takes x0_order in "
+                        f"[0, {MAX_X0_ORDER}]")
     _add_point_flags(p)
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_verify)

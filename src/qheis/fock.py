@@ -342,7 +342,10 @@ def two_point(bra: FockVector, slots, ket: FockVector,
              for ei in range(lo, hi + 1)]
             for slot, lo, hi in zip(slots, window.lo, window.hi)]
     coeffs: dict[tuple[int, ...], Scalar] = {}
-    scaled = [(i, slot.scale) for i, slot in enumerate(slots)
+    # scale^e for each exponent e of a scaled slot's window
+    scaled = [(i, {e: slot.scale ** e for e in range(lo, hi + 1)})
+              for i, (slot, lo, hi) in enumerate(zip(slots, window.lo,
+                                                     window.hi))
               if slot.scale != 1]
     sigma = bra.module.spec.mode_sum
     if sigma is not None:
@@ -354,8 +357,8 @@ def two_point(bra: FockVector, slots, ket: FockVector,
         if i < 0:
             val = pair_vectors(bra, v)
             if val:
-                for j, scale in scaled:
-                    val = val * scale ** tail[j]
+                for j, powers in scaled:
+                    val = val * powers[tail[j]]
                 coeffs[tail] = val
             return
         steps = gens[i]

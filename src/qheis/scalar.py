@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd as _int_gcd
+from math import factorial, gcd as _int_gcd
 
 # A polynomial is a dict mapping (q_exponent, l_exponent) -> nonzero int.
 Poly = dict[tuple[int, int], int]
@@ -265,6 +265,15 @@ def _pstr(a: Poly) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + term)
     return " ".join(parts)
+
+
+def _free_of_l(p: Poly) -> Poly:
+    """p, which a denominator is about to be built from; raises unless it
+    is free of l."""
+    if any(el for _eq, el in p):
+        raise ScalarError(f"division by {_pstr(p)}: a denominator must be "
+                          "free of l")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +520,15 @@ def _lift(num: Poly, k: int, s: int, cyc, r: Poly | None) -> Poly:
     return num if r is None else _pmul(num, r)
 
 
-def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored) -> "Scalar":
-    """x + y over the lcm of two different denominators.
+def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored,
+               wx: int = 1, wy: int = 1, div: int = 1) -> "Scalar":
+    """(wx x + wy y) / div over the lcm of two different denominators,
+    for nonzero integers wx, wy and div > 0.
 
     A factor whose exponents differ divides exactly one of the two lifted
     numerators, so only the integer content and the factors with tied
-    exponents can cancel from the sum (Henrici).
+    exponents can cancel from the sum (Henrici).  The integer weights
+    ride on the cofactors and div on the integer part of the denominator.
     """
     cx, ax, kx, rx = xf
     cy, ay, ky, ry = yf
@@ -540,12 +552,13 @@ def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored) -> "Scalar":
         r = _pmul(rx, mx)
     g = _int_gcd(cx, cy)
     a = max(ax, ay)
-    num = _padd(_lift(xn, cy // g, a - ax, lx, mx),
-                _lift(yn, cx // g, a - ay, ly, my))
+    num = _padd(_lift(xn, wx * (cy // g), a - ax, lx, mx),
+                _lift(yn, wy * (cx // g), a - ay, ly, my))
     if not num:
         return _S_ZERO
     tie = ax == ay
-    num, fd = _cancel(num, (cx // g * cy, a if tie else 0, tuple(tied), r))
+    num, fd = _cancel(num, (cx // g * cy * div, a if tie else 0,
+                            tuple(tied), r))
     return _make(num, _fd_mul(fd, (1, 0 if tie else a, tuple(untied), None)))
 
 
@@ -630,10 +643,17 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if other == 1:
+                return self
             other = Scalar.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         xn, yn = self.num, other.num
+        # a factor 1 returns the other one, already canonical
+        if xn == _ONE and self._fd == _PLAIN:
+            return other
+        if yn == _ONE and other._fd == _PLAIN:
+            return self
         if not xn or not yn:
             return _S_ZERO
         # gcd(xn yn, xden yden) = gcd(xn, yden) gcd(yn, xden)
@@ -650,9 +670,7 @@ class Scalar:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("scalar division by zero")
-        if any(el for _eq, el in other.num):
-            raise ScalarError(f"division by {_pstr(other.num)}: a "
-                              "denominator must be free of l")
+        _free_of_l(other.num)
         if not self.num:
             return _S_ZERO
         # 1/y is den/num, with num factored once; gcd(num, den) = 1 already
@@ -765,18 +783,9 @@ def qint(m: int) -> Scalar:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def lift_common(values, scales=None, rows=False
-                ) -> tuple[Factored, list]:
-    """One denominator den and integer polynomials nums with
-    values[i] * scales[i] == nums[i] / den, as rows if asked.
-
-    den is the lcm of the values' denominators times the least common
-    denominator of the rational scales (all 1 by default), less the
-    integer content it shares with every numerator.  Each numerator is
-    lifted by the cofactor its factored denominator gives, so no gcd is
-    taken unless two residuals differ.
-    """
-    fds = [v._fd for v in values]
+def _fd_lcm(fds) -> Factored:
+    """The lcm of factored denominators, with an integer part of 1 or
+    more; a gcd is taken only where two residuals differ."""
     c, a, cyc, r = 1, 0, {}, None
     for vc, va, vcyc, vr in fds:
         c = c // _int_gcd(c, vc) * vc
@@ -787,41 +796,261 @@ def lift_common(values, scales=None, rows=False
         if vr is not None and vr != r:
             r = vr if r is None else _pmul(
                 r, _pdiv_exact(vr, _residual_gcd(r, vr)))
-    cyc = tuple(sorted(cyc.items()))
-    m = 1
-    for s in scales or ():
-        m = m // _int_gcd(m, s.denominator) * s.denominator
-    nums = []
-    for i, v in enumerate(values):
-        vc, va, vcyc, vr = fds[i]
-        k = c // vc
-        if scales is not None:
-            s = scales[i]
-            k *= s.numerator * (m // s.denominator)
-        have = dict(vcyc)
-        up = [(d, e - have.get(d, 0)) for d, e in cyc if e > have.get(d, 0)]
-        cof = None if vr == r else r if vr is None else _pdiv_exact(r, vr)
-        nums.append(_lift(v.num, k, a - va, up, cof))
-    g = c * m
+    return c, a, tuple(sorted(cyc.items())), r
+
+
+def _over(num: Poly, fd: Factored, to: Factored) -> Poly:
+    """num / fd lifted to the denominator to, a multiple of fd: num times
+    the cofactor to / fd, read off the two factorizations."""
+    c, a, cyc, r = to
+    vc, va, vcyc, vr = fd
+    have = dict(vcyc)
+    up = [(d, e - have.get(d, 0)) for d, e in cyc if e > have.get(d, 0)]
+    cof = None if vr == r else r if vr is None else _pdiv_exact(r, vr)
+    return _lift(num, c // vc, a - va, up, cof)
+
+
+def lift_common(values) -> tuple[Factored, list]:
+    """One denominator den and integer polynomials nums with
+    values[i] == nums[i] / den.
+
+    den is the lcm of the values' denominators, less the integer content
+    it shares with every numerator.  Each numerator is lifted by the
+    cofactor its factored denominator gives, so no gcd is taken unless
+    two residuals differ.
+    """
+    den = _fd_lcm(v._fd for v in values)
+    nums = [_over(v.num, v._fd, den) for v in values]
+    c, a, cyc, r = den
+    g = c
     for x in (x for n in nums for x in n.values()):
         if g == 1:
             break
         g = _int_gcd(g, x)
     if g > 1:
         nums = [{t: x // g for t, x in n.items()} for n in nums]
-    if rows:
-        nums = [_rows(n) for n in nums]
-    return (c * m // g, a, cyc, r), nums
+    return (c // g, a, cyc, r), nums
 
 
-def _rows(p: Poly) -> Rows:
-    if not p:
-        return ()
-    rows = [[0] * (1 + max(eq for eq, _el in p))
-            for _ in range(1 + max(el for _eq, el in p))]
-    for (eq, el), x in p.items():
-        rows[el][eq] = x
-    return tuple(map(tuple, rows))
+# -- the inverse of a product of linear factors in e^z ----------------------
+
+# S(t, j) for j = 0..t, row t at index t, grown on demand
+_STIRLING: list[tuple[int, ...]] = [(1,)]
+# the z^n coefficients of (z / (e^z - 1))^j, by j, grown on demand
+_NORLUND: dict[int, list[Fraction]] = {}
+
+
+def _stirling_row(t: int) -> tuple[int, ...]:
+    """The Stirling numbers of the second kind S(t, 0..t)."""
+    while len(_STIRLING) <= t:
+        prev = _STIRLING[-1] + (0,)
+        _STIRLING.append((0,) + tuple(
+            j * prev[j] + prev[j - 1] for j in range(1, len(prev))))
+    return _STIRLING[t]
+
+
+def _norlund(j: int, n: int) -> Fraction:
+    """[z^n] (z / (e^z - 1))^j for j >= 1: the Norlund polynomial
+    B_n^(j)(0) over n!."""
+    base = _NORLUND.setdefault(1, [])
+    while len(base) <= n:
+        # z / (e^z - 1) inverts (e^z - 1) / z = sum_i z^i / (i + 1)!
+        m = len(base)
+        base.append(Fraction(1) if not m else -sum(
+            base[m - i] / factorial(i + 1) for i in range(1, m + 1)))
+    row = _NORLUND.setdefault(j, [])
+    while len(row) <= n:
+        m = len(row)
+        _norlund(j - 1, m)
+        prev = _NORLUND[j - 1]
+        row.append(sum(base[i] * prev[m - i] for i in range(m + 1)))
+    return row[n]
+
+
+def _s_power(t: int, j: int) -> Fraction:
+    """[z^t] (e^z - 1)^j: j! S(t, j) / t! for j >= 0 (Graham, Knuth and
+    Patashnik, Concrete Mathematics, section 7.4), and the Norlund
+    coefficient [z^(t - j)] (z / (e^z - 1))^(-j) below."""
+    if j < 0:
+        return _norlund(-j, t - j)
+    if j > t:
+        return Fraction(0)
+    return Fraction(factorial(j) * _stirling_row(t)[j], factorial(t))
+
+
+def _qlist(p: Poly) -> list[int]:
+    """A polynomial free of l as coefficients in q, lowest first."""
+    return _dense(p).get(0, [])
+
+
+def _ladd(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+class ExpInverse:
+    """The Taylor coefficients of u = 1 / (unit * prod_c (e^z - c)^(m_c)),
+    over one denominator per z order, grown on demand.
+
+    With s = e^z - 1 and kappa the multiplicity of c = 1,
+    u = K s^-kappa prod_(c != 1) (1 + rho_c s)^(-m_c), with
+    rho_c = 1 / (1 - c) and K = 1 / (unit * prod (1 - c)^(m_c)).  Over a
+    common denominator G of the rho_c = pi_c / G the s^n coefficient of
+    the product is P_n / G^n, each P_n a polynomial: a factor
+    1 / (1 + rho s) maps P to P'_n = P_n - pi P'_(n-1).  The z^t
+    coefficient of s^j is rational (``_s_power``), so
+    u(t) = K sum_n P_n G^(t + kappa - n) [z^t] s^(n - kappa) / G^(t + kappa),
+    and a cancellation gives it in canonical form.
+
+    ``upto(zneed)`` returns, for T = -kappa..zneed, the least common
+    denominator D_T of u(T - J) / J! for J = 0..T + kappa and the
+    numerators W_J = D_T u(T - J) / J!.  D_(T-1) divides D_T, and
+    W_J(T) = W_(J-1)(T - 1) (D_T / D_(T-1)) / J, so each z order is one
+    new cancellation and small products.  Every value here is an integer
+    polynomial over a factored denominator; this class serves Q(q, l),
+    and :class:`_PointExpInverse` converts for a rational point.
+    """
+
+    __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
+                 "_ps", "_ints", "_last", "_out")
+
+    def __init__(self, factors, unit):
+        parts = self._parts
+        kappa = 0
+        rhos = []
+        for c, m in factors:
+            if c == 1:
+                kappa += m
+                continue
+            cn, cf = parts(c)
+            cd = _expand(cf)
+            # rho_c = cd / (cd - cn), and gcd(cd, cn) = 1
+            sign, fa = _factor(_free_of_l(_padd(cd, _pneg(cn))))
+            rhos.append((_pneg(cd) if sign < 0 else cd, fa, m))
+        G = _fd_lcm(fa for _p, fa, _m in rhos)
+        un, uf = parts(unit)
+        sign, ufa = _factor(_free_of_l(un))
+        numk = _expand(uf) if sign > 0 else _pneg(_expand(uf))
+        base = ufa
+        pis = []
+        for cd, fa, m in rhos:
+            pi = _over(cd, fa, G)
+            for _ in range(m):
+                numk = _pmul(numk, pi)
+                base = _fd_mul(base, G)
+                pis.append(_qlist(pi))
+        self.kappa = kappa
+        self._pis = pis
+        self._G = G
+        self._g = _qlist(_expand(G))
+        self._numk = numk
+        # the denominator of u(t) but for its integer factor from the
+        # Stirling and Norlund numbers: unit and G^(t + kappa) parts
+        self._base = base
+        # the latest P'_n of each factor 1 / (1 + rho s)
+        self._stages = [[] for _ in pis]
+        self._ps: list[list[int]] = []
+        # (integer part of the denominator, content of the numerator) of
+        # each u(t), None for a zero u(t)
+        self._ints: list[tuple[int, int] | None] = []
+        # D_T and the W_J of the last z order
+        self._last: tuple[Factored, list[list[int]]] = (_PLAIN, [])
+        self._out: list = []
+
+    @staticmethod
+    def _parts(x) -> tuple[Poly, Factored]:
+        if isinstance(x, int):
+            return ({(0, 0): x} if x else {}), _PLAIN
+        return x.num, x._fd
+
+    @staticmethod
+    def _entry(den: Factored, rows: list[list[int]]):
+        return den, tuple((tuple(w),) if any(w) else () for w in rows)
+
+    def _p(self, n: int) -> list[int]:
+        """P_n, the s^n numerator of prod (1 + rho_c s)^(-m_c)."""
+        ps = self._ps
+        while len(ps) <= n:
+            v = [] if ps else [1]
+            for i, pi in enumerate(self._pis):
+                if ps:
+                    v = _ladd(v, [-x for x in _lmul(pi, self._stages[i])])
+                self._stages[i] = v
+            ps.append(v)
+        return ps[n]
+
+    def _u(self, t: int) -> tuple[Poly, Factored]:
+        """u(t) in canonical form, as (numerator, factored denominator)."""
+        n = t + self.kappa
+        weights = [_s_power(t, i - self.kappa) for i in range(n + 1)]
+        lcd = 1
+        for w in weights:
+            lcd = lcd // _int_gcd(lcd, w.denominator) * w.denominator
+        acc: list[int] = []
+        g = self._g
+        for i, w in enumerate(weights):
+            acc = _lmul(acc, g) if acc else acc
+            if w:
+                k = w.numerator * (lcd // w.denominator)
+                acc = _ladd(acc, [k * x for x in self._p(i)])
+        num = _pmul(self._numk, _sparse({0: acc}))
+        if not num:
+            return {}, _PLAIN
+        c, a, cyc, r = self._base
+        return _cancel(num, (c * lcd, a, cyc, r))
+
+    def _grow(self) -> None:
+        if self._out:
+            self._base = _fd_mul(self._base, self._G)
+        num, fd = self._u(len(self._out) - self.kappa)
+        self._ints.append((fd[0], _content(num)) if num else None)
+        # D_T is the lcm of the denominators of u(t) / (T - t)!, t <= T:
+        # their polynomial parts grow with t, their integer parts need not
+        lcd = 1
+        for i, ints in enumerate(reversed(self._ints)):
+            if ints:
+                f = factorial(i)
+                m = ints[0] * (f // _int_gcd(f, ints[1]))
+                lcd = lcd // _int_gcd(lcd, m) * m
+        prev, before = self._last
+        _c, a, cyc, r = _fd_lcm((prev, fd))
+        den = (lcd, a, cyc, r)
+        rows = [_qlist(_over(num, fd, den)) if num else []]
+        if before:
+            step = _qlist(_over(_ONE, prev, den))
+            rows += [[x // j for x in _lmul(w, step)] if w else []
+                     for j, w in enumerate(before, 1)]
+        self._last = den, rows
+        self._out.append(self._entry(den, rows))
+
+    def upto(self, zneed: int) -> list:
+        """(D_T, (W_0, .., W_(T+kappa))) for T = -kappa..zneed, in the
+        representation of the field's ``dot_over`` and ``horner``."""
+        while len(self._out) <= zneed + self.kappa:
+            self._grow()
+        return self._out[:zneed + self.kappa + 1]
+
+
+class _PointExpInverse(ExpInverse):
+    """:class:`ExpInverse` at a rational point: every value is a
+    constant polynomial over an integer denominator, and the table holds
+    integers."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _parts(x) -> tuple[Poly, Factored]:
+        x = Fraction(x)
+        return ({(0, 0): x.numerator} if x else {}), (x.denominator, 0, (),
+                                                      None)
+
+    @staticmethod
+    def _entry(den: Factored, rows: list[list[int]]):
+        return den[0], tuple(w[0] if w else 0 for w in rows)
 
 
 def horner(k: int, polys) -> Rows:
@@ -833,6 +1062,41 @@ def horner(k: int, polys) -> Rows:
         out = [[k * x + y for x, y in zip_longest(a, b, fillvalue=0)]
                for a, b in zip_longest(out, rows, fillvalue=())]
     return tuple(map(tuple, out))
+
+
+def _int_scaled(num: Poly, fd: Factored, k: int, j: int) -> Scalar:
+    """k num / (j fd) for a canonical num / fd: only integers cancel."""
+    c, a, cyc, r = fd
+    c *= j
+    g = _int_gcd(c, k * _content(num))
+    return _make({m: x * k // g for m, x in num.items()}, (c // g, a, cyc, r))
+
+
+def pair_sum(x: Scalar, wx: int, y: Scalar, wy: int, j: int) -> Scalar:
+    """(wx x + wy y) / j for integers wx, wy and j > 0, in one step: both
+    terms are lifted to the lcm of their denominators with the weights
+    in the cofactors, and only the tied factors and the integer part are
+    cancelled (``_add_apart``)."""
+    xn = x.num if wx else None
+    yn = y.num if wy else None
+    if not yn:
+        return _int_scaled(xn, x._fd, wx, j) if xn else _S_ZERO
+    if not xn:
+        return _int_scaled(yn, y._fd, wy, j)
+    xf = x._fd
+    if xf != y._fd:
+        return _add_apart(xn, xf, yn, y._fd, wx, wy, j)
+    num = dict(xn) if wx == 1 else {m: v * wx for m, v in xn.items()}
+    for m, v in yn.items():
+        v = num.get(m, 0) + v * wy
+        if v:
+            num[m] = v
+        else:
+            del num[m]
+    if not num:
+        return _S_ZERO
+    c, a, cyc, r = xf
+    return _make(*_cancel(num, (c * j, a, cyc, r)))
 
 
 def dot_over(xs, ys, f: Factored, g: Factored) -> Scalar:
@@ -872,7 +1136,11 @@ class SymbolicField:
     For sums of many products a field also supplies ``lift_common``,
     ``horner`` and ``dot_over``, which work on numerators over a shared
     denominator: here integer polynomials over a factored denominator, so
-    a sum costs polynomial products and one cancellation.
+    a sum costs polynomial products and one cancellation.  ``pair_sum``
+    forms (a x + b y) / j for integers a, b, j in one step, and
+    ``exp_inverse`` builds the Taylor coefficients of
+    1 / (unit * prod (e^z - c)^m) over such denominators
+    (:class:`ExpInverse`).
     """
 
     zero = _S_ZERO
@@ -885,6 +1153,8 @@ class SymbolicField:
     lift_common = staticmethod(lift_common)
     horner = staticmethod(horner)
     dot_over = staticmethod(dot_over)
+    pair_sum = staticmethod(pair_sum)
+    exp_inverse = ExpInverse
 
 
 SYMBOLIC = SymbolicField()
@@ -932,18 +1202,15 @@ class RationalPoint:
     # the shared-denominator helpers of SymbolicField, with integer
     # numerators over an integer denominator
 
+    exp_inverse = _PointExpInverse
+
     @staticmethod
-    def lift_common(values, scales=None, rows=False
-                    ) -> tuple[int, list[int]]:
-        if scales is None:
-            pairs = [(v.numerator, v.denominator) for v in values]
-        else:
-            pairs = [(v.numerator * s.numerator, v.denominator * s.denominator)
-                     for v, s in zip(values, scales)]
+    def lift_common(values) -> tuple[int, list[int]]:
         den = 1
-        for _n, d in pairs:
+        for v in values:
+            d = v.denominator
             den = den // _int_gcd(den, d) * d
-        return den, [n * (den // d) for n, d in pairs]
+        return den, [v.numerator * (den // v.denominator) for v in values]
 
     @staticmethod
     def horner(k: int, values) -> int:
@@ -955,6 +1222,13 @@ class RationalPoint:
     @staticmethod
     def dot_over(xs, ys, f: int, g: int) -> Fraction:
         return Fraction(sum(x * y for x, y in zip(xs, ys)), f * g)
+
+    @staticmethod
+    def pair_sum(x: Fraction, wx: int, y: Fraction, wy: int,
+                 j: int) -> Fraction:
+        xd, yd = x.denominator, y.denominator
+        return Fraction(wx * x.numerator * yd + wy * y.numerator * xd,
+                        xd * yd * j)
 
     def __eq__(self, other) -> bool:
         return (

@@ -39,9 +39,7 @@ identity checks run one code path in either field.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
 from typing import Iterable
 
 from .fock import (
@@ -62,8 +60,8 @@ from .liealg import (
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine, tally
 from .scalar import SYMBOLIC, RationalPoint, Scalar, immutable
-from .series import Cert, TruncatedLaurent, Window, compare_on, \
-    delta_family, exp_coeff, series_inverse
+from .series import TruncatedLaurent, Window, compare_on, delta_family, \
+    exp_coeff
 
 __all__ = [
     "VertexError",
@@ -428,16 +426,6 @@ class Multiplier:
         scalar field of the factors."""
         return _exp_coeffs(self, 0, order, scalars)
 
-    def inverse_exp(self, zmax: int, scalars=SYMBOLIC) -> dict[int, Scalar]:
-        """Coefficients of x^degree / p(x e^z, x) for z powers up to zmax.
-
-        The result starts at z^-kappa; the monomial x^-degree is left to
-        the caller.  ``scalars`` is the field of the factors.  Equal
-        multipliers share one cached result, which callers must not
-        modify.
-        """
-        return _inverse_exp(self, zmax, scalars)
-
     def describe(self) -> str:
         parts = [] if self.unit == 1 else [f"({self.unit})"]
         for c, m in self.factors:
@@ -478,51 +466,33 @@ def _exp_coeffs(mult: Multiplier, lo: int, hi: int, scalars) -> list[Scalar]:
     return out
 
 
-@lru_cache(maxsize=128)
-def _inverse_exp(mult: Multiplier, zmax: int, scalars) -> dict[int, Scalar]:
-    # p(x e^z, x) / x^degree has the factor (e^z - 1)^kappa, so it starts
-    # at z^kappa; dividing by z^kappa leaves a unit of the power series
-    k = mult.kappa
-    order = zmax + k
-    coeffs = _exp_coeffs(mult, k, order + k, scalars)
-    t = TruncatedLaurent(("z",), {(j,): c for j, c in enumerate(coeffs) if c},
-                         Cert.box((0,), (order,), suplo=(0,)), None,
-                         _trusted=True)
-    inv = series_inverse(t, order)
-    return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
+@lru_cache(maxsize=16)
+def _shifted_inverse(mult: Multiplier, scalars):
+    """The z coefficients of u = x^degree / p(x e^z, x) over shared
+    denominators, from the closed form of the field's ``exp_inverse``:
+    ``upto(zneed)`` gives, for T = -kappa..zneed, D_T and the numerators
+    W_J = D_T u(T - J) / J! for J = 0..T + kappa.
 
-
-@lru_cache(maxsize=1)
-def _shifted_inverse(mult: Multiplier, zneed: int, scalars
-                     ) -> tuple[tuple[object, tuple], ...]:
-    """For T = -kappa..zneed, a denominator D_T and numerators W_J with
-    u(T - J) / J! = W_J / D_T for J = 0..T + kappa, u = x^degree /
-    p(x e^z, x) (``Multiplier.inverse_exp``).
-
-    D_T is the lcm of the denominators of u(-kappa..T) times
-    (T + kappa)!, less the integer content of the W_J, and each W_J is
-    lifted to it by its cofactor: symbolically a factored denominator
-    over integer polynomials kept as rows, at a point an integer over
-    integers.
+    The entries of a z order do not depend on how deep the table goes,
+    so one table per multiplier and field grows to the deepest order
+    asked.
     """
-    u = mult.inverse_exp(zneed, scalars)
-    out = []
-    for T in range(-mult.kappa, zneed + 1):
-        n = T + mult.kappa
-        den, w = scalars.lift_common(
-            [u[T - j] for j in range(n + 1)],
-            [Fraction(1, factorial(j)) for j in range(n + 1)], rows=True)
-        out.append((den, tuple(w)))
-    return tuple(out)
+    return scalars.exp_inverse(mult.factors, mult.unit)
 
 
 @lru_cache(maxsize=16)
-def _shifted_numerators(mult: Multiplier, zneed: int, scalars, k: int
-                        ) -> tuple:
-    """N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J for T = -kappa..zneed,
-    over the denominators of ``_shifted_inverse``."""
-    return tuple(scalars.horner(k, w)
-                 for _den, w in _shifted_inverse(mult, zneed, scalars))
+def _shifted_numerators(mult: Multiplier, scalars, k: int) -> list:
+    """N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J for T = -kappa, ..,
+    over the denominators of ``_shifted_inverse``; ``_numerators_to``
+    grows the list."""
+    return []
+
+
+def _numerators_to(mult: Multiplier, scalars, k: int, inverse) -> list:
+    """``_shifted_numerators`` through the z orders of inverse."""
+    nums = _shifted_numerators(mult, scalars, k)
+    nums.extend(scalars.horner(k, w) for _den, w in inverse[len(nums):])
+    return nums
 
 
 def check_multiplier(mult: Multiplier, pair: PairData) -> None:
@@ -558,6 +528,15 @@ class StateTable:
         the entries left empty."""
         self.module = module
         self.data = _finished(data)
+
+    @classmethod
+    def _finished_as(cls, module: FockModule,
+                     data: dict[tuple[int, int], dict]) -> "StateTable":
+        """A table over data that already has no zero and no empty entry."""
+        out = cls.__new__(cls)
+        out.module = module
+        out.data = data
+        return out
 
     def get(self, e: int, j: int) -> FockVector:
         terms = self.data.get((e, j))
@@ -595,25 +574,39 @@ class StateTable:
 
         Under x1 = x e^z, theta on b is D = theta_x - d/dz on the stack,
         so S_j = D S_(j-1) / j, entrywise
-        S_j(E, t) = (E S_(j-1)(E, t) - (t+1) S_(j-1)(E, t+1)) / j.
-        S_j holds every z order from zlo to zhi + jmax - j, which this
-        stack must reach; S_0 is this stack itself, with its own z range.
+        S_j(E, t) = (E S_(j-1)(E, t) - (t+1) S_(j-1)(E, t+1)) / j,
+        one ``pair_sum`` of the field per coefficient.  S_j holds every z
+        order from zlo to zhi + jmax - j, which this stack must reach; S_0
+        is this stack itself, with its own z range.
         """
-        from_fraction = self.module.scalars.from_fraction
+        scalars = self.module.scalars
+        pair_sum = scalars.pair_sum
+        zero = scalars.zero
         out = [self]
         for j in range(1, jmax + 1):
             top = zhi + jmax - j
+            prev = out[-1].data
+            # entry (E, t) reads (E, t) with weight E and (E, t + 1) with
+            # weight -(t + 1)
+            keys: dict[tuple[int, int], None] = {}
+            for E, t in prev:
+                if E and zlo <= t <= top:
+                    keys[(E, t)] = None
+                if t and zlo < t <= top + 1:
+                    keys[(E, t - 1)] = None
             nxt: dict[tuple[int, int], dict] = {}
-            for (E, J), terms in out[-1].data.items():
-                # S_(j-1)(E, J) feeds S_j(E, J) with weight E / j and
-                # S_j(E, J - 1) with weight -J / j
-                if E and zlo <= J <= top:
-                    _add_scaled(nxt, (E, J), terms,
-                                from_fraction(Fraction(E, j)))
-                if J and zlo < J <= top + 1:
-                    _add_scaled(nxt, (E, J - 1), terms,
-                                from_fraction(Fraction(-J, j)))
-            out.append(StateTable(self.module, nxt))
+            for E, t in keys:
+                x = prev.get((E, t), {}) if E else {}
+                y = prev.get((E, t + 1), {}) if t != -1 else {}
+                row = {}
+                for m in (*x, *(m for m in y if m not in x)):
+                    c = pair_sum(x.get(m, zero), E, y.get(m, zero), -t - 1,
+                                 j)
+                    if c:
+                        row[m] = c
+                if row:
+                    nxt[(E, t)] = row
+            out.append(StateTable._finished_as(self.module, nxt))
         return out
 
 
@@ -750,7 +743,7 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     deg = mult.degree
     core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg)
     scalars = core.module.scalars
-    inverse = _shifted_inverse(mult, zneed, scalars)
+    inverse = _shifted_inverse(mult, scalars).upto(zneed)
     # x^E e^(kz) times u contributes N_k(T) / D_T at x^(E - deg) z^T
     by_entry: dict[tuple[int, object], tuple[list, list]] = {}
     for (E, k), terms in core.data.items():
@@ -758,7 +751,7 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
             ks, cs = by_entry.setdefault((E, m), ([], []))
             ks.append(k)
             cs.append(c)
-    nums = {k: _shifted_numerators(mult, zneed, scalars, k)
+    nums = {k: _numerators_to(mult, scalars, k, inverse)
             for k in {k for _E, k in core.data}}
     data: dict[tuple[int, int], dict] = {}
     for (E, m), (ks, cs) in by_entry.items():
@@ -1152,7 +1145,9 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
                 for E in range(-xwin, xwin + 1):
                     first = ab[si][-m - 1].get(E, -n - 1) if m < 0 else zero
                     second = ba[si][-n - 1].get(E, -m - 1) if n < 0 else zero
-                    out[(n, m, si, E)] = first - second
+                    # where the law holds off the diagonal the orders agree
+                    out[(n, m, si, E)] = (zero if first == second
+                                          else first - second)
     return out
 
 
@@ -1260,6 +1255,13 @@ _ASSOC_SETUP = {
 
 _ASSOC_SOURCE = {t: src for src, t in _PSI_TARGET.items()}
 
+# The deepest z order phi-weak-associativity takes (its x0_order).  Both
+# sides are read to that order, and the cost grows about as its cube: on
+# hq at the default window 6, x0_order = 60 takes about 1.0 s, 100 takes
+# 3.8 s and 120 takes 5.8 s, and at window 2, 100 takes 1.4 s (one cold
+# process each, 2-core machine, Python 3.11.7).
+MAX_X0_ORDER = 100
+
 
 def _assoc_left_fields(module: FockModule) -> list[OperatorSeries]:
     """The generator field and its realized one-generator vacuum vector.
@@ -1281,8 +1283,9 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
         raise LawParameterError(
             f"alg must be one of {', '.join(sorted(_ASSOC_SETUP))}, "
             f"got {alg!r}")
-    if x0_order < 0:
-        raise LawParameterError(f"x0_order must be >= 0, got {x0_order}")
+    if not 0 <= x0_order <= MAX_X0_ORDER:
+        raise LawParameterError(
+            f"x0_order must be in [0, {MAX_X0_ORDER}], got {x0_order}")
     mult = _q_multiplier(spec, scalars)
     module = FockModule(alg, scalars=scalars)
     vf = field_of(module, 0)
@@ -1293,15 +1296,20 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
     parts = []
     cases = [(si, w0, ui, uf) for si, w0 in enumerate(states)
              for ui, uf in enumerate(_assoc_left_fields(module))]
+    # a left field equal to an earlier one reuses that case's two sides
+    sides: dict[tuple[int, OperatorSeries], tuple[StateTable, StateTable]] = {}
     for si, w0, ui, uf in cases:
-        # left side: products summed against x0 powers, then the
-        # substituted multiplier
-        stack = _product_stack(uf, vf, mult, w0,
-                               -window - deg, window - deg, x0_order)
-        lhs = stack.times_z(pexp, deg, -kappa, x0_order)
-        # right side: the substituted ordered product, never inverted
-        rhs = ordered_core(uf, vf, mult, w0, -window, window).expanded(
-            x0_order)
+        if (si, uf) not in sides:
+            # left side: products summed against x0 powers, then the
+            # substituted multiplier
+            stack = _product_stack(uf, vf, mult, w0,
+                                   -window - deg, window - deg, x0_order)
+            # right side: the substituted ordered product, never inverted
+            sides[(si, uf)] = (
+                stack.times_z(pexp, deg, -kappa, x0_order),
+                ordered_core(uf, vf, mult, w0, -window, window).expanded(
+                    x0_order))
+        lhs, rhs = sides[(si, uf)]
         parts.append(tally(
             f"state[{si}]left[{ui}]",
             f"|x| <= {window}, z order <= {x0_order}",

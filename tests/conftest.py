@@ -18,8 +18,10 @@ from qheis.liealg import (
 )
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
     tally
+from qheis import vertexops
 from qheis.scalar import _PLAIN, L, ONE, SYMBOLIC, ZERO, Poly, Scalar, \
     ScalarError, _make, _pstr
+from qheis.scalar import _expand as scalar_expand
 from qheis.series import Cert, TruncatedLaurent, Window, binom, \
     delta_family, exp_coeff, series_inverse
 from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
@@ -418,12 +420,95 @@ def exp_product_oracle(mult, order, scalars, reduced=False):
 
 
 def inverse_exp_oracle(mult, zmax, scalars):
-    """Multiplier.inverse_exp by inverting the reduced series product."""
+    """The z coefficients of x^degree / p(x e^z, x) through z^zmax, from
+    z^-kappa, by inverting the reduced series product."""
     k = mult.kappa
     order = zmax + k
     t = exp_product_oracle(mult, order, scalars, reduced=True)
     inv = series_inverse(_z_series(dict(enumerate(t)), order), order)
     return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
+
+
+@lru_cache(maxsize=128)
+def inverse_exp(mult, zmax, scalars=SYMBOLIC):
+    """The product engine's former route to the same coefficients: the
+    library's e^z polynomial p(x e^z, x) / x^degree, divided by
+    z^kappa and inverted as a series over the scalar field."""
+    k = mult.kappa
+    order = zmax + k
+    coeffs = mult.exp_series(order + k, scalars)[k:]
+    inv = series_inverse(_z_series(dict(enumerate(coeffs)), order), order)
+    return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
+
+
+def _residual_lcm(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    g = _q_list(gcd_oracle(a, b))
+    quot, rem = _q_divmod(_q_list(b), g)
+    assert not any(rem)
+    cof = {(i, 0): int(c) for i, c in enumerate(quot) if c}
+    return (_make(a, _PLAIN) * _make(cof, _PLAIN)).num
+
+
+def shifted_inverse_oracle(mult, zneed, scalars):
+    """(D_T, (W_0, .., W_(T+kappa))) for T = -kappa..zneed on the former
+    route: D_T is the least common denominator of u(T - J) / J! for the
+    series of :func:`inverse_exp`, read off their canonical factored
+    denominators (an integer at a point), and W_J = D_T u(T - J) / J!,
+    as rows of the field (an integer at a point)."""
+    u = inverse_exp(mult, zneed, scalars)
+    out = []
+    for T in range(-mult.kappa, zneed + 1):
+        vals = [u[T - j] * scalars.from_fraction(Fraction(1, factorial(j)))
+                for j in range(T + mult.kappa + 1)]
+        if scalars is not SYMBOLIC:
+            den = lcm(*(v.denominator for v in vals))
+            out.append((den, tuple(int(v * den) for v in vals)))
+            continue
+        c, a, cyc, r = 1, 0, {}, None
+        for v in vals:
+            vc, va, vcyc, vr = v._fd
+            c, a, r = lcm(c, vc), max(a, va), _residual_lcm(r, vr)
+            for d, e in vcyc:
+                cyc[d] = max(cyc.get(d, 0), e)
+        den = (c, a, tuple(sorted(cyc.items())), r)
+        dpoly = _make(scalar_expand(den), _PLAIN)
+        rows = []
+        for v in vals:
+            w = v * dpoly
+            assert w.den == {(0, 0): 1}
+            rows.append(_rows_of(w.num))
+        out.append((den, tuple(rows)))
+    return out
+
+
+def _rows_of(p: Poly) -> tuple:
+    if not p:
+        return ()
+    width = 1 + max(eq for eq, _el in p)
+    return tuple(tuple(p.get((eq, el), 0) for eq in range(width))
+                 for el in range(1 + max(el for _eq, el in p)))
+
+
+def rows_as_poly(rows) -> Poly:
+    """Rows of a symbolic numerator (one tuple per power of l) as a
+    polynomial."""
+    return {(eq, el): x for el, row in enumerate(rows)
+            for eq, x in enumerate(row) if x}
+
+
+def closed_form_inverse(mult, zmax, scalars=SYMBOLIC):
+    """The library's z coefficients u(T) = W_0 / D_T of x^degree /
+    p(x e^z, x), for T = -kappa..zmax, as values of the field."""
+    table = vertexops._shifted_inverse(mult, scalars).upto(zmax)
+    out = {}
+    for T, (den, w) in enumerate(table, -mult.kappa):
+        if scalars is SYMBOLIC:
+            out[T] = fraction_of(rows_as_poly(w[0]), scalar_expand(den))
+        else:
+            out[T] = Fraction(w[0], den)
+    return out
 
 
 def _add_vector(table, key, vec):
@@ -506,7 +591,7 @@ def product_stack_oracle(afield, bfield, mult, v, xlo, xhi, zneed):
     zcap = zneed + kappa
     core = _ordered_core_oracle(afield, bfield, mult, v,
                                 xlo + deg, xhi + deg, zcap)
-    u = mult.inverse_exp(zcap, afield.module.scalars)
+    u = inverse_exp_oracle(mult, zcap, afield.module.scalars)
     return _times_z_oracle(core, u, -deg, -kappa, zneed)
 
 

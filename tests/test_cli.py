@@ -135,6 +135,17 @@ def test_bracket_refuses_modes_past_the_bound(capsys):
     assert out_of(capsys) == str(bracket_modes("hq", 256, -256))
 
 
+def test_weak_associativity_order_past_the_bound_is_refused(capsys):
+    _refused_at_once([["verify", "--law", "phi-weak-associativity",
+                       "--param", f"x0_order={k}"]
+                      for k in (101, 120, 10 ** 9, -1)], capsys,
+                     "x0_order must be in [0, 100]")
+    assert cli.MAX_X0_ORDER == 100
+    assert run(["verify", "--law", "phi-weak-associativity", "--window",
+                "0", "--param", "x0_order=100"]) == 0
+    capsys.readouterr()
+
+
 def test_point_values_print_past_the_digit_limit():
     digits = "1" + "0" * 4999 + "1"
     num = 10 ** 5000 + 1
@@ -359,6 +370,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("suite_fast_point.json", ["--suite", "fast", "--q0", "3/5", "--l0", "2"]),
     ("suite_paper_all_point.json",
      ["--suite", "paper-all", "--q0", "3/5", "--l0", "2"]),
+    ("suite_paper_all.json", ["--suite", "paper-all"]),
 ])
 def test_suite_report_matches_golden(monkeypatch, capsys, name, extra):
     """The suite reports are byte-identical to the recorded goldens."""

@@ -37,6 +37,12 @@ GROWING_CONTAINERS = {
         "the largest denominator",
     ("liealg", "_EULERIAN"):
         "one Eulerian row per n, grown only to the largest j asked for",
+    ("scalar", "_STIRLING"):
+        "one Stirling row per z order, grown only to the deepest order "
+        "a product table reads",
+    ("scalar", "_NORLUND"):
+        "one series per pole order of a multiplier at c = 1, each grown "
+        "only to the deepest z order a product table reads",
 }
 
 MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
@@ -278,25 +284,36 @@ def shifted_multipliers(scalars):
         # a constant 3 and a residual 1 - 2q in the denominators, and a
         # unit that is not a monomial
         Multiplier.of((3 * one, 1), (2 * q, 1), unit=one + q),
+        # a pole of order 3 at c = 1, next to a residual and a power of q
+        Multiplier.of((one, 3), (2 * q, 1), (scalars.q_power(-1), 1),
+                      unit=one + q),
     ]
 
 
 def test_shifted_numerators_give_the_exp_inverse_series():
     """N_k(T) / D_T is [z^T] e^(kz) / p(x e^z, x) for every k and T, with
     the inverse series of the conftest oracle, symbolically and at a
-    point; a second call is a memo hit with the same value."""
+    point; a second call, shallower or deeper, reads the same grown
+    memo."""
     point = RationalPoint(Fraction(3, 5), 2)
     zneed = 4
+    vertexops._shifted_numerators.cache_clear()
     for scalars in (SYMBOLIC, point):
         for mult in shifted_multipliers(scalars):
             u = inverse_exp_oracle(mult, zneed + mult.kappa, scalars)
-            dens = [d for d, _w in
-                    vertexops._shifted_inverse(mult, zneed, scalars)]
+            inverse = vertexops._shifted_inverse(mult, scalars).upto(zneed)
+            dens = [d for d, _w in inverse]
             for k in range(-3, 4):
-                for _ in range(2):
-                    nums = vertexops._shifted_numerators(mult, zneed,
-                                                         scalars, k)
+                # the memo grows to the deepest order asked, and keeps it
+                for depth, grown in ((1, 1), (zneed, zneed), (2, zneed)):
+                    nums = vertexops._numerators_to(
+                        mult, scalars, k, inverse[:depth + mult.kappa + 1])
+                    assert nums is vertexops._shifted_numerators(
+                        mult, scalars, k)
+                    assert len(nums) == grown + mult.kappa + 1
                     for i, T in enumerate(range(-mult.kappa, zneed + 1)):
+                        if i >= len(nums):
+                            break
                         want = scalars.zero
                         for j in range(T + mult.kappa + 1):
                             want = want + exp_coeff(k, j, scalars) * u[T - j]
@@ -327,9 +344,10 @@ def test_memos_stay_within_their_bound():
             lambda k: fock._central(fock.FockModule("hq"), (-k - 1, 0),
                                     (k + 1, 0)),
         vertexops._shifted_inverse:
-            lambda k: vertexops._shifted_inverse(mult, k, SYMBOLIC),
+            lambda k: vertexops._shifted_inverse(
+                Multiplier.of((SYMBOLIC.q_power(k + 1), 1)), SYMBOLIC),
         vertexops._shifted_numerators:
-            lambda k: vertexops._shifted_numerators(mult, 0, SYMBOLIC, k),
+            lambda k: vertexops._shifted_numerators(mult, SYMBOLIC, k),
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]

@@ -15,6 +15,7 @@ from conftest import (
     IdentityField,
     assert_same_table,
     bhatq_oracle_table,
+    closed_form_inverse,
     cmp_tables_oracle,
     diff_oracle_table,
     dressed_direct,
@@ -28,6 +29,7 @@ from conftest import (
     probe_kills,
     product_stack_oracle,
     raised,
+    shifted_inverse_oracle,
     translate,
 )
 from qheis import fock, scalar, vertexops
@@ -453,19 +455,26 @@ def test_level_zero_needs_no_multiplier(alg):
 
 
 def test_inverse_exp_leading_terms():
-    u = Multiplier.of((ONE, 2), (Q, 2)).inverse_exp(1)
+    u = closed_form_inverse(Multiplier.of((ONE, 2), (Q, 2)), 1)
     shrink = ONE - Q
     assert u[-2] == ONE / (shrink * shrink)
     assert u[-1] == (Q - sc(3)) / (shrink * shrink * shrink)
 
 
 def test_inverse_exp_prefix_equals_direct_computation():
+    """A z order of the closed-form table does not depend on how deep the
+    table goes, and equal multipliers share one growing table."""
     m = Multiplier.of((ONE, 2), (Q, 1), unit=Q)
-    small = m.inverse_exp(2)
-    big = m.inverse_exp(6)
-    # equal multipliers share one cached series per order
-    assert Multiplier.of((Q, 1), (ONE, 2), unit=Q).inverse_exp(2) is small
-    assert {j: c for j, c in big.items() if j <= 2} == small
+    small = scalar.ExpInverse(m.factors, m.unit).upto(2)
+    big = scalar.ExpInverse(m.factors, m.unit).upto(6)
+    assert len(small) == 5 and big[:5] == small
+    table = vertexops._shifted_inverse(m, SYMBOLIC)
+    assert vertexops._shifted_inverse(
+        Multiplier.of((Q, 1), (ONE, 2), unit=Q), SYMBOLIC) is table
+    assert table.upto(2) == small
+    assert table.upto(6) == big
+    # a shallow read after the table grew
+    assert table.upto(2) == small
 
 
 def test_exp_series_convolves_to_one():
@@ -473,7 +482,7 @@ def test_exp_series_convolves_to_one():
     es = m.exp_series(6)
     assert es[0] == ZERO
     assert es[1] == ZERO
-    u = m.inverse_exp(4)
+    u = closed_form_inverse(m, 4)
     for total in range(0, 4):
         acc = ZERO
         for j, c in enumerate(es):
@@ -508,7 +517,7 @@ def test_exp_product_matches_series_oracle_seeded():
             order = zmax + mult.kappa
             assert mult.exp_series(order, k_) == \
                 exp_product_oracle(mult, order, k_), (mult, order)
-            assert mult.inverse_exp(zmax, k_) == \
+            assert closed_form_inverse(mult, zmax, k_) == \
                 inverse_exp_oracle(mult, zmax, k_), (mult, zmax)
     assert seen_units >= 6
 
@@ -609,29 +618,99 @@ def test_product_stack_matches_vector_oracle_seeded():
                       for shape in ("3", "2q", "1+q")}
 
 
-def test_short_stack_denominator_fails_the_oracle(monkeypatch):
-    """A denominator D_T that lacks one cyclotomic factor gives stacks the
-    vector oracle refuses: the comparison sees the denominators."""
-    base = vertexops._shifted_inverse.__wrapped__
+def _stack_mismatches(symbolic_only: bool = False) -> set:
+    """(algebra, symbolic?) of each seeded stack case whose engine stack
+    differs from the vector oracle's."""
+    return {(alg, scalars is SYMBOLIC)
+            for alg, scalars, args in _stack_cases(31)
+            if (scalars is SYMBOLIC or not symbolic_only)
+            and _vectors(vertexops._product_stack(*args))
+            != product_stack_oracle(*args)}
 
-    def short(mult, zneed, scalars):
+
+class _ShortTable:
+    """A closed-form table whose every D_T lacks one cyclotomic factor."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def upto(self, zneed):
         out = []
-        for (c, a, cyc, r), w in base(mult, zneed, scalars):
+        for (c, a, cyc, r), w in self.table.upto(zneed):
             if cyc:
                 (d, e), rest = cyc[0], cyc[1:]
                 cyc = ((d, e - 1),) + rest if e > 1 else rest
             out.append(((c, a, cyc, r), w))
-        return tuple(out)
+        return out
 
-    monkeypatch.setattr(vertexops, "_shifted_inverse",
-                        lru_cache(maxsize=1)(short))
-    monkeypatch.setattr(vertexops, "_shifted_numerators", lru_cache(
-        maxsize=16)(vertexops._shifted_numerators.__wrapped__))
-    wrong = [alg for alg, scalars, args in _stack_cases(31)
-             if scalars is SYMBOLIC
-             and _vectors(vertexops._product_stack(*args))
-             != product_stack_oracle(*args)]
-    assert wrong, "no stack saw the short denominator"
+
+def test_short_stack_denominator_fails_the_oracle(monkeypatch):
+    """A denominator D_T that lacks one cyclotomic factor gives stacks the
+    vector oracle refuses: the comparison sees the denominators."""
+    _fresh_product_memos(monkeypatch)
+    base = vertexops._shifted_inverse.__wrapped__
+    monkeypatch.setattr(vertexops, "_shifted_inverse", lru_cache(
+        maxsize=16)(lambda mult, scalars: _ShortTable(base(mult, scalars))))
+    assert _stack_mismatches(symbolic_only=True), \
+        "no stack saw the short denominator"
+
+
+def test_off_by_one_stirling_row_fails_the_oracle(monkeypatch):
+    """One Stirling number S(2, 1) off by one makes the closed form give
+    stacks the vector oracle refuses, in both fields."""
+    _fresh_product_memos(monkeypatch)
+    base = scalar._stirling_row
+
+    def wrong(t):
+        row = base(t)
+        return row[:1] + (row[1] + 1,) + row[2:] if t == 2 else row
+
+    monkeypatch.setattr(scalar, "_stirling_row", wrong)
+    wrong_cases = _stack_mismatches()
+    assert {symbolic for _alg, symbolic in wrong_cases} == {True, False}
+    assert {alg for alg, _symbolic in wrong_cases} >= {"hq", "htq"}
+
+
+def _fast_suite_multipliers(scalars) -> set:
+    """The multipliers of every product table a fast suite asks for in
+    one field; they do not depend on the window."""
+    keys = set()
+    base = vertexops._shifted_inverse
+
+    def recorded(mult, field):
+        keys.add((mult, field))
+        return base(mult, field)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vertexops, "_shifted_inverse", recorded)
+        suite_reports(window=1, point=None if scalars is SYMBOLIC
+                      else scalars)
+    return {mult for mult, _field in keys}
+
+
+@pytest.mark.parametrize("scalars", [
+    SYMBOLIC, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+def test_shifted_inverse_matches_the_series_route(scalars):
+    """D_T and every W_J of the closed form equal, representation and
+    all, what lifting the inverted series gave: for every multiplier of
+    the fast suite to its z order 10, and for factors at 3, 2q and q^-1
+    with the unit 1 + q and a pole of order 3."""
+    one, q = scalars.one, scalars.q_power(1)
+    extra = [
+        Multiplier.of((3 * one, 1), (2 * q, 1), (scalars.q_power(-1), 1),
+                      unit=one + q),
+        Multiplier.of((one, 3), (2 * q, 1), unit=one + q),
+        Multiplier.of((one, 1), (3 * one, 2), unit=one + q),
+    ]
+    mults = _fast_suite_multipliers(scalars)
+    assert len(mults) == 6
+    for mult in sorted(mults, key=Multiplier.describe) + extra:
+        table = scalars.exp_inverse(mult.factors, mult.unit).upto(10)
+        want = shifted_inverse_oracle(mult, 10, scalars)
+        assert [den for den, _w in table] == [den for den, _w in want], \
+            mult.describe()
+        assert table == want, mult.describe()
 
 
 @pytest.mark.parametrize("scalars, window", [
@@ -1052,12 +1131,11 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     its products need only the pairs' canonical multipliers; equal fields
     share one order.  A realized product field reads every x exponent of
     a window off one stack: scale-covariance builds one per shift and
-    state."""
+    state.  Weak associativity builds the two sides of a repeated left
+    field once."""
     calls = []
     core = vertexops.ordered_core
-    series = set()
-    inverse = vertexops._inverse_exp
-    lifted = set()
+    tables = set()
     shifted = vertexops._shifted_inverse
 
     def counted(*args):
@@ -1065,26 +1143,20 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         return core(*args)
 
     def recorded(*args):
-        series.add(args)
-        return inverse(*args)
-
-    def lifted_from(*args):
-        lifted.add(args)
+        tables.add(args)
         return shifted(*args)
 
     monkeypatch.setattr(vertexops, "ordered_core", counted)
-    monkeypatch.setattr(vertexops, "_inverse_exp", recorded)
-    monkeypatch.setattr(vertexops, "_shifted_inverse", lifted_from)
+    monkeypatch.setattr(vertexops, "_shifted_inverse", recorded)
     counts = []
     for _run in range(2):
         before = len(calls)
         suite_reports(window=5, point=point)
         counts.append(len(calls) - before)
-    assert counts == [26, 26]
-    assert len(series) == 7
-    # each inverse series is lifted to its shared denominators once per
-    # multiplier and z order
-    assert len(lifted) == 7
+    assert counts == [24, 24]
+    # one closed-form table per multiplier, grown to the deepest z order
+    # any law of the suite reads
+    assert len(tables) == 6
     before = len(calls)
     verify_identity("scale-covariance", window=5, point=point)
     assert len(calls) - before == 5 * 2
@@ -1206,14 +1278,13 @@ def test_undersized_hq_multiplier_fails():
 
 def _double_inverse_constant(monkeypatch):
     """Plant a wrong 1/p(x e^z, x): its z^0 coefficient is doubled."""
-    base = vertexops._inverse_exp
+    base = scalar.ExpInverse._u
 
-    def wrong(mult, zmax, scalars):
-        u = dict(base(mult, zmax, scalars))
-        u[0] = u[0] + u[0]
-        return u
+    def wrong(self, t):
+        num, den = base(self, t)
+        return ({m: 2 * x for m, x in num.items()} if t == 0 else num), den
 
-    monkeypatch.setattr(vertexops, "_inverse_exp", wrong)
+    monkeypatch.setattr(scalar.ExpInverse, "_u", wrong)
 
 
 def _shift_top_weight(monkeypatch):
@@ -1257,11 +1328,10 @@ def _double_module_bracket(monkeypatch):
 def _fresh_product_memos(monkeypatch):
     """Empty product caches for one test, so that they neither serve
     values computed before a defect is planted nor keep planted ones.
-    The inverse series, its lift to shared denominators and the
-    numerators built from that are memoized apart: a warm lift or
-    numerator memo alone hides a planted inverse series."""
+    The closed-form tables and the numerators built from them are
+    memoized apart: a warm numerator memo alone hides a planted table."""
     monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
-    for name in ("_inverse_exp", "_shifted_inverse", "_shifted_numerators"):
+    for name in ("_shifted_inverse", "_shifted_numerators"):
         memo = getattr(vertexops, name)
         monkeypatch.setattr(vertexops, name, lru_cache(
             maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__))
