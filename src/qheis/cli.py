@@ -37,6 +37,7 @@ from .scalar import SYMBOLIC, RationalPoint, int_text
 from .series import SeriesError, Window
 from .vertexops import (
     LAWS,
+    MAX_LAW_FAMILY,
     MAX_X0_ORDER,
     LawParameterError,
     VertexError,
@@ -446,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int)
     p.add_argument("--param", action="append",
                    help="law parameter as key=value (repeatable); "
+                        "a law's family indices r and s lie in "
+                        f"[-{MAX_LAW_FAMILY}, {MAX_LAW_FAMILY}], and "
                         "phi-weak-associativity takes x0_order in "
                         f"[0, {MAX_X0_ORDER}]")
     _add_point_flags(p)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .scalar import SYMBOLIC, Scalar, immutable
+from .scalar import SYMBOLIC, ExpInverse, Scalar, immutable
 from .series import (
     Cert,
     NEG_INF,
@@ -41,16 +41,15 @@ from .series import (
     TruncatedLaurent,
     Window,
     exp_coeff,
-    series_inverse,
 )
 
 VARS = ("x", "x1", "x2", "z")
 
 # The largest |exponent| a kernel may write.  Parsing multiplies a base once
-# per unit of exponent, and the expansion of an e^z factor grows with its
-# power: at 16, (x + x1 + x2 + z + q + 1)^16 parses in about 1.1 s and
-# 1/(e^z - q)^16 expands on the window of radius 4 in about 0.3 s (on a
-# 2-core machine, Python 3.11.7); at 24 they take about 7 s and 1.1 s.
+# per unit of exponent: at 16, (x + x1 + x2 + z + q + 1)^16 parses in about
+# 1.1 s, and at 24 in about 7 s (on a 2-core machine, Python 3.11.7).  An
+# e^z factor reads its closed form (scalar.ExpInverse): 1/(e^z - q)^16
+# expands on the window of radius 4 in about 3 ms, and at 24 in about 6 ms.
 MAX_EXPONENT = 16
 
 # The most work one parse may spend multiplying polynomials.  Bounded
@@ -540,20 +539,6 @@ def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
 
-def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
-    """The one-variable series of e^z - c, certified through z^order."""
-    coeffs = {}
-    for j in range(order + 1):
-        v = exp_coeff(1, j, SYMBOLIC)
-        if j == 0:
-            v = v - c
-        if v:
-            coeffs[(j,)] = v
-    lead = 0 if (_ONE - c) else 1
-    cert = Cert(False, (lead,), (NEG_INF,), (order,))
-    return TruncatedLaurent((zvar,), coeffs, cert, None, _trusted=True)
-
-
 def _geometric(pref: Scalar, step: Scalar, p: int, n: int) -> list[Scalar]:
     """pref * C(k+p-1, p-1) * step^k for k = 0..n-1, by a running power."""
     out = []
@@ -580,13 +565,13 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
     if f.shape == "expconst":
-        base = _exp_minus_const(f.a, f.c, max(hi, 0) + 2 * p)
-        pw = base
-        for _ in range(p - 1):
-            pw = pw * base
-        inv = series_inverse(pw, max(hi, 0) + p)
-        coeffs = {place({f.a: e[0]}): c for e, c in inv.coeffs.items()}
-        cert = _place_cert(vars, f.a, inv.cert.suplo[0], inv.cert.caps[0])
+        # (e^z - c)^-p from z^-kappa, kappa = p at c = 1 and 0 otherwise
+        inv = ExpInverse(((f.c, p),), 1)
+        lo = -inv.kappa
+        top = max(hi, 0) + p + lo
+        coeffs = {place({f.a: t}): v
+                  for t, v in enumerate(inv.series(top), lo) if v}
+        cert = _place_cert(vars, f.a, lo, top)
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
     # two-variable binomial shapes, parametrized by the series variable:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import count, islice, zip_longest
 from math import factorial, gcd as _int_gcd
 
 # A polynomial is a dict mapping (q_exponent, l_exponent) -> nonzero int.
@@ -854,7 +854,7 @@ def _norlund(j: int, n: int) -> Fraction:
     B_n^(j)(0) over n!."""
     base = _NORLUND.setdefault(1, [])
     while len(base) <= n:
-        # z / (e^z - 1) inverts (e^z - 1) / z = sum_i z^i / (i + 1)!
+        # B_m / m!: sum_(i <= m) B_i / (i! (m + 1 - i)!) = 0 for m >= 1
         m = len(base)
         base.append(Fraction(1) if not m else -sum(
             base[m - i] / factorial(i + 1) for i in range(1, m + 1)))
@@ -904,7 +904,9 @@ class ExpInverse:
     1 / (1 + rho s) maps P to P'_n = P_n - pi P'_(n-1).  The z^t
     coefficient of s^j is rational (``_s_power``), so
     u(t) = K sum_n P_n G^(t + kappa - n) [z^t] s^(n - kappa) / G^(t + kappa),
-    and a cancellation gives it in canonical form.
+    and a cancellation gives it in canonical form.  ``series(top)``
+    returns u(-kappa)..u(top): kernel expansion reads its e^z factors
+    here.
 
     ``upto(zneed)`` returns, for T = -kappa..zneed, the least common
     denominator D_T of u(T - J) / J! for J = 0..T + kappa and the
@@ -916,7 +918,7 @@ class ExpInverse:
     """
 
     __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
-                 "_ps", "_ints", "_last", "_out")
+                 "_ps", "_us", "_ints", "_last", "_out")
 
     def __init__(self, factors, unit):
         parts = self._parts
@@ -948,12 +950,14 @@ class ExpInverse:
         self._G = G
         self._g = _qlist(_expand(G))
         self._numk = numk
-        # the denominator of u(t) but for its integer factor from the
-        # Stirling and Norlund numbers: unit and G^(t + kappa) parts
+        # the denominator of u(-kappa) but for its integer factor from the
+        # Stirling and Norlund numbers; u(t) adds G^(t + kappa)
         self._base = base
         # the latest P'_n of each factor 1 / (1 + rho s)
         self._stages = [[] for _ in pis]
         self._ps: list[list[int]] = []
+        # the u(t) that _grow reads next
+        self._us = self._u_series()
         # (integer part of the denominator, content of the numerator) of
         # each u(t), None for a zero u(t)
         self._ints: list[tuple[int, int] | None] = []
@@ -983,8 +987,9 @@ class ExpInverse:
             ps.append(v)
         return ps[n]
 
-    def _u(self, t: int) -> tuple[Poly, Factored]:
-        """u(t) in canonical form, as (numerator, factored denominator)."""
+    def _u(self, t: int, base: Factored) -> tuple[Poly, Factored]:
+        """u(t) in canonical form, as (numerator, factored denominator);
+        base is the unit and G^(t + kappa) part of that denominator."""
         n = t + self.kappa
         weights = [_s_power(t, i - self.kappa) for i in range(n + 1)]
         lcd = 1
@@ -1000,13 +1005,24 @@ class ExpInverse:
         num = _pmul(self._numk, _sparse({0: acc}))
         if not num:
             return {}, _PLAIN
-        c, a, cyc, r = self._base
+        c, a, cyc, r = base
         return _cancel(num, (c * lcd, a, cyc, r))
 
+    def _u_series(self):
+        """u(-kappa), u(-kappa + 1), ... as :meth:`_u` gives them."""
+        base = self._base
+        for t in count(-self.kappa):
+            yield self._u(t, base)
+            base = _fd_mul(base, self._G)
+
+    def series(self, top: int) -> list[Scalar]:
+        """u(t) for t = -kappa..top as scalars of Q(q, l), without
+        building the W_J table."""
+        return [_make(*u)
+                for u in islice(self._u_series(), top + self.kappa + 1)]
+
     def _grow(self) -> None:
-        if self._out:
-            self._base = _fd_mul(self._base, self._G)
-        num, fd = self._u(len(self._out) - self.kappa)
+        num, fd = next(self._us)
         self._ints.append((fd[0], _content(num)) if num else None)
         # D_T is the lcm of the denominators of u(t) / (T - t)!, t <= T:
         # their polynomial parts grow with t, their integer parts need not
@@ -1140,7 +1156,8 @@ class SymbolicField:
     forms (a x + b y) / j for integers a, b, j in one step, and
     ``exp_inverse`` builds the Taylor coefficients of
     1 / (unit * prod (e^z - c)^m) over such denominators
-    (:class:`ExpInverse`).
+    (:class:`ExpInverse`).  Kernel expansion reads the e^z factors of a
+    kernel from the same closed form.
     """
 
     zero = _S_ZERO

@@ -523,46 +523,6 @@ def delta_family(kind: str, c: Scalar, window: Window) -> TruncatedLaurent:
 
 
 # ---------------------------------------------------------------------------
-# one-variable series utilities
-# ---------------------------------------------------------------------------
-
-
-def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
-    """Multiplicative inverse of a one-variable Laurent series.
-
-    The input must be certified from its leading exponent n0 through
-    n0 + order; the result is exact on [-n0, -n0 + order].
-    """
-    if len(s.vars) != 1:
-        raise SeriesError("series_inverse expects a one-variable series")
-    if not s.coeffs:
-        raise ZeroDivisionError("cannot invert the zero series")
-    n0 = min(e[0] for e in s.coeffs)
-    c = s.cert
-    if not c.entire:
-        if c.suplo[0] == NEG_INF or c.floors[0] != NEG_INF:
-            raise SeriesError("inverse requires certified leading support")
-        if c.caps[0] != POS_INF and c.caps[0] < n0 + order:
-            raise SeriesError(
-                f"inverse to order {order} needs input certified through "
-                f"exponent {n0 + order}, have {c.caps[0]}")
-    inv_lead = s.coeffs[(n0,)] ** -1
-    b: dict[int, Scalar] = {0: inv_lead}
-    for m in range(1, order + 1):
-        acc = None
-        for i in range(1, m + 1):
-            si = s.coeffs.get((n0 + i,))
-            if si and (m - i) in b:
-                term = si * b[m - i]
-                acc = term if acc is None else acc + term
-        if acc:
-            b[m] = -inv_lead * acc
-    coeffs = {(-n0 + m,): v for m, v in b.items() if v}
-    cert = Cert(False, (-n0,), (NEG_INF,), (-n0 + order,))
-    return TruncatedLaurent(s.vars, coeffs, cert, s.direction, _trusted=True)
-
-
-# ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
 

@@ -1283,9 +1283,6 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
         raise LawParameterError(
             f"alg must be one of {', '.join(sorted(_ASSOC_SETUP))}, "
             f"got {alg!r}")
-    if not 0 <= x0_order <= MAX_X0_ORDER:
-        raise LawParameterError(
-            f"x0_order must be in [0, {MAX_X0_ORDER}], got {x0_order}")
     mult = _q_multiplier(spec, scalars)
     module = FockModule(alg, scalars=scalars)
     vf = field_of(module, 0)
@@ -1347,29 +1344,45 @@ def _law_scale_covariance(window: int, scalars) -> CheckReport:
 
 class _LawSpec:
     """A registered law: its runner, default window and summary.  The
-    law's parameters are the runner's keyword-only arguments, and
-    ``params`` maps each to its default."""
+    law's parameters are the runner's keyword-only arguments: ``params``
+    maps each to its default, and ``ranges`` each integer one to the
+    least and greatest value it accepts."""
 
-    __slots__ = ("runner", "default_window", "summary", "params")
+    __slots__ = ("runner", "default_window", "summary", "params", "ranges")
 
-    def __init__(self, runner, default_window: int, summary: str):
+    def __init__(self, runner, default_window: int, summary: str,
+                 **ranges: tuple[int, int]):
         object.__setattr__(self, "runner", runner)
         object.__setattr__(self, "default_window", default_window)
         object.__setattr__(self, "summary", summary)
         # a partial runner has no __kwdefaults__ and takes no parameter
         object.__setattr__(self, "params", dict(
             getattr(runner, "__kwdefaults__", None) or {}))
+        object.__setattr__(self, "ranges", ranges)
 
     __setattr__ = __delattr__ = immutable
+
+
+# The largest |r| and |s| a law takes as family indices.  The cost grows
+# with |r - s|: at the default windows r = 16 takes at most 3.8 s
+# (special-pair-transfer; phi-image-bq-commutator 3.0 s), r = 16, s = -16
+# at most 13 s, and r = 32 up to 12 s; at window 2, phi-image-heisenberg
+# took 22 s at r = 300 (one cold process each, 2-core machine, Python
+# 3.11.7).
+MAX_LAW_FAMILY = 16
+_FAMILY = {"r": (-MAX_LAW_FAMILY, MAX_LAW_FAMILY),
+           "s": (-MAX_LAW_FAMILY, MAX_LAW_FAMILY)}
 
 
 LAWS: dict[str, _LawSpec] = {
     "bhat-commutator-delta": _LawSpec(
         _law_bhat_commutator_delta, 8,
-        "banded pairing commutator equals its shifted delta table"),
+        "banded pairing commutator equals its shifted delta table",
+        **_FAMILY),
     "hq-commutator-delta": _LawSpec(
         _law_hq_commutator_delta, 10,
-        "deformed Heisenberg commutator equals its two-delta table"),
+        "deformed Heisenberg commutator equals its two-delta table",
+        **_FAMILY),
     "hq-quasi-locality": _LawSpec(
         _law_quasi_locality("hq", _HQ_MULT), 10,
         "the quadratic multiplier kills the deformed commutator"),
@@ -1393,25 +1406,30 @@ LAWS: dict[str, _LawSpec] = {
         "commutator"),
     "locality-transfer": _LawSpec(
         _law_locality_transfer, 5,
-        "multipliers transfer to the substituted fields on exponentials"),
+        "multipliers transfer to the substituted fields on exponentials",
+        **_FAMILY),
     "phi-image-bq-commutator": _LawSpec(
         _law_phi_image("phi-image-bq-commutator", "bhatq"), 5,
         "substituted degenerate fields satisfy the exponential-tail "
-        "bracket"),
+        "bracket",
+        **_FAMILY),
     "phi-image-heisenberg": _LawSpec(
         _law_phi_image("phi-image-heisenberg", "bhat"), 5,
-        "substituted deformed fields satisfy the banded pairing bracket"),
+        "substituted deformed fields satisfy the banded pairing bracket",
+        **_FAMILY),
     "phi-weak-associativity": _LawSpec(
         _law_weak_associativity, 6,
         "iterated substitution products match the substituted double "
-        "product"),
+        "product",
+        x0_order=(0, MAX_X0_ORDER)),
     "scale-covariance": _LawSpec(
         _law_scale_covariance, 8,
         "index shifts act as argument scalings on realized fields"),
     "special-pair-transfer": _LawSpec(
         _law_special_pair_transfer, 5,
         "ratio-plus-euler brackets transfer with only the derivative "
-        "delta surviving"),
+        "delta surviving",
+        **_FAMILY),
 }
 
 
@@ -1434,6 +1452,11 @@ def verify_identity(name: str, window: int | None = None,
                               for k, d in defaults.items()) or "nothing"
             raise LawParameterError(
                 f"parameter {key!r} cannot be {value!r}; {name} takes {takes}")
+        if key in spec.ranges:
+            lo, hi = spec.ranges[key]
+            if not lo <= value <= hi:
+                raise LawParameterError(
+                    f"{key} must be in [{lo}, {hi}], got {value}")
     if window is None:
         window = spec.default_window
     with _stack_scope():

@@ -8,7 +8,7 @@ from math import comb, factorial, gcd, lcm
 from qheis.fock import FockError, FockModule, FockVector, apply_generator, \
     pair_vectors
 from qheis.kernels import Factor, RationalKernel, _binom_row, \
-    _exp_minus_const, _place_cert, iota_expand
+    _place_cert, iota_expand
 from qheis.liealg import (
     AlgebraSpec,
     GeneratorSymbol,
@@ -22,8 +22,8 @@ from qheis import vertexops
 from qheis.scalar import _PLAIN, L, ONE, SYMBOLIC, ZERO, Poly, Scalar, \
     ScalarError, _make, _pstr
 from qheis.scalar import _expand as scalar_expand
-from qheis.series import Cert, TruncatedLaurent, Window, binom, \
-    delta_family, exp_coeff, series_inverse
+from qheis.series import NEG_INF, POS_INF, Cert, SeriesError, \
+    TruncatedLaurent, Window, binom, delta_family, exp_coeff
 from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
     OperatorSeries, VertexError, _part_table, field_of, pair_of
 
@@ -45,8 +45,8 @@ def exp_pole_kernel(a: Scalar) -> RationalKernel:
 def g_series_oracle(a: Scalar, order: int) -> TruncatedLaurent:
     """g(a, z) = a e^z / (1 - a e^z)^2 through z^order, by the kernel expander.
 
-    Independent of the library's Eulerian closed form: the expander powers
-    e^z - 1/a and inverts the series.
+    Independent of the library's Eulerian closed form: the expander reads
+    1 / (e^z - 1/a)^2 off the closed form of ``scalar.ExpInverse``.
     """
     return iota_expand(exp_pole_kernel(a), ("z",),
                        window_of(z=(-2, max(order, -2))))
@@ -58,10 +58,65 @@ def f_series_oracle(n: int, order: int) -> TruncatedLaurent:
             - g_series_oracle(Scalar.q_power(n - 1), order))
 
 
+# ---------------------------------------------------------------------------
+# one-variable series utilities: the series route to 1 / (e^z - c)^p
+# ---------------------------------------------------------------------------
+
+
+def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
+    """Multiplicative inverse of a one-variable Laurent series.
+
+    The input must be certified from its leading exponent n0 through
+    n0 + order; the result is exact on [-n0, -n0 + order].
+    """
+    if len(s.vars) != 1:
+        raise SeriesError("series_inverse expects a one-variable series")
+    if not s.coeffs:
+        raise ZeroDivisionError("cannot invert the zero series")
+    n0 = min(e[0] for e in s.coeffs)
+    c = s.cert
+    if not c.entire:
+        if c.suplo[0] == NEG_INF or c.floors[0] != NEG_INF:
+            raise SeriesError("inverse requires certified leading support")
+        if c.caps[0] != POS_INF and c.caps[0] < n0 + order:
+            raise SeriesError(
+                f"inverse to order {order} needs input certified through "
+                f"exponent {n0 + order}, have {c.caps[0]}")
+    inv_lead = s.coeffs[(n0,)] ** -1
+    b: dict[int, Scalar] = {0: inv_lead}
+    for m in range(1, order + 1):
+        acc = None
+        for i in range(1, m + 1):
+            si = s.coeffs.get((n0 + i,))
+            if si and (m - i) in b:
+                term = si * b[m - i]
+                acc = term if acc is None else acc + term
+        if acc:
+            b[m] = -inv_lead * acc
+    coeffs = {(-n0 + m,): v for m, v in b.items() if v}
+    cert = Cert(False, (-n0,), (NEG_INF,), (-n0 + order,))
+    return TruncatedLaurent(s.vars, coeffs, cert, s.direction, _trusted=True)
+
+
+def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
+    """The one-variable series of e^z - c, certified through z^order."""
+    coeffs = {}
+    for j in range(order + 1):
+        v = exp_coeff(1, j, SYMBOLIC)
+        if j == 0:
+            v = v - c
+        if v:
+            coeffs[(j,)] = v
+    lead = 0 if (ONE - c) else 1
+    cert = Cert(False, (lead,), (NEG_INF,), (order,))
+    return TruncatedLaurent((zvar,), coeffs, cert, None, _trusted=True)
+
+
 def inv_factor_table_oracle(f: Factor, p: int, vars: tuple[str, ...],
                             inner: str, hi: int) -> TruncatedLaurent:
     """kernels._inv_factor_table with every power c**k or c**-k computed
-    afresh for each k, the per-k form the running power replaced."""
+    afresh for each k, the per-k form the running power replaced, and
+    e^z factors by powering e^z - c and inverting the series."""
 
     def place(assign: dict[str, int]) -> tuple[int, ...]:
         return tuple(assign.get(v, 0) for v in vars)
@@ -429,18 +484,6 @@ def inverse_exp_oracle(mult, zmax, scalars):
     return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
 
 
-@lru_cache(maxsize=128)
-def inverse_exp(mult, zmax, scalars=SYMBOLIC):
-    """The product engine's former route to the same coefficients: the
-    library's e^z polynomial p(x e^z, x) / x^degree, divided by
-    z^kappa and inverted as a series over the scalar field."""
-    k = mult.kappa
-    order = zmax + k
-    coeffs = mult.exp_series(order + k, scalars)[k:]
-    inv = series_inverse(_z_series(dict(enumerate(coeffs)), order), order)
-    return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
-
-
 def _residual_lcm(a, b):
     if a is None or b is None:
         return b if a is None else a
@@ -454,10 +497,11 @@ def _residual_lcm(a, b):
 def shifted_inverse_oracle(mult, zneed, scalars):
     """(D_T, (W_0, .., W_(T+kappa))) for T = -kappa..zneed on the former
     route: D_T is the least common denominator of u(T - J) / J! for the
-    series of :func:`inverse_exp`, read off their canonical factored
-    denominators (an integer at a point), and W_J = D_T u(T - J) / J!,
-    as rows of the field (an integer at a point)."""
-    u = inverse_exp(mult, zneed, scalars)
+    series of :func:`inverse_exp_oracle`, read off their canonical
+    factored denominators (an integer at a point), and
+    W_J = D_T u(T - J) / J!, as rows of the field (an integer at a
+    point)."""
+    u = inverse_exp_oracle(mult, zneed, scalars)
     out = []
     for T in range(-mult.kappa, zneed + 1):
         vals = [u[T - j] * scalars.from_fraction(Fraction(1, factorial(j)))

@@ -146,6 +146,24 @@ def test_weak_associativity_order_past_the_bound_is_refused(capsys):
     capsys.readouterr()
 
 
+def test_law_family_indices_past_the_bound_are_refused(capsys):
+    """phi-image-heisenberg at r = 300 took 22.1 s at window 2; past
+    MAX_LAW_FAMILY each law that takes r and s exits 2 at once."""
+    bound = cli.MAX_LAW_FAMILY
+    laws = [name for name, spec in sorted(LAWS.items()) if "r" in spec.params]
+    assert len(laws) == 6
+    _refused_at_once([["verify", "--law", law, "--window", "2",
+                       "--param", f"{key}={v}"]
+                      for law in laws for key in ("r", "s")
+                      for v in (bound + 1, -bound - 1, 300, 10 ** 9)],
+                     capsys, f"must be in [-{bound}, {bound}], got")
+    assert bound == 16
+    for key in ("r", "s"):
+        assert run(["verify", "--law", "hq-commutator-delta", "--window",
+                    "2", "--param", f"{key}=-{bound}"]) == 0
+    capsys.readouterr()
+
+
 def test_point_values_print_past_the_digit_limit():
     digits = "1" + "0" * 4999 + "1"
     num = 10 ** 5000 + 1

@@ -17,7 +17,7 @@ from qheis.kernels import (
     iota_expand,
     parse_kernel,
 )
-from qheis.scalar import Scalar
+from qheis.scalar import ExpInverse, Scalar
 from qheis.series import (
     CertificationError,
     Window,
@@ -262,26 +262,52 @@ def test_geometric_ratio_both_directions():
 
 @pytest.mark.parametrize("shape", ["affine", "binom", "ratio", "expconst"])
 def test_inverse_factor_table_matches_per_k_powers(shape):
-    """The running power of each factor table against c**k per term."""
+    """The running power of each factor table against c**k per term, and
+    the closed form of an e^z factor against powering e^z - c and
+    inverting the series."""
+    low = [(p, hi) for p in (1, 2, 3) for hi in range(-1, 13)]
     if shape == "expconst":
-        consts = [ONE, Q, frac(-1, 2)]
         a, b, vars_ = "z", "", ("x1", "z")
+        runs = [(c, inner, low) for c in (ONE, Q, frac(-1, 2))
+                for inner in vars_]
+        # the table of an e^z factor does not depend on the expansion
+        # variable, so the added inputs take one.  1 - c has a residual
+        # factor at 2q and 1/(q - 2), where the series route takes
+        # seconds a power past 3
+        high = [(p, hi) for p in range(4, MAX_EXPONENT + 1, 3)
+                for hi in (-1, 0, 4)]
+        runs += [(c, "z", low) for c in (frac(3), frac(-1), frac(2) * Q,
+                                         ONE / (Q - frac(2)))]
+        runs += [(c, "z", high)
+                 for c in (ONE, Q, frac(-1, 2), frac(3), frac(-1))]
     else:
-        consts = [Q, frac(-1, 3), ONE / (Q - frac(2)), frac(2) * Q**-2]
         a, b, vars_ = "x1", ("x2" if shape in ("binom", "ratio") else ""), \
             ("x1", "x2")
-    for c in consts:
+        runs = [(c, inner, low)
+                for c in (Q, frac(-1, 3), ONE / (Q - frac(2)),
+                          frac(2) * Q**-2)
+                for inner in vars_]
+    for c, inner, cases in runs:
         f = Factor(shape, a, b, c)
-        for inner in vars_:
-            for p in (1, 2, 3):
-                for hi in range(-1, 13):
-                    got = _inv_factor_table(f, p, vars_, inner, hi)
-                    want = inv_factor_table_oracle(f, p, vars_, inner, hi)
-                    case = (c, inner, p, hi)
-                    assert got.coeffs == want.coeffs, case
-                    assert cert_fields(got.cert) == cert_fields(want.cert), \
-                        case
-                    assert got.vars == want.vars, case
+        for p, hi in cases:
+            got = _inv_factor_table(f, p, vars_, inner, hi)
+            want = inv_factor_table_oracle(f, p, vars_, inner, hi)
+            case = (c, inner, p, hi)
+            assert got.coeffs == want.coeffs, case
+            assert cert_fields(got.cert) == cert_fields(want.cert), case
+            assert got.vars == want.vars, case
+
+
+def test_exp_factor_leaves_the_w_table_unbuilt(monkeypatch):
+    """An e^z factor reads u(t) off ``scalar.ExpInverse``; the W_J table
+    that product stacks read is never built."""
+    def unbuilt(self):
+        raise AssertionError("kernel expansion built the W_J table")
+
+    monkeypatch.setattr(ExpInverse, "_grow", unbuilt)
+    f = Factor("expconst", "z", "", frac(2) * Q)
+    got = _inv_factor_table(f, 2, ("z",), "z", 5)
+    assert got.coeffs == inv_factor_table_oracle(f, 2, ("z",), "z", 5).coeffs
 
 
 def test_direction_difference_is_delta():

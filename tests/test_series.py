@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import assert_same_table, certified, delta_family_oracle, \
-    euler, g_series_oracle, window_of
+    euler, g_series_oracle, series_inverse, window_of
 from qheis import series
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import ONE, Q, Scalar, qint
@@ -19,7 +19,6 @@ from qheis.series import (
     Window,
     compare_on,
     delta_family,
-    series_inverse,
 )
 
 

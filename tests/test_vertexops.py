@@ -1200,6 +1200,13 @@ def test_law_parameters_and_their_defaults():
         with pytest.raises(LawParameterError) as exc:
             verify_identity(name, window=0, r=value)
         assert str(exc.value) == text
+    # every integer parameter declares the range it accepts, around its
+    # default
+    for name, spec in LAWS.items():
+        ints = {k for k, d in spec.params.items() if type(d) is int}
+        assert set(spec.ranges) == ints, name
+        for key, (lo, hi) in spec.ranges.items():
+            assert lo <= spec.params[key] <= hi, (name, key)
 
 
 def test_unknown_law_rejected():
@@ -1280,8 +1287,8 @@ def _double_inverse_constant(monkeypatch):
     """Plant a wrong 1/p(x e^z, x): its z^0 coefficient is doubled."""
     base = scalar.ExpInverse._u
 
-    def wrong(self, t):
-        num, den = base(self, t)
+    def wrong(self, t, fd):
+        num, den = base(self, t, fd)
         return ({m: 2 * x for m, x in num.items()} if t == 0 else num), den
 
     monkeypatch.setattr(scalar.ExpInverse, "_u", wrong)
