@@ -82,6 +82,31 @@ MAX_PRODUCT_WINDOW = 100
 # 5.7 s (2-core machine, Python 3.11.7).  A positive n reads no more.
 MIN_PRODUCT_N = -12
 
+# The largest window expand takes.  Expansion cost grows about as the cube
+# of the window: 1/(e^z-q)^16 along z expands in about 0.5 s at window
+# 100, 1.7 s at 200 and 12.6 s at 400, and
+# 1/((x1-q*x2)*(x1-x2)^2*(q*x1-x2)) along x2,x1 in 0.3 s, 1.3 s and 9.6 s.
+# A kernel with several high e^z powers costs more:
+# 1/((e^z-q)^16*(e^z-2)^16*(e^z-1)^16) takes 2.7 s at window 50 and 15 s
+# at 100 (one cold process each, 2-core machine, Python 3.11.7).
+MAX_EXPAND_WINDOW = 100
+
+# The largest window verify and suite take.  Symbolic paper-all grows
+# about as the cube of the window: at window 24 it runs in about 5.4 s
+# (its slowest law, phi-image-bq-commutator, in 2.5 s alone) and at 32
+# in 12 s; at the point (3/5, 2) in 1.5 s and 2.9 s (one cold process
+# each, 2-core machine, Python 3.11.7).  The library's verify_identity
+# and suite_reports take any window.
+MAX_LAW_WINDOW = 24
+
+# The most letters a fock-apply word takes.  On bhatq, whose modes are not
+# graded, normal ordering a word of creators costs far more than linear in
+# its length: 8 letters -1:0,-2:1,..,-8:7 take about 4.7 s, 10 letters
+# with modes -1..-3 up to 2.6 s and with modes -1..-5 up to 15 s, and 12
+# letters with modes -1..-3 10-13 s (one cold process each, 2-core
+# machine, Python 3.11.7).
+MAX_WORD_LETTERS = 8
+
 
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -94,11 +119,13 @@ def _check_bound(flag: str, value: int, bound: int) -> None:
             f"{flag} {value} is outside [-{bound}, {bound}]"))
 
 
-def _window_default(fallback: int | None) -> int | None:
-    if fallback is not None and fallback < 0:
+def _window(value: int | None, bound: int) -> int | None:
+    """The --window value, None when it is not given; exit 2 outside
+    [0, bound]."""
+    if value is not None and not 0 <= value <= bound:
         raise SystemExit(_fail_usage(
-            f"a window must be a nonnegative integer, got {fallback}"))
-    return fallback
+            f"--window {value} is outside [0, {bound}]"))
+    return value
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -177,7 +204,7 @@ def _cmd_expand(args) -> int:
     if args.limit < 0:
         return _fail_usage(f"--limit must be nonnegative, got {args.limit}")
     direction = tuple(v.strip() for v in args.direction.split(",") if v.strip())
-    window = _window_default(args.window)
+    window = _window(args.window, MAX_EXPAND_WINDOW)
     try:
         w = Window(direction, (-window,) * len(direction),
                    (window,) * len(direction))
@@ -214,6 +241,9 @@ def _cmd_fock_apply(args) -> int:
         word = _parse_word(args.word)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    if len(word) > MAX_WORD_LETTERS:
+        return _fail_usage(f"a word has at most {MAX_WORD_LETTERS} letters, "
+                           f"got {len(word)}")
     for m, r in word:
         if abs(m) > MAX_MODE:
             return _fail_usage(f"letter {m}:{r} has a mode outside "
@@ -234,10 +264,7 @@ def _cmd_phi_product(args) -> int:
     if args.algebra not in ("hq", "htq"):
         return _fail_usage(
             "substitution products are cataloged for algebras hq and htq")
-    probe = _window_default(args.window)
-    if probe > MAX_PRODUCT_WINDOW:
-        return _fail_usage(
-            f"--window {probe} is outside [0, {MAX_PRODUCT_WINDOW}]")
+    probe = _window(args.window, MAX_PRODUCT_WINDOW)
     _check_bound("--r", args.r, MAX_FAMILY)
     _check_bound("--s", args.s, MAX_FAMILY)
     if args.n < MIN_PRODUCT_N:
@@ -342,7 +369,7 @@ def _cmd_verify(args) -> int:
     if args.law not in LAWS:
         known = ", ".join(sorted(LAWS))
         return _fail_usage(f"unknown law {args.law!r}; one of {known}")
-    window = _window_default(args.window)
+    window = _window(args.window, MAX_LAW_WINDOW)
     point = _check_point_from(args)
     params = _law_params(args.param)
     with _open_out(args) as out:
@@ -362,7 +389,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    window = _window_default(args.window)
+    window = _window(args.window, MAX_LAW_WINDOW)
     if window is None:
         window = SUITES[args.suite]
     point = _check_point_from(args)
@@ -385,7 +412,8 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
                    help="print the machine report instead of text")
     p.add_argument("--out", help="also write the machine report to a file")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded in the report")
+                   help="a label copied into the report: nothing in qheis "
+                        "is random, so the seed changes no result")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "coefficients' terms in q")
     p.add_argument("--direction", required=True,
                    help="comma-separated variables, outermost first")
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=int, default=4,
+                   help=f"window radius, at most {MAX_EXPAND_WINDOW}")
     p.add_argument("--limit", type=int, default=24,
                    help="maximum printed terms")
     p.set_defaults(fn=_cmd_expand)
@@ -424,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply a mode word to the vacuum")
     p.add_argument("--algebra", required=True)
     p.add_argument("--word", required=True,
-                   help="comma-separated letters m:r, applied right to "
-                        f"left, each mode m in [-{MAX_MODE}, {MAX_MODE}] "
-                        f"and family index r in [-{MAX_FAMILY}, "
-                        f"{MAX_FAMILY}]")
+                   help=f"at most {MAX_WORD_LETTERS} comma-separated "
+                        "letters m:r, applied right to left, each mode m in "
+                        f"[-{MAX_MODE}, {MAX_MODE}] and family index r in "
+                        f"[-{MAX_FAMILY}, {MAX_FAMILY}]")
     p.set_defaults(fn=_cmd_fock_apply)
 
     p = sub.add_parser("phi-product",
@@ -444,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one identity check")
     p.add_argument("--law", required=True)
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=int,
+                   help="override the law's default window, at most "
+                        f"{MAX_LAW_WINDOW}")
     p.add_argument("--param", action="append",
                    help="law parameter as key=value (repeatable); "
                         "a law's family indices r and s lie in "
@@ -459,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="paper-all",
                    choices=sorted(SUITES))
     p.add_argument("--window", type=int,
-                   help="override the suite's window")
+                   help="override the suite's window, at most "
+                        f"{MAX_LAW_WINDOW}")
     _add_point_flags(p)
     _add_report_flags(p)
     p.set_defaults(fn=_cmd_suite)

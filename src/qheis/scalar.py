@@ -912,13 +912,16 @@ class ExpInverse:
     denominator D_T of u(T - J) / J! for J = 0..T + kappa and the
     numerators W_J = D_T u(T - J) / J!.  D_(T-1) divides D_T, and
     W_J(T) = W_(J-1)(T - 1) (D_T / D_(T-1)) / J, so each z order is one
-    new cancellation and small products.  Every value here is an integer
-    polynomial over a factored denominator; this class serves Q(q, l),
-    and :class:`_PointExpInverse` converts for a rational point.
+    new cancellation and small products.  ``numerators(k, zneed)``
+    returns N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J(T) over the same
+    D_T, one list per k grown to the deepest z order asked.  Every value
+    here is an integer polynomial over a factored denominator; this class
+    serves Q(q, l), and :class:`_PointExpInverse` converts for a rational
+    point.
     """
 
     __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
-                 "_ps", "_us", "_ints", "_last", "_out")
+                 "_ps", "_us", "_ints", "_last", "_out", "_nums")
 
     def __init__(self, factors, unit):
         parts = self._parts
@@ -964,6 +967,8 @@ class ExpInverse:
         # D_T and the W_J of the last z order
         self._last: tuple[Factored, list[list[int]]] = (_PLAIN, [])
         self._out: list = []
+        # N_k(T) for T = -kappa, .., by k
+        self._nums: dict[int, list] = {}
 
     @staticmethod
     def _parts(x) -> tuple[Poly, Factored]:
@@ -974,6 +979,17 @@ class ExpInverse:
     @staticmethod
     def _entry(den: Factored, rows: list[list[int]]):
         return den, tuple((tuple(w),) if any(w) else () for w in rows)
+
+    @staticmethod
+    def _horner(k: int, polys) -> Rows:
+        """sum_j k^j polys[j] for polynomials as rows."""
+        # lists until the end: each tuple freed on the way would stay on
+        # the interpreter's free list for its size
+        out: list[list[int]] = []
+        for rows in reversed(polys):
+            out = [[k * x + y for x, y in zip_longest(a, b, fillvalue=0)]
+                   for a, b in zip_longest(out, rows, fillvalue=())]
+        return tuple(map(tuple, out))
 
     def _p(self, n: int) -> list[int]:
         """P_n, the s^n numerator of prod (1 + rho_c s)^(-m_c)."""
@@ -1045,10 +1061,20 @@ class ExpInverse:
 
     def upto(self, zneed: int) -> list:
         """(D_T, (W_0, .., W_(T+kappa))) for T = -kappa..zneed, in the
-        representation of the field's ``dot_over`` and ``horner``."""
+        representation of the field's ``dot_over``."""
         while len(self._out) <= zneed + self.kappa:
             self._grow()
         return self._out[:zneed + self.kappa + 1]
+
+    def numerators(self, k: int, zneed: int) -> list:
+        """N_k(T) for T = -kappa..zneed, over the D_T of ``upto``."""
+        top = zneed + self.kappa + 1
+        nums = self._nums.setdefault(k, [])
+        if len(nums) < top:
+            self.upto(zneed)
+            nums.extend(self._horner(k, w)
+                        for _den, w in self._out[len(nums):top])
+        return nums[:top]
 
 
 class _PointExpInverse(ExpInverse):
@@ -1068,16 +1094,12 @@ class _PointExpInverse(ExpInverse):
     def _entry(den: Factored, rows: list[list[int]]):
         return den[0], tuple(w[0] if w else 0 for w in rows)
 
-
-def horner(k: int, polys) -> Rows:
-    """sum_j k^j polys[j] for polynomials as rows."""
-    # lists until the end: each tuple freed on the way would stay on the
-    # interpreter's free list for its size
-    out: list[list[int]] = []
-    for rows in reversed(polys):
-        out = [[k * x + y for x, y in zip_longest(a, b, fillvalue=0)]
-               for a, b in zip_longest(out, rows, fillvalue=())]
-    return tuple(map(tuple, out))
+    @staticmethod
+    def _horner(k: int, values) -> int:
+        out = 0
+        for v in reversed(values):
+            out = out * k + v
+        return out
 
 
 def _int_scaled(num: Poly, fd: Factored, k: int, j: int) -> Scalar:
@@ -1149,15 +1171,16 @@ class SymbolicField:
     code path serves this field and the exact rationals of a
     :class:`RationalPoint`.
 
-    For sums of many products a field also supplies ``lift_common``,
-    ``horner`` and ``dot_over``, which work on numerators over a shared
-    denominator: here integer polynomials over a factored denominator, so
-    a sum costs polynomial products and one cancellation.  ``pair_sum``
+    For sums of many products a field also supplies ``lift_common`` and
+    ``dot_over``, which work on numerators over a shared denominator: here
+    integer polynomials over a factored denominator, so a sum costs
+    polynomial products and one cancellation.  ``pair_sum``
     forms (a x + b y) / j for integers a, b, j in one step, and
     ``exp_inverse`` builds the Taylor coefficients of
     1 / (unit * prod (e^z - c)^m) over such denominators
-    (:class:`ExpInverse`).  Kernel expansion reads the e^z factors of a
-    kernel from the same closed form.
+    (:class:`ExpInverse`), with the numerators N_k that product stacks
+    dot against.  Kernel expansion reads the e^z factors of a kernel from
+    the same closed form.
     """
 
     zero = _S_ZERO
@@ -1168,7 +1191,6 @@ class SymbolicField:
     q_power = staticmethod(Scalar.q_power)
     qint = staticmethod(qint)
     lift_common = staticmethod(lift_common)
-    horner = staticmethod(horner)
     dot_over = staticmethod(dot_over)
     pair_sum = staticmethod(pair_sum)
     exp_inverse = ExpInverse
@@ -1228,13 +1250,6 @@ class RationalPoint:
             d = v.denominator
             den = den // _int_gcd(den, d) * d
         return den, [v.numerator * (den // v.denominator) for v in values]
-
-    @staticmethod
-    def horner(k: int, values) -> int:
-        out = 0
-        for v in reversed(values):
-            out = out * k + v
-        return out
 
     @staticmethod
     def dot_over(xs, ys, f: int, g: int) -> Fraction:

@@ -38,7 +38,6 @@ identity checks run one code path in either field.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import lru_cache, partial
 from typing import Iterable
 
@@ -69,7 +68,6 @@ __all__ = [
     "MultiplierError",
     "OperatorSeries",
     "GeneratorField",
-    "ArgScaledField",
     "SumField",
     "field_of",
     "PairPart",
@@ -122,8 +120,7 @@ class OperatorSeries:
     on the given vector.  It alone stores the mode ``offset``, which its
     coefficients read.  Only :class:`GeneratorField` is a value: fields
     built from equal data are equal and hash alike, which is what the
-    pair and product-stack memos key on.  The other fields compare by
-    identity.
+    pair memo keys on.  The other fields compare by identity.
     """
 
     __slots__ = ()
@@ -134,10 +131,6 @@ class OperatorSeries:
                      ) -> list[FockVector]:
         """[apply_coeff(e, v) for e = lo..hi]."""
         return [self.apply_coeff(e, v) for e in range(lo, hi + 1)]
-
-
-def _state_key(v: FockVector):
-    return (v.module, tuple(sorted(v.terms.items(), key=lambda kv: kv[0])))
 
 
 class GeneratorField(OperatorSeries):
@@ -180,22 +173,6 @@ class GeneratorField(OperatorSeries):
 
     def low_exponent(self, v: FockVector) -> int:
         return 1 - self.offset - annihilation_bound(v)
-
-
-class ArgScaledField(OperatorSeries):
-    """A field evaluated at c*x: coefficient e picks up a factor c^e."""
-
-    __slots__ = ("base", "c", "module")
-
-    def __init__(self, base: OperatorSeries, c: Scalar):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "module", base.module)
-
-    def apply_coeffs(self, lo: int, hi: int, v: FockVector
-                     ) -> list[FockVector]:
-        return [u.scale(self.c ** e) for e, u in
-                zip(range(lo, hi + 1), self.base.apply_coeffs(lo, hi, v))]
 
 
 class SumField(OperatorSeries):
@@ -356,7 +333,7 @@ class Multiplier:
                  unit: Scalar = 1):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "unit", unit)
-        # the product-stack and series memos key on the multiplier
+        # the closed-form and polynomial memos key on the multiplier
         object.__setattr__(self, "_hash", hash((factors, unit)))
 
     __setattr__ = __delattr__ = immutable
@@ -471,28 +448,15 @@ def _shifted_inverse(mult: Multiplier, scalars):
     """The z coefficients of u = x^degree / p(x e^z, x) over shared
     denominators, from the closed form of the field's ``exp_inverse``:
     ``upto(zneed)`` gives, for T = -kappa..zneed, D_T and the numerators
-    W_J = D_T u(T - J) / J! for J = 0..T + kappa.
+    W_J = D_T u(T - J) / J! for J = 0..T + kappa, and
+    ``numerators(k, zneed)`` the numerators N_k(T) = D_T [z^T] e^(kz) u
+    over the same D_T.
 
     The entries of a z order do not depend on how deep the table goes,
     so one table per multiplier and field grows to the deepest order
-    asked.
+    asked.  It is the only memo of the product path.
     """
     return scalars.exp_inverse(mult.factors, mult.unit)
-
-
-@lru_cache(maxsize=16)
-def _shifted_numerators(mult: Multiplier, scalars, k: int) -> list:
-    """N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J for T = -kappa, ..,
-    over the denominators of ``_shifted_inverse``; ``_numerators_to``
-    grows the list."""
-    return []
-
-
-def _numerators_to(mult: Multiplier, scalars, k: int, inverse) -> list:
-    """``_shifted_numerators`` through the z orders of inverse."""
-    nums = _shifted_numerators(mult, scalars, k)
-    nums.extend(scalars.horner(k, w) for _den, w in inverse[len(nums):])
-    return nums
 
 
 def check_multiplier(mult: Multiplier, pair: PairData) -> None:
@@ -700,25 +664,6 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
     return StateTable(afield.module, acc)
 
 
-# product stacks built inside the outermost running verify_identity or
-# suite_reports call; laws of one suite share stacks, and the memo is
-# emptied when that call returns
-_STACK_CACHE: dict[tuple, StateTable] = {}
-_stack_scope_depth = 0
-
-
-@contextmanager
-def _stack_scope():
-    global _stack_scope_depth
-    _stack_scope_depth += 1
-    try:
-        yield
-    finally:
-        _stack_scope_depth -= 1
-        if not _stack_scope_depth:
-            _STACK_CACHE.clear()
-
-
 def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
                    mult: Multiplier, v: FockVector,
                    xlo: int, xhi: int, zneed: int) -> StateTable:
@@ -729,21 +674,17 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     the product at index n sits at t = -n-1, so z exponents run from
     -kappa up to zneed.  With the ordered product left as a sum of
     c_(E, k) x^E e^(kz) (``ordered_core``), each coefficient of entry
-    (E - degree, t) is sum_k c_(E, k) N_k(t) / D_t over the shifted-inverse
-    numerators of ``_shifted_numerators``: polynomial products and one
-    cancellation.  Outside a law or suite call nothing is memoized;
-    inside one the memo is keyed by the arguments, so fields built apart
-    from equal data share a stack.
+    (E - degree, t) is sum_k c_(E, k) N_k(t) / D_t over the closed-form
+    table of ``_shifted_inverse``: polynomial products and one
+    cancellation.  A stack is built anew on every call; a law that reads
+    one stack twice keeps it itself.
     """
-    key = (afield, bfield, mult, _state_key(v), xlo, xhi, zneed)
-    hit = _STACK_CACHE.get(key)
-    if hit is not None:
-        return hit
     kappa = mult.kappa
     deg = mult.degree
     core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg)
     scalars = core.module.scalars
-    inverse = _shifted_inverse(mult, scalars).upto(zneed)
+    table = _shifted_inverse(mult, scalars)
+    inverse = table.upto(zneed)
     # x^E e^(kz) times u contributes N_k(T) / D_T at x^(E - deg) z^T
     by_entry: dict[tuple[int, object], tuple[list, list]] = {}
     for (E, k), terms in core.data.items():
@@ -751,8 +692,7 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
             ks, cs = by_entry.setdefault((E, m), ([], []))
             ks.append(k)
             cs.append(c)
-    nums = {k: _numerators_to(mult, scalars, k, inverse)
-            for k in {k for _E, k in core.data}}
+    nums = {k: table.numerators(k, zneed) for k in {k for _E, k in core.data}}
     data: dict[tuple[int, int], dict] = {}
     for (E, m), (ks, cs) in by_entry.items():
         den, lifted = scalars.lift_common(cs)
@@ -760,10 +700,7 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
             c = scalars.dot_over(lifted, [nums[k][i] for k in ks], den, dT)
             if c:
                 data.setdefault((E - deg, i - kappa), {})[m] = c
-    out = StateTable(core.module, data)
-    if _stack_scope_depth:
-        _STACK_CACHE[key] = out
-    return out
+    return StateTable(core.module, data)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +710,9 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
 class ProductExpression(OperatorSeries):
     """The n-th substitution product of two fields under a multiplier.
 
-    Coefficients are computed on demand and read off the cached product
-    stack; a window of them is read off one stack over that window.
+    Coefficients are computed on demand and read off a product stack; a
+    window of them is read off one stack over that window, built for
+    that call.
     """
 
     __slots__ = ("left", "right", "n", "mult", "module")
@@ -1320,25 +1258,32 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
 def _law_scale_covariance(window: int, scalars) -> CheckReport:
     bmod = FockModule("bhat", scalars=scalars)
     target = FockModule("hq", scalars=scalars)
-    base_state = bmod.basis_vector((-1, 0), (-1, 1))
-    base = psi_map(base_state, target)
+    base = psi_map(bmod.basis_vector((-1, 0), (-1, 1)), target)
     states = [target.vacuum(), target.basis_vector((-1, 0))]
+    exps = range(-window, window + 1)
+    # the unshifted fields' windows, read once: at argument c x,
+    # coefficient e picks up a factor c^e
+    base_rows = [base.apply_coeffs(-window, window, v) for v in states]
+    gen_rows = field_of(target, 3).apply_coeffs(-window, window, states[1])
+
+    def scaled(rows: list[FockVector], c) -> list[FockVector]:
+        return [u.scale(c ** e) for e, u in zip(exps, rows)]
+
     parts = []
     for nn in range(-2, 3):
+        c = scalars.q_power(nn)
         shifted = psi_map(bmod.basis_vector((-1, nn), (-1, 1 + nn)), target)
-        scaled = ArgScaledField(base, scalars.q_power(nn))
-        gen_shift = field_of(target, 3 + nn)
-        gen_scaled = ArgScaledField(field_of(target, 3), scalars.q_power(nn))
-        cases = [(f"shift {nn}, state {si}", shifted, scaled, v)
-                 for si, v in enumerate(states)]
-        cases.append((f"generator, shift {nn}", gen_shift, gen_scaled,
-                      states[1]))
+        cases = [(f"shift {nn}, state {si}",
+                  shifted.apply_coeffs(-window, window, v), scaled(rows, c))
+                 for si, (v, rows) in enumerate(zip(states, base_rows))]
+        cases.append((f"generator, shift {nn}",
+                       field_of(target, 3 + nn).apply_coeffs(
+                           -window, window, states[1]),
+                       scaled(gen_rows, c)))
         parts.append(tally(f"shift[{nn}]", f"|x| <= {window}", (
             (f"{label}, x^{e}", g, w)
-            for label, got, want, v in cases
-            for e, g, w in zip(range(-window, window + 1),
-                               got.apply_coeffs(-window, window, v),
-                               want.apply_coeffs(-window, window, v)))))
+            for label, got, want in cases
+            for e, g, w in zip(exps, got, want))))
     return combine("scale-covariance", parts)
 
 
@@ -1459,17 +1404,16 @@ def verify_identity(name: str, window: int | None = None,
                     f"{key} must be in [{lo}, {hi}], got {value}")
     if window is None:
         window = spec.default_window
-    with _stack_scope():
-        return spec.runner(window, SYMBOLIC if point is None else point,
-                           **params)
+    return spec.runner(window, SYMBOLIC if point is None else point,
+                       **params)
 
 
 def suite_reports(window: int | None = None,
                   point: RationalPoint | None = None) -> list[CheckReport]:
     """All registered checks, in name order.
 
-    The laws share one memo of product stacks, which lasts this call.
+    Each law runs as ``verify_identity`` runs it alone: no law reads
+    anything another law left behind but the bounded process memos.
     """
-    with _stack_scope():
-        return [verify_identity(name, window=window, point=point)
-                for name in sorted(LAWS)]
+    return [verify_identity(name, window=window, point=point)
+            for name in sorted(LAWS)]

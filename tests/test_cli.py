@@ -237,6 +237,75 @@ def test_phi_product_refuses_windows_past_the_bound(monkeypatch, capsys):
     assert out_of(capsys) == "0"
 
 
+def test_law_and_expand_windows_past_the_bound_are_refused(monkeypatch,
+                                                           capsys):
+    """expand takes windows up to MAX_EXPAND_WINDOW (1/(e^z-q)^16 took
+    12.6 s at window 400), verify and suite up to MAX_LAW_WINDOW
+    (symbolic paper-all took 12 s at window 32).  Past the bound, or
+    below 0, the command exits 2 with one line before any law runs."""
+    expand = ["expand", "--kernel", "1/(e^z-q)^16", "--direction", "z"]
+    verify = ["verify", "--law", "phi-image-bq-commutator"]
+    suite = ["suite", "--suite", "fast"]
+    for argvs, bound in (([expand], 100), ([verify, suite], 24)):
+        _refused_at_once([argv + ["--window", str(w)] for argv in argvs
+                          for w in (bound + 1, 4 * bound, 10 ** 9, -1)],
+                         capsys, "--window ")
+        _refused_at_once([argv + [f"--window={bound + 1}"] for argv in argvs],
+                         capsys, f"is outside [0, {bound}]")
+    assert (cli.MAX_EXPAND_WINDOW, cli.MAX_LAW_WINDOW) == (100, 24)
+    assert run(["expand", "--kernel", "1/(x1-x2)", "--direction", "x2,x1",
+                "--window", "100", "--limit", "1"]) == 0
+    assert out_of(capsys).startswith("(-1)*x2^-100*x1^99")
+    assert run(["verify", "--law", "hq-commutator-delta",
+                "--window", "24"]) == 0
+    capsys.readouterr()
+    windows = []
+    monkeypatch.setattr(cli, "suite_reports", lambda window, point:
+                        windows.append(window) or [])
+    assert run(["suite", "--window", "24"]) == 0
+    assert windows == [24]
+    capsys.readouterr()
+
+
+def test_fock_apply_refuses_words_past_the_bound(monkeypatch, capsys):
+    """A word holds at most MAX_WORD_LETTERS letters: on bhatq, 12 letters
+    with modes -1..-3 took 10-13 s.  Past the bound the command exits 2
+    with one line before any module or vector is built."""
+    def built(*_args, **_kw):
+        raise AssertionError("a module or vector was built")
+
+    monkeypatch.setattr(cli, "FockModule", built)
+    monkeypatch.setattr(cli, "apply_word", built)
+    words = [",".join(f"{-(k % 3) - 1}:{k}" for k in range(n))
+             for n in (9, 12)] + [",".join(["-1"] * 10 ** 5)]
+    _refused_at_once([["fock-apply", "--algebra", "bhatq", f"--word={w}"]
+                      for w in words], capsys, "at most 8 letters, got ")
+    monkeypatch.undo()
+    assert cli.MAX_WORD_LETTERS == 8
+    assert run(["fock-apply", "--algebra", "hq",
+                "--word=" + ",".join(["-1"] * 8)]) == 0
+    assert out_of(capsys) == "(1) " + "b_-1 " * 8 + "vac"
+
+
+def test_seed_is_only_a_label(monkeypatch, capsys):
+    """Nothing in qheis is random: reports under two seeds differ only in
+    the seed they echo, and --help says so."""
+    monkeypatch.setenv("QHEIS_FIXED_CLOCK", "1")
+    for argv in (["suite", "--suite", "fast", "--window", "2"],
+                 ["verify", "--law", "scale-covariance", "--window", "2",
+                  "--q0", "3/5", "--l0", "2"]):
+        codes, docs = [], []
+        for seed in (0, 41):
+            codes.append(run(argv + ["--json", f"--seed={seed}"]))
+            docs.append(json.loads(out_of(capsys)))
+        assert [doc.pop("seed") for doc in docs] == [0, 41]
+        assert codes[0] == codes[1] and docs[0] == docs[1]
+    for command in ("suite", "verify"):
+        assert run([command, "--help"]) == 0
+        text = " ".join(out_of(capsys).split())
+        assert "nothing in qheis is random" in text, command
+
+
 def test_family_indices_past_the_bound_are_refused(capsys):
     """--r, --s and each letter's family index are held to MAX_FAMILY:
     bhatq --m -3 --n -2 --r 1000 took 21 s, and fock-apply

@@ -29,9 +29,6 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 # reason it cannot grow without bound.  Kept exact: a new memo must be
 # added here with its reason, and a memo that is gone must leave.
 GROWING_CONTAINERS = {
-    ("vertexops", "_STACK_CACHE"):
-        "call-scoped: emptied when the outermost verify_identity or "
-        "suite_reports call returns",
     ("scalar", "_CYCLO"):
         "one Phi_d per d asked for, and d is bounded by the degree of "
         "the largest denominator",
@@ -290,46 +287,52 @@ def shifted_multipliers(scalars):
     ]
 
 
-def test_shifted_numerators_give_the_exp_inverse_series():
+def test_shifted_numerators_give_the_exp_inverse_series(monkeypatch):
     """N_k(T) / D_T is [z^T] e^(kz) / p(x e^z, x) for every k and T, with
     the inverse series of the conftest oracle, symbolically and at a
-    point; a second call, shallower or deeper, reads the same grown
-    memo."""
+    point.  A deeper call grows the table's list for k by the new z
+    orders alone, and a shallower one returns a prefix of it without
+    computing a numerator again."""
+    computed = []
+    for cls in (scalar.ExpInverse, scalar._PointExpInverse):
+        monkeypatch.setattr(cls, "_horner", staticmethod(
+            lambda k, w, base=cls._horner: computed.append(k) or base(k, w)))
     point = RationalPoint(Fraction(3, 5), 2)
     zneed = 4
-    vertexops._shifted_numerators.cache_clear()
     for scalars in (SYMBOLIC, point):
         for mult in shifted_multipliers(scalars):
-            u = inverse_exp_oracle(mult, zneed + mult.kappa, scalars)
-            inverse = vertexops._shifted_inverse(mult, scalars).upto(zneed)
-            dens = [d for d, _w in inverse]
+            kappa = mult.kappa
+            u = inverse_exp_oracle(mult, zneed + kappa, scalars)
+            table = scalars.exp_inverse(mult.factors, mult.unit)
+            dens = [d for d, _w in table.upto(zneed)]
             for k in range(-3, 4):
-                # the memo grows to the deepest order asked, and keeps it
-                for depth, grown in ((1, 1), (zneed, zneed), (2, zneed)):
-                    nums = vertexops._numerators_to(
-                        mult, scalars, k, inverse[:depth + mult.kappa + 1])
-                    assert nums is vertexops._shifted_numerators(
-                        mult, scalars, k)
-                    assert len(nums) == grown + mult.kappa + 1
-                    for i, T in enumerate(range(-mult.kappa, zneed + 1)):
-                        if i >= len(nums):
-                            break
-                        want = scalars.zero
-                        for j in range(T + mult.kappa + 1):
-                            want = want + exp_coeff(k, j, scalars) * u[T - j]
-                        if scalars is SYMBOLIC:
-                            got = fraction_of(
-                                {(eq, el): x for el, row in enumerate(nums[i])
-                                 for eq, x in enumerate(row) if x},
-                                scalar._expand(dens[i]))
-                        else:
-                            got = Fraction(nums[i], dens[i])
-                        assert got == want, (scalars, mult.describe(), k, T)
+                case = (scalars, mult.describe(), k)
+                computed.clear()
+                shallow = table.numerators(k, 1)
+                assert len(shallow) == len(computed) == 2 + kappa, case
+                nums = table.numerators(k, zneed)
+                assert len(nums) == zneed + kappa + 1, case
+                assert len(computed) == len(nums), case
+                assert nums[:len(shallow)] == shallow, case
+                assert table.numerators(k, 2) == nums[:3 + kappa], case
+                assert table.numerators(k, -kappa) == nums[:1], case
+                assert len(computed) == len(nums), case
+                for i, T in enumerate(range(-kappa, zneed + 1)):
+                    want = scalars.zero
+                    for j in range(T + kappa + 1):
+                        want = want + exp_coeff(k, j, scalars) * u[T - j]
+                    if scalars is SYMBOLIC:
+                        got = fraction_of(
+                            {(eq, el): x for el, row in enumerate(nums[i])
+                             for eq, x in enumerate(row) if x},
+                            scalar._expand(dens[i]))
+                    else:
+                        got = Fraction(nums[i], dens[i])
+                    assert got == want, case + (T,)
 
 
 def test_memos_stay_within_their_bound():
     x = window_of(x=(0, 1))
-    mult = shifted_multipliers(SYMBOLIC)[0]
     memos = {
         kernels._parse_kernel: lambda k: parse_kernel(f"{k + 1}*x"),
         kernels._iota_expand:
@@ -346,8 +349,6 @@ def test_memos_stay_within_their_bound():
         vertexops._shifted_inverse:
             lambda k: vertexops._shifted_inverse(
                 Multiplier.of((SYMBOLIC.q_power(k + 1), 1)), SYMBOLIC),
-        vertexops._shifted_numerators:
-            lambda k: vertexops._shifted_numerators(mult, SYMBOLIC, k),
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]

@@ -46,8 +46,6 @@ RECORDS = {
     vertexops._LawSpec: lambda cls: cls(abs, 5, "summary"),
     series.Cert: lambda cls: cls(False, (NEG_INF, 0), (NEG_INF, 0), (4, 4)),
     # the fields other than GeneratorField: no memo keys on them
-    vertexops.ArgScaledField: lambda cls: cls(
-        vertexops.field_of(_hq()), Q),
     vertexops.SumField: lambda cls: cls(
         _hq(), [(ONE, vertexops.field_of(_hq())),
                 (ZERO, vertexops.field_of(_hq(), 1))]),

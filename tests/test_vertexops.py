@@ -40,7 +40,6 @@ from qheis.scalar import L, ONE, Q, SYMBOLIC, RationalPoint, Scalar, ZERO
 from qheis.series import NEG_INF, POS_INF, Cert, TruncatedLaurent, Window, \
     compare_on
 from qheis.vertexops import (
-    ArgScaledField,
     LAWS,
     LawParameterError,
     Multiplier,
@@ -150,13 +149,6 @@ def test_derivative_field(hq):
             sc(e + 1))
 
 
-def test_argument_scaling_realizes_index_shifts(hq):
-    state = field_of(hq).apply_coeff(1, hq.vacuum())
-    f2 = field_of(hq, 2)
-    g = ArgScaledField(field_of(hq), qp(2))
-    assert f2.apply_coeffs(-2, 2, state) == g.apply_coeffs(-2, 2, state)
-
-
 @pytest.mark.parametrize("scalars", [
     SYMBOLIC, RationalPoint(Fraction(3, 5), Fraction(2))],
     ids=["symbolic", "point"])
@@ -172,9 +164,8 @@ def test_apply_coeffs_matches_apply_coeff(scalars):
     realized = psi_map(bhat.basis_vector((-1, 0), (-1, 1)), hq)
     assert any(isinstance(f, vertexops.ProductExpression)
                for _c, f in realized.terms)
-    fields = [gen, ArgScaledField(prod, scalars.q_power(2)),
-              SumField(hq, ((scalars.from_int(3), gen),
-                            (scalars.q_power(-1), prod))),
+    fields = [gen, SumField(hq, ((scalars.from_int(3), gen),
+                                 (scalars.q_power(-1), prod))),
               prod, realized]
     nonzero = 0
     for v in (hq.vacuum(), hq.basis_vector((-1, 0))):
@@ -187,17 +178,15 @@ def test_apply_coeffs_matches_apply_coeff(scalars):
     assert nonzero >= 40
 
 
-def test_fields_are_values(monkeypatch):
+def test_fields_are_values():
     """A generator field, built twice from equal data, compares and
-    hashes equal, and a product stack built for one serves the other.
-    No memo keys on the other field classes, which compare by
-    identity."""
+    hashes equal.  No memo keys on the other field classes, which
+    compare by identity."""
     def build():
         hq = FockModule("hq")
         f, g = field_of(hq, 1), field_of(hq)
         prod = phi_product_n(f, g, -1)
-        return [f, ArgScaledField(f, Q),
-                SumField(hq, [(ONE, f), (L, prod)]), prod]
+        return [f, SumField(hq, [(ONE, f), (L, prod)]), prod]
 
     first, again = build(), build()
     assert {type(f) for f in first} == {
@@ -208,20 +197,6 @@ def test_fields_are_values(monkeypatch):
     assert first[0] != field_of(FockModule("hq"), 2)
     for a, b in zip(first[1:], again[1:]):
         assert a == a and a != b, a
-
-    calls = []
-    core = vertexops.ordered_core
-    monkeypatch.setattr(vertexops, "ordered_core",
-                        lambda *args: calls.append(args) or core(*args))
-    stacks = []
-    with vertexops._stack_scope():
-        for _run in range(2):
-            hq = FockModule("hq")
-            a, b = field_of(hq, 1), field_of(hq)
-            mult = Multiplier.canonical_for(pair_of(a, b))
-            stacks.append(vertexops._product_stack(
-                a, b, mult, hq.basis_vector((-1, 0)), -2, 2, 3))
-    assert stacks[0] is stacks[1] and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +295,7 @@ def test_pair_rejections(hq, htq):
         pair_of(field_of(hq), field_of(htq))
     f = field_of(hq)
     for other in (IdentityField(hq), DerivativeField(f), DressedField(f, 1),
-                  ArgScaledField(f, Q), SumField(hq, [(ONE, f)]),
-                  phi_product_n(f, f, -1)):
+                  SumField(hq, [(ONE, f)]), phi_product_n(f, f, -1)):
         for a, b in ((other, f), (f, other)):
             with pytest.raises(UnsupportedPairError,
                                match="no commutator data"):
@@ -642,6 +616,9 @@ class _ShortTable:
                 cyc = ((d, e - 1),) + rest if e > 1 else rest
             out.append(((c, a, cyc, r), w))
         return out
+
+    def numerators(self, k, zneed):
+        return self.table.numerators(k, zneed)
 
 
 def test_short_stack_denominator_fails_the_oracle(monkeypatch):
@@ -1099,39 +1076,37 @@ def test_point_run_builds_no_symbolic_scalar(monkeypatch):
     assert want.count(PASS) >= 10
 
 
-def test_stack_memo_is_empty_after_each_call(monkeypatch):
-    """No product stack outlives the suite or law call that built it,
-    also when the call raises."""
-    for point in (RationalPoint(Fraction(3, 5), Fraction(2)),
-                  RationalPoint(Fraction(-7, 4), Fraction(5, 3))):
-        suite_reports(window=3, point=point)
-        assert not vertexops._STACK_CACHE
-    verify_identity("phi-image-heisenberg", window=3)
-    assert not vertexops._STACK_CACHE
+@pytest.mark.parametrize("point", [
+    None, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+def test_each_law_reports_alone_as_in_the_suite(point):
+    """A law run alone, in the reverse of the suite's order, reports what
+    it reports inside the suite: no law depends on what another left
+    behind."""
+    def fields(rep):
+        return rep.name, rep.status, rep.checked, rep.region, rep.failures
 
-    held = []
-
-    def broken(*args):
-        held.append(len(vertexops._STACK_CACHE))
-        raise RuntimeError("planted")
-
-    monkeypatch.setattr(vertexops, "tally", broken)
-    with pytest.raises(RuntimeError):
-        verify_identity("phi-weak-associativity", window=3)
-    assert held and held[0] > 0
-    assert not vertexops._STACK_CACHE
+    suite = {rep.name: fields(rep)
+             for rep in suite_reports(window=3, point=point)}
+    alone = {}
+    for name in sorted(LAWS, reverse=True):
+        rep = verify_identity(name, window=3, point=point)
+        alone[rep.name] = fields(rep)
+    assert len(alone) == len(LAWS)
+    assert alone == suite
 
 
 @pytest.mark.parametrize("point", [
     None, RationalPoint(Fraction(3, 5), Fraction(2))],
     ids=["symbolic", "point"])
 def test_each_suite_builds_its_own_stacks(monkeypatch, point):
-    """Laws of one suite share stacks; the next suite reuses none.  Each
-    order of an image bracket builds one undressed stack per state, so
-    its products need only the pairs' canonical multipliers; equal fields
-    share one order.  A realized product field reads every x exponent of
-    a window off one stack: scale-covariance builds one per shift and
-    state.  Weak associativity builds the two sides of a repeated left
+    """Every law builds its own stacks, and the next suite reuses none.
+    Each order of an image bracket builds one undressed stack per state,
+    so its products need only the pairs' canonical multipliers; equal
+    fields share one order.  A realized product field reads every x
+    exponent of a window off one stack: scale-covariance builds one per
+    shift and state, and one per state for the unshifted field it
+    scales.  Weak associativity builds the two sides of a repeated left
     field once."""
     calls = []
     core = vertexops.ordered_core
@@ -1153,13 +1128,13 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         before = len(calls)
         suite_reports(window=5, point=point)
         counts.append(len(calls) - before)
-    assert counts == [24, 24]
+    assert counts == [28, 28]
     # one closed-form table per multiplier, grown to the deepest z order
     # any law of the suite reads
     assert len(tables) == 6
     before = len(calls)
     verify_identity("scale-covariance", window=5, point=point)
-    assert len(calls) - before == 5 * 2
+    assert len(calls) - before == 5 * 2 + 2
 
 
 def test_law_parameters_pass_through():
@@ -1333,15 +1308,11 @@ def _double_module_bracket(monkeypatch):
 
 
 def _fresh_product_memos(monkeypatch):
-    """Empty product caches for one test, so that they neither serve
-    values computed before a defect is planted nor keep planted ones.
-    The closed-form tables and the numerators built from them are
-    memoized apart: a warm numerator memo alone hides a planted table."""
-    monkeypatch.setattr(vertexops, "_STACK_CACHE", {})
-    for name in ("_shifted_inverse", "_shifted_numerators"):
-        memo = getattr(vertexops, name)
-        monkeypatch.setattr(vertexops, name, lru_cache(
-            maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__))
+    """An empty closed-form memo for one test, so that it neither serves
+    tables computed before a defect is planted nor keeps planted ones."""
+    memo = vertexops._shifted_inverse
+    monkeypatch.setattr(vertexops, "_shifted_inverse", lru_cache(
+        maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__))
 
 
 # (law, planted defect, pattern of a failure line naming the case)
