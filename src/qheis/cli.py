@@ -254,7 +254,7 @@ def _cmd_fock_apply(args) -> int:
     module = FockModule(args.algebra)
     try:
         out = apply_word(module, word, module.vacuum())
-    except (LieAlgebraError, FockError) as exc:
+    except FockError as exc:
         return _fail_usage(str(exc))
     print(out)
     return 0

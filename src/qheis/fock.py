@@ -11,17 +11,17 @@ In the deformed shifted algebra even two creation modes can bracket to a
 nonzero central scalar, so normal ordering inserts corrections among
 creations as well; the sorted monomials remain a basis and the correction
 terms always have strictly shorter words.
+
+A generator b^(shift)_mode is named by its letter (mode, shift), with
+shift 0 on the unshifted algebras; PBW monomials and words are tuples of
+letters.  Two-point functions read generating fields (:func:`two_point`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .liealg import (
-    GeneratorSymbol,
-    bracket_modes,
-    get_algebra,
-)
+from .liealg import bracket_modes, get_algebra
 from .scalar import SYMBOLIC, Scalar, immutable
 from .series import TruncatedLaurent, Window
 
@@ -195,24 +195,21 @@ def pair_vectors(bra: FockVector, ket: FockVector) -> Scalar:
 # the action
 
 
-def apply_generator(g: GeneratorSymbol, v: FockVector) -> FockVector:
-    """Act by a generator and return the PBW normal form of the result."""
+def apply_generator(letter: tuple[int, int], v: FockVector) -> FockVector:
+    """Act by the generator of the letter (mode, shift) and return the PBW
+    normal form of the result."""
     module = v.module
-    spec = module.spec
-    if g.algebra != spec.name:
+    mode, shift = letter
+    if shift and not module.spec.shifted:
         raise FockError(
-            f"cannot act by a {g.algebra} generator on a {spec.name} module")
-    if g.central:
-        return v.scale(module.level)
-    if not spec.shifted and g.shift:
-        raise FockError(f"{spec.name} generators carry no family index")
+            f"{module.spec.name} generators carry no family index")
     out: dict[PBWMonomial, Scalar] = {}
-    if g.mode <= -1:
+    if mode <= -1:
         for mono, c in v.terms.items():
-            _insert_creation(module, mono, (g.mode, g.shift), c, out)
+            _insert_creation(module, mono, letter, c, out)
     else:
         for mono, c in v.terms.items():
-            _contract_annihilator(module, mono, (g.mode, g.shift), c, out)
+            _contract_annihilator(module, mono, letter, c, out)
     return FockVector(module, out)
 
 
@@ -260,9 +257,9 @@ def _contract_annihilator(module: FockModule, mono: PBWMonomial,
 
 
 def apply_word(module: FockModule, word, v: FockVector) -> FockVector:
-    """Act by a word of (mode, shift) pairs, rightmost factor first."""
-    for mode, shift in reversed(list(word)):
-        v = apply_generator(GeneratorSymbol(module.algebra, mode, shift), v)
+    """Act by a word of (mode, shift) letters, rightmost factor first."""
+    for letter in reversed(list(word)):
+        v = apply_generator(letter, v)
     return v
 
 
@@ -293,61 +290,39 @@ def _weights(v: FockVector, mode_sum: int) -> set[int]:
             for mono in v.terms}
 
 
-class FieldSlot:
-    """One generating function in a matrix element.
-
-    ``shift`` selects the family index (shifted algebras only) and
-    ``scale`` rescales the variable: the field is evaluated at scale*x,
-    which multiplies the x^e coefficient by scale^e.
-    """
-
-    __slots__ = ("shift", "scale")
-
-    def __init__(self, shift: int = 0, scale: Scalar = 1):
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
-
-    __setattr__ = __delattr__ = immutable
-
-
-def two_point(bra: FockVector, slots, ket: FockVector,
+def two_point(bra: FockVector, fields, ket: FockVector,
               window: Window) -> TruncatedLaurent:
-    """Matrix element of a product of generating functions, exactly.
+    """Matrix element of a product of generating fields, exactly.
 
-    The i-th :class:`FieldSlot` contributes the field
-    sum_m b^(shift)_m (scale x_i)^(-m-offset), applied in written order to
-    the ket.  Each exponent tuple of the window selects exactly one mode
-    word, so every coefficient inside the window is exact.  The words are
-    walked right to left as a tree: each prefix acts once and its vector
-    is shared by every exponent extending it, and a zero vector ends its
-    branch.
+    A field has a ``module``, an ``offset`` and ``apply_coeff(e, v)``, the
+    action of its x^e coefficient: the generator of mode -e - offset up
+    to a nonzero scalar (:func:`qheis.vertexops.field_of`).  The i-th
+    field takes the variable x_i, and the fields act on the ket in written
+    order, the last first.  Each exponent tuple of the window selects one
+    coefficient of each field, so every coefficient inside the window is
+    exact.  The exponents are walked right to left as a tree: each prefix
+    acts once and its vector is shared by every exponent extending it, and
+    a zero vector ends its branch.
 
     When the algebra is graded (its brackets vanish off m + n = mode_sum),
     a monomial on modes m_j has the weight sum_j (mode_sum - 2 m_j), and
     every generator of mode m -- by creation or contraction -- moves a
-    weight by mode_sum - 2m.  So the outermost slot applies only the modes
-    that move some weight of its vector onto some weight of the bra; every
-    other leaf pairs to zero.  ``bhatq`` has no
-    grading and walks every exponent.
+    weight by mode_sum - 2m.  So the outermost field applies only the
+    exponents whose mode moves some weight of its vector onto some weight
+    of the bra; every other leaf pairs to zero.  ``bhatq`` has no grading
+    and walks every exponent.
     """
-    if bra.module != ket.module:
+    module = bra.module
+    if ket.module != module:
         raise FockError("bra and ket live in different modules")
-    if len(slots) > 3:
+    if any(f.module != module for f in fields):
+        raise FockError("a field and the bra act on different modules")
+    if len(fields) > 3:
         raise FockError("at most three fields are supported")
-    if len(window.vars) != len(slots):
+    if len(window.vars) != len(fields):
         raise FockError("window must have one variable per field")
-    offset = bra.module.spec.offset
-    alg = bra.module.algebra
-    gens = [[(ei, GeneratorSymbol(alg, -ei - offset, slot.shift))
-             for ei in range(lo, hi + 1)]
-            for slot, lo, hi in zip(slots, window.lo, window.hi)]
     coeffs: dict[tuple[int, ...], Scalar] = {}
-    # scale^e for each exponent e of a scaled slot's window
-    scaled = [(i, {e: slot.scale ** e for e in range(lo, hi + 1)})
-              for i, (slot, lo, hi) in enumerate(zip(slots, window.lo,
-                                                     window.hi))
-              if slot.scale != 1]
-    sigma = bra.module.spec.mode_sum
+    sigma = module.spec.mode_sum
     if sigma is not None:
         bra_weights = _weights(bra, sigma)
 
@@ -357,20 +332,18 @@ def two_point(bra: FockVector, slots, ket: FockVector,
         if i < 0:
             val = pair_vectors(bra, v)
             if val:
-                for j, powers in scaled:
-                    val = val * powers[tail[j]]
                 coeffs[tail] = val
             return
-        steps = gens[i]
+        field, lo, hi = fields[i], window.lo[i], window.hi[i]
+        exps = range(lo, hi + 1)
         if i == 0 and sigma is not None:
             # mode m takes weight a to b = a + sigma - 2m
-            lo, hi = window.lo[0], window.hi[0]
-            reach = {-((sigma + a - b) // 2) - offset
+            reach = {-((sigma + a - b) // 2) - field.offset
                      for a in _weights(v, sigma) for b in bra_weights
                      if (sigma + a - b) % 2 == 0}
-            steps = [steps[ei - lo] for ei in sorted(reach) if lo <= ei <= hi]
-        for ei, g in steps:
-            walk(i - 1, apply_generator(g, v), (ei,) + tail)
+            exps = [e for e in sorted(reach) if lo <= e <= hi]
+        for e in exps:
+            walk(i - 1, field.apply_coeff(e, v), (e,) + tail)
 
-    walk(len(slots) - 1, ket, ())
+    walk(len(fields) - 1, ket, ())
     return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)

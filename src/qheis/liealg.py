@@ -119,27 +119,6 @@ def get_algebra(alg: str | AlgebraSpec) -> AlgebraSpec:
             from None
 
 
-class GeneratorSymbol:
-    """A mode generator b^(shift)_mode of one algebra, or its central element."""
-
-    __slots__ = ("algebra", "mode", "shift", "central")
-
-    def __init__(self, algebra: str, mode: int, shift: int = 0,
-                 central: bool = False):
-        spec = get_algebra(algebra)
-        if not spec.shifted and shift:
-            raise LieAlgebraError(
-                f"{spec.name} generators carry no family index")
-        if central and (mode or shift):
-            raise LieAlgebraError("the central element has no mode or index")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "central", central)
-
-    __setattr__ = __delattr__ = immutable
-
-
 # ---------------------------------------------------------------------------
 # the exponential tail F_n
 

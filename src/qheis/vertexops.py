@@ -42,7 +42,6 @@ from functools import lru_cache, partial
 from typing import Iterable
 
 from .fock import (
-    FieldSlot,
     FockModule,
     FockVector,
     apply_generator,
@@ -51,7 +50,6 @@ from .fock import (
     two_point,
 )
 from .liealg import (
-    GeneratorSymbol,
     diff_expansion_table,
     f_coefficient,
     g_coefficient,
@@ -134,12 +132,11 @@ class OperatorSeries:
 
 
 class GeneratorField(OperatorSeries):
-    """The generating series of one mode family.
-
-    For the shifted algebras the family index rides on the generators and
-    the exponent convention is x^(-m-1).  For the unshifted ones the index
-    scales the argument instead: coefficient e carries a factor q^(shift*e),
-    which is the expansion of a(q^shift x) in powers of x.
+    """The generating series of one mode family, and the one place that
+    says how a family index acts.  On the shifted algebras it rides on the
+    generators, as the letter (mode, shift), and the exponent convention
+    is x^(-m-1).  On the unshifted ones it scales the argument: coefficient
+    e carries a factor q^(shift*e), the expansion of a(q^shift x).
     """
 
     __slots__ = ("module", "shift", "offset")
@@ -161,9 +158,8 @@ class GeneratorField(OperatorSeries):
 
     def apply_mode(self, n: int, v: FockVector) -> FockVector:
         if self.offset:  # 1 exactly on the shifted algebras
-            return apply_generator(
-                GeneratorSymbol(self.module.algebra, n, self.shift), v)
-        out = apply_generator(GeneratorSymbol(self.module.algebra, n), v)
+            return apply_generator((n, self.shift), v)
+        out = apply_generator((n, 0), v)
         if self.shift:
             out = out.scale(self.module.scalars.q_power(-self.shift * n))
         return out
@@ -856,19 +852,12 @@ def _swap_window(w: Window) -> Window:
                   (w.lo[1], w.lo[0]), (w.hi[1], w.hi[0]))
 
 
-def _slot_for(module: FockModule, shift: int) -> FieldSlot:
-    if module.spec.shifted:
-        return FieldSlot(shift=shift)
-    return FieldSlot(scale=module.scalars.q_power(shift))
-
-
 def _measured_commutator(bra: FockVector, ket: FockVector, r: int, s: int,
                          w: Window) -> TruncatedLaurent:
     """<bra| [a(x1), b(x2)] |ket> read off the two orders of the fields."""
-    module = ket.module
-    sa, sb = _slot_for(module, r), _slot_for(module, s)
-    fwd = two_point(bra, (sa, sb), ket, w)
-    rev = two_point(bra, (sb, sa), ket, _swap_window(w))
+    a, b = field_of(ket.module, r), field_of(ket.module, s)
+    fwd = two_point(bra, (a, b), ket, w)
+    rev = two_point(bra, (b, a), ket, _swap_window(w))
     return fwd - _transpose2(rev, w)
 
 

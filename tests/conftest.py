@@ -11,7 +11,6 @@ from qheis.kernels import Factor, RationalKernel, _binom_row, \
     _place_cert, iota_expand
 from qheis.liealg import (
     AlgebraSpec,
-    GeneratorSymbol,
     LieAlgebraError,
     bracket_modes,
     get_algebra,
@@ -385,28 +384,31 @@ def probe_kills(mult, pair, jl: int = 0, jr: int = 0) -> bool:
     return True
 
 
-def two_point_oracle(bra, slots, ket, window) -> TruncatedLaurent:
+def two_point_oracle(bra, fields, ket, window) -> TruncatedLaurent:
     """fock.two_point with one full mode word per exponent tuple.
 
-    Independent of the library's shared-prefix walk: every exponent tuple
-    of the window builds its own generators and applies the whole word to
-    the ket, rightmost slot first, then pairs the result with the bra.
+    Independent of the library's shared-prefix walk and of the fields'
+    own action: every exponent tuple of the window applies the generator
+    letters (-e - offset, shift) of the whole word to the ket, rightmost
+    field first, and pairs the result with the bra.  On the unshifted
+    algebras the index scales the argument instead, so the paired value
+    is multiplied by q^(shift * e) for each field.
     """
-    offset = bra.module.spec.offset
-    alg = bra.module.algebra
+    module = bra.module
+    shifted = module.spec.shifted
     coeffs = {}
     for e in window.exponents():
         v = ket
-        for ei, slot in zip(reversed(e), reversed(slots)):
+        for ei, f in zip(reversed(e), reversed(fields)):
             if v.is_zero():
                 break
             v = apply_generator(
-                GeneratorSymbol(alg, -ei - offset, slot.shift), v)
+                (-ei - f.offset, f.shift if shifted else 0), v)
         val = pair_vectors(bra, v)
+        if val and not shifted:
+            for ei, f in zip(e, fields):
+                val = val * module.scalars.q_power(f.shift * ei)
         if val:
-            for ei, slot in zip(e, slots):
-                if slot.scale != 1:
-                    val = val * slot.scale ** ei
             coeffs[e] = val
     return TruncatedLaurent.polynomial(window.vars, coeffs).restrict(window)
 

@@ -23,7 +23,7 @@ from conftest import (
     realization_bracket_check,
     reduce_to_vacuum,
 )
-from qheis.fock import FieldSlot, FockError, FockModule, two_point
+from qheis.fock import FockError, FockModule, two_point
 from qheis.kernels import iota_expand, parse_kernel
 from qheis.liealg import bracket_modes, f_coefficient
 from qheis.report import PASS
@@ -59,10 +59,9 @@ def test_01_deformed_commutator_is_a_two_delta_multiple():
     gap = L / (Q - Scalar.q_power(-1))
     bad = []
     for r, s in ((0, 0), (1, 0)):
-        slots = (FieldSlot(scale=Scalar.q_power(r)),
-                 FieldSlot(scale=Scalar.q_power(s)))
-        fwd = two_point(vac, slots, vac, w)
-        rev = two_point(vac, (slots[1], slots[0]), vac, w)
+        a, b = field_of(module, r), field_of(module, s)
+        fwd = two_point(vac, (a, b), vac, w)
+        rev = two_point(vac, (b, a), vac, w)
         want = delta_family("plain", Scalar.q_power(s - r + 1), w).scale(gap) \
             + delta_family("plain", Scalar.q_power(s - r - 1), w).scale(-gap)
         for e in w.exponents():

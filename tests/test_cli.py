@@ -195,6 +195,16 @@ def test_fock_apply(capsys):
     capsys.readouterr()
 
 
+def test_fock_apply_refuses_a_family_index_on_unshifted_algebras(capsys):
+    """A letter's family index is refused on hq and htq, whose index
+    scales a field's argument instead."""
+    for alg, word in (("hq", "-1:1"), ("htq", "-2:3")):
+        assert run(["fock-apply", "--algebra", alg, f"--word={word}"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == \
+            f"error: {alg} generators carry no family index\n", err
+
+
 def test_fock_apply_refuses_modes_past_the_bound(monkeypatch, capsys):
     """The letters of a word are held to MAX_MODE, as the modes of
     bracket are: bhatq -400:1,-400:0 used to print 3.0 MB.  Past the

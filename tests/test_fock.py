@@ -17,7 +17,6 @@ from conftest import (
     window_of,
 )
 from qheis.fock import (
-    FieldSlot,
     FockError,
     FockModule,
     annihilation_bound,
@@ -26,16 +25,17 @@ from qheis.fock import (
     pair_vectors,
     two_point,
 )
-from qheis.liealg import GeneratorSymbol, bracket_modes
+from qheis.liealg import bracket_modes
 from qheis.report import FAIL
 from qheis.scalar import L, ONE, ZERO, Scalar, qint
 from qheis.series import Window
+from qheis.vertexops import field_of
 
 Q = Scalar.var_q()
 
 
-def gen(alg, mode, shift=0):
-    return GeneratorSymbol(alg, mode, shift)
+def gen(mode, shift=0):
+    return (mode, shift)
 
 
 def test_annihilators_kill_vacuum():
@@ -44,27 +44,20 @@ def test_annihilators_kill_vacuum():
         shifts = (-1, 0, 2) if module.spec.shifted else (0,)
         for mode in (0, 1, 3):
             for r in shifts:
-                out = apply_generator(gen(alg, mode, r), module.vacuum())
+                out = apply_generator(gen(mode, r), module.vacuum())
                 assert out.is_zero(), (alg, mode, r)
-
-
-def test_central_element_acts_by_level():
-    module = FockModule("bhatq")
-    v = module.basis_vector((-1, 0))
-    c = GeneratorSymbol("bhatq", 0, 0, central=True)
-    assert apply_generator(c, v) == v.scale(L)
 
 
 def test_hq_contraction():
     module = FockModule("hq")
-    v = apply_generator(gen("hq", 2), module.basis_vector((-2, 0)))
+    v = apply_generator(gen(2), module.basis_vector((-2, 0)))
     assert v == module.vacuum().scale((Q + Scalar.q_power(-1)) * L)
     assert v == module.vacuum().scale(qint(2) * L)
 
 
 def test_bhatq_creation_creation_correction():
     module = FockModule("bhatq")
-    v = apply_generator(gen("bhatq", -1, 0), module.basis_vector((-2, 1)))
+    v = apply_generator(gen(-1, 0), module.basis_vector((-2, 1)))
     expected = module.basis_vector((-2, 1), (-1, 0)) + module.vacuum().scale(
         bracket_modes("bhatq", -1, -2, 0, 1) * L)
     assert v == expected
@@ -108,21 +101,21 @@ def test_grading_by_total_degree():
         module = FockModule(alg)
         v = module.basis_vector((-3, 0), (-1, 0))
         assert v.degrees() == {4}
-        up = apply_generator(gen(alg, -2), v)
+        up = apply_generator(gen(-2), v)
         assert up.degrees() == {6}
-        down = apply_generator(gen(alg, 3), v)
+        down = apply_generator(gen(3), v)
         assert down.degrees() == {1}
     # the loop-style pairing contracts at mode sum -1
     module = FockModule("bhat")
     v = module.basis_vector((-3, 0))
-    hit = apply_generator(gen("bhat", 2, 1), v)
+    hit = apply_generator(gen(2, 1), v)
     assert not hit.is_zero() and hit.degrees() == {0}
 
 
 def test_bhatq_corrections_are_shorter_words():
     module = FockModule("bhatq")
     v = module.basis_vector((-2, 0), (-3, 1))
-    out = apply_generator(gen("bhatq", -1, 1), v)
+    out = apply_generator(gen(-1, 1), v)
     lengths = sorted({len(mono) for mono in out.terms})
     assert lengths[-1] == 3
     assert all(n < 3 for n in lengths[:-1])
@@ -140,10 +133,10 @@ def test_annihilation_bounds_are_tight():
         shifts = (-2, -1, 0, 1, 2) if v.module.spec.shifted else (0,)
         for mode in range(expected, expected + 3):
             for r in shifts:
-                assert apply_generator(gen(alg, mode, r), v).is_zero(), \
+                assert apply_generator(gen(mode, r), v).is_zero(), \
                     (alg, mode, r)
         assert any(
-            not apply_generator(gen(alg, expected - 1, r), v).is_zero()
+            not apply_generator(gen(expected - 1, r), v).is_zero()
             for r in shifts), alg
     for alg in ("hq", "htq", "bhat", "bhatq"):
         assert annihilation_bound(FockModule(alg).vacuum()) == 0
@@ -152,8 +145,8 @@ def test_annihilation_bounds_are_tight():
 def test_two_point_matches_mode_contraction():
     module = FockModule("hq")
     w = window_of(x1=(-4, 2), x2=(-2, 4))
-    t = two_point(module.vacuum(), [FieldSlot(), FieldSlot()],
-                  module.vacuum(), w)
+    b = field_of(module)
+    t = two_point(module.vacuum(), [b, b], module.vacuum(), w)
     for e1, e2 in w.exponents():
         expected = qint(e2) * L if e1 == -e2 and e2 >= 1 else ZERO
         assert t.coeff((e1, e2), ZERO) == expected, (e1, e2)
@@ -163,10 +156,9 @@ def test_two_point_order_difference_is_delta_combination():
     module = FockModule("hq")
     w12 = window_of(x1=(-4, 4), x2=(-4, 4))
     w21 = window_of(x2=(-4, 4), x1=(-4, 4))
-    t12 = two_point(module.vacuum(), [FieldSlot(), FieldSlot()],
-                    module.vacuum(), w12)
-    t21 = two_point(module.vacuum(), [FieldSlot(), FieldSlot()],
-                    module.vacuum(), w21)
+    b = field_of(module)
+    t12 = two_point(module.vacuum(), [b, b], module.vacuum(), w12)
+    t21 = two_point(module.vacuum(), [b, b], module.vacuum(), w21)
     for e1 in range(-4, 5):
         for e2 in range(-4, 5):
             diff = t12.coeff((e1, e2), ZERO) - t21.coeff((e2, e1), ZERO)
@@ -177,7 +169,7 @@ def test_two_point_order_difference_is_delta_combination():
 def test_two_point_single_field_on_vacuum_vanishes():
     module = FockModule("htq")
     w = window_of(x=(-5, 5))
-    t = two_point(module.vacuum(), [FieldSlot()], module.vacuum(), w)
+    t = two_point(module.vacuum(), [field_of(module)], module.vacuum(), w)
     assert t.is_zero_on(w)
 
 
@@ -185,7 +177,7 @@ def test_two_point_scaled_slot():
     module = FockModule("hq")
     w = window_of(x1=(-3, 0), x2=(0, 3))
     a = Scalar.q_power(2)
-    t = two_point(module.vacuum(), [FieldSlot(scale=a), FieldSlot()],
+    t = two_point(module.vacuum(), [field_of(module, 2), field_of(module)],
                   module.vacuum(), w)
     for m in range(1, 4):
         assert t.coeff((-m, m)) == a ** (-m) * qint(m) * L
@@ -205,44 +197,46 @@ def test_two_point_matches_oracle_seeded():
     for alg in ("hq", "htq", "bhat", "bhatq", "graded"):
         module = FockModule(alg)
         nonzero = 0
-        shifts = (0, 1) if module.spec.shifted else (0,)
+        shifted = module.spec.shifted
+        shifts = (0, 1) if shifted else (0,)
+        # field indices: family indices on the shifted algebras, argument
+        # scalings a(q^k x) on the others
+        indices = (0, 1) if shifted else (0, 0, -1, 2)
         # pairs whose antidiagonal crosses the window, then
-        # seeded slots, windows and states
-        anchor = [FieldSlot(shift=shifts[-1], scale=Q ** -1), FieldSlot()]
+        # seeded fields, windows and states
+        anchor = [field_of(module, 1 if shifted else -1), field_of(module)]
         cases = [(anchor, window_of(x0=(-4, 1), x1=(-2, 4)), v, v)
                  for v in (module.vacuum(),
                            module.basis_vector((-1, 0)),
                            module.basis_vector((-1, 0), (-2, shifts[-1])))]
         # sums of two basis vectors of different weights: the outermost
-        # slot must reach each weight of the bra from each weight of
+        # field must reach each weight of the bra from each weight of
         # its vector
         r = shifts[-1]
         low = module.vacuum() + module.basis_vector((-2, 0))
         high = (module.basis_vector((-1, r), (-2, 0))
                 + module.basis_vector((-4, r)))
         for w in (window_of(x0=(-5, 5)), Window.cube(("x0", "x1"), 4)):
-            slots = [FieldSlot(shift=r)] * len(w.vars)
-            cases += [(slots, w, bra, ket)
+            fields = [field_of(module, r)] * len(w.vars)
+            cases += [(fields, w, bra, ket)
                       for bra, ket in ((high, low), (low, high),
                                        (high, high))]
         for n in (1, 2, 3):
             for _trial in range(4):
-                slots = [FieldSlot(shift=rng.choice(shifts),
-                                   scale=Scalar.q_power(
-                                       rng.choice((0, 0, -1, 2))))
-                         for _ in range(n)]
+                fields = [field_of(module, rng.choice(indices))
+                          for _ in range(n)]
                 w = Window(tuple(f"x{i}" for i in range(n)),
                            tuple(-rng.randint(1, radius[n])
                                  for _ in range(n)),
                            tuple(rng.randint(1, radius[n])
                                  for _ in range(n)))
-                cases.append((slots, w,
+                cases.append((fields, w,
                               _random_state(rng, module, rng.randint(0, 2)),
                               _random_state(rng, module, rng.randint(0, 2))))
-        for slots, w, bra, ket in cases:
-            got = two_point(bra, slots, ket, w)
-            want = two_point_oracle(bra, slots, ket, w)
-            case = (module, slots, w, bra, ket)
+        for fields, w, bra, ket in cases:
+            got = two_point(bra, fields, ket, w)
+            want = two_point_oracle(bra, fields, ket, w)
+            case = (module, fields, w, bra, ket)
             assert got.vars == want.vars, case
             assert cert_fields(got.cert) == cert_fields(want.cert), case
             assert got.coeffs == want.coeffs, case
@@ -281,9 +275,9 @@ def test_reduce_refusals():
 
 def test_level_zero_action_has_no_brackets():
     module = FockModule("bhatq", level=ZERO)
-    v = apply_generator(gen("bhatq", -1, 0), module.basis_vector((-2, 1)))
+    v = apply_generator(gen(-1, 0), module.basis_vector((-2, 1)))
     assert v == module.basis_vector((-2, 1), (-1, 0))
-    hit = apply_generator(gen("bhatq", 2, 0), module.basis_vector((-2, 0)))
+    hit = apply_generator(gen(2, 0), module.basis_vector((-2, 0)))
     assert hit.is_zero()
 
 
@@ -331,8 +325,15 @@ def test_planted_leading_constant_fails_realization_check(monkeypatch):
 def test_module_hygiene():
     module = FockModule("hq")
     other = FockModule("htq")
-    with pytest.raises(FockError, match="cannot act"):
-        apply_generator(gen("htq", 1), module.vacuum())
+    # a letter carries no algebra: a field of another module is refused
+    # by two_point, and a family index by an unshifted module
+    w = window_of(x1=(-1, 1), x2=(-1, 1))
+    for fields in ([field_of(other), field_of(module)],
+                   [field_of(module), field_of(other)]):
+        with pytest.raises(FockError, match="different modules"):
+            two_point(module.vacuum(), fields, module.vacuum(), w)
+    with pytest.raises(FockError, match="no family index"):
+        apply_generator(gen(-1, 2), module.vacuum())
     with pytest.raises(FockError, match="not a creation mode"):
         module.basis_vector((0, 0))
     with pytest.raises(FockError, match="different modules"):

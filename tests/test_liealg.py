@@ -19,7 +19,6 @@ from qheis import liealg
 from qheis.fock import FockModule
 from qheis.liealg import (
     ALGEBRAS,
-    GeneratorSymbol,
     LieAlgebraError,
     bracket_modes,
     f_coefficient,
@@ -226,18 +225,8 @@ def test_graded_closed_form_examples():
                         graded_leading_constant(r, s, m, n), (r, s, m, n)
 
 
-def test_generator_symbols_and_central_element():
-    a = GeneratorSymbol("bhatq", mode=-1, shift=0)
-    b = GeneratorSymbol("bhatq", mode=-2, shift=1)
-    c = GeneratorSymbol("bhatq", 0, 0, central=True)
-    assert bracket_modes("bhatq", a.mode, b.mode, a.shift, b.shift) == \
-        -f_coefficient(-1, 1)
-    with pytest.raises(LieAlgebraError, match="no family index"):
-        GeneratorSymbol("hq", mode=1, shift=2)
-    with pytest.raises(LieAlgebraError, match="no mode or index"):
-        GeneratorSymbol("bhatq", 1, 0, central=True)
-    assert (b.algebra, b.mode, b.shift, b.central) == ("bhatq", -2, 1, False)
-    assert (c.mode, c.shift, c.central) == (0, 0, True)
+def test_bhatq_bracket_of_two_creations():
+    assert bracket_modes("bhatq", -1, -2, 0, 1) == -f_coefficient(-1, 1)
 
 
 def test_skew_symmetry_reports():

@@ -36,8 +36,6 @@ RECORDS = {
     report.CheckReport: lambda cls: cls("law", report.PASS, 3, "all", [],
                                         ["note"]),
     liealg.AlgebraSpec: lambda cls: cls("hq", 0, False, 0, "summary"),
-    liealg.GeneratorSymbol: lambda cls: cls("bhatq", -2, 1),
-    fock.FieldSlot: lambda cls: cls(1, Q),
     kernels._V: lambda cls: cls({(): ONE}, ()),
     kernels._Desc: lambda cls: cls("x", abs, abs),
     vertexops.PairPart: lambda cls: cls("plain", L, Q),

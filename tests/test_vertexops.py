@@ -34,7 +34,7 @@ from conftest import (
 )
 from qheis import fock, scalar, vertexops
 from qheis.liealg import ALGEBRAS, bracket_modes
-from qheis.fock import FieldSlot, FockModule, pair_vectors, two_point
+from qheis.fock import FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, SYMBOLIC, RationalPoint, Scalar, ZERO
 from qheis.series import NEG_INF, POS_INF, Cert, TruncatedLaurent, Window, \
@@ -117,14 +117,14 @@ def test_shifted_field_coefficients(bq):
 def test_field_coefficients_match_state_tables(hq, bq):
     vac = hq.vacuum()
     w = Window.cube(("x1", "x2"), 3)
-    t = two_point(vac, (FieldSlot(scale=Q), FieldSlot()), vac, w)
     f1, f0 = field_of(hq, 1), field_of(hq)
+    t = two_point(vac, (f1, f0), vac, w)
     for e in w.exponents():
         val = pair_vectors(vac, f1.apply_coeff(e[0], f0.apply_coeff(e[1], vac)))
         assert t.coeff(e, ZERO) == val
     bvac = bq.vacuum()
-    tb = two_point(bvac, (FieldSlot(shift=1), FieldSlot()), bvac, w)
     g1, g0 = field_of(bq, 1), field_of(bq)
+    tb = two_point(bvac, (g1, g0), bvac, w)
     for e in w.exponents():
         val = pair_vectors(bvac,
                            g1.apply_coeff(e[0], g0.apply_coeff(e[1], bvac)))
@@ -203,10 +203,10 @@ def test_fields_are_values():
 # the commutator catalog
 
 
-def _measured(module, slots, w):
+def _measured(module, fields, w):
     vac = module.vacuum()
-    fwd = two_point(vac, slots, vac, w)
-    rev = two_point(vac, (slots[1], slots[0]), vac, w)
+    fwd = two_point(vac, fields, vac, w)
+    rev = two_point(vac, (fields[1], fields[0]), vac, w)
     out = {}
     for e in w.exponents():
         out[e] = fwd.coeff(e, ZERO) - rev.coeff((e[1], e[0]), ZERO)
@@ -221,12 +221,9 @@ def _measured(module, slots, w):
 def test_pair_tables_match_measured_commutators(alg, r, s):
     module = FockModule(alg)
     w = Window.cube(("x1", "x2"), 4)
-    if module.spec.shifted:
-        slots = (FieldSlot(shift=r), FieldSlot(shift=s))
-    else:
-        slots = (FieldSlot(scale=qp(r)), FieldSlot(scale=qp(s)))
-    tab = pair_of(field_of(module, r), field_of(module, s)).table(w)
-    for e, val in _measured(module, slots, w).items():
+    fields = (field_of(module, r), field_of(module, s))
+    tab = pair_of(*fields).table(w)
+    for e, val in _measured(module, fields, w).items():
         assert tab.coeff(e, ZERO) == val, (alg, r, s, e)
 
 
@@ -249,8 +246,10 @@ def test_measured_commutator_operation_counts(monkeypatch, alg, r, s,
             return fn(*args)
         return run
 
-    monkeypatch.setattr(fock, "apply_generator",
-                        counted("apply", fock.apply_generator))
+    # two_point applies generators through the fields, in vertexops
+    apply = counted("apply", fock.apply_generator)
+    monkeypatch.setattr(fock, "apply_generator", apply)
+    monkeypatch.setattr(vertexops, "apply_generator", apply)
     monkeypatch.setattr(fock, "pair_vectors",
                         counted("pair", fock.pair_vectors))
     vac = FockModule(alg).vacuum()
@@ -1035,10 +1034,8 @@ def test_point_values_match_evaluated_symbolic_seeded():
                 tables = []
                 for mod in (sym, num):
                     ket = mod.basis_vector(*word)
-                    slots = [FieldSlot(shift=k) if shifted else
-                             FieldSlot(scale=mod.scalars.q_power(k))
-                             for k in shifts]
-                    tables.append(two_point(ket, slots, ket, w))
+                    fields = [field_of(mod, k) for k in shifts]
+                    tables.append(two_point(ket, fields, ket, w))
                 want, got = tables
                 assert got.coeffs == {e: v for e, v in (
                     (e, evaluate(c, point)) for e, c in want.coeffs.items())
