@@ -30,6 +30,12 @@ by ``q - 2``, say) takes a gcd in ``Z[q]``, of ``R`` and each
 first use.  Equal values have identical representations, so ``==`` and
 ``hash`` are structural.  A scalar keeps its hash and its printed text
 once they are first asked for.
+
+The module also holds the two scalar fields, :class:`SymbolicField`
+(``SYMBOLIC``) and :class:`RationalPoint`, and the closed form of
+1 / (unit * prod (e^z - c)^m), :class:`ExpInverse`.  Its ``column`` is
+the one place a product-stack coefficient is computed, over one
+denominator per z order.
 """
 
 from __future__ import annotations
@@ -774,14 +780,8 @@ def qint(m: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# sums over one shared denominator
+# common denominators
 # ---------------------------------------------------------------------------
-
-# A numerator kept in a memo is stored as rows: rows[e] holds the
-# coefficients of l^e, lowest power of q first.  Dense rows are compact
-# to keep and quick to multiply by a sparse polynomial.
-Rows = tuple[tuple[int, ...], ...]
-
 
 def _fd_lcm(fds) -> Factored:
     """The lcm of factored denominators, with an integer part of 1 or
@@ -808,28 +808,6 @@ def _over(num: Poly, fd: Factored, to: Factored) -> Poly:
     up = [(d, e - have.get(d, 0)) for d, e in cyc if e > have.get(d, 0)]
     cof = None if vr == r else r if vr is None else _pdiv_exact(r, vr)
     return _lift(num, c // vc, a - va, up, cof)
-
-
-def lift_common(values) -> tuple[Factored, list]:
-    """One denominator den and integer polynomials nums with
-    values[i] == nums[i] / den.
-
-    den is the lcm of the values' denominators, less the integer content
-    it shares with every numerator.  Each numerator is lifted by the
-    cofactor its factored denominator gives, so no gcd is taken unless
-    two residuals differ.
-    """
-    den = _fd_lcm(v._fd for v in values)
-    nums = [_over(v.num, v._fd, den) for v in values]
-    c, a, cyc, r = den
-    g = c
-    for x in (x for n in nums for x in n.values()):
-        if g == 1:
-            break
-        g = _int_gcd(g, x)
-    if g > 1:
-        nums = [{t: x // g for t, x in n.items()} for n in nums]
-    return (c // g, a, cyc, r), nums
 
 
 # -- the inverse of a product of linear factors in e^z ----------------------
@@ -908,16 +886,18 @@ class ExpInverse:
     returns u(-kappa)..u(top): kernel expansion reads its e^z factors
     here.
 
-    ``upto(zneed)`` returns, for T = -kappa..zneed, the least common
+    ``column(cs, zneed)`` returns [z^T] sum_k cs[k] e^(kz) u for
+    T = -kappa..zneed, and is the only code that computes a product-stack
+    coefficient.  For each z order T the table keeps the least common
     denominator D_T of u(T - J) / J! for J = 0..T + kappa and the
-    numerators W_J = D_T u(T - J) / J!.  D_(T-1) divides D_T, and
-    W_J(T) = W_(J-1)(T - 1) (D_T / D_(T-1)) / J, so each z order is one
-    new cancellation and small products.  ``numerators(k, zneed)``
-    returns N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J(T) over the same
-    D_T, one list per k grown to the deepest z order asked.  Every value
-    here is an integer polynomial over a factored denominator; this class
-    serves Q(q, l), and :class:`_PointExpInverse` converts for a rational
-    point.
+    numerators W_J = D_T u(T - J) / J! (``_upto``).  D_(T-1) divides D_T,
+    and W_J(T) = W_(J-1)(T - 1) (D_T / D_(T-1)) / J, so each z order is
+    one new cancellation and small products.  Over the same D_T it keeps
+    N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J(T) (``_numerators``), one
+    list per k grown to the deepest z order asked.  u has no l, so W_J and
+    N_k are coefficient tuples in q over a factored denominator; this
+    class serves Q(q, l), and :class:`_PointExpInverse` converts for a
+    rational point.
     """
 
     __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
@@ -977,19 +957,46 @@ class ExpInverse:
         return x.num, x._fd
 
     @staticmethod
-    def _entry(den: Factored, rows: list[list[int]]):
-        return den, tuple((tuple(w),) if any(w) else () for w in rows)
+    def _entry(den: Factored, ws: list[list[int]]):
+        return den, tuple(map(tuple, ws))
 
     @staticmethod
-    def _horner(k: int, polys) -> Rows:
-        """sum_j k^j polys[j] for polynomials as rows."""
-        # lists until the end: each tuple freed on the way would stay on
+    def _horner(k: int, ws) -> tuple[int, ...]:
+        """sum_j k^j ws[j] for coefficient tuples in q."""
+        # a list until the end: each tuple freed on the way would stay on
         # the interpreter's free list for its size
-        out: list[list[int]] = []
-        for rows in reversed(polys):
-            out = [[k * x + y for x, y in zip_longest(a, b, fillvalue=0)]
-                   for a, b in zip_longest(out, rows, fillvalue=())]
-        return tuple(map(tuple, out))
+        out: list[int] = []
+        for w in reversed(ws):
+            out = [k * x + y for x, y in zip_longest(out, w, fillvalue=0)]
+        return tuple(out)
+
+    @staticmethod
+    def _lift(values) -> tuple[Factored, list[Poly]]:
+        """The lcm den of the values' denominators and the numerators
+        over it, each lifted by the cofactor its factorization gives."""
+        den = _fd_lcm(v._fd for v in values)
+        return den, [_over(v.num, v._fd, den) for v in values]
+
+    @staticmethod
+    def _dot(xs, ys, f: Factored, g: Factored) -> Scalar:
+        """sum_i xs[i] ys[i] / (f g) for polynomials xs and coefficient
+        tuples ys in q: polynomial products and one cancellation."""
+        acc: dict[int, list[int]] = {}
+        for x, y in zip(xs, ys):
+            n = len(y)
+            if not n:
+                continue
+            for (ea, la), ca in x.items():
+                o = acc.get(la)
+                if o is None:
+                    o = acc[la] = []
+                if len(o) < ea + n:
+                    o.extend([0] * (ea + n - len(o)))
+                o[ea:ea + n] = [s + ca * cb for s, cb in zip(o[ea:ea + n], y)]
+        num = _sparse(acc)
+        if not num:
+            return _S_ZERO
+        return _make(*_cancel(num, _fd_mul(f, g)))
 
     def _p(self, n: int) -> list[int]:
         """P_n, the s^n numerator of prod (1 + rho_c s)^(-m_c)."""
@@ -1051,30 +1058,43 @@ class ExpInverse:
         prev, before = self._last
         _c, a, cyc, r = _fd_lcm((prev, fd))
         den = (lcd, a, cyc, r)
-        rows = [_qlist(_over(num, fd, den)) if num else []]
+        ws = [_qlist(_over(num, fd, den)) if num else []]
         if before:
             step = _qlist(_over(_ONE, prev, den))
-            rows += [[x // j for x in _lmul(w, step)] if w else []
-                     for j, w in enumerate(before, 1)]
-        self._last = den, rows
-        self._out.append(self._entry(den, rows))
+            ws += [[x // j for x in _lmul(w, step)] if w else []
+                   for j, w in enumerate(before, 1)]
+        self._last = den, ws
+        self._out.append(self._entry(den, ws))
 
-    def upto(self, zneed: int) -> list:
-        """(D_T, (W_0, .., W_(T+kappa))) for T = -kappa..zneed, in the
-        representation of the field's ``dot_over``."""
+    def _upto(self, zneed: int) -> list:
+        """The table's own list of (D_T, (W_0, .., W_(T+kappa))) from
+        T = -kappa, grown to T = zneed or beyond."""
         while len(self._out) <= zneed + self.kappa:
             self._grow()
-        return self._out[:zneed + self.kappa + 1]
+        return self._out
 
-    def numerators(self, k: int, zneed: int) -> list:
-        """N_k(T) for T = -kappa..zneed, over the D_T of ``upto``."""
+    def _numerators(self, k: int, zneed: int) -> list:
+        """The table's own list of N_k(T) from T = -kappa, over the D_T
+        of ``_upto``, grown to T = zneed or beyond."""
         top = zneed + self.kappa + 1
         nums = self._nums.setdefault(k, [])
         if len(nums) < top:
-            self.upto(zneed)
             nums.extend(self._horner(k, w)
-                        for _den, w in self._out[len(nums):top])
-        return nums[:top]
+                        for _den, w in self._upto(zneed)[len(nums):top])
+        return nums
+
+    def column(self, cs: dict, zneed: int) -> list:
+        """[z^T] sum_k cs[k] e^(kz) u for T = -kappa..zneed, for a dict
+        cs of values of the field by k, as values of the field.
+
+        The cs[k] are put over one denominator and dotted against the
+        N_k(T), with one cancellation per T."""
+        out = self._upto(zneed)
+        den, lifted = self._lift(cs.values())
+        cols = [self._numerators(k, zneed) for k in cs]
+        dot = self._dot
+        return [dot(lifted, [col[i] for col in cols], den, out[i][0])
+                for i in range(zneed + self.kappa + 1)]
 
 
 class _PointExpInverse(ExpInverse):
@@ -1091,8 +1111,8 @@ class _PointExpInverse(ExpInverse):
                                                       None)
 
     @staticmethod
-    def _entry(den: Factored, rows: list[list[int]]):
-        return den[0], tuple(w[0] if w else 0 for w in rows)
+    def _entry(den: Factored, ws: list[list[int]]):
+        return den[0], tuple(w[0] if w else 0 for w in ws)
 
     @staticmethod
     def _horner(k: int, values) -> int:
@@ -1100,6 +1120,18 @@ class _PointExpInverse(ExpInverse):
         for v in reversed(values):
             out = out * k + v
         return out
+
+    @staticmethod
+    def _lift(values) -> tuple[int, list[int]]:
+        den = 1
+        for v in values:
+            d = v.denominator
+            den = den // _int_gcd(den, d) * d
+        return den, [v.numerator * (den // v.denominator) for v in values]
+
+    @staticmethod
+    def _dot(xs, ys, f: int, g: int) -> Fraction:
+        return Fraction(sum(x * y for x, y in zip(xs, ys)), f * g)
 
 
 def _int_scaled(num: Poly, fd: Factored, k: int, j: int) -> Scalar:
@@ -1137,29 +1169,6 @@ def pair_sum(x: Scalar, wx: int, y: Scalar, wy: int, j: int) -> Scalar:
     return _make(*_cancel(num, (c * j, a, cyc, r)))
 
 
-def dot_over(xs, ys, f: Factored, g: Factored) -> Scalar:
-    """sum_i xs[i] ys[i] / (f g) for integer polynomials xs (dicts) and
-    ys (rows) and factored denominators f and g: polynomial products and
-    one cancellation."""
-    acc: dict[int, list[int]] = {}
-    for x, y in zip(xs, ys):
-        for (ea, la), ca in x.items():
-            for lb, rb in enumerate(y):
-                n = len(rb)
-                if not n:
-                    continue
-                o = acc.get(la + lb)
-                if o is None:
-                    o = acc[la + lb] = []
-                if len(o) < ea + n:
-                    o.extend([0] * (ea + n - len(o)))
-                o[ea:ea + n] = [s + ca * cb for s, cb in zip(o[ea:ea + n], rb)]
-    num = _sparse(acc)
-    if not num:
-        return _S_ZERO
-    return _make(*_cancel(num, _fd_mul(f, g)))
-
-
 class SymbolicField:
     """The symbolic field Q(q, l): every value is a :class:`Scalar`, and
     a divisor must be free of l.
@@ -1171,16 +1180,11 @@ class SymbolicField:
     code path serves this field and the exact rationals of a
     :class:`RationalPoint`.
 
-    For sums of many products a field also supplies ``lift_common`` and
-    ``dot_over``, which work on numerators over a shared denominator: here
-    integer polynomials over a factored denominator, so a sum costs
-    polynomial products and one cancellation.  ``pair_sum``
-    forms (a x + b y) / j for integers a, b, j in one step, and
-    ``exp_inverse`` builds the Taylor coefficients of
-    1 / (unit * prod (e^z - c)^m) over such denominators
-    (:class:`ExpInverse`), with the numerators N_k that product stacks
-    dot against.  Kernel expansion reads the e^z factors of a kernel from
-    the same closed form.
+    A field also supplies ``pair_sum``, which forms (a x + b y) / j for
+    integers a, b, j in one step, and ``exp_inverse``, the closed form of
+    1 / (unit * prod (e^z - c)^m) (:class:`ExpInverse`): its ``column``
+    computes every product-stack coefficient, and kernel expansion reads
+    the e^z factors of a kernel from its ``series``.
     """
 
     zero = _S_ZERO
@@ -1190,8 +1194,6 @@ class SymbolicField:
     from_fraction = staticmethod(Scalar.from_fraction)
     q_power = staticmethod(Scalar.q_power)
     qint = staticmethod(qint)
-    lift_common = staticmethod(lift_common)
-    dot_over = staticmethod(dot_over)
     pair_sum = staticmethod(pair_sum)
     exp_inverse = ExpInverse
 
@@ -1206,7 +1208,9 @@ class RationalPoint:
     A point is also a scalar field (see :class:`SymbolicField`): the exact
     rationals, with q and the level read as q0 and l0.  Every denominator
     the catalog builds is a power of q times cyclotomic factors, and
-    those do not vanish at a rational q0 outside {0, 1, -1}.
+    those do not vanish at a rational q0 outside {0, 1, -1}.  Its
+    ``exp_inverse`` (:class:`_PointExpInverse`) keeps the closed-form
+    table in integers, and its columns are ``Fraction`` values.
     """
 
     __slots__ = ("q0", "l0", "_hash")
@@ -1238,22 +1242,7 @@ class RationalPoint:
         q = self.q0
         return (q ** m - q ** -m) / (q - 1 / q)
 
-    # the shared-denominator helpers of SymbolicField, with integer
-    # numerators over an integer denominator
-
     exp_inverse = _PointExpInverse
-
-    @staticmethod
-    def lift_common(values) -> tuple[int, list[int]]:
-        den = 1
-        for v in values:
-            d = v.denominator
-            den = den // _int_gcd(den, d) * d
-        return den, [v.numerator * (den // v.denominator) for v in values]
-
-    @staticmethod
-    def dot_over(xs, ys, f: int, g: int) -> Fraction:
-        return Fraction(sum(x * y for x, y in zip(xs, ys)), f * g)
 
     @staticmethod
     def pair_sum(x: Fraction, wx: int, y: Fraction, wy: int,

@@ -441,12 +441,9 @@ def _exp_coeffs(mult: Multiplier, lo: int, hi: int, scalars) -> list[Scalar]:
 
 @lru_cache(maxsize=16)
 def _shifted_inverse(mult: Multiplier, scalars):
-    """The z coefficients of u = x^degree / p(x e^z, x) over shared
-    denominators, from the closed form of the field's ``exp_inverse``:
-    ``upto(zneed)`` gives, for T = -kappa..zneed, D_T and the numerators
-    W_J = D_T u(T - J) / J! for J = 0..T + kappa, and
-    ``numerators(k, zneed)`` the numerators N_k(T) = D_T [z^T] e^(kz) u
-    over the same D_T.
+    """The closed form of u = x^degree / p(x e^z, x) in the field
+    (``exp_inverse``), whose ``column`` gives the product-stack
+    coefficients [z^T] sum_k c_k e^(kz) u.
 
     The entries of a z order do not depend on how deep the table goes,
     so one table per multiplier and field grows to the deepest order
@@ -669,33 +666,24 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     iota(1/p(x e^z, x)) * (p a(x1) b(x) v)|_{x1 = x e^z};
     the product at index n sits at t = -n-1, so z exponents run from
     -kappa up to zneed.  With the ordered product left as a sum of
-    c_(E, k) x^E e^(kz) (``ordered_core``), each coefficient of entry
-    (E - degree, t) is sum_k c_(E, k) N_k(t) / D_t over the closed-form
-    table of ``_shifted_inverse``: polynomial products and one
-    cancellation.  A stack is built anew on every call; a law that reads
-    one stack twice keeps it itself.
+    c_(E, k) x^E e^(kz) (``ordered_core``), the coefficients of one
+    monomial at x^(E - degree) over all t are one column of the
+    closed-form table of ``_shifted_inverse``, [z^t] sum_k c_(E, k)
+    e^(kz) u.  A stack is built anew on every call; a law that reads one
+    stack twice keeps it itself.
     """
-    kappa = mult.kappa
     deg = mult.degree
     core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg)
-    scalars = core.module.scalars
-    table = _shifted_inverse(mult, scalars)
-    inverse = table.upto(zneed)
-    # x^E e^(kz) times u contributes N_k(T) / D_T at x^(E - deg) z^T
-    by_entry: dict[tuple[int, object], tuple[list, list]] = {}
+    table = _shifted_inverse(mult, core.module.scalars)
+    by_entry: dict[tuple[int, object], dict] = {}
     for (E, k), terms in core.data.items():
         for m, c in terms.items():
-            ks, cs = by_entry.setdefault((E, m), ([], []))
-            ks.append(k)
-            cs.append(c)
-    nums = {k: table.numerators(k, zneed) for k in {k for _E, k in core.data}}
+            by_entry.setdefault((E, m), {})[k] = c
     data: dict[tuple[int, int], dict] = {}
-    for (E, m), (ks, cs) in by_entry.items():
-        den, lifted = scalars.lift_common(cs)
-        for i, (dT, _w) in enumerate(inverse):
-            c = scalars.dot_over(lifted, [nums[k][i] for k in ks], den, dT)
+    for (E, m), cs in by_entry.items():
+        for t, c in enumerate(table.column(cs, zneed), -mult.kappa):
             if c:
-                data.setdefault((E - deg, i - kappa), {})[m] = c
+                data.setdefault((E - deg, t), {})[m] = c
     return StateTable(core.module, data)
 
 

@@ -501,7 +501,7 @@ def shifted_inverse_oracle(mult, zneed, scalars):
     route: D_T is the least common denominator of u(T - J) / J! for the
     series of :func:`inverse_exp_oracle`, read off their canonical
     factored denominators (an integer at a point), and
-    W_J = D_T u(T - J) / J!, as rows of the field (an integer at a
+    W_J = D_T u(T - J) / J!, as coefficient tuples in q (an integer at a
     point)."""
     u = inverse_exp_oracle(mult, zneed, scalars)
     out = []
@@ -520,38 +520,37 @@ def shifted_inverse_oracle(mult, zneed, scalars):
                 cyc[d] = max(cyc.get(d, 0), e)
         den = (c, a, tuple(sorted(cyc.items())), r)
         dpoly = _make(scalar_expand(den), _PLAIN)
-        rows = []
+        ws = []
         for v in vals:
             w = v * dpoly
             assert w.den == {(0, 0): 1}
-            rows.append(_rows_of(w.num))
-        out.append((den, tuple(rows)))
+            ws.append(_qtuple_of(w.num))
+        out.append((den, tuple(ws)))
     return out
 
 
-def _rows_of(p: Poly) -> tuple:
+def _qtuple_of(p: Poly) -> tuple:
+    """A polynomial free of l as its coefficients in q, lowest first."""
+    assert not any(el for _eq, el in p), p
     if not p:
         return ()
-    width = 1 + max(eq for eq, _el in p)
-    return tuple(tuple(p.get((eq, el), 0) for eq in range(width))
-                 for el in range(1 + max(el for _eq, el in p)))
+    return tuple(p.get((eq, 0), 0) for eq in range(1 + max(p)[0]))
 
 
-def rows_as_poly(rows) -> Poly:
-    """Rows of a symbolic numerator (one tuple per power of l) as a
+def qtuple_as_poly(w) -> Poly:
+    """A symbolic table numerator (coefficients in q, lowest first) as a
     polynomial."""
-    return {(eq, el): x for el, row in enumerate(rows)
-            for eq, x in enumerate(row) if x}
+    return {(eq, 0): x for eq, x in enumerate(w) if x}
 
 
 def closed_form_inverse(mult, zmax, scalars=SYMBOLIC):
     """The library's z coefficients u(T) = W_0 / D_T of x^degree /
     p(x e^z, x), for T = -kappa..zmax, as values of the field."""
-    table = vertexops._shifted_inverse(mult, scalars).upto(zmax)
+    table = vertexops._shifted_inverse(mult, scalars)._upto(zmax)
     out = {}
-    for T, (den, w) in enumerate(table, -mult.kappa):
+    for T, (den, w) in zip(range(-mult.kappa, zmax + 1), table):
         if scalars is SYMBOLIC:
-            out[T] = fraction_of(rows_as_poly(w[0]), scalar_expand(den))
+            out[T] = fraction_of(qtuple_as_poly(w[0]), scalar_expand(den))
         else:
             out[T] = Fraction(w[0], den)
     return out

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cert_fields, evaluate, fraction_of, inverse_exp_oracle, \
-    window_of
+    qtuple_as_poly, window_of
 from qheis import fock, kernels, liealg, scalar, series, vertexops
 from qheis.kernels import iota_expand, parse_kernel
 from qheis.liealg import ALGEBRAS, LieAlgebraError, bracket_modes, \
@@ -291,7 +291,7 @@ def test_shifted_numerators_give_the_exp_inverse_series(monkeypatch):
     """N_k(T) / D_T is [z^T] e^(kz) / p(x e^z, x) for every k and T, with
     the inverse series of the conftest oracle, symbolically and at a
     point.  A deeper call grows the table's list for k by the new z
-    orders alone, and a shallower one returns a prefix of it without
+    orders alone, and a shallower one returns that same list without
     computing a numerator again."""
     computed = []
     for cls in (scalar.ExpInverse, scalar._PointExpInverse):
@@ -304,28 +304,29 @@ def test_shifted_numerators_give_the_exp_inverse_series(monkeypatch):
             kappa = mult.kappa
             u = inverse_exp_oracle(mult, zneed + kappa, scalars)
             table = scalars.exp_inverse(mult.factors, mult.unit)
-            dens = [d for d, _w in table.upto(zneed)]
+            dens = [d for d, _w in table._upto(zneed)]
+            assert len(dens) == zneed + kappa + 1
             for k in range(-3, 4):
                 case = (scalars, mult.describe(), k)
                 computed.clear()
-                shallow = table.numerators(k, 1)
+                shallow = list(table._numerators(k, 1))
                 assert len(shallow) == len(computed) == 2 + kappa, case
-                nums = table.numerators(k, zneed)
+                nums = table._numerators(k, zneed)
                 assert len(nums) == zneed + kappa + 1, case
                 assert len(computed) == len(nums), case
                 assert nums[:len(shallow)] == shallow, case
-                assert table.numerators(k, 2) == nums[:3 + kappa], case
-                assert table.numerators(k, -kappa) == nums[:1], case
+                # the table's own list, with no numerator computed again
+                assert table._numerators(k, 2) is nums, case
+                assert table._numerators(k, -kappa) is nums, case
+                assert len(nums) == zneed + kappa + 1, case
                 assert len(computed) == len(nums), case
                 for i, T in enumerate(range(-kappa, zneed + 1)):
                     want = scalars.zero
                     for j in range(T + kappa + 1):
                         want = want + exp_coeff(k, j, scalars) * u[T - j]
                     if scalars is SYMBOLIC:
-                        got = fraction_of(
-                            {(eq, el): x for el, row in enumerate(nums[i])
-                             for eq, x in enumerate(row) if x},
-                            scalar._expand(dens[i]))
+                        got = fraction_of(qtuple_as_poly(nums[i]),
+                                          scalar._expand(dens[i]))
                     else:
                         got = Fraction(nums[i], dens[i])
                     assert got == want, case + (T,)

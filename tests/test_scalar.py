@@ -13,9 +13,11 @@ from qheis.scalar import (
     ZERO,
     L,
     Q,
+    SYMBOLIC,
     RationalPoint,
     Scalar,
     ScalarError,
+    SymbolicField,
     int_text,
     qint,
 )
@@ -125,6 +127,26 @@ def test_point_hash_is_kept_and_structural():
     assert p == same and hash(p) == hash(same)
     assert hash(p) == hash((Fraction(3, 5), Fraction(2)))
     assert p._hash == hash((p.q0, p.l0))
+
+
+# what the rest of the package asks of a scalar field
+FIELD_PROTOCOL = {"zero", "one", "level", "from_int", "from_fraction",
+                  "q_power", "qint", "pair_sum", "exp_inverse"}
+
+
+def test_both_fields_supply_the_one_protocol():
+    """The symbolic field and a point each supply every member of the
+    scalar-field protocol, and no other public member but a point's
+    coordinates, so the two fields cannot drift apart."""
+    point = RationalPoint(Fraction(3, 5), 2)
+    for field in (SYMBOLIC, point):
+        assert all(hasattr(field, name) for name in FIELD_PROTOCOL), field
+
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    assert public(SymbolicField) == FIELD_PROTOCOL
+    assert public(RationalPoint) == FIELD_PROTOCOL | {"q0", "l0"}
 
 
 def test_power_and_inverse():

@@ -438,16 +438,17 @@ def test_inverse_exp_prefix_equals_direct_computation():
     """A z order of the closed-form table does not depend on how deep the
     table goes, and equal multipliers share one growing table."""
     m = Multiplier.of((ONE, 2), (Q, 1), unit=Q)
-    small = scalar.ExpInverse(m.factors, m.unit).upto(2)
-    big = scalar.ExpInverse(m.factors, m.unit).upto(6)
-    assert len(small) == 5 and big[:5] == small
+    small = list(scalar.ExpInverse(m.factors, m.unit)._upto(2))
+    big = list(scalar.ExpInverse(m.factors, m.unit)._upto(6))
+    assert len(small) == 5 and len(big) == 9 and big[:5] == small
     table = vertexops._shifted_inverse(m, SYMBOLIC)
     assert vertexops._shifted_inverse(
         Multiplier.of((Q, 1), (ONE, 2), unit=Q), SYMBOLIC) is table
-    assert table.upto(2) == small
-    assert table.upto(6) == big
-    # a shallow read after the table grew
-    assert table.upto(2) == small
+    assert table._upto(2)[:5] == small
+    assert table._upto(6)[:9] == big
+    # a shallow read after the table grew reads the same list
+    assert table._upto(2) is table._upto(6)
+    assert table._upto(2)[:5] == small
 
 
 def test_exp_series_convolves_to_one():
@@ -601,34 +602,57 @@ def _stack_mismatches(symbolic_only: bool = False) -> set:
             != product_stack_oracle(*args)}
 
 
-class _ShortTable:
-    """A closed-form table whose every D_T lacks one cyclotomic factor."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def upto(self, zneed):
-        out = []
-        for (c, a, cyc, r), w in self.table.upto(zneed):
-            if cyc:
-                (d, e), rest = cyc[0], cyc[1:]
-                cyc = ((d, e - 1),) + rest if e > 1 else rest
-            out.append(((c, a, cyc, r), w))
-        return out
-
-    def numerators(self, k, zneed):
-        return self.table.numerators(k, zneed)
-
-
 def test_short_stack_denominator_fails_the_oracle(monkeypatch):
     """A denominator D_T that lacks one cyclotomic factor gives stacks the
-    vector oracle refuses: the comparison sees the denominators."""
+    vector oracle refuses: the comparison sees the denominators.  The
+    short D_T is planted in the table the columns read; the table keeps
+    growing from the true one."""
     _fresh_product_memos(monkeypatch)
-    base = vertexops._shifted_inverse.__wrapped__
-    monkeypatch.setattr(vertexops, "_shifted_inverse", lru_cache(
-        maxsize=16)(lambda mult, scalars: _ShortTable(base(mult, scalars))))
+    base = scalar.ExpInverse._entry
+
+    def short(den, ws):
+        c, a, cyc, r = den
+        if cyc:
+            (d, e), rest = cyc[0], cyc[1:]
+            cyc = ((d, e - 1),) + rest if e > 1 else rest
+        return base((c, a, cyc, r), ws)
+
+    monkeypatch.setattr(scalar.ExpInverse, "_entry", staticmethod(short))
     assert _stack_mismatches(symbolic_only=True), \
         "no stack saw the short denominator"
+
+
+def test_product_column_cancellation_counts(monkeypatch):
+    """The cancellation work of the product columns, pinned as counts:
+    symbolic special-pair-transfer at window 3, from empty closed-form
+    tables, computes 6 columns, and the synthetic divisions
+    (``scalar._ldiv``) made inside them, table growth included, number
+    250.  A first run warms the cyclotomic memos, so the counts do not
+    depend on the tests run before."""
+    _fresh_product_memos(monkeypatch)
+    verify_identity("special-pair-transfer", window=3)
+    _fresh_product_memos(monkeypatch)
+    calls = {"column": 0, "ldiv": 0}
+    depth = [0]
+    column, ldiv = scalar.ExpInverse.column, scalar._ldiv
+
+    def counted_column(self, cs, zneed):
+        calls["column"] += 1
+        depth[0] += 1
+        try:
+            return column(self, cs, zneed)
+        finally:
+            depth[0] -= 1
+
+    def counted_ldiv(a, p):
+        calls["ldiv"] += depth[0] > 0
+        return ldiv(a, p)
+
+    monkeypatch.setattr(scalar.ExpInverse, "column", counted_column)
+    monkeypatch.setattr(scalar, "_ldiv", counted_ldiv)
+    rep = verify_identity("special-pair-transfer", window=3)
+    assert rep.status == PASS, rep.notes
+    assert calls == {"column": 6, "ldiv": 250}
 
 
 def test_off_by_one_stirling_row_fails_the_oracle(monkeypatch):
@@ -682,7 +706,7 @@ def test_shifted_inverse_matches_the_series_route(scalars):
     mults = _fast_suite_multipliers(scalars)
     assert len(mults) == 6
     for mult in sorted(mults, key=Multiplier.describe) + extra:
-        table = scalars.exp_inverse(mult.factors, mult.unit).upto(10)
+        table = scalars.exp_inverse(mult.factors, mult.unit)._upto(10)
         want = shifted_inverse_oracle(mult, 10, scalars)
         assert [den for den, _w in table] == [den for den, _w in want], \
             mult.describe()
