@@ -29,8 +29,8 @@ import time
 from fractions import Fraction
 
 from .fock import FockError, FockModule, apply_word
-from .kernels import MAX_EXPONENT, MAX_PARSE_WORK, KernelError, \
-    parse_kernel, iota_expand
+from .kernels import MAX_EXPONENT, MAX_NESTING, MAX_PARSE_WORK, \
+    KernelError, parse_kernel, iota_expand
 from .liealg import ALGEBRAS, LieAlgebraError, bracket_modes
 from .report import INCONCLUSIVE, PASS, combine
 from .scalar import SYMBOLIC, RationalPoint, int_text
@@ -86,9 +86,12 @@ MIN_PRODUCT_N = -12
 # of the window: 1/(e^z-q)^16 along z expands in about 0.5 s at window
 # 100, 1.7 s at 200 and 12.6 s at 400, and
 # 1/((x1-q*x2)*(x1-x2)^2*(q*x1-x2)) along x2,x1 in 0.3 s, 1.3 s and 9.6 s.
-# A kernel with several high e^z powers costs more:
-# 1/((e^z-q)^16*(e^z-2)^16*(e^z-1)^16) takes 2.7 s at window 50 and 15 s
-# at 100 (one cold process each, 2-core machine, Python 3.11.7).
+# The e^z factors of a kernel share one closed form, so several high
+# powers cost little more: 1/((e^z-q)^16*(e^z-2)^16*(e^z-1)^16) takes
+# about 0.85 s at window 50 and 2.2-2.4 s at 100.  An e^z numerator costs
+# more: e^z/((e^z-q)^4*(e^z-q^2)^3*(e^z-1)^2) takes 7.0-9.4 s at 100,
+# most of it in multiplying the numerator's table into the closed form
+# (two cold processes each, 2-core machine, Python 3.11.7).
 MAX_EXPAND_WINDOW = 100
 
 # The largest window verify and suite take.  Symbolic paper-all grows
@@ -426,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True,
                    help="rational kernel in x, x1, x2, z and q; every "
                         f"exponent lies in [-{MAX_EXPONENT}, {MAX_EXPONENT}], "
+                        f"parentheses nest at most {MAX_NESTING} deep, "
                         "and multiplying out its products costs at most "
                         f"{MAX_PARSE_WORK} units: one per pair of terms "
                         "multiplied, one per 16 products of their "
@@ -504,6 +508,11 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # argparse hands an option written --opt=-- to its handler as an
+    # empty list, and a repeatable one as a list holding one
+    for dest, value in vars(args).items():
+        if isinstance(value, list) and (not value or [] in value):
+            return _fail_usage(f"--{dest} expects a value, got '--'")
     try:
         return args.fn(args)
     except SystemExit as exc:

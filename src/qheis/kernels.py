@@ -16,8 +16,9 @@ exactness windows; anything else is rejected when parsing.
 The text grammar accepts identifiers ``x``, ``x1``, ``x2``, ``z``, the
 scalar symbol ``q``, integers, ``+ - * / ^``, parentheses, and ``e^v`` for
 exponentials.  An exponent is an integer of size at most
-:data:`MAX_EXPONENT` (16), and multiplying out the text's products takes
-at most :data:`MAX_PARSE_WORK` (131,072) units of work.
+:data:`MAX_EXPONENT` (16), parentheses nest at most :data:`MAX_NESTING`
+(100) deep, and multiplying out the text's products takes at most
+:data:`MAX_PARSE_WORK` (131,072) units of work.
 
 Parsing and expansion are pure, so both are memoized for the life of the
 process, each in a least-recently-used memo of 64 entries:
@@ -63,6 +64,12 @@ MAX_EXPONENT = 16
 # 60,306 (0.7 s); its 7th power squared, 153,417 units, is refused.
 MAX_PARSE_WORK = 1 << 17
 
+# The deepest the parentheses of a kernel may nest.  The parser descends
+# five calls per level, so a bound keeps a text from exhausting the
+# interpreter's recursion limit (at about 190 levels from the command
+# line); a run of signs is read in a loop and has no bound.
+MAX_NESTING = 100
+
 _ONE = Scalar.from_int(1)
 
 
@@ -71,12 +78,19 @@ class KernelError(ValueError):
 
 
 class KernelParseError(KernelError):
-    def __init__(self, text: str, pos: int, reason: str):
+    """A kernel text that does not parse, at position pos, or as a whole
+    when pos is None."""
+
+    def __init__(self, text: str, pos: int | None, reason: str):
         self.text = text
         self.pos = pos
         self.reason = reason
-        super().__init__(f"cannot parse kernel at position {pos}: {reason}\n"
-                         f"  {text}\n  {' ' * (pos + 2)}^")
+        if pos is None:
+            super().__init__(f"cannot parse kernel: {reason}")
+        else:
+            super().__init__(
+                f"cannot parse kernel at position {pos}: {reason}\n"
+                f"  {text}\n  {' ' * (pos + 2)}^")
 
 
 # Numerators are polynomials over atoms; an atom is a variable name or
@@ -234,6 +248,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^|\+|\-|\*|/|\(|\)))"
 
 def _tokenize(text: str):
     pos = 0
+    depth = 0
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -247,7 +262,12 @@ def _tokenize(text: str):
         elif m.group(2):
             out.append(("name", m.group(2), m.start(2)))
         elif m.group(3):
-            out.append(("op", m.group(3), m.start(3)))
+            op = m.group(3)
+            depth += (op == "(") - (op == ")")
+            if depth > MAX_NESTING:
+                raise KernelParseError(text, None, "parentheses nest more "
+                                       f"than {MAX_NESTING} deep")
+            out.append(("op", op, m.start(3)))
         else:
             rest = text[m.end():]
             if rest.strip():
@@ -329,13 +349,16 @@ class _Parser:
                 return v
 
     def unary(self):
-        # unary minus binds looser than ^, so -q^2 means -(q^2)
+        # unary minus binds looser than ^, so -q^2 means -(q^2); a run of
+        # signs is read in a loop, so its length costs no recursion
+        negate = False
         kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
+        while kind == "op" and val in "+-":
             self.take()
-            v = self.unary()
-            return self._neg(v) if val == "-" else v
-        return self.power()
+            negate ^= val == "-"
+            kind, val, _ = self.peek()
+        v = self.power()
+        return self._neg(v) if negate else v
 
     def power(self):
         v = self.primary()
@@ -550,9 +573,27 @@ def _geometric(pref: Scalar, step: Scalar, p: int, n: int) -> list[Scalar]:
     return out
 
 
+def _exp_factors_table(factors, vars: tuple[str, ...], zv: str,
+                       hi: int) -> TruncatedLaurent:
+    """prod (e^zv - c)^-p over the (c, p) factors, from one closed form
+    (scalar.ExpInverse), covering zv exponents <= hi.
+
+    It starts at zv^-kappa, kappa the power at c = 1.  The caller budgets
+    for a start at zv^-(sum of p), so the table reaches that much further.
+    """
+    inv = ExpInverse(factors, 1)
+    lo = -inv.kappa
+    top = max(hi, 0) + sum(p for _c, p in factors) + lo
+    coeffs = {tuple(t if v == zv else 0 for v in vars): u
+              for t, u in enumerate(inv.series(top), lo) if u}
+    cert = _place_cert(vars, zv, lo, top)
+    return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
+
+
 def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
                       inner: str, hi: int) -> TruncatedLaurent:
-    """Directed expansion of f**-p covering own-variable exponents <= hi."""
+    """Directed expansion of f**-p covering own-variable exponents <= hi,
+    for a factor that is not exponential."""
 
     def place(assign: dict[str, int]) -> tuple[int, ...]:
         return tuple(assign.get(v, 0) for v in vars)
@@ -562,16 +603,6 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
         terms = _geometric((-f.c) ** -p, _ONE / f.c, p, hi + 1)
         coeffs = {place({f.a: k}): v for k, v in enumerate(terms)}
         cert = _place_cert(vars, f.a, 0, hi)
-        return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
-
-    if f.shape == "expconst":
-        # (e^z - c)^-p from z^-kappa, kappa = p at c = 1 and 0 otherwise
-        inv = ExpInverse(((f.c, p),), 1)
-        lo = -inv.kappa
-        top = max(hi, 0) + p + lo
-        coeffs = {place({f.a: t}): v
-                  for t, v in enumerate(inv.series(top), lo) if v}
-        cert = _place_cert(vars, f.a, lo, top)
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
     # two-variable binomial shapes, parametrized by the series variable:
@@ -624,10 +655,15 @@ def _factor_desc(vars, inner, f: Factor, p: int) -> _Desc:
         # the other variable keys no budget: iota_expand refuses any
         # table keyed on it next to a binomial
         return _Desc(inner, lambda v: smin if v == inner else 0, build)
-    if f.shape == "affine":
-        return _Desc(f.a, lambda v: 0, build)
-    # expconst: leading exponent is at worst -p
-    return _Desc(f.a, lambda v: -p if v == f.a else 0, build)
+    return _Desc(f.a, lambda v: 0, build)
+
+
+def _exp_desc(vars, zv: str, factors) -> _Desc:
+    """The e^zv factors of a kernel as one table: its leading exponent is
+    at worst minus the sum of their powers."""
+    least = -sum(p for _c, p in factors)
+    return _Desc(zv, lambda v: least if v == zv else 0,
+                 lambda b: _exp_factors_table(factors, vars, zv, b))
 
 
 def iota_expand(k: RationalKernel, direction: tuple[str, ...],
@@ -693,7 +729,15 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
         num_descs.append(_Desc(None, lambda v: mono_min[v],
                                lambda b: tab))
 
-    fac_descs = [_factor_desc(vars, inner, f, p) for f, p in k.den]
+    # the e^v factors of each variable v share one closed form
+    exps: dict[str, list] = {}
+    fac_descs = []
+    for f, p in k.den:
+        if f.shape == "expconst":
+            exps.setdefault(f.a, []).append((f.c, p))
+        else:
+            fac_descs.append(_factor_desc(vars, inner, f, p))
+    fac_descs += [_exp_desc(vars, zv, fs) for zv, fs in exps.items()]
 
     binomial = any(f.shape in ("binom", "ratio") for f, _p in k.den)
     if binomial:

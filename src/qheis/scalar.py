@@ -16,15 +16,17 @@ Canonical form (kept by every operation):
 The denominator is stored factored as ``c * q^a * prod Phi_d(q)^e_d * R``:
 a positive integer ``c``, a power of ``q``, cyclotomic polynomials
 ``Phi_d`` and a residual ``R`` that is primitive, has a positive leading
-coefficient and is divisible by neither ``q`` nor any ``Phi_d``.  The
-q-integer and ``1/(q^k - 1)`` weights of the deformed brackets factor
-completely, so ``R = 1`` in practice.  Sums then take the lcm of the
-factorizations and products add exponents; the only reduction left is
-trial division by the factors two operands share, which is exact
-synthetic division by a monic ``Phi_d``.  A residual ``R != 1`` (a division
-by ``q - 2``, say) takes a gcd in ``Z[q]``, of ``R`` and each
-``l``-coefficient of the numerator; those reductions are counted in
-``residual_reductions``.
+coefficient and is divisible by neither ``q`` nor any ``Phi_d``.  ``R`` is
+kept as a dense row, its coefficient tuple in ``q`` lowest degree first,
+like the ``Phi_d``.  The q-integer and ``1/(q^k - 1)`` weights of the
+deformed brackets factor completely, so ``R = 1`` in practice.  Sums then
+take the lcm of the factorizations and products add exponents; the only
+reduction left is trial division by the factors two operands share.
+Synthetic division of dense rows (``_ldiv``) is the one exact division:
+by a monic ``Phi_d``, and by the gcd in ``Z[q]`` of a residual ``R != 1``
+(a division by ``q - 2``, say) and the ``l``-coefficients of the
+numerator.  That gcd is a primitive remainder sequence, and those
+reductions are counted in ``residual_reductions``.
 
 ``num`` is a polynomial dict and ``den`` its expanded denominator, built on
 first use.  Equal values have identical representations, so ``==`` and
@@ -103,12 +105,6 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _lead(a: Poly) -> tuple[tuple[int, int], int]:
-    """Leading (monomial, coefficient) under lex order with q before l."""
-    m = max(a)
-    return m, a[m]
-
-
 def _content(a: Poly) -> int:
     g = 0
     for c in a.values():
@@ -116,42 +112,10 @@ def _content(a: Poly) -> int:
     return g
 
 
-def _pdiv_exact(a: Poly, g: Poly) -> Poly:
-    """Exact division a / g by lex long division.  Raises if not divisible."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
-    quot: Poly = {}
-    rem = dict(a)
-    (gq, gl), gc = _lead(g)
-    last = None
-    while rem:
-        (rq, rl), rc = _lead(rem)
-        if rq < gq or rl < gl or rc % gc != 0:
-            raise ScalarError("inexact polynomial division")
-        # each step cancels the leading term, so the lead must fall
-        if last is not None and (rq, rl) >= last:
-            raise ScalarError("polynomial division step left its lead")
-        last = (rq, rl)
-        t = ((rq - gq, rl - gl), rc // gc)
-        quot[t[0]] = t[1]
-        rem = _padd(rem, _pneg(_pmul({t[0]: t[1]}, g)))
-    return quot
-
-
 # -- univariate (in q) gcd --------------------------------------------------
 
 
-def _uq_to_list(a: Poly) -> list[int]:
-    d = max(eq for (eq, _l) in a)
-    out = [0] * (d + 1)
-    for (eq, _l), c in a.items():
-        out[eq] = c
-    return out
-
-
-def _list_primitive(cs: list[int]) -> list[int]:
+def _list_primitive(cs) -> list[int]:
     g = 0
     for c in cs:
         g = _int_gcd(g, abs(c))
@@ -180,51 +144,16 @@ def _uq_prem(a: list[int], b: list[int]) -> list[int]:
         r.pop()
 
 
-_PROBE_P = (1 << 31) - 1
-
-
-def _modp_coprime(a: list[int], b: list[int], p: int) -> bool:
-    """True when the mod-p images certify a constant gcd over the rationals.
-
-    Sound because a nonconstant gcd keeps its degree mod p whenever p
-    divides neither leading coefficient; a failed precondition just means
-    "no certificate", never a wrong answer.
-    """
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    if not a[-1] or not b[-1]:
-        return False
+def _uq_gcd(a, b) -> list[int]:
+    """The primitive gcd in Z[q], with a positive leading coefficient, of
+    two nonzero coefficient lists (lowest degree first), by the primitive
+    PRS."""
+    a, b = _list_primitive(a), _list_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        r = a
-        while len(r) > db:
-            if r[-1]:
-                coef = r[-1] * inv % p
-                shift = len(r) - 1 - db
-                for i, bc in enumerate(b):
-                    r[shift + i] = (r[shift + i] - coef * bc) % p
-            r.pop()
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    return len(a) == 1
-
-
-def _uq_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd in Z[q] of two nonzero polynomials with zero l-degree
-    (primitive PRS), with a positive leading coefficient."""
-    ca, cb = _content(a), _content(b)
-    A = _list_primitive(_uq_to_list(a))
-    B = _list_primitive(_uq_to_list(b))
-    if len(A) < len(B):
-        A, B = B, A
-    if len(B) > 1 and _modp_coprime(A, B, _PROBE_P):
-        return {(0, 0): _int_gcd(ca, cb)}
-    while any(B):
-        A, B = B, _list_primitive(_uq_prem(A, B))
-    g = _int_gcd(ca, cb)
-    return {(i, 0): c * g for i, c in enumerate(A) if c}
+        a, b = b, _list_primitive(_uq_prem(a, b))
+    return a
 
 
 # str(int) refuses more digits than sys.get_int_max_str_digits() allows,
@@ -288,9 +217,10 @@ def _free_of_l(p: Poly) -> Poly:
 
 # A denominator (c, a, cyc, r) stands for c * q^a * prod Phi_d(q)^e * r, with
 # c > 0, a >= 0, cyc the (d, e) pairs with e > 0 sorted by d, and r None for
-# 1 or else a primitive polynomial with a positive leading coefficient and
-# no factor q or Phi_d.
-Factored = tuple[int, int, tuple[tuple[int, int], ...], "Poly | None"]
+# 1 or else the coefficient tuple in q, lowest degree first, of a primitive
+# polynomial with a positive leading coefficient and no factor q or Phi_d.
+Factored = tuple[int, int, tuple[tuple[int, int], ...],
+                 "tuple[int, ...] | None"]
 
 _PLAIN: Factored = (1, 0, (), None)
 
@@ -311,7 +241,8 @@ def _lmul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _ldiv(a: list[int], p: list[int]) -> list[int] | None:
-    """a / p for a nonzero a and a monic p by synthetic division.
+    """a / p in Z[q] for a nonzero a by synthetic division: the one exact
+    polynomial division.
 
     None unless the division is exact.
     """
@@ -319,11 +250,22 @@ def _ldiv(a: list[int], p: list[int]) -> list[int] | None:
     if len(a) <= k:
         return None
     r = list(a)
-    for i in range(len(a) - 1 - k, -1, -1):
-        t = r[i + k]
-        if t:
-            for j in range(k):
-                r[i + j] -= t * p[j]
+    lead = p[k]
+    if lead == 1:
+        for i in range(len(a) - 1 - k, -1, -1):
+            t = r[i + k]
+            if t:
+                for j in range(k):
+                    r[i + j] -= t * p[j]
+    else:
+        for i in range(len(a) - 1 - k, -1, -1):
+            t, rem = divmod(r[i + k], lead)
+            if rem:
+                return None
+            if t:
+                r[i + k] = t
+                for j in range(k):
+                    r[i + j] -= t * p[j]
     if any(r[:k]):
         return None
     return r[k:]
@@ -341,10 +283,12 @@ def _cyclo(d: int) -> list[int]:
     return p
 
 
-def _cyclo_product(cyc, c: int = 1, a: int = 0) -> Poly:
-    """c * q^a * prod Phi_d^e as a polynomial."""
-    return {(a + i, 0): c * v
-            for i, v in enumerate(_cyclo_coeffs(tuple(cyc))) if v}
+def _cyclo_product(cyc, c: int = 1, a: int = 0, r=None) -> Poly:
+    """c * q^a * prod Phi_d^e * r as a polynomial, with r None for 1."""
+    cs = _cyclo_coeffs(tuple(cyc))
+    if r is not None:
+        cs = _lmul(cs, r)
+    return {(a + i, 0): c * v for i, v in enumerate(cs) if v}
 
 
 @lru_cache(maxsize=256)
@@ -409,8 +353,7 @@ def _strip_cyclo(a: dict[int, list[int]], d: int, most: int):
 
 def _expand(fd: Factored) -> Poly:
     c, a, cyc, r = fd
-    out = _cyclo_product(cyc, c, a)
-    return out if r is None else _pmul(out, r)
+    return _cyclo_product(cyc, c, a, r)
 
 
 def _factor(p: Poly) -> tuple[int, Factored]:
@@ -436,25 +379,33 @@ def _factor(p: Poly) -> tuple[int, Factored]:
             if e:
                 cyc.append((d, e))
                 n = max(map(len, dense.values())) - 1
-    r = _sparse(dense)
-    return sign, (c, a, tuple(cyc), None if r == _ONE else r)
+    r = tuple(dense[0])
+    return sign, (c, a, tuple(cyc), None if r == (1,) else r)
 
 
-def _residual_gcd(num: Poly, r: Poly) -> Poly:
-    """gcd(num, r) for a numerator num and a residual r in Z[q]: any
-    common factor is free of l, so it is the gcd in Z[q] of r and each
-    l-coefficient of num."""
+def _residual_gcd(rows, r: tuple[int, ...]) -> tuple[int, ...]:
+    """The gcd in Z[q] of a residual r and coefficient lists in q, (1,)
+    when they are coprime."""
     global residual_reductions
     residual_reductions += 1
-    rows: dict[int, Poly] = {}
-    for (eq, el), c in num.items():
-        rows.setdefault(el, {})[(eq, 0)] = c
     g = r
-    for row in rows.values():
-        if g == _ONE:
+    for row in rows:
+        if len(g) == 1:
             break
         g = _uq_gcd(g, row)
-    return g
+    return tuple(g)
+
+
+def _residual_lcm(rx, ry):
+    """The lcm of two residuals (None for 1) and its cofactors over rx and
+    over ry."""
+    if rx == ry:
+        return rx, None, None
+    if rx is None or ry is None:
+        return (rx if ry is None else ry), ry, rx
+    g = _residual_gcd((ry,), rx)
+    mx, my = tuple(_ldiv(ry, g)), tuple(_ldiv(rx, g))
+    return tuple(_lmul(rx, mx)), mx, my
 
 
 def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
@@ -473,8 +424,9 @@ def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
             num = {(eq - k, el): v for (eq, el), v in num.items()}
             a -= k
             changed = True
-    # Phi_d(0) = +-1, so no Phi_d divides a monomial
-    if cyc and len(num) > 1:
+    # Phi_d(0) = +-1 and the residual is primitive without a factor q, so
+    # neither divides a monomial
+    if (cyc or r is not None) and len(num) > 1:
         dense = _dense(num)
         kept = []
         for d, e in cyc:
@@ -482,17 +434,17 @@ def _cancel(num: Poly, fd: Factored) -> tuple[Poly, Factored]:
             if k < e:
                 kept.append((d, e - k))
         kept = tuple(kept)
-        if kept != cyc:
+        stripped = kept != cyc
+        if r is not None:
+            g = _residual_gcd(dense.values(), r)
+            if g != (1,):
+                dense = {el: _ldiv(cs, g) for el, cs in dense.items()}
+                r = tuple(_ldiv(r, g))
+                r = None if r == (1,) else r
+                stripped = True
+        if stripped:
             num = _sparse(dense)
             cyc = kept
-            changed = True
-    if r is not None:
-        g = _residual_gcd(num, r)
-        if g != _ONE:
-            num = _pdiv_exact(num, g)
-            r = _pdiv_exact(r, g)
-            if r == _ONE:
-                r = None
             changed = True
     return num, ((c, a, cyc, r) if changed else fd)
 
@@ -513,17 +465,18 @@ def _fd_mul(f: Factored, g: Factored) -> Factored:
         for d, e in k2:
             m[d] = m.get(d, 0) + e
         cyc = tuple(sorted(m.items()))
-    r = r2 if r1 is None else r1 if r2 is None else _pmul(r1, r2)
+    r = r2 if r1 is None else r1 if r2 is None else tuple(_lmul(r1, r2))
     return (c1 * c2, a1 + a2, cyc, r)
 
 
-def _lift(num: Poly, k: int, s: int, cyc, r: Poly | None) -> Poly:
+def _lift(num: Poly, k: int, s: int, cyc,
+          r: tuple[int, ...] | None) -> Poly:
     """num * k * q^s * prod Phi_d^e * r, with r None for 1."""
     if k != 1 or s:
         num = {(eq + s, el): v * k for (eq, el), v in num.items()}
-    if cyc:
-        num = _pmul(num, _cyclo_product(cyc))
-    return num if r is None else _pmul(num, r)
+    if cyc or r is not None:
+        num = _pmul(num, _cyclo_product(cyc, r=r))
+    return num
 
 
 def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored,
@@ -550,12 +503,7 @@ def _add_apart(xn: Poly, xf: Factored, yn: Poly, yf: Factored,
                 lx.append((d, j - i))
             else:
                 ly.append((d, i - j))
-    if rx is None or ry is None:
-        r, mx, my = (rx if ry is None else ry), ry, rx
-    else:
-        h = _residual_gcd(rx, ry)
-        mx, my = _pdiv_exact(ry, h), _pdiv_exact(rx, h)
-        r = _pmul(rx, mx)
+    r, mx, my = _residual_lcm(rx, ry)
     g = _int_gcd(cx, cy)
     a = max(ax, ay)
     num = _padd(_lift(xn, wx * (cy // g), a - ax, lx, mx),
@@ -710,8 +658,7 @@ class Scalar:
             return self._hash
         except AttributeError:
             c, a, cyc, r = self._fd
-            h = hash((frozenset(self.num.items()), c, a, cyc,
-                      r and frozenset(r.items())))
+            h = hash((frozenset(self.num.items()), c, a, cyc, r))
             _set_hash(self, h)
             return h
 
@@ -735,8 +682,8 @@ class Scalar:
         if len(self.num) > 1:
             ns = f"({ns})"
         ds = _pstr(den)
-        (dq, _dl), dc = _lead(den)
-        if len(den) > 1 or (dc != 1 and dq):
+        top = max(den)
+        if len(den) > 1 or (den[top] != 1 and top[0]):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -793,9 +740,7 @@ def _fd_lcm(fds) -> Factored:
         for d, e in vcyc:
             if cyc.get(d, 0) < e:
                 cyc[d] = e
-        if vr is not None and vr != r:
-            r = vr if r is None else _pmul(
-                r, _pdiv_exact(vr, _residual_gcd(r, vr)))
+        r = _residual_lcm(r, vr)[0]
     return c, a, tuple(sorted(cyc.items())), r
 
 
@@ -806,7 +751,7 @@ def _over(num: Poly, fd: Factored, to: Factored) -> Poly:
     vc, va, vcyc, vr = fd
     have = dict(vcyc)
     up = [(d, e - have.get(d, 0)) for d, e in cyc if e > have.get(d, 0)]
-    cof = None if vr == r else r if vr is None else _pdiv_exact(r, vr)
+    cof = None if vr == r else r if vr is None else tuple(_ldiv(r, vr))
     return _lift(num, c // vc, a - va, up, cof)
 
 

@@ -487,13 +487,16 @@ def inverse_exp_oracle(mult, zmax, scalars):
 
 
 def _residual_lcm(a, b):
+    """The lcm of two residuals, coefficient tuples in q (None for 1), by
+    Euclid over Q[q]."""
     if a is None or b is None:
         return b if a is None else a
-    g = _q_list(gcd_oracle(a, b))
-    quot, rem = _q_divmod(_q_list(b), g)
+    pa, pb = qtuple_as_poly(a), qtuple_as_poly(b)
+    g = _q_list(gcd_oracle(pa, pb))
+    quot, rem = _q_divmod(_q_list(pb), g)
     assert not any(rem)
     cof = {(i, 0): int(c) for i, c in enumerate(quot) if c}
-    return (_make(a, _PLAIN) * _make(cof, _PLAIN)).num
+    return _qtuple_of((_make(pa, _PLAIN) * _make(cof, _PLAIN)).num)
 
 
 def shifted_inverse_oracle(mult, zneed, scalars):

@@ -563,6 +563,81 @@ def test_expand_refuses_a_large_exponent(capsys):
     assert "Traceback" not in err
 
 
+def test_expand_refuses_parentheses_nested_past_the_bound(capsys):
+    """200 nested parentheses, bare or each behind a sign, used to end in
+    a RecursionError traceback; past MAX_NESTING the kernel exits 2 with
+    one line, and at the bound it parses."""
+    from qheis.kernels import MAX_NESTING
+
+    assert MAX_NESTING == 100
+    for opener in ("(", "-("):
+        _refused_at_once([["expand", "--kernel=" + opener * n + "x"
+                           + ")" * n, "--direction", "x"]
+                          for n in (MAX_NESTING + 1, 200, 10 ** 4)],
+                         capsys, f"parentheses nest more than {MAX_NESTING} "
+                                 "deep")
+        assert run(["expand", "--kernel=" + opener * MAX_NESTING + "x"
+                    + ")" * MAX_NESTING, "--direction", "x"]) == 0
+        assert out_of(capsys) == "(1)*x"
+
+
+def test_expand_reads_a_run_of_signs_of_any_length(capsys):
+    """A run of 1,000 signs before x used to end in a RecursionError
+    traceback; the parser reads signs in a loop, and their parity sets
+    the sign of the value."""
+    for n, want in ((1000, "(1)*x"), (999, "(-1)*x"), (10 ** 5, "(1)*x")):
+        assert run(["expand", "--kernel=" + "-" * n + "x",
+                    "--direction", "x"]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip() == want and not err
+    assert run(["expand", "--kernel=1/(" + "+-" * 500 + "(x1-x2))",
+                "--direction", "x2,x1", "--window", "1"]) == 0
+    assert out_of(capsys) == "(-1)*x2^-1"
+
+
+# a valid value for each option a subcommand requires
+_REQUIRED = {
+    "expand": ["--kernel", "1", "--direction", "x"],
+    "bracket": ["--algebra", "hq", "--m", "1", "--n", "1"],
+    "fock-apply": ["--algebra", "hq", "--word", "-1"],
+    "phi-product": ["--algebra", "hq", "--n", "0"],
+    "verify": ["--law", "hq-commutator-delta"],
+    "suite": [],
+}
+
+
+def _subcommand_options():
+    import argparse
+
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_REQUIRED)
+    return [(name, opt, action.nargs != 0)
+            for name, parser in sorted(sub.choices.items())
+            for action in parser._actions
+            for opt in action.option_strings]
+
+
+@pytest.mark.parametrize("name,opt,takes_value", _subcommand_options())
+def test_an_option_written_with_double_dash_value_exits_two(
+        name, opt, takes_value, capsys, monkeypatch):
+    """argparse hands --opt=-- to the handler as an empty list, which
+    ended in a traceback on every subcommand (and made suite --out=--
+    write no file); every option of every subcommand exits 2 instead,
+    before any law runs, and an option that takes a value names itself
+    on one line."""
+    def ran(*_args, **_kw):
+        raise AssertionError("a law ran")
+
+    monkeypatch.setattr(cli, "verify_identity", ran)
+    monkeypatch.setattr(cli, "suite_reports", ran)
+    assert run([name, *_REQUIRED[name], f"{opt}=--"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "Traceback" not in err and opt in err, err
+    if takes_value:
+        assert err == f"error: {opt} expects a value, got '--'\n"
+
+
 def test_console_script_runs():
     script = shutil.which("qheis")
     cmd = [script] if script else [sys.executable, "-m", "qheis.cli"]

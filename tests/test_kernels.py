@@ -13,6 +13,7 @@ from qheis.kernels import (
     Factor,
     KernelParseError,
     RationalKernel,
+    _exp_factors_table,
     _inv_factor_table,
     iota_expand,
     parse_kernel,
@@ -263,20 +264,19 @@ def test_geometric_ratio_both_directions():
 @pytest.mark.parametrize("shape", ["affine", "binom", "ratio", "expconst"])
 def test_inverse_factor_table_matches_per_k_powers(shape):
     """The running power of each factor table against c**k per term, and
-    the closed form of an e^z factor against powering e^z - c and
-    inverting the series."""
+    the closed form of one e^z factor (``_exp_factors_table``) against
+    powering e^z - c and inverting the series."""
     low = [(p, hi) for p in (1, 2, 3) for hi in range(-1, 13)]
     if shape == "expconst":
-        a, b, vars_ = "z", "", ("x1", "z")
-        runs = [(c, inner, low) for c in (ONE, Q, frac(-1, 2))
-                for inner in vars_]
-        # the table of an e^z factor does not depend on the expansion
-        # variable, so the added inputs take one.  1 - c has a residual
+        # the table of e^z factors does not depend on the expansion
+        # variable, and its builder takes none.  1 - c has a residual
         # factor at 2q and 1/(q - 2), where the series route takes
         # seconds a power past 3
+        a, b, vars_ = "z", "", ("x1", "z")
         high = [(p, hi) for p in range(4, MAX_EXPONENT + 1, 3)
                 for hi in (-1, 0, 4)]
-        runs += [(c, "z", low) for c in (frac(3), frac(-1), frac(2) * Q,
+        runs = [(c, "z", low) for c in (ONE, Q, frac(-1, 2), frac(3),
+                                         frac(-1), frac(2) * Q,
                                          ONE / (Q - frac(2)))]
         runs += [(c, "z", high)
                  for c in (ONE, Q, frac(-1, 2), frac(3), frac(-1))]
@@ -290,7 +290,10 @@ def test_inverse_factor_table_matches_per_k_powers(shape):
     for c, inner, cases in runs:
         f = Factor(shape, a, b, c)
         for p, hi in cases:
-            got = _inv_factor_table(f, p, vars_, inner, hi)
+            if shape == "expconst":
+                got = _exp_factors_table(((c, p),), vars_, a, hi)
+            else:
+                got = _inv_factor_table(f, p, vars_, inner, hi)
             want = inv_factor_table_oracle(f, p, vars_, inner, hi)
             case = (c, inner, p, hi)
             assert got.coeffs == want.coeffs, case
@@ -306,8 +309,35 @@ def test_exp_factor_leaves_the_w_table_unbuilt(monkeypatch):
 
     monkeypatch.setattr(ExpInverse, "_grow", unbuilt)
     f = Factor("expconst", "z", "", frac(2) * Q)
-    got = _inv_factor_table(f, 2, ("z",), "z", 5)
+    got = _exp_factors_table(((f.c, 2),), ("z",), "z", 5)
     assert got.coeffs == inv_factor_table_oracle(f, 2, ("z",), "z", 5).coeffs
+
+
+def test_exp_factors_expand_to_the_product_of_their_expansions_seeded():
+    """A kernel with two or three e^z factors reads one closed form for
+    all of them; its expansion equals the product of the expansions of
+    its one-factor kernels, each taken on a window wide enough for the
+    product to be certified on the narrow one."""
+    rng = random.Random(20261020)
+    # a pole of order 4 at z = 0 beside factors of power 1, then draws
+    cases = [(["1", "(-q)"], [4, 1], 3), (["1", "2", "q"], [4, 1, 1], 0)]
+    for _ in range(12):
+        cs = rng.sample(["1", "q", "q^2", "2", "(-q)"], rng.randint(2, 3))
+        cases.append((cs, [rng.randint(1, 4) for _ in cs],
+                       rng.randint(0, 8)))
+    for cs, powers, radius in cases:
+        units = [f"(e^z-{c})^{p}" for c, p in zip(cs, powers)]
+        case = "1/(" + "*".join(units) + ")"
+        w = Window.cube(("z",), radius)
+        wide = Window.cube(("z",), radius + sum(powers))
+        got = iota_expand(parse_kernel(case), ("z",), w)
+        want = None
+        for unit in units:
+            t = iota_expand(parse_kernel(f"1/{unit}"), ("z",), wide)
+            want = t if want is None else want * t
+        want.require_certified(w)
+        assert got.coeffs == want.restrict(w).coeffs, case
+        assert got.coeffs, case
 
 
 def test_direction_difference_is_delta():

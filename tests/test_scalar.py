@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EvaluationError, evaluate, fraction_of, gcd_oracle, \
-    reduced_oracle
+from conftest import EvaluationError, _q_divmod, _q_list, evaluate, \
+    fraction_of, gcd_oracle, reduced_oracle
 from qheis.scalar import (
     ONE,
     ZERO,
@@ -274,14 +274,14 @@ def test_canonical_form_invariants(k, n):
 
 
 def _cyclotomic(d):
-    """Phi_d(q) = (q^d - 1) / prod_{k | d, k < d} Phi_k(q), by long division."""
-    from qheis.scalar import _pdiv_exact
-
-    p = {(d, 0): 1, (0, 0): -1}
+    """Phi_d(q) = (q^d - 1) / prod_{k | d, k < d} Phi_k(q), by Euclid's
+    division in Q[q]."""
+    p = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
     for k in range(1, d):
         if d % k == 0:
-            p = _pdiv_exact(p, _cyclotomic(k))
-    return p
+            p, rem = _q_divmod(p, _q_list(_cyclotomic(k)))
+            assert not rem
+    return {(i, 0): int(c) for i, c in enumerate(p) if c}
 
 
 def _operand_factory(rng, residuals):
@@ -295,10 +295,14 @@ def _operand_factory(rng, residuals):
     if residuals:
         tops += [{(2, 0): 1, (0, 0): 7}, {(0, 0): 1, (1, 1): -2},
                  {(2, 0): 3, (0, 1): 1, (0, 0): -1},
-                 {(1, 0): 1, (0, 2): 1}, {(1, 1): 1}]
-        # q - 2 and q^2 + q + 3: denominators lie in Z[q]
+                 {(1, 0): 1, (0, 2): 1}, {(1, 1): 1},
+                 {(1, 0): 2, (0, 0): -1}]
+        # q - 2, q^2 + q + 3, 2q + 3 and 3q^2 - q + 2: denominators lie in
+        # Z[q], and the last two are not monic
         extra = [{(1, 0): 1, (0, 0): -2},
-                 {(2, 0): 1, (1, 0): 1, (0, 0): 3}]
+                 {(2, 0): 1, (1, 0): 1, (0, 0): 3},
+                 {(1, 0): 2, (0, 0): 3},
+                 {(2, 0): 3, (1, 0): -1, (0, 0): 2}]
 
     def factor(pool):
         kind = rng.randrange(4)
@@ -368,9 +372,9 @@ def test_cyclotomic_arithmetic_matches_gcd_oracle_seeded():
 
 
 def test_residual_arithmetic_matches_gcd_oracle_seeded():
-    """Numerators with l, and denominators with q - 2 or q^2 + q + 3,
-    take the residual gcd path and still match the gcd reduction; a
-    divisor whose numerator has l is refused."""
+    """Numerators with l, and denominators with q - 2, q^2 + q + 3,
+    2q + 3 or 3q^2 - q + 2, take the residual gcd path and still match
+    the gcd reduction; a divisor whose numerator has l is refused."""
     from qheis import scalar
 
     rng = random.Random(20261019)
@@ -432,7 +436,7 @@ def test_pmul_with_a_monomial_matches_double_loop(mono, coeff, poly, left):
 
 def _pmul_dropping_monomial_coefficient(a, b):
     """scalar._pmul with a planted defect: a monomial factor's coefficient
-    is dropped, so a division step no longer cancels its leading term."""
+    is dropped."""
     if not a or not b:
         return {}
     if len(b) == 1:
@@ -443,33 +447,51 @@ def _pmul_dropping_monomial_coefficient(a, b):
     return _pmul_oracle(a, b)
 
 
-def test_pdiv_exact_raises_when_a_step_keeps_the_lead(monkeypatch):
-    """Under the planted _pmul, -(q + 1) / (q + 1) leaves -2(q + 1),
-    -3(q + 1), ...; the division
-    and the seeded oracle runs must raise, not loop.  The alarm turns a
-    regression into a failure instead of a hang."""
+def test_planted_pmul_defect_fails_the_oracle_runs_without_hanging(
+        monkeypatch):
+    """Under the planted _pmul the seeded oracle runs must end in an error
+    or a mismatch, not loop: every division is synthetic division, which
+    takes a bounded number of steps.  The alarm turns a regression into a
+    failure instead of a hang."""
     import signal
 
     from qheis import scalar
 
     def timeout(signum, frame):
-        raise TimeoutError("polynomial division did not stop")
+        raise TimeoutError("arithmetic under the planted _pmul did not stop")
 
     monkeypatch.setattr(scalar, "_pmul", _pmul_dropping_monomial_coefficient)
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        with pytest.raises(scalar.ScalarError, match="left its lead"):
-            scalar._pdiv_exact({(1, 0): -1, (0, 0): -1},
-                               {(1, 0): 1, (0, 0): 1})
         for seed, residuals in ((20261018, False), (20261019, True)):
             rng = random.Random(seed)
-            with pytest.raises(scalar.ScalarError):
+            with pytest.raises((scalar.ScalarError, AssertionError)):
                 _check_against_oracle(
                     rng, _operand_factory(rng, residuals=residuals), 120)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
+           lambda a: a[-1]),
+       st.lists(st.integers(-9, 9), max_size=2), _COEFF, _COEFF,
+       st.integers(0, 8))
+def test_ldiv_divides_exactly_by_any_leading_coefficient(a, mid, low, lead,
+                                                           i):
+    """Synthetic division by p = low + ... + lead q^k (k >= 1, low != 0)
+    returns the quotient of a p and None once one coefficient of a p is
+    moved: p does not divide a power of q."""
+    from qheis.scalar import _ldiv, _lmul
+
+    p = [low, *mid, lead]
+    ap = _lmul(a, p)
+    assert _ldiv(ap, p) == a
+    ap[i % len(ap)] += 1
+    if ap[-1]:
+        assert _ldiv(ap, p) is None
 
 
 def _cancel_by_strip(num, fd):
