@@ -88,10 +88,10 @@ MIN_PRODUCT_N = -12
 # 1/((x1-q*x2)*(x1-x2)^2*(q*x1-x2)) along x2,x1 in 0.3 s, 1.3 s and 9.6 s.
 # The e^z factors of a kernel share one closed form, so several high
 # powers cost little more: 1/((e^z-q)^16*(e^z-2)^16*(e^z-1)^16) takes
-# about 0.85 s at window 50 and 2.2-2.4 s at 100.  An e^z numerator costs
-# more: e^z/((e^z-q)^4*(e^z-q^2)^3*(e^z-1)^2) takes 7.0-9.4 s at 100,
-# most of it in multiplying the numerator's table into the closed form
-# (two cold processes each, 2-core machine, Python 3.11.7).
+# 1.1-1.6 s at 100.  An e^z numerator is one column of that closed form:
+# e^z/((e^z-q)^4*(e^z-q^2)^3*(e^z-1)^2) takes 1.5-1.6 s at 100 and
+# z*e^z/(e^z-q) 0.7 s (four cold processes each, 2-core machine,
+# Python 3.11.7).
 MAX_EXPAND_WINDOW = 100
 
 # The largest window verify and suite take.  Symbolic paper-all grows

@@ -34,14 +34,13 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .scalar import SYMBOLIC, ExpInverse, Scalar, immutable
+from .scalar import ExpInverse, Scalar, immutable
 from .series import (
     Cert,
     NEG_INF,
     POS_INF,
     TruncatedLaurent,
     Window,
-    exp_coeff,
 )
 
 VARS = ("x", "x1", "x2", "z")
@@ -548,20 +547,6 @@ def _place_cert(vars: tuple[str, ...], own: str, suplo_own, cap_own,
     return Cert(False, suplo, (NEG_INF,) * n, caps)
 
 
-def _exp_power_table(vars: tuple[str, ...], zv: str, k: int,
-                     order: int) -> TruncatedLaurent:
-    """e^(k*zv) through zv^order on the given variable tuple."""
-    i = vars.index(zv)
-    n = len(vars)
-    coeffs = {}
-    for j in range(max(order, 0) + 1):
-        v = exp_coeff(k, j, SYMBOLIC)
-        if v:
-            coeffs[tuple(j if t == i else 0 for t in range(n))] = v
-    cert = _place_cert(vars, zv, 0, max(order, 0))
-    return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
-
-
 def _geometric(pref: Scalar, step: Scalar, p: int, n: int) -> list[Scalar]:
     """pref * C(k+p-1, p-1) * step^k for k = 0..n-1, by a running power."""
     out = []
@@ -584,8 +569,15 @@ def _exp_factors_table(factors, vars: tuple[str, ...], zv: str,
     inv = ExpInverse(factors, 1)
     lo = -inv.kappa
     top = max(hi, 0) + sum(p for _c, p in factors) + lo
+    return _z_table(vars, zv, lo, top, inv.series(top))
+
+
+def _z_table(vars: tuple[str, ...], zv: str, lo: int, top: int,
+             values) -> TruncatedLaurent:
+    """The values as the zv^lo..zv^top coefficients of a table certified
+    through zv^top."""
     coeffs = {tuple(t if v == zv else 0 for v in vars): u
-              for t, u in enumerate(inv.series(top), lo) if u}
+              for t, u in enumerate(values, lo) if u}
     cert = _place_cert(vars, zv, lo, top)
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
@@ -666,6 +658,21 @@ def _exp_desc(vars, zv: str, factors) -> _Desc:
                  lambda b: _exp_factors_table(factors, vars, zv, b))
 
 
+def _fold_desc(vars, zv: str, rest: dict[str, int], cs: dict[int, Scalar],
+               inv: ExpInverse) -> _Desc:
+    """rest * sum_k cs[k] e^(k zv) times the e^zv factors of a kernel, as
+    one column of their closed form inv (``ExpInverse.column``; with no
+    factor, of u = 1), which starts at zv^-kappa."""
+    least = rest.get(zv, 0) - inv.kappa
+
+    def build(b):
+        top = b - rest.get(zv, 0)
+        t = _z_table(vars, zv, -inv.kappa, top, inv.column(cs, top))
+        return t.shift(rest) if rest else t
+
+    return _Desc(zv, lambda v: least if v == zv else rest.get(v, 0), build)
+
+
 def iota_expand(k: RationalKernel, direction: tuple[str, ...],
                 window: Window) -> TruncatedLaurent:
     """Expand a kernel in the iterated Laurent field chosen by `direction`.
@@ -697,38 +704,6 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
     moff = dict(k.mono_den)
     hi_pre = {v: window.hi[i] + moff.get(v, 0) for i, v in enumerate(vars)}
 
-    # numerator: a polynomial part plus exponential terms
-    num_descs: list[_Desc] = []
-    plain: NumPoly = {}
-    for m, c in k.num.items():
-        expat = [a for a, _e in m if a.startswith("e^")]
-        if not expat:
-            plain[m] = c
-            continue
-        if len(expat) > 1:
-            raise KernelError("cannot expand a product of distinct "
-                              "exponentials")
-        zv = expat[0][2:]
-        kpow = dict(m)[expat[0]]
-        rest = {a: e for a, e in m if not a.startswith("e^")}
-
-        def mk(zv=zv, kpow=kpow, rest=rest, c=c):
-            def build(b):
-                t = _exp_power_table(vars, zv, kpow, b)
-                if rest or not c.is_one():
-                    t = t.shift(rest, c)
-                return t
-            return _Desc(zv, lambda v: rest.get(v, 0), build)
-
-        num_descs.append(mk())
-    if plain:
-        mono_min = {v: min(dict(m).get(v, 0) for m in plain) for v in vars}
-        tab = TruncatedLaurent.polynomial(
-            vars, {tuple(dict(m).get(v, 0) for v in vars): c
-                   for m, c in plain.items()})
-        num_descs.append(_Desc(None, lambda v: mono_min[v],
-                               lambda b: tab))
-
     # the e^v factors of each variable v share one closed form
     exps: dict[str, list] = {}
     fac_descs = []
@@ -737,34 +712,64 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
             exps.setdefault(f.a, []).append((f.c, p))
         else:
             fac_descs.append(_factor_desc(vars, inner, f, p))
-    fac_descs += [_exp_desc(vars, zv, fs) for zv, fs in exps.items()]
+    exp_descs = {zv: _exp_desc(vars, zv, fs) for zv, fs in exps.items()}
+
+    # numerator parts, each with the factor tables it multiplies: the
+    # terms free of exponentials, and for each variable v and rest
+    # monomial the terms rest * c_k e^(kv), which fold in the e^v factors
+    plain: NumPoly = {}
+    groups: dict[tuple[str, Mono], dict[int, Scalar]] = {}
+    for m, c in k.num.items():
+        expat = [(a[2:], e) for a, e in m if a.startswith("e^")]
+        if not expat:
+            plain[m] = c
+            continue
+        if len(expat) > 1:
+            raise KernelError("cannot expand a product of distinct "
+                              "exponentials")
+        (zv, kpow), = expat
+        rest = tuple((a, e) for a, e in m if not a.startswith("e^"))
+        groups.setdefault((zv, rest), {})[kpow] = c
+    parts: list[tuple[_Desc, list[_Desc]]] = []
+    if plain:
+        mono_min = {v: min(dict(m).get(v, 0) for m in plain) for v in vars}
+        tab = TruncatedLaurent.polynomial(
+            vars, {tuple(dict(m).get(v, 0) for v in vars): c
+                   for m, c in plain.items()})
+        parts.append((_Desc(None, lambda v: mono_min[v], lambda b: tab),
+                      fac_descs + list(exp_descs.values())))
+    # the groups of one variable read one closed form
+    invs: dict[str, ExpInverse] = {}
+    for (zv, rest), cs in groups.items():
+        if zv not in invs:
+            invs[zv] = ExpInverse(exps.get(zv, ()), 1)
+        parts.append((_fold_desc(vars, zv, dict(rest), cs, invs[zv]),
+                      fac_descs + [d for v, d in exp_descs.items()
+                                   if v != zv]))
 
     binomial = any(f.shape in ("binom", "ratio") for f, _p in k.den)
     if binomial:
-        for d in (*num_descs, *fac_descs):
+        for d in (*(num for num, _facs in parts), *fac_descs,
+                  *exp_descs.values()):
             if d.own not in (None, inner):
                 raise KernelError(
                     f"cannot certify an expansion that mixes binomial "
                     f"denominators with a series in {d.own!r}; use a "
                     f"direction ending in {d.own!r} or expand in stages")
 
-    # a table's budget is the window's top in its own variable minus the
-    # least exponents there of the other tables; the numerator sum counts
-    # as one table
-    def num_min(v: str) -> int:
-        return min(d.minf(v) for d in num_descs)
-
-    def fac_min(v: str) -> int:
-        return sum(d.minf(v) for d in fac_descs)
-
+    # each part is a product of tables; a table's budget is the window's
+    # top in its own variable minus the least exponents there of the
+    # other tables of its product
     table: TruncatedLaurent | None = None
-    for d in num_descs:
-        t = d.build(0 if d.own is None else hi_pre[d.own] - fac_min(d.own))
+    for num, facs in parts:
+        descs = [num, *facs]
+        t = None
+        for d in descs:
+            v = d.own
+            b = 0 if v is None else (hi_pre[v] + d.minf(v)
+                                     - sum(e.minf(v) for e in descs))
+            t = d.build(b) if t is None else t * d.build(b)
         table = t if table is None else table + t
-    for d in fac_descs:
-        v = d.own
-        table = table * d.build(hi_pre[v] - num_min(v) - fac_min(v)
-                                + d.minf(v))
     if moff:
         table = table.shift({v: -e for v, e in moff.items()})
     if len(vars) >= 2 and binomial:

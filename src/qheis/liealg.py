@@ -55,7 +55,8 @@ from math import factorial
 from typing import Callable
 
 from .scalar import SYMBOLIC, Scalar, immutable
-from .series import Cert, TruncatedLaurent, Window, binom, delta_family
+from .series import NEG_INF, Cert, TruncatedLaurent, Window, binom, \
+    delta_family
 
 
 class LieAlgebraError(ValueError):
@@ -212,7 +213,10 @@ def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
         if v:
             coeffs[e] = v
     pole = cs.get(-2) or cs.get(-1)
-    t = TruncatedLaurent(window.vars, coeffs, Cert.box(window.lo, window.hi),
+    # a pole is expanded in nonnegative powers of x1, which bounds the
+    # support; without one the table is the window of a polynomial
+    cert = Cert.box(window.lo, window.hi, (0, NEG_INF) if pole else None)
+    t = TruncatedLaurent(window.vars, coeffs, cert,
                          ("x2", "x1") if pole else None, _trusted=True)
     if dshift:
         t = t + delta_family("dshift", scalars.one, window).scale(dshift)

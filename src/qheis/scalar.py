@@ -36,8 +36,8 @@ once they are first asked for.
 The module also holds the two scalar fields, :class:`SymbolicField`
 (``SYMBOLIC``) and :class:`RationalPoint`, and the closed form of
 1 / (unit * prod (e^z - c)^m), :class:`ExpInverse`.  Its ``column`` is
-the one place a product-stack coefficient is computed, over one
-denominator per z order.
+the one place sum_k c_k e^(kz) is expanded, over one denominator per z
+order.
 """
 
 from __future__ import annotations
@@ -557,9 +557,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_one(self) -> bool:
-        return self.num == _ONE and self._fd == _PLAIN
-
     @property
     def den(self) -> Poly:
         """The expanded denominator."""
@@ -774,19 +771,21 @@ def _stirling_row(t: int) -> tuple[int, ...]:
 
 def _norlund(j: int, n: int) -> Fraction:
     """[z^n] (z / (e^z - 1))^j for j >= 1: the Norlund polynomial
-    B_n^(j)(0) over n!."""
-    base = _NORLUND.setdefault(1, [])
-    while len(base) <= n:
-        # B_m / m!: sum_(i <= m) B_i / (i! (m + 1 - i)!) = 0 for m >= 1
-        m = len(base)
-        base.append(Fraction(1) if not m else -sum(
-            base[m - i] / factorial(i + 1) for i in range(1, m + 1)))
+    B_n^(j)(0) over n!.  Row j + 1 follows from row j by
+    B_n^(j+1) = (1 - n/j) B_n^(j) - n B_(n-1)^(j), which over n! reads
+    c_n^(j+1) = (1 - n/j) c_n^(j) - c_(n-1)^(j)."""
     row = _NORLUND.setdefault(j, [])
     while len(row) <= n:
         m = len(row)
-        _norlund(j - 1, m)
-        prev = _NORLUND[j - 1]
-        row.append(sum(base[i] * prev[m - i] for i in range(m + 1)))
+        if j == 1:
+            # B_m / m!: sum_(i <= m) B_i / (i! (m + 1 - i)!) = 0 for m >= 1
+            row.append(Fraction(1) if not m else -sum(
+                row[m - i] / factorial(i + 1) for i in range(1, m + 1)))
+        else:
+            _norlund(j - 1, m)
+            prev = _NORLUND[j - 1]
+            row.append((1 - Fraction(m, j - 1)) * prev[m]
+                       - (prev[m - 1] if m else 0))
     return row[n]
 
 
@@ -828,21 +827,20 @@ class ExpInverse:
     coefficient of s^j is rational (``_s_power``), so
     u(t) = K sum_n P_n G^(t + kappa - n) [z^t] s^(n - kappa) / G^(t + kappa),
     and a cancellation gives it in canonical form.  ``series(top)``
-    returns u(-kappa)..u(top): kernel expansion reads its e^z factors
-    here.
+    returns u(-kappa)..u(top): kernel terms free of e^z read it.
 
     ``column(cs, zneed)`` returns [z^T] sum_k cs[k] e^(kz) u for
-    T = -kappa..zneed, and is the only code that computes a product-stack
-    coefficient.  For each z order T the table keeps the least common
-    denominator D_T of u(T - J) / J! for J = 0..T + kappa and the
-    numerators W_J = D_T u(T - J) / J! (``_upto``).  D_(T-1) divides D_T,
-    and W_J(T) = W_(J-1)(T - 1) (D_T / D_(T-1)) / J, so each z order is
-    one new cancellation and small products.  Over the same D_T it keeps
-    N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J(T) (``_numerators``), one
-    list per k grown to the deepest z order asked.  u has no l, so W_J and
-    N_k are coefficient tuples in q over a factored denominator; this
-    class serves Q(q, l), and :class:`_PointExpInverse` converts for a
-    rational point.
+    T = -kappa..zneed: product stacks, the e^z numerators of kernels and,
+    with u = 1, e^(kz) alone.  For each z order T the table keeps the
+    least common denominator D_T of u(T - J) / J! for J = 0..T + kappa
+    and the numerators W_J = D_T u(T - J) / J! (``_upto``).  D_(T-1)
+    divides D_T, and W_J(T) = W_(J-1)(T - 1) (D_T / D_(T-1)) / J, so each
+    z order is one new cancellation and small products.  Over the same D_T
+    it keeps N_k(T) = D_T [z^T] e^(kz) u = sum_J k^J W_J(T)
+    (``_numerators``), one list per k grown to the deepest z order asked.
+    u has no l, so W_J and N_k are coefficient tuples in q over a factored
+    denominator; this class serves Q(q, l), and :class:`_PointExpInverse`
+    converts for a rational point.
     """
 
     __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
@@ -1128,8 +1126,8 @@ class SymbolicField:
     A field also supplies ``pair_sum``, which forms (a x + b y) / j for
     integers a, b, j in one step, and ``exp_inverse``, the closed form of
     1 / (unit * prod (e^z - c)^m) (:class:`ExpInverse`): its ``column``
-    computes every product-stack coefficient, and kernel expansion reads
-    the e^z factors of a kernel from its ``series``.
+    expands every sum_k c_k e^(kz), and kernel terms free of e^z read its
+    ``series``.
     """
 
     zero = _S_ZERO

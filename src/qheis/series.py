@@ -269,7 +269,7 @@ class TruncatedLaurent:
         if other.vars != self.vars:
             raise SeriesError(f"variable mismatch: {self.vars} vs {other.vars}")
         direction = self._merge_direction(other)
-        cert = _add_cert(self.cert, other.cert)
+        cert = _add_cert(self, other)
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = coeffs.get(e)
@@ -411,12 +411,16 @@ def _certified(c: Cert, e: tuple[int, ...]) -> bool:
     return True
 
 
-def _add_cert(a: Cert, b: Cert) -> Cert:
+def _add_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
+    a, b = ta.cert, tb.cert
     if a.entire and b.entire:
         return a
+    # an entire operand bounds the sum's support by its least exponents
+    sa = _support_stats(ta)[0] if a.entire else a.suplo
+    sb = _support_stats(tb)[0] if b.entire else b.suplo
     return Cert(
         False,
-        tuple(min(x, y) for x, y in zip(a.suplo, b.suplo)),
+        tuple(min(x, y) for x, y in zip(sa, sb)),
         tuple(max(x, y) for x, y in zip(a.floors, b.floors)),
         tuple(min(x, y) for x, y in zip(a.caps, b.caps)),
     )

@@ -255,10 +255,10 @@ class PairData:
     __setattr__ = __delattr__ = immutable
 
     def table(self, w: Window) -> TruncatedLaurent:
-        acc = TruncatedLaurent.zero(w.vars).restrict(w)
+        acc = TruncatedLaurent.zero(w.vars)
         for p in self.parts:
             acc = acc + _part_table(p, w, self.scalars)
-        return acc
+        return acc if self.parts else acc.restrict(w)
 
     def delta_parts(self) -> list[PairPart]:
         return [p for p in self.parts if p.is_delta]
@@ -396,8 +396,14 @@ class Multiplier:
 
     def exp_series(self, order: int, scalars=SYMBOLIC) -> list[Scalar]:
         """Coefficients of p(x e^z, x) / x^degree through z^order, in the
-        scalar field of the factors."""
-        return _exp_coeffs(self, 0, order, scalars)
+        scalar field of the factors.
+
+        p(x e^z, x) / x^degree = sum_K p_K e^(K z) over the
+        x1^K x2^(degree-K) coefficients p_K of p: one column of the table
+        of u = 1."""
+        one = scalars.one
+        return _shifted_inverse(Multiplier.of(), scalars).column(
+            {i: one * c for (i, _j), c in self.poly2().items()}, order)
 
     def describe(self) -> str:
         parts = [] if self.unit == 1 else [f"({self.unit})"]
@@ -421,29 +427,12 @@ def _poly2(mult: Multiplier) -> dict[tuple[int, int], Scalar]:
     return {e: v for e, v in acc.items() if v}
 
 
-def _exp_coeffs(mult: Multiplier, lo: int, hi: int, scalars) -> list[Scalar]:
-    """[z^n] p(x e^z, x) / x^degree for lo <= n <= hi.
-
-    p(x e^z, x) / x^degree = sum_K p_K e^(K z) over the x1^K x2^(degree-K)
-    coefficients p_K of p, so its z^n coefficient is sum_K p_K K^n / n!.
-    """
-    terms = [(i, c) for (i, _j), c in mult.poly2().items()]
-    out = []
-    for n in range(lo, hi + 1):
-        acc = scalars.zero
-        for i, c in terms:
-            w = exp_coeff(i, n, scalars)
-            if w:
-                acc = acc + c * w
-        out.append(acc)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _shifted_inverse(mult: Multiplier, scalars):
     """The closed form of u = x^degree / p(x e^z, x) in the field
     (``exp_inverse``), whose ``column`` gives the product-stack
-    coefficients [z^T] sum_k c_k e^(kz) u.
+    coefficients [z^T] sum_k c_k e^(kz) u.  The multiplier 1 gives u = 1,
+    whose columns expand sum_k c_k e^(kz) alone.
 
     The entries of a z order do not depend on how deep the table goes,
     so one table per multiplier and field grows to the deepest order
@@ -510,19 +499,6 @@ class StateTable:
             for t, c in series.items():
                 if c and zlo <= J + t <= zhi:
                     _add_scaled(out, (E + xshift, J + t), terms, c)
-        return StateTable(self.module, out)
-
-    def expanded(self, zcap: int) -> "StateTable":
-        """Read entry (E, k) as the x^E e^(kz) coefficient (as
-        ``ordered_core`` builds it): entry (E, J) of the result is the
-        x^E z^J coefficient, for J = 0..zcap."""
-        scalars = self.module.scalars
-        out: dict[tuple[int, int], dict] = {}
-        for (E, k), terms in self.data.items():
-            for J in range(zcap + 1):
-                s = exp_coeff(k, J, scalars)
-                if s:
-                    _add_scaled(out, (E, J), terms, s)
         return StateTable(self.module, out)
 
     def dressings(self, jmax: int, zlo: int, zhi: int) -> list["StateTable"]:
@@ -597,7 +573,8 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
     the exponentials left unexpanded.
 
     Entry (E, k) is the x^E e^(kz) coefficient, k the x1 exponent;
-    ``StateTable.expanded`` reads off z orders.  Nonnegative x1 powers are
+    ``_columns`` reads off z orders against a closed-form inverse, and
+    against the table of u = 1 alone.  Nonnegative x1 powers are
     summed in the written order (b first), negative ones in the reversed
     order (a first).  The orders differ by p times the commutator of the
     fields: mult must kill its delta parts, and its kernel parts have no
@@ -669,19 +646,26 @@ def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
     c_(E, k) x^E e^(kz) (``ordered_core``), the coefficients of one
     monomial at x^(E - degree) over all t are one column of the
     closed-form table of ``_shifted_inverse``, [z^t] sum_k c_(E, k)
-    e^(kz) u.  A stack is built anew on every call; a law that reads one
-    stack twice keeps it itself.
+    e^(kz) u (``_columns``).  A stack is built anew on every call; a law
+    that reads one stack twice keeps it itself.
     """
     deg = mult.degree
     core = ordered_core(afield, bfield, mult, v, xlo + deg, xhi + deg)
-    table = _shifted_inverse(mult, core.module.scalars)
+    return _columns(core, _shifted_inverse(mult, core.module.scalars),
+                    zneed, deg)
+
+
+def _columns(core: StateTable, table, zneed: int, deg: int) -> StateTable:
+    """Read an ordered core against a closed-form table: entry (E - deg, t)
+    of the result is [z^t] sum_k core(E, k) e^(kz) u, for t from -kappa
+    to zneed, one column of the table per x exponent and monomial."""
     by_entry: dict[tuple[int, object], dict] = {}
     for (E, k), terms in core.data.items():
         for m, c in terms.items():
             by_entry.setdefault((E, m), {})[k] = c
     data: dict[tuple[int, int], dict] = {}
     for (E, m), cs in by_entry.items():
-        for t, c in enumerate(table.column(cs, zneed), -mult.kappa):
+        for t, c in enumerate(table.column(cs, zneed), -table.kappa):
             if c:
                 data.setdefault((E - deg, t), {})[m] = c
     return StateTable(core.module, data)
@@ -1205,6 +1189,7 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
     deg = mult.degree
     states = [module.vacuum(), module.basis_vector((-1, 0))]
     pexp = dict(enumerate(mult.exp_series(x0_order + kappa, scalars)))
+    u_one = _shifted_inverse(Multiplier.of(), scalars)
     parts = []
     cases = [(si, w0, ui, uf) for si, w0 in enumerate(states)
              for ui, uf in enumerate(_assoc_left_fields(module))]
@@ -1219,8 +1204,8 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
             # right side: the substituted ordered product, never inverted
             sides[(si, uf)] = (
                 stack.times_z(pexp, deg, -kappa, x0_order),
-                ordered_core(uf, vf, mult, w0, -window, window).expanded(
-                    x0_order))
+                _columns(ordered_core(uf, vf, mult, w0, -window, window),
+                         u_one, x0_order, 0))
         lhs, rhs = sides[(si, uf)]
         parts.append(tally(
             f"state[{si}]left[{ui}]",

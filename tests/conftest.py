@@ -7,8 +7,8 @@ from math import comb, factorial, gcd, lcm
 
 from qheis.fock import FockError, FockModule, FockVector, apply_generator, \
     pair_vectors
-from qheis.kernels import Factor, RationalKernel, _binom_row, \
-    _place_cert, iota_expand
+from qheis.kernels import Factor, RationalKernel, _binom_row, _exp_desc, \
+    _factor_desc, _place_cert, iota_expand
 from qheis.liealg import (
     AlgebraSpec,
     LieAlgebraError,
@@ -180,6 +180,58 @@ def inv_factor_table_oracle(f: Factor, p: int, vars: tuple[str, ...],
         k += 1
     cert = _place_cert(vars, inner, smin, hi, support=(f.a, f.b))
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
+
+
+def exp_numerator_oracle(kern: RationalKernel, direction,
+                         window) -> TruncatedLaurent:
+    """kernels.iota_expand, for a kernel free of binomial factors, by the
+    route that reads no numerator off a closed form.
+
+    Each numerator term c * rest * e^(kv) is the exp_coeff table of
+    e^(kv) through its budget, shifted by c * rest; these and the plain
+    terms are summed into one numerator table, which the tables of the
+    denominator factors (the closed-form ``series`` for the e^v factors)
+    multiply as TruncatedLaurent products.  The product comes back
+    unrestricted, so a caller sees whether it certifies the window.
+    """
+    vars = window.vars
+    moff = dict(kern.mono_den)
+    hi_pre = {v: window.hi[i] + moff.get(v, 0) for i, v in enumerate(vars)}
+    exps: dict[str, list] = {}
+    facs = []
+    for f, p in kern.den:
+        if f.shape == "expconst":
+            exps.setdefault(f.a, []).append((f.c, p))
+        else:
+            facs.append(_factor_desc(vars, direction[-1], f, p))
+    facs += [_exp_desc(vars, v, fs) for v, fs in exps.items()]
+
+    def fac_min(v):
+        return sum(d.minf(v) for d in facs)
+
+    table = TruncatedLaurent.zero(vars)
+    rests = []
+    for m, c in kern.num.items():
+        rest = {a: e for a, e in m if not a.startswith("e^")}
+        rests.append(rest)
+        expat = [(a[2:], e) for a, e in m if a.startswith("e^")]
+        if not expat:
+            table = table + TruncatedLaurent.polynomial(
+                vars, {tuple(rest.get(v, 0) for v in vars): c})
+            continue
+        (zv, k), = expat
+        order = max(hi_pre[zv] - fac_min(zv), 0)
+        coeffs = {tuple(j if v == zv else 0 for v in vars):
+                  exp_coeff(k, j, SYMBOLIC) for j in range(order + 1)}
+        power = TruncatedLaurent(vars, coeffs,
+                                 _place_cert(vars, zv, 0, order), None,
+                                 _trusted=True)
+        table = table + power.shift(rest, c)
+    for d in facs:
+        v = d.own
+        least = min(rest.get(v, 0) for rest in rests)
+        table = table * d.build(hi_pre[v] - least - fac_min(v) + d.minf(v))
+    return table.shift({v: -e for v, e in moff.items()}) if moff else table
 
 
 def _directed_binom_power(j: int, window) -> TruncatedLaurent:
@@ -484,6 +536,23 @@ def inverse_exp_oracle(mult, zmax, scalars):
     t = exp_product_oracle(mult, order, scalars, reduced=True)
     inv = series_inverse(_z_series(dict(enumerate(t)), order), order)
     return {j - k: inv.coeff((j,), scalars.zero) for j in range(order + 1)}
+
+
+def norlund_rows_oracle(jmax: int, nmax: int) -> list[list[Fraction]]:
+    """[z^n] (z / (e^z - 1))^j for j = 1..jmax (row j at index j - 1) and
+    n = 0..nmax, by convolving the Bernoulli row j - 1 times: row j at n
+    sums B_i / i! times row j - 1 at n - i."""
+    base: list[Fraction] = []
+    for m in range(nmax + 1):
+        # B_m / m!: sum_(i <= m) B_i / (i! (m + 1 - i)!) = 0 for m >= 1
+        base.append(Fraction(1) if not m else -sum(
+            base[m - i] / factorial(i + 1) for i in range(1, m + 1)))
+    rows = [base]
+    for _ in range(jmax - 1):
+        prev = rows[-1]
+        rows.append([sum(base[i] * prev[m - i] for i in range(m + 1))
+                     for m in range(nmax + 1)])
+    return rows
 
 
 def _residual_lcm(a, b):

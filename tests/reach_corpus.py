@@ -49,8 +49,11 @@ CLI = [
     ["expand", "--kernel", "x^2/(x*(x-q^3))^2", "--direction", "x"],
     ["expand", "--kernel", "(x1+x2)^2/(x1*x2*(x1-x2)^2*(q*x1-x2))",
      "--direction", "x1,x2", "--window", "2"],
-    ["expand", "--kernel", "-e^(-2*z)*(z+1)/(1-e^z)^2/(e^(2*z)+q)",
+    # a negative power of e^z, a z rest monomial and a double pole at z = 0
+    ["expand", "--kernel=-e^z^-2*(z+1)/(1-e^z)^2/(e^z+q)",
      "--direction", "z", "--window", "2"],
+    # a numerator free of e^z reads its e^z factors off the series
+    ["expand", "--kernel", "1/(e^z-q^3)", "--direction", "z"],
     ["expand", "--kernel", "x1^5", "--direction", "x1", "--window", "1"],
     ["expand", "--kernel", "1/(x1", "--direction", "x1"],
     ["expand", "--kernel", "x1^99", "--direction", "x1"],

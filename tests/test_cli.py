@@ -595,6 +595,25 @@ def test_expand_reads_a_run_of_signs_of_any_length(capsys):
     assert out_of(capsys) == "(-1)*x2^-1"
 
 
+def test_expand_of_a_mixed_numerator_is_the_sum_of_its_terms(capsys):
+    """A plain term beside an e^z term used to leave their sum with no
+    support bound, so the product after it certified nothing and expand
+    exited 2; each kernel now prints the sum of the expansions of its
+    two terms."""
+    from qheis.kernels import iota_expand, parse_kernel
+    from qheis.series import Window
+
+    for kernel, terms, direction, radius in (
+            ("(1+e^z)/(e^z-q)^4", ("1/(e^z-q)^4", "e^z/(e^z-q)^4"), "z", 2),
+            ("(1+e^z)/(x-2)", ("1/(x-2)", "e^z/(x-2)"), "x,z", 1)):
+        assert run(["expand", "--kernel", kernel, "--direction", direction,
+                    "--window", str(radius), "--limit", "1000"]) == 0, kernel
+        names = tuple(direction.split(","))
+        w = Window.cube(names, radius)
+        one, other = (iota_expand(parse_kernel(t), names, w) for t in terms)
+        assert out_of(capsys) == (one + other).format_terms(limit=1000)
+
+
 # a valid value for each option a subcommand requires
 _REQUIRED = {
     "expand": ["--kernel", "1", "--direction", "x"],

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cert_fields, exp_pole_kernel, inv_factor_table_oracle, \
-    window_of
+from conftest import cert_fields, exp_numerator_oracle, exp_pole_kernel, \
+    inv_factor_table_oracle, window_of
 from qheis.kernels import (
     MAX_EXPONENT,
     MAX_PARSE_WORK,
@@ -338,6 +338,49 @@ def test_exp_factors_expand_to_the_product_of_their_expansions_seeded():
         want.require_certified(w)
         assert got.coeffs == want.restrict(w).coeffs, case
         assert got.coeffs, case
+
+
+def _exp_numerator_kernel(rng: random.Random) -> str:
+    """One to three terms c * e^(kz) * rest over zero to two e^z factors,
+    some with a factor in x; k = 0 gives a plain term."""
+    terms = [f"{rng.choice(['1', 'q', '(-2)', '3*q^2'])}*e^z^"
+             f"{rng.randint(-2, 3)}*"
+             f"{rng.choice(['1', 'x', 'z', 'x^-1'])}"
+             for _ in range(rng.randint(1, 3))]
+    units = [f"(e^z-{rng.choice(['1', 'q', 'q^2', '2', '(-q)'])})^"
+             f"{rng.randint(1, 3)}" for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        units.append(rng.choice(["(x-2)", "(x-q)^2"]))
+    return "(" + "+".join(terms) + ")/(" + "*".join(units or ["1"]) + ")"
+
+
+def test_exp_numerators_fold_into_the_closed_form_seeded():
+    """The e^z numerator terms of one rest monomial read one column of
+    the closed form of the e^z factors (of u = 1 without one).  In both
+    directions at windows 0-5, the expansion equals the oracle that
+    multiplies e^(kz) tables into the factor tables, wherever the oracle
+    certifies the window."""
+    rng = random.Random(20261022)
+    texts = ["(1+e^z)/(e^z-q)^4", "(1+e^z)/(x-2)",
+             "e^z/((e^z-q)^4*(e^z-q^2)^3*(e^z-1)^2)"]
+    texts += [_exp_numerator_kernel(rng) for _ in range(30)]
+    compared = grouped = 0
+    for text in texts:
+        k = parse_kernel(text)
+        grouped += len(k.num) > len({tuple(a for a in m
+                                           if not a[0].startswith("e^"))
+                                     for m in k.num})
+        for direction in (("x", "z"), ("z", "x")):
+            for radius in range(6):
+                w = Window.cube(direction, radius)
+                want = exp_numerator_oracle(k, direction, w)
+                if not want.certifies_window(w):
+                    continue
+                got = iota_expand(k, direction, w)
+                case = (text, direction, radius)
+                assert got.coeffs == want.restrict(w).coeffs, case
+                compared += 1
+    assert compared >= 300 and grouped >= 5, (compared, grouped)
 
 
 def test_direction_difference_is_delta():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EvaluationError, _q_divmod, _q_list, evaluate, \
-    fraction_of, gcd_oracle, reduced_oracle
+    fraction_of, gcd_oracle, norlund_rows_oracle, reduced_oracle
 from qheis.scalar import (
     ONE,
     ZERO,
@@ -526,3 +526,13 @@ def test_cancel_of_a_monomial_matches_the_strip_path(mono, coeff, c, a, cyc):
     num = {mono: coeff}
     fd = (c, a, tuple(sorted(cyc.items())), None)
     assert _cancel(num, fd) == _cancel_by_strip(num, fd)
+
+
+def test_norlund_rows_match_the_convolution_oracle():
+    """Rows built by the Norlund recurrence equal the rows that convolve
+    the Bernoulli row j - 1 times, for j <= 17 and n < 120: a kernel
+    with (e^z - 1)^16 at window 100 reads row 16 to n = 116."""
+    from qheis.scalar import _norlund
+
+    for j, row in enumerate(norlund_rows_oracle(17, 119), 1):
+        assert [_norlund(j, n) for n in range(120)] == row, j

@@ -174,6 +174,25 @@ def test_entire_times_window_certification():
     assert prod.coeffs[(0, 1)] == S(4)
 
 
+def test_polynomial_plus_partial_times_partial_certifies_the_window():
+    """An entire summand bounds the sum's support by its least exponents,
+    so a product taken after the sum still certifies: (1 + x) plus a
+    geometric table, times another geometric table."""
+    geo = TruncatedLaurent(("x",), {(k,): Q**k for k in range(8)},
+                           Cert(False, (0,), (NEG_INF,), (7,)), None,
+                           _trusted=True)
+    total = poly(("x",), {(0,): 1, (1,): 1}) + geo
+    assert total.cert.suplo == (0,)
+    prod = total * geo
+    w = window_of(x=(-3, 7))
+    prod.require_certified(w)
+    # (1 + x + sum q^k x^k) sum q^k x^k at x^2: 2 q^2 + (1 + q) q + q^2
+    assert prod.coeff((2,)) == S(4) * Q**2 + Q
+    assert prod.coeff((-1,)) == S(0)
+    # a zero polynomial bounds nothing
+    assert (TruncatedLaurent.zero(("x",)) + geo).cert.suplo == (0,)
+
+
 def test_direction_mixing_is_an_error():
     c = Cert(False, (0, NEG_INF), (NEG_INF, NEG_INF), (5, POS_INF))
     a = TruncatedLaurent(("x1", "x2"), {(0, 0): ONE}, c, ("x2", "x1"),

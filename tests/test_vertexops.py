@@ -704,7 +704,9 @@ def test_shifted_inverse_matches_the_series_route(scalars):
         Multiplier.of((one, 1), (3 * one, 2), unit=one + q),
     ]
     mults = _fast_suite_multipliers(scalars)
-    assert len(mults) == 6
+    # six multipliers of product stacks and the multiplier 1, whose
+    # table of u = 1 expands e^(kz) alone
+    assert len(mults) == 7 and Multiplier.of() in mults
     for mult in sorted(mults, key=Multiplier.describe) + extra:
         table = scalars.exp_inverse(mult.factors, mult.unit)._upto(10)
         want = shifted_inverse_oracle(mult, 10, scalars)
@@ -1151,8 +1153,9 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         counts.append(len(calls) - before)
     assert counts == [28, 28]
     # one closed-form table per multiplier, grown to the deepest z order
-    # any law of the suite reads
-    assert len(tables) == 6
+    # any law of the suite reads: six for product stacks and the table of
+    # u = 1 that expands e^(kz) alone
+    assert len(tables) == 7
     before = len(calls)
     verify_identity("scale-covariance", window=5, point=point)
     assert len(calls) - before == 5 * 2 + 2
