@@ -563,12 +563,12 @@ def _exp_factors_table(factors, vars: tuple[str, ...], zv: str,
     """prod (e^zv - c)^-p over the (c, p) factors, from one closed form
     (scalar.ExpInverse), covering zv exponents <= hi.
 
-    It starts at zv^-kappa, kappa the power at c = 1.  The caller budgets
-    for a start at zv^-(sum of p), so the table reaches that much further.
+    It starts at zv^-kappa, kappa the power at c = 1, and holds at least
+    that leading term.
     """
     inv = ExpInverse(factors, 1)
     lo = -inv.kappa
-    top = max(hi, 0) + sum(p for _c, p in factors) + lo
+    top = max(hi, lo)
     return _z_table(vars, zv, lo, top, inv.series(top))
 
 
@@ -651,9 +651,9 @@ def _factor_desc(vars, inner, f: Factor, p: int) -> _Desc:
 
 
 def _exp_desc(vars, zv: str, factors) -> _Desc:
-    """The e^zv factors of a kernel as one table: its leading exponent is
-    at worst minus the sum of their powers."""
-    least = -sum(p for _c, p in factors)
+    """The e^zv factors of a kernel as one table, which starts at
+    zv^-kappa, kappa the power of the factor at c = 1."""
+    least = -sum(p for c, p in factors if c == 1)
     return _Desc(zv, lambda v: least if v == zv else 0,
                  lambda b: _exp_factors_table(factors, vars, zv, b))
 

@@ -533,12 +533,6 @@ class Scalar:
         return _make({(0, 0): n} if n else {}, _PLAIN)
 
     @classmethod
-    def from_fraction(cls, f: Fraction | int) -> "Scalar":
-        f = Fraction(f)
-        num = {(0, 0): f.numerator} if f.numerator else {}
-        return _make(num, (f.denominator, 0, (), None))
-
-    @classmethod
     def q_power(cls, k: int) -> "Scalar":
         if k >= 0:
             return _make({(k, 0): 1}, _PLAIN)
@@ -1118,9 +1112,9 @@ class SymbolicField:
 
     A scalar field supplies the constants that depend on q and the level:
     ``zero``, ``one``, ``level``, ``q_power(k)``, ``qint(m)`` and the
-    rational constructors ``from_int`` and ``from_fraction``.  Everything
-    else runs on ``+ - * / ** == hash bool str`` of its values, so one
-    code path serves this field and the exact rationals of a
+    integer constructor ``from_int``.  Everything else runs on
+    ``+ - * / ** == hash bool str`` of its values, so one code path
+    serves this field and the exact rationals of a
     :class:`RationalPoint`.
 
     A field also supplies ``pair_sum``, which forms (a x + b y) / j for
@@ -1134,7 +1128,6 @@ class SymbolicField:
     one = _S_ONE
     level = L
     from_int = staticmethod(Scalar.from_int)
-    from_fraction = staticmethod(Scalar.from_fraction)
     q_power = staticmethod(Scalar.q_power)
     qint = staticmethod(qint)
     pair_sum = staticmethod(pair_sum)
@@ -1160,7 +1153,7 @@ class RationalPoint:
 
     zero = Fraction(0)
     one = Fraction(1)
-    from_int = from_fraction = Fraction
+    from_int = Fraction
 
     def __init__(self, q0, l0):
         q0 = Fraction(q0)

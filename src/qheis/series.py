@@ -30,9 +30,7 @@ with ``+``, ``-``, ``==``, truthiness, and left-multiplication by a scalar.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, inf
+from math import comb, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, scan
@@ -386,20 +384,6 @@ def binom(n: int, k: int) -> int:
     if n >= 0:
         return comb(n, k)
     return (-1) ** k * comb(k - n - 1, k)
-
-
-def exp_coeff(k: int, j: int, scalars):
-    """k**j / j!, the z^j coefficient of e^(kz), in the scalar field;
-    0**0 counts as 1."""
-    # the value depends on the field only through its rational
-    # constructor, so every point shares one entry
-    return _exp_coeff(k, j, scalars.from_fraction)
-
-
-# a symbolic paper-all suite at window 12 asks for 317 distinct values
-@lru_cache(maxsize=1024)
-def _exp_coeff(k: int, j: int, from_fraction):
-    return from_fraction(Fraction(k ** j, factorial(j)))
 
 
 def _certified(c: Cert, e: tuple[int, ...]) -> bool:

@@ -57,8 +57,7 @@ from .liealg import (
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, combine, tally
 from .scalar import SYMBOLIC, RationalPoint, Scalar, immutable
-from .series import TruncatedLaurent, Window, compare_on, delta_family, \
-    exp_coeff
+from .series import TruncatedLaurent, Window, compare_on, delta_family
 
 __all__ = [
     "VertexError",
@@ -1007,17 +1006,18 @@ def _law_quasi_locality_control(alg: str, spec):
     return run
 
 
-def _image_bracket_entries(module: FockModule, r: int, s: int,
-                           window: int, xwin: int, states
-                           ) -> dict[tuple[int, int, int, int], FockVector]:
+def _image_bracket_cases(module: FockModule, r: int, s: int,
+                         window: int, xwin: int, states):
     """[(a_n^e), (b_m^e)] applied to the constant field, then to states.
 
-    Returns vectors keyed by (n, m, state index, x exponent).  Both
-    orders of products are taken against the closed-form vacuum products
-    of the other factor, theta^j b / j! with j = -m-1 and theta = x d/dx.
-    Each order builds one undressed stack per state, with the pair's
-    canonical multiplier, and reads every dressing off it through
-    ``StateTable.dressings``: theta on the right factor is
+    Yields (n, m, state index, x exponent, first, second) in increasing
+    order of (n, m, state index, x exponent), where first and second are
+    the vectors of the two orders of products; the bracket is
+    first - second.  Both orders are taken against the closed-form
+    vacuum products of the other factor, theta^j b / j! with j = -m-1
+    and theta = x d/dx.  Each order builds one undressed stack per state,
+    with the pair's canonical multiplier, and reads every dressing off it
+    through ``StateTable.dressings``: theta on the right factor is
     D = theta_x - d/dz on the stack.  The law reads z orders up to window
     and j runs to window, so the undressed stack reaches 2 * window.
     Equal fields share the stacks of one order.
@@ -1025,7 +1025,6 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
     af = field_of(module, r)
     bf = field_of(module, s)
     zero = module.zero()
-    out: dict[tuple[int, int, int, int], FockVector] = {}
 
     def stacks(left, right):
         # by state, then j: the stacks of (left, theta^j right / j!)
@@ -1044,23 +1043,30 @@ def _image_bracket_entries(module: FockModule, r: int, s: int,
                 for E in range(-xwin, xwin + 1):
                     first = ab[si][-m - 1].get(E, -n - 1) if m < 0 else zero
                     second = ba[si][-n - 1].get(E, -m - 1) if n < 0 else zero
-                    # where the law holds off the diagonal the orders agree
-                    out[(n, m, si, E)] = (zero if first == second
-                                          else first - second)
-    return out
+                    yield n, m, si, E, first, second
 
 
 def _image_bracket_report(name: str, module: FockModule, r: int, s: int,
                           rhs: TruncatedLaurent, window: int,
                           xwin: int = 2) -> CheckReport:
     states = [module.vacuum(), module.basis_vector((-1, 0))]
-    entries = _image_bracket_entries(module, r, s, window, xwin, states)
-    zero = module.scalars.zero
-    return tally(name, f"product indices within |e| <= {window}", (
-        (f"n={n}, m={m}, state {si}, x^{E}", got,
-         states[si].scale(rhs.coeff((-n - 1, -m - 1), zero)) if E == 0
-         else module.zero())
-        for (n, m, si, E), got in sorted(entries.items())))
+    zero = module.zero()
+    szero = module.scalars.zero
+
+    def cases():
+        for n, m, si, E, first, second in _image_bracket_cases(
+                module, r, s, window, xwin, states):
+            label = f"n={n}, m={m}, state {si}, x^{E}"
+            if E == 0:
+                yield (label, first - second,
+                       states[si].scale(rhs.coeff((-n - 1, -m - 1), szero)))
+            # off x^0 the orders agree where the law holds
+            elif first == second:
+                yield label, zero, zero
+            else:
+                yield label, first - second, zero
+
+    return tally(name, f"product indices within |e| <= {window}", cases())
 
 
 def _law_phi_image(name: str, src_alg: str):
@@ -1089,14 +1095,12 @@ def _law_locality_transfer(window: int, scalars, *, r: int = 1, s: int = 0
                            ) -> CheckReport:
     module = FockModule("hq", scalars=scalars)
     zero = scalars.zero
-    xwin = 2
-    states = [module.vacuum()]
-    entries = _image_bracket_entries(module, r, s, window, xwin, states)
     # scalar table of the image bracket, read off the constant-field part
     table: dict[tuple[int, int], Scalar] = {}
-    for (n, m, _si, E), vec in entries.items():
+    for n, m, _si, E, first, second in _image_bracket_cases(
+            module, r, s, window, 2, [module.vacuum()]):
         if E == 0:
-            val = vec.vacuum_component()
+            val = first.vacuum_component() - second.vacuum_component()
             if val:
                 table[(-n - 1, -m - 1)] = val
     # multiplying by (x1 - x2) must kill the bracket of the images; the
@@ -1123,28 +1127,27 @@ def _law_locality_transfer(window: int, scalars, *, r: int = 1, s: int = 0
         parts.append(CheckReport("exp-multiplier-kill", FAIL,
                                  checked=len(table), failures=band_fail[:6]))
     else:
-        # p is homogeneous, so each x1 power names one monomial
-        emons = {i: c for (i, _j), c in mult.poly2().items()}
-
-        def killed(E1: int, E2: int) -> Scalar:
-            # entries with e1 <= E1 and e2 = d - e1 <= E2; e^(k(x1-x2))
-            # has x1^u x2^v coefficient k^u/u! * (-k)^v/v!
-            val = zero
-            for d, cval in bands.items():
-                if not cval:
-                    continue
-                for e1 in range(d - E2, E1 + 1):
-                    for k, ak in emons.items():
-                        val = val + ak * cval * exp_coeff(
-                            k, E1 - e1, scalars) * exp_coeff(
-                            -k, E2 - d + e1, scalars)
-            return val
-
-        near = range(-3, 4)
-        parts.append(tally("exp-multiplier-kill", "|E| <= 3", (
-            (f"at ({E1}, {E2})", killed(E1, E2), zero)
-            for E1 in near for E2 in near)))
+        parts.append(tally("exp-multiplier-kill", "|E| <= 3",
+                           _exp_kill_cases(mult, bands, scalars)))
     return combine("locality-transfer", parts)
+
+
+def _exp_kill_cases(mult: Multiplier, bands: dict[int, Scalar], scalars):
+    """The (label, got, want) cases of exp-multiplier-kill: the x1^E1
+    x2^E2 coefficient, |E1|, |E2| <= 3, of sum_k a_k e^(k(x1 - x2)) times
+    the table whose antidiagonal e1 + e2 = d is constant at bands[d], with
+    a_k the x1^k coefficient of p, must vanish.
+
+    Band d meets e^(k(x1 - x2)) at degree T = E1 + E2 - d, where
+    sum_u C(T, u) k^u (-k)^(T - u) / T! = (k - k)^T / T! = [T = 0], so the
+    coefficient is band E1 + E2 times sum_k a_k = p(1, 1).
+    """
+    zero = scalars.zero
+    one = scalars.one
+    p11 = sum((one * c for c in mult.poly2().values()), zero)
+    near = range(-3, 4)
+    return [(f"at ({E1}, {E2})", p11 * bands.get(E1 + E2, zero), zero)
+            for E1 in near for E2 in near]
 
 
 _ASSOC_SETUP = {

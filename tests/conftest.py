@@ -22,7 +22,7 @@ from qheis.scalar import _PLAIN, L, ONE, SYMBOLIC, ZERO, Poly, Scalar, \
     ScalarError, _make, _pstr
 from qheis.scalar import _expand as scalar_expand
 from qheis.series import NEG_INF, POS_INF, Cert, SeriesError, \
-    TruncatedLaurent, Window, binom, delta_family, exp_coeff
+    TruncatedLaurent, Window, binom, delta_family
 from qheis.vertexops import _DELTA_KILL, Multiplier, MultiplierError, \
     OperatorSeries, VertexError, _part_table, field_of, pair_of
 
@@ -60,6 +60,20 @@ def f_series_oracle(n: int, order: int) -> TruncatedLaurent:
 # ---------------------------------------------------------------------------
 # one-variable series utilities: the series route to 1 / (e^z - c)^p
 # ---------------------------------------------------------------------------
+
+
+def from_fraction(scalars, f) -> Scalar:
+    """The rational f as a value of the scalar field."""
+    f = Fraction(f)
+    return scalars.from_int(f.numerator) / scalars.from_int(f.denominator)
+
+
+@lru_cache(maxsize=None)
+def exp_coeff(k: int, j: int, scalars) -> Scalar:
+    """k**j / j!, the z^j coefficient of e^(kz), in the scalar field;
+    0**0 counts as 1.  The oracle of every closed form that expands
+    e^(kz) (``scalar.ExpInverse.column``)."""
+    return from_fraction(scalars, Fraction(k ** j, factorial(j)))
 
 
 def series_inverse(s: TruncatedLaurent, order: int) -> TruncatedLaurent:
@@ -132,11 +146,14 @@ def inv_factor_table_oracle(f: Factor, p: int, vars: tuple[str, ...],
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
     if f.shape == "expconst":
-        base = _exp_minus_const(f.a, f.c, max(hi, 0) + 2 * p)
+        # from the leading term z^-kappa through z^hi, and at least it
+        kappa = p if f.c == 1 else 0
+        order = max(hi + kappa, 0)
+        base = _exp_minus_const(f.a, f.c, order + 2 * p)
         pw = base
         for _ in range(p - 1):
             pw = pw * base
-        inv = series_inverse(pw, max(hi, 0) + p)
+        inv = series_inverse(pw, order)
         coeffs = {place({f.a: e[0]}): c for e, c in inv.coeffs.items()}
         cert = _place_cert(vars, f.a, inv.cert.suplo[0], inv.cert.caps[0])
         return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
@@ -359,7 +376,7 @@ def dressed_direct(stack, j: int, zlo: int, zhi: int) -> dict:
     D^j / j! with D = theta_x - d/dz: entry (E, t) is the sum over
     i = 0..j of C(j, i) E^(j-i) (-1)^i (t+1)(t+2)...(t+i) S(E, t+i) / j!.
     S must reach z order zhi + j."""
-    from_fraction = stack.module.scalars.from_fraction
+    scalars = stack.module.scalars
     out = {}
     for (E, J) in sorted(stack.data):
         vec = stack.get(E, J)
@@ -370,7 +387,8 @@ def dressed_direct(stack, j: int, zlo: int, zhi: int) -> dict:
                 c *= f
             if c:
                 _add_vector(out, (E, t),
-                            vec.scale(from_fraction(Fraction(c, factorial(j)))))
+                            vec.scale(from_fraction(
+                                scalars, Fraction(c, factorial(j)))))
     return out
 
 
@@ -517,10 +535,10 @@ def exp_product_oracle(mult, order, scalars, reduced=False):
     out = _z_series({0: mult.unit * scalars.one}, order)
     for c, m in mult.factors:
         if reduced and c == 1:
-            f = {j: scalars.from_fraction(Fraction(1, factorial(j + 1)))
+            f = {j: from_fraction(scalars, Fraction(1, factorial(j + 1)))
                  for j in range(order + 1)}
         else:
-            f = {j: scalars.from_fraction(Fraction(1, factorial(j)))
+            f = {j: from_fraction(scalars, Fraction(1, factorial(j)))
                  for j in range(order + 1)}
             f[0] = f[0] - c
         for _ in range(m):
@@ -578,7 +596,8 @@ def shifted_inverse_oracle(mult, zneed, scalars):
     u = inverse_exp_oracle(mult, zneed, scalars)
     out = []
     for T in range(-mult.kappa, zneed + 1):
-        vals = [u[T - j] * scalars.from_fraction(Fraction(1, factorial(j)))
+        vals = [u[T - j] * from_fraction(scalars,
+                                         Fraction(1, factorial(j)))
                 for j in range(T + mult.kappa + 1)]
         if scalars is not SYMBOLIC:
             den = lcm(*(v.denominator for v in vals))

@@ -18,6 +18,7 @@ from conftest import (
     euler,
     extract_s_kernel,
     f_series_oracle,
+    from_fraction,
     graded_leading_constant,
     poly_apply,
     realization_bracket_check,
@@ -27,7 +28,7 @@ from qheis.fock import FockError, FockModule, two_point
 from qheis.kernels import iota_expand, parse_kernel
 from qheis.liealg import bracket_modes, f_coefficient
 from qheis.report import PASS
-from qheis.scalar import L, ONE, Q, RationalPoint, Scalar, ZERO
+from qheis.scalar import L, ONE, Q, SYMBOLIC, RationalPoint, Scalar, ZERO
 from qheis.series import TruncatedLaurent, Window, delta_family
 from qheis.vertexops import (
     Multiplier,
@@ -46,7 +47,7 @@ def _verdict(label: str, ok: bool, detail: str = ""):
 
 
 def sc(v) -> Scalar:
-    return Scalar.from_fraction(Fraction(v))
+    return from_fraction(SYMBOLIC, v)
 
 
 X12 = ("x1", "x2")

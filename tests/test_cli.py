@@ -468,6 +468,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("suite_paper_all_point.json",
      ["--suite", "paper-all", "--q0", "3/5", "--l0", "2"]),
     ("suite_paper_all.json", ["--suite", "paper-all"]),
+    ("suite_paper_all_w12.json", ["--suite", "paper-all", "--window", "12"]),
+    ("suite_paper_all_w12_point.json",
+     ["--suite", "paper-all", "--window", "12", "--q0", "3/5", "--l0", "2"]),
 ])
 def test_suite_report_matches_golden(monkeypatch, capsys, name, extra):
     """The suite reports are byte-identical to the recorded goldens."""

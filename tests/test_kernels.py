@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cert_fields, exp_numerator_oracle, exp_pole_kernel, \
-    inv_factor_table_oracle, window_of
+    from_fraction, inv_factor_table_oracle, window_of
 from qheis.kernels import (
     MAX_EXPONENT,
     MAX_PARSE_WORK,
@@ -18,7 +18,7 @@ from qheis.kernels import (
     iota_expand,
     parse_kernel,
 )
-from qheis.scalar import ExpInverse, Scalar
+from qheis.scalar import SYMBOLIC, ExpInverse, Scalar
 from qheis.series import (
     CertificationError,
     Window,
@@ -31,7 +31,7 @@ Q = Scalar.var_q()
 
 
 def frac(n, d=1):
-    return Scalar.from_fraction(Fraction(n, d))
+    return from_fraction(SYMBOLIC, Fraction(n, d))
 
 
 def mono(**exps):

@@ -130,8 +130,8 @@ def test_point_hash_is_kept_and_structural():
 
 
 # what the rest of the package asks of a scalar field
-FIELD_PROTOCOL = {"zero", "one", "level", "from_int", "from_fraction",
-                  "q_power", "qint", "pair_sum", "exp_inverse"}
+FIELD_PROTOCOL = {"zero", "one", "level", "from_int", "q_power", "qint",
+                  "pair_sum", "exp_inverse"}
 
 
 def test_both_fields_supply_the_one_protocol():

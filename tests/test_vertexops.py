@@ -22,8 +22,10 @@ from conftest import (
     dressed_kills,
     eproduct_n,
     evaluate,
+    exp_coeff,
     exp_product_oracle,
     extract_s_kernel,
+    from_fraction,
     g_series_oracle,
     inverse_exp_oracle,
     probe_kills,
@@ -64,7 +66,7 @@ def qp(k):
 
 
 def sc(f):
-    return Scalar.from_fraction(Fraction(f))
+    return from_fraction(SYMBOLIC, f)
 
 
 def _vectors(table) -> dict:
@@ -1006,6 +1008,49 @@ def test_tiny_windows_never_fail():
                            window=0).status == INCONCLUSIVE
 
 
+def _exp_kill_oracle(mult, bands, scalars, E1, E2):
+    """The x1^E1 x2^E2 coefficient of sum_k a_k e^(k(x1 - x2)) times the
+    table whose antidiagonal e1 + e2 = d is constant at bands[d], a_k the
+    x1^k coefficient of the multiplier: the sum over the entries with
+    e1 <= E1 and e2 <= E2 of the e^(k x1) and e^(-k x2) coefficients."""
+    val = scalars.zero
+    for d, band in bands.items():
+        for e1 in range(d - E2, E1 + 1):
+            for (k, _j), a in mult.poly2().items():
+                val = val + a * band * exp_coeff(k, E1 - e1, scalars) \
+                    * exp_coeff(-k, E2 - d + e1, scalars)
+    return val
+
+
+def test_exp_kill_closed_form_matches_the_exp_series_sum():
+    """exp-multiplier-kill reads p(1, 1) times one band.  On seeded
+    constant-band tables it equals the sum over e^(kz) coefficients, for
+    multipliers with a factor at c = 1 (p(1, 1) = 0) and without one."""
+    rng = random.Random(20261020)
+    for scalars in (SYMBOLIC, RationalPoint(Fraction(3, 5), 2)):
+        one, q = scalars.one, scalars.q_power(1)
+        with_one = [Multiplier.of((one, 1), (q ** -2, 1)),
+                    Multiplier.of((one, 2), (q, 1), unit=q + q)]
+        without = [Multiplier.of((q, 1), (q ** -1, 1)),
+                   Multiplier.of((q ** 2, 2), (3 * one, 1), unit=-q)]
+        for mult in with_one + without:
+            bands = {}
+            for d in range(-7, 8):
+                if rng.random() < 0.75:
+                    c = from_fraction(scalars, Fraction(rng.randint(-9, 9),
+                                                        rng.randint(1, 5)))
+                    bands[d] = c * q ** rng.randint(-2, 2) * (
+                        scalars.level if rng.random() < 0.5 else one)
+            cases = vertexops._exp_kill_cases(mult, bands, scalars)
+            want = {f"at ({E1}, {E2})":
+                    _exp_kill_oracle(mult, bands, scalars, E1, E2)
+                    for E1 in range(-3, 4) for E2 in range(-3, 4)}
+            case = (scalars, mult.describe())
+            assert {label: v for label, v, _z in cases} == want, case
+            assert all(z == scalars.zero for _l, _v, z in cases), case
+            assert any(want.values()) == (mult in without), case
+
+
 def test_numeric_point_evaluation():
     pt = RationalPoint(Fraction(3, 5), Fraction(2))
     assert verify_identity("hq-commutator-delta", window=4,
@@ -1371,6 +1416,22 @@ def test_planted_defect_fails_and_names_its_case(monkeypatch, name, plant,
     rep = verify_identity(name, window=5)
     assert rep.status == FAIL, (rep.status, rep.notes)
     assert any(re.match(line, f) for f in rep.failures), rep.failures
+
+
+@pytest.mark.parametrize("name", ["phi-image-heisenberg",
+                                  "special-pair-transfer"])
+def test_planted_catalog_failure_text_is_pinned(monkeypatch, name):
+    """The image-bracket laws read their cases in one pass, in the order
+    of (n, m, state, x exponent): under a doubled catalog part at window
+    5 the failure lines, their "..." cut and the cases scanned stay those
+    of ``golden/planted_catalog_failures_w5.json``."""
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "planted_catalog_failures_w5.json").read_text())
+    _fresh_product_memos(monkeypatch)
+    _double_catalog_part(monkeypatch)
+    rep = verify_identity(name, window=5)
+    assert rep.status == FAIL
+    assert {"checked": rep.checked, "failures": rep.failures} == golden[name]
 
 
 def _double_iratio_parts(monkeypatch):
