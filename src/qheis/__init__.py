@@ -6,7 +6,7 @@ Subpackages:
 * :mod:`qheis.series` -- truncated formal Laurent distributions with
   certified exactness windows;
 * :mod:`qheis.kernels` -- rational kernels with restricted denominators,
-  parsing, printing and directed expansion;
+  parsing and directed expansion;
 * :mod:`qheis.liealg` -- the bracket catalog for the deformed mode algebras
   and their graded limit;
 * :mod:`qheis.fock` -- vacuum modules, normal ordering and matrix elements

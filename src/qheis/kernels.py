@@ -5,13 +5,15 @@ parameter ``q``, with the denominator a product of a monomial and factors
 drawn from a closed list of shapes:
 
 * variable binomials ``x1 - c*x2``;
-* ratio binomials ``1 - c*x1/x2``;
 * affine factors ``x1 - c``;
 * exponential factors ``e^z - c``.
 
-Here ``c`` is any nonzero scalar.  These are exactly the denominators whose
-directed expansions stay inside iterated Laurent fields with computable
-exactness windows; anything else is rejected when parsing.
+Here ``c`` is any nonzero scalar.  Each denominator unit may be one of
+these shapes over a monomial, which moves into the numerator: the ratio
+binomial ``1 - c*x1/x2`` is ``(x2 - c*x1)/x2`` and ``1 - 2/x`` is
+``(x - 2)/x``.  These are exactly the denominators whose directed
+expansions stay inside iterated Laurent fields with computable exactness
+windows; anything else is rejected when parsing.
 
 The text grammar accepts identifiers ``x``, ``x1``, ``x2``, ``z``, the
 scalar symbol ``q``, integers, ``+ - * / ^``, parentheses, and ``e^v`` for
@@ -162,14 +164,18 @@ def _split_vars(num: NumPoly) -> tuple[NumPoly, Mono]:
 
 
 class Factor:
-    """One allowed denominator factor, in normalized orientation."""
+    """One allowed denominator factor, in normalized orientation: the
+    binomial ``a - c*b`` with a before b in name order (``binom``),
+    ``a - c`` (``affine``) or ``e^a - c`` (``expconst``).  A ratio such
+    as ``1 - c*x1/x2`` is no shape of its own: the parser reads it as a
+    binomial over the monomial x2."""
 
     __slots__ = ("shape", "a", "b", "c")
 
     def __init__(self, shape: str, a: str, b: str = "", c: Scalar = _ONE):
-        if shape not in ("binom", "ratio", "affine", "expconst"):
+        if shape not in ("binom", "affine", "expconst"):
             raise KernelError(f"unknown factor shape {shape!r}")
-        if shape in ("binom", "ratio") and a == b:
+        if shape == "binom" and a == b:
             raise KernelError("binomial factors need two distinct variables")
         if not c:
             raise KernelError(f"{shape} factor needs a nonzero constant")
@@ -192,7 +198,7 @@ class Factor:
         return hash((self.shape, self.a, self.b, self.c))
 
     def sort_key(self):
-        rank = ("affine", "binom", "ratio", "expconst").index(self.shape)
+        rank = ("affine", "binom", "expconst").index(self.shape)
         return (rank, self.a, self.b, str(self.c))
 
     def variables(self) -> set[str]:
@@ -454,8 +460,13 @@ class _Parser:
         return _V(out, tuple((f, p * e) for f, p in v.den), fac)
 
 
-def _classify_unit(text: str, unit: NumPoly) -> tuple[Factor, Scalar]:
-    """Match one denominator unit against the allowed shapes."""
+def _classify_unit(text: str,
+                   unit: NumPoly) -> tuple[Factor | None, Scalar, Mono]:
+    """Read one denominator unit as c * factor / m, m the monomial that
+    :func:`_split_vars` clears; a monomial unit is c / m, with no factor."""
+    if len(unit) == 1:
+        (m, c), = unit.items()
+        return None, c, tuple((a, -e) for a, e in m)
     poly, clear = _split_vars(unit)
     terms = sorted(poly.items(), key=lambda mc: mc[0])
     bad = KernelParseError(
@@ -473,24 +484,12 @@ def _classify_unit(text: str, unit: NumPoly) -> tuple[Factor, Scalar]:
 
     # the constant term sorts first, and two variables in name order
     (m1, c1), (m2, c2) = terms
-    if not clear:
-        if is_var(m1) and is_var(m2):
-            return Factor("binom", m1[0][0], m2[0][0], -c2 / c1), c1
-        if is_var(m2) and not m1:
-            return Factor("affine", m2[0][0], "", -c1 / c2), c2
-        if is_exp(m2) and not m1:
-            return Factor("expconst", m2[0][0][2:], "", -c1 / c2), c2
-        raise bad
-    # an embedded ratio: expect (x_j - c*x_i)/x_j == 1 - c*x_i/x_j
-    if len(clear) == 1 and clear[0][1] == 1 and is_var(m1) and is_var(m2):
-        j = clear[0][0]
-        if m1[0][0] == j:
-            cj, mi, ci = c1, m2, c2
-        elif m2[0][0] == j:
-            cj, mi, ci = c2, m1, c1
-        else:
-            raise bad
-        return Factor("ratio", mi[0][0], j, -ci / cj), cj
+    if is_var(m1) and is_var(m2):
+        return Factor("binom", m1[0][0], m2[0][0], -c2 / c1), c1, clear
+    if is_var(m2) and not m1:
+        return Factor("affine", m2[0][0], "", -c1 / c2), c2, clear
+    if is_exp(m2) and not m1:
+        return Factor("expconst", m2[0][0][2:], "", -c1 / c2), c2, clear
     raise bad
 
 
@@ -499,14 +498,13 @@ def _assemble(text: str, v: _V) -> RationalKernel:
     factors: list[tuple[Factor, int]] = []
     coeff = _ONE
     for unit, power in v.den:
-        if len(unit) == 1:
-            (m, c), = unit.items()
-            num = _num_mul(num, {_mono(*((a, -e * power) for a, e in m)):
-                                 _ONE / c**power})
-            continue
-        f, c = _classify_unit(text, unit)
+        f, c, m = _classify_unit(text, unit)
+        if f is not None:
+            factors.append((f, power))
         coeff = coeff / c**power
-        factors.append((f, power))
+        if m:
+            num = _num_mul(num, {_mono(*((a, e * power) for a, e in m)):
+                                 _ONE})
     return RationalKernel(_num_scale(num, coeff), tuple(factors))
 
 
@@ -585,38 +583,22 @@ def _z_table(vars: tuple[str, ...], zv: str, lo: int, top: int,
 def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
                       inner: str, hi: int) -> TruncatedLaurent:
     """Directed expansion of f**-p covering own-variable exponents <= hi,
-    for a factor that is not exponential."""
+    for a factor that is not exponential.
 
-    def place(assign: dict[str, int]) -> tuple[int, ...]:
-        return tuple(assign.get(v, 0) for v in vars)
-
-    if f.shape == "affine":
-        # (x - c)^-p = (-c)^-p sum_k C(k+p-1,p-1) c^-k x^k
-        terms = _geometric((-f.c) ** -p, _ONE / f.c, p, hi + 1)
-        coeffs = {place({f.a: k}): v for k, v in enumerate(terms)}
-        cert = _place_cert(vars, f.a, 0, hi)
-        return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
-
-    # two-variable binomial shapes, parametrized by the series variable:
-    # the k-th term is pref C(k+p-1,p-1) step^k inner^(smin+k) other^(-drop-k)
-    xi, xj, c = f.a, f.b, f.c
-    other = xj if inner == xi else xi
-    ratio = f.shape == "ratio"
-    smin = p if ratio and inner == xj else 0
-    drop = 0 if ratio and inner == xi else p
-    if (inner == xi) != ratio:
-        # (xi - c*xj)^-p = (-c)^-p xj^-p sum C(k+p-1,p-1) c^-k xi^k xj^-k
-        # (1 - c*xi/xj)^-p
-        #     = (-c)^-p (xj/xi)^p sum C(k+p-1,p-1) c^-k xj^k xi^-k
-        pref, step = (-c) ** -p, _ONE / c
+    One geometric series: the own variable is the one the series runs
+    in, and term k is pref C(k+p-1,p-1) step^k own^k other^(-p-k).  An
+    affine factor has no other variable.
+      (a - c*b)^-p = (-c)^-p sum C(k+p-1,p-1) c^-k a^k b^(-p-k)  (own a)
+                   = sum C(k+p-1,p-1) c^k b^k a^(-p-k)            (own b)
+    """
+    if f.shape == "affine" or inner == f.a:
+        own, other, pref, step = f.a, f.b, (-f.c) ** -p, _ONE / f.c
     else:
-        # (xi - c*xj)^-p = xi^-p sum C(k+p-1,p-1) c^k xj^k xi^-k
-        # (1 - c*xi/xj)^-p = sum C(k+p-1,p-1) c^k xi^k xj^-k
-        pref, step = _ONE, c
-    terms = _geometric(pref, step, p, hi - smin + 1)
-    coeffs = {place({inner: smin + k, other: -drop - k}): v
-              for k, v in enumerate(terms)}
-    cert = _place_cert(vars, inner, smin, hi, support=(f.a, f.b))
+        own, other, pref, step = f.b, f.a, _ONE, f.c
+    coeffs = {tuple(k if v == own else -p - k if v == other else 0
+                    for v in vars): t
+              for k, t in enumerate(_geometric(pref, step, p, hi + 1))}
+    cert = _place_cert(vars, own, 0, hi, support=(f.a, f.b))
     return TruncatedLaurent(vars, coeffs, cert, None, _trusted=True)
 
 
@@ -635,19 +617,17 @@ class _Desc:
 
 
 def _factor_desc(vars, inner, f: Factor, p: int) -> _Desc:
-    def build(b):
-        return _inv_factor_table(f, p, vars, inner, b)
-
-    if f.shape in ("binom", "ratio"):
+    own = f.a
+    if f.shape == "binom":
         if inner not in (f.a, f.b):
             raise KernelError(
-                f"the {f.shape} factor in {f.a}, {f.b} with c = {f.c} does "
+                f"the binom factor in {f.a}, {f.b} with c = {f.c} does "
                 f"not involve the expansion variable {inner!r}")
-        smin = p if (f.shape == "ratio" and inner == f.b) else 0
         # the other variable keys no budget: iota_expand refuses any
         # table keyed on it next to a binomial
-        return _Desc(inner, lambda v: smin if v == inner else 0, build)
-    return _Desc(f.a, lambda v: 0, build)
+        own = inner
+    return _Desc(own, lambda v: 0,
+                 lambda b: _inv_factor_table(f, p, vars, inner, b))
 
 
 def _exp_desc(vars, zv: str, factors) -> _Desc:
@@ -747,7 +727,7 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
                       fac_descs + [d for v, d in exp_descs.items()
                                    if v != zv]))
 
-    binomial = any(f.shape in ("binom", "ratio") for f, _p in k.den)
+    binomial = any(f.shape == "binom" for f, _p in k.den)
     if binomial:
         for d in (*(num for num, _facs in parts), *fac_descs,
                   *exp_descs.values()):

@@ -325,14 +325,11 @@ class TruncatedLaurent:
         return TruncatedLaurent(self.vars, coeffs, cert, direction,
                                 _trusted=True)
 
-    def shift(self, offsets: dict[str, int], c: Any = None)\
-            -> "TruncatedLaurent":
-        """Multiply by c * prod(var**offset)."""
+    def shift(self, offsets: dict[str, int]) -> "TruncatedLaurent":
+        """Multiply by prod(var**offset)."""
         d = tuple(offsets.get(v, 0) for v in self.vars)
-        coeffs = {}
-        for e, v in self.coeffs.items():
-            coeffs[tuple(x + y for x, y in zip(e, d))] = (
-                v if c is None else c * v)
+        coeffs = {tuple(x + y for x, y in zip(e, d)): v
+                  for e, v in self.coeffs.items()}
         cert = Cert(
             self.cert.entire,
             tuple(_lo_add(s, x) for s, x in zip(self.cert.suplo, d)),

@@ -1192,6 +1192,7 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
     deg = mult.degree
     states = [module.vacuum(), module.basis_vector((-1, 0))]
     pexp = dict(enumerate(mult.exp_series(x0_order + kappa, scalars)))
+    u_mult = _shifted_inverse(mult, scalars)
     u_one = _shifted_inverse(Multiplier.of(), scalars)
     parts = []
     cases = [(si, w0, ui, uf) for si, w0 in enumerate(states)
@@ -1200,15 +1201,15 @@ def _law_weak_associativity(window: int, scalars, *, alg: str = "hq",
     sides: dict[tuple[int, OperatorSeries], tuple[StateTable, StateTable]] = {}
     for si, w0, ui, uf in cases:
         if (si, uf) not in sides:
-            # left side: products summed against x0 powers, then the
-            # substituted multiplier
-            stack = _product_stack(uf, vf, mult, w0,
-                                   -window - deg, window - deg, x0_order)
-            # right side: the substituted ordered product, never inverted
+            # both sides read one ordered core: the left side as the
+            # product stack (``_product_stack``) summed against x0
+            # powers, then the substituted multiplier; the right side as
+            # the substituted ordered product, never inverted
+            core = ordered_core(uf, vf, mult, w0, -window, window)
             sides[(si, uf)] = (
-                stack.times_z(pexp, deg, -kappa, x0_order),
-                _columns(ordered_core(uf, vf, mult, w0, -window, window),
-                         u_one, x0_order, 0))
+                _columns(core, u_mult, x0_order, deg).times_z(
+                    pexp, deg, -kappa, x0_order),
+                _columns(core, u_one, x0_order, 0))
         lhs, rhs = sides[(si, uf)]
         parts.append(tally(
             f"state[{si}]left[{ui}]",

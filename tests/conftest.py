@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from typing import NamedTuple
 
 from qheis.fock import FockError, FockModule, FockVector, apply_generator, \
     pair_vectors
@@ -125,11 +126,23 @@ def _exp_minus_const(zvar: str, c: Scalar, order: int) -> TruncatedLaurent:
     return TruncatedLaurent((zvar,), coeffs, cert, None, _trusted=True)
 
 
-def inv_factor_table_oracle(f: Factor, p: int, vars: tuple[str, ...],
-                            inner: str, hi: int) -> TruncatedLaurent:
+class Ratio(NamedTuple):
+    """The ratio binomial 1 - c*a/b.  The parser reads it as the binomial
+    b - c*a over the monomial b; the oracle expands it as it stands."""
+
+    a: str
+    b: str
+    c: Scalar
+    shape: str = "ratio"
+
+
+def inv_factor_table_oracle(f: Factor | Ratio, p: int,
+                            vars: tuple[str, ...], inner: str,
+                            hi: int) -> TruncatedLaurent:
     """kernels._inv_factor_table with every power c**k or c**-k computed
-    afresh for each k, the per-k form the running power replaced, and
-    e^z factors by powering e^z - c and inverting the series."""
+    afresh for each k, the per-k form the running power replaced, e^z
+    factors by powering e^z - c and inverting the series, and a Ratio by
+    its own two series."""
 
     def place(assign: dict[str, int]) -> tuple[int, ...]:
         return tuple(assign.get(v, 0) for v in vars)
@@ -243,7 +256,7 @@ def exp_numerator_oracle(kern: RationalKernel, direction,
         power = TruncatedLaurent(vars, coeffs,
                                  _place_cert(vars, zv, 0, order), None,
                                  _trusted=True)
-        table = table + power.shift(rest, c)
+        table = table + power.shift(rest).scale(c)
     for d in facs:
         v = d.own
         least = min(rest.get(v, 0) for rest in rests)

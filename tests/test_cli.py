@@ -88,6 +88,25 @@ def test_expand_names_a_factor_off_the_series_variable(capsys):
     assert "expansion variable 'z'" in err
 
 
+def test_expand_reads_a_unit_over_a_monomial(capsys):
+    """A denominator unit that is an allowed shape over a monomial parses
+    as the shape times the monomial; a unit that is no allowed shape over
+    any monomial is refused as before."""
+    printed = []
+    for kernel in ("1/(1-2/x)", "x/(x-2)"):
+        assert run(["expand", "--kernel", kernel, "--direction", "x"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] != "0\n", printed
+    for text in ("1/(x1^2+x2^2)", "1/(1-q*e^z/x)"):
+        assert run(["expand", "--kernel", text, "--direction", "x"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == (
+            "error: cannot parse kernel at position 0: denominator factor "
+            "is not among the allowed shapes (monomial, x_i - c*x_j, "
+            f"1 - c*x_i/x_j, x_i - c, e^z - c)\n  {text}\n    ^\n"), err
+
+
 def test_bracket_values(capsys):
     assert run(["bracket", "--algebra", "bhatq", "--r", "1", "--s", "0",
                 "--m", "3", "--n", "-3"]) == 0
@@ -477,6 +496,21 @@ def test_suite_report_matches_golden(monkeypatch, capsys, name, extra):
     monkeypatch.setenv("QHEIS_FIXED_CLOCK", "1")
     assert run(["suite", "--json", *extra]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_expand_matches_golden(capsys):
+    """Each case of golden/expand_corpus.json prints its recorded stdout.
+    The cases are the kernels of the benchmark's algebra-queries stream
+    and of reach_corpus.KERNELS, and ratio spellings in both
+    orientations, along each order of their variables at windows 0-4;
+    --limit 81 prints every term of a window of radius 4."""
+    cases = json.loads((GOLDEN / "expand_corpus.json").read_text())
+    assert len(cases) == 195
+    for kernel, direction, window, want in cases:
+        argv = ["expand", "--kernel", kernel, "--direction", direction,
+                "--window", str(window), "--limit", "81"]
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == want, argv
 
 
 def test_verify_exit_one_on_inconclusive(capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cert_fields, exp_numerator_oracle, exp_pole_kernel, \
-    from_fraction, inv_factor_table_oracle, window_of
+from conftest import Ratio, cert_fields, exp_numerator_oracle, \
+    exp_pole_kernel, from_fraction, inv_factor_table_oracle, window_of
 from qheis.kernels import (
     MAX_EXPONENT,
     MAX_PARSE_WORK,
@@ -55,9 +55,31 @@ def test_parse_binomial_product_numerator():
 
 
 def test_parse_ratio_power():
+    """1 - q*x1/x2 = -q (x1 - x2/q) / x2: a binomial over the monomial
+    x2, which moves into the numerator."""
     k = parse_kernel("1/(1-q*x1/x2)^2")
-    assert k.num == {(): ONE}
-    assert k.den == ((Factor("ratio", "x1", "x2", Q), 2),)
+    assert k.num == {mono(x2=2): ONE / (Q * Q)}
+    assert k.mono_den == ()
+    assert k.den == ((Factor("binom", "x1", "x2", ONE / Q), 2),)
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("1/(1-2/x)", "x/(x-2)"),
+    ("1/(x1/x2^2-q/x2)", "x2^2/(x1-q*x2)"),
+    ("1/(1-q*x2/x1)^2", "x1^2/(x1-q*x2)^2"),
+])
+def test_unit_over_a_monomial_is_its_shape_times_the_monomial(text, plain):
+    """A denominator unit that is an allowed shape over a monomial parses
+    as that shape, with the monomial in the numerator."""
+    k, want = parse_kernel(text), parse_kernel(plain)
+    assert k == want
+    names = sorted(k.variables())
+    w = Window.cube(tuple(names), 4)
+    for direction in (tuple(names), tuple(reversed(names))):
+        got_t = iota_expand(k, direction, w)
+        want_t = iota_expand(want, direction, w)
+        assert got_t.coeffs == want_t.coeffs, direction
+        assert cert_fields(got_t.cert) == cert_fields(want_t.cert), direction
 
 
 def test_parse_rejects_irreducible_quadratic():
@@ -155,7 +177,8 @@ def test_parse_error_positions_and_reasons():
 _EXAMPLES = [
     ("(x1-q*x2)*(q*x1-x2)",
      {mono(x1=2): Q, mono(x1=1, x2=1): -(ONE + Q * Q), mono(x2=2): Q}, ()),
-    ("1/(1-q*x1/x2)^2", {(): ONE}, ((Factor("ratio", "x1", "x2", Q), 2),)),
+    ("1/(1-q*x1/x2)^2", {mono(x2=2): ONE / (Q * Q)},
+     ((Factor("binom", "x1", "x2", ONE / Q), 2),)),
     ("q/x1^2", {mono(x1=-2): Q}, ()),
     ("1/(e^z - 1)^2/(e^z - q)^2", {(): ONE},
      ((Factor("expconst", "z", "", Q), 2),
@@ -188,21 +211,22 @@ _CONSTS = [("1", ONE), ("2", frac(2)), ("q", Q), ("(1/q)", ONE / Q),
 
 def test_parse_seeded_kernels_match_hand_built_kernels():
     """Random sums over random shaped factors and monomial denominators,
-    each spelled as text and built by hand from the same choices."""
+    each spelled as text and built by hand from the same choices.  A ratio
+    1 - c*a/b is built as the binomial b - c*a over the monomial b."""
     rng = random.Random(20260823)
     for _ in range(60):
         drop = rng.randint(0, 2)
         terms, num = [], {}
+        lift, scale = {"x1": -drop, "x2": 0}, ONE
         for _t in range(rng.randint(1, 3)):
             (ct, c), a, b = rng.choice(_CONSTS), rng.randint(0, 2), \
                 rng.randint(0, 2)
             terms.append(f"{ct}*x1^{a}*x2^{b}")
-            m = mono(**{v: e for v, e in (("x1", a - drop), ("x2", b)) if e})
-            s = num.get(m, Scalar.from_int(0)) + c
+            s = num.get((a, b), Scalar.from_int(0)) + c
             if s:
-                num[m] = s
+                num[(a, b)] = s
             else:
-                num.pop(m)
+                num.pop((a, b))
         text = "(" + " + ".join(terms) + ")" + (f"/x1^{drop}" if drop else "")
         den = []
         for _f in range(rng.randint(0, 2)):
@@ -215,10 +239,19 @@ def test_parse_seeded_kernels_match_hand_built_kernels():
                 f, ft = Factor("binom", "x1", "x2", c), f"(x1 - {ct}*x2)"
             else:
                 a, b = rng.choice([("x1", "x2"), ("x2", "x1")])
-                f, ft = Factor("ratio", a, b, c), f"(1 - {ct}*{a}/{b})"
+                ft = f"(1 - {ct}*{a}/{b})"
+                # x1 - c*x2 over x1, or -c (x1 - x2/c) over x2
+                f = Factor("binom", "x1", "x2", c if a == "x2" else ONE / c)
+                lift[b] += p
+                if a == "x1":
+                    scale = scale / (-c) ** p
             den.append((f, p))
             text += f"/{ft}^{p}"
-        assert parse_kernel(text) == RationalKernel(num, tuple(den)), text
+        want = {}
+        for (i, j), c in num.items():
+            exps = {"x1": i + lift["x1"], "x2": j + lift["x2"]}
+            want[mono(**{v: e for v, e in exps.items() if e})] = c * scale
+        assert parse_kernel(text) == RationalKernel(want, tuple(den)), text
 
 
 @pytest.mark.parametrize("paren, flat", [
@@ -261,7 +294,7 @@ def test_geometric_ratio_both_directions():
     assert inner_x2.coeff((0, 0)) == Scalar.from_int(0)
 
 
-@pytest.mark.parametrize("shape", ["affine", "binom", "ratio", "expconst"])
+@pytest.mark.parametrize("shape", ["affine", "binom", "expconst"])
 def test_inverse_factor_table_matches_per_k_powers(shape):
     """The running power of each factor table against c**k per term, and
     the closed form of one e^z factor (``_exp_factors_table``) against
@@ -281,8 +314,8 @@ def test_inverse_factor_table_matches_per_k_powers(shape):
         runs += [(c, "z", high)
                  for c in (ONE, Q, frac(-1, 2), frac(3), frac(-1))]
     else:
-        a, b, vars_ = "x1", ("x2" if shape in ("binom", "ratio") else ""), \
-            ("x1", "x2")
+        a, b = "x1", ("x2" if shape == "binom" else "")
+        vars_ = ("x1", "x2")
         runs = [(c, inner, low)
                 for c in (Q, frac(-1, 3), ONE / (Q - frac(2)),
                           frac(2) * Q**-2)
@@ -299,6 +332,38 @@ def test_inverse_factor_table_matches_per_k_powers(shape):
             assert got.coeffs == want.coeffs, case
             assert cert_fields(got.cert) == cert_fields(want.cert), case
             assert got.vars == want.vars, case
+
+
+# each c with its spelling in the kernel text 1/(1 - c*a/b)^p
+_RATIO_CONSTS = [(Q, "q"), (frac(-1, 3), "(-1/3)"),
+                 (ONE / (Q - frac(2)), "(1/(q-2))"),
+                 (frac(2) * Q**-2, "2*q^-2")]
+
+
+def test_ratio_expansion_matches_the_ratio_oracle_seeded():
+    """1/(1 - c*a/b)^p through parse_kernel and iota_expand, a binomial
+    over a monomial, against the oracle's own series for the ratio: both
+    orientations, p = 1..3, both inner variables, windows of seeded
+    radius 0..5."""
+    rng = random.Random(20261103)
+    nonzero = 0
+    for c, ct in _RATIO_CONSTS:
+        for a, b in (("x1", "x2"), ("x2", "x1")):
+            for p in (1, 2, 3):
+                k = parse_kernel(f"1/(1-{ct}*{a}/{b})^{p}")
+                for inner in ("x1", "x2"):
+                    direction = ("x2", "x1") if inner == "x1" \
+                        else ("x1", "x2")
+                    radius = rng.randint(0, 5)
+                    w = Window.cube(("x1", "x2"), radius)
+                    want = inv_factor_table_oracle(
+                        Ratio(a, b, c), p, w.vars, inner, radius)
+                    got = iota_expand(k, direction, w)
+                    case = (c, a, b, p, inner, radius)
+                    assert want.certifies_window(w), case
+                    assert got.coeffs == want.restrict(w).coeffs, case
+                    nonzero += bool(got.coeffs)
+    assert nonzero >= 40, nonzero
 
 
 def test_exp_factor_leaves_the_w_table_unbuilt(monkeypatch):

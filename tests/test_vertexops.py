@@ -1174,8 +1174,9 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     fields share one order.  A realized product field reads every x
     exponent of a window off one stack: scale-covariance builds one per
     shift and state, and one per state for the unshifted field it
-    scales.  Weak associativity builds the two sides of a repeated left
-    field once."""
+    scales.  Weak associativity builds one ordered core per state and
+    left field, which both of its sides read, and reuses it for a repeated
+    left field."""
     calls = []
     core = vertexops.ordered_core
     tables = set()
@@ -1196,7 +1197,7 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
         before = len(calls)
         suite_reports(window=5, point=point)
         counts.append(len(calls) - before)
-    assert counts == [28, 28]
+    assert counts == [26, 26]
     # one closed-form table per multiplier, grown to the deepest z order
     # any law of the suite reads: six for product stacks and the table of
     # u = 1 that expands e^(kz) alone
