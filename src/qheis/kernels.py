@@ -91,7 +91,7 @@ class KernelParseError(KernelError):
         else:
             super().__init__(
                 f"cannot parse kernel at position {pos}: {reason}\n"
-                f"  {text}\n  {' ' * (pos + 2)}^")
+                f"  {text}\n  {' ' * pos}^")
 
 
 # Numerators are polynomials over atoms; an atom is a variable name or
@@ -285,10 +285,12 @@ def _tokenize(text: str):
 
 
 # Parser values: a numerator polynomial together with denominator units.
-# A unit is the expanded polynomial of one syntactic group with a power;
-# units are classified into factor shapes at assembly.  `fac` lists the
-# numerator as a product of units, when it is one, so that 1/(...) keeps
-# one denominator unit per factor: 1/((x1-x2)^2*(x1-q*x2)) has two.
+# A unit is the expanded polynomial of one syntactic group with a power
+# and the text position of that group; units are classified into factor
+# shapes at assembly, which reports a unit of no allowed shape at its
+# position.  `fac` lists the numerator as a product of units, when it is
+# one, so that 1/(...) keeps one denominator unit per factor:
+# 1/((x1-x2)^2*(x1-q*x2)) has two.
 
 
 class _V:
@@ -302,8 +304,8 @@ class _V:
     __setattr__ = __delattr__ = immutable
 
 
-def _atom(num: NumPoly) -> _V:
-    return _V(num, (), ((num, 1),))
+def _atom(num: NumPoly, pos: int) -> _V:
+    return _V(num, (), ((num, 1, pos),))
 
 
 class _Parser:
@@ -334,11 +336,11 @@ class _Parser:
     def expr(self):
         v = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 w = self.term()
-                v = self._add(v, self._neg(w) if val == "-" else w)
+                v = self._add(v, self._neg(w, pos) if val == "-" else w, pos)
             else:
                 return v
 
@@ -348,8 +350,9 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
+                pos = self.peek()[2]
                 w = self.unary()
-                v = self._mul(v, self._inv(w) if val == "/" else w)
+                v = self._mul(v, self._inv(w, pos) if val == "/" else w)
             else:
                 return v
 
@@ -357,15 +360,16 @@ class _Parser:
         # unary minus binds looser than ^, so -q^2 means -(q^2); a run of
         # signs is read in a loop, so its length costs no recursion
         negate = False
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         while kind == "op" and val in "+-":
             self.take()
             negate ^= val == "-"
             kind, val, _ = self.peek()
         v = self.power()
-        return self._neg(v) if negate else v
+        return self._neg(v, pos) if negate else v
 
     def power(self):
+        pos = self.peek()[2]
         v = self.primary()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -382,24 +386,24 @@ class _Parser:
                 self.error(f"exponent {sign * val} is outside "
                            f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]")
             self.take()
-            v = self._pow(v, sign * val)
+            v = self._pow(v, sign * val, pos)
         return v
 
     def primary(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return _atom({(): Scalar.from_int(val)} if val else {})
+            return _atom({(): Scalar.from_int(val)} if val else {}, pos)
         if kind == "op" and val == "(":
             v = self.expr()
             kind2, val2, _ = self.take()
             if not (kind2 == "op" and val2 == ")"):
                 self.error("unbalanced parenthesis", pos)
             if v.fac is None:
-                return _V(v.num, v.den, ((v.num, 1),))
+                return _V(v.num, v.den, ((v.num, 1, pos),))
             return v
         if kind == "name":
             if val == "q":
-                return _atom({(): Scalar.var_q()})
+                return _atom({(): Scalar.var_q()}, pos)
             if val == "e":
                 kind2, val2, _ = self.take()
                 if not (kind2 == "op" and val2 == "^"):
@@ -407,23 +411,25 @@ class _Parser:
                 kind3, var, _ = self.take()
                 if kind3 != "name" or var not in VARS:
                     self.error("e^ expects a variable name", pos)
-                return _atom({_mono((f"e^{var}", 1)): _ONE})
+                return _atom({_mono((f"e^{var}", 1)): _ONE}, pos)
             if val in VARS:
-                return _atom({_mono((val, 1)): _ONE})
+                return _atom({_mono((val, 1)): _ONE}, pos)
             self.error(f"unknown symbol {val!r}", pos)
         self.error("expected a value", pos)
 
     # -- value algebra -------------------------------------------------------
 
-    def _neg(self, v: _V) -> _V:
+    def _neg(self, v: _V, pos: int) -> _V:
         minus = Scalar.from_int(-1)
         num = _num_scale(v.num, minus)
-        fac = ((num, 1),) if v.fac is None else v.fac + (({(): minus}, 1),)
+        fac = (((num, 1, pos),) if v.fac is None
+               else v.fac + (({(): minus}, 1, pos),))
         return _V(num, v.den, fac)
 
-    def _add(self, a: _V, b: _V) -> _V:
+    def _add(self, a: _V, b: _V, pos: int) -> _V:
         if a.den or b.den:
-            self.error("sums with quotient terms are not in kernel form")
+            self.error("sums with quotient terms are not in kernel form",
+                       pos)
         return _V(_num_add(a.num, b.num), ())
 
     def _times(self, a: NumPoly, b: NumPoly) -> NumPoly:
@@ -437,40 +443,42 @@ class _Parser:
         fac = None if a.fac is None or b.fac is None else a.fac + b.fac
         return _V(self._times(a.num, b.num), a.den + b.den, fac)
 
-    def _inv(self, v: _V) -> _V:
+    def _inv(self, v: _V, pos: int) -> _V:
         if v.den:
-            self.error("nested quotients are not in kernel form")
+            self.error("nested quotients are not in kernel form", pos)
         if not v.num:
-            self.error("division by zero")
+            self.error("division by zero", pos)
         if len(v.num) == 1:
             (m, c), = v.num.items()
             inv = _mono(*((a, -e) for a, e in m))
-            return _atom({inv: _ONE / c})
-        return _V({(): _ONE}, v.fac or ((v.num, 1),), ())
+            return _atom({inv: _ONE / c}, pos)
+        return _V({(): _ONE}, v.fac or ((v.num, 1, pos),), ())
 
-    def _pow(self, v: _V, e: int) -> _V:
+    def _pow(self, v: _V, e: int, pos: int) -> _V:
         if e == 0:
             return _V({(): _ONE}, ())
         if e < 0:
-            return self._pow(self._inv(v), -e)
+            return self._pow(self._inv(v, pos), -e, pos)
         out: NumPoly = {(): _ONE}
         for _ in range(e):
             out = self._times(out, v.num)
-        fac = None if v.fac is None else tuple((f, p * e) for f, p in v.fac)
-        return _V(out, tuple((f, p * e) for f, p in v.den), fac)
+        fac = None if v.fac is None else tuple((f, p * e, at)
+                                               for f, p, at in v.fac)
+        return _V(out, tuple((f, p * e, at) for f, p, at in v.den), fac)
 
 
-def _classify_unit(text: str,
-                   unit: NumPoly) -> tuple[Factor | None, Scalar, Mono]:
-    """Read one denominator unit as c * factor / m, m the monomial that
-    :func:`_split_vars` clears; a monomial unit is c / m, with no factor."""
+def _classify_unit(text: str, unit: NumPoly,
+                   pos: int) -> tuple[Factor | None, Scalar, Mono]:
+    """Read one denominator unit, parsed at position pos, as
+    c * factor / m, m the monomial that :func:`_split_vars` clears; a
+    monomial unit is c / m, with no factor."""
     if len(unit) == 1:
         (m, c), = unit.items()
         return None, c, tuple((a, -e) for a, e in m)
     poly, clear = _split_vars(unit)
     terms = sorted(poly.items(), key=lambda mc: mc[0])
     bad = KernelParseError(
-        text, 0,
+        text, pos,
         "denominator factor is not among the allowed shapes "
         "(monomial, x_i - c*x_j, 1 - c*x_i/x_j, x_i - c, e^z - c)")
     if len(terms) != 2:
@@ -497,8 +505,8 @@ def _assemble(text: str, v: _V) -> RationalKernel:
     num = v.num
     factors: list[tuple[Factor, int]] = []
     coeff = _ONE
-    for unit, power in v.den:
-        f, c, m = _classify_unit(text, unit)
+    for unit, power, pos in v.den:
+        f, c, m = _classify_unit(text, unit, pos)
         if f is not None:
             factors.append((f, power))
         coeff = coeff / c**power

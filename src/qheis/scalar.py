@@ -835,19 +835,30 @@ class ExpInverse:
     u has no l, so W_J and N_k are coefficient tuples in q over a factored
     denominator; this class serves Q(q, l), and :class:`_PointExpInverse`
     converts for a rational point.
+
+    A column takes one of two routes to the same dot.  When every c != 1
+    is a power of q and sum_k cs[k] w^k (w = e^z) divides exactly by
+    prod_(c != 1) (w - c)^(m_c), the quotient is read against the table
+    of 1 / (unit * (e^z - 1)^kappa), whose D_T carries no powers of G, so
+    its N_k(T) are short and the cancellation is small.  That reduced
+    table is built on first use and kept in a slot, so it lives exactly
+    as long as this table.  Any other column reads this table.
     """
 
     __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
-                 "_ps", "_us", "_ints", "_last", "_out", "_nums")
+                 "_ps", "_us", "_ints", "_last", "_out", "_nums", "_unit",
+                 "_divisors", "_reduced")
 
     def __init__(self, factors, unit):
         parts = self._parts
         kappa = 0
         rhos = []
+        divisors = []
         for c, m in factors:
             if c == 1:
                 kappa += m
                 continue
+            divisors.append((self._q_exponent(c), m))
             cn, cf = parts(c)
             cd = _expand(cf)
             # rho_c = cd / (cd - cn), and gcd(cd, cn) = 1
@@ -866,6 +877,13 @@ class ExpInverse:
                 base = _fd_mul(base, G)
                 pis.append(_qlist(pi))
         self.kappa = kappa
+        self._unit = unit
+        # (a, m) for each factor (e^z - q^a)^m at c != 1, None when some
+        # c != 1 is not a power of q
+        self._divisors = (None if any(a is None for a, _m in divisors)
+                          else divisors)
+        # the table of 1 / (unit * (e^z - 1)^kappa), built on first use
+        self._reduced = None
         self._pis = pis
         self._G = G
         self._g = _qlist(_expand(G))
@@ -892,6 +910,16 @@ class ExpInverse:
         if isinstance(x, int):
             return ({(0, 0): x} if x else {}), _PLAIN
         return x.num, x._fd
+
+    @staticmethod
+    def _q_exponent(c) -> int | None:
+        """a for a scalar c = q^a, None for any other c (and for every
+        value of a rational point)."""
+        if not isinstance(c, Scalar) or len(c.num) != 1:
+            return None
+        (e, _el), = c.num
+        a = e - c._fd[1]
+        return a if c == Scalar.q_power(a) else None
 
     @staticmethod
     def _entry(den: Factored, ws: list[list[int]]):
@@ -1020,15 +1048,67 @@ class ExpInverse:
                         for _den, w in self._upto(zneed)[len(nums):top])
         return nums
 
+    def _quotient(self, ks, lifted) -> tuple[list[int], list[Poly]] | None:
+        """The k and numerators of the quotient of sum_k lifted[k] w^k
+        by prod_(c != 1) (w - c)^(m_c), w = e^z, when every c != 1 is a
+        power of q and the division is exact; None otherwise.
+
+        By (w - q^a) with a > 0 the division runs top-down,
+        Q_(j-1) = N_j + q^a Q_j; by w - q^-b = -q^-b (1 - q^b w) it
+        runs bottom-up, Q_j = N_j + q^b Q_(j-1), and the quotient takes a
+        factor -q^b.  Each step is an exponent shift and one ``_padd``."""
+        divisors = self._divisors
+        if not divisors:
+            return None
+        lo = min(ks)
+        ns: list[Poly] = [{}] * (max(ks) - lo + 1)
+        for k, x in zip(ks, lifted):
+            ns[k - lo] = x
+        # a sum of lower degree in w than the divisor leaves a remainder
+        if len(ns) <= sum(m for _a, m in divisors):
+            return None
+        sign, shift = 1, 0
+        for a, m in divisors:
+            b = abs(a)
+            for _ in range(m):
+                acc: Poly = {}
+                out = []
+                for x in (reversed(ns) if a > 0 else ns):
+                    acc = _padd(x, {(eq + b, el): v
+                                    for (eq, el), v in acc.items()})
+                    out.append(acc)
+                if out.pop():
+                    return None
+                ns = out[::-1] if a > 0 else out
+            if a < 0:
+                sign *= (-1) ** m
+                shift += b * m
+        keys = [k for k, x in enumerate(ns, lo) if x]
+        return keys, [{(eq + shift, el): sign * v for (eq, el), v in x.items()}
+                      for x in ns if x]
+
     def column(self, cs: dict, zneed: int) -> list:
         """[z^T] sum_k cs[k] e^(kz) u for T = -kappa..zneed, for a dict
         cs of values of the field by k, as values of the field.
 
-        The cs[k] are put over one denominator and dotted against the
-        N_k(T), with one cancellation per T."""
-        out = self._upto(zneed)
+        The cs[k] are put over one denominator.  A column that divides
+        by the factors at c != 1 (``_quotient``) reads its quotient
+        against the reduced table of 1 / (unit * (e^z - 1)^kappa), any
+        other column reads this table; either way the numerators are
+        dotted against the N_k(T), with one cancellation per T, and give
+        the same canonical values."""
         den, lifted = self._lift(cs.values())
-        cols = [self._numerators(k, zneed) for k in cs]
+        ks = list(cs)
+        table = self
+        quotient = self._quotient(ks, lifted)
+        if quotient is not None:
+            ks, lifted = quotient
+            table = self._reduced
+            if table is None:
+                table = self._reduced = type(self)(((1, self.kappa),),
+                                                   self._unit)
+        out = table._upto(zneed)
+        cols = [table._numerators(k, zneed) for k in ks]
         dot = self._dot
         return [dot(lifted, [col[i] for col in cols], den, out[i][0])
                 for i in range(zneed + self.kappa + 1)]
@@ -1037,7 +1117,12 @@ class ExpInverse:
 class _PointExpInverse(ExpInverse):
     """:class:`ExpInverse` at a rational point: every value is a
     constant polynomial over an integer denominator, and the table holds
-    integers."""
+    integers.
+
+    Its columns always read the full table (its factors are no scalars,
+    so ``_q_exponent`` finds no power of q): at a point the dot is a sum
+    of integer products with no G powers to cancel, and dividing by
+    e^z - q0^a would take rational steps, not exponent shifts."""
 
     __slots__ = ()
 

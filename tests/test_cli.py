@@ -91,7 +91,7 @@ def test_expand_names_a_factor_off_the_series_variable(capsys):
 def test_expand_reads_a_unit_over_a_monomial(capsys):
     """A denominator unit that is an allowed shape over a monomial parses
     as the shape times the monomial; a unit that is no allowed shape over
-    any monomial is refused as before."""
+    any monomial is refused as before, at the position of that unit."""
     printed = []
     for kernel in ("1/(1-2/x)", "x/(x-2)"):
         assert run(["expand", "--kernel", kernel, "--direction", "x"]) == 0
@@ -102,7 +102,7 @@ def test_expand_reads_a_unit_over_a_monomial(capsys):
         out, err = capsys.readouterr()
         assert not out
         assert err == (
-            "error: cannot parse kernel at position 0: denominator factor "
+            "error: cannot parse kernel at position 2: denominator factor "
             "is not among the allowed shapes (monomial, x_i - c*x_j, "
             f"1 - c*x_i/x_j, x_i - c, e^z - c)\n  {text}\n    ^\n"), err
 

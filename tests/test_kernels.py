@@ -173,6 +173,49 @@ def test_parse_error_positions_and_reasons():
         parse_kernel("x1 ? x2")
 
 
+# one text per kind of parse error, with the position it is reported at:
+# a refused divisor or denominator unit where it starts, a refused sum at
+# its operator
+_PARSE_ERRORS = [
+    ("1/(x1#x2)", 5, "bad character '#'"),
+    ("x1 x2", 3, "trailing input"),
+    ("(x1-x2", 0, "unbalanced parenthesis"),
+    ("e+1", 0, "'e' must be used as e\\^<variable>"),
+    ("e^3", 0, "e\\^ expects a variable name"),
+    ("x1 + y1", 5, "unknown symbol 'y1'"),
+    ("x1*)", 3, "expected a value"),
+    ("x1^q", 3, "exponent must be an integer"),
+    ("x1^17", 3, "exponent 17 is outside"),
+    ("1/(1/(x1-q))", 2, "nested quotients"),
+    ("1/(x1-x1)", 2, "division by zero"),
+    ("x1*(x1-x1)^-1", 3, "division by zero"),
+    ("1/(x1-x2)+1", 9, "sums with quotient terms"),
+    ("x1/(x1-x2)/(x1^2+x2^2)", 11, "not among the allowed shapes"),
+    ("1/((x1-x2)^2*(x1^2+x2^2))", 13, "not among the allowed shapes"),
+    ("-(x1^2+x2^2)^-1*x1", 1, "not among the allowed shapes"),
+    ("1/(1-q*e^z/x)", 2, "not among the allowed shapes"),
+]
+
+
+def test_parse_error_caret_sits_under_its_position():
+    """The message quotes the text two columns in and puts its caret at
+    column 2 + pos, under the character at pos (past the end for an
+    error at the end of the text)."""
+    for text, pos, reason in _PARSE_ERRORS:
+        with pytest.raises(KernelParseError, match=reason) as info:
+            parse_kernel(text)
+        err = info.value
+        assert err.pos == pos, text
+        head, quoted, caret = str(err).split("\n")
+        assert head.startswith(f"cannot parse kernel at position {pos}: ")
+        assert quoted == "  " + text
+        assert caret == " " * (2 + pos) + "^", text
+    # an error of the whole text has no position and no caret
+    with pytest.raises(KernelParseError, match="nest more") as info:
+        parse_kernel("(" * 101 + "x" + ")" * 101)
+    assert info.value.pos is None and "\n" not in str(info.value)
+
+
 # example texts with their kernels built by hand
 _EXAMPLES = [
     ("(x1-q*x2)*(q*x1-x2)",

@@ -2,6 +2,7 @@
 changes a result."""
 
 import ast
+import gc
 import importlib
 import itertools
 import inspect
@@ -346,9 +347,7 @@ def test_memos_stay_within_their_bound():
         fock._central:
             lambda k: fock._central(fock.FockModule("hq"), (-k - 1, 0),
                                     (k + 1, 0)),
-        vertexops._shifted_inverse:
-            lambda k: vertexops._shifted_inverse(
-                Multiplier.of((SYMBOLIC.q_power(k + 1), 1)), SYMBOLIC),
+        vertexops._shifted_inverse: divided_table,
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]
@@ -358,6 +357,32 @@ def test_memos_stay_within_their_bound():
         info = wrapper.cache_info()
         assert info.misses == maxsize + 8, wrapper
         assert info.currsize == maxsize, wrapper
+    # a closed-form table keeps its reduced table in a slot, so an evicted
+    # table drops both: past the bound, a full and a reduced table live
+    # for each entry of the memo, and no more
+    shifted = vertexops._shifted_inverse
+    shifted.cache_clear()
+    gc.collect()
+    before = live_exp_inverses()
+    for k in range(shifted.cache_parameters()["maxsize"] + 8):
+        divided_table(k)
+    gc.collect()
+    assert live_exp_inverses() - before == \
+        2 * shifted.cache_parameters()["maxsize"]
+
+
+def divided_table(k: int) -> scalar.ExpInverse:
+    """The memo's table of the multiplier x1 - q^(k+1) x2, after a column
+    that divides by its factor, so that it holds its reduced table."""
+    c = SYMBOLIC.q_power(k + 1)
+    table = vertexops._shifted_inverse(Multiplier.of((c, 1)), SYMBOLIC)
+    table.column({0: -c, 1: SYMBOLIC.one}, 2)
+    assert table._reduced is not None
+    return table
+
+
+def live_exp_inverses() -> int:
+    return sum(isinstance(x, scalar.ExpInverse) for x in gc.get_objects())
 
 
 def test_public_names_stay_plain_functions():

@@ -629,8 +629,11 @@ def test_product_column_cancellation_counts(monkeypatch):
     symbolic special-pair-transfer at window 3, from empty closed-form
     tables, computes 6 columns, and the synthetic divisions
     (``scalar._ldiv``) made inside them, table growth included, number
-    250.  A first run warms the cyclotomic memos, so the counts do not
-    depend on the tests run before."""
+    54: the columns that divide by the factors at c != 1 read the table
+    of 1 / (unit * (e^z - 1)^kappa), whose denominators cancel no powers
+    of G (250 when every column read the full table).  A first run warms
+    the cyclotomic memos, so the counts do not depend on the tests run
+    before."""
     _fresh_product_memos(monkeypatch)
     verify_identity("special-pair-transfer", window=3)
     _fresh_product_memos(monkeypatch)
@@ -654,7 +657,121 @@ def test_product_column_cancellation_counts(monkeypatch):
     monkeypatch.setattr(scalar, "_ldiv", counted_ldiv)
     rep = verify_identity("special-pair-transfer", window=3)
     assert rep.status == PASS, rep.notes
-    assert calls == {"column": 6, "ldiv": 250}
+    assert calls == {"column": 6, "ldiv": 54}
+
+
+def _times_linear(cs: dict, c) -> dict:
+    """sum_k cs[k] w^k times (w - c), as a dict by k."""
+    out: dict = {}
+    for k, v in cs.items():
+        out[k + 1] = out.get(k + 1, ZERO) + v
+        out[k] = out.get(k, ZERO) - c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_column_routes_match_the_full_table_and_the_series_oracle():
+    """A column that divides by its factors at c = q^a != 1 reads the
+    quotient against the table of 1 / (unit * (e^z - 1)^kappa); one that
+    does not reads the full table.  Both give what the full table and the
+    series-route oracle give, for a in {-2, -1, 1, 2} with multiplicities
+    1 to 3, kappa 0 to 2, the units 1 and q and k of both signs.  At a
+    point every column reads the full table and gives the symbolic
+    column's values there."""
+    rng = random.Random(37)
+    point = RationalPoint(Fraction(3, 5), 2)
+    pool = [ONE, Scalar.from_int(-2), Q, ONE / (ONE + Q), L,
+            Q * L - Scalar.from_int(3)]
+    zneed = 3
+    seen = set()
+    for trial in range(16):
+        exps = rng.sample((-2, -1, 1, 2), rng.randint(1, 2))
+        factors = [(Scalar.q_power(a), rng.randint(1, 3)) for a in exps]
+        kappa = rng.randint(0, 2)
+        mult = Multiplier.of(*factors, (ONE, kappa),
+                             unit=rng.choice((ONE, Q)))
+        seen |= {("a", a) for a in exps} | {("m", m) for _c, m in factors}
+        seen |= {("kappa", kappa), ("unit", mult.unit)}
+        # c_k from Q(w) prod (w - c)^m, with Q of 1 to 3 terms in w^-3..w^2
+        cs = {k: rng.choice(pool) for k in rng.sample(range(-3, 3),
+                                                      rng.randint(1, 3))}
+        for c, m in factors:
+            for _ in range(m):
+                cs = _times_linear(cs, c)
+        k = rng.choice(list(cs))
+        near = dict(cs)
+        near[k] = near[k] + rng.choice(pool)
+        near = {k: v for k, v in near.items() if v}
+        u = inverse_exp_oracle(mult, zneed, SYMBOLIC)
+        for column, exact in ((cs, True), (near, False)):
+            case = (trial, mult.describe(), column, exact)
+            table = SYMBOLIC.exp_inverse(mult.factors, mult.unit)
+            full = SYMBOLIC.exp_inverse(mult.factors, mult.unit)
+            full._divisors = None
+            _den, lifted = table._lift(column.values())
+            assert (table._quotient(list(column), lifted)
+                    is not None) == exact, case
+            got = table.column(column, zneed)
+            assert (table._reduced is not None) == exact, case
+            assert got == full.column(column, zneed), case
+            want = []
+            for T in range(-kappa, zneed + 1):
+                acc = ZERO
+                for kk, v in column.items():
+                    for j in range(T + kappa + 1):
+                        acc = acc + v * exp_coeff(kk, j, SYMBOLIC) * u[T - j]
+                want.append(acc)
+            assert got == want, case
+            at = point.exp_inverse(
+                tuple((evaluate(c, point), m) for c, m in mult.factors),
+                evaluate(ONE * mult.unit, point))
+            values = {kk: evaluate(v, point) for kk, v in column.items()}
+            assert at._quotient(list(values), [values[kk] for kk in values]
+                                ) is None, case
+            assert at.column(values, zneed) == [evaluate(x, point)
+                                                for x in got], case
+    assert seen == ({("a", a) for a in (-2, -1, 1, 2)}
+                    | {("m", m) for m in (1, 2, 3)}
+                    | {("kappa", kappa) for kappa in (0, 1, 2)}
+                    | {("unit", 1), ("unit", Q)})
+
+
+def test_fast_suite_column_routes(monkeypatch):
+    """A symbolic fast suite, from empty closed-form tables, reads 131
+    columns as quotients by their factors at c != 1, 26 that do not
+    divide against the full table, and 10 of multipliers with no factor
+    at c != 1; its columns make 511 synthetic divisions (``_ldiv``).  A
+    first run warms the cyclotomic memos."""
+    suite_reports(window=5)
+    _fresh_product_memos(monkeypatch)
+    routes = {"quotient": 0, "inexact": 0, "no factor": 0}
+    calls = {"ldiv": 0}
+    depth = [0]
+    quotient, column, ldiv = (scalar.ExpInverse._quotient,
+                              scalar.ExpInverse.column, scalar._ldiv)
+
+    def counted_quotient(self, ks, lifted):
+        out = quotient(self, ks, lifted)
+        routes["no factor" if not self._divisors
+               else "inexact" if out is None else "quotient"] += 1
+        return out
+
+    def counted_column(self, cs, zneed):
+        depth[0] += 1
+        try:
+            return column(self, cs, zneed)
+        finally:
+            depth[0] -= 1
+
+    def counted_ldiv(a, p):
+        calls["ldiv"] += depth[0] > 0
+        return ldiv(a, p)
+
+    monkeypatch.setattr(scalar.ExpInverse, "_quotient", counted_quotient)
+    monkeypatch.setattr(scalar.ExpInverse, "column", counted_column)
+    monkeypatch.setattr(scalar, "_ldiv", counted_ldiv)
+    assert all(rep.status == PASS for rep in suite_reports(window=5))
+    assert routes == {"quotient": 131, "inexact": 26, "no factor": 10}
+    assert calls == {"ldiv": 511}
 
 
 def test_off_by_one_stirling_row_fails_the_oracle(monkeypatch):
