@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .liealg import bracket_modes, get_algebra
-from .scalar import SYMBOLIC, Scalar, immutable
+from .scalar import SYMBOLIC, Scalar, _padd, immutable
 from .series import TruncatedLaurent, Window
 
 
@@ -122,11 +122,8 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.module != other.module:
             raise FockError("vectors live in different modules")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return FockVector(self.module, out)
+        return FockVector._nonzero(self.module,
+                                   _padd(self.terms, other.terms))
 
     def __neg__(self) -> "FockVector":
         # negation keeps every coefficient nonzero

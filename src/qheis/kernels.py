@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .scalar import ExpInverse, Scalar, immutable
+from .scalar import ExpInverse, Scalar, _padd, immutable
 from .series import (
     Cert,
     NEG_INF,
@@ -129,18 +129,6 @@ def _num_mul(a: NumPoly, b: NumPoly) -> NumPoly:
 def _size(a: NumPoly) -> int:
     """The number of terms of a's coefficients, each a polynomial in q."""
     return sum(len(c.num) for c in a.values())
-
-
-def _num_add(a: NumPoly, b: NumPoly) -> NumPoly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
 
 
 def _num_scale(a: NumPoly, c: Scalar) -> NumPoly:
@@ -430,7 +418,7 @@ class _Parser:
         if a.den or b.den:
             self.error("sums with quotient terms are not in kernel form",
                        pos)
-        return _V(_num_add(a.num, b.num), ())
+        return _V(_padd(a.num, b.num), ())
 
     def _times(self, a: NumPoly, b: NumPoly) -> NumPoly:
         self.work += len(a) * len(b) + _size(a) * _size(b) // 16

@@ -34,7 +34,7 @@ from math import comb, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, scan
-from .scalar import Scalar, immutable
+from .scalar import Scalar, _padd, immutable
 
 NEG_INF = -inf
 POS_INF = inf
@@ -268,15 +268,8 @@ class TruncatedLaurent:
             raise SeriesError(f"variable mismatch: {self.vars} vs {other.vars}")
         direction = self._merge_direction(other)
         cert = _add_cert(self, other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = coeffs.get(e)
-            s = c if s is None else s + c
-            if s:
-                coeffs[e] = s
-            else:
-                coeffs.pop(e, None)
-        return TruncatedLaurent(self.vars, coeffs, cert, direction)
+        return TruncatedLaurent(self.vars, _padd(self.coeffs, other.coeffs),
+                                cert, direction)
 
     def __sub__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         return self + (-other)

@@ -1006,21 +1006,26 @@ def _law_quasi_locality_control(alg: str, spec):
     return run
 
 
+# the image-bracket laws read the x exponents |E| <= _IMAGE_XWIN
+_IMAGE_XWIN = 2
+
+
 def _image_bracket_cases(module: FockModule, r: int, s: int,
-                         window: int, xwin: int, states):
+                         window: int, states):
     """[(a_n^e), (b_m^e)] applied to the constant field, then to states.
 
     Yields (n, m, state index, x exponent, first, second) in increasing
-    order of (n, m, state index, x exponent), where first and second are
-    the vectors of the two orders of products; the bracket is
-    first - second.  Both orders are taken against the closed-form
-    vacuum products of the other factor, theta^j b / j! with j = -m-1
-    and theta = x d/dx.  Each order builds one undressed stack per state,
-    with the pair's canonical multiplier, and reads every dressing off it
-    through ``StateTable.dressings``: theta on the right factor is
-    D = theta_x - d/dz on the stack.  The law reads z orders up to window
-    and j runs to window, so the undressed stack reaches 2 * window.
-    Equal fields share the stacks of one order.
+    order of (n, m, state index, x exponent), the x exponent within
+    ``_IMAGE_XWIN``, where first and second are the vectors of the two
+    orders of products; the bracket is first - second.  Both orders are
+    taken against the closed-form vacuum products of the other factor,
+    theta^j b / j! with j = -m-1 and theta = x d/dx.  Each order builds
+    one undressed stack per state, with the pair's canonical multiplier,
+    and reads every dressing off it through ``StateTable.dressings``:
+    theta on the right factor is D = theta_x - d/dz on the stack.  The
+    law reads z orders up to window and j runs to window, so the
+    undressed stack reaches 2 * window.  Equal fields share the stacks of
+    one order.
     """
     af = field_of(module, r)
     bf = field_of(module, s)
@@ -1029,7 +1034,8 @@ def _image_bracket_cases(module: FockModule, r: int, s: int,
     def stacks(left, right):
         # by state, then j: the stacks of (left, theta^j right / j!)
         mult = Multiplier.canonical_for(pair_of(left, right))
-        return [_product_stack(left, right, mult, v, -xwin, xwin, 2 * window)
+        return [_product_stack(left, right, mult, v, -_IMAGE_XWIN,
+                               _IMAGE_XWIN, 2 * window)
                 .dressings(window, -window, window) for v in states]
 
     ab = stacks(af, bf)
@@ -1040,22 +1046,22 @@ def _image_bracket_cases(module: FockModule, r: int, s: int,
     for n in idx:
         for m in idx:
             for si in range(len(states)):
-                for E in range(-xwin, xwin + 1):
+                for E in range(-_IMAGE_XWIN, _IMAGE_XWIN + 1):
                     first = ab[si][-m - 1].get(E, -n - 1) if m < 0 else zero
                     second = ba[si][-n - 1].get(E, -m - 1) if n < 0 else zero
                     yield n, m, si, E, first, second
 
 
 def _image_bracket_report(name: str, module: FockModule, r: int, s: int,
-                          rhs: TruncatedLaurent, window: int,
-                          xwin: int = 2) -> CheckReport:
+                          rhs: TruncatedLaurent, window: int
+                          ) -> CheckReport:
     states = [module.vacuum(), module.basis_vector((-1, 0))]
     zero = module.zero()
     szero = module.scalars.zero
 
     def cases():
         for n, m, si, E, first, second in _image_bracket_cases(
-                module, r, s, window, xwin, states):
+                module, r, s, window, states):
             label = f"n={n}, m={m}, state {si}, x^{E}"
             if E == 0:
                 yield (label, first - second,
@@ -1098,7 +1104,7 @@ def _law_locality_transfer(window: int, scalars, *, r: int = 1, s: int = 0
     # scalar table of the image bracket, read off the constant-field part
     table: dict[tuple[int, int], Scalar] = {}
     for n, m, _si, E, first, second in _image_bracket_cases(
-            module, r, s, window, 2, [module.vacuum()]):
+            module, r, s, window, [module.vacuum()]):
         if E == 0:
             val = first.vacuum_component() - second.vacuum_component()
             if val:
@@ -1168,8 +1174,11 @@ MAX_X0_ORDER = 100
 def _assoc_left_fields(module: FockModule) -> list[OperatorSeries]:
     """The generator field and its realized one-generator vacuum vector.
 
-    Only the index-0 vector is usable here: the fixed multiplier matches
-    the delta pattern of the unshifted pair alone.
+    On hq and htq the two are equal: ``psi_map`` of b_(-1) vac is the
+    generator field itself, so each ``state[i]left[1]`` case repeats
+    ``left[0]`` (ROADMAP item 13).  Only the index-0 vector is usable
+    here: the fixed multiplier matches the delta pattern of the unshifted
+    pair alone.
     """
     src = FockModule(_ASSOC_SOURCE[module.algebra], level=module.level,
                      scalars=module.scalars)

@@ -194,7 +194,7 @@ def test_memoized_cyclotomic_product_equals_fold():
             for _ in range(e):
                 cs = scalar._lmul(cs, scalar._cyclo(d))
         want = {(a + i, 0): v for i, v in enumerate(cs) if v}
-        # _add_apart lifts by lists of (d, e), denominators hold tuples
+        # _over lifts by lists of (d, e), denominators hold tuples
         assert scalar._cyclo_product(cyc, c, a) == want, cyc
         assert scalar._cyclo_product(tuple(cyc), c, a) == want, cyc
 

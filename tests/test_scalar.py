@@ -328,13 +328,54 @@ def _operand_factory(rng, residuals):
     return make
 
 
+_PAIR_WEIGHTS = (-3, -1, 0, 1, 2)
+_PAIR_DIVISORS = (1, 2, 6)
+# no factor of the operand factories vanishes here
+_PAIR_POINT = RationalPoint(Fraction(3, 5), 2)
+
+
+def _check_pair_sum(weights, x, y):
+    """pair_sum(x, wx, y, wy, j) at seeded weights and divisor equals the
+    gcd reduction of (wx x + wy y) / j, and RationalPoint.pair_sum at the
+    values of x and y equals Fraction arithmetic."""
+    from qheis.scalar import _padd, _pmul, pair_sum
+
+    def times(p, k):
+        return {m: k * v for m, v in p.items()} if k else {}
+
+    wx, wy = weights.choice(_PAIR_WEIGHTS), weights.choice(_PAIR_WEIGHTS)
+    j = weights.choice(_PAIR_DIVISORS)
+    a, b = x.den, y.den
+    want = reduced_oracle(_padd(times(_pmul(x.num, b), wx),
+                                times(_pmul(y.num, a), wy)),
+                          times(_pmul(a, b), j))
+    if not want[0]:
+        want = ({}, {(0, 0): 1})
+    got = pair_sum(x, wx, y, wy, j)
+    assert (got.num, got.den) == want, (x, wx, y, wy, j)
+    assert got == fraction_of(*want)
+    ex, ey = evaluate(x, _PAIR_POINT), evaluate(y, _PAIR_POINT)
+    at = _PAIR_POINT.pair_sum(ex, wx, ey, wy, j)
+    assert at == (wx * ex + wy * ey) / j == evaluate(got, _PAIR_POINT)
+
+
 def _check_against_oracle(rng, make, pairs):
     from qheis.scalar import _padd, _pmul, _pneg
 
+    # weights come from their own stream, so the operand draws do not
+    # depend on them
+    weights = random.Random(20261020)
     for _ in range(pairs):
         (xn, xd), (yn, yd) = make(), make()
         x, y = fraction_of(xn, xd), fraction_of(yn, yd)
         assert (x.num, x.den) == reduced_oracle(xn, xd)
+        # x + 1 keeps the denominator of x
+        same = fraction_of(_padd(xn, xd), xd)
+        assert not same or same.den == x.den
+        for u, v in ((x, y), (x, same), (x, ZERO), (ZERO, y)):
+            _check_pair_sum(weights, u, v)
+        # adding zero returns the other operand itself
+        assert x + ZERO is x and ZERO + x is x and x - ZERO is x
         a, b = x.den, y.den
         expected = {
             "+": reduced_oracle(_padd(_pmul(x.num, b), _pmul(y.num, a)),
@@ -361,8 +402,9 @@ def _check_against_oracle(rng, make, pairs):
 
 
 def test_cyclotomic_arithmetic_matches_gcd_oracle_seeded():
-    """Phi_d (d <= 12), q-powers and integer contents: every result
-    equals the gcd reduction, and none takes the residual path."""
+    """Phi_d (d <= 12), q-powers and integer contents: every result, the
+    weighted pair_sum included, equals the gcd reduction, and none takes
+    the residual path."""
     from qheis import scalar
 
     rng = random.Random(20261018)
@@ -374,7 +416,8 @@ def test_cyclotomic_arithmetic_matches_gcd_oracle_seeded():
 def test_residual_arithmetic_matches_gcd_oracle_seeded():
     """Numerators with l, and denominators with q - 2, q^2 + q + 3,
     2q + 3 or 3q^2 - q + 2, take the residual gcd path and still match
-    the gcd reduction; a divisor whose numerator has l is refused."""
+    the gcd reduction, in pair_sum too; a divisor whose numerator has l
+    is refused."""
     from qheis import scalar
 
     rng = random.Random(20261019)
@@ -403,6 +446,41 @@ def test_phi_image_heisenberg_stays_off_the_residual_path():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["pass", "0"]
+
+
+def test_fast_suite_cancellation_counts():
+    """Machine-independent gate on Henrici's rule: a symbolic fast suite
+    (window 5) in a fresh process makes 922 synthetic divisions
+    (``_ldiv``) and 7,848 cancellations (``_cancel``).  A sum that sent
+    the factors only one operand has, or has to a higher power, to
+    ``_cancel`` would try to divide them out of the sum: more ``_ldiv``
+    calls."""
+    import os
+    import subprocess
+    import sys
+
+    import qheis
+
+    code = ("from qheis import scalar\n"
+            "from qheis.vertexops import suite_reports\n"
+            "calls = {'ldiv': 0, 'cancel': 0}\n"
+            "ldiv, cancel = scalar._ldiv, scalar._cancel\n"
+            "def counted_ldiv(a, p):\n"
+            "    calls['ldiv'] += 1\n"
+            "    return ldiv(a, p)\n"
+            "def counted_cancel(num, fd):\n"
+            "    calls['cancel'] += 1\n"
+            "    return cancel(num, fd)\n"
+            "scalar._ldiv, scalar._cancel = counted_ldiv, counted_cancel\n"
+            "reps = suite_reports(window=5)\n"
+            "print(all(r.status == 'pass' for r in reps),\n"
+            "      calls['ldiv'], calls['cancel'])\n")
+    src_dir = os.path.dirname(os.path.dirname(qheis.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "922", "7848"]
 
 
 # ---------------------------------------------------------------------------
