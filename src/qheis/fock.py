@@ -55,7 +55,8 @@ class FockModule:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "spec", spec)
-        # the product-stack and central-bracket memos hash the module
+        # the central-bracket memo hashes the module, and the pair memo
+        # (``vertexops.pair_of``) hashes it through the fields
         object.__setattr__(self, "_hash", hash((algebra, level, scalars)))
 
     __setattr__ = __delattr__ = immutable

@@ -55,32 +55,14 @@ class CertificationError(SeriesError):
 
 
 def _cap_add(cap: ExtInt, lo: ExtInt) -> ExtInt:
-    """Combine a certification cap with a support lower bound."""
+    """Combine a certification cap with a support lower bound.  The one
+    extended sum that needs a guard: a +oo cap stays +oo where it meets a
+    -oo support bound, whose plain sum is NaN."""
     if cap == POS_INF:
         return POS_INF
     if lo == NEG_INF:
         return NEG_INF
     return cap + lo
-
-
-def _floor_add(floor: ExtInt, hi: ExtInt) -> ExtInt:
-    if floor == NEG_INF:
-        return NEG_INF
-    if hi == POS_INF:
-        return POS_INF
-    return floor + hi
-
-
-def _lo_add(a: ExtInt, b: ExtInt) -> ExtInt:
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b
-
-
-def _hi_add(a: ExtInt, b: ExtInt) -> ExtInt:
-    if a == POS_INF or b == POS_INF:
-        return POS_INF
-    return a + b
 
 
 class Window:
@@ -323,11 +305,12 @@ class TruncatedLaurent:
         d = tuple(offsets.get(v, 0) for v in self.vars)
         coeffs = {tuple(x + y for x, y in zip(e, d)): v
                   for e, v in self.coeffs.items()}
+        # the offsets are finite, and +-oo plus an integer stays +-oo
         cert = Cert(
             self.cert.entire,
-            tuple(_lo_add(s, x) for s, x in zip(self.cert.suplo, d)),
-            tuple(_lo_add(f, x) for f, x in zip(self.cert.floors, d)),
-            tuple(_hi_add(s, x) for s, x in zip(self.cert.caps, d)),
+            tuple(s + x for s, x in zip(self.cert.suplo, d)),
+            tuple(f + x for f, x in zip(self.cert.floors, d)),
+            tuple(c + x for c, x in zip(self.cert.caps, d)),
         )
         return TruncatedLaurent(self.vars, coeffs, cert, self.direction,
                                 _trusted=True)
@@ -424,20 +407,23 @@ def _mul_cert(ta: TruncatedLaurent, tb: TruncatedLaurent) -> Cert:
         mins, maxs = _support_stats(ta)
         if mins[0] == POS_INF:  # zero polynomial
             return Cert.full(n)
+        # mins and maxs are finite, and +-oo plus an integer stays +-oo
         return Cert(
             False,
-            tuple(_lo_add(s, m) for s, m in zip(b.suplo, mins)),
-            tuple(_floor_add(f, m) for f, m in zip(b.floors, maxs)),
-            tuple(_cap_add(c, m) for c, m in zip(b.caps, mins)),
+            tuple(s + m for s, m in zip(b.suplo, mins)),
+            tuple(f + m for f, m in zip(b.floors, maxs)),
+            tuple(c + m for c, m in zip(b.caps, mins)),
         )
     if any(f != NEG_INF for f in a.floors + b.floors):
         # a windowed factor is unknown below its window, so every entry
         # of the product sums unknown terms
         raise SeriesError("the product of two partial tables needs both "
                           "certified from -oo in every variable")
+    # a support bound is never +oo, so two of them add plainly; only a +oo
+    # cap can meet a -oo support bound (``_cap_add``)
     return Cert(
         False,
-        tuple(_lo_add(x, y) for x, y in zip(a.suplo, b.suplo)),
+        tuple(x + y for x, y in zip(a.suplo, b.suplo)),
         (NEG_INF,) * n,
         tuple(
             min(_cap_add(ca, sb), _cap_add(cb, sa))

@@ -469,19 +469,10 @@ class StateTable:
 
     def __init__(self, module: FockModule,
                  data: dict[tuple[int, int], dict]):
-        """Finish accumulated coefficient dicts: drop their zeros and
-        the entries left empty."""
+        """A table over finished data, taken as is: accumulated sums pass
+        through ``_finished`` first."""
         self.module = module
-        self.data = _finished(data)
-
-    @classmethod
-    def _finished_as(cls, module: FockModule,
-                     data: dict[tuple[int, int], dict]) -> "StateTable":
-        """A table over data that already has no zero and no empty entry."""
-        out = cls.__new__(cls)
-        out.module = module
-        out.data = data
-        return out
+        self.data = data
 
     def get(self, e: int, j: int) -> FockVector:
         terms = self.data.get((e, j))
@@ -498,7 +489,7 @@ class StateTable:
             for t, c in series.items():
                 if c and zlo <= J + t <= zhi:
                     _add_scaled(out, (E + xshift, J + t), terms, c)
-        return StateTable(self.module, out)
+        return StateTable(self.module, _finished(out))
 
     def dressings(self, jmax: int, zlo: int, zhi: int) -> list["StateTable"]:
         """From this stack S_0 of (a, b), the stacks S_j of
@@ -538,7 +529,7 @@ class StateTable:
                         row[m] = c
                 if row:
                     nxt[(E, t)] = row
-            out.append(StateTable._finished_as(self.module, nxt))
+            out.append(StateTable(self.module, nxt))
         return out
 
 
@@ -571,66 +562,49 @@ def ordered_core(afield: OperatorSeries, bfield: OperatorSeries,
     """Coefficients of (p(x1, x) a(x1) b(x) v) under x1 -> x e^z, with
     the exponentials left unexpanded.
 
-    Entry (E, k) is the x^E e^(kz) coefficient, k the x1 exponent;
-    ``_columns`` reads off z orders against a closed-form inverse, and
-    against the table of u = 1 alone.  Nonnegative x1 powers are
-    summed in the written order (b first), negative ones in the reversed
-    order (a first).  The orders differ by p times the commutator of the
-    fields: mult must kill its delta parts, and its kernel parts have no
-    negative x1 power, so the reversed order adds no correction.  Both
-    halves terminate on the annihilation bounds of the factors, making
-    every entry a finite sum.
+    Entry (E, K) is the x^E e^(Kz) coefficient, K the x1 exponent: over
+    the monomials p_ij x1^i x^j of the multiplier, the sum of
+    p_ij a_(K-i) b_(E-K-j) v, with b applied first for K >= 0 and a first
+    for K < 0.  ``_columns`` reads off z orders against a closed-form
+    inverse, and against the table of u = 1 alone.  The two orders differ
+    by p times the commutator of the fields: mult must kill its delta
+    parts, and its kernel parts have no negative x1 power, so the reversed
+    order adds no correction.  The factor applied first bounds K, through
+    its annihilation bound on v, so every entry is a finite sum.
     """
     check_multiplier(mult, pair_of(afield, bfield))
-    pmons = sorted(mult.poly2().items())
-    min_i = min(i for (i, _j), _c in pmons)
-    min_j = min(j for (_i, j), _c in pmons)
     low_a = afield.low_exponent(v)
     low_b = bfield.low_exponent(v)
-
-    # substituted-exponent accumulator: (E, x1 exponent) -> coefficients
     acc: dict[tuple[int, int], dict] = {}
+    # the first-applied vector by (order, its exponent) and the ordered
+    # pair by (order, e1, e2), the order True for b first: one (e1, e2)
+    # falls on either side of K = 0 for different i
+    firsts: dict[tuple[bool, int], FockVector] = {}
+    pairs: dict[tuple[bool, int, int], FockVector] = {}
+    for (i, j), c in sorted(mult.poly2().items()):
+        for E in range(xlo, xhi + 1):
+            for K in range(min(0, low_a + i), max(0, E - j - low_b + 1)):
+                key = (K >= 0, K - i, E - K - j)
+                w = pairs.get(key)
+                if w is None:
+                    w = pairs[key] = _ordered_pair(afield, bfield, v, firsts,
+                                                   *key)
+                if w.terms:
+                    _add_scaled(acc, (E, K), w.terms, c)
+    return StateTable(afield.module, _finished(acc))
 
-    # x1^k with k >= 0: p_ij * a_(k-i) (b_(e2) v) lands at E = k + j + e2
-    amemo: dict[tuple[int, int], FockVector] = {}
-    for e2 in range(low_b, xhi - min_j + 1):
-        bv = bfield.apply_coeff(e2, v)
-        if bv.is_zero():
-            continue
-        for (i, j), c in pmons:
-            khi = xhi - j - e2
-            klo = max(0, xlo - j - e2)
-            for k in range(klo, khi + 1):
-                u = amemo.get((k - i, e2))
-                if u is None:
-                    u = amemo[(k - i, e2)] = afield.apply_coeff(k - i, bv)
-                if u.is_zero():
-                    continue
-                _add_scaled(acc, (k + j + e2, k), u.terms, c)
 
-    # x1^(-k-1): p_ij * b_(e2) (a_(-k-1-i) v) at E = -k-1 + j + e2
-    avmemo: dict[int, FockVector] = {}
-    bmemo: dict[tuple[int, int], FockVector] = {}
-    kop_hi = -1 - min_i - low_a
-    for k in range(0, kop_hi + 1):
-        for (i, j), c in pmons:
-            e1 = -k - 1 - i
-            if e1 < low_a:
-                continue
-            av = avmemo.get(e1)
-            if av is None:
-                av = avmemo[e1] = afield.apply_coeff(e1, v)
-            if av.is_zero():
-                continue
-            for E in range(xlo, xhi + 1):
-                e2 = E + k + 1 - j
-                w2 = bmemo.get((e1, e2))
-                if w2 is None:
-                    w2 = bmemo[(e1, e2)] = bfield.apply_coeff(e2, av)
-                if w2.is_zero():
-                    continue
-                _add_scaled(acc, (E, -k - 1), w2.terms, c)
-    return StateTable(afield.module, acc)
+def _ordered_pair(afield: OperatorSeries, bfield: OperatorSeries,
+                  v: FockVector, firsts: dict, bfirst: bool, e1: int, e2: int
+                  ) -> FockVector:
+    """a_e1 b_e2 v if bfirst, else b_e2 a_e1 v, the first-applied vector
+    kept in firsts under (bfirst, its exponent)."""
+    first, e, second, f = ((bfield, e2, afield, e1) if bfirst
+                           else (afield, e1, bfield, e2))
+    u = firsts.get((bfirst, e))
+    if u is None:
+        u = firsts[(bfirst, e)] = first.apply_coeff(e, v)
+    return u if u.is_zero() else second.apply_coeff(f, u)
 
 
 def _product_stack(afield: OperatorSeries, bfield: OperatorSeries,
@@ -1081,7 +1055,7 @@ def _law_phi_image(name: str, src_alg: str):
         module = FockModule(_PSI_TARGET[src_alg], scalars=scalars)
         src = FockModule(src_alg, level=module.level, scalars=scalars)
         rhs = pair_of(field_of(src, r), field_of(src, s)).table(
-            Window.cube(_X12, window + 1))
+            Window.cube(_X12, window))
         return _image_bracket_report(name, module, r, s, rhs, window)
     return run
 
@@ -1091,8 +1065,7 @@ def _law_special_pair_transfer(window: int, scalars, *, r: int = 0, s: int = 0
     module = FockModule("htq", scalars=scalars)
     pair = pair_of(field_of(module, r), field_of(module, s))
     form = SpecialBracketForm.from_pair(pair)
-    w = Window.cube(_X12, window + 1)
-    rhs = form.image_table(w)
+    rhs = form.image_table(Window.cube(_X12, window))
     return _image_bracket_report("special-pair-transfer", module, r, s,
                                  rhs, window)
 

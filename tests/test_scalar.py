@@ -450,8 +450,8 @@ def test_phi_image_heisenberg_stays_off_the_residual_path():
 
 def test_fast_suite_cancellation_counts():
     """Machine-independent gate on Henrici's rule: a symbolic fast suite
-    (window 5) in a fresh process makes 922 synthetic divisions
-    (``_ldiv``) and 7,848 cancellations (``_cancel``).  A sum that sent
+    (window 5) in a fresh process makes 903 synthetic divisions
+    (``_ldiv``) and 7,361 cancellations (``_cancel``).  A sum that sent
     the factors only one operand has, or has to a higher power, to
     ``_cancel`` would try to divide them out of the sum: more ``_ldiv``
     calls."""
@@ -480,7 +480,7 @@ def test_fast_suite_cancellation_counts():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "922", "7848"]
+    assert proc.stdout.split() == ["True", "903", "7361"]
 
 
 # ---------------------------------------------------------------------------

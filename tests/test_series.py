@@ -388,3 +388,125 @@ def test_certifies_window_matches_entrywise_seeded(monkeypatch):
             assert not calls
             seen[want] += 1
     assert min(seen.values()) >= 100, seen
+
+
+# The extended-integer rules the certificates were once summed by, kept as
+# the oracle of the plain sums in ``shift`` and ``_mul_cert``.
+def _lo_add_rule(a, b):
+    return NEG_INF if NEG_INF in (a, b) else a + b
+
+
+def _hi_add_rule(a, b):
+    return POS_INF if POS_INF in (a, b) else a + b
+
+
+def _floor_add_rule(floor, hi):
+    if floor == NEG_INF:
+        return NEG_INF
+    return POS_INF if hi == POS_INF else floor + hi
+
+
+def _cap_add_rule(cap, lo):
+    if cap == POS_INF:
+        return POS_INF
+    return NEG_INF if lo == NEG_INF else cap + lo
+
+
+def _shift_cert_rule(c, d):
+    return Cert(c.entire,
+                tuple(_lo_add_rule(s, x) for s, x in zip(c.suplo, d)),
+                tuple(_lo_add_rule(f, x) for f, x in zip(c.floors, d)),
+                tuple(_hi_add_rule(s, x) for s, x in zip(c.caps, d)))
+
+
+def _mul_cert_rule(ta, tb):
+    a, b = ta.cert, tb.cert
+    n = len(ta.vars)
+    if a.entire and b.entire:
+        return Cert.full(n)
+    if a.entire or b.entire:
+        if b.entire:
+            ta, a, b = tb, b, a
+        mins, maxs = series._support_stats(ta)
+        if mins[0] == POS_INF:
+            return Cert.full(n)
+        return Cert(False,
+                    tuple(_lo_add_rule(s, m) for s, m in zip(b.suplo, mins)),
+                    tuple(_floor_add_rule(f, m)
+                          for f, m in zip(b.floors, maxs)),
+                    tuple(_cap_add_rule(c, m) for c, m in zip(b.caps, mins)))
+    if any(f != NEG_INF for f in a.floors + b.floors):
+        return None
+    return Cert(False,
+                tuple(_lo_add_rule(x, y) for x, y in zip(a.suplo, b.suplo)),
+                (NEG_INF,) * n,
+                tuple(min(_cap_add_rule(ca, sb), _cap_add_rule(cb, sa))
+                      for ca, sb, cb, sa in zip(a.caps, b.suplo, b.caps,
+                                                a.suplo)))
+
+
+def _fields(c):
+    return (c.entire, c.suplo, c.floors, c.caps)
+
+
+def test_certificate_sums_match_the_extended_integer_rules_seeded():
+    """``shift`` and every branch of ``_mul_cert`` add extended integers
+    with plain ``+`` (and ``_cap_add`` where a +oo cap meets a -oo support
+    bound): they agree with the guarded rules on certificates drawn with
+    +-oo floors, caps and support bounds, the certified-nowhere one among
+    them, and no field is NaN.  A support bound is never +oo, so the
+    partial tables multiplied together draw theirs from Z and -oo."""
+    rng = random.Random(39)
+    n = 2
+    vars = ("x0", "x1")
+    nothing = Cert(False, (NEG_INF,) * n, (POS_INF,) * n, (NEG_INF,) * n)
+
+    def ext(*infs):
+        return rng.choice((*infs, rng.randint(-3, 3), rng.randint(-3, 3)))
+
+    def partial(supports, floor_odds=0.25):
+        # floor_odds: the chance of a floor other than -oo
+        if rng.random() < 0.1:
+            return nothing
+        return Cert(False, tuple(ext(*supports) for _ in vars),
+                    tuple(ext(POS_INF) if rng.random() < floor_odds
+                          else NEG_INF for _ in vars),
+                    tuple(ext(NEG_INF, POS_INF) for _ in vars))
+
+    def table(cert):
+        if cert.entire:
+            coeffs = {(rng.randint(-3, 3), rng.randint(-3, 3)): S(1)
+                      for _ in range(rng.randint(0, 3))}
+        else:
+            coeffs = {}
+        return TruncatedLaurent(vars, coeffs, cert, _trusted=True)
+
+    def check(got, want):
+        assert _fields(got) == _fields(want), (got, want)
+        assert all(x == x for f in _fields(got)[1:] for x in f)
+
+    seen = {"shift": 0, "entire": 0, "zero": 0, "partial": 0, "refused": 0}
+    for _trial in range(400):
+        cert = rng.choice((Cert.full(n), nothing,
+                           partial((NEG_INF, POS_INF), 0.7)))
+        d = {v: rng.randint(-4, 4) for v in vars}
+        check(table(cert).shift(d).cert,
+              _shift_cert_rule(cert, tuple(d.values())))
+        seen["shift"] += 1
+        # an entire table times a partial one, either way round
+        full = table(Cert.full(n))
+        part = table(partial((NEG_INF, POS_INF), 0.7))
+        pair = (full, part) if rng.random() < 0.5 else (part, full)
+        check(series._mul_cert(*pair), _mul_cert_rule(*pair))
+        seen["zero" if not full.coeffs else "entire"] += 1
+        # two partial tables
+        ta, tb = (table(partial((NEG_INF,))) for _ in range(2))
+        want = _mul_cert_rule(ta, tb)
+        if want is None:
+            with pytest.raises(SeriesError):
+                series._mul_cert(ta, tb)
+            seen["refused"] += 1
+        else:
+            check(series._mul_cert(ta, tb), want)
+            seen["partial"] += 1
+    assert min(seen.values()) >= 40, seen

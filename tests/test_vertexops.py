@@ -1324,6 +1324,39 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     assert len(calls) - before == 5 * 2 + 2
 
 
+@pytest.mark.parametrize("point", [
+    None, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+@pytest.mark.parametrize("window, applied", [(5, 924), (8, 1395)])
+def test_ordered_core_field_applications(monkeypatch, point, window,
+                                         applied):
+    """Machine-independent gate on the ordered core's memos: the field
+    applications (``apply_generator`` calls) made inside ``ordered_core``
+    during a suite.  Each first-applied vector and each ordered pair is
+    computed once per core, in either field, so a rewrite that loses the
+    sharing fails here, not just runs slower."""
+    calls = {"inside": 0, "applied": 0}
+    apply = vertexops.apply_generator
+    core = vertexops.ordered_core
+
+    def counted_apply(*args):
+        calls["applied"] += calls["inside"] > 0
+        return apply(*args)
+
+    def counted_core(*args):
+        calls["inside"] += 1
+        try:
+            return core(*args)
+        finally:
+            calls["inside"] -= 1
+
+    monkeypatch.setattr(vertexops, "apply_generator", counted_apply)
+    monkeypatch.setattr(vertexops, "ordered_core", counted_core)
+    assert all(rep.status == PASS
+               for rep in suite_reports(window=window, point=point))
+    assert calls["applied"] == applied
+
+
 def test_law_parameters_pass_through():
     rep = verify_identity("hq-commutator-delta", window=3, r=2, s=1)
     assert rep.status == PASS
@@ -1607,3 +1640,56 @@ def test_mutation_matrix_row_fails(monkeypatch, name, window):
     _MATRIX[name](monkeypatch)
     rep = verify_identity(name, window=window)
     assert rep.status == FAIL, (rep.status, rep.notes)
+
+
+# the planted defects of the module, each of which the kill-coverage test
+# runs over every law
+_DEFECTS = (_double_catalog_part, _double_inverse_constant, _shift_top_weight,
+            _double_index_scale, _double_module_bracket, _double_iratio_parts,
+            _zero_brackets)
+
+
+def _tallied_cases(plant) -> dict[tuple[str, str, str], bool]:
+    """Run every law at window 5, symbolic, under a planted defect (None
+    for none) and record each (law, part, label) case it tallies with
+    whether got == want.  The recorder reads every case, past the cut of
+    ``report.scan``, and hands them on to ``tally`` unchanged."""
+    seen: dict[tuple[str, str, str], bool] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_product_memos(mp)
+        if plant is not None:
+            plant(mp)
+        tally = vertexops.tally
+        for law in sorted(LAWS):
+            def recording(name, region, cases, law=law):
+                cases = list(cases)
+                for label, got, want in cases:
+                    seen[(law, name, label)] = got == want
+                return tally(name, region, cases)
+
+            mp.setattr(vertexops, "tally", recording)
+            verify_identity(law, window=5)
+    return seen
+
+
+def test_kill_coverage_is_pinned():
+    """Per law that tallies its cases, the number of cases at window 5 and
+    the number of them that some planted defect of ``_DEFECTS`` fails stay
+    those of ``golden/kill_coverage_w5.json``.  The gap between the two
+    counts is the cases no planted defect reaches (ROADMAP item 15).  A
+    change may raise a failed count; one that lowers it, or that changes
+    a case count, re-records the golden and gives its reason."""
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "kill_coverage_w5.json").read_text())
+    clean = _tallied_cases(None)
+    assert all(clean.values())
+    failed = set()
+    for plant in _DEFECTS:
+        failed |= {key for key, ok in _tallied_cases(plant).items()
+                   if not ok and key in clean}
+    counts: dict[str, dict[str, int]] = {}
+    for key in clean:
+        row = counts.setdefault(key[0], {"cases": 0, "failed": 0})
+        row["cases"] += 1
+        row["failed"] += key in failed
+    assert counts == golden
