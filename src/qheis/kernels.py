@@ -1,15 +1,16 @@
 """Rational kernels with restricted denominators.
 
-A kernel is a rational expression in formal variables plus the scalar
-parameter ``q``, with the denominator a product of a monomial and factors
-drawn from a closed list of shapes:
+A kernel is a Laurent polynomial in formal variables, with coefficients
+in the scalar parameter ``q``, over a product of factors drawn from a
+closed list of shapes:
 
 * variable binomials ``x1 - c*x2``;
 * affine factors ``x1 - c``;
 * exponential factors ``e^z - c``.
 
-Here ``c`` is any nonzero scalar.  Each denominator unit may be one of
-these shapes over a monomial, which moves into the numerator: the ratio
+Here ``c`` is any nonzero scalar.  A monomial in a denominator moves into
+the numerator as negative powers, and so does the monomial under a unit
+that is one of these shapes over a monomial: the ratio
 binomial ``1 - c*x1/x2`` is ``(x2 - c*x1)/x2`` and ``1 - 2/x`` is
 ``(x - 2)/x``.  These are exactly the denominators whose directed
 expansions stay inside iterated Laurent fields with computable exactness
@@ -194,17 +195,17 @@ class Factor:
 
 
 class RationalKernel:
-    """num / (monomial * product of shaped factors), all exactly scalar.
+    """num / (product of shaped factors), all exactly scalar.
 
-    `num` is canonical: monomials built by :func:`_mono` and no zero
-    coefficient.  Its negative powers of plain variables are cleared into
-    the monomial denominator `mono_den`; `den` merges equal factors.
+    `num` is a canonical Laurent polynomial: monomials built by
+    :func:`_mono`, which may hold negative powers, and no zero
+    coefficient.  `den` merges equal factors.
     """
 
-    __slots__ = ("num", "mono_den", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: NumPoly, den: tuple[tuple[Factor, int], ...] = ()):
-        self.num, self.mono_den = _split_vars(num)
+        self.num = num
         merged: dict[Factor, int] = {}
         for f, p in den:
             merged[f] = merged.get(f, 0) + p
@@ -214,19 +215,16 @@ class RationalKernel:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalKernel)
                 and self.num == other.num
-                and self.mono_den == other.mono_den
                 and self.den == other.den)
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), self.mono_den, self.den))
+        return hash((frozenset(self.num.items()), self.den))
 
     def variables(self) -> set[str]:
         out: set[str] = set()
         for m in self.num:
             for a, _e in m:
                 out.add(a[2:] if a.startswith("e^") else a)
-        for a, _e in self.mono_den:
-            out.add(a)
         for f, _p in self.den:
             out |= f.variables()
         return out
@@ -552,15 +550,14 @@ def _geometric(pref: Scalar, step: Scalar, p: int, n: int) -> list[Scalar]:
     return out
 
 
-def _exp_factors_table(factors, vars: tuple[str, ...], zv: str,
+def _exp_factors_table(inv: ExpInverse, vars: tuple[str, ...], zv: str,
                        hi: int) -> TruncatedLaurent:
-    """prod (e^zv - c)^-p over the (c, p) factors, from one closed form
-    (scalar.ExpInverse), covering zv exponents <= hi.
+    """prod (e^zv - c)^-p over the e^zv factors of the closed form inv,
+    covering zv exponents <= hi.
 
     It starts at zv^-kappa, kappa the power at c = 1, and holds at least
     that leading term.
     """
-    inv = ExpInverse(factors, 1)
     lo = -inv.kappa
     top = max(hi, lo)
     return _z_table(vars, zv, lo, top, inv.series(top))
@@ -577,20 +574,20 @@ def _z_table(vars: tuple[str, ...], zv: str, lo: int, top: int,
 
 
 def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
-                      inner: str, hi: int) -> TruncatedLaurent:
+                      own: str, hi: int) -> TruncatedLaurent:
     """Directed expansion of f**-p covering own-variable exponents <= hi,
     for a factor that is not exponential.
 
     One geometric series: the own variable is the one the series runs
     in, and term k is pref C(k+p-1,p-1) step^k own^k other^(-p-k).  An
-    affine factor has no other variable.
+    affine factor has no other variable, and its own variable is f.a.
       (a - c*b)^-p = (-c)^-p sum C(k+p-1,p-1) c^-k a^k b^(-p-k)  (own a)
                    = sum C(k+p-1,p-1) c^k b^k a^(-p-k)            (own b)
     """
-    if f.shape == "affine" or inner == f.a:
-        own, other, pref, step = f.a, f.b, (-f.c) ** -p, _ONE / f.c
+    if own == f.a:
+        other, pref, step = f.b, (-f.c) ** -p, _ONE / f.c
     else:
-        own, other, pref, step = f.b, f.a, _ONE, f.c
+        other, pref, step = f.a, _ONE, f.c
     coeffs = {tuple(k if v == own else -p - k if v == other else 0
                     for v in vars): t
               for k, t in enumerate(_geometric(pref, step, p, hi + 1))}
@@ -600,15 +597,15 @@ def _inv_factor_table(f: Factor, p: int, vars: tuple[str, ...],
 
 class _Desc:
     """A table of the expansion: ``own`` is its budget variable (None for
-    a polynomial), ``minf(v)`` its least exponent in v and ``build(b)``
-    the table at budget b."""
+    a polynomial), ``least[v]`` its least exponent in v (0 when v is
+    missing) and ``build(b)`` the table at budget b."""
 
-    __slots__ = ("own", "minf", "build")
+    __slots__ = ("own", "least", "build")
 
-    def __init__(self, own: str | None, minf: Callable[[str], int],
+    def __init__(self, own: str | None, least: dict[str, int],
                  build: Callable[[int], TruncatedLaurent]):
         self.own = own
-        self.minf = minf
+        self.least = least
         self.build = build
 
 
@@ -622,16 +619,14 @@ def _factor_desc(vars, inner, f: Factor, p: int) -> _Desc:
         # the other variable keys no budget: iota_expand refuses any
         # table keyed on it next to a binomial
         own = inner
-    return _Desc(own, lambda v: 0,
-                 lambda b: _inv_factor_table(f, p, vars, inner, b))
+    return _Desc(own, {}, lambda b: _inv_factor_table(f, p, vars, own, b))
 
 
-def _exp_desc(vars, zv: str, factors) -> _Desc:
-    """The e^zv factors of a kernel as one table, which starts at
-    zv^-kappa, kappa the power of the factor at c = 1."""
-    least = -sum(p for c, p in factors if c == 1)
-    return _Desc(zv, lambda v: least if v == zv else 0,
-                 lambda b: _exp_factors_table(factors, vars, zv, b))
+def _exp_desc(vars, zv: str, inv: ExpInverse) -> _Desc:
+    """The e^zv factors of a kernel as one table of their closed form inv,
+    which starts at zv^-kappa, kappa the power of the factor at c = 1."""
+    return _Desc(zv, {zv: -inv.kappa},
+                 lambda b: _exp_factors_table(inv, vars, zv, b))
 
 
 def _fold_desc(vars, zv: str, rest: dict[str, int], cs: dict[int, Scalar],
@@ -639,14 +634,12 @@ def _fold_desc(vars, zv: str, rest: dict[str, int], cs: dict[int, Scalar],
     """rest * sum_k cs[k] e^(k zv) times the e^zv factors of a kernel, as
     one column of their closed form inv (``ExpInverse.column``; with no
     factor, of u = 1), which starts at zv^-kappa."""
-    least = rest.get(zv, 0) - inv.kappa
-
     def build(b):
         top = b - rest.get(zv, 0)
         t = _z_table(vars, zv, -inv.kappa, top, inv.column(cs, top))
         return t.shift(rest) if rest else t
 
-    return _Desc(zv, lambda v: least if v == zv else rest.get(v, 0), build)
+    return _Desc(zv, {**rest, zv: rest.get(zv, 0) - inv.kappa}, build)
 
 
 def iota_expand(k: RationalKernel, direction: tuple[str, ...],
@@ -677,10 +670,6 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
     if not k.num:
         return TruncatedLaurent.zero(vars)
     inner = direction[-1]
-    moff = dict(k.mono_den)
-    hi_pre = {v: window.hi[i] + moff.get(v, 0) for i, v in enumerate(vars)}
-
-    # the e^v factors of each variable v share one closed form
     exps: dict[str, list] = {}
     fac_descs = []
     for f, p in k.den:
@@ -688,7 +677,6 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
             exps.setdefault(f.a, []).append((f.c, p))
         else:
             fac_descs.append(_factor_desc(vars, inner, f, p))
-    exp_descs = {zv: _exp_desc(vars, zv, fs) for zv, fs in exps.items()}
 
     # numerator parts, each with the factor tables it multiplies: the
     # terms free of exponentials, and for each variable v and rest
@@ -706,19 +694,20 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
         (zv, kpow), = expat
         rest = tuple((a, e) for a, e in m if not a.startswith("e^"))
         groups.setdefault((zv, rest), {})[kpow] = c
+    # one closed form per e^v variable, of its e^v factors (of u = 1
+    # with none), read by the factor table and by each group
+    invs = {zv: ExpInverse(exps.get(zv, ()), 1)
+            for zv in {*exps, *(zv for zv, _rest in groups)}}
+    exp_descs = {zv: _exp_desc(vars, zv, invs[zv]) for zv in exps}
     parts: list[tuple[_Desc, list[_Desc]]] = []
     if plain:
-        mono_min = {v: min(dict(m).get(v, 0) for m in plain) for v in vars}
+        least = {v: min(dict(m).get(v, 0) for m in plain) for v in vars}
         tab = TruncatedLaurent.polynomial(
             vars, {tuple(dict(m).get(v, 0) for v in vars): c
                    for m, c in plain.items()})
-        parts.append((_Desc(None, lambda v: mono_min[v], lambda b: tab),
+        parts.append((_Desc(None, least, lambda b: tab),
                       fac_descs + list(exp_descs.values())))
-    # the groups of one variable read one closed form
-    invs: dict[str, ExpInverse] = {}
     for (zv, rest), cs in groups.items():
-        if zv not in invs:
-            invs[zv] = ExpInverse(exps.get(zv, ()), 1)
         parts.append((_fold_desc(vars, zv, dict(rest), cs, invs[zv]),
                       fac_descs + [d for v, d in exp_descs.items()
                                    if v != zv]))
@@ -736,18 +725,17 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
     # each part is a product of tables; a table's budget is the window's
     # top in its own variable minus the least exponents there of the
     # other tables of its product
+    hi = dict(zip(vars, window.hi))
     table: TruncatedLaurent | None = None
     for num, facs in parts:
         descs = [num, *facs]
         t = None
         for d in descs:
             v = d.own
-            b = 0 if v is None else (hi_pre[v] + d.minf(v)
-                                     - sum(e.minf(v) for e in descs))
+            b = 0 if v is None else (hi[v] + d.least.get(v, 0)
+                                     - sum(e.least.get(v, 0) for e in descs))
             t = d.build(b) if t is None else t * d.build(b)
         table = t if table is None else table + t
-    if moff:
-        table = table.shift({v: -e for v, e in moff.items()})
     if len(vars) >= 2 and binomial:
         table = table.with_direction(direction)
     table.require_certified(window)

@@ -55,8 +55,7 @@ from math import factorial
 from typing import Callable
 
 from .scalar import SYMBOLIC, Scalar, immutable
-from .series import NEG_INF, Cert, TruncatedLaurent, Window, binom, \
-    delta_family
+from .series import NEG_INF, Cert, TruncatedLaurent, Window, binom
 
 
 class LieAlgebraError(ValueError):
@@ -194,14 +193,13 @@ def diff_expansion_coeff(coeff: Callable[[int], Scalar], e1: int, e2: int,
     return coeff(j) * (-c if e2 % 2 else c)
 
 
-def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
-                         window: Window, scalars=SYMBOLIC) -> TruncatedLaurent:
-    """iota_{x2,x1} S(x1 - x2) + dshift (d/dx2) x1^-1 delta(x2/x1) on a window.
+def diff_expansion_table(coeff: Callable[[int], Scalar],
+                         window: Window) -> TruncatedLaurent:
+    """iota_{x2,x1} S(x1 - x2) on a window.
 
     ``coeff`` is as in :func:`diff_expansion_coeff` and is called once per
-    j; its values and ``dshift`` lie in ``scalars``.
-    The table is tagged with the expansion direction when a pole term of S
-    reaches the window.
+    j.  The table is tagged with the expansion direction when a pole term
+    of S reaches the window.
     """
     if window.vars != ("x1", "x2"):
         raise LieAlgebraError("the bracket expansion uses variables (x1, x2)")
@@ -216,11 +214,8 @@ def diff_expansion_table(coeff: Callable[[int], Scalar], dshift: Scalar,
     # a pole is expanded in nonnegative powers of x1, which bounds the
     # support; without one the table is the window of a polynomial
     cert = Cert.box(window.lo, window.hi, (0, NEG_INF) if pole else None)
-    t = TruncatedLaurent(window.vars, coeffs, cert,
-                         ("x2", "x1") if pole else None, _trusted=True)
-    if dshift:
-        t = t + delta_family("dshift", scalars.one, window).scale(dshift)
-    return t
+    return TruncatedLaurent(window.vars, coeffs, cert,
+                            ("x2", "x1") if pole else None, _trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ __all__ = [
     "ProductExpression",
     "phi_product_n",
     "psi_map",
-    "SpecialBracketForm",
     "LAWS",
     "verify_identity",
     "suite_reports",
@@ -235,7 +234,7 @@ def _part_table(part: PairPart, w: Window, scalars) -> TruncatedLaurent:
     """One part of a commutator on a two-variable window (x1, x2)."""
     if part.kind == "ftail":
         t = diff_expansion_table(lambda j: f_coefficient(part.d, j, scalars),
-                                 scalars.zero, w, scalars)
+                                 w)
     else:
         t = delta_family(part.kind, part.c, w)
     return t if part.coeff == 1 else t.scale(part.coeff)
@@ -732,53 +731,35 @@ def psi_map(v: FockVector, target: FockModule | None = None) -> OperatorSeries:
 # the special bracket shape and its substitution image
 
 
-class SpecialBracketForm:
-    """A bracket made of ratio kernels plus euler deltas.
+def _special_image(pair: PairData, w: Window) -> TruncatedLaurent:
+    """The bracket of the substituted fields of a special pair on a
+    (x1, x2) window.
 
-    ``ratio_parts`` holds (c, coeff) for coeff * cu/(1-cu)^2 with
-    u = x1/x2, expanded in powers of u; ``euler_parts`` holds (c, coeff)
-    for coeff * (x2 d/dx2) delta(c x2/x1).  Under the substitution
-    products only the euler part at c = 1 survives, as a derivative
-    delta; the kernels reappear evaluated at e^(x1-x2).  Every scalar
-    lies in the field ``scalars``.
+    A special pair is made of ratio kernels coeff * cu/(1-cu)^2, with
+    u = x1/x2 expanded in powers of u, plus euler deltas
+    coeff * (x2 d/dx2) delta(c x2/x1).  Under the substitution products
+    the kernels reappear evaluated at e^(x1-x2), as one series S, and only
+    the euler parts at c = 1 survive, as the derivative delta alpha
+    (d/dx2) x1^-1 delta(x2/x1).
     """
-
-    __slots__ = ("ratio_parts", "euler_parts", "scalars")
-
-    def __init__(self, ratio_parts: tuple[tuple[Scalar, Scalar], ...],
-                 euler_parts: tuple[tuple[Scalar, Scalar], ...],
-                 scalars=SYMBOLIC):
-        object.__setattr__(self, "ratio_parts", ratio_parts)
-        object.__setattr__(self, "euler_parts", euler_parts)
-        object.__setattr__(self, "scalars", scalars)
-
-    __setattr__ = __delattr__ = immutable
-
-    @classmethod
-    def from_pair(cls, pair: PairData) -> "SpecialBracketForm":
-        ratio = []
-        euler = []
-        for p in pair.parts:
-            if p.kind == "iratio":
-                ratio.append((p.c, p.coeff))
-            elif p.kind == "euler":
-                euler.append((p.c, p.coeff))
-            else:
-                raise VertexError(
-                    f"part {p.kind} is outside the special bracket shape")
-        return cls(tuple(ratio), tuple(euler), pair.scalars)
-
-    def alpha(self) -> Scalar:
-        return sum((coeff for c, coeff in self.euler_parts if c == 1),
-                   self.scalars.zero)
-
-    def image_table(self, w: Window) -> TruncatedLaurent:
-        """The bracket of the substituted fields on a (x1, x2) window."""
-        k = self.scalars
-        return diff_expansion_table(
-            lambda j: sum((coeff * g_coefficient(c, j, k)
-                           for c, coeff in self.ratio_parts), k.zero),
-            self.alpha(), w, k)
+    k = pair.scalars
+    ratios = []
+    alpha = k.zero
+    for p in pair.parts:
+        if p.kind == "iratio":
+            ratios.append((p.c, p.coeff))
+        elif p.kind == "euler":
+            if p.c == 1:
+                alpha = alpha + p.coeff
+        else:
+            raise VertexError(
+                f"part {p.kind} is outside the special bracket shape")
+    t = diff_expansion_table(
+        lambda j: sum((coeff * g_coefficient(c, j, k)
+                       for c, coeff in ratios), k.zero), w)
+    if alpha:
+        t = t + delta_family("dshift", k.one, w).scale(alpha)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -1064,8 +1045,7 @@ def _law_special_pair_transfer(window: int, scalars, *, r: int = 0, s: int = 0
                                ) -> CheckReport:
     module = FockModule("htq", scalars=scalars)
     pair = pair_of(field_of(module, r), field_of(module, s))
-    form = SpecialBracketForm.from_pair(pair)
-    rhs = form.image_table(Window.cube(_X12, window))
+    rhs = _special_image(pair, Window.cube(_X12, window))
     return _image_bracket_report("special-pair-transfer", module, r, s,
                                  rhs, window)
 

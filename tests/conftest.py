@@ -19,8 +19,8 @@ from qheis.liealg import (
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
     tally
 from qheis import vertexops
-from qheis.scalar import _PLAIN, L, ONE, SYMBOLIC, ZERO, Poly, Scalar, \
-    ScalarError, _make, _pstr
+from qheis.scalar import _PLAIN, L, ONE, SYMBOLIC, ZERO, ExpInverse, Poly, \
+    Scalar, ScalarError, _make, _pstr
 from qheis.scalar import _expand as scalar_expand
 from qheis.series import NEG_INF, POS_INF, Cert, SeriesError, \
     TruncatedLaurent, Window, binom, delta_family
@@ -225,8 +225,7 @@ def exp_numerator_oracle(kern: RationalKernel, direction,
     unrestricted, so a caller sees whether it certifies the window.
     """
     vars = window.vars
-    moff = dict(kern.mono_den)
-    hi_pre = {v: window.hi[i] + moff.get(v, 0) for i, v in enumerate(vars)}
+    hi = dict(zip(vars, window.hi))
     exps: dict[str, list] = {}
     facs = []
     for f, p in kern.den:
@@ -234,23 +233,26 @@ def exp_numerator_oracle(kern: RationalKernel, direction,
             exps.setdefault(f.a, []).append((f.c, p))
         else:
             facs.append(_factor_desc(vars, direction[-1], f, p))
-    facs += [_exp_desc(vars, v, fs) for v, fs in exps.items()]
+    facs += [_exp_desc(vars, v, ExpInverse(fs, 1)) for v, fs in exps.items()]
 
     def fac_min(v):
-        return sum(d.minf(v) for d in facs)
+        return sum(d.least.get(v, 0) for d in facs)
+
+    rests = [{a: e for a, e in m if not a.startswith("e^")}
+             for m in kern.num]
+
+    def least(v):
+        return min(rest.get(v, 0) for rest in rests)
 
     table = TruncatedLaurent.zero(vars)
-    rests = []
-    for m, c in kern.num.items():
-        rest = {a: e for a, e in m if not a.startswith("e^")}
-        rests.append(rest)
+    for (m, c), rest in zip(kern.num.items(), rests):
         expat = [(a[2:], e) for a, e in m if a.startswith("e^")]
         if not expat:
             table = table + TruncatedLaurent.polynomial(
                 vars, {tuple(rest.get(v, 0) for v in vars): c})
             continue
         (zv, k), = expat
-        order = max(hi_pre[zv] - fac_min(zv), 0)
+        order = max(hi[zv] - least(zv) - fac_min(zv), 0)
         coeffs = {tuple(j if v == zv else 0 for v in vars):
                   exp_coeff(k, j, SYMBOLIC) for j in range(order + 1)}
         power = TruncatedLaurent(vars, coeffs,
@@ -259,9 +261,9 @@ def exp_numerator_oracle(kern: RationalKernel, direction,
         table = table + power.shift(rest).scale(c)
     for d in facs:
         v = d.own
-        least = min(rest.get(v, 0) for rest in rests)
-        table = table * d.build(hi_pre[v] - least - fac_min(v) + d.minf(v))
-    return table.shift({v: -e for v, e in moff.items()}) if moff else table
+        table = table * d.build(hi[v] - least(v) - fac_min(v)
+                                + d.least.get(v, 0))
+    return table
 
 
 def _directed_binom_power(j: int, window) -> TruncatedLaurent:

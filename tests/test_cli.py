@@ -501,11 +501,12 @@ def test_suite_report_matches_golden(monkeypatch, capsys, name, extra):
 def test_expand_matches_golden(capsys):
     """Each case of golden/expand_corpus.json prints its recorded stdout.
     The cases are the kernels of the benchmark's algebra-queries stream
-    and of reach_corpus.KERNELS, and ratio spellings in both
-    orientations, along each order of their variables at windows 0-4;
-    --limit 81 prints every term of a window of radius 4."""
+    and of reach_corpus.KERNELS, ratio spellings in both orientations and
+    eight kernels with negative powers in their numerators, along each
+    order of their variables at windows 0-4; --limit 81 prints every term
+    of a window of radius 4."""
     cases = json.loads((GOLDEN / "expand_corpus.json").read_text())
-    assert len(cases) == 195
+    assert len(cases) == 270
     for kernel, direction, window, want in cases:
         argv = ["expand", "--kernel", kernel, "--direction", direction,
                 "--window", str(window), "--limit", "81"]

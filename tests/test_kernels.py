@@ -7,6 +7,7 @@ import pytest
 
 from conftest import Ratio, cert_fields, exp_numerator_oracle, \
     exp_pole_kernel, from_fraction, inv_factor_table_oracle, window_of
+from qheis import kernels
 from qheis.kernels import (
     MAX_EXPONENT,
     MAX_PARSE_WORK,
@@ -46,7 +47,6 @@ def mono(**exps):
 def test_parse_binomial_product_numerator():
     k = parse_kernel("(x1-q*x2)*(q*x1-x2)")
     assert k.den == ()
-    assert k.mono_den == ()
     assert k.num == {
         mono(x1=2): Q,
         mono(x1=1, x2=1): -(ONE + Q * Q),
@@ -59,7 +59,6 @@ def test_parse_ratio_power():
     x2, which moves into the numerator."""
     k = parse_kernel("1/(1-q*x1/x2)^2")
     assert k.num == {mono(x2=2): ONE / (Q * Q)}
-    assert k.mono_den == ()
     assert k.den == ((Factor("binom", "x1", "x2", ONE / Q), 2),)
 
 
@@ -90,8 +89,8 @@ def test_parse_rejects_irreducible_quadratic():
 
 def test_parse_monomial_division_folds():
     k = parse_kernel("q/x1^2")
-    assert k.num == {(): Q}
-    assert k.mono_den == mono(x1=2)
+    assert k.num == {mono(x1=-2): Q}
+    assert k.den == ()
     assert parse_kernel("x1/x1") == parse_kernel("1")
 
 
@@ -367,9 +366,11 @@ def test_inverse_factor_table_matches_per_k_powers(shape):
         f = Factor(shape, a, b, c)
         for p, hi in cases:
             if shape == "expconst":
-                got = _exp_factors_table(((c, p),), vars_, a, hi)
+                got = _exp_factors_table(ExpInverse(((c, p),), 1), vars_,
+                                         a, hi)
             else:
-                got = _inv_factor_table(f, p, vars_, inner, hi)
+                own = inner if shape == "binom" else a
+                got = _inv_factor_table(f, p, vars_, own, hi)
             want = inv_factor_table_oracle(f, p, vars_, inner, hi)
             case = (c, inner, p, hi)
             assert got.coeffs == want.coeffs, case
@@ -409,6 +410,29 @@ def test_ratio_expansion_matches_the_ratio_oracle_seeded():
     assert nonzero >= 40, nonzero
 
 
+@pytest.mark.parametrize("text, direction", [
+    ("(1+e^z)/(e^z-q)^4", ("z",)),
+    ("(x+e^z)/((e^z-1)^2*(x-q))", ("x", "z")),
+    ("e^z/(e^z-q)^2", ("z",)),
+    ("1/(e^z-q^3)", ("z",)),
+])
+def test_one_closed_form_per_exp_variable(monkeypatch, text, direction):
+    """The e^z factors and the e^z numerator terms of a kernel read one
+    ``ExpInverse``, however the numerator splits into plain terms and
+    terms with an exponential."""
+    built = []
+    init = ExpInverse.__init__
+
+    def counting(self, factors, unit):
+        built.append(tuple(factors))
+        init(self, factors, unit)
+
+    monkeypatch.setattr(ExpInverse, "__init__", counting)
+    kernels._iota_expand.__wrapped__(parse_kernel(text), direction,
+                                     Window.cube(direction, 3))
+    assert len(built) == 1, built
+
+
 def test_exp_factor_leaves_the_w_table_unbuilt(monkeypatch):
     """An e^z factor reads u(t) off ``scalar.ExpInverse``; the W_J table
     that product stacks read is never built."""
@@ -417,7 +441,7 @@ def test_exp_factor_leaves_the_w_table_unbuilt(monkeypatch):
 
     monkeypatch.setattr(ExpInverse, "_grow", unbuilt)
     f = Factor("expconst", "z", "", frac(2) * Q)
-    got = _exp_factors_table(((f.c, 2),), ("z",), "z", 5)
+    got = _exp_factors_table(ExpInverse(((f.c, 2),), 1), ("z",), "z", 5)
     assert got.coeffs == inv_factor_table_oracle(f, 2, ("z",), "z", 5).coeffs
 
 

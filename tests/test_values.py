@@ -37,10 +37,9 @@ RECORDS = {
                                         ["note"]),
     liealg.AlgebraSpec: lambda cls: cls("hq", 0, False, 0, "summary"),
     kernels._V: lambda cls: cls({(): ONE}, ()),
-    kernels._Desc: lambda cls: cls("x", abs, abs),
+    kernels._Desc: lambda cls: cls("x", {"x": -1}, abs),
     vertexops.PairPart: lambda cls: cls("plain", L, Q),
     vertexops.PairData: lambda cls: cls((_PART,), SYMBOLIC),
-    vertexops.SpecialBracketForm: lambda cls: cls(((Q, L),), ((ONE, L),)),
     vertexops._LawSpec: lambda cls: cls(abs, 5, "summary"),
     series.Cert: lambda cls: cls(False, (NEG_INF, 0), (NEG_INF, 0), (4, 4)),
     # the fields other than GeneratorField: no memo keys on them

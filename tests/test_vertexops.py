@@ -15,6 +15,7 @@ from conftest import (
     IdentityField,
     assert_same_table,
     bhatq_oracle_table,
+    cert_fields,
     closed_form_inverse,
     cmp_tables_oracle,
     diff_oracle_table,
@@ -40,14 +41,14 @@ from qheis.fock import FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, SYMBOLIC, RationalPoint, Scalar, ZERO
 from qheis.series import NEG_INF, POS_INF, Cert, TruncatedLaurent, Window, \
-    compare_on
+    compare_on, delta_family
 from qheis.vertexops import (
     LAWS,
     LawParameterError,
     Multiplier,
     MultiplierError,
+    PairData,
     PairPart,
-    SpecialBracketForm,
     SumField,
     UnsupportedPairError,
     VertexError,
@@ -58,6 +59,7 @@ from qheis.vertexops import (
     psi_map,
     suite_reports,
     verify_identity,
+    _special_image,
 )
 
 
@@ -980,13 +982,18 @@ def test_skew_kernel_needs_shifted_algebra(hq):
 
 
 def test_special_bracket_shape(hq, htq):
+    """The htq pair is two ratio kernels and two euler deltas; of the
+    deltas only the one at c = 1, of coefficient l, survives as the
+    derivative delta.  Any other kind of part is refused."""
+    w = Window.cube(("x1", "x2"), 4)
     pair = pair_of(field_of(htq), field_of(htq))
-    form = SpecialBracketForm.from_pair(pair)
-    assert len(form.ratio_parts) == 2
-    assert len(form.euler_parts) == 2
-    assert form.alpha() == L
+    assert sorted(p.kind for p in pair.parts) == [
+        "euler", "euler", "iratio", "iratio"]
+    ratios = PairData(tuple(p for p in pair.parts if p.kind == "iratio"))
+    deltas = _special_image(pair, w) - _special_image(ratios, w)
+    assert_same_table(deltas, delta_family("dshift", ONE, w).scale(L), w)
     with pytest.raises(VertexError, match="outside the special"):
-        SpecialBracketForm.from_pair(pair_of(field_of(hq), field_of(hq)))
+        _special_image(pair_of(field_of(hq), field_of(hq)), w)
 
 
 def test_special_bracket_image_matches_table_oracle(htq):
@@ -994,7 +1001,7 @@ def test_special_bracket_image_matches_table_oracle(htq):
     w = Window.cube(("x1", "x2"), 5)
     for r, s in ((0, 0), (1, 0), (0, 1), (2, 0)):
         pair = pair_of(field_of(htq, r), field_of(htq, s))
-        got = SpecialBracketForm.from_pair(pair).image_table(w)
+        got = _special_image(pair, w)
         assert_same_table(got, bhatq_oracle_table(r - s, w).scale(L), w)
 
 
@@ -1003,10 +1010,32 @@ def test_special_bracket_image_matches_table_oracle(htq):
 def test_special_bracket_image_beyond_q_powers(c):
     # ratio parts at values that are not powers of q; c = 1 has the pole
     w = Window.cube(("x1", "x2"), 5)
-    form = SpecialBracketForm(((c, L),), ((ONE, L),))
+    pair = PairData((PairPart("iratio", L, c), PairPart("euler", L, ONE)))
     g = g_series_oracle(c, w.hi[0] + w.hi[1])
     want = diff_oracle_table(lambda j: L * g.coeff((j,), ZERO), L, w)
-    assert_same_table(form.image_table(w), want, w)
+    assert_same_table(_special_image(pair, w), want, w)
+
+
+@pytest.mark.parametrize("scalars", [
+    SYMBOLIC, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+def test_special_image_is_the_bhatq_pair_table(scalars):
+    """The substitution image of the htq pair (r, 0) is the bhatq pair
+    (r, 0) of a module at the same level, catalog part by catalog part:
+    equal coefficients, certificates and directions, for r in -3..3 at
+    windows 3 and 5."""
+    htq = FockModule("htq", scalars=scalars)
+    bhatq = FockModule("bhatq", level=htq.level, scalars=scalars)
+    for r in range(-3, 4):
+        image = pair_of(field_of(htq, r), field_of(htq))
+        catalog = pair_of(field_of(bhatq, r), field_of(bhatq))
+        for radius in (3, 5):
+            w = Window.cube(("x1", "x2"), radius)
+            got, want = _special_image(image, w), catalog.table(w)
+            case = (r, radius)
+            assert got.coeffs == want.coeffs, case
+            assert cert_fields(got.cert) == cert_fields(want.cert), case
+            assert got.direction == want.direction, case
 
 
 # ---------------------------------------------------------------------------
