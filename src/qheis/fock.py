@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .liealg import bracket_modes, get_algebra
-from .scalar import SYMBOLIC, Scalar, _padd, immutable
+from .scalar import SYMBOLIC, Scalar, Value, _padd
 from .series import TruncatedLaurent, Window
 
 
@@ -35,7 +35,7 @@ class FockError(ValueError):
 PBWMonomial = tuple[tuple[int, int], ...]
 
 
-class FockModule:
+class FockModule(Value):
     """Ambient data of a vacuum module: algebra, level and the scalar field
     of its coefficients.
 
@@ -59,15 +59,8 @@ class FockModule:
         # (``vertexops.pair_of``) hashes it through the fields
         object.__setattr__(self, "_hash", hash((algebra, level, scalars)))
 
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.algebra, self.level, self.scalars)
-                == (other.algebra, other.level, other.scalars))
+    def _key(self):
+        return self.algebra, self.level, self.scalars
 
     def __hash__(self) -> int:
         return self._hash

@@ -27,7 +27,9 @@ Parsing and expansion are pure, so both are memoized for the life of the
 process, each in a least-recently-used memo of 64 entries:
 :func:`parse_kernel` by its text and :func:`iota_expand` by (kernel,
 direction tuple, window).  Equal calls share one result object, which
-callers must not mutate.
+callers must not mutate.  The closed forms of the ``e^z - c`` factors
+come from the scalar field's memo of tables (``SYMBOLIC.exp_inverse``),
+which equal factors share across kernels.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .scalar import ExpInverse, Scalar, _padd, immutable
+from .scalar import SYMBOLIC, ExpInverse, Record, Scalar, Value, _padd
 from .series import (
     Cert,
     NEG_INF,
@@ -152,7 +154,7 @@ def _split_vars(num: NumPoly) -> tuple[NumPoly, Mono]:
 # -- denominator factor shapes ----------------------------------------------
 
 
-class Factor:
+class Factor(Value):
     """One allowed denominator factor, in normalized orientation: the
     binomial ``a - c*b`` with a before b in name order (``binom``),
     ``a - c`` (``affine``) or ``e^a - c`` (``expconst``).  A ratio such
@@ -173,18 +175,8 @@ class Factor:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.shape, self.a, self.b, self.c)
-                == (other.shape, other.a, other.b, other.c))
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.a, self.b, self.c))
+    def _key(self):
+        return self.shape, self.a, self.b, self.c
 
     def sort_key(self):
         rank = ("affine", "binom", "expconst").index(self.shape)
@@ -194,7 +186,7 @@ class Factor:
         return {self.a, self.b} if self.b else {self.a}
 
 
-class RationalKernel:
+class RationalKernel(Value):
     """num / (product of shaped factors), all exactly scalar.
 
     `num` is a canonical Laurent polynomial: monomials built by
@@ -202,23 +194,23 @@ class RationalKernel:
     coefficient.  `den` merges equal factors.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: NumPoly, den: tuple[tuple[Factor, int], ...] = ()):
-        self.num = num
         merged: dict[Factor, int] = {}
         for f, p in den:
             merged[f] = merged.get(f, 0) + p
-        self.den = tuple(sorted(merged.items(),
-                                key=lambda fp: fp[0].sort_key()))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", tuple(sorted(
+            merged.items(), key=lambda fp: fp[0].sort_key())))
+        # the expansion memo (``_iota_expand``) hashes the kernel
+        object.__setattr__(self, "_hash", hash(self._key()))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalKernel)
-                and self.num == other.num
-                and self.den == other.den)
+    def _key(self):
+        return frozenset(self.num.items()), self.den
 
-    def __hash__(self):
-        return hash((frozenset(self.num.items()), self.den))
+    def __hash__(self) -> int:
+        return self._hash
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -279,15 +271,13 @@ def _tokenize(text: str):
 # 1/((x1-x2)^2*(x1-q*x2)) has two.
 
 
-class _V:
+class _V(Record):
     __slots__ = ("num", "den", "fac")
 
     def __init__(self, num: NumPoly, den: tuple, fac: tuple | None = None):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "fac", fac)
-
-    __setattr__ = __delattr__ = immutable
 
 
 def _atom(num: NumPoly, pos: int) -> _V:
@@ -696,7 +686,7 @@ def _iota_expand(k: RationalKernel, direction: tuple[str, ...],
         groups.setdefault((zv, rest), {})[kpow] = c
     # one closed form per e^v variable, of its e^v factors (of u = 1
     # with none), read by the factor table and by each group
-    invs = {zv: ExpInverse(exps.get(zv, ()), 1)
+    invs = {zv: SYMBOLIC.exp_inverse(tuple(exps.get(zv, ())), 1)
             for zv in {*exps, *(zv for zv, _rest in groups)}}
     exp_descs = {zv: _exp_desc(vars, zv, invs[zv]) for zv in exps}
     parts: list[tuple[_Desc, list[_Desc]]] = []

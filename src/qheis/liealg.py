@@ -54,7 +54,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable
 
-from .scalar import SYMBOLIC, Scalar, immutable
+from .scalar import SYMBOLIC, Record, Scalar
 from .series import NEG_INF, Cert, TruncatedLaurent, Window, binom
 
 
@@ -70,7 +70,7 @@ def _d(a: int, b: int) -> int:
 # catalog
 
 
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """One algebra of the catalog.
 
     ``offset`` fixes the generating-field convention: the field attached to
@@ -90,8 +90,6 @@ class AlgebraSpec:
         object.__setattr__(self, "shifted", shifted)
         object.__setattr__(self, "mode_sum", mode_sum)
         object.__setattr__(self, "summary", summary)
-
-    __setattr__ = __delattr__ = immutable
 
 
 ALGEBRAS: dict[str, AlgebraSpec] = {

@@ -38,9 +38,11 @@ once they are first asked for.
 
 The module also holds the two scalar fields, :class:`SymbolicField`
 (``SYMBOLIC``) and :class:`RationalPoint`, and the closed form of
-1 / (unit * prod (e^z - c)^m), :class:`ExpInverse`.  Its ``column`` is
-the one place sum_k c_k e^(kz) is expanded, over one denominator per z
-order.
+1 / (unit * prod (e^z - c)^m), :class:`ExpInverse`, with its one memo
+``_closed_form``.  Its ``column`` is the one place sum_k c_k e^(kz) is
+expanded, over one denominator per z order.  The package's small data
+classes derive from :class:`Record`, which compares by identity, or from
+:class:`Value`, which compares by data.
 """
 
 from __future__ import annotations
@@ -61,9 +63,40 @@ class ScalarError(ArithmeticError):
 
 
 def immutable(self, *_args):
-    """``__setattr__`` and ``__delattr__`` of an immutable value class,
-    whose ``__init__`` sets each slot once with ``object.__setattr__``."""
+    """``__setattr__`` and ``__delattr__`` of the immutable classes,
+    :class:`Record` and :class:`Scalar`, whose ``__init__`` sets each slot
+    once with ``object.__setattr__``."""
     raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record:
+    """An immutable object that compares by identity: the base of the
+    package's small data classes, whose ``__init__`` sets each slot once
+    with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    __setattr__ = __delattr__ = immutable
+
+
+class Value(Record):
+    """A record that compares by its data: two values are equal when they
+    are of one class (a subclass is another class) and their ``_key()``
+    are equal, and a value hashes as its key.  A memo that keys on a data
+    class keys on a value.  A value that keeps its hash in a ``_hash``
+    slot returns that slot from its own ``__hash__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------
@@ -821,13 +854,14 @@ class ExpInverse:
     prod_(c != 1) (w - c)^(m_c), the quotient is read against the table
     of 1 / (unit * (e^z - 1)^kappa), whose D_T carries no powers of G, so
     its N_k(T) are short and the cancellation is small.  That reduced
-    table is built on first use and kept in a slot, so it lives exactly
-    as long as this table.  Any other column reads this table.
+    table comes from the memo of closed forms (``_closed_form``), so
+    equal reduced tables are one table, and at kappa = 0 with the unit 1
+    it is the table of u = 1.  Any other column reads this table.
     """
 
     __slots__ = ("kappa", "_pis", "_g", "_G", "_numk", "_base", "_stages",
                  "_ps", "_us", "_ints", "_last", "_out", "_nums", "_unit",
-                 "_divisors", "_reduced")
+                 "_divisors")
 
     def __init__(self, factors, unit):
         parts = self._parts
@@ -862,8 +896,6 @@ class ExpInverse:
         # c != 1 is not a power of q
         self._divisors = (None if any(a is None for a, _m in divisors)
                           else divisors)
-        # the table of 1 / (unit * (e^z - 1)^kappa), built on first use
-        self._reduced = None
         self._pis = pis
         self._G = G
         self._g = _qlist(_expand(G))
@@ -1067,7 +1099,7 @@ class ExpInverse:
 
         The cs[k] are put over one denominator.  A column that divides
         by the factors at c != 1 (``_quotient``) reads its quotient
-        against the reduced table of 1 / (unit * (e^z - 1)^kappa), any
+        against the memo's table of 1 / (unit * (e^z - 1)^kappa), any
         other column reads this table; either way the numerators are
         dotted against the N_k(T), with one cancellation per T, and give
         the same canonical values."""
@@ -1077,15 +1109,27 @@ class ExpInverse:
         quotient = self._quotient(ks, lifted)
         if quotient is not None:
             ks, lifted = quotient
-            table = self._reduced
-            if table is None:
-                table = self._reduced = type(self)(((1, self.kappa),),
-                                                   self._unit)
+            kappa = self.kappa
+            table = _closed_form(type(self), ((1, kappa),) if kappa else (),
+                                 self._unit)
         out = table._upto(zneed)
         cols = [table._numerators(k, zneed) for k in ks]
         dot = self._dot
         return [dot(lifted, [col[i] for col in cols], den, out[i][0])
                 for i in range(zneed + self.kappa + 1)]
+
+
+@lru_cache(maxsize=16)
+def _closed_form(cls, factors, unit) -> ExpInverse:
+    """The table cls(factors, unit) of 1 / (unit * prod (e^z - c)^m): the
+    one memo of closed-form tables, which the fields' ``exp_inverse``,
+    the reduced tables of columns and so the product stacks and kernel
+    expansions read.
+
+    The entries of a z order do not depend on how deep the table goes,
+    so one table per (cls, factors, unit) grows to the deepest order
+    asked."""
+    return cls(factors, unit)
 
 
 class _PointExpInverse(ExpInverse):
@@ -1174,10 +1218,11 @@ class SymbolicField:
     :class:`RationalPoint`.
 
     A field also supplies ``pair_sum``, which forms (a x + b y) / j for
-    integers a, b, j in one step, and ``exp_inverse``, the closed form of
-    1 / (unit * prod (e^z - c)^m) (:class:`ExpInverse`): its ``column``
-    expands every sum_k c_k e^(kz), and kernel terms free of e^z read its
-    ``series``.
+    integers a, b, j in one step, and ``exp_inverse(factors, unit)``, the
+    memo's closed form of 1 / (unit * prod (e^z - c)^m)
+    (:class:`ExpInverse`): its ``column`` expands every sum_k c_k e^(kz),
+    and kernel terms free of e^z read its ``series``.  The table of u = 1
+    is ``exp_inverse((), 1)``.
     """
 
     zero = _S_ZERO
@@ -1187,13 +1232,16 @@ class SymbolicField:
     q_power = staticmethod(Scalar.q_power)
     qint = staticmethod(qint)
     pair_sum = staticmethod(pair_sum)
-    exp_inverse = ExpInverse
+
+    @staticmethod
+    def exp_inverse(factors, unit) -> ExpInverse:
+        return _closed_form(ExpInverse, factors, unit)
 
 
 SYMBOLIC = SymbolicField()
 
 
-class RationalPoint:
+class RationalPoint(Value):
     """A rational point (q0, l0) with q0 outside {0, 1, -1}.
 
     The excluded values collapse q-integer denominators, so guarded out.
@@ -1221,7 +1269,11 @@ class RationalPoint:
         # every memo keyed on the field hashes the point
         object.__setattr__(self, "_hash", hash((q0, l0)))
 
-    __setattr__ = __delattr__ = immutable
+    def _key(self):
+        return self.q0, self.l0
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def level(self) -> Fraction:
@@ -1234,7 +1286,9 @@ class RationalPoint:
         q = self.q0
         return (q ** m - q ** -m) / (q - 1 / q)
 
-    exp_inverse = _PointExpInverse
+    @staticmethod
+    def exp_inverse(factors, unit) -> _PointExpInverse:
+        return _closed_form(_PointExpInverse, factors, unit)
 
     @staticmethod
     def pair_sum(x: Fraction, wx: int, y: Fraction, wy: int,
@@ -1242,13 +1296,3 @@ class RationalPoint:
         xd, yd = x.denominator, y.denominator
         return Fraction(wx * x.numerator * yd + wy * y.numerator * xd,
                         xd * yd * j)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalPoint)
-            and self.q0 == other.q0
-            and self.l0 == other.l0
-        )
-
-    def __hash__(self) -> int:
-        return self._hash

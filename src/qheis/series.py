@@ -34,7 +34,7 @@ from math import comb, inf
 from typing import Any, Iterable
 
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport, scan
-from .scalar import Scalar, _padd, immutable
+from .scalar import Record, Scalar, Value, _padd
 
 NEG_INF = -inf
 POS_INF = inf
@@ -65,7 +65,7 @@ def _cap_add(cap: ExtInt, lo: ExtInt) -> ExtInt:
     return cap + lo
 
 
-class Window:
+class Window(Value):
     """An inclusive box of exponents over an ordered tuple of variables."""
 
     __slots__ = ("vars", "lo", "hi")
@@ -83,18 +83,8 @@ class Window:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    __setattr__ = __delattr__ = immutable
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.vars, self.lo, self.hi)
-                == (other.vars, other.lo, other.hi))
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.lo, self.hi))
+    def _key(self):
+        return self.vars, self.lo, self.hi
 
     @classmethod
     def cube(cls, vars: Iterable[str], radius: int) -> "Window":
@@ -121,7 +111,7 @@ class Window:
         )
 
 
-class Cert:
+class Cert(Record):
     """Exactness certificate for a truncated table."""
 
     __slots__ = ("entire", "suplo", "floors", "caps")
@@ -132,8 +122,6 @@ class Cert:
         object.__setattr__(self, "suplo", suplo)
         object.__setattr__(self, "floors", floors)
         object.__setattr__(self, "caps", caps)
-
-    __setattr__ = __delattr__ = immutable
 
     @classmethod
     def full(cls, n: int) -> "Cert":

@@ -18,7 +18,6 @@ from qheis.liealg import (
 )
 from qheis.report import FAIL, INCONCLUSIVE, MAX_REPORTED, PASS, CheckReport, \
     tally
-from qheis import vertexops
 from qheis.scalar import _PLAIN, L, ONE, SYMBOLIC, ZERO, ExpInverse, Poly, \
     Scalar, ScalarError, _make, _pstr
 from qheis.scalar import _expand as scalar_expand
@@ -652,7 +651,7 @@ def qtuple_as_poly(w) -> Poly:
 def closed_form_inverse(mult, zmax, scalars=SYMBOLIC):
     """The library's z coefficients u(T) = W_0 / D_T of x^degree /
     p(x e^z, x), for T = -kappa..zmax, as values of the field."""
-    table = vertexops._shifted_inverse(mult, scalars)._upto(zmax)
+    table = scalars.exp_inverse(mult.factors, mult.unit)._upto(zmax)
     out = {}
     for T, (den, w) in zip(range(-mult.kappa, zmax + 1), table):
         if scalars is SYMBOLIC:

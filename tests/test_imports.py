@@ -1,6 +1,7 @@
 """Every module-level import of the package is used, every name it
 exports in ``__all__`` is bound, every parameter a function takes is read,
-and importing the CLI stays light.  (That every function is reached is
+the value rules are written in one place each, and importing the CLI stays
+light.  (That every function is reached is
 ``test_reach.py``'s audit.)"""
 
 import ast
@@ -143,6 +144,62 @@ def test_every_parameter_is_read():
     for path in sorted(SRC.glob("*.py")):
         found |= unread_parameters(path.read_text(), path.stem)
     assert found == set(UNREAD_ALLOWLIST)
+
+
+def value_rule_sites(source: str, mod: str) -> tuple[set[str], set[str]]:
+    """``module.Class`` for each class, nested ones included, whose body
+    assigns ``immutable``, and for each class whose body defines or
+    assigns ``__eq__``."""
+    immutables, eqs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if stmt.name == "__eq__":
+                    eqs.add(f"{mod}.{node.name}")
+            elif isinstance(stmt, ast.Assign):
+                if any(isinstance(n, ast.Name) and n.id == "immutable"
+                       for n in ast.walk(stmt.value)):
+                    immutables.add(f"{mod}.{node.name}")
+                if any(isinstance(t, ast.Name) and t.id == "__eq__"
+                       for t in stmt.targets):
+                    eqs.add(f"{mod}.{node.name}")
+    return immutables, eqs
+
+
+def test_value_rule_scan_flags_a_planted_class():
+    source = ("class A(Record):\n"
+              "    __setattr__ = __delattr__ = immutable\n"
+              "    def __eq__(self, other):\n"
+              "        return immutable(self)\n"
+              "class B:\n"
+              "    __eq__ = object.__eq__\n"
+              "    def f(self):\n"
+              "        class C:\n"
+              "            __setattr__ = immutable\n"
+              "        return C\n"
+              "def g(x):\n"
+              "    x.__setattr__ = immutable\n")
+    assert value_rule_sites(source, "m") == ({"m.A", "m.C"}, {"m.A", "m.B"})
+
+
+# the one place each value rule is written; kept exact
+IMMUTABLE_CLASSES = {"scalar.Record", "scalar.Scalar"}
+EQ_CLASSES = {"scalar.Value", "scalar.Scalar", "fock.FockVector"}
+
+
+def test_value_rules_are_written_once():
+    """Only ``Record`` and ``Scalar`` assign ``immutable``, and only
+    ``Value``, ``Scalar`` and ``FockVector`` define ``__eq__``: every
+    other data class derives its rules from ``Record`` or ``Value``."""
+    immutables, eqs = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        found = value_rule_sites(path.read_text(), path.stem)
+        immutables |= found[0]
+        eqs |= found[1]
+    assert immutables == IMMUTABLE_CLASSES
+    assert eqs == EQ_CLASSES
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import Ratio, cert_fields, exp_numerator_oracle, \
     exp_pole_kernel, from_fraction, inv_factor_table_oracle, window_of
-from qheis import kernels
+from qheis import kernels, scalar
 from qheis.kernels import (
     MAX_EXPONENT,
     MAX_PARSE_WORK,
@@ -428,6 +428,7 @@ def test_one_closed_form_per_exp_variable(monkeypatch, text, direction):
         init(self, factors, unit)
 
     monkeypatch.setattr(ExpInverse, "__init__", counting)
+    scalar._closed_form.cache_clear()
     kernels._iota_expand.__wrapped__(parse_kernel(text), direction,
                                      Window.cube(direction, 3))
     assert len(built) == 1, built

@@ -21,7 +21,7 @@ from qheis.liealg import ALGEBRAS, LieAlgebraError, bracket_modes, \
     f_coefficient, g_coefficient
 from qheis.scalar import SYMBOLIC, RationalPoint, Scalar
 from qheis.series import Window
-from qheis.vertexops import Multiplier
+from qheis.vertexops import Multiplier, suite_reports
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qheis"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -347,7 +347,8 @@ def test_memos_stay_within_their_bound():
         fock._central:
             lambda k: fock._central(fock.FockModule("hq"), (-k - 1, 0),
                                     (k + 1, 0)),
-        vertexops._shifted_inverse: divided_table,
+        scalar._closed_form: lambda k: SYMBOLIC.exp_inverse(
+            ((SYMBOLIC.q_power(k + 1), 1),), 1),
     }
     for wrapper, call in memos.items():
         maxsize = wrapper.cache_parameters()["maxsize"]
@@ -357,32 +358,70 @@ def test_memos_stay_within_their_bound():
         info = wrapper.cache_info()
         assert info.misses == maxsize + 8, wrapper
         assert info.currsize == maxsize, wrapper
-    # a closed-form table keeps its reduced table in a slot, so an evicted
-    # table drops both: past the bound, a full and a reduced table live
-    # for each entry of the memo, and no more
-    shifted = vertexops._shifted_inverse
-    shifted.cache_clear()
+    # the reduced table a column reads is an entry of the same memo, so
+    # past the bound 16 tables live in all: the reduced table of every
+    # multiplier x1 - q^(k+1) x2, which is the table of u = 1, and the 15
+    # latest full tables
+    memo = scalar._closed_form
+    maxsize = memo.cache_parameters()["maxsize"]
+    memo.cache_clear()
     gc.collect()
     before = live_exp_inverses()
-    for k in range(shifted.cache_parameters()["maxsize"] + 8):
-        divided_table(k)
+    for k in range(maxsize + 8):
+        c = SYMBOLIC.q_power(k + 1)
+        table = SYMBOLIC.exp_inverse(((c, 1),), 1)
+        table.column({0: -c, 1: SYMBOLIC.one}, 2)
+    del table
     gc.collect()
-    assert live_exp_inverses() - before == \
-        2 * shifted.cache_parameters()["maxsize"]
-
-
-def divided_table(k: int) -> scalar.ExpInverse:
-    """The memo's table of the multiplier x1 - q^(k+1) x2, after a column
-    that divides by its factor, so that it holds its reduced table."""
-    c = SYMBOLIC.q_power(k + 1)
-    table = vertexops._shifted_inverse(Multiplier.of((c, 1)), SYMBOLIC)
-    table.column({0: -c, 1: SYMBOLIC.one}, 2)
-    assert table._reduced is not None
-    return table
+    assert memo.cache_info().misses == maxsize + 9
+    assert live_exp_inverses() - before == maxsize == 16
 
 
 def live_exp_inverses() -> int:
     return sum(isinstance(x, scalar.ExpInverse) for x in gc.get_objects())
+
+
+def _tables_built(monkeypatch) -> list:
+    """An empty memo of closed forms, and the list that each table built
+    from now on is appended to."""
+    built = []
+    init = scalar.ExpInverse.__init__
+
+    def counting(self, factors, unit):
+        built.append((type(self).__name__, factors, unit))
+        init(self, factors, unit)
+
+    monkeypatch.setattr(scalar.ExpInverse, "__init__", counting)
+    scalar._closed_form.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("point, count", [
+    (None, 10), (RationalPoint(Fraction(3, 5), Fraction(2)), 7)],
+    ids=["symbolic", "point"])
+def test_a_fast_suite_builds_each_closed_form_once(monkeypatch, point,
+                                                   count):
+    """A fast suite at window 5 builds each closed-form table once.
+    Symbolically that is 10: six for product stacks, the table of u = 1,
+    and the reduced tables of exactly divided columns, 1 / (e^z - 1) and
+    1 / (e^z - 1)^2 with the unit 1 and 1 / q with the unit q.  When each
+    table kept its own reduced table there were 13: two of 1 / (e^z - 1),
+    two of 1 / (e^z - 1)^2, and a reduced table at kappa = 0 equal to
+    u = 1.  A point's columns read their full tables: 7."""
+    built = _tables_built(monkeypatch)
+    assert all(rep.ok for rep in suite_reports(window=5, point=point))
+    assert len(built) == count, built
+    assert len(set(built)) == count
+
+
+def test_equal_exp_factors_share_one_closed_form(monkeypatch):
+    """Kernels with equal e^z factors read one table of the memo, whatever
+    their numerators: three expansions build one table."""
+    built = _tables_built(monkeypatch)
+    for text in ("1/(e^z-q)^2", "e^z/(e^z-q)^2", "(1+e^z)/(e^z-q)^2"):
+        kernels._iota_expand.__wrapped__(parse_kernel(text), ("z",),
+                                         Window.cube(("z",), 3))
+    assert len(built) == 1, built
 
 
 def test_public_names_stay_plain_functions():

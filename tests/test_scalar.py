@@ -451,10 +451,11 @@ def test_phi_image_heisenberg_stays_off_the_residual_path():
 def test_fast_suite_cancellation_counts():
     """Machine-independent gate on Henrici's rule: a symbolic fast suite
     (window 5) in a fresh process makes 903 synthetic divisions
-    (``_ldiv``) and 7,361 cancellations (``_cancel``).  A sum that sent
-    the factors only one operand has, or has to a higher power, to
-    ``_cancel`` would try to divide them out of the sum: more ``_ldiv``
-    calls."""
+    (``_ldiv``) and 7,340 cancellations (``_cancel``; 7,361 when each
+    table kept its own reduced table and built the duplicates of the
+    three shared ones).  A sum that sent the factors only one operand
+    has, or has to a higher power, to ``_cancel`` would try to divide
+    them out of the sum: more ``_ldiv`` calls."""
     import os
     import subprocess
     import sys
@@ -480,7 +481,7 @@ def test_fast_suite_cancellation_counts():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "903", "7361"]
+    assert proc.stdout.split() == ["True", "903", "7340"]
 
 
 # ---------------------------------------------------------------------------

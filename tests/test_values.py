@@ -1,15 +1,17 @@
 """The package's small data classes.  Each one that is compared or hashed
-by the package is a value: equal data gives equal objects of one class,
-which hash alike.  The others compare by identity.  Every class but the
-two that are filled in step by step (``CheckReport``, ``kernels._Desc``)
-is immutable."""
+by the package is a value (``scalar.Value``): equal data gives equal
+objects of one class, which hash alike.  The others are records
+(``scalar.Record``) and compare by identity.  Every value and record is
+immutable; the two classes that are filled in step by step
+(``CheckReport``, ``kernels._Desc``) are neither."""
 
 from fractions import Fraction
 
 import pytest
 
-from qheis import fock, kernels, liealg, report, series, vertexops
-from qheis.scalar import L, ONE, Q, SYMBOLIC, ZERO, RationalPoint
+from qheis import fock, kernels, liealg, report, scalar, series, vertexops
+from qheis.scalar import L, ONE, Q, SYMBOLIC, ZERO, RationalPoint, Record, \
+    Value
 from qheis.series import NEG_INF
 
 
@@ -24,8 +26,12 @@ VALUES = {
     fock.FockModule: lambda cls: cls(
         "hq", scalars=RationalPoint(Fraction(3, 5), 2)),
     kernels.Factor: lambda cls: cls("binom", "x1", "x2", Q),
+    kernels.RationalKernel: lambda cls: cls(
+        {(("x1", 1),): Q, (("e^z", 1), ("x2", -1)): L},
+        ((kernels.Factor("expconst", "z", "", Q), 2),)),
     vertexops.GeneratorField: lambda cls: cls(_hq(), 1),
     vertexops.Multiplier: lambda cls: cls(((Q, 1), (ONE, 2)), L),
+    RationalPoint: lambda cls: cls(Fraction(3, 5), 2),
 }
 
 # one part shared by every PairData built here, so that two of them hold
@@ -58,18 +64,42 @@ def _name(cls) -> str:
     return cls.__name__
 
 
+def _package_subclasses(base: type) -> set[type]:
+    """The classes of the package that derive from base."""
+    out, todo = set(), [base]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("qheis."):
+                out.add(sub)
+    return out
+
+
 def test_the_tables_cover_every_class_with_slots():
     """A new data class of the package must be listed here."""
-    found = {obj for mod in (fock, kernels, liealg, report, series, vertexops)
+    found = {obj for mod in (fock, kernels, liealg, report, scalar, series,
+                             vertexops)
              for obj in vars(mod).values()
              if isinstance(obj, type) and obj.__module__ == mod.__name__
              and "__slots__" in vars(obj) and vars(obj)["__slots__"]
              and not issubclass(obj, BaseException)}
-    # the vector, kernel and table classes have tests of their own
-    found -= {fock.FockVector, kernels.RationalKernel,
+    # the scalar, vector, closed-form and table classes have tests of
+    # their own
+    found -= {scalar.Scalar, scalar.ExpInverse, fock.FockVector,
               series.TruncatedLaurent, vertexops.StateTable}
     assert found == set(VALUES) | set(RECORDS)
     assert not set(VALUES) & set(RECORDS)
+
+
+def test_the_tables_are_the_values_and_the_records():
+    """The values are the subclasses of ``Value``, and the records, but
+    for the two mutable classes, the other subclasses of ``Record``."""
+    values = _package_subclasses(Value)
+    assert set(VALUES) == values
+    # Value and the fields' base class hold no data of their own
+    assert set(RECORDS) - MUTABLE == _package_subclasses(Record) - values \
+        - {Value, vertexops.OperatorSeries}
+    assert not any(issubclass(cls, Record) for cls in MUTABLE)
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=_name)

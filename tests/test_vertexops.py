@@ -40,8 +40,8 @@ from qheis.liealg import ALGEBRAS, bracket_modes
 from qheis.fock import FockModule, pair_vectors, two_point
 from qheis.report import FAIL, INCONCLUSIVE, PASS
 from qheis.scalar import L, ONE, Q, SYMBOLIC, RationalPoint, Scalar, ZERO
-from qheis.series import NEG_INF, POS_INF, Cert, TruncatedLaurent, Window, \
-    compare_on, delta_family
+from qheis.series import DELTA_KINDS, NEG_INF, POS_INF, Cert, \
+    TruncatedLaurent, Window, compare_on, delta_family
 from qheis.vertexops import (
     LAWS,
     LawParameterError,
@@ -347,6 +347,32 @@ def test_canonical_multiplier_kills_deltas(hq, htq):
         check_multiplier(Multiplier.of((ONE, 1), (Q, 2)), dp)
 
 
+# the table of kill multiplicities before it was read off
+# series.DELTA_KINDS, kept as the oracle of the derived one
+_LISTED_DELTA_KILL = {"plain": 1, "euler": 2, "dshift": 2, "bplain": 1}
+
+
+def test_delta_kinds_give_the_kill_multiplicities():
+    """The delta-supported kinds are the delta families that run over
+    every k, and a weighted one takes a second factor: the canonical
+    multiplier is the one the listed table gives, on every algebra for
+    r - s in -4..4."""
+    for kind in (*DELTA_KINDS, "ftail"):
+        assert PairPart(kind, L, ONE).is_delta == \
+            (kind in _LISTED_DELTA_KILL), kind
+    for alg in ("hq", "htq", "bhat", "bhatq"):
+        module = FockModule(alg)
+        for d in range(-4, 5):
+            pair = pair_of(field_of(module, d), field_of(module, 0))
+            need: dict = {}
+            for p in pair.parts:
+                if p.kind in _LISTED_DELTA_KILL and p.coeff:
+                    need[p.c] = max(need.get(p.c, 0),
+                                    _LISTED_DELTA_KILL[p.kind])
+            assert Multiplier.canonical_for(pair) == \
+                Multiplier.of(*need.items()), (alg, d)
+
+
 def _kills(mult, pair) -> bool:
     try:
         check_multiplier(mult, pair)
@@ -445,9 +471,9 @@ def test_inverse_exp_prefix_equals_direct_computation():
     small = list(scalar.ExpInverse(m.factors, m.unit)._upto(2))
     big = list(scalar.ExpInverse(m.factors, m.unit)._upto(6))
     assert len(small) == 5 and len(big) == 9 and big[:5] == small
-    table = vertexops._shifted_inverse(m, SYMBOLIC)
-    assert vertexops._shifted_inverse(
-        Multiplier.of((Q, 1), (ONE, 2), unit=Q), SYMBOLIC) is table
+    table = SYMBOLIC.exp_inverse(m.factors, m.unit)
+    same = Multiplier.of((Q, 1), (ONE, 2), unit=Q)
+    assert SYMBOLIC.exp_inverse(same.factors, same.unit) is table
     assert table._upto(2)[:5] == small
     assert table._upto(6)[:9] == big
     # a shallow read after the table grew reads the same list
@@ -706,14 +732,15 @@ def test_column_routes_match_the_full_table_and_the_series_oracle():
         u = inverse_exp_oracle(mult, zneed, SYMBOLIC)
         for column, exact in ((cs, True), (near, False)):
             case = (trial, mult.describe(), column, exact)
-            table = SYMBOLIC.exp_inverse(mult.factors, mult.unit)
-            full = SYMBOLIC.exp_inverse(mult.factors, mult.unit)
+            # tables of their own, not the memo's: full is made to read
+            # every column itself
+            table = scalar.ExpInverse(mult.factors, mult.unit)
+            full = scalar.ExpInverse(mult.factors, mult.unit)
             full._divisors = None
             _den, lifted = table._lift(column.values())
             assert (table._quotient(list(column), lifted)
                     is not None) == exact, case
             got = table.column(column, zneed)
-            assert (table._reduced is not None) == exact, case
             assert got == full.column(column, zneed), case
             want = []
             for T in range(-kappa, zneed + 1):
@@ -793,20 +820,24 @@ def test_off_by_one_stirling_row_fails_the_oracle(monkeypatch):
 
 
 def _fast_suite_multipliers(scalars) -> set:
-    """The multipliers of every product table a fast suite asks for in
-    one field; they do not depend on the window."""
+    """The multipliers 1 / u of every closed-form table a fast suite at
+    window 1 reads in one field: those of its product stacks, which do
+    not depend on the window, and the reduced tables its exactly divided
+    columns read."""
     keys = set()
-    base = vertexops._shifted_inverse
+    base = scalar._closed_form
 
-    def recorded(mult, field):
-        keys.add((mult, field))
-        return base(mult, field)
+    def recorded(cls, factors, unit):
+        keys.add((factors, unit))
+        return base(cls, factors, unit)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vertexops, "_shifted_inverse", recorded)
+        mp.setattr(scalar, "_closed_form", recorded)
         suite_reports(window=1, point=None if scalars is SYMBOLIC
                       else scalars)
-    return {mult for mult, _field in keys}
+    # a reduced table's factor at 1 is the integer 1
+    return {Multiplier.of(*((scalars.one * c, m) for c, m in factors),
+                          unit=unit) for factors, unit in keys}
 
 
 @pytest.mark.parametrize("scalars", [
@@ -826,8 +857,11 @@ def test_shifted_inverse_matches_the_series_route(scalars):
     ]
     mults = _fast_suite_multipliers(scalars)
     # six multipliers of product stacks and the multiplier 1, whose
-    # table of u = 1 expands e^(kz) alone
-    assert len(mults) == 7 and Multiplier.of() in mults
+    # table of u = 1 expands e^(kz) alone; symbolically, the reduced
+    # tables 1 / (e^z - 1)^kappa, kappa 1 and 2, of exactly divided
+    # columns (a point's columns read their full tables)
+    assert Multiplier.of() in mults
+    assert len(mults) == (9 if scalars is SYMBOLIC else 7)
     for mult in sorted(mults, key=Multiplier.describe) + extra:
         table = scalars.exp_inverse(mult.factors, mult.unit)._upto(10)
         want = shifted_inverse_oracle(mult, 10, scalars)
@@ -1326,7 +1360,7 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     calls = []
     core = vertexops.ordered_core
     tables = set()
-    shifted = vertexops._shifted_inverse
+    closed_form = scalar._closed_form
 
     def counted(*args):
         calls.append(args)
@@ -1334,10 +1368,10 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
 
     def recorded(*args):
         tables.add(args)
-        return shifted(*args)
+        return closed_form(*args)
 
     monkeypatch.setattr(vertexops, "ordered_core", counted)
-    monkeypatch.setattr(vertexops, "_shifted_inverse", recorded)
+    monkeypatch.setattr(scalar, "_closed_form", recorded)
     counts = []
     for _run in range(2):
         before = len(calls)
@@ -1346,8 +1380,12 @@ def test_each_suite_builds_its_own_stacks(monkeypatch, point):
     assert counts == [26, 26]
     # one closed-form table per multiplier, grown to the deepest z order
     # any law of the suite reads: six for product stacks and the table of
-    # u = 1 that expands e^(kz) alone
-    assert len(tables) == 7
+    # u = 1 that expands e^(kz) alone.  Symbolically, the exactly divided
+    # columns read three more, of 1 / (unit (e^z - 1)^kappa) at kappa 1
+    # and 2 with the unit 1 and at kappa 0 with the unit q; at kappa 0
+    # with the unit 1 they read the table of u = 1.  A point's columns
+    # read their full tables alone.
+    assert len(tables) == (10 if point is None else 7)
     before = len(calls)
     verify_identity("scale-covariance", window=5, point=point)
     assert len(calls) - before == 5 * 2 + 2
@@ -1498,6 +1536,21 @@ def test_doubled_catalog_coefficient_fails(monkeypatch, name):
             assert rep.status != PASS, (point, window)
 
 
+@pytest.mark.parametrize("point", [
+    None, RationalPoint(Fraction(3, 5), Fraction(2))],
+    ids=["symbolic", "point"])
+def test_control_laws_are_inconclusive_exactly_under_their_guard(point):
+    """A control law is inconclusive while 2 (window - degree) < degree,
+    where the inner cube misses the undersized multiplier's remainder,
+    and passes at every window above: at windows 0..12, hq (degree 1)
+    reads iipp.. and htq (degree 2) iiipp.."""
+    for alg, degree in (("hq", 1), ("htq", 2)):
+        got = "".join(
+            verify_identity(f"{alg}-quasi-locality-control", window=w,
+                            point=point).status[0] for w in range(13))
+        assert got == "i" * (degree + 1) + "p" * (12 - degree), alg
+
+
 def test_undersized_hq_multiplier_fails():
     # the registry's runner closes over the right multiplier, so the
     # undersized one goes to a fresh runner
@@ -1559,8 +1612,8 @@ def _double_module_bracket(monkeypatch):
 def _fresh_product_memos(monkeypatch):
     """An empty closed-form memo for one test, so that it neither serves
     tables computed before a defect is planted nor keeps planted ones."""
-    memo = vertexops._shifted_inverse
-    monkeypatch.setattr(vertexops, "_shifted_inverse", lru_cache(
+    memo = scalar._closed_form
+    monkeypatch.setattr(scalar, "_closed_form", lru_cache(
         maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__))
 
 
